@@ -48,7 +48,7 @@ MIN_TRACE_PASSES = 2  # of each kind in a traced run
 HARD_CAP_S = 100.0  # no pass starts after this, so a run ends within 180 s
 LOSS_TERM_CALLS = 15
 
-# Times are medians over passes, in reference seconds (workloads.PhaseClock).
+# Times are in reference seconds, medians over passes (_calibrated).
 E2E_MEANING = {
     "setup_s": "load, covariance, glasso and targets (training); CSV and checkpoint "
     "load and the split (audit)",
@@ -61,6 +61,25 @@ E2E_MEANING = {
 
 def _median(values):
     return statistics.median(values) if values else 0.0
+
+
+def _calibrated(w, passes, *groups: str) -> float:
+    """Reference seconds of the phases in ``groups`` (all phases without one).
+
+    Each phase is counted in steps of its kernel, its wall seconds times the
+    kernel's mean step rate sampled around and during it, which cancels the
+    host's speed while it ran (see workloads.PhaseClock); per phase, the
+    median over passes is taken and scaled by the kernel's reference step
+    time.
+    """
+    ok = [p for p in passes if p.outcome != "exception"]
+    if not ok:  # the run failed; wall seconds are all there is
+        return min(p.seconds(*groups) for p in passes)
+    names = [n for n in ok[0].laps if not groups or n.split(".")[0] in groups]
+    return sum(
+        w.cal_ref_s[w.kernel(n)] * statistics.median(p.steps(n, w.kernel(n)) for p in ok)
+        for n in names
+    )
 
 
 def _openblas_runtime() -> dict:
@@ -167,9 +186,6 @@ def run_workload(w, seed: int, seconds: float, trace: bool, references: dict) ->
     attempted = sum(p.attempted for p in passes)
     failed = sum(p.failed for p in passes)
 
-    # Reference seconds per wall second over this run, see workloads.PhaseClock.
-    cal_s = [c for p in plain for c in p.cal_s]
-    scale = w.cal_ref_s / statistics.median(cal_s) if cal_s else 1.0
     if trace:
         metrics = {}
         for name, (unit, _) in tracing.LAYER_METRICS.items():
@@ -182,19 +198,19 @@ def run_workload(w, seed: int, seconds: float, trace: bool, references: dict) ->
             metrics["model.checkpoint_bytes"]["value"] = traced[0].checkpoint_bytes
         for name, value in loss_terms.items():
             metrics[name]["value"] = value
-        overhead = _median([p.wall_s for p in traced]) - _median([p.wall_s for p in plain])
-        metrics["trace.overhead_s"]["value"] = overhead * scale
+        overhead = _calibrated(w, traced) - _calibrated(w, plain)
+        metrics["trace.overhead_s"]["value"] = overhead
     else:
         metrics = {
-            "setup_s": {"value": _median([p.setup_s for p in plain]) * scale, "unit": "s"},
-            "work_s": {"value": _median([p.work_s for p in plain]) * scale, "unit": "s"},
-            "wall_s": {"value": _median([p.wall_s for p in plain]) * scale, "unit": "s"},
+            "setup_s": {"value": _calibrated(w, plain, "setup"), "unit": "s"},
+            "work_s": {"value": _calibrated(w, plain, "work"), "unit": "s"},
+            "wall_s": {"value": _calibrated(w, plain), "unit": "s"},
             "peak_rss_mb": {
                 "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                 "unit": "MB",
             },
         }
-    work_s = _median([p.work_s for p in plain]) * scale
+    work_s = _calibrated(w, plain, "work")
     derived = {"failed_share": failed / attempted}
     if w.kind == "train":
         derived["train_samples_per_s"] = _median([p.rows for p in plain]) / work_s
@@ -209,7 +225,7 @@ def run_workload(w, seed: int, seconds: float, trace: bool, references: dict) ->
         "environment": env,
         "reference_key": key,
         "reference": "absent" if expected is None else "present",
-        "reference_s_per_wall_s": scale,
+        "cal_ref_s": w.cal_ref_s,
         "outcome": first,
         "missing_hooks": tracer.missing if trace else [],
         "passes": [dict(asdict(p), traced=i >= len(plain)) for i, p in enumerate(passes)],

@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import signal
 import statistics
 import sys
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,18 @@ class Workload:
     eval_every: int = 1
     theory_rows: int = 0
     check_trials: int = 0
-    cal_ref_s: float = 1.0  # median Calibration step time on the host this was built on
+    # Median step time of each Calibration kernel on the host this was built
+    # on; the first kernel is the default for a phase (see kernel()).
+    cal_ref_s: dict[str, float] = field(default_factory=dict)
+
+    def kernel(self, phase: str) -> str:
+        """The Calibration kernel that phase ``phase`` is measured against."""
+        kernel = PHASE_KERNELS.get(phase)
+        return kernel if kernel in self.cal_ref_s else next(iter(self.cal_ref_s))
+
+
+# Phases with a kernel of their own, where the workload has that kernel.
+PHASE_KERNELS = {"setup.glasso": "lasso", "setup.load": "csv", "setup.model": "csv"}
 
 
 CUB = Shape(num_seen=150, num_unseen=50, d_a=312, d_v=256, rows_per_class=40)
@@ -82,7 +94,7 @@ WORKLOADS = {
             batch_size=64,
             local_epochs=2,
             eval_every=1,
-            cal_ref_s=1.26e-3,
+            cal_ref_s={"step": 1.26e-3, "lasso": 1.08e-3},
         ),
         Workload(
             name="awa_many_clients",
@@ -96,7 +108,7 @@ WORKLOADS = {
             batch_size=16,
             local_epochs=1,
             eval_every=5,
-            cal_ref_s=9.9e-5,
+            cal_ref_s={"step": 9.9e-5, "lasso": 2.27e-4},
         ),
         Workload(
             name="audit",
@@ -106,7 +118,7 @@ WORKLOADS = {
             shape=CUB,
             theory_rows=1000,
             check_trials=1000,
-            cal_ref_s=9.4e-4,
+            cal_ref_s={"pairs": 1.35e-3, "csv": 4.75e-4},
         ),
     )
 }
@@ -198,73 +210,172 @@ def make_inputs(w: Workload, seed: int, root: Path) -> Path:
 
 # ---------------------------------------------------------------- clock
 
-# The host's speed drifts by +-15% over a few seconds (other tenants share
-# the cores), which no number of passes averages away, and different work
-# slows by different amounts.  So a miniature of the workload's hot loop,
-# benchmark code that no change to fedzsl can speed up, is timed between the
-# phases of every pass, and run.py reports times in reference seconds:
-# median wall seconds times the workload's cal_ref_s over the median kernel
-# step time of the same run.
+# The host's speed changes by up to a factor of two, often within a second
+# (other tenants share the cores and their caches), which no number of
+# passes averages away, and different work slows by different amounts.  So
+# miniatures of the workload's hot loops, benchmark code that no change to
+# fedzsl can speed up, are timed around every phase of every pass and
+# sampled ten times a second while it runs (PhaseClock).  run.py counts
+# each phase in steps of its kernel (Workload.kernel): its wall seconds
+# times the mean step rate sampled over it.  Times are reported in
+# reference seconds: per phase, the median over passes of that count times
+# the kernel's cal_ref_s.
 
 
 class Calibration:
-    """A miniature of one workload's hot loop, timed to track host speed.
+    """Miniatures of one workload's hot loops, timed to track host speed.
 
-    Training workloads get a loss-and-gradient step at their batch shape,
-    the audit gets the theory report's pair-distance loop.
+    ``step`` is a loss-and-gradient step at a training workload's batch
+    shape, ``lasso`` one column of the glasso sweep at its class count,
+    ``pairs`` a stretch of the theory report's pair loop and ``csv`` the
+    parsing of a few feature rows.  The last two walk through as much
+    memory as the audit does, because the host's shared cache slows work
+    by how much memory it walks through.
     """
+
+    ROWS = 1000  # as many as the audit's theory report pairs up
+    PAIRS_PER_STEP = 200
+    LINES_PER_STEP = 4
 
     def __init__(self, w: Workload) -> None:
         rng = np.random.default_rng(0)
         s = w.shape
-        self.train = w.kind == "train"
-        self.x = rng.standard_normal((w.batch_size if self.train else 24, s.d_v))
-        if self.train:
+        classes = s.num_seen + s.num_unseen
+        self.kernels = {name: getattr(self, "_" + name) for name in w.cal_ref_s}
+        self.pair_at = self.line_at = 0  # where the pairs and csv kernels are in their data
+        if "step" in self.kernels:
+            self.x = rng.standard_normal((w.batch_size, s.d_v))
             self.W = rng.standard_normal((s.d_a, s.d_v)) / math.sqrt(s.d_v)
-            self.A = rng.standard_normal((s.d_a, s.num_seen + s.num_unseen)) / math.sqrt(s.d_a)
-        self._step()  # warm-up
-        start = time.perf_counter()
-        self._step()
-        self.steps = max(1, int(0.01 / (time.perf_counter() - start)))
+            self.A = rng.standard_normal((s.d_a, classes)) / math.sqrt(s.d_a)
+        if "lasso" in self.kernels:
+            m = rng.standard_normal((classes, classes))
+            self.G = m @ m.T / classes + np.eye(classes)  # positive definite, like the covariance
+        if "pairs" in self.kernels:
+            self.rows_a = rng.standard_normal((self.ROWS, s.d_a))
+            self.rows_v = rng.standard_normal((self.ROWS, s.d_v))
+        if "csv" in self.kernels:
+            self.lines = _csv_rows(rng.standard_normal((self.ROWS, s.d_v)).tolist()).splitlines()
+        self.repeats = {}
+        for name, kernel in self.kernels.items():
+            kernel()  # warm-up
+            start = time.perf_counter()
+            kernel()
+            self.repeats[name] = max(1, int(0.01 / (time.perf_counter() - start)))
 
     def _step(self) -> None:
-        if self.train:
-            z = (self.x @ self.W.T) @ self.A
-            p = np.exp(z - z.max(axis=1, keepdims=True))
-            p /= p.sum(axis=1, keepdims=True)
-            grad = (p @ self.A.T).T @ self.x
-            self.W - 1e-6 * grad  # an SGD update's memory traffic; W stays fixed
-        else:
-            x = self.x
-            for i in range(x.shape[0]):
-                for j in range(i + 1, x.shape[0]):
-                    float(np.linalg.norm(x[i] - x[j]))
+        z = (self.x @ self.W.T) @ self.A
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        grad = (p @ self.A.T).T @ self.x
+        self.W - 1e-6 * grad  # an SGD update's memory traffic; W stays fixed
 
-    def __call__(self, chunks: int = 5) -> float:
-        """Median seconds of one step, over chunks of about 10 ms."""
-        times = []
-        for _ in range(chunks):
-            start = time.perf_counter()
-            for _ in range(self.steps):
-                self._step()
-            times.append((time.perf_counter() - start) / self.steps)
-        return statistics.median(times)
+    def _lasso(self) -> None:
+        G = self.G
+        rest = np.arange(1, G.shape[0])
+        w12 = G[rest, 0]
+        q = G[np.ix_(rest, rest)] - np.outer(w12, w12) / G[0, 0]
+        b = np.zeros(rest.size)
+        r = q @ b
+        for i in range(b.size):  # one coordinate-descent pass, every coordinate moving
+            partial = w12[i] + r[i] - q[i, i] * b[i]
+            new = math.copysign(max(abs(partial) - 0.01, 0.0), -partial) / q[i, i]
+            step = new - b[i]
+            b[i] = new
+            r += q[:, i] * step
+        G[np.ix_(rest, rest)] + np.outer(r, r)  # the scatter's arithmetic; G stays fixed
+
+    def _pairs(self) -> None:
+        # The next PAIRS_PER_STEP pairs of the loop over (i, all rows j).
+        k, a, v = self.pair_at, self.rows_a, self.rows_v
+        self.pair_at = (k + self.PAIRS_PER_STEP) % (self.ROWS * self.ROWS)
+        i, start = divmod(k, self.ROWS)
+        worst = -math.inf
+        for j in range(start, start + self.PAIRS_PER_STEP):
+            lhs = float(np.linalg.norm(a[i] - a[j]))
+            rhs = float(np.linalg.norm(v[i] - v[j])) / 2.0 - 0.1
+            worst = max(worst, rhs - lhs)
+
+    def _csv(self) -> None:
+        k = self.line_at
+        self.line_at = (k + self.LINES_PER_STEP) % self.ROWS
+        out = np.empty((self.LINES_PER_STEP, len(self.lines[0].split(","))))
+        for row, line in enumerate(self.lines[k : k + self.LINES_PER_STEP]):
+            values = [float(t) for t in line.split(",")]
+            out[row] = [v for v in values if math.isfinite(v)]
+
+    def __call__(self, chunks: int = 5) -> dict[str, float]:
+        """Median seconds of one step of each kernel, over chunks of about 10 ms."""
+        return {
+            name: statistics.median(self._chunk(name, self.repeats[name]) for _ in range(chunks))
+            for name in self.kernels
+        }
+
+    def sample(self) -> dict[str, float]:
+        """Seconds of one step of each kernel, over a chunk of about 2 ms.
+
+        Each chunk follows an untimed step, so the kernel's data is back in
+        cache whatever ran before it.
+        """
+        times = {}
+        for name, kernel in self.kernels.items():
+            kernel()
+            times[name] = self._chunk(name, max(1, self.repeats[name] // 5))
+        return times
+
+    def _chunk(self, name: str, steps: int) -> float:
+        kernel = self.kernels[name]
+        start = time.perf_counter()
+        for _ in range(steps):
+            kernel()
+        return (time.perf_counter() - start) / steps
 
 
 class PhaseClock:
-    """Wall seconds of consecutive phases, with the kernel timed between them."""
+    """Wall seconds of named consecutive phases, and the host's speed during each.
+
+    The kernels are timed before the first phase and after each phase, and
+    sampled every TICK_S seconds while a phase runs, from a SIGALRM handler;
+    the handler's time is left out of the phase.  Use it as a context
+    manager, so the timer stops however the pass ends.
+    """
+
+    TICK_S = 0.1
 
     def __init__(self, calibrate: Calibration) -> None:
         self._calibrate = calibrate
-        self.laps: list[float] = []
-        self.cal: list[float] = [calibrate()]
-        self._start = time.perf_counter()
+        self.laps: dict[str, float] = {}
+        self.cal: list[dict[str, float]] = []
+        self.ticks: list[dict[str, list[float]]] = []
 
-    def lap(self) -> None:
-        """Close the current phase and start the next."""
-        self.laps.append(time.perf_counter() - self._start)
+    def __enter__(self) -> PhaseClock:
+        self._previous = signal.signal(signal.SIGALRM, self._tick)
+        self._begin()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+
+    def _begin(self) -> None:
         self.cal.append(self._calibrate())
+        self._samples: dict[str, list[float]] = {name: [] for name in self._calibrate.kernels}
+        self._handler_s = 0.0
         self._start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, self.TICK_S, self.TICK_S)
+
+    def _tick(self, signum, frame) -> None:
+        start = time.perf_counter()
+        for name, seconds in self._calibrate.sample().items():
+            self._samples[name].append(seconds)
+        self._handler_s += time.perf_counter() - start
+
+    def lap(self, name: str) -> None:
+        """Close the current phase under ``name`` and start the next."""
+        end = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        self.laps[name] = end - self._start - self._handler_s
+        self.ticks.append(self._samples)
+        self._begin()
 
 
 # ---------------------------------------------------------------- passes
@@ -274,16 +385,26 @@ class PhaseClock:
 class PassResult:
     """Timings, outcome and operation counts of one pass."""
 
-    setup_s: float  # wall seconds
-    work_s: float
-    wall_s: float
+    laps: dict[str, float]  # wall seconds per phase, named "setup.*", "work.*" or "output.*"
     attempted: int
     failed: int
     outcome: str  # metrics.csv digest, or the audit counts as JSON
-    cal_s: tuple[float, ...] = ()  # kernel step times around the phases, see PhaseClock
+    cal_s: tuple[dict[str, float], ...] = ()  # kernel step times around the phases, see PhaseClock
+    ticks: tuple[dict[str, list[float]], ...] = ()  # and sampled during each phase
     rows: int = 0  # local training rows visited
     checkpoint_bytes: int = 0
     load_bytes: int = 0
+
+    def seconds(self, *groups: str) -> float:
+        """Wall seconds of the phases in ``groups`` (all phases without one)."""
+        return sum(t for n, t in self.laps.items() if not groups or n.split(".")[0] in groups)
+
+    def steps(self, name: str, kernel: str) -> float:
+        """Phase ``name`` in steps of ``kernel``: its wall seconds times the
+        mean step rate sampled just before, during and just after it."""
+        i = list(self.laps).index(name)
+        times = [self.cal_s[i][kernel], self.cal_s[i + 1][kernel], *self.ticks[i][kernel]]
+        return self.laps[name] * statistics.fmean(1.0 / t for t in times)
 
 
 def _train_config(w: Workload, seed: int) -> fz.TrainConfig:
@@ -327,21 +448,21 @@ def _dir_bytes(path: Path) -> int:
     return sum(p.stat().st_size for p in path.iterdir() if p.is_file())
 
 
-def train_pass(w: Workload, seed: int, data: Path, out: Path, cal: Calibration) -> PassResult:
+def train_pass(w: Workload, seed: int, data: Path, out: Path, clock: PhaseClock) -> PassResult:
     """``fedzsl run``: setup, run_simulation, then write the outputs."""
     out.mkdir(parents=True, exist_ok=True)
-    clock = PhaseClock(cal)
     ds, attrs = fz.load_dataset(data)
     cfg = _train_config(w, seed)
+    clock.lap("setup.load")
     sim = fz.graphical_lasso(fz.sample_covariance(attrs, standardize=True), fz.GlassoConfig())
     cfg.distill = fz.DistillConfig(tau=TAU, targets=fz.distill_targets(sim.gamma, TAU))
-    clock.lap()
+    clock.lap("setup.glasso")
     trace = fz.run_simulation(ds, attrs, cfg, threads=1)
-    clock.lap()
+    clock.lap("work.simulate")
     text = fz.metrics_to_csv(trace)
     (out / "metrics.csv").write_text(text)
     fz.save_model(out / "final_model.csv", trace.final_params)
-    clock.lap()
+    clock.lap("output.write")
     sizes = [a.size for a in trace.client_partition.assignments]
     rows = w.local_epochs * sum(
         sizes[k]
@@ -350,13 +471,12 @@ def train_pass(w: Workload, seed: int, data: Path, out: Path, cal: Calibration) 
     )
     failed = w.rounds if not sim.converged else _bad_rounds(w, text)
     return PassResult(
-        setup_s=clock.laps[0],
-        work_s=clock.laps[1],
-        wall_s=sum(clock.laps),
+        laps=clock.laps,
         attempted=w.rounds,
         failed=failed,
         outcome=hashlib.sha256(text.encode()).hexdigest(),
         cal_s=tuple(clock.cal),
+        ticks=tuple(clock.ticks),
         rows=rows,
         checkpoint_bytes=(out / "final_model.csv").stat().st_size,
         load_bytes=_dir_bytes(data),
@@ -366,18 +486,20 @@ def train_pass(w: Workload, seed: int, data: Path, out: Path, cal: Calibration) 
 AUDIT_OPS = 9  # evaluate, two report checks, six suite checks
 
 
-def audit_pass(w: Workload, seed: int, data: Path, out: Path, cal: Calibration) -> PassResult:
+def audit_pass(w: Workload, seed: int, data: Path, out: Path, clock: PhaseClock) -> PassResult:
     """``fedzsl eval`` then ``fedzsl check``, plus the trained-model report."""
-    clock = PhaseClock(cal)
     ds, attrs = fz.load_dataset(data)
+    clock.lap("setup.load")
     params = fz.load_model(data.parent / "model.csv")
     train, test_seen, test_unseen = fz.split_train_test(ds, seed)
-    clock.lap()
+    clock.lap("setup.model")
     scores = fz.evaluate(params, test_seen, test_unseen, attrs, ds.split)
+    clock.lap("work.evaluate")
     rows = np.sort(np.random.default_rng(seed).choice(train.num_samples, w.theory_rows, replace=False))
     report = fz.build_theory_report(params, train.features[rows], train.labels[rows], attrs)
+    clock.lap("work.report")
     suite = fz.run_check_suite(trials=w.check_trials, seed=seed)
-    clock.lap()
+    clock.lap("work.suite")
     accs = (scores.acc_c, scores.acc_u, scores.acc_s, scores.acc_h)
     counts = {
         "report": dict(sorted(report.violations.items())),
@@ -385,10 +507,9 @@ def audit_pass(w: Workload, seed: int, data: Path, out: Path, cal: Calibration) 
         "suite": {r.name: r.violations for r in suite},
     }
     return PassResult(
-        setup_s=clock.laps[0],
-        work_s=clock.laps[1],
-        wall_s=sum(clock.laps),
+        laps=clock.laps,
         cal_s=tuple(clock.cal),
+        ticks=tuple(clock.ticks),
         attempted=AUDIT_OPS,
         failed=int(not all(a is not None and 0.0 <= a <= 100.0 for a in accs)),
         outcome=json.dumps(counts, sort_keys=True),
@@ -417,12 +538,13 @@ def run_pass(w: Workload, seed: int, data: Path, out: Path, cal: Calibration) ->
     run = train_pass if w.kind == "train" else audit_pass
     t0 = time.perf_counter()
     try:
-        return run(w, seed, data, out, cal)
+        with PhaseClock(cal) as clock:
+            return run(w, seed, data, out, clock)
     except Exception:  # the pass is the boundary that must keep the run going
         traceback.print_exc(file=sys.stderr)
         ops = w.rounds if w.kind == "train" else AUDIT_OPS
         wall = time.perf_counter() - t0
-        return PassResult(wall, wall, wall, ops, ops, "exception")
+        return PassResult({"failed.pass": wall}, ops, ops, "exception")
 
 
 # ------------------------------------------------------ per-term timings

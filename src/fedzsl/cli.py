@@ -422,6 +422,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     resolved = _resolve_run_config(args)
     ds, attrs = load_dataset(args.data)
     cfg = _build_train_config(resolved)
+    out = Path(args.out)
+    meta: dict[str, object] = {
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+        "command": "run",
+        "data": str(Path(args.data).resolve()),
+        "out": str(out.resolve()),
+        "threads": args.threads,
+    }
     if cfg.kl_enabled:
         gl = resolved["glasso"]
         gcfg = GlassoConfig(
@@ -432,19 +441,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         S = sample_covariance(attrs, standardize=gcfg.standardize)
         sim = graphical_lasso(S, gcfg)
+        if not sim.converged:
+            sys.stderr.write(
+                f"warning: glasso did not converge in {sim.sweeps} sweeps "
+                f"(tol {gcfg.tol}); the distillation targets come from the last iterate\n"
+            )
+        meta["glasso_converged"] = sim.converged
+        meta["glasso_sweeps"] = sim.sweeps
         source = sim.gamma if gl["gamma_source"] == "covariance" else sim.theta
         tau = float(resolved["losses"]["tau"])
         cfg.distill = DistillConfig(tau=tau, targets=distill_targets(source, tau))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-        "command": "run",
-        "data": str(Path(args.data).resolve()),
-        "out": str(out.resolve()),
-        "threads": args.threads,
-    }
     _write_manifest(out / MANIFEST_FILE, resolved, meta)
     trace = run_simulation(ds, attrs, cfg, threads=args.threads)
     (out / METRICS_FILE).write_text(metrics_to_csv(trace))

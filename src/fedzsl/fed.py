@@ -228,7 +228,8 @@ def local_train(
         name: cfg.delta_scale * (local_tensors[name] - global_tensors[name])
         for name in global_params.trainable_names()
     }
-    trained = {name: local_tensors[name].copy() for name in global_params.trainable_names()}
+    # params is this call's private clone, so its arrays can be handed over.
+    trained = {name: local_tensors[name] for name in global_params.trainable_names()}
     return ClientUpdate(
         client_id=client_id,
         delta=delta,

@@ -1,13 +1,14 @@
 """Local training losses with exact analytic gradients.
 
-Four attribute-based terms combine into the joint local objective: a
-semantic cross-entropy over class prototypes, an attribute decorrelation
-penalty of unsquared per-group norms, a temperature-scaled KL pull toward
-class-similarity targets, and a bilateral reconstruction term tying the
-decoder back to the input features.  A plain softmax cross-entropy over a
-linear head serves the attribute-free baseline.  Every loss reduces by
-batch mean and reports gradients for each tensor trainable in the
-parameter mode, zero-filled when a tensor does not participate.
+``joint_loss`` is the one attribute-based objective, a weighted sum of four
+terms: a semantic cross-entropy over class prototypes, an attribute
+decorrelation penalty of unsquared per-group norms, a temperature-scaled KL
+pull toward class-similarity targets, and a bilateral reconstruction term
+tying the decoder back to the input features.  A single term is
+``joint_loss`` with only its ``AblationFlags`` flag on, at unit weight.
+``ce_loss_attribute_free`` serves the attribute-free baseline.  Every loss
+reduces by batch mean and reports gradients for each tensor trainable in
+the parameter mode, zero-filled when a tensor does not participate.
 """
 
 from __future__ import annotations
@@ -134,12 +135,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _sce_core(
-    a_hat: np.ndarray, positions: np.ndarray, prototypes: np.ndarray
+    scores: np.ndarray, positions: np.ndarray, prototypes: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    # Cross-entropy of softmax(a_hat @ prototypes) against the label column.
-    batch = a_hat.shape[0]
-    logits = a_hat @ prototypes
-    log_probs = _log_softmax(logits)
+    # Cross-entropy of softmax(scores) at the label; scores = a_hat @ prototypes.
+    batch = scores.shape[0]
+    log_probs = _log_softmax(scores)
     value = float(-log_probs[np.arange(batch), positions].mean())
     d_logits = np.exp(log_probs)
     d_logits[np.arange(batch), positions] -= 1.0
@@ -164,16 +164,17 @@ def _ad_core(a_hat: np.ndarray, groups: tuple[tuple[int, int], ...]) -> tuple[fl
 
 
 def _kl_core(
-    a_hat: np.ndarray,
+    scores: np.ndarray,
     prototypes: np.ndarray,
     target_rows: np.ndarray,
     tau: float,
 ) -> tuple[float, np.ndarray]:
     # tau^2-scaled KL(target || softmax(z/tau)) per sample, meaned over the
-    # batch; d/dz is tau * (softmax - target) / B.
-    batch = a_hat.shape[0]
-    logits = (a_hat @ prototypes) / tau
-    log_probs = _log_softmax(logits)
+    # batch; d/dz is tau * (softmax - target) / B.  Divides ``scores`` by tau
+    # in place, so no second class-score array is live at the peak.
+    batch = scores.shape[0]
+    scores /= tau
+    log_probs = _log_softmax(scores)
     probs = np.exp(log_probs)
     mask = target_rows > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -219,105 +220,6 @@ def _label_positions(labels: np.ndarray, candidates: list[int], loss_name: str) 
     return positions
 
 
-def sce_loss(
-    params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    A: AttributeMatrix,
-    candidate_classes: list[int] | tuple[int, ...] | None = None,
-) -> LossReport:
-    """Semantic cross-entropy over prototype compatibility scores.
-
-    Logits are dot products of predicted attributes with the prototypes of
-    ``candidate_classes`` (all classes by default); the loss is the batch
-    mean of -log softmax at the label.
-    """
-    _require_mode(params, ATTRIBUTE_BASED, "sce_loss")
-    v = _as_batch(features, params.d_v)
-    labels = np.asarray(labels, dtype=np.int64)
-    candidates = (
-        list(range(A.num_classes)) if candidate_classes is None else [int(c) for c in candidate_classes]
-    )
-    positions = _label_positions(labels, candidates, "sce_loss")
-    prototypes = A.values[:, candidates]
-    a_hat = v @ params.W_g.T + params.b_g
-    value, d_a_hat = _sce_core(a_hat, positions, prototypes)
-    grads = _zero_grads(params)
-    grads["W_g"] = d_a_hat.T @ v
-    grads["b_g"] = d_a_hat.sum(axis=0)
-    return LossReport(total=value, terms={SCE: value}, grads=grads)
-
-
-def ad_loss(a_hat_batch: np.ndarray, groups: tuple[tuple[int, int], ...]) -> LossReport:
-    """Attribute decorrelation: batch mean of summed unsquared group norms.
-
-    Operates on predicted attributes directly; the gradient is reported
-    under the key ``"a_hat"`` for the caller to chain into g.
-    """
-    a_hat = np.asarray(a_hat_batch, dtype=np.float64)
-    if a_hat.ndim != 2 or a_hat.shape[0] < 1:
-        raise LossError(f"a_hat_batch must be a nonempty (B, d_a) matrix, got {a_hat.shape}")
-    spans = tuple((int(a), int(b)) for a, b in groups)
-    covered = sorted(spans)
-    if not covered or covered[0][0] != 0 or covered[-1][1] != a_hat.shape[1] or any(
-        b0 != a1 for (_, b0), (a1, _) in zip(covered, covered[1:])
-    ):
-        raise LossError(f"groups must partition [0, {a_hat.shape[1]})")
-    value, grad = _ad_core(a_hat, spans)
-    return LossReport(total=value, terms={AD: value}, grads={"a_hat": grad})
-
-
-def kl_loss(
-    params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    A: AttributeMatrix,
-    cfg: DistillConfig,
-) -> LossReport:
-    """Temperature-scaled KL divergence toward per-class similarity targets.
-
-    Each sample's predicted distribution softmax(a_hat @ A / tau) over all
-    classes is pulled toward the target row of its label; values are scaled
-    by tau^2 so gradients keep their magnitude as tau grows.
-    """
-    _require_mode(params, ATTRIBUTE_BASED, "kl_loss")
-    v = _as_batch(features, params.d_v)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = A.num_classes
-    if cfg.targets.probs.shape != (n, n):
-        raise LossError(
-            f"targets must cover all {n} classes with shape ({n}, {n}), "
-            f"got {cfg.targets.probs.shape}"
-        )
-    if np.any(labels < 0) or np.any(labels >= n):
-        raise LossError("kl_loss: a label is outside the target rows")
-    a_hat = v @ params.W_g.T + params.b_g
-    value, d_a_hat = _kl_core(a_hat, A.values, cfg.targets.probs[labels], cfg.tau)
-    grads = _zero_grads(params)
-    grads["W_g"] = d_a_hat.T @ v
-    grads["b_g"] = d_a_hat.sum(axis=0)
-    return LossReport(total=value, terms={KL: value}, grads=grads)
-
-
-def bc_loss(params: ModelParams, features: np.ndarray, squared: bool = True) -> LossReport:
-    """Bilateral reconstruction loss ||h(g(v)) - v||^2, meaned over the batch.
-
-    Gradients flow into both the decoder and, through the predicted
-    attributes, the regressor.  ``squared=False`` selects the unsquared
-    norm variant.
-    """
-    _require_mode(params, ATTRIBUTE_BASED, "bc_loss")
-    v = _as_batch(features, params.d_v)
-    a_hat = v @ params.W_g.T + params.b_g
-    value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, squared)
-    grads = _zero_grads(params)
-    grads["W_g"] = d_a_hat.T @ v
-    grads["b_g"] = d_a_hat.sum(axis=0)
-    grads["W_h"] = d_W_h
-    grads["b_h"] = d_b_h
-    return LossReport(total=value, terms={BC: value}, grads=grads)
-
-
 def ce_loss_attribute_free(
     params: ModelParams,
     features: np.ndarray,
@@ -358,40 +260,29 @@ def joint_loss(
     A: AttributeMatrix,
     distill: DistillConfig | None,
     weights: LossWeights,
-    groups: tuple[tuple[int, int], ...] | None = None,
     ablation: AblationFlags | None = None,
     bc_squared: bool = True,
 ) -> LossReport:
     """Weighted sum of the enabled attribute-based terms.
 
-    A term disabled by flag or by zero weight is skipped entirely, so both
-    routes produce bit-identical results.  The cross-entropy candidates are
-    always all classes of ``A``.  ``distill`` may be None only when the KL
-    term is disabled.
+    This is the one local objective: a single term is this call with
+    ``ablation`` enabling only that term and its weight at 1.  A term
+    disabled by flag or by zero weight is skipped entirely, so both routes
+    produce bit-identical results.  The cross-entropy candidates are always
+    all classes of ``A``, and the decorrelation groups are ``A.groups``.
+    ``distill`` may be None only when the KL term is disabled.
     """
     _require_mode(params, ATTRIBUTE_BASED, "joint_loss")
     v = _as_batch(features, params.d_v)
     labels = np.asarray(labels, dtype=np.int64)
     ablation = ablation or AblationFlags()
-    spans = A.groups if groups is None else tuple((int(a), int(b)) for a, b in groups)
     n = A.num_classes
+    if A.d_a != params.d_a:
+        raise LossError(f"joint_loss: attributes have d_a {A.d_a}, params have {params.d_a}")
     if np.any(labels < 0) or np.any(labels >= n):
         raise LossError("joint_loss: a label is outside the attribute matrix classes")
-    a_hat = v @ params.W_g.T + params.b_g
-    d_a_hat_total = np.zeros_like(a_hat)
-    terms: dict[str, float] = {}
-    grads = _zero_grads(params)
-    if ablation.sce:
-        value, d_a_hat = _sce_core(a_hat, labels, A.values)
-        terms[SCE] = value
-        d_a_hat_total += d_a_hat
-    if ablation.bc and weights.w_bc > 0.0:
-        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared)
-        terms[BC] = weights.w_bc * value
-        d_a_hat_total += weights.w_bc * d_a_hat
-        grads["W_h"] = weights.w_bc * d_W_h
-        grads["b_h"] = weights.w_bc * d_b_h
-    if ablation.kl and weights.w_kl > 0.0:
+    kl_on = ablation.kl and weights.w_kl > 0.0
+    if kl_on:
         if distill is None:
             raise LossError("joint_loss: KL term enabled but no distill config given")
         if distill.targets.probs.shape != (n, n):
@@ -399,13 +290,32 @@ def joint_loss(
                 f"targets must cover all {n} classes with shape ({n}, {n}), "
                 f"got {distill.targets.probs.shape}"
             )
+    a_hat = v @ params.W_g.T + params.b_g
+    # SCE and KL share one class-score product; KL scales it in place, so
+    # it must run after SCE has read it.
+    scores = a_hat @ A.values if ablation.sce or kl_on else None
+    d_a_hat_total = np.zeros_like(a_hat)
+    terms: dict[str, float] = {}
+    grads = _zero_grads(params)
+    if ablation.sce:
+        value, d_a_hat = _sce_core(scores, labels, A.values)
+        terms[SCE] = value
+        d_a_hat_total += d_a_hat
+        del d_a_hat  # not held through BC's peak, where the scores stay live
+    if ablation.bc and weights.w_bc > 0.0:
+        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared)
+        terms[BC] = weights.w_bc * value
+        d_a_hat_total += weights.w_bc * d_a_hat
+        grads["W_h"] = weights.w_bc * d_W_h
+        grads["b_h"] = weights.w_bc * d_b_h
+    if kl_on:
         value, d_a_hat = _kl_core(
-            a_hat, A.values, distill.targets.probs[labels], distill.tau
+            scores, A.values, distill.targets.probs[labels], distill.tau
         )
         terms[KL] = weights.w_kl * value
         d_a_hat_total += weights.w_kl * d_a_hat
     if ablation.ad and weights.w_ad > 0.0:
-        value, d_a_hat = _ad_core(a_hat, spans)
+        value, d_a_hat = _ad_core(a_hat, A.groups)
         terms[AD] = weights.w_ad * value
         d_a_hat_total += weights.w_ad * d_a_hat
     grads["W_g"] = d_a_hat_total.T @ v

@@ -1,4 +1,4 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and the single-term loss view.
 
 The acceptance tests register a status per criterion; the terminal summary
 hook prints one line per criterion even when pytest captures stdout.
@@ -7,7 +7,18 @@ from __future__ import annotations
 
 import pytest
 
+from fedzsl.losses import AblationFlags, LossWeights, joint_loss
+
 _CRITERIA: dict[int, tuple[str, str]] = {}
+
+
+def single_term(term, params, features, labels, attrs, distill=None, bc_squared=True):
+    """One loss term alone: ``joint_loss`` with only ``term`` enabled, at weight 1."""
+    flags = AblationFlags(**{t: t == term for t in ("sce", "bc", "kl", "ad")})
+    weights = LossWeights(w_bc=1.0, w_kl=1.0, w_ad=1.0)
+    return joint_loss(
+        params, features, labels, attrs, distill, weights, ablation=flags, bc_squared=bc_squared
+    )
 
 
 def record_criterion(number: int, detail: str = "") -> None:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import record_criterion, single_term
 from fedzsl import cli
 from fedzsl.dataset import (
     AttributeMatrix,
@@ -22,16 +22,7 @@ from fedzsl.dataset import (
 from fedzsl.evaluation import harmonic_mean, per_class_top1
 from fedzsl.fed import TrainConfig, run_simulation
 from fedzsl.glasso import GlassoConfig, distill_targets, graphical_lasso, sample_covariance
-from fedzsl.losses import (
-    AblationFlags,
-    DistillConfig,
-    ad_loss,
-    bc_loss,
-    ce_loss_attribute_free,
-    joint_loss,
-    kl_loss,
-    sce_loss,
-)
+from fedzsl.losses import AblationFlags, DistillConfig, ce_loss_attribute_free, joint_loss
 from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, init_opt_state, init_params, sgd_step
 from fedzsl.partition import PartitionSpec, partition
 from fedzsl.theory import run_check_suite
@@ -92,36 +83,15 @@ def test_criterion_1_gradient_checks():
         rng, params, v, labels, attrs, distill = _random_problem(point)
         trainables = {name: params.tensors()[name] for name in params.trainable_names()}
 
-        report = sce_loss(params, v, labels, attrs)
-        err = _packed_fd_error(
-            lambda: sce_loss(params, v, labels, attrs).total, trainables, report.grads
-        )
-        assert err < FD_TOL, f"sce point {point}: {err}"
-        worst = max(worst, err)
-
-        report = kl_loss(params, v, labels, attrs, distill)
-        err = _packed_fd_error(
-            lambda: kl_loss(params, v, labels, attrs, distill).total,
-            trainables,
-            report.grads,
-        )
-        assert err < FD_TOL, f"kl point {point}: {err}"
-        worst = max(worst, err)
-
-        report = bc_loss(params, v)
-        err = _packed_fd_error(
-            lambda: bc_loss(params, v).total, trainables, report.grads
-        )
-        assert err < FD_TOL, f"bc point {point}: {err}"
-        worst = max(worst, err)
-
-        a_hat = rng.standard_normal((4, D_A))
-        report = ad_loss(a_hat, attrs.groups)
-        err = _packed_fd_error(
-            lambda: ad_loss(a_hat, attrs.groups).total, {"a_hat": a_hat}, report.grads
-        )
-        assert err < FD_TOL, f"ad point {point}: {err}"
-        worst = max(worst, err)
+        for term in ("sce", "kl", "bc", "ad"):
+            report = single_term(term, params, v, labels, attrs, distill)
+            err = _packed_fd_error(
+                lambda: single_term(term, params, v, labels, attrs, distill).total,
+                trainables,
+                report.grads,
+            )
+            assert err < FD_TOL, f"{term} point {point}: {err}"
+            worst = max(worst, err)
 
         head = init_params(D_V, D_A, num_seen=NUM_CLASSES, mode=ATTRIBUTE_FREE, seed=point)
         for tensor in head.tensors().values():

@@ -157,9 +157,32 @@ class TestRun:
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0].startswith("round,acc_c")
         assert len(metrics) == 3
-        text = capsys.readouterr().out
-        assert "finished 2 rounds" in text
-        assert "acc_h=" in text
+        captured = capsys.readouterr()
+        assert "finished 2 rounds" in captured.out
+        assert "acc_h=" in captured.out
+        assert "warning" not in captured.err
+        manifest = configparser.ConfigParser()
+        manifest.read(out / "manifest.ini")
+        assert manifest["meta"]["glasso_converged"] == "true"
+
+    def test_unconverged_glasso_warns_and_is_recorded(self, small_data, tmp_path, capsys):
+        config = tmp_path / "one_sweep.ini"
+        config.write_text("[glasso]\nmax_sweeps = 1\n")
+        first = tmp_path / "first"
+        assert self.run_once(small_data, first, ["--config", str(config)]) == 0
+        assert "warning: glasso did not converge in 1 sweeps" in capsys.readouterr().err
+        manifest = configparser.ConfigParser()
+        manifest.read(first / "manifest.ini")
+        assert manifest["meta"]["glasso_converged"] == "false"
+        assert manifest["meta"]["glasso_sweeps"] == "1"
+        second = tmp_path / "second"
+        assert cli.main(
+            [
+                "run", "--data", str(small_data), "--out", str(second),
+                "--config", str(first / "manifest.ini"),
+            ]
+        ) == 0
+        assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
 
     def test_manifest_rerun_is_byte_identical(self, small_data, tmp_path):
         first = tmp_path / "first"

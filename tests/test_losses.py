@@ -1,4 +1,8 @@
-"""Loss values, closed forms, and finite-difference gradient verification."""
+"""Loss values, closed forms, and finite-difference gradient verification.
+
+Each attribute-based term is checked through its single-term view of
+``joint_loss`` (only that flag on, unit weight).
+"""
 from __future__ import annotations
 
 import math
@@ -6,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import single_term
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import DistillTargets, distill_targets
 from fedzsl.losses import (
@@ -15,12 +20,8 @@ from fedzsl.losses import (
     LossReport,
     LossWeights,
     NonFiniteLossError,
-    ad_loss,
-    bc_loss,
     ce_loss_attribute_free,
     joint_loss,
-    kl_loss,
-    sce_loss,
 )
 from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, init_params
 
@@ -71,7 +72,7 @@ class TestSce:
     def test_gradient_matches_finite_differences(self):
         params, features, labels, attrs, _ = problem(0)
         err = fd_relative_error(
-            lambda: sce_loss(params, features, labels, attrs),
+            lambda: single_term("sce", params, features, labels, attrs),
             params,
             ("W_g", "b_g", "W_h", "b_h"),
         )
@@ -85,15 +86,8 @@ class TestSce:
             W_h=np.zeros((D_V, D_A)),
             b_h=np.zeros(D_V),
         )
-        report = sce_loss(params, features, labels, attrs)
+        report = single_term("sce", params, features, labels, attrs)
         assert report.total == pytest.approx(math.log(NUM_CLASSES), rel=1e-12)
-
-    def test_single_candidate_is_free(self):
-        params, features, _, attrs, _ = problem(2)
-        labels = np.full(7, 3)
-        report = sce_loss(params, features, labels, attrs, candidate_classes=[3])
-        assert report.total == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(report.grads["W_g"], 0.0, atol=1e-12)
 
     def test_invariant_under_constant_logit_shift(self):
         # Appending an attribute dimension that is 1 for every prototype and
@@ -107,70 +101,81 @@ class TestSce:
             W_h=np.hstack([params.W_h, np.zeros((D_V, 1))]),
             b_h=params.b_h.copy(),
         )
-        base = sce_loss(params, features, labels, attrs)
-        shifted = sce_loss(shifted_params, features, labels, shifted_attrs)
+        base = single_term("sce", params, features, labels, attrs)
+        shifted = single_term("sce", shifted_params, features, labels, shifted_attrs)
         assert shifted.total == pytest.approx(base.total, rel=1e-12)
         assert np.allclose(shifted.grads["W_g"][:D_A], base.grads["W_g"], atol=1e-12)
 
     def test_candidates_cover_labels(self):
-        params, features, labels, attrs, _ = problem(4)
+        # The candidates are every class of A; a label past them is rejected.
+        params, features, _, attrs, _ = problem(4)
         with pytest.raises(LossError):
-            sce_loss(params, features, np.full(7, 5), attrs, candidate_classes=[0, 1])
+            single_term("sce", params, features, np.full(7, NUM_CLASSES), attrs)
 
     def test_wrong_mode_is_rejected(self):
         _, features, labels, attrs, _ = problem(5)
         free = init_params(D_V, D_A, num_seen=4, mode=ATTRIBUTE_FREE, seed=0)
         with pytest.raises(LossError):
-            sce_loss(free, features, labels, attrs)
+            single_term("sce", free, features, labels, attrs)
+
+
+def bias_only(b_g: np.ndarray) -> ModelParams:
+    """Params whose predicted attributes are ``b_g`` for every input (W_g = 0)."""
+    d_a = b_g.shape[0]
+    return ModelParams(
+        W_g=np.zeros((d_a, D_V)), b_g=b_g, W_h=np.zeros((D_V, d_a)), b_h=np.zeros(D_V)
+    )
 
 
 class TestAd:
     def test_known_group_norms(self):
         # One sample, groups (0,2) and (2,4): norms 5 and 0.
-        a_hat = np.array([[3.0, 4.0, 0.0, 0.0]])
-        report = ad_loss(a_hat, ((0, 2), (2, 4)))
+        attrs = AttributeMatrix(values=np.eye(4), groups=((0, 2), (2, 4)))
+        params = bias_only(np.array([3.0, 4.0, 0.0, 0.0]))
+        report = single_term("ad", params, np.ones((1, D_V)), np.array([0]), attrs)
         assert report.total == pytest.approx(5.0, rel=1e-15)
-        assert np.allclose(report.grads["a_hat"][0, :2], [0.6, 0.8])
-        assert np.allclose(report.grads["a_hat"][0, 2:], 0.0)
+        assert np.allclose(report.grads["b_g"][:2], [0.6, 0.8])
+        assert np.allclose(report.grads["b_g"][2:], 0.0)
 
     def test_batch_mean(self):
-        a_hat = np.array([[3.0, 4.0], [0.0, 0.0]])
-        report = ad_loss(a_hat, ((0, 2),))
+        # a_hat rows (3, 4) and (0, 0) from a one-feature regressor.
+        attrs = AttributeMatrix(values=np.eye(2), groups=((0, 2),))
+        params = ModelParams(
+            W_g=np.array([[3.0], [4.0]]), b_g=np.zeros(2), W_h=np.zeros((1, 2)), b_h=np.zeros(1)
+        )
+        report = single_term("ad", params, np.array([[1.0], [0.0]]), np.array([0, 0]), attrs)
         assert report.total == pytest.approx(2.5, rel=1e-15)
 
     def test_zero_input_gives_zero_loss_and_gradient(self):
-        report = ad_loss(np.zeros((4, 6)), ((0, 3), (3, 6)))
+        attrs = AttributeMatrix(values=np.ones((6, 2)), groups=((0, 3), (3, 6)))
+        features = np.random.default_rng(6).standard_normal((4, D_V))
+        report = single_term("ad", bias_only(np.zeros(6)), features, np.zeros(4, int), attrs)
         assert report.total == 0.0
-        assert np.all(report.grads["a_hat"] == 0.0)
+        assert all(np.all(grad == 0.0) for grad in report.grads.values())
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        a_hat = rng.standard_normal((5, D_A)) + 0.5
-        groups = ((0, 2), (2, 5))
-        report = ad_loss(a_hat, groups)
-        numeric = np.zeros_like(a_hat)
-        for idx in np.ndindex(a_hat.shape):
-            original = a_hat[idx]
-            a_hat[idx] = original + FD_STEP
-            up = ad_loss(a_hat, groups).total
-            a_hat[idx] = original - FD_STEP
-            down = ad_loss(a_hat, groups).total
-            a_hat[idx] = original
-            numeric[idx] = (up - down) / (2.0 * FD_STEP)
-        a = report.grads["a_hat"].ravel()
-        n = numeric.ravel()
-        assert np.linalg.norm(a - n) / np.linalg.norm(n) < FD_TOL
+        params, features, labels, attrs, _ = problem(6)
+        err = fd_relative_error(
+            lambda: single_term("ad", params, features, labels, attrs),
+            params,
+            ("W_g", "b_g", "W_h", "b_h"),
+        )
+        assert err < FD_TOL
 
     def test_groups_must_partition(self):
+        # The groups come from the attribute matrix, so its d_a must match
+        # the regressor's output width.
+        _, features, labels, attrs, _ = problem(6)
+        wide = init_params(D_V, D_A + 1, num_seen=4, mode=ATTRIBUTE_BASED, seed=0)
         with pytest.raises(LossError):
-            ad_loss(np.ones((2, 4)), ((0, 2),))
+            single_term("ad", wide, features, labels, attrs)
 
 
 class TestKl:
     def test_gradient_matches_finite_differences(self):
         params, features, labels, attrs, distill = problem(7)
         err = fd_relative_error(
-            lambda: kl_loss(params, features, labels, attrs, distill),
+            lambda: single_term("kl", params, features, labels, attrs, distill),
             params,
             ("W_g", "b_g", "W_h", "b_h"),
         )
@@ -189,7 +194,8 @@ class TestKl:
             W_g=np.eye(n), b_g=np.zeros(n), W_h=np.zeros((n, n)), b_h=np.zeros(n)
         )
         labels = np.arange(n)
-        report = kl_loss(params, gamma[labels], labels, attrs, DistillConfig(tau=2.0, targets=targets))
+        cfg = DistillConfig(tau=2.0, targets=targets)
+        report = single_term("kl", params, gamma[labels], labels, attrs, cfg)
         assert report.total == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(report.grads["W_g"], 0.0, atol=1e-12)
 
@@ -200,9 +206,8 @@ class TestKl:
             W_g=np.zeros((2, 2)), b_g=np.zeros(2), W_h=np.zeros((2, 2)), b_h=np.zeros(2)
         )
         targets = DistillTargets(probs=np.array([[1.0, 0.0], [0.0, 1.0]]), tau=1.0)
-        report = kl_loss(
-            params, np.ones((1, 2)), np.array([0]), attrs, DistillConfig(tau=1.0, targets=targets)
-        )
+        cfg = DistillConfig(tau=1.0, targets=targets)
+        report = single_term("kl", params, np.ones((1, 2)), np.array([0]), attrs, cfg)
         assert report.total == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_tau_squared_scaling_of_the_value(self):
@@ -216,7 +221,9 @@ class TestKl:
         losses = {}
         for tau in (1.0, 3.0):
             cfg = DistillConfig(tau=tau, targets=DistillTargets(probs=probs, tau=tau))
-            losses[tau] = kl_loss(params, np.ones((1, 2)), np.array([0]), attrs, cfg).total
+            losses[tau] = single_term(
+                "kl", params, np.ones((1, 2)), np.array([0]), attrs, cfg
+            ).total
         assert losses[3.0] == pytest.approx(9.0 * losses[1.0], rel=1e-12)
 
     def test_tau_mismatch_is_rejected(self):
@@ -228,23 +235,25 @@ class TestKl:
         params, features, labels, attrs, _ = problem(9)
         small = DistillTargets(probs=np.full((2, 2), 0.5), tau=4.0)
         with pytest.raises(LossError):
-            kl_loss(params, features, labels, attrs, DistillConfig(tau=4.0, targets=small))
+            single_term(
+                "kl", params, features, labels, attrs, DistillConfig(tau=4.0, targets=small)
+            )
 
 
 class TestBc:
     def test_gradient_matches_finite_differences_squared(self):
-        params, features, _, _, _ = problem(10)
+        params, features, labels, attrs, _ = problem(10)
         err = fd_relative_error(
-            lambda: bc_loss(params, features, squared=True),
+            lambda: single_term("bc", params, features, labels, attrs, bc_squared=True),
             params,
             ("W_g", "b_g", "W_h", "b_h"),
         )
         assert err < FD_TOL
 
     def test_gradient_matches_finite_differences_unsquared(self):
-        params, features, _, _, _ = problem(11)
+        params, features, labels, attrs, _ = problem(11)
         err = fd_relative_error(
-            lambda: bc_loss(params, features, squared=False),
+            lambda: single_term("bc", params, features, labels, attrs, bc_squared=False),
             params,
             ("W_g", "b_g", "W_h", "b_h"),
         )
@@ -258,7 +267,8 @@ class TestBc:
             W_g=W, b_g=np.zeros(4), W_h=np.linalg.inv(W), b_h=np.zeros(4)
         )
         features = rng.standard_normal((6, 4))
-        report = bc_loss(params, features)
+        attrs = AttributeMatrix(values=np.eye(4), groups=((0, 4),))
+        report = single_term("bc", params, features, np.zeros(6, int), attrs)
         assert report.total == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_decoder_measures_feature_norms(self):
@@ -270,8 +280,10 @@ class TestBc:
             W_h=np.zeros((D_V, D_A)),
             b_h=np.zeros(D_V),
         )
-        squared = bc_loss(params, features, squared=True).total
-        unsquared = bc_loss(params, features, squared=False).total
+        _, _, _, attrs, _ = problem(13)
+        labels = np.zeros(5, int)
+        squared = single_term("bc", params, features, labels, attrs, bc_squared=True).total
+        unsquared = single_term("bc", params, features, labels, attrs, bc_squared=False).total
         norms = np.linalg.norm(features, axis=1)
         assert squared == pytest.approx(float((norms**2).mean()), rel=1e-12)
         assert unsquared == pytest.approx(float(norms.mean()), rel=1e-12)
@@ -353,23 +365,36 @@ class TestJoint:
         params, features, labels, attrs, distill = problem(17)
         weights = LossWeights(w_bc=0.25, w_kl=2.0, w_ad=0.5)
         report = joint_loss(params, features, labels, attrs, distill, weights)
-        assert report.terms["bc"] == pytest.approx(
-            0.25 * bc_loss(params, features).total, rel=1e-12
-        )
-        assert report.terms["kl"] == pytest.approx(
-            2.0 * kl_loss(params, features, labels, attrs, distill).total, rel=1e-12
-        )
-        assert report.terms["sce"] == pytest.approx(
-            sce_loss(params, features, labels, attrs).total, rel=1e-12
-        )
+        args = (params, features, labels, attrs, distill)
+        assert report.terms["sce"] == single_term("sce", *args).total
+        assert report.terms["bc"] == 0.25 * single_term("bc", *args).total
+        assert report.terms["kl"] == 2.0 * single_term("kl", *args).total
+        assert report.terms["ad"] == 0.5 * single_term("ad", *args).total
 
     def test_sce_only_matches_the_standalone_loss(self):
-        params, features, labels, attrs, _ = problem(18)
+        params, features, labels, attrs, distill = problem(18)
         only = AblationFlags(sce=True, bc=False, kl=False, ad=False)
         report = joint_loss(params, features, labels, attrs, None, LossWeights(), ablation=only)
-        standalone = sce_loss(params, features, labels, attrs)
-        assert report.total == standalone.total
-        assert np.array_equal(report.grads["W_g"], standalone.grads["W_g"])
+        zero_weights = LossWeights(w_bc=0.0, w_kl=0.0, w_ad=0.0)
+        standalone = joint_loss(params, features, labels, attrs, distill, zero_weights)
+        full = joint_loss(params, features, labels, attrs, distill, LossWeights())
+        assert report.total == standalone.total == full.terms["sce"]
+        for name in report.grads:
+            assert np.array_equal(report.grads[name], standalone.grads[name]), name
+
+    def test_sce_reads_the_shared_scores_before_kl_scales_them(self):
+        # SCE and KL share one a_hat @ A product that KL divides by tau in
+        # place; each term must still equal its single-term value exactly.
+        params, features, labels, attrs, distill = problem(23)
+        both = AblationFlags(sce=True, bc=False, kl=True, ad=False)
+        report = joint_loss(
+            params, features, labels, attrs, distill, LossWeights(w_kl=3.0), ablation=both
+        )
+        args = (params, features, labels, attrs, distill)
+        sce, kl = single_term("sce", *args), single_term("kl", *args)
+        assert report.terms == {"sce": sce.total, "kl": 3.0 * kl.total}
+        expected = sce.grads["W_g"] + 3.0 * kl.grads["W_g"]
+        assert np.allclose(report.grads["W_g"], expected, atol=1e-12)
 
     def test_flag_off_and_weight_zero_are_bit_identical(self):
         params, features, labels, attrs, distill = problem(19)
@@ -394,15 +419,12 @@ class TestJoint:
         params, features, labels, attrs, distill = problem(20)
         weights = LossWeights(w_bc=0.1, w_kl=10.0, w_ad=0.3)
         report = joint_loss(params, features, labels, attrs, distill, weights)
+        args = (params, features, labels, attrs, distill)
         expected = (
-            sce_loss(params, features, labels, attrs).grads["W_g"]
-            + 0.1 * bc_loss(params, features).grads["W_g"]
-            + 10.0 * kl_loss(params, features, labels, attrs, distill).grads["W_g"]
-            + 0.3
-            * (
-                ad_loss(features @ params.W_g.T + params.b_g, attrs.groups).grads["a_hat"].T
-                @ features
-            )
+            single_term("sce", *args).grads["W_g"]
+            + 0.1 * single_term("bc", *args).grads["W_g"]
+            + 10.0 * single_term("kl", *args).grads["W_g"]
+            + 0.3 * single_term("ad", *args).grads["W_g"]
         )
         assert np.allclose(report.grads["W_g"], expected, atol=1e-12)
 
@@ -412,9 +434,8 @@ class TestJoint:
         unsquared = joint_loss(
             params, features, labels, attrs, distill, LossWeights(), bc_squared=False
         )
-        assert unsquared.terms["bc"] == pytest.approx(
-            0.1 * bc_loss(params, features, squared=False).total, rel=1e-12
-        )
+        alone = single_term("bc", params, features, labels, attrs, bc_squared=False)
+        assert unsquared.terms["bc"] == 0.1 * alone.total
         assert squared.terms["bc"] != unsquared.terms["bc"]
 
     def test_kl_enabled_without_targets_is_rejected(self):
@@ -424,12 +445,11 @@ class TestJoint:
 
     def test_all_losses_are_nonnegative(self):
         for seed in range(5):
-            params, features, labels, attrs, distill = problem(30 + seed)
-            assert sce_loss(params, features, labels, attrs).total >= 0.0
-            assert bc_loss(params, features).total >= 0.0
-            assert kl_loss(params, features, labels, attrs, distill).total >= -1e-12
-            a_hat = features @ params.W_g.T + params.b_g
-            assert ad_loss(a_hat, attrs.groups).total >= 0.0
+            args = problem(30 + seed)
+            assert single_term("sce", *args).total >= 0.0
+            assert single_term("bc", *args).total >= 0.0
+            assert single_term("kl", *args).total >= -1e-12
+            assert single_term("ad", *args).total >= 0.0
 
     def test_non_finite_values_raise_the_dedicated_error(self):
         with pytest.raises(NonFiniteLossError):

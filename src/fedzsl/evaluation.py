@@ -51,6 +51,32 @@ def _predict_scores(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return candidates[np.argmax(scores, axis=1)]
 
 
+def _predict_each(
+    params: ModelParams,
+    v: np.ndarray,
+    A: AttributeMatrix,
+    candidate_sets: list[tuple[int, ...] | list[int]],
+) -> list[np.ndarray]:
+    # Batch predictions against each candidate set from one a_hat product,
+    # so scoring one test set twice costs one forward pass.
+    if params.mode != ATTRIBUTE_BASED:
+        raise EvalError(f"predict requires {ATTRIBUTE_BASED} params, got {params.mode}")
+    sets = []
+    for candidate_classes in candidate_sets:
+        candidates = np.asarray(sorted(int(c) for c in candidate_classes), dtype=np.int64)
+        if candidates.size == 0:
+            raise EvalError("candidate_classes must be nonempty")
+        if candidates[0] < 0 or candidates[-1] >= A.num_classes:
+            raise EvalError(f"candidate ids must lie in [0, {A.num_classes})")
+        sets.append(candidates)
+    v = np.asarray(v, dtype=np.float64)
+    batch = v[None, :] if v.ndim == 1 else v
+    if batch.ndim != 2 or batch.shape[1] != params.d_v:
+        raise EvalError(f"features must have {params.d_v} columns, got shape {v.shape}")
+    a_hat = batch @ params.W_g.T + params.b_g
+    return [_predict_scores(a_hat @ A.values[:, c], c) for c in sets]
+
+
 def predict(
     params: ModelParams,
     v: np.ndarray,
@@ -62,22 +88,8 @@ def predict(
     Scores are dot products of predicted attributes with candidate
     prototypes; exact ties resolve to the smallest class id.
     """
-    if params.mode != ATTRIBUTE_BASED:
-        raise EvalError(f"predict requires {ATTRIBUTE_BASED} params, got {params.mode}")
-    candidates = np.asarray(sorted(int(c) for c in candidate_classes), dtype=np.int64)
-    if candidates.size == 0:
-        raise EvalError("candidate_classes must be nonempty")
-    if candidates[0] < 0 or candidates[-1] >= A.num_classes:
-        raise EvalError(f"candidate ids must lie in [0, {A.num_classes})")
-    v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    batch = v[None, :] if single else v
-    if batch.ndim != 2 or batch.shape[1] != params.d_v:
-        raise EvalError(f"features must have {params.d_v} columns, got shape {v.shape}")
-    a_hat = batch @ params.W_g.T + params.b_g
-    scores = a_hat @ A.values[:, candidates]
-    preds = _predict_scores(scores, candidates)
-    return int(preds[0]) if single else preds
+    (preds,) = _predict_each(params, v, A, [candidate_classes])
+    return int(preds[0]) if np.ndim(v) == 1 else preds
 
 
 def per_class_top1(
@@ -156,9 +168,8 @@ def evaluate(
     all_classes = split.all_classes
     unseen_present = tuple(int(c) for c in np.unique(test_unseen.labels))
     seen_present = tuple(int(c) for c in np.unique(test_seen.labels))
-    preds_c = predict(params, test_unseen.features, A, split.unseen)
+    preds_c, preds_u = _predict_each(params, test_unseen.features, A, [split.unseen, all_classes])
     acc_c = per_class_top1(preds_c, test_unseen.labels, unseen_present)
-    preds_u = predict(params, test_unseen.features, A, all_classes)
     acc_u = per_class_top1(preds_u, test_unseen.labels, unseen_present)
     preds_s = predict(params, test_seen.features, A, all_classes)
     acc_s = per_class_top1(preds_s, test_seen.labels, seen_present)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +171,7 @@ def _local_loss(
     A: AttributeMatrix,
     cfg: TrainConfig,
     seen: tuple[int, ...],
+    grads: bool = True,
 ):
     if cfg.mode == ATTRIBUTE_BASED:
         return joint_loss(
@@ -181,8 +183,9 @@ def _local_loss(
             cfg.weights,
             ablation=cfg.ablation,
             bc_squared=cfg.bc_squared,
+            grads=grads,
         )
-    return ce_loss_attribute_free(params, features, labels, seen)
+    return ce_loss_attribute_free(params, features, labels, seen, grads=grads)
 
 
 def local_train(
@@ -323,10 +326,11 @@ def run_simulation(
     """Run the full simulation and return the round-by-round metric trace.
 
     Splits the dataset, partitions the training rows, and iterates rounds:
-    sample clients, train them (in a thread pool when ``threads`` > 1),
-    aggregate in id order, then score the post-aggregation model.  Accuracy
-    metrics are computed every ``eval_every`` rounds and on the final
-    round.  The returned trace also carries ``final_params`` and
+    sample clients, train them (in one thread pool for the whole run when
+    ``threads`` > 1), aggregate in id order, then score the
+    post-aggregation model: a forward-only loss over the training split
+    every round, accuracy metrics every ``eval_every`` rounds and on the
+    final round.  The returned trace also carries ``final_params`` and
     ``client_partition``.
     """
     threads = int(threads)
@@ -344,43 +348,45 @@ def run_simulation(
     )
     trace = SimulationTrace()
     trace.client_partition = part
-    for round_index in range(cfg.rounds):
-        chosen = sample_clients(cfg.num_clients, cfg.sample_fraction, round_index, cfg.seed)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for round_index in range(cfg.rounds):
+            chosen = sample_clients(cfg.num_clients, cfg.sample_fraction, round_index, cfg.seed)
 
-        def train_one(client_id: int) -> ClientUpdate:
-            return local_train(params, client_data[client_id], A, cfg, round_index, client_id)
+            def train_one(client_id: int) -> ClientUpdate:
+                return local_train(params, client_data[client_id], A, cfg, round_index, client_id)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            if pool is not None:
                 updates = list(pool.map(train_one, chosen))
-        else:
-            updates = [train_one(k) for k in chosen]
-        params = aggregate(params, updates, cfg.server_lr)
-        losses = np.array([u.mean_local_loss for u in sorted(updates, key=lambda u: u.client_id)])
-        try:
-            global_loss = _local_loss(
-                params, train.features, train.labels, A, cfg, train.split.seen
-            ).total
-        except NonFiniteLossError as exc:
-            raise TrainingDivergedError(
-                f"global loss non-finite after round {round_index}: {exc}"
-            ) from exc
-        is_eval = (round_index + 1) % cfg.eval_every == 0 or round_index == cfg.rounds - 1
-        acc_c = acc_u = acc_s = acc_h = None
-        if is_eval:
-            scored = evaluate(params, test_seen, test_unseen, A, train.split)
-            acc_c, acc_u, acc_s, acc_h = scored.acc_c, scored.acc_u, scored.acc_s, scored.acc_h
-        trace.append(
-            RoundMetrics(
-                round_index=round_index,
-                acc_c=acc_c,
-                acc_u=acc_u,
-                acc_s=acc_s,
-                acc_h=acc_h,
-                global_loss=global_loss,
-                client_loss_mean=float(losses.mean()),
-                client_loss_std=float(losses.std()),
+            else:
+                updates = [train_one(k) for k in chosen]
+            params = aggregate(params, updates, cfg.server_lr)
+            losses = np.array(
+                [u.mean_local_loss for u in sorted(updates, key=lambda u: u.client_id)]
             )
-        )
+            try:
+                global_loss = _local_loss(
+                    params, train.features, train.labels, A, cfg, train.split.seen, grads=False
+                ).total
+            except NonFiniteLossError as exc:
+                raise TrainingDivergedError(
+                    f"global loss non-finite after round {round_index}: {exc}"
+                ) from exc
+            is_eval = (round_index + 1) % cfg.eval_every == 0 or round_index == cfg.rounds - 1
+            acc_c = acc_u = acc_s = acc_h = None
+            if is_eval:
+                scored = evaluate(params, test_seen, test_unseen, A, train.split)
+                acc_c, acc_u, acc_s, acc_h = scored.acc_c, scored.acc_u, scored.acc_s, scored.acc_h
+            trace.append(
+                RoundMetrics(
+                    round_index=round_index,
+                    acc_c=acc_c,
+                    acc_u=acc_u,
+                    acc_s=acc_s,
+                    acc_h=acc_h,
+                    global_loss=global_loss,
+                    client_loss_mean=float(losses.mean()),
+                    client_loss_std=float(losses.std()),
+                )
+            )
     trace.final_params = params
     return trace

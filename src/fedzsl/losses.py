@@ -8,7 +8,10 @@ tying the decoder back to the input features.  A single term is
 ``joint_loss`` with only its ``AblationFlags`` flag on, at unit weight.
 ``ce_loss_attribute_free`` serves the attribute-free baseline.  Every loss
 reduces by batch mean and reports gradients for each tensor trainable in
-the parameter mode, zero-filled when a tensor does not participate.
+the parameter mode, zero-filled when a tensor does not participate.  With
+``grads=False`` both losses run the same forward arithmetic, skip every
+backward product, and report no gradients; the total and terms are
+bit-identical to the gradient-computing call.
 """
 
 from __future__ import annotations
@@ -135,32 +138,37 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _sce_core(
-    scores: np.ndarray, positions: np.ndarray, prototypes: np.ndarray
-) -> tuple[float, np.ndarray]:
+    scores: np.ndarray, positions: np.ndarray, prototypes: np.ndarray, grads: bool
+) -> tuple[float, np.ndarray | None]:
     # Cross-entropy of softmax(scores) at the label; scores = a_hat @ prototypes.
     batch = scores.shape[0]
     log_probs = _log_softmax(scores)
     value = float(-log_probs[np.arange(batch), positions].mean())
+    if not grads:
+        return value, None
     d_logits = np.exp(log_probs)
     d_logits[np.arange(batch), positions] -= 1.0
     d_logits /= batch
     return value, d_logits @ prototypes.T
 
 
-def _ad_core(a_hat: np.ndarray, groups: tuple[tuple[int, int], ...]) -> tuple[float, np.ndarray]:
+def _ad_core(
+    a_hat: np.ndarray, groups: tuple[tuple[int, int], ...], grads: bool
+) -> tuple[float, np.ndarray | None]:
     # Sum of unsquared group norms per sample; the gradient of each group is
     # its unit direction, taken as 0 below the zero-norm threshold.
     batch = a_hat.shape[0]
-    grad = np.zeros_like(a_hat)
+    grad = np.zeros_like(a_hat) if grads else None
     total = 0.0
     for start, end in groups:
         block = a_hat[:, start:end]
         norms = np.linalg.norm(block, axis=1)
         total += float(norms.sum())
-        safe = norms >= ZERO_NORM_EPS
-        scale = np.where(safe, norms, 1.0)
-        grad[:, start:end] = np.where(safe[:, None], block / scale[:, None], 0.0)
-    return total / batch, grad / batch
+        if grads:
+            safe = norms >= ZERO_NORM_EPS
+            scale = np.where(safe, norms, 1.0)
+            grad[:, start:end] = np.where(safe[:, None], block / scale[:, None], 0.0)
+    return total / batch, (grad / batch if grads else None)
 
 
 def _kl_core(
@@ -168,19 +176,21 @@ def _kl_core(
     prototypes: np.ndarray,
     target_rows: np.ndarray,
     tau: float,
-) -> tuple[float, np.ndarray]:
+    grads: bool,
+) -> tuple[float, np.ndarray | None]:
     # tau^2-scaled KL(target || softmax(z/tau)) per sample, meaned over the
     # batch; d/dz is tau * (softmax - target) / B.  Divides ``scores`` by tau
     # in place, so no second class-score array is live at the peak.
     batch = scores.shape[0]
     scores /= tau
     log_probs = _log_softmax(scores)
-    probs = np.exp(log_probs)
     mask = target_rows > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         contributions = np.where(mask, target_rows * (np.log(np.where(mask, target_rows, 1.0)) - log_probs), 0.0)
     value = float(tau * tau * contributions.sum(axis=1).mean())
-    d_logits = tau * (probs - target_rows) / batch
+    if not grads:
+        return value, None
+    d_logits = tau * (np.exp(log_probs) - target_rows) / batch
     return value, d_logits @ prototypes.T
 
 
@@ -189,17 +199,22 @@ def _bc_core(
     v: np.ndarray,
     params: ModelParams,
     squared: bool,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    grads: bool,
+) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as mean squared
     # norm (default) or mean unsquared norm behind the flag.
     batch = a_hat.shape[0]
     residual = a_hat @ params.W_h.T + params.b_h - v
     if squared:
         value = float((residual * residual).sum() / batch)
-        d_residual = 2.0 * residual / batch
     else:
         norms = np.linalg.norm(residual, axis=1)
         value = float(norms.mean())
+    if not grads:
+        return value, None, None, None
+    if squared:
+        d_residual = 2.0 * residual / batch
+    else:
         safe = norms >= ZERO_NORM_EPS
         scale = np.where(safe, norms, 1.0)
         d_residual = np.where(safe[:, None], residual / scale[:, None], 0.0) / batch
@@ -225,11 +240,13 @@ def ce_loss_attribute_free(
     features: np.ndarray,
     labels: np.ndarray,
     seen_classes: tuple[int, ...] | list[int],
+    grads: bool = True,
 ) -> LossReport:
     """Plain softmax cross-entropy of the linear head over the seen classes.
 
     Head row ``i`` scores the ``i``-th smallest seen class id; labels are
-    mapped through that ordering.
+    mapped through that ordering.  ``grads=False`` returns the same value
+    with an empty ``grads``.
     """
     _require_mode(params, ATTRIBUTE_FREE, "ce_loss_attribute_free")
     v = _as_batch(features, params.d_v)
@@ -244,13 +261,15 @@ def ce_loss_attribute_free(
     logits = v @ params.W_c.T + params.b_c
     log_probs = _log_softmax(logits)
     value = float(-log_probs[np.arange(batch), positions].mean())
+    if not grads:
+        return LossReport(total=value, terms={CE: value}, grads={})
     d_logits = np.exp(log_probs)
     d_logits[np.arange(batch), positions] -= 1.0
     d_logits /= batch
-    grads = _zero_grads(params)
-    grads["W_c"] = d_logits.T @ v
-    grads["b_c"] = d_logits.sum(axis=0)
-    return LossReport(total=value, terms={CE: value}, grads=grads)
+    gradients = _zero_grads(params)
+    gradients["W_c"] = d_logits.T @ v
+    gradients["b_c"] = d_logits.sum(axis=0)
+    return LossReport(total=value, terms={CE: value}, grads=gradients)
 
 
 def joint_loss(
@@ -262,6 +281,7 @@ def joint_loss(
     weights: LossWeights,
     ablation: AblationFlags | None = None,
     bc_squared: bool = True,
+    grads: bool = True,
 ) -> LossReport:
     """Weighted sum of the enabled attribute-based terms.
 
@@ -271,6 +291,12 @@ def joint_loss(
     produce bit-identical results.  The cross-entropy candidates are always
     all classes of ``A``, and the decorrelation groups are ``A.groups``.
     ``distill`` may be None only when the KL term is disabled.
+
+    ``grads=False`` evaluates the loss only, as the per-round global loss
+    does: the forward arithmetic is the same code in the same order, so
+    ``total`` and ``terms`` are bit-identical to the default call, while
+    every backward product is skipped and ``grads`` comes back empty.  The
+    finiteness checks on ``total`` and each term still apply.
     """
     _require_mode(params, ATTRIBUTE_BASED, "joint_loss")
     v = _as_batch(features, params.d_v)
@@ -294,31 +320,36 @@ def joint_loss(
     # SCE and KL share one class-score product; KL scales it in place, so
     # it must run after SCE has read it.
     scores = a_hat @ A.values if ablation.sce or kl_on else None
-    d_a_hat_total = np.zeros_like(a_hat)
+    d_a_hat_total = np.zeros_like(a_hat) if grads else None
     terms: dict[str, float] = {}
-    grads = _zero_grads(params)
+    gradients = _zero_grads(params) if grads else {}
     if ablation.sce:
-        value, d_a_hat = _sce_core(scores, labels, A.values)
+        value, d_a_hat = _sce_core(scores, labels, A.values, grads)
         terms[SCE] = value
-        d_a_hat_total += d_a_hat
+        if grads:
+            d_a_hat_total += d_a_hat
         del d_a_hat  # not held through BC's peak, where the scores stay live
     if ablation.bc and weights.w_bc > 0.0:
-        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared)
+        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared, grads)
         terms[BC] = weights.w_bc * value
-        d_a_hat_total += weights.w_bc * d_a_hat
-        grads["W_h"] = weights.w_bc * d_W_h
-        grads["b_h"] = weights.w_bc * d_b_h
+        if grads:
+            d_a_hat_total += weights.w_bc * d_a_hat
+            gradients["W_h"] = weights.w_bc * d_W_h
+            gradients["b_h"] = weights.w_bc * d_b_h
     if kl_on:
         value, d_a_hat = _kl_core(
-            scores, A.values, distill.targets.probs[labels], distill.tau
+            scores, A.values, distill.targets.probs[labels], distill.tau, grads
         )
         terms[KL] = weights.w_kl * value
-        d_a_hat_total += weights.w_kl * d_a_hat
+        if grads:
+            d_a_hat_total += weights.w_kl * d_a_hat
     if ablation.ad and weights.w_ad > 0.0:
-        value, d_a_hat = _ad_core(a_hat, A.groups)
+        value, d_a_hat = _ad_core(a_hat, A.groups, grads)
         terms[AD] = weights.w_ad * value
-        d_a_hat_total += weights.w_ad * d_a_hat
-    grads["W_g"] = d_a_hat_total.T @ v
-    grads["b_g"] = d_a_hat_total.sum(axis=0)
+        if grads:
+            d_a_hat_total += weights.w_ad * d_a_hat
+    if grads:
+        gradients["W_g"] = d_a_hat_total.T @ v
+        gradients["b_g"] = d_a_hat_total.sum(axis=0)
     total = float(sum(terms.values()))
-    return LossReport(total=total, terms=terms, grads=grads)
+    return LossReport(total=total, terms=terms, grads=gradients)

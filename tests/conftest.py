@@ -12,12 +12,22 @@ from fedzsl.losses import AblationFlags, LossWeights, joint_loss
 _CRITERIA: dict[int, tuple[str, str]] = {}
 
 
-def single_term(term, params, features, labels, attrs, distill=None, bc_squared=True):
+def single_term(
+    term, params, features, labels, attrs, distill=None, bc_squared=True, grads=True
+):
     """One loss term alone: ``joint_loss`` with only ``term`` enabled, at weight 1."""
     flags = AblationFlags(**{t: t == term for t in ("sce", "bc", "kl", "ad")})
     weights = LossWeights(w_bc=1.0, w_kl=1.0, w_ad=1.0)
     return joint_loss(
-        params, features, labels, attrs, distill, weights, ablation=flags, bc_squared=bc_squared
+        params,
+        features,
+        labels,
+        attrs,
+        distill,
+        weights,
+        ablation=flags,
+        bc_squared=bc_squared,
+        grads=grads,
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedzsl import fed
 from fedzsl.dataset import SyntheticSpec, generate_synthetic, split_train_test
 from fedzsl.fed import (
     ClientUpdate,
@@ -290,6 +291,18 @@ class TestRunSimulation:
         assert trace.final_params is not None
         assert trace.client_partition is not None
 
+    def test_global_loss_is_the_gradient_call_total(self):
+        # The per-round global loss runs forward-only; it must equal the
+        # default call's total on the final model bit for bit.
+        ds, attrs, distill = tiny_problem()
+        cfg = tiny_config(distill)
+        trace = run_simulation(ds, attrs, cfg)
+        train, _, _ = split_train_test(ds, cfg.seed)
+        report = joint_loss(
+            trace.final_params, train.features, train.labels, attrs, distill, cfg.weights
+        )
+        assert trace[-1].global_loss == report.total
+
     def test_deterministic_metrics(self):
         ds, attrs, distill = tiny_problem()
         cfg = tiny_config(distill)
@@ -398,6 +411,23 @@ class TestRunSimulation:
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError):
                 run_simulation(ds, attrs, cfg)
+
+    def test_non_finite_global_loss_is_reported(self, monkeypatch):
+        # Clients stay finite; only the aggregated model blows up, so the
+        # forward-only global loss is the check that must fire.
+        real_aggregate = fed.aggregate
+
+        def blown_up(*args, **kwargs):
+            params = real_aggregate(*args, **kwargs)
+            params.W_g *= 1e200
+            assert np.all(np.isfinite(params.W_g))
+            return params
+
+        monkeypatch.setattr(fed, "aggregate", blown_up)
+        ds, attrs, distill = tiny_problem()
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError, match="global loss non-finite after round 0"):
+                run_simulation(ds, attrs, tiny_config(distill))
 
     def test_every_client_loss_covers_all_prototypes(self):
         # Under class-disjoint partitioning each client still scores against

@@ -438,6 +438,32 @@ class TestJoint:
         assert unsquared.terms["bc"] == 0.1 * alone.total
         assert squared.terms["bc"] != unsquared.terms["bc"]
 
+    def test_forward_only_matches_the_gradient_call_bit_for_bit(self):
+        # grads=False shares the forward arithmetic, so total and terms are
+        # exactly those of the default call and no gradient is reported.
+        params, features, labels, attrs, distill = problem(24)
+        args = (params, features, labels, attrs, distill)
+        calls = {
+            "full": lambda **kw: joint_loss(*args, LossWeights(), **kw),
+            "zero bc weight": lambda **kw: joint_loss(*args, LossWeights(w_bc=0.0), **kw),
+            "unsquared bc": lambda **kw: joint_loss(
+                *args, LossWeights(), bc_squared=False, **kw
+            ),
+        }
+        for term in ("sce", "bc", "kl", "ad"):
+            calls[term] = lambda term=term, **kw: single_term(term, *args, **kw)
+        free = init_params(D_V, D_A, num_seen=4, mode=ATTRIBUTE_FREE, seed=24)
+        seen = (0, 1, 2, 3)
+        calls["attribute-free ce"] = lambda **kw: ce_loss_attribute_free(
+            free, features, labels % 4, seen, **kw
+        )
+        for name, call in calls.items():
+            with_grads, forward = call(), call(grads=False)
+            assert forward.total == with_grads.total, name
+            assert forward.terms == with_grads.terms, name
+            assert forward.grads == {}, name
+            assert with_grads.grads, name
+
     def test_kl_enabled_without_targets_is_rejected(self):
         params, features, labels, attrs, _ = problem(22)
         with pytest.raises(LossError):

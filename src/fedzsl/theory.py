@@ -8,6 +8,17 @@ classification) and counts violations, which are provably zero under the
 stated premises.  The linear decoder makes the spectral constants exact,
 so the instance quantities entering each bound are computed, never
 assumed.
+
+The data-driven checks are array operations over exact differences: the
+pairwise bound takes one row's distances to every later row per step (a
+subtraction into a reused buffer, then one norm per row), the
+per-sample bounds take row-wise norms, and prototype distances are built
+one class at a time, so no d_a x C x C or n x n x d temporary exists.
+Row norms go through the same dot kernel as the 1-D ``np.linalg.norm``,
+so counts and worst slacks equal those of a loop over single pairs.
+The Gram identity |a|^2 + |b|^2 - 2 a.b is avoided on purpose: on
+CUB-shaped attribute tables its cancellation error reached 3e-8, thirty
+times ``GEOM_EPS``.
 """
 
 from __future__ import annotations
@@ -208,31 +219,43 @@ def _reconstruction_errors(params: ModelParams, samples: np.ndarray) -> np.ndarr
     return np.linalg.norm(recon - samples, axis=1)
 
 
-def _left_inverse_impl(params: ModelParams, samples: np.ndarray) -> tuple[int, float, int]:
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal bit for bit to ``np.linalg.norm(row)``.
+
+    A 1 x d by d x 1 product per row runs the dot kernel that the 1-D norm
+    runs; ``np.linalg.norm(rows, axis=1)`` sums the squares in another order.
+    """
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _left_inverse_impl(
+    params: ModelParams, samples: np.ndarray, bounds: tuple[float, float]
+) -> tuple[int, float, int]:
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("left-inverse check needs attribute-based params")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise AssumptionError("left-inverse check needs at least 2 samples")
-    _, big = spectral_bounds(params.W_h)
+    _, big = bounds
     if big <= RANK_EPS:
         raise AssumptionError("decoder matrix is zero; the bound is undefined")
     delta = float(_reconstruction_errors(params, samples).max())
     a_hat = samples @ params.W_g.T + params.b_g
+    n = samples.shape[0]
+    a_buf = np.empty_like(a_hat)
+    x_buf = np.empty_like(samples)
     violations = 0
     worst = -math.inf
-    pairs = 0
-    n = samples.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs += 1
-            lhs = float(np.linalg.norm(a_hat[i] - a_hat[j]))
-            rhs = float(np.linalg.norm(samples[i] - samples[j])) / big - 2.0 * delta / big
-            slack = rhs - lhs
-            worst = max(worst, slack)
-            if slack > GEOM_EPS:
-                violations += 1
-    return violations, worst, pairs
+    for i in range(n - 1):
+        # The pairs (i, j), j > i, as rows i+1.. subtracted from row i.
+        a_diff = np.subtract(a_hat[i], a_hat[i + 1 :], out=a_buf[: n - i - 1])
+        x_diff = np.subtract(samples[i], samples[i + 1 :], out=x_buf[: n - i - 1])
+        lhs = _row_norms(a_diff)
+        rhs = _row_norms(x_diff) / big - 2.0 * delta / big
+        slack = rhs - lhs
+        worst = max(worst, float(slack.max()))
+        violations += int(np.count_nonzero(slack > GEOM_EPS))
+    return violations, worst, n * (n - 1) // 2
 
 
 def check_left_inverse_bound(params: ModelParams, samples: np.ndarray) -> int:
@@ -243,7 +266,7 @@ def check_left_inverse_bound(params: ModelParams, samples: np.ndarray) -> int:
     singular value, minus twice the worst reconstruction error at the same
     scale.
     """
-    return _left_inverse_impl(params, samples)[0]
+    return _left_inverse_impl(params, samples, spectral_bounds(params.W_h))[0]
 
 
 def _attr_error_impl(
@@ -251,12 +274,13 @@ def _attr_error_impl(
     features: np.ndarray,
     labels: np.ndarray,
     A: AttributeMatrix,
+    bounds: tuple[float, float],
 ) -> tuple[int, float, int]:
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("attribute error check needs attribute-based params")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    small, _ = spectral_bounds(params.W_h)
+    small, _ = bounds
     if small <= RANK_EPS:
         raise AssumptionError(
             "decoder is not injective (smallest singular value is 0); bound does not apply"
@@ -265,17 +289,10 @@ def _attr_error_impl(
     a_hat = features @ params.W_g.T + params.b_g
     prototypes = A.values[:, labels].T
     decoded = prototypes @ params.W_h.T + params.b_h
-    violations = 0
-    worst = -math.inf
-    for i in range(features.shape[0]):
-        lhs = float(np.linalg.norm(a_hat[i] - prototypes[i]))
-        eps_i = float(np.linalg.norm(decoded[i] - features[i]))
-        rhs = (eps_i + delta) / small
-        slack = lhs - rhs
-        worst = max(worst, slack)
-        if slack > GEOM_EPS:
-            violations += 1
-    return violations, worst, features.shape[0]
+    lhs = _row_norms(a_hat - prototypes)
+    eps = _row_norms(decoded - features)
+    slack = lhs - (eps + delta) / small
+    return int(np.count_nonzero(slack > GEOM_EPS)), float(slack.max()), features.shape[0]
 
 
 def check_attr_error_bound(
@@ -287,7 +304,26 @@ def check_attr_error_bound(
     prototype is bounded by the prototype's decoding error plus the worst
     reconstruction error, divided by the decoder's smallest singular value.
     """
-    return _attr_error_impl(params, features, labels, A)[0]
+    return _attr_error_impl(params, features, labels, A, spectral_bounds(params.W_h))[0]
+
+
+def _closest_and_farthest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the distance to the nearest other column and to the farthest.
+
+    Built one column at a time; each distance row equals the matching row of
+    ``np.linalg.norm(values[:, :, None] - values[:, None, :], axis=0)`` bit
+    for bit (the same differences, summed over the same axis in the same
+    order) without the d x C x C temporary.
+    """
+    num = values.shape[1]
+    closest = np.empty(num)
+    farthest = np.empty(num)
+    for y in range(num):
+        dist = np.linalg.norm(values[:, [y]] - values, axis=0)
+        farthest[y] = dist.max()
+        dist[y] = math.inf
+        closest[y] = dist.min()
+    return closest, farthest
 
 
 def _margin_impl(
@@ -301,11 +337,7 @@ def _margin_impl(
         raise AssumptionError("margin check requires unit-normalized prototypes")
     if not (math.isfinite(c_h) and c_h > 0.0):
         raise AssumptionError(f"margin check needs c_h > 0, got {c_h}")
-    diffs = prototypes[:, :, None] - prototypes[:, None, :]
-    dist = np.linalg.norm(diffs, axis=0)
-    off = dist + np.diag(np.full(num_classes, math.inf))
-    min_dist = off.min(axis=1)
-    max_dist = dist.max(axis=1)
+    min_dist, max_dist = _closest_and_farthest(prototypes)
     if np.min(min_dist) <= 0.0:
         raise AssumptionError("duplicate prototypes make the margin threshold zero")
     rng = np.random.default_rng(seed)
@@ -364,15 +396,14 @@ def check_client_alignment(
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     rows = targets.probs[labels]
-    kl_values = np.array([_kl(rows[i], probs[i]) for i in range(rows.shape[0])])
+    # Row-wise KL(rows || probs) over each row's support, as _kl does.
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(rows, probs, out=np.ones_like(rows), where=rows > 0.0)
+        kl_values = (rows * np.log(ratio)).sum(axis=1)
     epsilon = float((tau * tau * kl_values).max())
-    violations = 0
-    for i in range(rows.shape[0]):
-        lhs = float(np.abs(probs[i] - rows[i]).sum())
-        bound = math.sqrt(2.0 * epsilon / (tau * tau)) + ALIGN_EPS
-        if lhs > bound:
-            violations += 1
-    return violations
+    lhs = np.abs(probs - rows).sum(axis=1)
+    bound = math.sqrt(2.0 * epsilon / (tau * tau)) + ALIGN_EPS
+    return int(np.count_nonzero(lhs > bound))
 
 
 def build_theory_report(
@@ -396,12 +427,8 @@ def build_theory_report(
     small, big = spectral_bounds(params.W_h)
     delta_rec = float(_reconstruction_errors(params, features).max())
     values = A.values
-    diffs = values[:, :, None] - values[:, None, :]
-    dist = np.linalg.norm(diffs, axis=0)
-    off = dist + np.diag(np.full(A.num_classes, math.inf))
-    margins = {
-        y: (float(off[y].min()), float(dist[y].max())) for y in range(A.num_classes)
-    }
+    closest, farthest = _closest_and_farthest(values)
+    margins = {y: (float(closest[y]), float(farthest[y])) for y in range(A.num_classes)}
     decoded = values[:, labels].T @ params.W_h.T + params.b_h
     epsilons = np.linalg.norm(decoded - features, axis=1)
     _, sigma_attr = spectral_bounds(values)
@@ -409,11 +436,11 @@ def build_theory_report(
     violations: dict[str, int] = {}
     refusals: list[str] = []
     try:
-        violations["left_inverse"] = _left_inverse_impl(params, features)[0]
+        violations["left_inverse"] = _left_inverse_impl(params, features, (small, big))[0]
     except AssumptionError as exc:
         refusals.append(f"left_inverse: {exc}")
     try:
-        violations["attr_error"] = _attr_error_impl(params, features, labels, A)[0]
+        violations["attr_error"] = _attr_error_impl(params, features, labels, A, (small, big))[0]
     except AssumptionError as exc:
         refusals.append(f"attr_error: {exc}")
     return TheoryReport(
@@ -434,10 +461,7 @@ def _random_unit_prototypes(
     for _ in range(1000):
         raw = rng.standard_normal((d_a, num_classes))
         values = raw / np.linalg.norm(raw, axis=0, keepdims=True)
-        diffs = values[:, :, None] - values[:, None, :]
-        dist = np.linalg.norm(diffs, axis=0)
-        off = dist + np.diag(np.full(num_classes, math.inf))
-        if float(off.min()) >= min_margin:
+        if float(_closest_and_farthest(values)[0].min()) >= min_margin:
             return values
     raise AssumptionError("could not draw a prototype set with the requested margin")
 
@@ -464,7 +488,7 @@ def run_check_suite(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
     while total_pairs < trials:
         params = init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=int(rng.integers(2**63)))
         samples = rng.standard_normal((10, d_v))
-        got_v, got_worst, pairs = _left_inverse_impl(params, samples)
+        got_v, got_worst, pairs = _left_inverse_impl(params, samples, spectral_bounds(params.W_h))
         violations += got_v
         worst = max(worst, got_worst)
         total_pairs += pairs
@@ -480,7 +504,9 @@ def run_check_suite(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
         attrs = AttributeMatrix(values=prototypes, groups=((0, d_a),))
         features = rng.standard_normal((40, d_v))
         labels = rng.integers(0, 6, size=40)
-        got_v, got_worst, count = _attr_error_impl(params, features, labels, attrs)
+        got_v, got_worst, count = _attr_error_impl(
+            params, features, labels, attrs, spectral_bounds(params.W_h)
+        )
         violations += got_v
         worst = max(worst, got_worst)
         total_samples += count

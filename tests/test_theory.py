@@ -1,9 +1,12 @@
 """Spectral bounds and the executable checks behind the supporting analysis."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from fedzsl import theory
 from fedzsl.dataset import AttributeMatrix, SyntheticSpec, generate_synthetic, split_train_test
 from fedzsl.fed import TrainConfig, run_simulation
 from fedzsl.glasso import DistillTargets, distill_targets, graphical_lasso, sample_covariance
@@ -14,6 +17,10 @@ from fedzsl.theory import (
     AssumptionError,
     CheckResult,
     TheoryReport,
+    _attr_error_impl,
+    _closest_and_farthest,
+    _left_inverse_impl,
+    _random_unit_prototypes,
     build_theory_report,
     check_attr_error_bound,
     check_client_alignment,
@@ -25,6 +32,103 @@ from fedzsl.theory import (
     run_check_suite,
     spectral_bounds,
 )
+
+
+# Brute-force oracles: the per-pair and per-sample loops the array
+# formulation replaced.  They read the thresholds from the module at call
+# time, so a monkeypatched threshold moves oracle and check together.
+
+
+def left_inverse_loop(params, samples):
+    _, big = spectral_bounds(params.W_h)
+    a_hat = samples @ params.W_g.T + params.b_g
+    recon = a_hat @ params.W_h.T + params.b_h
+    delta = float(np.linalg.norm(recon - samples, axis=1).max())
+    violations = 0
+    worst = -math.inf
+    slacks = []
+    n = samples.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = float(np.linalg.norm(a_hat[i] - a_hat[j]))
+            rhs = float(np.linalg.norm(samples[i] - samples[j])) / big - 2.0 * delta / big
+            slack = rhs - lhs
+            slacks.append(slack)
+            worst = max(worst, slack)
+            if slack > theory.GEOM_EPS:
+                violations += 1
+    return (violations, worst, len(slacks)), slacks
+
+
+def attr_error_loop(params, features, labels, A):
+    small, _ = spectral_bounds(params.W_h)
+    a_hat = features @ params.W_g.T + params.b_g
+    recon = a_hat @ params.W_h.T + params.b_h
+    delta = float(np.linalg.norm(recon - features, axis=1).max())
+    prototypes = A.values[:, labels].T
+    decoded = prototypes @ params.W_h.T + params.b_h
+    violations = 0
+    worst = -math.inf
+    slacks = []
+    for i in range(features.shape[0]):
+        lhs = float(np.linalg.norm(a_hat[i] - prototypes[i]))
+        eps_i = float(np.linalg.norm(decoded[i] - features[i]))
+        slack = lhs - (eps_i + delta) / small
+        slacks.append(slack)
+        worst = max(worst, slack)
+        if slack > theory.GEOM_EPS:
+            violations += 1
+    return (violations, worst, features.shape[0]), slacks
+
+
+def alignment_loop(params, features, labels, A, targets):
+    def kl(p, q):
+        mask = p > 0.0
+        with np.errstate(divide="ignore"):
+            return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+
+    tau = targets.tau
+    logits = (features @ params.W_g.T + params.b_g) @ A.values / tau
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = targets.probs[labels]
+    epsilon = max(tau * tau * kl(rows[i], probs[i]) for i in range(rows.shape[0]))
+    radius = math.sqrt(2.0 * epsilon / (tau * tau))
+    l1 = [float(np.abs(probs[i] - rows[i]).sum()) for i in range(rows.shape[0])]
+    violations = sum(lhs > radius + theory.ALIGN_EPS for lhs in l1)
+    return violations, [lhs - radius for lhs in l1]
+
+
+def broadcast_distances(values):
+    diffs = values[:, :, None] - values[:, None, :]
+    dist = np.linalg.norm(diffs, axis=0)
+    off = dist + np.diag(np.full(values.shape[1], math.inf))
+    return off.min(axis=1), dist.max(axis=1)
+
+
+def broadcast_unit_prototypes(rng, d_a, num_classes, min_margin):
+    for _ in range(1000):
+        raw = rng.standard_normal((d_a, num_classes))
+        values = raw / np.linalg.norm(raw, axis=0, keepdims=True)
+        if float(broadcast_distances(values)[0].min()) >= min_margin:
+            return values
+    raise AssertionError("oracle found no prototype set")
+
+
+def random_instance(seed, d_v, d_a, n, num_classes=7):
+    """A random model, samples at mixed scales, labels and a unit prototype table."""
+    rng = np.random.default_rng(seed)
+    params = init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=seed)
+    samples = rng.standard_normal((n, d_v)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    labels = rng.integers(0, num_classes, size=n)
+    raw = rng.standard_normal((d_a, num_classes))
+    attrs = AttributeMatrix(values=raw / np.linalg.norm(raw, axis=0), groups=((0, d_a),))
+    return params, samples, labels, attrs
+
+
+# (d_v, d_a, n): tall, wide and square decoders, and the two-sample minimum.
+SHAPES = ((8, 5, 12), (6, 9, 15), (20, 20, 30), (3, 2, 2))
 
 
 class TestSpectralBounds:
@@ -133,6 +237,80 @@ class TestGeometryChecks:
             check_attr_error_bound(params, np.ones((2, 3)), np.array([0, 1]), attrs)
 
 
+class TestArrayChecksMatchTheLoops:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_left_inverse_equals_the_pair_loop(self, shape):
+        for seed in range(3):
+            params, samples, _, _ = random_instance(seed, *shape)
+            expected, _ = left_inverse_loop(params, samples)
+            got = _left_inverse_impl(params, samples, spectral_bounds(params.W_h))
+            assert got == expected
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_attr_error_equals_the_sample_loop(self, shape):
+        for seed in range(3):
+            params, samples, labels, attrs = random_instance(seed, *shape)
+            expected, _ = attr_error_loop(params, samples, labels, attrs)
+            got = _attr_error_impl(params, samples, labels, attrs, spectral_bounds(params.W_h))
+            assert got == expected
+
+    def test_left_inverse_counts_agree_when_half_the_pairs_violate(self, monkeypatch):
+        # Under the premises every slack is negative; a threshold at the
+        # median slack makes the counting path agree on a nonzero count (an odd
+        # pair count puts one slack exactly on the threshold).
+        params, samples, _, _ = random_instance(11, 8, 5, 39)
+        _, slacks = left_inverse_loop(params, samples)
+        monkeypatch.setattr(theory, "GEOM_EPS", float(np.median(slacks)))
+        expected, _ = left_inverse_loop(params, samples)
+        got = _left_inverse_impl(params, samples, spectral_bounds(params.W_h))
+        assert got == expected
+        assert 0 < got[0] < got[2]
+
+    def test_attr_error_counts_agree_when_half_the_samples_violate(self, monkeypatch):
+        params, samples, labels, attrs = random_instance(12, 8, 5, 41)
+        _, slacks = attr_error_loop(params, samples, labels, attrs)
+        monkeypatch.setattr(theory, "GEOM_EPS", float(np.median(slacks)))
+        expected, _ = attr_error_loop(params, samples, labels, attrs)
+        got = _attr_error_impl(params, samples, labels, attrs, spectral_bounds(params.W_h))
+        assert got == expected
+        assert 0 < got[0] < got[2]
+
+    def test_alignment_counts_equal_the_row_loop(self, monkeypatch):
+        params, samples, labels, attrs = random_instance(13, 8, 5, 41)
+        gamma = np.random.default_rng(13).standard_normal((7, 7))
+        probs = distill_targets(gamma + gamma.T, tau=3.0).probs
+        # Zero entries leave a row's support, as in the loop's mask.
+        probs[0, 1:3] = 0.0
+        probs[0] /= probs[0].sum()
+        targets = DistillTargets(probs=probs, tau=3.0)
+        labels[:5] = 0
+        expected, gaps = alignment_loop(params, samples, labels, attrs, targets)
+        assert check_client_alignment(params, samples, labels, attrs, targets) == expected == 0
+        monkeypatch.setattr(theory, "ALIGN_EPS", float(np.median(gaps)))
+        expected, _ = alignment_loop(params, samples, labels, attrs, targets)
+        assert check_client_alignment(params, samples, labels, attrs, targets) == expected
+        assert 0 < expected < samples.shape[0]
+
+    @pytest.mark.parametrize("shape", ((5, 6), (16, 12), (85, 50), (2, 2)))
+    def test_prototype_distances_equal_the_broadcast(self, shape):
+        values = np.random.default_rng(shape[1]).standard_normal(shape)
+        closest, farthest = _closest_and_farthest(values)
+        want_closest, want_farthest = broadcast_distances(values)
+        assert np.array_equal(closest, want_closest)
+        assert np.array_equal(farthest, want_farthest)
+
+    @pytest.mark.parametrize("d_a,num_classes", ((5, 6), (16, 12)))
+    def test_prototype_draws_follow_the_broadcast_rng_stream(self, d_a, num_classes):
+        # Accept-or-redraw decides how much of the stream a draw consumes,
+        # and the suite's later checks read the rest of it.
+        for seed in range(20):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _random_unit_prototypes(rng, d_a, num_classes, min_margin=0.3)
+            want = broadcast_unit_prototypes(oracle_rng, d_a, num_classes, min_margin=0.3)
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestMarginCheck:
     def test_orthonormal_prototypes_never_misclassify_below_threshold(self):
         attrs = AttributeMatrix(values=np.eye(4), groups=((0, 4),))
@@ -224,6 +402,32 @@ class TestTheoryReport:
         assert report.lz.shape == (train.num_samples,)
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
         assert report.refusals == ()
+
+    def test_margins_equal_the_broadcast_distances(self):
+        rng = np.random.default_rng(8)
+        attrs = AttributeMatrix(values=rng.uniform(0.0, 1.0, (85, 50)), groups=((0, 85),))
+        params = init_params(16, 85, num_seen=40, mode=ATTRIBUTE_BASED, seed=8)
+        features = rng.standard_normal((30, 16))
+        labels = rng.integers(0, 50, size=30)
+        report = build_theory_report(params, features, labels, attrs)
+        closest, farthest = broadcast_distances(attrs.values)
+        assert report.margins == {
+            y: (float(closest[y]), float(farthest[y])) for y in range(attrs.num_classes)
+        }
+
+    def test_decoder_spectrum_is_computed_once(self, monkeypatch):
+        params, train, attrs = self.trained_instance()
+        seen = []
+        real = theory.spectral_bounds
+
+        def counting(W, *args, **kwargs):
+            seen.append(W)
+            return real(W, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "spectral_bounds", counting)
+        report = build_theory_report(params, train.features, train.labels, attrs)
+        assert sum(W is params.W_h for W in seen) == 1
+        assert report.violations == {"left_inverse": 0, "attr_error": 0}
 
     def test_zero_decoder_turns_into_refusals(self):
         params, train, attrs = self.trained_instance()

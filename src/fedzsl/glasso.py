@@ -10,6 +10,18 @@ into temperature-scaled probability targets for distillation.
 The solver maintains the covariance estimate alongside the precision via
 rank-one block-inverse identities, so each column update costs O(p^2) and
 the penalized objective never increases between sweeps.
+
+The order of the floating-point operations is part of the contract, not
+an implementation detail: the distillation targets come from ``gamma``,
+so every ``metrics.csv`` digest depends on ``theta`` bit for bit.  The
+column solver visits every coordinate in index order on every pass, and
+the block update gathers and scatters W11 with plain slice copies, which
+move bits without arithmetic.  Faster schemes that reorder the updates,
+such as active-set sweeps (cycling only over nonzero coordinates between
+full passes) or block-diagonal screening (solving connected components
+of {|S_ij| > delta} apart), reach the same optimum within ``tol`` but
+not the same bits, so adopting one means re-recording every reference
+digest of the outputs.
 """
 
 from __future__ import annotations
@@ -111,6 +123,8 @@ class DistillTargets:
             raise GlassoError(f"tau must be finite and positive, got {self.tau}")
         if self.probs.ndim != 2:
             raise GlassoError("probs must be a 2-dimensional matrix")
+        if not np.all(np.isfinite(self.probs)):
+            raise GlassoError("probs contains non-finite entries")
         if np.any(self.probs < 0.0):
             raise GlassoError("probs contains negative entries")
         sums = self.probs.sum(axis=1)
@@ -151,33 +165,48 @@ def glasso_objective(S: np.ndarray, theta: np.ndarray, delta: float) -> float:
     return float(np.sum(S * theta)) - logdet + float(delta) * float(np.sum(np.abs(theta)))
 
 
-def _soft_threshold(x: float, threshold: float) -> float:
-    if x > threshold:
-        return x - threshold
-    if x < -threshold:
-        return x + threshold
-    return 0.0
-
-
 def _solve_column_lasso(
     q: np.ndarray, lin: np.ndarray, b: np.ndarray, delta: float, inner_tol: float
 ) -> np.ndarray:
     # Coordinate descent for 0.5*b@q@b + lin@b + delta*||b||_1, warm-started
-    # at the current precision column; r tracks q @ b throughout.
+    # at the current precision column; r tracks q @ b throughout and b is
+    # updated in place.  Each visit computes partial = (lin_i + r_i) -
+    # q_ii*b_i, soft-thresholds -partial by delta, divides by q_ii and, if
+    # b_i moved, adds q[:, i]*step to r.  That arithmetic and its order are
+    # fixed (see the module docstring); the loop runs it over Python floats,
+    # which round exactly as numpy's float64 scalars do, and reads r through
+    # a memoryview that sees its in-place updates.  q is symmetric only to
+    # rounding (S is checked within SYMMETRY_TOL), so r's update reads the
+    # column q[:, i], kept as a contiguous row of cols.
     r = q @ b
+    cols = list(np.ascontiguousarray(q.T))
+    diag = q.diagonal().tolist()
+    lin_f = lin.tolist()
+    b_f = b.tolist()
+    r_f = memoryview(r)
+    buf = np.empty_like(r)
     for _ in range(_MAX_INNER_ITERATIONS):
         biggest = 0.0
-        for i in range(b.size):
-            old = b[i]
-            partial = lin[i] + r[i] - q[i, i] * old
-            new = _soft_threshold(-partial, delta) / q[i, i]
+        for i, old in enumerate(b_f):
+            q_ii = diag[i]
+            x = -(lin_f[i] + r_f[i] - q_ii * old)
+            if x > delta:
+                new = (x - delta) / q_ii
+            elif x < -delta:
+                new = (x + delta) / q_ii
+            else:
+                new = 0.0 / q_ii  # a zero signed as the division signs it
             if new != old:
                 step = new - old
-                b[i] = new
-                r += q[:, i] * step
-                biggest = max(biggest, abs(step))
+                b_f[i] = new
+                np.multiply(cols[i], step, out=buf)
+                np.add(r, buf, out=r)
+                size = -step if step < 0.0 else step
+                if size > biggest:
+                    biggest = size
         if biggest <= inner_tol:
             break
+    b[:] = b_f
     return r
 
 
@@ -197,6 +226,8 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise GlassoError(f"S must be square, got shape {S.shape}")
+    if S.shape[0] == 0:
+        raise GlassoError("S is empty: need at least one class")
     if not np.all(np.isfinite(S)):
         raise GlassoError("S contains non-finite values")
     if np.max(np.abs(S - S.T), initial=0.0) > SYMMETRY_TOL:
@@ -226,6 +257,9 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
         )
     inner_tol = max(cfg.tol * 1e-3, 1e-14)
     rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
+    # W without row and column j, gathered and scattered as four slice
+    # copies; it holds W11, then theta11^-1, then the updated W11.
+    block = np.empty((p - 1, p - 1))
     converged = False
     sweeps_run = 0
     for _ in range(cfg.max_sweeps):
@@ -234,9 +268,13 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             rest = rest_indices[j]
             w12 = W[rest, j]
             w22 = W[j, j]
-            theta11_inv = W[np.ix_(rest, rest)] - np.outer(w12, w12) / w22
+            block[:j, :j] = W[:j, :j]
+            block[:j, j:] = W[:j, j + 1 :]
+            block[j:, :j] = W[j + 1 :, :j]
+            block[j:, j:] = W[j + 1 :, j + 1 :]
+            block -= np.outer(w12, w12) / w22
             scale = S[j, j] + delta
-            q = scale * theta11_inv
+            q = scale * block
             b = theta[rest, j].copy()
             r = _solve_column_lasso(q, S[rest, j], b, delta, inner_tol)
             theta[rest, j] = b
@@ -245,7 +283,11 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             W[j, j] = scale
             W[rest, j] = -r
             W[j, rest] = -r
-            W[np.ix_(rest, rest)] = theta11_inv + np.outer(r, r) / scale
+            block += np.outer(r, r) / scale
+            W[:j, :j] = block[:j, :j]
+            W[:j, j + 1 :] = block[:j, j:]
+            W[j + 1 :, :j] = block[j:, :j]
+            W[j + 1 :, j + 1 :] = block[j:, j:]
         sweeps_run += 1
         objective.append(glasso_objective(S, theta, delta))
         if float(np.max(np.abs(W - w_before))) < cfg.tol:
@@ -281,6 +323,8 @@ def distill_targets(gamma: np.ndarray, tau: float) -> DistillTargets:
         raise GlassoError(f"tau must be finite and positive, got {tau}")
     if gamma.ndim != 2:
         raise GlassoError("gamma must be a 2-dimensional matrix")
+    if not np.all(np.isfinite(gamma)):
+        raise GlassoError("gamma contains non-finite values")
     scaled = gamma / tau
     scaled = scaled - scaled.max(axis=1, keepdims=True)
     exp = np.exp(scaled)

@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedzsl import glasso
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import (
+    SYMMETRY_TOL,
     DistillTargets,
     GlassoConfig,
     GlassoError,
@@ -21,6 +25,141 @@ TIGHT = GlassoConfig(delta=0.1, tol=1e-9, max_sweeps=500)
 
 def correlated_2x2(rho: float) -> np.ndarray:
     return np.array([[1.0, rho], [rho, 1.0]])
+
+
+# Oracle: the solver as it was before its loops ran over Python floats and
+# slice copies, kept verbatim.  The current solver must match it bit for
+# bit, because metrics.csv digests depend on theta.
+
+
+def soft_threshold_loop(x: float, threshold: float) -> float:
+    if x > threshold:
+        return x - threshold
+    if x < -threshold:
+        return x + threshold
+    return 0.0
+
+
+def solve_column_lasso_loop(
+    q: np.ndarray, lin: np.ndarray, b: np.ndarray, delta: float, inner_tol: float
+) -> np.ndarray:
+    # Coordinate descent for 0.5*b@q@b + lin@b + delta*||b||_1, warm-started
+    # at the current precision column; r tracks q @ b throughout.
+    r = q @ b
+    for _ in range(glasso._MAX_INNER_ITERATIONS):
+        biggest = 0.0
+        for i in range(b.size):
+            old = b[i]
+            partial = lin[i] + r[i] - q[i, i] * old
+            new = soft_threshold_loop(-partial, delta) / q[i, i]
+            if new != old:
+                step = new - old
+                b[i] = new
+                r += q[:, i] * step
+                biggest = max(biggest, abs(step))
+        if biggest <= inner_tol:
+            break
+    return r
+
+
+def graphical_lasso_loop(S: np.ndarray, cfg: GlassoConfig | None = None) -> SimilarityMatrix:
+    if cfg is None:
+        cfg = GlassoConfig()
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise GlassoError(f"S must be square, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise GlassoError("S contains non-finite values")
+    if np.max(np.abs(S - S.T), initial=0.0) > SYMMETRY_TOL:
+        raise GlassoError(f"S is not symmetric within {SYMMETRY_TOL}")
+    if np.any(np.diag(S) < 0.0):
+        raise GlassoError("S has a negative diagonal entry")
+    p = S.shape[0]
+    delta = cfg.delta
+    W = S + delta * np.eye(p)
+    try:
+        np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        raise GlassoError("S + delta*I is not positive definite; cannot initialize") from None
+    theta = np.linalg.inv(W)
+    theta = 0.5 * (theta + theta.T)
+    objective = [glasso_objective(S, theta, delta)]
+    if p == 1:
+        gamma = np.array([[S[0, 0] + delta]])
+        theta = np.array([[1.0 / (S[0, 0] + delta)]])
+        return SimilarityMatrix(
+            gamma=gamma,
+            theta=theta,
+            sample_cov=S.copy(),
+            converged=True,
+            sweeps=0,
+            objective=tuple(objective),
+        )
+    inner_tol = max(cfg.tol * 1e-3, 1e-14)
+    rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
+    converged = False
+    sweeps_run = 0
+    for _ in range(cfg.max_sweeps):
+        w_before = W.copy()
+        for j in range(p):
+            rest = rest_indices[j]
+            w12 = W[rest, j]
+            w22 = W[j, j]
+            theta11_inv = W[np.ix_(rest, rest)] - np.outer(w12, w12) / w22
+            scale = S[j, j] + delta
+            q = scale * theta11_inv
+            b = theta[rest, j].copy()
+            r = solve_column_lasso_loop(q, S[rest, j], b, delta, inner_tol)
+            theta[rest, j] = b
+            theta[j, rest] = b
+            theta[j, j] = (1.0 + float(b @ r)) / scale
+            W[j, j] = scale
+            W[rest, j] = -r
+            W[j, rest] = -r
+            W[np.ix_(rest, rest)] = theta11_inv + np.outer(r, r) / scale
+        sweeps_run += 1
+        objective.append(glasso_objective(S, theta, delta))
+        if float(np.max(np.abs(W - w_before))) < cfg.tol:
+            converged = True
+            break
+    # Refresh the covariance from the final precision so the pair inverts
+    # to machine precision.
+    try:
+        np.linalg.cholesky(theta)
+    except np.linalg.LinAlgError:
+        raise GlassoError("estimated precision lost positive definiteness") from None
+    gamma = np.linalg.inv(theta)
+    gamma = 0.5 * (gamma + gamma.T)
+    return SimilarityMatrix(
+        gamma=gamma,
+        theta=theta,
+        sample_cov=S.copy(),
+        converged=converged,
+        sweeps=sweeps_run,
+        objective=tuple(objective),
+    )
+
+
+def assert_same_solve(got: SimilarityMatrix, want: SimilarityMatrix) -> None:
+    # tobytes() so that a flipped signed zero counts as a difference.
+    assert got.gamma.tobytes() == want.gamma.tobytes()
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.objective == want.objective
+    assert got.sweeps == want.sweeps
+    assert got.converged == want.converged
+
+
+def random_covariance(seed: int, d_a: int, classes: int) -> np.ndarray:
+    values = np.random.default_rng(seed).standard_normal((d_a, classes))
+    return sample_covariance(values, standardize=True)
+
+
+def nearly_symmetric_covariance() -> np.ndarray:
+    # Symmetric within SYMMETRY_TOL but not bitwise, so q is not either.
+    S = random_covariance(11, 15, 6)
+    S[0, 3] += 0.5 * SYMMETRY_TOL
+    S[4, 1] -= 0.25 * SYMMETRY_TOL
+    return S
 
 
 class TestSampleCovariance:
@@ -153,7 +292,56 @@ class TestGraphicalLassoOptimality:
         assert sim.sweeps == 1
 
 
+# (S, cfg): the smallest sizes, a diagonal S, a delta that prunes every
+# edge, a capped non-converging run, an AwA-shaped 50-class table and an S
+# that is symmetric only within SYMMETRY_TOL.
+ORACLE_CASES = {
+    "p2": (correlated_2x2(0.8), TIGHT),
+    "p3": (np.array([[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]]), TIGHT),
+    "diagonal": (np.diag([2.0, 3.0, 0.5, 1.0]), TIGHT),
+    "all_edges_pruned": (random_covariance(3, 10, 7), GlassoConfig(delta=2.0)),
+    "one_sweep": (random_covariance(4, 12, 6), GlassoConfig(delta=0.05, tol=1e-12, max_sweeps=1)),
+    "awa_shaped": (random_covariance(5, 85, 50), GlassoConfig()),
+    "nearly_symmetric": (nearly_symmetric_covariance(), GlassoConfig(delta=0.05, tol=1e-8)),
+}
+
+
+class TestSolverMatchesTheLoop:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bit_identical_to_the_oracle(self, case):
+        S, cfg = ORACLE_CASES[case]
+        assert_same_solve(graphical_lasso(S, cfg), graphical_lasso_loop(S, cfg))
+
+    def test_cases_cover_what_they_name(self):
+        pruned = graphical_lasso(*ORACLE_CASES["all_edges_pruned"])
+        assert np.count_nonzero(pruned.theta - np.diag(np.diag(pruned.theta))) == 0
+        assert not graphical_lasso(*ORACLE_CASES["one_sweep"]).converged
+        S = ORACLE_CASES["nearly_symmetric"][0]
+        assert not np.array_equal(S, S.T)
+        assert np.max(np.abs(S - S.T)) <= SYMMETRY_TOL
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        classes=st.integers(2, 12),
+        d_a=st.integers(2, 24),
+        delta=st.floats(0.01, 0.5),
+    )
+    def test_random_tables_match_the_oracle(self, seed, classes, d_a, delta):
+        S = random_covariance(seed, d_a, classes)
+        cfg = GlassoConfig(delta=delta)
+        sim = graphical_lasso(S, cfg)
+        assert_same_solve(sim, graphical_lasso_loop(S, cfg))
+        # Monotone up to the rounding of the objective's own evaluation,
+        # which can add a few ulps once the sweeps have converged.
+        assert np.all(np.diff(sim.objective) <= 1e-12)
+
+
 class TestGraphicalLassoValidation:
+    def test_rejects_empty(self):
+        with pytest.raises(GlassoError, match="S is empty"):
+            graphical_lasso(np.zeros((0, 0)))
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(GlassoError):
             graphical_lasso(np.array([[1.0, 0.2], [0.3, 1.0]]))
@@ -217,8 +405,17 @@ class TestDistillTargets:
         with pytest.raises(GlassoError):
             distill_targets(np.eye(2), tau=0.0)
 
+    def test_rejects_non_finite_gamma(self):
+        with pytest.raises(GlassoError, match="non-finite"):
+            distill_targets(np.array([[np.inf, 0.0], [0.0, 1.0]]), tau=1.0)
+
     def test_target_rows_validated(self):
         with pytest.raises(GlassoError):
             DistillTargets(probs=np.array([[0.7, 0.2]]), tau=1.0)
         with pytest.raises(GlassoError):
             DistillTargets(probs=np.array([[1.2, -0.2]]), tau=1.0)
+
+    def test_rejects_non_finite_probs(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(GlassoError, match="non-finite"):
+                DistillTargets(probs=np.array([[bad, 0.0], [0.5, 0.5]]), tau=1.0)

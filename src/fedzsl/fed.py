@@ -1,8 +1,8 @@
 """Federated simulation: client sampling, local training, weighted aggregation.
 
 One round broadcasts the global model to a seeded sample of clients, runs
-local epochs of minibatch SGD on each, scales the parameter movement, and
-folds the deltas back with class-count weights.  Every random draw is keyed
+local epochs of minibatch SGD on each, and folds each client's scaled
+parameter movement back with class-count weights.  Every random draw is keyed
 by (seed, round, client) so the result is independent of scheduling order
 and thread count.
 """
@@ -120,27 +120,33 @@ class TrainConfig:
 
 @dataclass
 class ClientUpdate:
-    """One client's scaled parameter movement plus its weighting metadata."""
+    """One client's locally trained tensors plus its weighting metadata.
+
+    An update holds one array per trainable tensor: the trained values
+    themselves.  The scaled movement ``beta * (trained - global)`` is formed
+    by :func:`aggregate` against the global model it was trained from, so no
+    delta array is stored.
+    """
 
     client_id: int
-    delta: dict[str, np.ndarray]
+    trained: dict[str, np.ndarray]
     num_local_classes: int
     mean_local_loss: float
-    # The locally trained tensors and the scale used to form delta; kept so
-    # aggregation can copy them verbatim when the scaling provably collapses.
     beta: float = 1.0
-    trained: dict[str, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.client_id = int(self.client_id)
         self.num_local_classes = int(self.num_local_classes)
         self.mean_local_loss = float(self.mean_local_loss)
+        self.beta = float(self.beta)
         if self.client_id < 0:
             raise FedError(f"client_id must be >= 0, got {self.client_id}")
         if self.num_local_classes < 1:
             raise FedError(f"num_local_classes must be >= 1, got {self.num_local_classes}")
         if not math.isfinite(self.mean_local_loss):
             raise FedError(f"mean_local_loss must be finite, got {self.mean_local_loss}")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise FedError(f"beta must be finite and > 0, got {self.beta}")
 
 
 @dataclass
@@ -196,8 +202,9 @@ def local_train(
     round_index: int,
     client_id: int,
 ) -> ClientUpdate:
-    """Run the local epochs on one client and return its scaled delta.
+    """Run the local epochs on one client and return its trained tensors.
 
+    The update carries ``beta = cfg.delta_scale`` for :func:`aggregate`.
     The shuffle RNG is keyed by (seed, round, client), so the update is a
     pure function of the broadcast parameters and the client's data,
     independent of execution order.  The last partial minibatch is kept.
@@ -222,34 +229,30 @@ def local_train(
                     f"client {client_id} diverged at round {round_index}, "
                     f"epoch {epoch}, step {steps}: {exc}"
                 ) from exc
-            sgd_step(params, report.grads, opt)
+            # The LossReport has scanned every gradient for finiteness.
+            sgd_step(params, report.grads, opt, check_finite=False)
             loss_sum += report.total
             steps += 1
-    global_tensors = global_params.tensors()
-    local_tensors = params.tensors()
-    delta = {
-        name: cfg.delta_scale * (local_tensors[name] - global_tensors[name])
-        for name in global_params.trainable_names()
-    }
     # params is this call's private clone, so its arrays can be handed over.
-    trained = {name: local_tensors[name] for name in global_params.trainable_names()}
+    local_tensors = params.tensors()
     return ClientUpdate(
         client_id=client_id,
-        delta=delta,
+        trained={name: local_tensors[name] for name in global_params.trainable_names()},
         num_local_classes=len(np.unique(client_data.labels)),
         mean_local_loss=loss_sum / steps,
         beta=cfg.delta_scale,
-        trained=trained,
     )
 
 
 def aggregate(
     global_params: ModelParams, updates: list[ClientUpdate], server_lr: float
 ) -> ModelParams:
-    """Fold client deltas into the global model, weighted by local class counts.
+    """Fold client updates into the global model, weighted by local class counts.
 
-    w_next = w + server_lr * sum_k (n_k / sum_j n_j) * delta_k, accumulated
-    in ascending client-id order.  When the scaling provably collapses to
+    w_next = w + server_lr * sum_k (n_k / sum_j n_j) * delta_k with
+    delta_k = beta_k * (trained_k - w), accumulated in ascending client-id
+    order.  Each delta_k is formed per tensor in one reused work array, in
+    that order of operations.  When the scaling provably collapses to
     copying a single client's trained parameters (one update, server_lr,
     beta, and the coefficient all exactly 1), those tensors are copied
     verbatim so the equality is exact rather than within float round-off.
@@ -267,31 +270,32 @@ def aggregate(
     tensors = global_params.tensors()
     for update in ordered:
         for name in names:
-            if name not in update.delta:
+            if name not in update.trained:
                 raise FedError(f"client {update.client_id} update is missing tensor '{name}'")
-            if update.delta[name].shape != tensors[name].shape:
+            if update.trained[name].shape != tensors[name].shape:
                 raise FedError(
-                    f"client {update.client_id} delta '{name}' has shape "
-                    f"{update.delta[name].shape}, expected {tensors[name].shape}"
+                    f"client {update.client_id} trained '{name}' has shape "
+                    f"{update.trained[name].shape}, expected {tensors[name].shape}"
                 )
     total = sum(u.num_local_classes for u in ordered)
     new_params = global_params.clone()
     new_tensors = new_params.tensors()
     only = ordered[0]
-    if (
-        len(ordered) == 1
-        and server_lr == 1.0
-        and only.beta == 1.0
-        and only.trained is not None
-    ):
+    if len(ordered) == 1 and server_lr == 1.0 and only.beta == 1.0:
         for name in names:
             np.copyto(new_tensors[name], only.trained[name])
         return new_params
     for name in names:
-        acc = np.zeros_like(new_tensors[name])
+        base = tensors[name]
+        acc = np.zeros_like(base)
+        work = np.empty_like(base)
         for update in ordered:
-            acc += (update.num_local_classes / total) * update.delta[name]
-        new_tensors[name] += server_lr * acc
+            np.subtract(update.trained[name], base, out=work)
+            work *= update.beta
+            work *= update.num_local_classes / total
+            acc += work
+        acc *= server_lr
+        new_tensors[name] += acc
     return new_params
 
 

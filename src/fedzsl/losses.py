@@ -17,7 +17,7 @@ bit-identical to the gradient-computing call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,10 +80,16 @@ class AblationFlags:
 
 @dataclass
 class DistillConfig:
-    """Distillation temperature and the precomputed target rows."""
+    """Distillation temperature and the precomputed target rows.
+
+    ``log_targets`` caches ``log`` of every target row with its zero
+    entries read as 1 (so they log to 0); the KL term gathers its rows
+    instead of taking the logarithm at every step.
+    """
 
     tau: float
     targets: DistillTargets
+    log_targets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.tau = float(self.tau)
@@ -91,6 +97,8 @@ class DistillConfig:
             raise LossError(
                 f"tau ({self.tau}) must match targets.tau ({self.targets.tau})"
             )
+        probs = self.targets.probs
+        self.log_targets = np.log(np.where(probs > 0.0, probs, 1.0))
 
 
 @dataclass
@@ -127,11 +135,6 @@ def _require_mode(params: ModelParams, mode: str, loss_name: str) -> None:
         raise LossError(f"{loss_name} requires {mode} params, got {params.mode}")
 
 
-def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    tensors = params.tensors()
-    return {name: np.zeros_like(tensors[name]) for name in params.trainable_names()}
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -156,25 +159,37 @@ def _ad_core(
     a_hat: np.ndarray, groups: tuple[tuple[int, int], ...], grads: bool
 ) -> tuple[float, np.ndarray | None]:
     # Sum of unsquared group norms per sample; the gradient of each group is
-    # its unit direction, taken as 0 below the zero-norm threshold.
+    # its unit direction, taken as 0 below the zero-norm threshold.  One
+    # elementwise square serves every group; each group's row sums and their
+    # square roots are the ones np.linalg.norm(block, axis=1) computes, and
+    # the groups tile the columns in order, so repeating the (group, sample)
+    # scales over group widths lines them up with the columns of a_hat.
     batch = a_hat.shape[0]
-    grad = np.zeros_like(a_hat) if grads else None
+    squares = a_hat * a_hat
+    norms = np.empty((len(groups), batch))
+    for k, (start, end) in enumerate(groups):
+        np.add.reduce(squares[:, start:end], axis=1, out=norms[k])
+    np.sqrt(norms, out=norms)
+    # Group totals are added one at a time in Python floats, as before;
+    # builtin sum() compensates its rounding on Python 3.12 and later.
     total = 0.0
-    for start, end in groups:
-        block = a_hat[:, start:end]
-        norms = np.linalg.norm(block, axis=1)
-        total += float(norms.sum())
-        if grads:
-            safe = norms >= ZERO_NORM_EPS
-            scale = np.where(safe, norms, 1.0)
-            grad[:, start:end] = np.where(safe[:, None], block / scale[:, None], 0.0)
-    return total / batch, (grad / batch if grads else None)
+    for group_total in norms.sum(axis=1).tolist():
+        total += group_total
+    if not grads:
+        return total / batch, None
+    safe = norms >= ZERO_NORM_EPS
+    widths = [end - start for start, end in groups]
+    grad = a_hat / np.repeat(np.where(safe, norms, 1.0).T, widths, axis=1)
+    grad[~np.repeat(safe.T, widths, axis=1)] = 0.0
+    grad /= batch
+    return total / batch, grad
 
 
 def _kl_core(
     scores: np.ndarray,
     prototypes: np.ndarray,
     target_rows: np.ndarray,
+    log_target_rows: np.ndarray,
     tau: float,
     grads: bool,
 ) -> tuple[float, np.ndarray | None]:
@@ -186,7 +201,7 @@ def _kl_core(
     log_probs = _log_softmax(scores)
     mask = target_rows > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        contributions = np.where(mask, target_rows * (np.log(np.where(mask, target_rows, 1.0)) - log_probs), 0.0)
+        contributions = np.where(mask, target_rows * (log_target_rows - log_probs), 0.0)
     value = float(tau * tau * contributions.sum(axis=1).mean())
     if not grads:
         return value, None
@@ -266,9 +281,7 @@ def ce_loss_attribute_free(
     d_logits = np.exp(log_probs)
     d_logits[np.arange(batch), positions] -= 1.0
     d_logits /= batch
-    gradients = _zero_grads(params)
-    gradients["W_c"] = d_logits.T @ v
-    gradients["b_c"] = d_logits.sum(axis=0)
+    gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)}
     return LossReport(total=value, terms={CE: value}, grads=gradients)
 
 
@@ -322,7 +335,7 @@ def joint_loss(
     scores = a_hat @ A.values if ablation.sce or kl_on else None
     d_a_hat_total = np.zeros_like(a_hat) if grads else None
     terms: dict[str, float] = {}
-    gradients = _zero_grads(params) if grads else {}
+    d_W_h = d_b_h = None
     if ablation.sce:
         value, d_a_hat = _sce_core(scores, labels, A.values, grads)
         terms[SCE] = value
@@ -333,23 +346,39 @@ def joint_loss(
         value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared, grads)
         terms[BC] = weights.w_bc * value
         if grads:
-            d_a_hat_total += weights.w_bc * d_a_hat
-            gradients["W_h"] = weights.w_bc * d_W_h
-            gradients["b_h"] = weights.w_bc * d_b_h
+            # Every term returns fresh gradient arrays, so they are weighted
+            # in place: w * x and x * w are the same IEEE product.
+            d_a_hat *= weights.w_bc
+            d_a_hat_total += d_a_hat
+            d_W_h *= weights.w_bc
+            d_b_h *= weights.w_bc
     if kl_on:
         value, d_a_hat = _kl_core(
-            scores, A.values, distill.targets.probs[labels], distill.tau, grads
+            scores,
+            A.values,
+            distill.targets.probs[labels],
+            distill.log_targets[labels],
+            distill.tau,
+            grads,
         )
         terms[KL] = weights.w_kl * value
         if grads:
-            d_a_hat_total += weights.w_kl * d_a_hat
+            d_a_hat *= weights.w_kl
+            d_a_hat_total += d_a_hat
     if ablation.ad and weights.w_ad > 0.0:
         value, d_a_hat = _ad_core(a_hat, A.groups, grads)
         terms[AD] = weights.w_ad * value
         if grads:
-            d_a_hat_total += weights.w_ad * d_a_hat
+            d_a_hat *= weights.w_ad
+            d_a_hat_total += d_a_hat
+    gradients: dict[str, np.ndarray] = {}
     if grads:
-        gradients["W_g"] = d_a_hat_total.T @ v
-        gradients["b_g"] = d_a_hat_total.sum(axis=0)
+        # W_h and b_h are zero-filled only when no term wrote them.
+        gradients = {
+            "W_g": d_a_hat_total.T @ v,
+            "b_g": d_a_hat_total.sum(axis=0),
+            "W_h": np.zeros_like(params.W_h) if d_W_h is None else d_W_h,
+            "b_h": np.zeros_like(params.b_h) if d_b_h is None else d_b_h,
+        }
     total = float(sum(terms.values()))
     return LossReport(total=total, terms=terms, grads=gradients)

@@ -121,12 +121,17 @@ class ModelParams:
 
 @dataclass
 class OptState:
-    """Momentum buffers plus the SGD hyperparameters."""
+    """Momentum buffers, per-tensor work arrays, and the SGD hyperparameters.
+
+    ``scratch`` holds one work array per tensor, allocated by the first
+    :func:`sgd_step` that updates it and reused by every later step.
+    """
 
     learning_rate: float = DEFAULT_LEARNING_RATE
     momentum: float = DEFAULT_MOMENTUM
     weight_decay: float = DEFAULT_WEIGHT_DECAY
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.learning_rate = float(self.learning_rate)
@@ -246,32 +251,54 @@ def compatibility_logits(
     raise ModelError("predicted attributes must be a vector or a 2-dimensional batch")
 
 
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], opt: OptState) -> ModelParams:
+def sgd_step(
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    opt: OptState,
+    check_finite: bool = True,
+) -> ModelParams:
     """One momentum SGD update, in place; returns the mutated params.
 
     Per tensor: g' = grad + weight_decay * param; buf = momentum * buf + g';
-    param -= learning_rate * buf.
+    param -= learning_rate * buf.  Every product and sum is written into the
+    tensor's work array in ``opt.scratch``, so a step allocates nothing after
+    the first and performs the same IEEE operations as the expression form.
+
+    Every gradient is validated before any tensor moves, so a rejected step
+    leaves ``params`` and ``opt`` unchanged.  Finiteness contract: with
+    ``check_finite`` (the default) a gradient holding a NaN or infinity
+    raises ``ModelError``.  ``check_finite=False`` skips that scan and is
+    only for callers whose gradients were scanned already; every
+    ``LossReport`` scans its gradients on construction, which is why local
+    training passes it.
     """
     tensors = params.tensors()
+    trainable = params.trainable_names()
     for name, grad in grads.items():
         if name not in tensors:
             raise ModelError(f"gradient for unknown tensor '{name}'")
-        if name not in params.trainable_names():
+        if name not in trainable:
             raise ModelError(f"tensor '{name}' is not trainable in {params.mode} mode")
-        if not np.all(np.isfinite(grad)):
+        if check_finite and not np.all(np.isfinite(grad)):
             raise ModelError(f"non-finite gradient for {name}")
-        tensor = tensors[name]
-        if grad.shape != tensor.shape:
+        if grad.shape != tensors[name].shape:
             raise ModelError(
-                f"gradient shape {grad.shape} does not match {name} shape {tensor.shape}"
+                f"gradient shape {grad.shape} does not match {name} shape {tensors[name].shape}"
             )
-        buf = opt.buffers.get(name)
-        if buf is None:
+        if name not in opt.buffers:
             raise ModelError(f"optimizer state has no buffer for {name}")
-        adjusted = grad + opt.weight_decay * tensor
+    for name, grad in grads.items():
+        tensor = tensors[name]
+        buf = opt.buffers[name]
+        work = opt.scratch.get(name)
+        if work is None:
+            work = opt.scratch[name] = np.empty_like(tensor)
+        np.multiply(tensor, opt.weight_decay, out=work)
+        np.add(grad, work, out=work)
         buf *= opt.momentum
-        buf += adjusted
-        tensor -= opt.learning_rate * buf
+        buf += work
+        np.multiply(buf, opt.learning_rate, out=work)
+        tensor -= work
     return params
 
 

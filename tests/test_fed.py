@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedzsl import fed
 from fedzsl.dataset import SyntheticSpec, generate_synthetic, split_train_test
@@ -90,8 +92,8 @@ class TestLocalTrain:
         params = init_params(8, 6, num_seen=6, mode=cfg.mode, seed=0)
         u1 = local_train(params, data, attrs, cfg, round_index=0, client_id=0)
         u2 = local_train(params, data, attrs, cfg, round_index=0, client_id=0)
-        for name in u1.delta:
-            assert np.array_equal(u1.delta[name], u2.delta[name])
+        for name in u1.trained:
+            assert np.array_equal(u1.trained[name], u2.trained[name])
         assert u1.mean_local_loss == u2.mean_local_loss
 
     def test_global_params_are_not_mutated(self):
@@ -107,8 +109,11 @@ class TestLocalTrain:
         cfg = tiny_config(cfg.distill, local_lr=0.0)
         params = init_params(8, 6, num_seen=6, mode=cfg.mode, seed=0)
         update = local_train(params, data, attrs, cfg, round_index=0, client_id=0)
-        for name, delta in update.delta.items():
-            assert np.all(delta == 0.0), name
+        for name, trained in update.trained.items():
+            assert np.array_equal(trained, params.tensors()[name]), name
+        merged = aggregate(params, [update], server_lr=0.5)
+        for name, tensor in merged.tensors().items():
+            assert np.array_equal(tensor, params.tensors()[name]), name
 
     def test_doubling_delta_scale_doubles_the_delta(self):
         data, attrs, cfg, _ = self.client_slice()
@@ -117,8 +122,17 @@ class TestLocalTrain:
         params = init_params(8, 6, num_seen=6, mode=cfg.mode, seed=0)
         u1 = local_train(params, data, attrs, base, round_index=0, client_id=0)
         u2 = local_train(params, data, attrs, double, round_index=0, client_id=0)
-        for name in u1.delta:
-            assert np.array_equal(2.0 * u1.delta[name], u2.delta[name]), name
+        # The trained tensors do not depend on the scale; the update carries
+        # it, and the movement aggregate applies doubles with it.
+        assert (u1.beta, u2.beta) == (1.0, 2.0)
+        m1 = aggregate(params, [u1], server_lr=0.5).tensors()
+        m2 = aggregate(params, [u2], server_lr=0.5).tensors()
+        for name, start in params.tensors().items():
+            assert np.array_equal(u1.trained[name], u2.trained[name]), name
+            moved = u1.trained[name] - start
+            assert np.any(moved != 0.0), name
+            assert np.allclose(m1[name] - start, 0.5 * moved, rtol=0.0, atol=1e-15), name
+            assert np.allclose(m2[name] - start, moved, rtol=0.0, atol=1e-15), name
 
     def test_single_step_matches_direct_sgd(self):
         # One epoch, one full batch, one step: the delta must equal the
@@ -140,9 +154,8 @@ class TestLocalTrain:
             ablation=cfg.ablation,
         )
         sgd_step(twin, report.grads, opt)
-        for name in update.delta:
-            expected = twin.tensors()[name] - params.tensors()[name]
-            assert np.array_equal(update.delta[name], expected), name
+        for name in update.trained:
+            assert np.array_equal(update.trained[name], twin.tensors()[name]), name
 
     def test_metadata_fields(self):
         data, attrs, cfg, _ = self.client_slice()
@@ -152,7 +165,7 @@ class TestLocalTrain:
         assert update.num_local_classes == len(np.unique(data.labels))
         assert np.isfinite(update.mean_local_loss)
         assert update.beta == cfg.delta_scale
-        assert set(update.trained) == set(update.delta)
+        assert tuple(update.trained) == params.trainable_names()
 
     def test_divergence_raises_with_context(self):
         data, attrs, cfg, _ = self.client_slice()
@@ -163,12 +176,20 @@ class TestLocalTrain:
                 local_train(params, data, attrs, cfg, round_index=0, client_id=0)
 
 
+def shifted(params, amount) -> dict[str, np.ndarray]:
+    """Trained tensors that sit ``amount`` away from ``params``."""
+    return {name: t + amount for name, t in params.tensors().items()}
+
+
 class TestAggregate:
     def test_zero_deltas_leave_params_unchanged(self):
+        # Trained tensors equal to the global ones give zero movement.
         params = init_params(5, 3, num_seen=4, mode="attribute-based", seed=0)
-        zeros = {name: np.zeros_like(t) for name, t in params.tensors().items()}
         updates = [
-            ClientUpdate(client_id=k, delta=zeros, num_local_classes=2, mean_local_loss=1.0)
+            ClientUpdate(
+                client_id=k, trained=shifted(params, 0.0), num_local_classes=2,
+                mean_local_loss=1.0,
+            )
             for k in range(3)
         ]
         merged = aggregate(params, updates, server_lr=1.0)
@@ -178,11 +199,11 @@ class TestAggregate:
     def test_class_count_weighting(self):
         # Clients holding 10 and 30 classes weigh 0.25 and 0.75.
         params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
-        ones = {name: np.ones_like(t) for name, t in params.tensors().items()}
-        twos = {name: 2.0 * np.ones_like(t) for name, t in params.tensors().items()}
         updates = [
-            ClientUpdate(client_id=0, delta=ones, num_local_classes=10, mean_local_loss=0.0),
-            ClientUpdate(client_id=1, delta=twos, num_local_classes=30, mean_local_loss=0.0),
+            ClientUpdate(client_id=0, trained=shifted(params, 1.0), num_local_classes=10,
+                         mean_local_loss=0.0),
+            ClientUpdate(client_id=1, trained=shifted(params, 2.0), num_local_classes=30,
+                         mean_local_loss=0.0),
         ]
         merged = aggregate(params, updates, server_lr=1.0)
         expected_step = 0.25 * 1.0 + 0.75 * 2.0
@@ -191,8 +212,9 @@ class TestAggregate:
 
     def test_server_lr_scales_the_step(self):
         params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
-        ones = {name: np.ones_like(t) for name, t in params.tensors().items()}
-        update = ClientUpdate(client_id=0, delta=ones, num_local_classes=5, mean_local_loss=0.0)
+        update = ClientUpdate(
+            client_id=0, trained=shifted(params, 1.0), num_local_classes=5, mean_local_loss=0.0
+        )
         merged = aggregate(params, [update], server_lr=0.5)
         for name, tensor in merged.tensors().items():
             assert np.allclose(tensor, params.tensors()[name] + 0.5, atol=1e-15)
@@ -202,10 +224,10 @@ class TestAggregate:
         params = init_params(5, 3, num_seen=4, mode="attribute-based", seed=2)
         updates = []
         for k in range(4):
-            delta = {name: rng.standard_normal(t.shape) for name, t in params.tensors().items()}
+            trained = {name: rng.standard_normal(t.shape) for name, t in params.tensors().items()}
             updates.append(
                 ClientUpdate(
-                    client_id=k, delta=delta, num_local_classes=k + 1, mean_local_loss=0.0
+                    client_id=k, trained=trained, num_local_classes=k + 1, mean_local_loss=0.0
                 )
             )
         forward = aggregate(params, updates, server_lr=1.0)
@@ -219,14 +241,12 @@ class TestAggregate:
         rng = np.random.default_rng(3)
         params = init_params(5, 3, num_seen=4, mode="attribute-based", seed=3)
         trained = {name: rng.standard_normal(t.shape) for name, t in params.tensors().items()}
-        delta = {name: trained[name] - t for name, t in params.tensors().items()}
         update = ClientUpdate(
             client_id=0,
-            delta=delta,
+            trained=trained,
             num_local_classes=3,
             mean_local_loss=0.0,
             beta=1.0,
-            trained=trained,
         )
         merged = aggregate(params, [update], server_lr=1.0)
         for name in trained:
@@ -234,14 +254,11 @@ class TestAggregate:
 
     def test_non_unit_server_lr_uses_the_formula(self):
         params = init_params(5, 3, num_seen=4, mode="attribute-based", seed=3)
-        trained = {name: t + 1.0 for name, t in params.tensors().items()}
-        delta = {name: np.ones_like(t) for name, t in params.tensors().items()}
         update = ClientUpdate(
             client_id=0,
-            delta=delta,
+            trained=shifted(params, 1.0),
             num_local_classes=3,
             mean_local_loss=0.0,
-            trained=trained,
         )
         merged = aggregate(params, [update], server_lr=2.0)
         for name, tensor in merged.tensors().items():
@@ -249,13 +266,13 @@ class TestAggregate:
 
     def test_rejects_duplicates_and_shape_mismatch(self):
         params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
-        ones = {name: np.ones_like(t) for name, t in params.tensors().items()}
-        update = ClientUpdate(client_id=0, delta=ones, num_local_classes=1, mean_local_loss=0.0)
+        ones = shifted(params, 1.0)
+        update = ClientUpdate(client_id=0, trained=ones, num_local_classes=1, mean_local_loss=0.0)
         with pytest.raises(FedError):
             aggregate(params, [update, update], server_lr=1.0)
         bad = ClientUpdate(
             client_id=1,
-            delta={name: np.ones((2, 2)) for name in ones},
+            trained={name: np.ones((2, 2)) for name in ones},
             num_local_classes=1,
             mean_local_loss=0.0,
         )
@@ -263,6 +280,88 @@ class TestAggregate:
             aggregate(params, [bad], server_lr=1.0)
         with pytest.raises(FedError):
             aggregate(params, [], server_lr=1.0)
+
+    def test_rejects_a_missing_tensor(self):
+        params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
+        partial = shifted(params, 1.0)
+        del partial["b_h"]
+        update = ClientUpdate(
+            client_id=2, trained=partial, num_local_classes=1, mean_local_loss=0.0
+        )
+        with pytest.raises(FedError, match="client 2 update is missing tensor 'b_h'"):
+            aggregate(params, [update], server_lr=0.5)
+
+    def test_rejects_a_misshaped_tensor(self):
+        params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
+        trained = shifted(params, 1.0)
+        trained["W_h"] = np.ones((2, 4))
+        update = ClientUpdate(
+            client_id=3, trained=trained, num_local_classes=1, mean_local_loss=0.0
+        )
+        with pytest.raises(FedError, match=r"client 3 trained 'W_h' has shape \(2, 4\)"):
+            aggregate(params, [update], server_lr=1.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_update_rejects_a_bad_beta(self, beta):
+        # A NaN beta would otherwise turn every aggregated tensor into NaN.
+        params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
+        with pytest.raises(FedError, match="beta must be finite and > 0"):
+            ClientUpdate(
+                client_id=0, trained=shifted(params, 1.0), num_local_classes=1,
+                mean_local_loss=0.0, beta=beta,
+            )
+
+
+class TestAggregateProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d_v=st.integers(1, 6),
+        d_a=st.integers(1, 5),
+        clients=st.integers(1, 5),
+        server_lr=st.sampled_from([1.0, 0.5, 0.3, 2.0]),
+        data=st.data(),
+    )
+    def test_does_not_depend_on_update_order(self, seed, d_v, d_a, clients, server_lr, data):
+        params = init_params(d_v, d_a, num_seen=3, mode="attribute-based", seed=seed)
+        rng = np.random.default_rng(seed)
+        updates = [
+            ClientUpdate(
+                client_id=k,
+                trained={n: t + rng.standard_normal(t.shape) for n, t in params.tensors().items()},
+                num_local_classes=data.draw(st.integers(1, 50)),
+                mean_local_loss=0.0,
+                beta=data.draw(st.sampled_from([1.0, 0.5, 0.7, 2.0])),
+            )
+            for k in range(clients)
+        ]
+        order = data.draw(st.permutations(range(clients)))
+        forward = aggregate(params, updates, server_lr).tensors()
+        permuted = aggregate(params, [updates[i] for i in order], server_lr).tensors()
+        for name, tensor in forward.items():
+            assert tensor.tobytes() == permuted[name].tobytes(), name
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d_v=st.integers(1, 6),
+        d_a=st.integers(1, 5),
+        classes=st.integers(1, 50),
+        mode=st.sampled_from(["attribute-based", ATTRIBUTE_FREE]),
+    )
+    def test_one_client_at_unit_scales_collapses_to_trained(self, seed, d_v, d_a, classes, mode):
+        params = init_params(d_v, d_a, num_seen=3, mode=mode, seed=seed)
+        rng = np.random.default_rng(seed)
+        trained = {
+            n: rng.standard_normal(params.tensors()[n].shape) for n in params.trainable_names()
+        }
+        update = ClientUpdate(
+            client_id=0, trained=trained, num_local_classes=classes, mean_local_loss=0.0
+        )
+        merged = aggregate(params, [update], server_lr=1.0)
+        for name, tensor in merged.tensors().items():
+            expected = trained.get(name, params.tensors()[name])
+            assert tensor.tobytes() == expected.tobytes(), name
 
 
 class TestMetricsCsv:

@@ -201,6 +201,45 @@ class TestSgdStep:
         with pytest.raises(ModelError):
             sgd_step(params, {"W_g": bad}, opt)
 
+    def test_check_finite_false_skips_the_scan(self):
+        # The keyword is for gradients a LossReport has already scanned; the
+        # step then runs the arithmetic on whatever it is given.
+        params = tiny_params()
+        opt = init_opt_state(params, 0.1, 0.0, 0.0)
+        bad = np.zeros_like(params.W_g)
+        bad[0, 0] = np.nan
+        sgd_step(params, {"W_g": bad}, opt, check_finite=False)
+        assert np.isnan(params.W_g[0, 0])
+        assert np.all(np.isfinite(params.W_g.ravel()[1:]))
+
+    def test_rejected_step_moves_nothing(self):
+        # Every gradient is validated before the first tensor moves.
+        params = tiny_params()
+        reference = params.clone()
+        opt = init_opt_state(params, 0.1, 0.9, 0.01)
+        bad = np.zeros_like(params.W_h)
+        bad[1, 2] = np.inf
+        grads = {"W_g": np.ones_like(params.W_g), "W_h": bad}
+        with pytest.raises(ModelError, match="non-finite gradient for W_h"):
+            sgd_step(params, grads, opt)
+        with pytest.raises(ModelError, match="gradient shape"):
+            sgd_step(params, {"W_g": np.ones_like(params.W_g), "b_g": np.ones(9)}, opt)
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(tensor, reference.tensors()[name]), name
+        for name, buf in opt.buffers.items():
+            assert np.all(buf == 0.0), name
+
+    def test_work_arrays_are_reused(self):
+        params = tiny_params()
+        opt = init_opt_state(params, 0.1, 0.9, 0.01)
+        grads = {"W_g": np.ones_like(params.W_g), "b_h": np.ones_like(params.b_h)}
+        sgd_step(params, grads, opt)
+        first = dict(opt.scratch)
+        assert set(first) == {"W_g", "b_h"}
+        sgd_step(params, grads, opt)
+        for name, work in first.items():
+            assert opt.scratch[name] is work, name
+
     def test_opt_state_validation(self):
         with pytest.raises(ModelError):
             OptState(learning_rate=-1.0)

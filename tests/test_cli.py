@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import re
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 
 from fedzsl import cli
 from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, save_dataset
+from fedzsl.fed import TrainConfig
+from fedzsl.glasso import GlassoConfig
+from fedzsl.losses import DEFAULT_TAU, AblationFlags, LossWeights
 
 SMALL_SYNTH = [
     "--num-seen", "6",
@@ -18,6 +22,46 @@ SMALL_SYNTH = [
     "--samples-per-class", "10",
 ]
 FAST_RUN = ["--rounds", "2", "--clients", "2", "--local-epochs", "1"]
+
+# Every `run` flag with a non-default value and the manifest entry it must
+# set, spelled out by hand rather than read from the cli module, so that the
+# tests check the cli's own table against an independent list.  A flag that
+# sets several entries is listed once per entry; "" adds no argument.
+FULL_RUN_FLAGS = [
+    ("--rounds 2", "train", "rounds", "2"),
+    ("-k 2", "train", "num_clients", "2"),
+    ("--local-epochs 1", "train", "local_epochs", "1"),
+    ("--batch-size 7", "train", "batch_size", "7"),
+    ("--local-lr 0.002", "train", "local_lr", "0.002"),
+    ("--server-lr 0.9", "train", "server_lr", "0.9"),
+    ("--delta-scale 0.8", "train", "delta_scale", "0.8"),
+    ("--sample-fraction 0.5", "train", "sample_fraction", "0.5"),
+    ("--seed 4", "train", "seed", "4"),
+    ("--eval-every 2", "train", "eval_every", "2"),
+    ("--w-bc 0.2", "losses", "w_bc", "0.2"),
+    ("--w-kl 5", "losses", "w_kl", "5.0"),
+    ("--w-ad 0.1", "losses", "w_ad", "0.1"),
+    ("--tau 3", "losses", "tau", "3.0"),
+    ("--ablation sce,kl", "losses", "bc", "false"),
+    ("", "losses", "ad", "false"),
+    ("--scheme dirichlet", "partition", "scheme", "dirichlet"),
+    ("--alpha 0.7", "partition", "alpha", "0.7"),
+    ("--local-data-ratio 0.9", "partition", "local_data_ratio", "0.9"),
+    ("--glasso-delta 0.07", "glasso", "delta", "0.07"),
+    ("--glasso-tol 1e-6", "glasso", "tol", "1e-06"),
+    ("--glasso-max-sweeps 50", "glasso", "max_sweeps", "50"),
+    ("--no-standardize", "glasso", "standardize", "false"),
+    ("--gamma-source precision", "glasso", "gamma_source", "precision"),
+    ("--momentum 0.8", "model", "momentum", "0.8"),
+    ("--weight-decay 1e-4", "model", "weight_decay", "0.0001"),
+    ("--threads 2", "meta", "threads", "2"),
+]
+# The flags the command above cannot set without turning the others off.
+ATTRIBUTE_FREE_FLAGS = [
+    ("--mode attribute-free", "model", "mode", "attribute-free"),
+    ("--clients 3", "train", "num_clients", "3"),
+    ("--rounds 1", "train", "rounds", "1"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +73,12 @@ def small_data(tmp_path_factory):
 
 def read_dir(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def read_manifest(path):
+    manifest = configparser.ConfigParser(interpolation=None)
+    manifest.read(path)
+    return {name: dict(manifest[name]) for name in manifest.sections()}
 
 
 class TestSynth:
@@ -287,6 +337,30 @@ class TestRun:
             cli.main(["run", "--data", str(small_data), "--bogus"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flags", [FULL_RUN_FLAGS, ATTRIBUTE_FREE_FLAGS], ids=["all-flags", "attribute-free"]
+    )
+    def test_every_flag_reaches_its_key(self, small_data, tmp_path, flags):
+        argv = [token for flag, *_ in flags for token in flag.split()]
+        first = tmp_path / "first"
+        assert cli.main(
+            ["run", "--data", str(small_data), "--out", str(first), *argv]
+        ) == 0
+        manifest = read_manifest(first / "manifest.ini")
+        for flag, section, key, text in flags:
+            assert manifest[section][key] == text, flag
+        second = tmp_path / "second"
+        assert cli.main(
+            [
+                "run", "--data", str(small_data), "--out", str(second),
+                "--config", str(first / "manifest.ini"),
+            ]
+        ) == 0
+        rerun = read_manifest(second / "manifest.ini")
+        del manifest["meta"], rerun["meta"]
+        assert rerun == manifest
+        assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
 
 class TestEval:
     def test_stats_zero_noise_variance(self, tmp_path, capsys):
@@ -358,3 +432,41 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["synth", "partition", "glasso", "run", "eval", "check"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--help"])
+        assert err.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: fedzsl {command}")
+        if command == "run":
+            flags = [f.split()[0] for f, *_ in FULL_RUN_FLAGS + ATTRIBUTE_FREE_FLAGS if f]
+            for flag in [*flags, "--clients", "--data", "--out", "--config"]:
+                assert re.search(rf"(^|[\s,\[]){flag}\b", text, re.MULTILINE), flag
+
+    def test_defaults_match_the_library(self):
+        library = {}
+        for section, source in [
+            ("train", TrainConfig()),
+            ("model", TrainConfig()),
+            ("losses", TrainConfig()),
+            ("losses", LossWeights()),
+            ("losses", AblationFlags()),
+            ("partition", TrainConfig().partition),
+            ("glasso", GlassoConfig()),
+        ]:
+            for f in dataclasses.fields(source):
+                library[section, f.name] = getattr(source, f.name)
+        library["losses", "tau"] = DEFAULT_TAU
+        unmatched = []
+        for section, keys in cli._default_config().items():
+            for key, default in keys.items():
+                if (section, key) not in library:
+                    unmatched.append((section, key))
+                    continue
+                expected = library[section, key]
+                assert default == expected and type(default) is type(expected), (section, key)
+        # gamma_source picks the matrix the targets come from; no library
+        # object has a default for it.
+        assert unmatched == [("glasso", "gamma_source")]

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from fedzsl import __version__
 from fedzsl.dataset import (
-    FeatureDataset,
     SyntheticSpec,
     generate_synthetic,
     load_attributes,
@@ -96,78 +97,66 @@ THETA_FILE = "theta.csv"
 PARTITION_FILE = "partition.csv"
 PARTITION_SUMMARY_FILE = "partition_summary.csv"
 
-# section -> key -> (type tag, default); the single source of run configuration.
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+
+class _Setting(NamedTuple):
+    """One ``run`` setting: INI type tag, default, ``run`` flags, allowed values."""
+
+    kind: str
+    default: object
+    flags: tuple[str, ...] = ()
+    choices: tuple[str, ...] | None = None
+
+
+# section -> key -> setting; the single source of run configuration.  The
+# manifest is written in this order, and each key with flags gets a ``run``
+# flag that overrides it.  Every key but [losses] tau and [glasso] gamma_source
+# is the name of a field of the library config it is passed to.
+_SCHEMA: dict[str, dict[str, _Setting]] = {
     "train": {
-        "rounds": ("int", DEFAULT_ROUNDS),
-        "num_clients": ("int", DEFAULT_NUM_CLIENTS),
-        "local_epochs": ("int", DEFAULT_LOCAL_EPOCHS),
-        "batch_size": ("int", DEFAULT_BATCH_SIZE),
-        "local_lr": ("float", DEFAULT_LEARNING_RATE),
-        "server_lr": ("float", DEFAULT_SERVER_LR),
-        "delta_scale": ("float", DEFAULT_DELTA_SCALE),
-        "sample_fraction": ("float", DEFAULT_SAMPLE_FRACTION),
-        "seed": ("int", 0),
-        "eval_every": ("int", DEFAULT_EVAL_EVERY),
+        "rounds": _Setting("int", DEFAULT_ROUNDS, ("--rounds",)),
+        "num_clients": _Setting("int", DEFAULT_NUM_CLIENTS, ("-k", "--clients")),
+        "local_epochs": _Setting("int", DEFAULT_LOCAL_EPOCHS, ("--local-epochs",)),
+        "batch_size": _Setting("int", DEFAULT_BATCH_SIZE, ("--batch-size",)),
+        "local_lr": _Setting("float", DEFAULT_LEARNING_RATE, ("--local-lr",)),
+        "server_lr": _Setting("float", DEFAULT_SERVER_LR, ("--server-lr",)),
+        "delta_scale": _Setting("float", DEFAULT_DELTA_SCALE, ("--delta-scale",)),
+        "sample_fraction": _Setting("float", DEFAULT_SAMPLE_FRACTION, ("--sample-fraction",)),
+        "seed": _Setting("int", 0, ("--seed",)),
+        "eval_every": _Setting("int", DEFAULT_EVAL_EVERY, ("--eval-every",)),
     },
     "losses": {
-        "w_bc": ("float", DEFAULT_W_BC),
-        "w_kl": ("float", DEFAULT_W_KL),
-        "w_ad": ("float", DEFAULT_W_AD),
-        "tau": ("float", DEFAULT_TAU),
-        "sce": ("bool", True),
-        "bc": ("bool", True),
-        "kl": ("bool", True),
-        "ad": ("bool", True),
-        "bc_squared": ("bool", True),
+        "w_bc": _Setting("float", DEFAULT_W_BC, ("--w-bc",)),
+        "w_kl": _Setting("float", DEFAULT_W_KL, ("--w-kl",)),
+        "w_ad": _Setting("float", DEFAULT_W_AD, ("--w-ad",)),
+        "tau": _Setting("float", DEFAULT_TAU, ("--tau",)),
+        "sce": _Setting("bool", True),
+        "bc": _Setting("bool", True),
+        "kl": _Setting("bool", True),
+        "ad": _Setting("bool", True),
+        "bc_squared": _Setting("bool", True),
     },
     "partition": {
-        "scheme": ("str", PCCD),
-        "alpha": ("optfloat", None),
-        "local_data_ratio": ("float", 1.0),
+        "scheme": _Setting("str", PCCD, ("--scheme",), SCHEMES),
+        "alpha": _Setting("optfloat", None, ("--alpha",)),
+        "local_data_ratio": _Setting("float", 1.0, ("--local-data-ratio",)),
     },
     "glasso": {
-        "delta": ("float", DEFAULT_DELTA),
-        "tol": ("float", DEFAULT_TOL),
-        "max_sweeps": ("int", DEFAULT_MAX_SWEEPS),
-        "standardize": ("bool", True),
-        "gamma_source": ("str", "covariance"),
+        "delta": _Setting("float", DEFAULT_DELTA, ("--glasso-delta",)),
+        "tol": _Setting("float", DEFAULT_TOL, ("--glasso-tol",)),
+        "max_sweeps": _Setting("int", DEFAULT_MAX_SWEEPS, ("--glasso-max-sweeps",)),
+        # A bool flag sets the opposite of the default.
+        "standardize": _Setting("bool", True, ("--no-standardize",)),
+        "gamma_source": _Setting("str", "covariance", ("--gamma-source",), GAMMA_SOURCES),
     },
     "model": {
-        "mode": ("str", ATTRIBUTE_BASED),
-        "momentum": ("float", DEFAULT_MOMENTUM),
-        "weight_decay": ("float", DEFAULT_WEIGHT_DECAY),
+        "mode": _Setting("str", ATTRIBUTE_BASED, ("--mode",), MODES),
+        "momentum": _Setting("float", DEFAULT_MOMENTUM, ("--momentum",)),
+        "weight_decay": _Setting("float", DEFAULT_WEIGHT_DECAY, ("--weight-decay",)),
     },
 }
 
-# run-subcommand flag dest -> (section, key)
-_OVERRIDES: dict[str, tuple[str, str]] = {
-    "rounds": ("train", "rounds"),
-    "clients": ("train", "num_clients"),
-    "local_epochs": ("train", "local_epochs"),
-    "batch_size": ("train", "batch_size"),
-    "local_lr": ("train", "local_lr"),
-    "server_lr": ("train", "server_lr"),
-    "delta_scale": ("train", "delta_scale"),
-    "sample_fraction": ("train", "sample_fraction"),
-    "seed": ("train", "seed"),
-    "eval_every": ("train", "eval_every"),
-    "w_bc": ("losses", "w_bc"),
-    "w_kl": ("losses", "w_kl"),
-    "w_ad": ("losses", "w_ad"),
-    "tau": ("losses", "tau"),
-    "scheme": ("partition", "scheme"),
-    "alpha": ("partition", "alpha"),
-    "local_data_ratio": ("partition", "local_data_ratio"),
-    "glasso_delta": ("glasso", "delta"),
-    "glasso_tol": ("glasso", "tol"),
-    "glasso_max_sweeps": ("glasso", "max_sweeps"),
-    "standardize": ("glasso", "standardize"),
-    "gamma_source": ("glasso", "gamma_source"),
-    "mode": ("model", "mode"),
-    "momentum": ("model", "momentum"),
-    "weight_decay": ("model", "weight_decay"),
-}
+# type tag -> parser of a flag or config value; "bool" is read from _BOOL_WORDS.
+_TYPES = {"int": int, "float": float, "optfloat": float, "str": str}
 
 _BOOL_WORDS = {
     "true": True,
@@ -208,32 +197,30 @@ def _ini_value(value: object) -> str:
     return str(value)
 
 
-def _coerce(section: str, key: str, kind: str, raw: str) -> object:
-    raw = raw.strip()
+def _coerce(section: str, key: str, raw: str) -> object:
+    setting = _SCHEMA[section][key]
+    kind, raw = setting.kind, raw.strip()
+    if kind == "optfloat" and raw == "":
+        return None
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "optfloat":
-            return None if raw == "" else float(raw)
-        if kind == "bool":
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[raw.lower()]
-        return raw
-    except ValueError:
+        value = _BOOL_WORDS[raw.lower()] if kind == "bool" else _TYPES[kind](raw)
+    except (KeyError, ValueError):
         raise CliError(f"config [{section}] {key}: cannot parse '{raw}' as {kind}") from None
+    if setting.choices is not None and value not in setting.choices:
+        raise CliError(f"config [{section}] {key}: '{value}' is not one of {setting.choices}")
+    return value
 
 
 def _default_config() -> dict[str, dict[str, object]]:
-    return {section: {k: spec[1] for k, spec in keys.items()} for section, keys in _SCHEMA.items()}
+    return {section: {k: s.default for k, s in keys.items()} for section, keys in _SCHEMA.items()}
 
 
 def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> None:
     if not path.is_file():
         raise CliError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # No interpolation, so '%' is an ordinary character.  No header can be
+    # empty, so default_section="" makes [DEFAULT] an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:
@@ -246,8 +233,7 @@ def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> Non
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise CliError(f"config file {path}: unknown key '{key}' in [{section}]")
-            kind = _SCHEMA[section][key][0]
-            resolved[section][key] = _coerce(section, key, kind, raw)
+            resolved[section][key] = _coerce(section, key, raw)
 
 
 def _parse_ablation(text: str) -> dict[str, bool]:
@@ -269,25 +255,20 @@ def _resolve_run_config(args: argparse.Namespace) -> dict[str, dict[str, object]
     resolved = _default_config()
     if args.config is not None:
         _load_config_file(Path(args.config), resolved)
-    for dest, (section, key) in _OVERRIDES.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            resolved[section][key] = value
+    for section, keys in resolved.items():
+        for key in keys:
+            value = getattr(args, f"{section}.{key}", None)
+            if value is not None:
+                keys[key] = value
     if args.ablation is not None:
-        for term, enabled in _parse_ablation(args.ablation).items():
-            resolved["losses"][term] = enabled
-    if resolved["glasso"]["gamma_source"] not in GAMMA_SOURCES:
-        raise CliError(
-            f"gamma_source must be one of {GAMMA_SOURCES}, "
-            f"got '{resolved['glasso']['gamma_source']}'"
-        )
+        resolved["losses"].update(_parse_ablation(args.ablation))
     return resolved
 
 
 def _write_manifest(
     path: Path, resolved: dict[str, dict[str, object]], meta: dict[str, object]
 ) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["meta"] = {k: _ini_value(v) for k, v in meta.items()}
     for section, keys in resolved.items():
         parser[section] = {k: _ini_value(v) for k, v in keys.items()}
@@ -302,36 +283,23 @@ def _write_square_csv(path: Path, matrix: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _fields(cls: type, values: dict[str, object]) -> dict[str, object]:
+    """The entries of ``values`` whose keys name fields of dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in values.items() if k in names}
+
+
 def _build_train_config(resolved: dict[str, dict[str, object]]) -> TrainConfig:
-    t, l, p, m = resolved["train"], resolved["losses"], resolved["partition"], resolved["model"]
-    spec = PartitionSpec(
-        scheme=str(p["scheme"]),
-        num_clients=int(t["num_clients"]),
-        alpha=p["alpha"],
-        local_data_ratio=float(p["local_data_ratio"]),
-        seed=int(t["seed"]),
-    )
+    train, losses = resolved["train"], resolved["losses"]
     return TrainConfig(
-        rounds=int(t["rounds"]),
-        num_clients=int(t["num_clients"]),
-        local_epochs=int(t["local_epochs"]),
-        batch_size=int(t["batch_size"]),
-        local_lr=float(t["local_lr"]),
-        server_lr=float(t["server_lr"]),
-        delta_scale=float(t["delta_scale"]),
-        sample_fraction=float(t["sample_fraction"]),
-        seed=int(t["seed"]),
-        weights=LossWeights(w_bc=float(l["w_bc"]), w_kl=float(l["w_kl"]), w_ad=float(l["w_ad"])),
-        distill=None,
-        mode=str(m["mode"]),
-        ablation=AblationFlags(
-            sce=bool(l["sce"]), bc=bool(l["bc"]), kl=bool(l["kl"]), ad=bool(l["ad"])
+        **train,
+        **resolved["model"],
+        weights=LossWeights(**_fields(LossWeights, losses)),
+        ablation=AblationFlags(**_fields(AblationFlags, losses)),
+        partition=PartitionSpec(
+            **resolved["partition"], num_clients=train["num_clients"], seed=train["seed"]
         ),
-        partition=spec,
-        eval_every=int(t["eval_every"]),
-        momentum=float(m["momentum"]),
-        weight_decay=float(m["weight_decay"]),
-        bc_squared=bool(l["bc_squared"]),
+        bc_squared=losses["bc_squared"],
     )
 
 
@@ -340,21 +308,8 @@ def _metric_text(value: float | None) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "num_seen",
-            "num_unseen",
-            "d_a",
-            "d_v",
-            "samples_per_class",
-            "attribute_sparsity",
-            "noise_std",
-            "group_count",
-        )
-        if getattr(args, name) is not None
-    }
-    spec = SyntheticSpec(**overrides)
+    overrides = _fields(SyntheticSpec, vars(args))
+    spec = SyntheticSpec(**{k: v for k, v in overrides.items() if v is not None})
     ds, attrs = generate_synthetic(spec, args.seed)
     out = Path(args.out)
     save_dataset(out, ds, attrs, binary=args.binary)
@@ -368,14 +323,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     ds, _ = load_dataset(args.data)
     train, _, _ = split_train_test(ds, args.seed)
-    spec = PartitionSpec(
-        scheme=args.scheme,
-        num_clients=args.clients,
-        alpha=args.alpha,
-        local_data_ratio=args.local_data_ratio,
-        seed=args.seed,
-    )
-    part = partition(train, spec)
+    part = partition(train, PartitionSpec(**_fields(PartitionSpec, vars(args))))
     for k, idx in enumerate(part.assignments):
         print(f"client {k}: {len(part.local_classes[k])} classes, {idx.size} samples")
     if args.out is not None:
@@ -394,12 +342,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_glasso(args: argparse.Namespace) -> int:
     attrs = load_attributes(args.data)
-    cfg = GlassoConfig(
-        delta=args.delta,
-        tol=args.tol,
-        max_sweeps=args.max_sweeps,
-        standardize=args.standardize if args.standardize is not None else True,
-    )
+    cfg = GlassoConfig(**_fields(GlassoConfig, vars(args)))
     S = sample_covariance(attrs, standardize=cfg.standardize)
     sim = graphical_lasso(S, cfg)
     source = sim.gamma if args.gamma_source == "covariance" else sim.theta
@@ -433,12 +376,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if cfg.kl_enabled:
         gl = resolved["glasso"]
-        gcfg = GlassoConfig(
-            delta=float(gl["delta"]),
-            tol=float(gl["tol"]),
-            max_sweeps=int(gl["max_sweeps"]),
-            standardize=bool(gl["standardize"]),
-        )
+        gcfg = GlassoConfig(**_fields(GlassoConfig, gl))
         S = sample_covariance(attrs, standardize=gcfg.standardize)
         sim = graphical_lasso(S, gcfg)
         if not sim.converged:
@@ -528,7 +466,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("partition", help="partition the training split across clients")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--scheme", choices=SCHEMES, default=PCCD)
-    p.add_argument("-k", "--clients", type=int, default=DEFAULT_NUM_CLIENTS)
+    p.add_argument("-k", "--clients", dest="num_clients", type=int, default=DEFAULT_NUM_CLIENTS)
     p.add_argument("--alpha", type=float, default=None, help="dirichlet concentration")
     p.add_argument("--local-data-ratio", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
@@ -543,9 +481,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--no-standardize",
         dest="standardize",
-        action="store_const",
-        const=False,
-        default=None,
+        action="store_false",
         help="use raw covariance instead of correlations",
     )
     p.add_argument("--gamma-source", choices=GAMMA_SOURCES, default="covariance")
@@ -557,42 +493,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="INI config file (a manifest works)")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("-k", "--clients", type=int, default=None)
-    p.add_argument("--local-epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--local-lr", type=float, default=None)
-    p.add_argument("--server-lr", type=float, default=None)
-    p.add_argument("--delta-scale", type=float, default=None)
-    p.add_argument("--sample-fraction", type=float, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--w-bc", type=float, default=None)
-    p.add_argument("--w-kl", type=float, default=None)
-    p.add_argument("--w-ad", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument(
         "--ablation",
         default=None,
         help="'full' or enabled terms, e.g. 'sce-only' or 'sce,bc'",
     )
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--local-data-ratio", type=float, default=None)
-    p.add_argument("--glasso-delta", type=float, default=None)
-    p.add_argument("--glasso-tol", type=float, default=None)
-    p.add_argument("--glasso-max-sweeps", type=int, default=None)
-    p.add_argument(
-        "--no-standardize",
-        dest="standardize",
-        action="store_const",
-        const=False,
-        default=None,
-    )
-    p.add_argument("--gamma-source", choices=GAMMA_SOURCES, default=None)
+    for section, keys in _SCHEMA.items():
+        for key, setting in keys.items():
+            if not setting.flags:
+                continue
+            kwargs = dict(
+                dest=f"{section}.{key}",
+                help=f"[{section}] {key} (default: {_ini_value(setting.default) or 'unset'})",
+            )
+            if setting.kind == "bool":
+                kwargs.update(action="store_const", const=not setting.default)
+            else:
+                kwargs.update(
+                    type=_TYPES[setting.kind],
+                    choices=setting.choices,
+                    metavar=None if setting.choices else key.upper(),
+                )
+            p.add_argument(*setting.flags, **kwargs)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and/or print dataset stats")

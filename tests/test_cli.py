@@ -361,6 +361,44 @@ class TestRun:
         assert rerun == manifest
         assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
 
+    def test_percent_in_paths(self, tmp_path):
+        data, out = tmp_path / "da%ta", tmp_path / "ou%t"
+        assert cli.main(["synth", "--out", str(data), "--seed", "0", *SMALL_SYNTH]) == 0
+        assert self.run_once(data, out) == 0
+        meta = read_manifest(out / "manifest.ini")["meta"]
+        assert meta["data"] == str(data.resolve())
+        assert meta["out"] == str(out.resolve())
+        again = tmp_path / "again"
+        assert cli.main(
+            ["run", "--data", str(data), "--out", str(again),
+             "--config", str(out / "manifest.ini")]
+        ) == 0
+        assert (again / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[train]\nrounds = 2%\n", "[train] rounds: cannot parse '2%' as int"),
+            ("[DEFAULT]\nrounds = 2\n", "unknown section [DEFAULT]"),
+            ("[DEFAULT]\nrounds = 2\n[losses]\nw_bc = 0.2\n", "unknown section [DEFAULT]"),
+            ("[partition]\nscheme = PCCD\n", "[partition] scheme"),
+            ("[model]\nmode = attribute\n", "[model] mode"),
+            ("[glasso]\ngamma_source = theta\n", "[glasso] gamma_source"),
+        ],
+        ids=["percent", "default", "default-beside-section", "scheme", "mode", "gamma-source"],
+    )
+    def test_bad_config_value_exits_1(self, small_data, tmp_path, capsys, text, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        code = cli.main(
+            ["run", "--data", str(small_data), "--out", str(tmp_path / "out"),
+             "--config", str(config)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
 
 class TestEval:
     def test_stats_zero_noise_variance(self, tmp_path, capsys):

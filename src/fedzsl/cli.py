@@ -289,6 +289,14 @@ def _fields(cls: type, values: dict[str, object]) -> dict[str, object]:
     return {k: v for k, v in values.items() if k in names}
 
 
+def _partition_spec(values: dict[str, object]) -> PartitionSpec:
+    """The ``PartitionSpec`` named by ``values``; one it refuses is an input error (exit 1)."""
+    try:
+        return PartitionSpec(**_fields(PartitionSpec, values))
+    except PartitionError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _build_train_config(resolved: dict[str, dict[str, object]]) -> TrainConfig:
     train, losses = resolved["train"], resolved["losses"]
     return TrainConfig(
@@ -296,9 +304,7 @@ def _build_train_config(resolved: dict[str, dict[str, object]]) -> TrainConfig:
         **resolved["model"],
         weights=LossWeights(**_fields(LossWeights, losses)),
         ablation=AblationFlags(**_fields(AblationFlags, losses)),
-        partition=PartitionSpec(
-            **resolved["partition"], num_clients=train["num_clients"], seed=train["seed"]
-        ),
+        partition=_partition_spec({**resolved["partition"], **train}),
         bc_squared=losses["bc_squared"],
     )
 
@@ -323,7 +329,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     ds, _ = load_dataset(args.data)
     train, _, _ = split_train_test(ds, args.seed)
-    part = partition(train, PartitionSpec(**_fields(PartitionSpec, vars(args))))
+    part = partition(train, _partition_spec(vars(args)))
     for k, idx in enumerate(part.assignments):
         print(f"client {k}: {len(part.local_classes[k])} classes, {idx.size} samples")
     if args.out is not None:

@@ -9,11 +9,19 @@ the attribute dimensions into semantic groups.
 All file formats are plain CSV (with an optional raw binary variant for
 large feature matrices) and use shortest round-trip float formatting, so
 saving, loading, and saving again reproduces byte-identical files.
+
+Numeric CSV blocks (feature rows, attribute rows and checkpoint tensors)
+are read in bulk by numpy's C reader.  A block it refuses, or one the
+per-line loop would read differently, is read again line by line, so a
+malformed file still gets a message naming the file and line, and every
+file loads to the same bits either way.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -355,7 +363,91 @@ def _parse_real(token: str, path: Path, line_no: int) -> float:
     return value
 
 
+# ASCII line breaks that str.splitlines() honours and reading a file line by
+# line does not, and the separators that numpy strips around a number while
+# float() refuses them.
+_NOT_BULK = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _bulk_readable(line: str) -> bool:
+    """Whether numpy's reader parses ``line`` as the per-line loop would.
+
+    Only ASCII lines qualify.  Beyond ASCII, str.splitlines() breaks lines
+    at \\x85, \\u2028 and \\u2029, and numpy 2.4 can corrupt memory (a
+    segfault some calls later) after refusing an integer field that holds a
+    character beyond U+FFFF.
+    """
+    return line.isascii() and not any(ch in line for ch in _NOT_BULK)
+
+
+def _read_block(
+    lines: Iterable[str], rows: int, cols: int, labelled: bool = False
+) -> np.ndarray | None:
+    """Parse ``rows`` lines of ``cols`` comma-separated reals with numpy's C reader.
+
+    With ``labelled`` each line starts with an integer label.  Returns a
+    record array of ``rows`` records with a float64 field ``"f"`` of
+    ``cols`` values and, when labelled, an int64 field ``"label"``.
+    Returns None when the lines are not exactly what the per-line loaders
+    accept: a line :func:`_bulk_readable` rejects, a token numpy refuses
+    (on ASCII it takes a subset of what ``float()`` and ``int()`` take,
+    with equal values; ``1_0`` is refused), a non-finite value, or a line
+    count other than ``rows`` (numpy skips blank lines).  The caller then
+    runs its per-line loop, which loads the block or raises the
+    file-and-line error.
+    """
+    if rows < 1 or cols < 1:
+        return None
+    fields = [("label", "<i8")] if labelled else []
+    dtype = np.dtype(fields + [("f", "<f8", (cols,))])
+    seen = 0
+
+    def checked() -> Iterable[str]:
+        nonlocal seen
+        for line in lines:
+            if not _bulk_readable(line):
+                raise ValueError("left to the per-line loop")
+            seen += 1
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 parses an integer field from "3.0" with a
+            # DeprecationWarning; int() refuses it, so the block must too.
+            warnings.simplefilter("error")
+            block = np.loadtxt(checked(), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if seen != rows or block.shape != (rows,) or not np.isfinite(block["f"]).all():
+        return None
+    return block
+
+
+def _read_table(path: Path, labelled: bool) -> np.ndarray | None:
+    """:func:`_read_block` over a file whose first line is a 'rows,cols' header."""
+    try:
+        with path.open() as fh:
+            header = fh.readline().removesuffix("\n")
+            if not _bulk_readable(header):
+                return None
+            rows, cols = (int(token.strip()) for token in header.split(","))
+            return _read_block(fh, rows, cols, labelled)
+    except (OSError, ValueError):
+        return None
+
+
 def _load_attributes(path: Path, groups_path: Path) -> AttributeMatrix:
+    block = _read_table(path, labelled=False)
+    # Under two classes the per-line loop raises the header's FormatError.
+    if block is None or block["f"].shape[1] < 2:
+        values = _load_attribute_lines(path)
+    else:
+        values = block["f"]
+    groups = _load_groups(groups_path, values.shape[0])
+    return AttributeMatrix(values=values, groups=groups)
+
+
+def _load_attribute_lines(path: Path) -> np.ndarray:
     lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path.name} line 1: empty file; expected 'd_a,num_classes' header")
@@ -380,8 +472,7 @@ def _load_attributes(path: Path, groups_path: Path) -> AttributeMatrix:
                 f"{path.name} line {line_no}: expected {num_classes} values, found {len(tokens)}"
             )
         values[line_no - 2] = [_parse_real(t, path, line_no) for t in tokens]
-    groups = _load_groups(groups_path, d_a)
-    return AttributeMatrix(values=values, groups=groups)
+    return values
 
 
 def _load_groups(path: Path, d_a: int) -> tuple[tuple[int, int], ...]:
@@ -400,6 +491,13 @@ def _load_groups(path: Path, d_a: int) -> tuple[tuple[int, int], ...]:
 
 
 def _load_features_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    block = _read_table(path, labelled=True)
+    if block is None:
+        return _load_feature_lines(path)
+    return np.ascontiguousarray(block["f"]), np.ascontiguousarray(block["label"])
+
+
+def _load_feature_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path.name} line 1: empty file; expected 'N,d_v' header")

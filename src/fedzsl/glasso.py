@@ -258,8 +258,11 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
     inner_tol = max(cfg.tol * 1e-3, 1e-14)
     rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
     # W without row and column j, gathered and scattered as four slice
-    # copies; it holds W11, then theta11^-1, then the updated W11.
+    # copies; it holds W11, then theta11^-1, then the updated W11.  outer
+    # holds each rank-one term and q the scaled block, reused per column.
     block = np.empty((p - 1, p - 1))
+    outer = np.empty_like(block)
+    q = np.empty_like(block)
     converged = False
     sweeps_run = 0
     for _ in range(cfg.max_sweeps):
@@ -272,9 +275,11 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             block[:j, j:] = W[:j, j + 1 :]
             block[j:, :j] = W[j + 1 :, :j]
             block[j:, j:] = W[j + 1 :, j + 1 :]
-            block -= np.outer(w12, w12) / w22
+            np.multiply.outer(w12, w12, out=outer)
+            outer /= w22
+            block -= outer
             scale = S[j, j] + delta
-            q = scale * block
+            np.multiply(scale, block, out=q)
             b = theta[rest, j].copy()
             r = _solve_column_lasso(q, S[rest, j], b, delta, inner_tol)
             theta[rest, j] = b
@@ -283,7 +288,9 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             W[j, j] = scale
             W[rest, j] = -r
             W[j, rest] = -r
-            block += np.outer(r, r) / scale
+            np.multiply.outer(r, r, out=outer)
+            outer /= scale
+            block += outer
             W[:j, :j] = block[:j, :j]
             W[:j, j + 1 :] = block[:j, j:]
             W[j + 1 :, :j] = block[j:, :j]

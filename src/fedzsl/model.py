@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix
+from fedzsl.dataset import AttributeMatrix, _read_block
 
 ATTRIBUTE_BASED = "attribute-based"
 ATTRIBUTE_FREE = "attribute-free"
@@ -328,6 +328,8 @@ def load_model(path: str | Path) -> ModelParams:
     """Read a checkpoint written by :func:`save_model`.
 
     The mode is inferred from the presence of the classifier-head section.
+    Each tensor is parsed in bulk; one the bulk reader refuses is parsed
+    line by line, which names the line of a malformed value.
     """
     path = Path(path)
     if not path.is_file():
@@ -357,32 +359,40 @@ def load_model(path: str | Path) -> ModelParams:
             block = lines[i + 2 : i + 2 + rows]
             if len(block) < rows:
                 raise ModelError(f"{path.name}: section [{name}] declares {rows} rows, ran out of lines")
-            values = np.empty((rows, cols))
-            for r, line in enumerate(block):
-                parts = line.split(",")
-                if len(parts) != cols:
-                    raise ModelError(
-                        f"{path.name} line {i + 3 + r}: expected {cols} values, found {len(parts)}"
-                    )
-                try:
-                    values[r] = [float(tok) for tok in parts]
-                except ValueError:
-                    raise ModelError(f"{path.name} line {i + 3 + r}: cannot parse a value") from None
+            parsed = _read_block(block, rows, cols)
+            if parsed is not None:
+                values = parsed["f"]
+            else:
+                values = np.empty((rows, cols))
+                for r, line in enumerate(block):
+                    parts = line.split(",")
+                    if len(parts) != cols:
+                        raise ModelError(
+                            f"{path.name} line {i + 3 + r}: expected {cols} values, found {len(parts)}"
+                        )
+                    try:
+                        values[r] = [float(tok) for tok in parts]
+                    except ValueError:
+                        raise ModelError(f"{path.name} line {i + 3 + r}: cannot parse a value") from None
             sections[name] = values
             i += 2 + rows
         elif len(shape) == 1:
             length = shape[0]
             if i + 2 >= len(lines):
                 raise ModelError(f"{path.name}: section [{name}] is missing its value line")
-            parts = lines[i + 2].split(",")
-            if len(parts) != length:
-                raise ModelError(
-                    f"{path.name} line {i + 3}: expected {length} values, found {len(parts)}"
-                )
-            try:
-                sections[name] = np.asarray([float(tok) for tok in parts])
-            except ValueError:
-                raise ModelError(f"{path.name} line {i + 3}: cannot parse a value") from None
+            parsed = _read_block(lines[i + 2 : i + 3], 1, length)
+            if parsed is not None:
+                sections[name] = parsed["f"][0]
+            else:
+                parts = lines[i + 2].split(",")
+                if len(parts) != length:
+                    raise ModelError(
+                        f"{path.name} line {i + 3}: expected {length} values, found {len(parts)}"
+                    )
+                try:
+                    sections[name] = np.asarray([float(tok) for tok in parts])
+                except ValueError:
+                    raise ModelError(f"{path.name} line {i + 3}: cannot parse a value") from None
             i += 3
         else:
             raise ModelError(f"{path.name}: section [{name}] has unsupported rank {len(shape)}")

@@ -63,6 +63,15 @@ ATTRIBUTE_FREE_FLAGS = [
     ("--rounds 1", "train", "rounds", "1"),
 ]
 
+# Partition settings PartitionSpec refuses: input errors, so exit 1 (exit 3
+# is kept for a valid spec that partition() cannot satisfy).
+BAD_PARTITION_SPECS = [
+    (["-k", "0"], "num_clients must be >= 1, got 0"),
+    (["--scheme", "dirichlet"], "dirichlet scheme requires alpha"),
+    (["--local-data-ratio", "2"], "local_data_ratio must lie in (0, 1], got 2.0"),
+]
+BAD_PARTITION_IDS = ["zero-clients", "dirichlet-without-alpha", "ratio-above-1"]
+
 
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
@@ -151,6 +160,15 @@ class TestPartition:
         )
         assert code == 3
         assert "partition failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", BAD_PARTITION_SPECS, ids=BAD_PARTITION_IDS)
+    def test_bad_spec_exits_1(self, small_data, tmp_path, capsys, flags, message):
+        out = tmp_path / "part"
+        code = cli.main(["partition", "--data", str(small_data), "--out", str(out), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "partition failed" not in err
+        assert not out.exists()
 
 
 class TestGlasso:
@@ -301,6 +319,14 @@ class TestRun:
             code = self.run_once(small_data, out, ["--local-lr", "1e100"])
         assert code == 2
         assert "training diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", BAD_PARTITION_SPECS, ids=BAD_PARTITION_IDS)
+    def test_bad_partition_spec_exits_1(self, small_data, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert self.run_once(small_data, out, flags) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "partition failed" not in err
+        assert not out.exists()
 
     def test_partition_failure_exits_3(self, small_data, tmp_path, capsys):
         out = tmp_path / "overk"

@@ -30,6 +30,8 @@ from fedzsl.dataset import (
     _load_attributes,
     _load_features_csv,
     _load_groups,
+    _read_block,
+    _read_table,
     load_dataset,
     save_dataset,
 )
@@ -273,6 +275,8 @@ FEATURE_CASES = {
     "underscore-label": feature_text("1_0,0.25,3.0"),
     "non-ascii-digits": feature_text("١,١.٥,3.0"),
     "nbsp-around-value": feature_text("1,\xa00.25\xa0,3.0"),
+    "beyond-bmp-label": feature_text("1\U0002c6ca,0.25,3.0"),
+    "beyond-bmp-value": feature_text("1,0.25\U0001f600,3.0"),
     "unit-separator-after-label": feature_text("1\x1f,0.25,3.0"),
     "unit-separator-after-value": feature_text("1,0.25,3.0\x1f"),
     "group-separator-before-value": feature_text("1,\x1d0.25,3.0"),
@@ -388,6 +392,34 @@ class TestFeaturesMatchTheLineLoader:
     def test_missing_file(self, tmp_path):
         path = tmp_path / "features.csv"
         assert outcome(_load_features_csv, path) == outcome(oracle_features, path)
+
+
+class TestBulkReaderTakesWellFormedBlocks:
+    """numpy's reader loads what it can; only the rest falls to the loop."""
+
+    # The loading cases minus the non-ASCII ones and those numpy refuses.
+    TAKEN = {"valid", "no-final-newline", "crlf", "spaces-and-signs", "exponents",
+             "largest-and-subnormal", "negative-label", "header-spaces"}
+
+    def test_feature_cases(self, data_dir):
+        for name, text in FEATURE_CASES.items():
+            block = _read_table(write(data_dir / "features.csv", text), labelled=True)
+            assert (block is not None) == (name in self.TAKEN), name
+
+    def test_checkpoint_style_blocks(self):
+        assert _read_block(["1.5,-2", "3e2,0"], 2, 2)["f"].tolist() == [[1.5, -2.0], [300.0, 0.0]]
+        assert _read_block(["1.5"], 1, 1)["f"].shape == (1, 1)
+        for lines, rows, cols in [
+            (["1.5,-2", ""], 2, 2),  # numpy would skip the blank line
+            (["1.5,-2"], 2, 2),
+            (["1.5,-2", "3,4"], 1, 2),
+            (["1.5,nan"], 1, 2),
+            (["1.5,1_0"], 1, 2),
+            (["1.5,2\x1f"], 1, 2),
+            (["1.5,2"], 1, 3),
+            ([], 0, 2),
+        ]:
+            assert _read_block(lines, rows, cols) is None, (lines, rows, cols)
 
 
 class TestAttributesMatchTheLineLoader:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -373,9 +373,8 @@ def _bulk_readable(line: str) -> bool:
     """Whether numpy's reader parses ``line`` as the per-line loop would.
 
     Only ASCII lines qualify.  Beyond ASCII, str.splitlines() breaks lines
-    at \\x85, \\u2028 and \\u2029, and numpy 2.4 can corrupt memory (a
-    segfault some calls later) after refusing an integer field that holds a
-    character beyond U+FFFF.
+    at \\x85, \\u2028 and \\u2029, and numpy 2.4.6 segfaults some calls
+    after refusing integer fields that hold a character beyond U+FFFF.
     """
     return line.isascii() and not any(ch in line for ch in _NOT_BULK)
 
@@ -402,7 +401,7 @@ def _read_block(
     dtype = np.dtype(fields + [("f", "<f8", (cols,))])
     seen = 0
 
-    def checked() -> Iterable[str]:
+    def checked() -> Iterator[str]:
         nonlocal seen
         for line in lines:
             if not _bulk_readable(line):

@@ -239,31 +239,31 @@ FEATURE_ROWS = ["0,1.5,-2.0", "1,0.25,3.0", "2,-0.0,4.5"]
 ATTRIBUTE_ROWS = ["0.5,-1.0,2.0,0.0", "1e-3,2.5,-0.0,7.0"]
 
 
-def feature_text(row: str | None = None, *, at: int = 1, insert: bool = False,
-                 header: str = "3,2", end: str = "\n") -> str:
-    rows = list(FEATURE_ROWS)
+def table_text(rows: list[str], header: str, row: str | None, at: int, insert: bool,
+               end: str) -> str:
+    """``header`` and ``rows`` with ``row`` replacing, or inserted before, row ``at``."""
+    rows = list(rows)
     if row is not None:
         if insert:
             rows.insert(at, row)
         else:
             rows[at] = row
     return "\n".join([header] + rows) + end
+
+
+def feature_text(row: str | None = None, *, at: int = 1, insert: bool = False,
+                 header: str = "3,2", end: str = "\n") -> str:
+    return table_text(FEATURE_ROWS, header, row, at, insert, end)
 
 
 def attribute_text(row: str | None = None, *, at: int = 1, insert: bool = False,
                    header: str = "2,4", end: str = "\n") -> str:
-    rows = list(ATTRIBUTE_ROWS)
-    if row is not None:
-        if insert:
-            rows.insert(at, row)
-        else:
-            rows[at] = row
-    return "\n".join([header] + rows) + end
+    return table_text(ATTRIBUTE_ROWS, header, row, at, insert, end)
 
 
 # Rows that replace (or, marked insert, go before) the second data row.
 # Each is well-formed unless its name says otherwise.
-BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 FEATURE_CASES = {
     "valid": feature_text(),
     "no-final-newline": feature_text(end=""),
@@ -313,7 +313,7 @@ FEATURE_CASES = {
     "header-only": "3,2\n",
     "empty-file": "",
 }
-for _i, _ch in enumerate(BREAKS):
+for _ch in BREAKS:
     FEATURE_CASES[f"break-{ord(_ch):x}-row-end"] = feature_text("1,0.25,3.0" + _ch)
     FEATURE_CASES[f"break-{ord(_ch):x}-mid-row"] = feature_text("1,0.25" + _ch + ",3.0")
 
@@ -332,8 +332,9 @@ ATTRIBUTE_CASES = {
     "whitespace-line": attribute_text("  "),
     "hash": attribute_text("1e-3,2.5#,-0.0,7.0"),
     "form-feed-row-end": attribute_text("1e-3,2.5,-0.0,7.0\x0c"),
-    "line-separator-mid-row": attribute_text("1e-3,2.5 ,-0.0,7.0"),
+    "line-separator-mid-row": attribute_text("1e-3,2.5\u2028,-0.0,7.0"),
     "one-class": attribute_text(header="2,1"),
+    "one-class-consistent": "2,1\n0.5\n1.0\n",
     "zero-rows": attribute_text(header="0,4"),
     "header-three-fields": attribute_text(header="2,4,1"),
     "empty-file": "",
@@ -495,7 +496,7 @@ MODEL_CASES = {
     "form-feed-2d": _append(2, "\x0c"),
     "form-feed-1d": _append(6, "\x0c"),
     "next-line-2d": _append(3, "\x85"),
-    "paragraph-separator-1d": _append(6, " "),
+    "paragraph-separator-1d": _append(6, "\u2029"),
     "bad-dims": _set(1, "2,x"),
     "zero-rows": _set(1, "0,3"),
     "negative-rows": _set(1, "-1,3"),
@@ -625,7 +626,7 @@ class TestRoundTrips:
 # Characters that reach the tokenizer: digits, signs, exponent and
 # special-value letters, separators, whitespace of several kinds, line
 # breaks of every kind str.splitlines() knows, and non-ASCII digits.
-TOKEN_ALPHABET = "0123456789.+-eEinfa_ #\t\x00\x0b\x0c\x1c\x1f\x85\xa0 ١"
+TOKEN_ALPHABET = "0123456789.+-eEinfa_ #\t\x00\x0b\x0c\x1c\x1f\x85\xa0\u2028١"
 
 
 class TestTokensMatchTheLineLoader:

@@ -1,9 +1,12 @@
 """The local step against its previous implementation, bit for bit.
 
 The functions defined at the top of this file are the earlier code, kept
-verbatim as the oracle: ``sgd_step`` with its expression-form temporaries,
-``_ad_core`` with a norm call per group, ``_kl_core`` taking the logarithm
-of the target rows at every step, ``joint_loss`` and
+verbatim as the oracle: ``LossReport`` scanning every gradient entry for
+finiteness, ``sgd_step`` with its expression-form temporaries,
+``_log_softmax``, ``_sce_core`` and ``_bc_core`` allocating a fresh array
+at every elementwise step over the whole batch, ``_ad_core`` with a norm
+call per group, ``_kl_core`` taking the logarithm of the target rows at
+every step, ``joint_loss`` and
 ``ce_loss_attribute_free`` zero-filling every gradient before the terms
 overwrite them, and the ``ClientUpdate``, ``local_train`` and ``aggregate``
 that stored both ``delta`` and ``trained``.  Inside them the bare names
@@ -29,7 +32,7 @@ from fedzsl.dataset import (
     split_train_test,
 )
 from fedzsl.fed import FedError, TrainConfig, TrainingDivergedError
-from fedzsl.glasso import distill_targets, graphical_lasso, sample_covariance
+from fedzsl.glasso import DistillTargets, distill_targets, graphical_lasso, sample_covariance
 from fedzsl.losses import (
     AD,
     BC,
@@ -40,15 +43,11 @@ from fedzsl.losses import (
     AblationFlags,
     DistillConfig,
     LossError,
-    LossReport,
     LossWeights,
     NonFiniteLossError,
     _as_batch,
-    _bc_core,
     _label_positions,
-    _log_softmax,
     _require_mode,
-    _sce_core,
 )
 from fedzsl.model import (
     ATTRIBUTE_BASED,
@@ -91,6 +90,76 @@ def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], opt: OptState) -
         buf += adjusted
         tensor -= opt.learning_rate * buf
     return params
+
+
+@dataclass
+class LossReport:
+    """Scalar loss, per-term contributions, and named gradient arrays."""
+
+    total: float
+    terms: dict[str, float]
+    grads: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        self.total = float(self.total)
+        if not math.isfinite(self.total):
+            raise NonFiniteLossError(f"loss total is non-finite ({self.total})")
+        for name, value in self.terms.items():
+            if not math.isfinite(value):
+                raise NonFiniteLossError(f"loss term '{name}' is non-finite ({value})")
+        for name, grad in self.grads.items():
+            if not np.all(np.isfinite(grad)):
+                raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _sce_core(
+    scores: np.ndarray, positions: np.ndarray, prototypes: np.ndarray, grads: bool
+) -> tuple[float, np.ndarray | None]:
+    # Cross-entropy of softmax(scores) at the label; scores = a_hat @ prototypes.
+    batch = scores.shape[0]
+    log_probs = _log_softmax(scores)
+    value = float(-log_probs[np.arange(batch), positions].mean())
+    if not grads:
+        return value, None
+    d_logits = np.exp(log_probs)
+    d_logits[np.arange(batch), positions] -= 1.0
+    d_logits /= batch
+    return value, d_logits @ prototypes.T
+
+
+def _bc_core(
+    a_hat: np.ndarray,
+    v: np.ndarray,
+    params: ModelParams,
+    squared: bool,
+    grads: bool,
+) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as mean squared
+    # norm (default) or mean unsquared norm behind the flag.
+    batch = a_hat.shape[0]
+    residual = a_hat @ params.W_h.T + params.b_h - v
+    if squared:
+        value = float((residual * residual).sum() / batch)
+    else:
+        norms = np.linalg.norm(residual, axis=1)
+        value = float(norms.mean())
+    if not grads:
+        return value, None, None, None
+    if squared:
+        d_residual = 2.0 * residual / batch
+    else:
+        safe = norms >= ZERO_NORM_EPS
+        scale = np.where(safe, norms, 1.0)
+        d_residual = np.where(safe[:, None], residual / scale[:, None], 0.0) / batch
+    d_W_h = d_residual.T @ a_hat
+    d_b_h = d_residual.sum(axis=0)
+    d_a_hat = d_residual @ params.W_h
+    return value, d_a_hat, d_W_h, d_b_h
 
 
 def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -426,6 +495,10 @@ CONFIGS = {
     "ad_only": {"ablation": AblationFlags(sce=False, bc=False, kl=False)},
     "zero_norm_ad_group": {},
     "unsquared_bc": {"bc_squared": False},
+    # Unsquared BC where the first row's residual is exactly zero (see start_params).
+    "unsquared_zero_rows": {"bc_squared": False},
+    # Target rows with zero entries, so the KL term masks them (see make_cfg).
+    "zero_targets": {},
     "attribute_free": {"mode": ATTRIBUTE_FREE},
     "half_scales": {"delta_scale": 0.5, "server_lr": 0.5},
     # Scales that are not powers of two round, so the order of the products shows.
@@ -463,12 +536,30 @@ def make_cfg(distill, name: str) -> TrainConfig:
         partition=PartitionSpec(scheme="pccd", num_clients=3, seed=0),
     )
     base.update(CONFIGS[name])
+    if name == "zero_targets":
+        base["distill"] = with_zero_targets(distill)
     return TrainConfig(**base)
+
+
+def with_zero_targets(distill: DistillConfig) -> DistillConfig:
+    # Every third entry of each row zeroed and the rest renormalized; the
+    # first row is one-hot, so its only log-target is log(1).
+    probs = distill.targets.probs.copy()
+    probs[:, ::3] = 0.0
+    probs[0] = 0.0
+    probs[0, 1] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    return DistillConfig(tau=distill.tau, targets=DistillTargets(probs, distill.tau))
+
+
+# Configurations that zero the first feature row as well as the first
+# attribute group's weights, so norms fall below ZERO_NORM_EPS.
+ZERO_ROW_CONFIGS = ("zero_norm_ad_group", "unsquared_zero_rows")
 
 
 def start_params(cfg: TrainConfig, train, attrs, name: str) -> ModelParams:
     params = init_params(train.d_v, attrs.d_a, len(train.split.seen), cfg.mode, seed=1)
-    if name == "zero_norm_ad_group":
+    if name in ZERO_ROW_CONFIGS:
         start, end = attrs.groups[0]
         params.W_g[start:end] = 0.0
         assert np.all(params.b_g == 0.0)
@@ -504,20 +595,60 @@ def test_loss_reports_match(problem, name, grads, rows):
     params = start_params(cfg, train, attrs, name)
     features = train.features[:rows].copy()
     labels = train.labels[:rows]
-    if name == "zero_norm_ad_group":
-        features[0] = 0.0  # every group of the first row has zero norm too
+    if name in ZERO_ROW_CONFIGS:
+        # Every group of the first row has zero norm too, and with b_h = 0
+        # so does its reconstruction residual.
+        features[0] = 0.0
     new = fed._local_loss(params, features, labels, attrs, cfg, train.split.seen, grads=grads)
     old = _local_loss(params, features, labels, attrs, cfg, train.split.seen, grads=grads)
     assert_same_report(new, old)
 
 
-def test_zero_norm_configuration_reaches_the_threshold(problem):
+# Row counts around the loss kernels' row block: one short of it, exactly
+# one block, one past it, two blocks and a remainder, and the whole split.
+BLOCK_ROWS = 256
+
+
+@pytest.fixture(scope="module")
+def block_problem():
+    spec = SyntheticSpec(
+        num_seen=8, num_unseen=2, d_a=40, d_v=12, samples_per_class=110, group_count=3
+    )
+    ds, attrs = generate_synthetic(spec, seed=6)
+    sim = graphical_lasso(sample_covariance(attrs))
+    distill = DistillConfig(tau=4.0, targets=distill_targets(sim.gamma, tau=4.0))
+    train, _, _ = split_train_test(ds, 0)
+    assert train.num_samples > 2 * BLOCK_ROWS + 3
+    return ds, attrs, distill, train
+
+
+@pytest.mark.parametrize(
+    "rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3, None]
+)
+@pytest.mark.parametrize("grads", [True, False])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_loss_reports_match_across_row_blocks(block_problem, name, grads, rows):
+    test_loss_reports_match(block_problem, name, grads, rows)
+
+
+@pytest.mark.parametrize("name", ZERO_ROW_CONFIGS)
+def test_zero_norm_configuration_reaches_the_threshold(problem, name):
     ds, attrs, distill, train = problem
-    params = start_params(make_cfg(distill, "zero_norm_ad_group"), train, attrs,
-                          "zero_norm_ad_group")
+    params = start_params(make_cfg(distill, name), train, attrs, name)
     start, end = attrs.groups[0]
-    a_hat = model.forward_attr(params, train.features[:16])
+    features = train.features[:16].copy()
+    a_hat = model.forward_attr(params, features)
     assert np.all(np.linalg.norm(a_hat[:, start:end], axis=1) < ZERO_NORM_EPS)
+    features[0] = 0.0
+    a_hat = model.forward_attr(params, features)
+    residual = a_hat @ params.W_h.T + params.b_h - features
+    assert np.all(residual[0] == 0.0)
+
+
+def test_zero_targets_configuration_has_zero_entries(problem):
+    ds, attrs, distill, train = problem
+    probs = make_cfg(distill, "zero_targets").distill.targets.probs
+    assert np.all(np.any(probs == 0.0, axis=1))
 
 
 def test_ad_core_matches_with_partial_zero_rows():

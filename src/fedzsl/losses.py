@@ -116,9 +116,15 @@ class LossReport:
         for name, value in self.terms.items():
             if not math.isfinite(value):
                 raise NonFiniteLossError(f"loss term '{name}' is non-finite ({value})")
-        for name, grad in self.grads.items():
-            if not np.all(np.isfinite(grad)):
-                raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
+        # A finite sum proves every entry finite, as any NaN or infinity
+        # would carry into it; only a non-finite sum, which may also come
+        # from finite entries that overflow, needs the entrywise scan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, grad in self.grads.items():
+                if math.isfinite(np.add.reduce(grad, axis=None)):
+                    continue
+                if not np.all(np.isfinite(grad)):
+                    raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
 
 
 def _as_batch(features: np.ndarray, d_v: int) -> np.ndarray:

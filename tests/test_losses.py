@@ -6,6 +6,7 @@ Each attribute-based term is checked through its single-term view of
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,26 @@ class TestJoint:
             LossReport(total=1.0, terms={"sce": float("nan")}, grads={})
         with pytest.raises(NonFiniteLossError):
             LossReport(total=1.0, terms={}, grads={"W_g": np.array([np.inf])})
+
+    def test_finite_gradient_whose_sum_overflows_is_accepted(self):
+        big = np.full((3, 2), np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = LossReport(total=1.0, terms={}, grads={"W_g": big, "b_g": -big[0]})
+        assert report.grads["W_g"] is big
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+        ids=["nan", "+inf", "-inf", "+inf-and--inf"],
+    )
+    def test_non_finite_gradient_entries_name_the_tensor(self, bad):
+        grad = np.zeros((4, 3))
+        grad.flat[: len(bad)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLossError, match="gradient for 'W_h' is non-finite"):
+                LossReport(total=1.0, terms={}, grads={"b_g": np.ones(2), "W_h": grad})
 
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(LossError):

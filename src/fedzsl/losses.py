@@ -12,6 +12,19 @@ the parameter mode, zero-filled when a tensor does not participate.  With
 ``grads=False`` both losses run the same forward arithmetic, skip every
 backward product, and report no gradients; the total and terms are
 bit-identical to the gradient-computing call.
+
+The kernels allocate little: each elementwise step writes into an array
+the kernel already owns, and the row-local softmax, KL and decorrelation
+work runs over blocks of at most ``_ROW_BLOCK`` rows, so the full-split
+global loss holds block-sized temporaries and a training batch is one
+block.  Two rules keep every result bit-identical to whole-array code.
+Matrix products are never split by rows: OpenBLAS blocks and orders its
+sums by the shape of the call, so a product over a block of rows need not
+round as the same rows of the whole product do.  Per-row values (the
+log-probabilities at the labels, the KL row sums, the group norms) are
+written into full-length vectors and each is reduced once: numpy sums by
+pairwise recursion over the whole vector, and adding per-block partial
+sums would group the additions differently.
 """
 
 from __future__ import annotations
@@ -31,6 +44,11 @@ DEFAULT_W_KL = 10.0
 DEFAULT_W_AD = 0.3
 
 ZERO_NORM_EPS = 1e-12
+
+# Rows per block of the row-local softmax, KL and decorrelation work.  A
+# training batch fits in one block; the full-split global loss walks the
+# split block by block, so those temporaries stay block-sized.
+_ROW_BLOCK = 256
 
 SCE = "sce"
 BC = "bc"
@@ -141,23 +159,45 @@ def _require_mode(params: ModelParams, mode: str, loss_name: str) -> None:
         raise LossError(f"{loss_name} requires {mode} params, got {params.mode}")
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _row_blocks(rows: int):
+    # (start, stop) of each block of at most _ROW_BLOCK rows.
+    for start in range(0, rows, _ROW_BLOCK):
+        yield start, min(start + _ROW_BLOCK, rows)
+
+
+def _log_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # Row-wise log-softmax written into ``out``, which may be ``logits``.
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    out -= np.log(np.exp(out).sum(axis=1, keepdims=True))
+    return out
 
 
 def _sce_core(
     scores: np.ndarray, positions: np.ndarray, prototypes: np.ndarray, grads: bool
 ) -> tuple[float, np.ndarray | None]:
-    # Cross-entropy of softmax(scores) at the label; scores = a_hat @ prototypes.
-    batch = scores.shape[0]
-    log_probs = _log_softmax(scores)
-    value = float(-log_probs[np.arange(batch), positions].mean())
+    # Cross-entropy of softmax(scores) at the label; scores = a_hat @ prototypes
+    # and is left as it is for the KL term.  With gradients the log-softmax
+    # of each block is written into its rows of d_logits and turned into
+    # the logit gradient there.
+    batch, classes = scores.shape
+    picked = np.empty(batch)
+    if grads:
+        d_logits = np.empty_like(scores)
+    else:
+        work = np.empty((min(batch, _ROW_BLOCK), classes))
+    for start, stop in _row_blocks(batch):
+        rows = np.arange(stop - start)
+        labels = positions[start:stop]
+        out = d_logits[start:stop] if grads else work[: stop - start]
+        log_probs = _log_softmax(scores[start:stop], out)
+        picked[start:stop] = log_probs[rows, labels]
+        if grads:
+            np.exp(log_probs, out=log_probs)
+            log_probs[rows, labels] -= 1.0
+            log_probs /= batch
+    value = float(-picked.mean())
     if not grads:
         return value, None
-    d_logits = np.exp(log_probs)
-    d_logits[np.arange(batch), positions] -= 1.0
-    d_logits /= batch
     return value, d_logits @ prototypes.T
 
 
@@ -166,15 +206,17 @@ def _ad_core(
 ) -> tuple[float, np.ndarray | None]:
     # Sum of unsquared group norms per sample; the gradient of each group is
     # its unit direction, taken as 0 below the zero-norm threshold.  One
-    # elementwise square serves every group; each group's row sums and their
-    # square roots are the ones np.linalg.norm(block, axis=1) computes, and
-    # the groups tile the columns in order, so repeating the (group, sample)
-    # scales over group widths lines them up with the columns of a_hat.
+    # elementwise square per row block serves every group; each group's row
+    # sums and their square roots are the ones np.linalg.norm(block, axis=1)
+    # computes.
     batch = a_hat.shape[0]
-    squares = a_hat * a_hat
     norms = np.empty((len(groups), batch))
-    for k, (start, end) in enumerate(groups):
-        np.add.reduce(squares[:, start:end], axis=1, out=norms[k])
+    squares = np.empty((min(batch, _ROW_BLOCK), a_hat.shape[1]))
+    for start, stop in _row_blocks(batch):
+        block = a_hat[start:stop]
+        square = np.multiply(block, block, out=squares[: stop - start])
+        for k, (first, end) in enumerate(groups):
+            np.add.reduce(square[:, first:end], axis=1, out=norms[k, start:stop])
     np.sqrt(norms, out=norms)
     # Group totals are added one at a time in Python floats, as before;
     # builtin sum() compensates its rounding on Python 3.12 and later.
@@ -184,9 +226,14 @@ def _ad_core(
     if not grads:
         return total / batch, None
     safe = norms >= ZERO_NORM_EPS
-    widths = [end - start for start, end in groups]
-    grad = a_hat / np.repeat(np.where(safe, norms, 1.0).T, widths, axis=1)
-    grad[~np.repeat(safe.T, widths, axis=1)] = 0.0
+    all_safe = bool(safe.all())
+    if not all_safe:
+        norms[~safe] = 1.0
+    grad = np.empty_like(a_hat)
+    for k, (first, end) in enumerate(groups):
+        np.divide(a_hat[:, first:end], norms[k][:, None], out=grad[:, first:end])
+        if not all_safe:
+            grad[~safe[k], first:end] = 0.0
     grad /= batch
     return total / batch, grad
 
@@ -194,24 +241,40 @@ def _ad_core(
 def _kl_core(
     scores: np.ndarray,
     prototypes: np.ndarray,
-    target_rows: np.ndarray,
-    log_target_rows: np.ndarray,
+    targets: np.ndarray,
+    log_targets: np.ndarray,
+    labels: np.ndarray,
     tau: float,
     grads: bool,
 ) -> tuple[float, np.ndarray | None]:
     # tau^2-scaled KL(target || softmax(z/tau)) per sample, meaned over the
-    # batch; d/dz is tau * (softmax - target) / B.  Divides ``scores`` by tau
-    # in place, so no second class-score array is live at the peak.
+    # batch; d/dz is tau * (softmax - target) / B.  Overwrites ``scores``
+    # with the log-probabilities block by block, and gathers each block's
+    # target rows (and their cached logarithms) by label.
     batch = scores.shape[0]
-    scores /= tau
-    log_probs = _log_softmax(scores)
-    mask = target_rows > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contributions = np.where(mask, target_rows * (log_target_rows - log_probs), 0.0)
-    value = float(tau * tau * contributions.sum(axis=1).mean())
+    row_sums = np.empty(batch)
+    d_logits = np.empty_like(scores) if grads else None
+    for start, stop in _row_blocks(batch):
+        log_probs = scores[start:stop]
+        log_probs /= tau
+        _log_softmax(log_probs, log_probs)
+        target_rows = targets[labels[start:stop]]
+        contributions = log_targets[labels[start:stop]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contributions -= log_probs
+            contributions *= target_rows
+        zero = target_rows == 0.0
+        if zero.any():
+            contributions[zero] = 0.0
+        np.add.reduce(contributions, axis=1, out=row_sums[start:stop])
+        if grads:
+            d_block = np.exp(log_probs, out=d_logits[start:stop])
+            d_block -= target_rows
+            d_block *= tau
+            d_block /= batch
+    value = float(tau * tau * row_sums.mean())
     if not grads:
         return value, None
-    d_logits = tau * (np.exp(log_probs) - target_rows) / batch
     return value, d_logits @ prototypes.T
 
 
@@ -223,22 +286,31 @@ def _bc_core(
     grads: bool,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as mean squared
-    # norm (default) or mean unsquared norm behind the flag.
+    # norm (default) or mean unsquared norm behind the flag.  The residual
+    # becomes its own square (loss only) or d_residual in place.
     batch = a_hat.shape[0]
-    residual = a_hat @ params.W_h.T + params.b_h - v
+    residual = a_hat @ params.W_h.T
+    residual += params.b_h
+    residual -= v
     if squared:
-        value = float((residual * residual).sum() / batch)
+        if grads:
+            value = float((residual * residual).sum() / batch)
+        else:
+            residual *= residual
+            value = float(residual.sum() / batch)
     else:
         norms = np.linalg.norm(residual, axis=1)
         value = float(norms.mean())
     if not grads:
         return value, None, None, None
+    d_residual = residual
     if squared:
-        d_residual = 2.0 * residual / batch
+        d_residual *= 2.0
     else:
         safe = norms >= ZERO_NORM_EPS
-        scale = np.where(safe, norms, 1.0)
-        d_residual = np.where(safe[:, None], residual / scale[:, None], 0.0) / batch
+        d_residual /= np.where(safe, norms, 1.0)[:, None]
+        d_residual[~safe] = 0.0
+    d_residual /= batch
     d_W_h = d_residual.T @ a_hat
     d_b_h = d_residual.sum(axis=0)
     d_a_hat = d_residual @ params.W_h
@@ -279,12 +351,13 @@ def ce_loss_attribute_free(
         )
     positions = _label_positions(labels, seen, "ce_loss_attribute_free")
     batch = v.shape[0]
-    logits = v @ params.W_c.T + params.b_c
-    log_probs = _log_softmax(logits)
+    logits = v @ params.W_c.T
+    logits += params.b_c
+    log_probs = _log_softmax(logits, logits)
     value = float(-log_probs[np.arange(batch), positions].mean())
     if not grads:
         return LossReport(total=value, terms={CE: value}, grads={})
-    d_logits = np.exp(log_probs)
+    d_logits = np.exp(log_probs, out=log_probs)
     d_logits[np.arange(batch), positions] -= 1.0
     d_logits /= batch
     gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)}
@@ -335,7 +408,8 @@ def joint_loss(
                 f"targets must cover all {n} classes with shape ({n}, {n}), "
                 f"got {distill.targets.probs.shape}"
             )
-    a_hat = v @ params.W_g.T + params.b_g
+    a_hat = v @ params.W_g.T
+    a_hat += params.b_g
     # SCE and KL share one class-score product; KL scales it in place, so
     # it must run after SCE has read it.
     scores = a_hat @ A.values if ablation.sce or kl_on else None
@@ -362,8 +436,9 @@ def joint_loss(
         value, d_a_hat = _kl_core(
             scores,
             A.values,
-            distill.targets.probs[labels],
-            distill.log_targets[labels],
+            distill.targets.probs,
+            distill.log_targets,
+            labels,
             distill.tau,
             grads,
         )

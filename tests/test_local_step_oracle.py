@@ -606,7 +606,7 @@ def test_loss_reports_match(problem, name, grads, rows):
 
 # Row counts around the loss kernels' row block: one short of it, exactly
 # one block, one past it, two blocks and a remainder, and the whole split.
-BLOCK_ROWS = 256
+BLOCK_ROWS = losses._ROW_BLOCK
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ Each attribute-based term is checked through its single-term view of
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from conftest import single_term
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import DistillTargets, distill_targets
+from fedzsl import losses
 from fedzsl.losses import (
     AblationFlags,
     DistillConfig,
@@ -509,3 +511,30 @@ class TestJoint:
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(LossError):
             LossWeights(w_kl=-1.0)
+
+
+class TestAllocation:
+    def test_forward_only_peak_is_the_live_arrays_plus_one_block(self):
+        # CUB-like shape.  a_hat, the class scores and the BC residual are
+        # full-split arrays that must be live together; everything else is
+        # a per-row vector or a block-sized temporary.
+        rows, d_a, d_v, classes = 2000, 312, 256, 200
+        rng = np.random.default_rng(0)
+        raw = rng.standard_normal((d_a, classes))
+        attrs = AttributeMatrix(
+            values=raw / np.linalg.norm(raw, axis=0), groups=((0, 100), (100, 212), (212, 312))
+        )
+        gamma = rng.standard_normal((classes, classes))
+        distill = DistillConfig(tau=4.0, targets=distill_targets(gamma @ gamma.T / classes, 4.0))
+        params = init_params(d_v, d_a, num_seen=150, mode=ATTRIBUTE_BASED, seed=0)
+        features = rng.standard_normal((rows, d_v))
+        labels = rng.integers(0, classes, size=rows)
+        tracemalloc.start()
+        try:
+            joint_loss(params, features, labels, attrs, distill, LossWeights(), grads=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live = 8 * rows * (d_a + classes + d_v)
+        block = 8 * losses._ROW_BLOCK * max(d_a, classes, d_v)
+        assert peak < live + 4 * block

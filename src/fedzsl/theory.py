@@ -85,21 +85,35 @@ def spectral_bounds(W: np.ndarray, tol: float = _POWER_TOL, max_iter: int = _POW
     wide matrix the smallest value is that of the column map (0 when the
     columns are dependent), which is the constant the decoder bounds need.
     """
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
-        raise AssumptionError(f"spectral bounds need a nonempty matrix, got shape {W.shape}")
-    gram = W.T @ W
+    gram, rng, lam_max = _gram_top_eigenvalue(W, tol, max_iter)
     n = gram.shape[0]
     if n == 1:
-        value = max(float(gram[0, 0]), 0.0)
-        sigma = math.sqrt(value)
+        sigma = math.sqrt(lam_max)
         return sigma, sigma
-    rng = np.random.default_rng(0)
-    lam_max = _top_eigenvalue(gram, rng, tol, max_iter)
     shifted = lam_max * np.eye(n) - gram
     lam_gap = _top_eigenvalue(shifted, rng, tol, max_iter)
     lam_min = min(max(lam_max - lam_gap, 0.0), lam_max)
     return math.sqrt(max(lam_min, 0.0)), math.sqrt(max(lam_max, 0.0))
+
+
+def _largest_singular_value(W: np.ndarray) -> float:
+    # The larger value of spectral_bounds(W), without the second iteration.
+    return math.sqrt(max(_gram_top_eigenvalue(W, _POWER_TOL, _POWER_MAX_ITER)[2], 0.0))
+
+
+def _gram_top_eigenvalue(
+    W: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.random.Generator, float]:
+    # W^T W, the generator the power iterations draw from, and the largest
+    # eigenvalue of W^T W (exact for a 1 x 1 Gram matrix).
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
+        raise AssumptionError(f"spectral bounds need a nonempty matrix, got shape {W.shape}")
+    gram = W.T @ W
+    rng = np.random.default_rng(0)
+    if gram.shape[0] == 1:
+        return gram, rng, max(float(gram[0, 0]), 0.0)
+    return gram, rng, _top_eigenvalue(gram, rng, tol, max_iter)
 
 
 def _top_eigenvalue(G: np.ndarray, rng: np.random.Generator, tol: float, max_iter: int) -> float:
@@ -431,7 +445,7 @@ def build_theory_report(
     margins = {y: (float(closest[y]), float(farthest[y])) for y in range(A.num_classes)}
     decoded = values[:, labels].T @ params.W_h.T + params.b_h
     epsilons = np.linalg.norm(decoded - features, axis=1)
-    _, sigma_attr = spectral_bounds(values)
+    sigma_attr = _largest_singular_value(values)
     lz = np.linalg.norm(features, axis=1) * sigma_attr
     violations: dict[str, int] = {}
     refusals: list[str] = []

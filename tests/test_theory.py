@@ -171,6 +171,16 @@ class TestSpectralBounds:
     def test_rejects_empty(self):
         with pytest.raises(AssumptionError):
             spectral_bounds(np.empty((0, 3)))
+        with pytest.raises(AssumptionError):
+            theory._largest_singular_value(np.empty((3, 0)))
+
+    @pytest.mark.parametrize(
+        "shape", [(6, 6), (10, 4), (4, 10), (1, 5), (5, 1), (1, 1), (312, 200)]
+    )
+    def test_largest_value_alone_equals_the_pair(self, shape):
+        W = np.random.default_rng(3).standard_normal(shape)
+        assert theory._largest_singular_value(W).hex() == spectral_bounds(W)[1].hex()
+        assert theory._largest_singular_value(np.zeros(shape)) == 0.0
 
 
 class TestProbabilityChecks:
@@ -428,6 +438,13 @@ class TestTheoryReport:
         report = build_theory_report(params, train.features, train.labels, attrs)
         assert sum(W is params.W_h for W in seen) == 1
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
+
+    def test_logit_scale_uses_the_largest_attribute_singular_value(self):
+        params, train, attrs = self.trained_instance()
+        report = build_theory_report(params, train.features, train.labels, attrs)
+        _, sigma_attr = spectral_bounds(attrs.values)
+        expected = np.linalg.norm(train.features, axis=1) * sigma_attr
+        assert report.lz.tobytes() == expected.tobytes()
 
     def test_zero_decoder_turns_into_refusals(self):
         params, train, attrs = self.trained_instance()

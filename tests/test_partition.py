@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedzsl.dataset import ClassSplit, FeatureDataset, SyntheticSpec, generate_synthetic, split_train_test
 from fedzsl.partition import (
@@ -215,3 +217,30 @@ class TestPartitionSummary:
             assert class_id in part.local_classes[client_id]
             idx = part.assignments[client_id]
             assert count == int(np.sum(train.labels[idx] == class_id))
+
+
+class TestEveryRowOnce:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        scheme=st.sampled_from(["iid", "dirichlet", "pccd"]),
+        num_seen=st.integers(4, 12),
+        samples=st.integers(5, 15),
+        data_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**31 - 1),
+        alpha=st.sampled_from([0.5, 1.0, 100.0]),
+        data=st.data(),
+    )
+    def test_each_training_row_goes_to_exactly_one_client(
+        self, scheme, num_seen, samples, data_seed, seed, alpha, data
+    ):
+        train = training_set(num_seen=num_seen, samples=samples, seed=data_seed)
+        clients = data.draw(st.integers(1, 4 if scheme == "dirichlet" else num_seen))
+        spec = PartitionSpec(
+            scheme=scheme,
+            num_clients=clients,
+            alpha=alpha if scheme == "dirichlet" else None,
+            seed=seed,
+        )
+        part = partition(train, spec)
+        assert part.num_clients == clients
+        assert np.array_equal(coverage(part), np.arange(train.num_samples))

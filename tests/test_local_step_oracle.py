@@ -512,7 +512,7 @@ CONFIGS = {
 
 @pytest.fixture(scope="module")
 def problem():
-    # Groups of 13-14 columns and a 400-row split, so row sums take numpy's
+    # Groups of 13-14 columns and a 320-row split, so row sums take numpy's
     # unrolled path and full-split sums its pairwise recursion.
     spec = SyntheticSpec(
         num_seen=8, num_unseen=2, d_a=40, d_v=12, samples_per_class=50, group_count=3
@@ -631,18 +631,18 @@ def test_loss_reports_match_across_row_blocks(block_problem, name, grads, rows):
     test_loss_reports_match(block_problem, name, grads, rows)
 
 
-@pytest.mark.parametrize("name", ZERO_ROW_CONFIGS)
-def test_zero_norm_configuration_reaches_the_threshold(problem, name):
+def test_zero_norm_configuration_reaches_the_threshold(problem):
     ds, attrs, distill, train = problem
-    params = start_params(make_cfg(distill, name), train, attrs, name)
     start, end = attrs.groups[0]
-    features = train.features[:16].copy()
-    a_hat = model.forward_attr(params, features)
-    assert np.all(np.linalg.norm(a_hat[:, start:end], axis=1) < ZERO_NORM_EPS)
-    features[0] = 0.0
-    a_hat = model.forward_attr(params, features)
-    residual = a_hat @ params.W_h.T + params.b_h - features
-    assert np.all(residual[0] == 0.0)
+    for name in ZERO_ROW_CONFIGS:
+        params = start_params(make_cfg(distill, name), train, attrs, name)
+        features = train.features[:16].copy()
+        a_hat = model.forward_attr(params, features)
+        assert np.all(np.linalg.norm(a_hat[:, start:end], axis=1) < ZERO_NORM_EPS)
+        features[0] = 0.0
+        a_hat = model.forward_attr(params, features)
+        residual = a_hat @ params.W_h.T + params.b_h - features
+        assert np.all(residual[0] == 0.0)
 
 
 def test_zero_targets_configuration_has_zero_entries(problem):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import single_term
+from fedzsl import losses
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import DistillTargets, distill_targets
-from fedzsl import losses
 from fedzsl.losses import (
     AblationFlags,
     DistillConfig,

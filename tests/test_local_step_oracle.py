@@ -2,7 +2,8 @@
 
 The functions defined at the top of this file are the earlier code, kept
 verbatim as the oracle: ``LossReport`` scanning every gradient entry for
-finiteness, ``sgd_step`` with its expression-form temporaries,
+finiteness, ``sgd_step`` with its expression-form temporaries, the input
+checks ``_as_batch``, ``_require_mode`` and ``_label_positions``,
 ``_log_softmax``, ``_sce_core`` and ``_bc_core`` allocating a fresh array
 at every elementwise step over the whole batch, ``_ad_core`` with a norm
 call per group, ``_kl_core`` taking the logarithm of the target rows at
@@ -45,9 +46,6 @@ from fedzsl.losses import (
     LossError,
     LossWeights,
     NonFiniteLossError,
-    _as_batch,
-    _label_positions,
-    _require_mode,
 )
 from fedzsl.model import (
     ATTRIBUTE_BASED,
@@ -110,6 +108,31 @@ class LossReport:
         for name, grad in self.grads.items():
             if not np.all(np.isfinite(grad)):
                 raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
+
+
+def _as_batch(features: np.ndarray, d_v: int) -> np.ndarray:
+    v = np.asarray(features, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != d_v:
+        raise LossError(f"features must have shape (B, {d_v}), got {v.shape}")
+    if v.shape[0] < 1:
+        raise LossError("batch must contain at least one sample")
+    return v
+
+
+def _require_mode(params: ModelParams, mode: str, loss_name: str) -> None:
+    if params.mode != mode:
+        raise LossError(f"{loss_name} requires {mode} params, got {params.mode}")
+
+
+def _label_positions(labels: np.ndarray, candidates: list[int], loss_name: str) -> np.ndarray:
+    mapping = {c: i for i, c in enumerate(candidates)}
+    positions = np.empty(labels.shape[0], dtype=np.int64)
+    for i, y in enumerate(labels):
+        pos = mapping.get(int(y))
+        if pos is None:
+            raise LossError(f"{loss_name}: label {int(y)} is not among the candidate classes")
+        positions[i] = pos
+    return positions
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

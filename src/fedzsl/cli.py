@@ -22,6 +22,7 @@ import numpy as np
 
 from fedzsl import __version__
 from fedzsl.dataset import (
+    AttributeMatrix,
     SyntheticSpec,
     generate_synthetic,
     load_attributes,
@@ -49,6 +50,7 @@ from fedzsl.glasso import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
     GlassoConfig,
+    SimilarityMatrix,
     distill_targets,
     graphical_lasso,
     sample_covariance,
@@ -346,12 +348,19 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _solve_glasso(
+    attrs: AttributeMatrix, settings: dict[str, object]
+) -> tuple[GlassoConfig, SimilarityMatrix, np.ndarray]:
+    """The glasso config in ``settings``, its solution, and the source ``gamma_source`` names."""
+    cfg = GlassoConfig(**_fields(GlassoConfig, settings))
+    sim = graphical_lasso(sample_covariance(attrs, standardize=cfg.standardize), cfg)
+    source = sim.gamma if settings["gamma_source"] == "covariance" else sim.theta
+    return cfg, sim, source
+
+
 def cmd_glasso(args: argparse.Namespace) -> int:
     attrs = load_attributes(args.data)
-    cfg = GlassoConfig(**_fields(GlassoConfig, vars(args)))
-    S = sample_covariance(attrs, standardize=cfg.standardize)
-    sim = graphical_lasso(S, cfg)
-    source = sim.gamma if args.gamma_source == "covariance" else sim.theta
+    _, sim, source = _solve_glasso(attrs, vars(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_square_csv(out / GAMMA_FILE, sim.gamma)
@@ -381,10 +390,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "threads": args.threads,
     }
     if cfg.kl_enabled:
-        gl = resolved["glasso"]
-        gcfg = GlassoConfig(**_fields(GlassoConfig, gl))
-        S = sample_covariance(attrs, standardize=gcfg.standardize)
-        sim = graphical_lasso(S, gcfg)
+        gcfg, sim, source = _solve_glasso(attrs, resolved["glasso"])
         if not sim.converged:
             sys.stderr.write(
                 f"warning: glasso did not converge in {sim.sweeps} sweeps "
@@ -392,7 +398,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         meta["glasso_converged"] = sim.converged
         meta["glasso_sweeps"] = sim.sweeps
-        source = sim.gamma if gl["gamma_source"] == "covariance" else sim.theta
         tau = float(resolved["losses"]["tau"])
         cfg.distill = DistillConfig(tau=tau, targets=distill_targets(source, tau))
     out.mkdir(parents=True, exist_ok=True)

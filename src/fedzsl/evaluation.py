@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset
-from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams
+from fedzsl.model import (
+    ATTRIBUTE_BASED,
+    ATTRIBUTE_FREE,
+    ModelParams,
+    compatibility_logits,
+    forward_attr,
+)
 
 
 class EvalError(ValueError):
@@ -73,8 +79,8 @@ def _predict_each(
     batch = v[None, :] if v.ndim == 1 else v
     if batch.ndim != 2 or batch.shape[1] != params.d_v:
         raise EvalError(f"features must have {params.d_v} columns, got shape {v.shape}")
-    a_hat = batch @ params.W_g.T + params.b_g
-    return [_predict_scores(a_hat @ A.values[:, c], c) for c in sets]
+    a_hat = forward_attr(params, batch)
+    return [_predict_scores(compatibility_logits(a_hat, A, c), c) for c in sets]
 
 
 def predict(

@@ -6,7 +6,10 @@ decorrelation penalty of unsquared per-group norms, a temperature-scaled KL
 pull toward class-similarity targets, and a bilateral reconstruction term
 tying the decoder back to the input features.  A single term is
 ``joint_loss`` with only its ``AblationFlags`` flag on, at unit weight.
-``ce_loss_attribute_free`` serves the attribute-free baseline.  Every loss
+``ce_loss_attribute_free`` serves the attribute-free baseline.  Both
+cross-entropies, the semantic one and the baseline's, run one kernel,
+``_sce_core``: it returns the logit gradient, and each caller carries it
+through its own product (onto ``a_hat`` or onto the head).  Every loss
 reduces by batch mean and reports gradients for each tensor trainable in
 the parameter mode, zero-filled when a tensor does not participate.  With
 ``grads=False`` both losses run the same forward arithmetic, skip every
@@ -80,11 +83,6 @@ class LossWeights:
                 raise LossError(f"{name} must be finite and >= 0, got {value}")
             setattr(self, name, value)
 
-    @property
-    def w_sce(self) -> float:
-        """The cross-entropy weight, fixed at 1."""
-        return 1.0
-
 
 @dataclass
 class AblationFlags:
@@ -145,13 +143,19 @@ class LossReport:
                     raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
 
 
-def _as_batch(features: np.ndarray, d_v: int) -> np.ndarray:
+def _as_batch(
+    features: np.ndarray, labels: np.ndarray, d_v: int, loss_name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    # The features as a (B, d_v) batch and the labels as one per row.
     v = np.asarray(features, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != d_v:
         raise LossError(f"features must have shape (B, {d_v}), got {v.shape}")
     if v.shape[0] < 1:
         raise LossError("batch must contain at least one sample")
-    return v
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (v.shape[0],):
+        raise LossError(f"{loss_name}: labels must have shape ({v.shape[0]},), got {y.shape}")
+    return v, y
 
 
 def _require_mode(params: ModelParams, mode: str, loss_name: str) -> None:
@@ -173,12 +177,13 @@ def _log_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _sce_core(
-    scores: np.ndarray, positions: np.ndarray, prototypes: np.ndarray, grads: bool
+    scores: np.ndarray, positions: np.ndarray, grads: bool
 ) -> tuple[float, np.ndarray | None]:
-    # Cross-entropy of softmax(scores) at the label; scores = a_hat @ prototypes
-    # and is left as it is for the KL term.  With gradients the log-softmax
-    # of each block is written into its rows of d_logits and turned into
-    # the logit gradient there.
+    # Cross-entropy of softmax(scores) at the label and, with gradients, the
+    # logit gradient, which each caller carries through its own product.
+    # ``scores`` is left as it is for the KL term.  The log-softmax of each
+    # block is written into its rows of d_logits and turned into the logit
+    # gradient there.
     batch, classes = scores.shape
     picked = np.empty(batch)
     if grads:
@@ -195,10 +200,7 @@ def _sce_core(
             np.exp(log_probs, out=log_probs)
             log_probs[rows, labels] -= 1.0
             log_probs /= batch
-    value = float(-picked.mean())
-    if not grads:
-        return value, None
-    return value, d_logits @ prototypes.T
+    return float(-picked.mean()), d_logits if grads else None
 
 
 def _ad_core(
@@ -342,25 +344,17 @@ def ce_loss_attribute_free(
     with an empty ``grads``.
     """
     _require_mode(params, ATTRIBUTE_FREE, "ce_loss_attribute_free")
-    v = _as_batch(features, params.d_v)
-    labels = np.asarray(labels, dtype=np.int64)
+    v, labels = _as_batch(features, labels, params.d_v, "ce_loss_attribute_free")
     seen = sorted(int(c) for c in seen_classes)
     if params.W_c.shape[0] != len(seen):
         raise LossError(
             f"head covers {params.W_c.shape[0]} classes but {len(seen)} seen classes given"
         )
     positions = _label_positions(labels, seen, "ce_loss_attribute_free")
-    batch = v.shape[0]
     logits = v @ params.W_c.T
     logits += params.b_c
-    log_probs = _log_softmax(logits, logits)
-    value = float(-log_probs[np.arange(batch), positions].mean())
-    if not grads:
-        return LossReport(total=value, terms={CE: value}, grads={})
-    d_logits = np.exp(log_probs, out=log_probs)
-    d_logits[np.arange(batch), positions] -= 1.0
-    d_logits /= batch
-    gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)}
+    value, d_logits = _sce_core(logits, positions, grads)
+    gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)} if grads else {}
     return LossReport(total=value, terms={CE: value}, grads=gradients)
 
 
@@ -391,8 +385,7 @@ def joint_loss(
     finiteness checks on ``total`` and each term still apply.
     """
     _require_mode(params, ATTRIBUTE_BASED, "joint_loss")
-    v = _as_batch(features, params.d_v)
-    labels = np.asarray(labels, dtype=np.int64)
+    v, labels = _as_batch(features, labels, params.d_v, "joint_loss")
     ablation = ablation or AblationFlags()
     n = A.num_classes
     if A.d_a != params.d_a:
@@ -417,11 +410,11 @@ def joint_loss(
     terms: dict[str, float] = {}
     d_W_h = d_b_h = None
     if ablation.sce:
-        value, d_a_hat = _sce_core(scores, labels, A.values, grads)
+        value, d_logits = _sce_core(scores, labels, grads)
         terms[SCE] = value
         if grads:
-            d_a_hat_total += d_a_hat
-        del d_a_hat  # not held through BC's peak, where the scores stay live
+            d_a_hat_total += d_logits @ A.values.T
+        del d_logits  # not held through BC's peak, where the scores stay live
     if ablation.bc and weights.w_bc > 0.0:
         value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared, grads)
         terms[BC] = weights.w_bc * value

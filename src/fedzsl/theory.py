@@ -9,6 +9,11 @@ stated premises.  The linear decoder makes the spectral constants exact,
 so the instance quantities entering each bound are computed, never
 assumed.
 
+The model is evaluated only through ``forward_attr`` and ``forward_decode``.
+The decoder's ``c_h`` and ``L_h`` come from power iteration in
+``spectral_bounds``; the attribute table's largest singular value, which
+scales the report's logit bound, is numpy's exact 2-norm.
+
 The data-driven checks are array operations over exact differences: the
 pairwise bound takes one row's distances to every later row per step (a
 subtraction into a reused buffer, then one norm per row), the
@@ -30,7 +35,7 @@ import numpy as np
 
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import DistillTargets
-from fedzsl.model import ATTRIBUTE_BASED, ModelParams, init_params
+from fedzsl.model import ATTRIBUTE_BASED, ModelParams, forward_attr, forward_decode, init_params
 
 DEFAULT_TRIALS = 1000
 
@@ -85,35 +90,20 @@ def spectral_bounds(W: np.ndarray, tol: float = _POWER_TOL, max_iter: int = _POW
     wide matrix the smallest value is that of the column map (0 when the
     columns are dependent), which is the constant the decoder bounds need.
     """
-    gram, rng, lam_max = _gram_top_eigenvalue(W, tol, max_iter)
-    n = gram.shape[0]
-    if n == 1:
-        sigma = math.sqrt(lam_max)
-        return sigma, sigma
-    shifted = lam_max * np.eye(n) - gram
-    lam_gap = _top_eigenvalue(shifted, rng, tol, max_iter)
-    lam_min = min(max(lam_max - lam_gap, 0.0), lam_max)
-    return math.sqrt(max(lam_min, 0.0)), math.sqrt(max(lam_max, 0.0))
-
-
-def _largest_singular_value(W: np.ndarray) -> float:
-    # The larger value of spectral_bounds(W), without the second iteration.
-    return math.sqrt(max(_gram_top_eigenvalue(W, _POWER_TOL, _POWER_MAX_ITER)[2], 0.0))
-
-
-def _gram_top_eigenvalue(
-    W: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.random.Generator, float]:
-    # W^T W, the generator the power iterations draw from, and the largest
-    # eigenvalue of W^T W (exact for a 1 x 1 Gram matrix).
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
         raise AssumptionError(f"spectral bounds need a nonempty matrix, got shape {W.shape}")
     gram = W.T @ W
+    n = gram.shape[0]
+    if n == 1:
+        sigma = math.sqrt(float(gram[0, 0]))
+        return sigma, sigma
     rng = np.random.default_rng(0)
-    if gram.shape[0] == 1:
-        return gram, rng, max(float(gram[0, 0]), 0.0)
-    return gram, rng, _top_eigenvalue(gram, rng, tol, max_iter)
+    lam_max = _top_eigenvalue(gram, rng, tol, max_iter)
+    shifted = lam_max * np.eye(n) - gram
+    lam_gap = _top_eigenvalue(shifted, rng, tol, max_iter)
+    lam_min = min(max(lam_max - lam_gap, 0.0), lam_max)
+    return math.sqrt(max(lam_min, 0.0)), math.sqrt(max(lam_max, 0.0))
 
 
 def _top_eigenvalue(G: np.ndarray, rng: np.random.Generator, tol: float, max_iter: int) -> float:
@@ -228,8 +218,7 @@ def check_kl_lipschitz(
 
 
 def _reconstruction_errors(params: ModelParams, samples: np.ndarray) -> np.ndarray:
-    a_hat = samples @ params.W_g.T + params.b_g
-    recon = a_hat @ params.W_h.T + params.b_h
+    recon = forward_decode(params, forward_attr(params, samples))
     return np.linalg.norm(recon - samples, axis=1)
 
 
@@ -254,7 +243,7 @@ def _left_inverse_impl(
     if big <= RANK_EPS:
         raise AssumptionError("decoder matrix is zero; the bound is undefined")
     delta = float(_reconstruction_errors(params, samples).max())
-    a_hat = samples @ params.W_g.T + params.b_g
+    a_hat = forward_attr(params, samples)
     n = samples.shape[0]
     a_buf = np.empty_like(a_hat)
     x_buf = np.empty_like(samples)
@@ -300,9 +289,9 @@ def _attr_error_impl(
             "decoder is not injective (smallest singular value is 0); bound does not apply"
         )
     delta = float(_reconstruction_errors(params, features).max())
-    a_hat = features @ params.W_g.T + params.b_g
+    a_hat = forward_attr(params, features)
     prototypes = A.values[:, labels].T
-    decoded = prototypes @ params.W_h.T + params.b_h
+    decoded = forward_decode(params, prototypes)
     lhs = _row_norms(a_hat - prototypes)
     eps = _row_norms(decoded - features)
     slack = lhs - (eps + delta) / small
@@ -405,7 +394,7 @@ def check_client_alignment(
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     tau = targets.tau
-    logits = (features @ params.W_g.T + params.b_g) @ A.values / tau
+    logits = forward_attr(params, features) @ A.values / tau
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -432,7 +421,7 @@ def build_theory_report(
     error, per-class margin pairs (closest and farthest prototype
     distances), per-sample prototype decoding errors, and an informational
     per-sample logit scale (feature norm times the prototype matrix's
-    largest singular value).
+    largest singular value, computed exactly).
     """
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("theory report needs attribute-based params")
@@ -443,10 +432,9 @@ def build_theory_report(
     values = A.values
     closest, farthest = _closest_and_farthest(values)
     margins = {y: (float(closest[y]), float(farthest[y])) for y in range(A.num_classes)}
-    decoded = values[:, labels].T @ params.W_h.T + params.b_h
+    decoded = forward_decode(params, values[:, labels].T)
     epsilons = np.linalg.norm(decoded - features, axis=1)
-    sigma_attr = _largest_singular_value(values)
-    lz = np.linalg.norm(features, axis=1) * sigma_attr
+    lz = np.linalg.norm(features, axis=1) * float(np.linalg.norm(values, 2))
     violations: dict[str, int] = {}
     refusals: list[str] = []
     try:

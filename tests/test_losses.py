@@ -472,6 +472,21 @@ class TestJoint:
         with pytest.raises(LossError):
             joint_loss(params, features, labels, attrs, None, LossWeights())
 
+    @pytest.mark.parametrize(
+        "labels",
+        [np.zeros(9, int), np.zeros(2, int), np.zeros((2, 2), int), np.zeros((4, 1), int), 0],
+        ids=["too-many", "too-few", "2x2", "column", "scalar"],
+    )
+    @pytest.mark.parametrize("grads", [True, False])
+    def test_labels_must_be_one_per_feature_row(self, labels, grads):
+        params, _, _, attrs, distill = problem(25)
+        features = np.ones((4, D_V))
+        with pytest.raises(LossError, match=r"labels must have shape \(4,\)"):
+            joint_loss(params, features, labels, attrs, distill, LossWeights(), grads=grads)
+        free = init_params(D_V, D_A, num_seen=4, mode=ATTRIBUTE_FREE, seed=25)
+        with pytest.raises(LossError, match=r"labels must have shape \(4,\)"):
+            ce_loss_attribute_free(free, features, labels, (0, 1, 2, 3), grads=grads)
+
     def test_all_losses_are_nonnegative(self):
         for seed in range(5):
             args = problem(30 + seed)

@@ -172,15 +172,7 @@ class TestSpectralBounds:
         with pytest.raises(AssumptionError):
             spectral_bounds(np.empty((0, 3)))
         with pytest.raises(AssumptionError):
-            theory._largest_singular_value(np.empty((3, 0)))
-
-    @pytest.mark.parametrize(
-        "shape", [(6, 6), (10, 4), (4, 10), (1, 5), (5, 1), (1, 1), (312, 200)]
-    )
-    def test_largest_value_alone_equals_the_pair(self, shape):
-        W = np.random.default_rng(3).standard_normal(shape)
-        assert theory._largest_singular_value(W).hex() == spectral_bounds(W)[1].hex()
-        assert theory._largest_singular_value(np.zeros(shape)) == 0.0
+            spectral_bounds(np.empty((3, 0)))
 
 
 class TestProbabilityChecks:
@@ -440,11 +432,28 @@ class TestTheoryReport:
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
 
     def test_logit_scale_uses_the_largest_attribute_singular_value(self):
+        linalg = pytest.importorskip("scipy.linalg")
         params, train, attrs = self.trained_instance()
         report = build_theory_report(params, train.features, train.labels, attrs)
-        _, sigma_attr = spectral_bounds(attrs.values)
+        sigma_attr = linalg.svdvals(attrs.values)[0]
         expected = np.linalg.norm(train.features, axis=1) * sigma_attr
-        assert report.lz.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(report.lz, expected, rtol=1e-12, atol=0.0)
+
+    # (d_a, classes): square, tall and wide tables, a single attribute (one
+    # column of the class-by-attribute view), the smallest table an
+    # AttributeMatrix accepts, and CUB's shape.
+    @pytest.mark.parametrize("shape", [(6, 6), (10, 4), (4, 10), (1, 5), (1, 2), (312, 200)])
+    def test_logit_scale_is_exact(self, shape):
+        linalg = pytest.importorskip("scipy.linalg")
+        d_a, classes = shape
+        rng = np.random.default_rng(3)
+        attrs = AttributeMatrix(values=rng.standard_normal(shape), groups=((0, d_a),))
+        params = init_params(7, d_a, num_seen=1, mode=ATTRIBUTE_BASED, seed=3)
+        features = rng.standard_normal((12, 7)) * rng.uniform(0.1, 10.0, size=(12, 1))
+        labels = rng.integers(0, classes, size=12)
+        report = build_theory_report(params, features, labels, attrs)
+        expected = np.linalg.norm(features, axis=1) * linalg.svdvals(attrs.values)[0]
+        np.testing.assert_allclose(report.lz, expected, rtol=1e-12, atol=0.0)
 
     def test_zero_decoder_turns_into_refusals(self):
         params, train, attrs = self.trained_instance()

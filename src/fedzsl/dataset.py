@@ -124,7 +124,6 @@ class AttributeMatrix:
 
     values: np.ndarray
     groups: tuple[tuple[int, int], ...]
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -139,12 +138,6 @@ class AttributeMatrix:
             raise DatasetError("attribute matrix contains non-finite values")
         self.groups = tuple(sorted((int(a), int(b)) for a, b in self.groups))
         _check_groups(self.groups, d_a)
-        if self.class_names is not None:
-            self.class_names = tuple(str(name) for name in self.class_names)
-            if len(self.class_names) != num_classes:
-                raise DatasetError(
-                    f"expected {num_classes} class names, got {len(self.class_names)}"
-                )
 
     @property
     def d_a(self) -> int:

@@ -307,20 +307,19 @@ def _fmt_checkpoint(x: float) -> str:
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:
-    """Write a sectioned CSV checkpoint; 17 significant digits round-trip exactly."""
+    """Write a sectioned CSV checkpoint; 17 significant digits round-trip exactly.
+
+    Each section is a ``[name]`` header, its shape, and one line per row; a vector is one row.
+    """
     lines: list[str] = []
     for name in _SECTION_ORDER:
         tensor = params.tensors().get(name)
         if tensor is None:
             continue
         lines.append(f"[{name}]")
-        if tensor.ndim == 2:
-            lines.append(f"{tensor.shape[0]},{tensor.shape[1]}")
-            for row in tensor:
-                lines.append(",".join(_fmt_checkpoint(v) for v in row))
-        else:
-            lines.append(f"{tensor.shape[0]}")
-            lines.append(",".join(_fmt_checkpoint(v) for v in tensor))
+        lines.append(",".join(str(d) for d in tensor.shape))
+        for row in np.atleast_2d(tensor):
+            lines.append(",".join(_fmt_checkpoint(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -328,8 +327,9 @@ def load_model(path: str | Path) -> ModelParams:
     """Read a checkpoint written by :func:`save_model`.
 
     The mode is inferred from the presence of the classifier-head section.
-    Each tensor is parsed in bulk; one the bulk reader refuses is parsed
-    line by line, which names the line of a malformed value.
+    A vector section is read as a block of one row.  Each block is parsed
+    in bulk; one the bulk reader refuses is parsed line by line, which
+    names the line of a malformed value.
     """
     path = Path(path)
     if not path.is_file():
@@ -354,48 +354,33 @@ def load_model(path: str | Path) -> ModelParams:
             raise ModelError(
                 f"{path.name} line {i + 2}: cannot parse dimensions '{lines[i + 1]}'"
             ) from None
-        if len(shape) == 2:
-            rows, cols = shape
-            block = lines[i + 2 : i + 2 + rows]
-            if len(block) < rows:
-                raise ModelError(f"{path.name}: section [{name}] declares {rows} rows, ran out of lines")
-            parsed = _read_block(block, rows, cols)
-            if parsed is not None:
-                values = parsed["f"]
-            else:
-                values = np.empty((rows, cols))
-                for r, line in enumerate(block):
-                    parts = line.split(",")
-                    if len(parts) != cols:
-                        raise ModelError(
-                            f"{path.name} line {i + 3 + r}: expected {cols} values, found {len(parts)}"
-                        )
-                    try:
-                        values[r] = [float(tok) for tok in parts]
-                    except ValueError:
-                        raise ModelError(f"{path.name} line {i + 3 + r}: cannot parse a value") from None
-            sections[name] = values
-            i += 2 + rows
-        elif len(shape) == 1:
-            length = shape[0]
-            if i + 2 >= len(lines):
-                raise ModelError(f"{path.name}: section [{name}] is missing its value line")
-            parsed = _read_block(lines[i + 2 : i + 3], 1, length)
-            if parsed is not None:
-                sections[name] = parsed["f"][0]
-            else:
-                parts = lines[i + 2].split(",")
-                if len(parts) != length:
+        if len(shape) not in (1, 2):
+            raise ModelError(f"{path.name}: section [{name}] has unsupported rank {len(shape)}")
+        vector = len(shape) == 1
+        rows, cols = (1, *shape) if vector else shape
+        block = lines[i + 2 : i + 2 + rows]
+        if len(block) < rows:
+            missing = "is missing its value line" if vector else f"declares {rows} rows, ran out of lines"
+            raise ModelError(f"{path.name}: section [{name}] {missing}")
+        parsed = _read_block(block, rows, cols)
+        if parsed is not None:
+            values = parsed["f"]
+        else:
+            read: list[list[float]] = []
+            for line_no, line in enumerate(block, start=i + 3):
+                parts = line.split(",")
+                if len(parts) != cols:
                     raise ModelError(
-                        f"{path.name} line {i + 3}: expected {length} values, found {len(parts)}"
+                        f"{path.name} line {line_no}: expected {cols} values, found {len(parts)}"
                     )
                 try:
-                    sections[name] = np.asarray([float(tok) for tok in parts])
+                    read.append([float(tok) for tok in parts])
                 except ValueError:
-                    raise ModelError(f"{path.name} line {i + 3}: cannot parse a value") from None
-            i += 3
-        else:
-            raise ModelError(f"{path.name}: section [{name}] has unsupported rank {len(shape)}")
+                    raise ModelError(f"{path.name} line {line_no}: cannot parse a value") from None
+            # An empty block is a 0-row section, or a negative row count numpy refuses.
+            values = np.array(read) if read else np.empty((rows, cols))
+        sections[name] = values[0] if vector else values
+        i += 2 + rows
     for required in ("W_g", "b_g", "W_h", "b_h"):
         if required not in sections:
             raise ModelError(f"{path.name}: missing required section [{required}]")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -210,6 +211,8 @@ def partition(train: FeatureDataset, spec: PartitionSpec) -> ClientPartition:
 def sample_clients(num_clients: int, fraction: float, round_index: int, seed: int) -> tuple[int, ...]:
     """Sample ``ceil(fraction * num_clients)`` distinct client ids for a round.
 
+    The product is taken exactly on the fraction's shortest decimal form, so
+    ``0.28`` of 25 clients is 7, not the 8 that float rounding gives.
     Deterministic in ``(seed, round_index)``; different rounds draw
     independently.  Returns ids sorted ascending.
     """
@@ -217,8 +220,7 @@ def sample_clients(num_clients: int, fraction: float, round_index: int, seed: in
         raise PartitionError(f"fraction must lie in (0, 1], got {fraction}")
     if num_clients < 1:
         raise PartitionError(f"num_clients must be >= 1, got {num_clients}")
-    count = math.ceil(fraction * num_clients)
-    count = min(count, num_clients)
+    count = math.ceil(Fraction(repr(float(fraction))) * num_clients)
     if count == num_clients:
         return tuple(range(num_clients))
     rng = np.random.default_rng([seed, round_index])

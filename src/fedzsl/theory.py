@@ -82,7 +82,7 @@ class TheoryReport:
             raise AssumptionError(f"delta_rec must be >= 0, got {self.delta_rec}")
 
 
-def spectral_bounds(W: np.ndarray, tol: float = _POWER_TOL, max_iter: int = _POWER_MAX_ITER) -> tuple[float, float]:
+def spectral_bounds(W: np.ndarray) -> tuple[float, float]:
     """Smallest and largest singular values of a matrix by power iteration.
 
     Iterates on W^T W for the largest eigenvalue, then on its spectral
@@ -99,25 +99,25 @@ def spectral_bounds(W: np.ndarray, tol: float = _POWER_TOL, max_iter: int = _POW
         sigma = math.sqrt(float(gram[0, 0]))
         return sigma, sigma
     rng = np.random.default_rng(0)
-    lam_max = _top_eigenvalue(gram, rng, tol, max_iter)
+    lam_max = _top_eigenvalue(gram, rng)
     shifted = lam_max * np.eye(n) - gram
-    lam_gap = _top_eigenvalue(shifted, rng, tol, max_iter)
+    lam_gap = _top_eigenvalue(shifted, rng)
     lam_min = min(max(lam_max - lam_gap, 0.0), lam_max)
     return math.sqrt(max(lam_min, 0.0)), math.sqrt(max(lam_max, 0.0))
 
 
-def _top_eigenvalue(G: np.ndarray, rng: np.random.Generator, tol: float, max_iter: int) -> float:
+def _top_eigenvalue(G: np.ndarray, rng: np.random.Generator) -> float:
     v = rng.standard_normal(G.shape[0])
     v /= np.linalg.norm(v)
     eig = float(v @ G @ v)
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = G @ v
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
         new_eig = float(v @ G @ v)
-        if abs(new_eig - eig) <= tol:
+        if abs(new_eig - eig) <= _POWER_TOL:
             return new_eig
         eig = new_eig
     return eig
@@ -217,9 +217,10 @@ def check_kl_lipschitz(
     return _kl_lipschitz_impl(trials, dim, floor, seed)[0]
 
 
-def _reconstruction_errors(params: ModelParams, samples: np.ndarray) -> np.ndarray:
-    recon = forward_decode(params, forward_attr(params, samples))
-    return np.linalg.norm(recon - samples, axis=1)
+def _reconstruction_errors(params: ModelParams, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row reconstruction error ``||h(g(v)) - v||`` and the predicted attributes ``g(v)``."""
+    a_hat = forward_attr(params, samples)
+    return np.linalg.norm(forward_decode(params, a_hat) - samples, axis=1), a_hat
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -242,8 +243,8 @@ def _left_inverse_impl(
     _, big = bounds
     if big <= RANK_EPS:
         raise AssumptionError("decoder matrix is zero; the bound is undefined")
-    delta = float(_reconstruction_errors(params, samples).max())
-    a_hat = forward_attr(params, samples)
+    errors, a_hat = _reconstruction_errors(params, samples)
+    delta = float(errors.max())
     n = samples.shape[0]
     a_buf = np.empty_like(a_hat)
     x_buf = np.empty_like(samples)
@@ -288,8 +289,8 @@ def _attr_error_impl(
         raise AssumptionError(
             "decoder is not injective (smallest singular value is 0); bound does not apply"
         )
-    delta = float(_reconstruction_errors(params, features).max())
-    a_hat = forward_attr(params, features)
+    errors, a_hat = _reconstruction_errors(params, features)
+    delta = float(errors.max())
     prototypes = A.values[:, labels].T
     decoded = forward_decode(params, prototypes)
     lhs = _row_norms(a_hat - prototypes)
@@ -428,7 +429,7 @@ def build_theory_report(
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     small, big = spectral_bounds(params.W_h)
-    delta_rec = float(_reconstruction_errors(params, features).max())
+    delta_rec = float(_reconstruction_errors(params, features)[0].max())
     values = A.values
     closest, farthest = _closest_and_farthest(values)
     margins = {y: (float(closest[y]), float(farthest[y])) for y in range(A.num_classes)}

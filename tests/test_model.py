@@ -280,6 +280,34 @@ class TestCheckpointIo:
         save_model(tmp_path / "b.csv", load_model(tmp_path / "a.csv"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("mode", [ATTRIBUTE_BASED, ATTRIBUTE_FREE])
+    def test_file_bytes_are_pinned(self, tmp_path, mode):
+        head = mode == ATTRIBUTE_FREE
+        params = ModelParams(
+            W_g=np.array([[0.5, -1.0, 0.1], [2.0, 0.0, -0.0]]),
+            b_g=np.array([0.25, 1e-3]),
+            W_h=np.array([[1.0, 3.0], [-2.5, 1.0 / 3.0], [0.0, 7.0]]),
+            b_h=np.array([1e20, 123456789.0, -0.75]),
+            mode=mode,
+            W_c=np.array([[0.2, 0.0, 1.5], [-1.0, 4.0, 0.3]]) if head else None,
+            b_c=np.array([0.0, -2.0]) if head else None,
+        )
+        expected = (
+            "[W_g]\n2,3\n0.5,-1,0.10000000000000001\n2,0,-0\n"
+            "[b_g]\n2\n0.25,0.001\n"
+            "[W_h]\n3,2\n1,3\n-2.5,0.33333333333333331\n0,7\n"
+            "[b_h]\n3\n1e+20,123456789,-0.75\n"
+        )
+        if head:
+            expected += "[W_c]\n2,3\n0.20000000000000001,0,1.5\n-1,4,0.29999999999999999\n[b_c]\n2\n0,-2\n"
+        path = tmp_path / "model.csv"
+        save_model(path, params)
+        assert path.read_bytes() == expected.encode()
+        loaded = load_model(path)
+        for name, tensor in params.tensors().items():
+            got = loaded.tensors()[name]
+            assert got.shape == tensor.shape and got.tobytes() == tensor.tobytes(), name
+
     def test_truncated_file_is_rejected(self, tmp_path):
         params = tiny_params()
         path = tmp_path / "model.csv"

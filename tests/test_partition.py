@@ -1,6 +1,9 @@
 """Client partitioning schemes and round-level client sampling."""
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +189,14 @@ class TestSampleClients:
         assert len(chosen) == 3
         chosen = sample_clients(10, 0.01, round_index=0, seed=0)
         assert len(chosen) == 1
+
+    def test_count_is_exact_on_the_percent_grid(self):
+        # 0.28 * 25 is 7.000000000000001 in floats; the count must still be 7.
+        assert len(sample_clients(25, 0.28, 0, 0)) == 7
+        for i in range(1, 101):
+            for k in range(1, 101):
+                expected = math.ceil(Fraction(i, 100) * k)
+                assert len(sample_clients(k, i / 100, 0, 0)) == expected, (i, k)
 
     def test_sorted_distinct_and_deterministic(self):
         a = sample_clients(10, 0.5, round_index=4, seed=11)

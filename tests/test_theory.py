@@ -431,6 +431,22 @@ class TestTheoryReport:
         assert sum(W is params.W_h for W in seen) == 1
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
 
+    def test_each_bound_maps_the_rows_once(self, monkeypatch):
+        # delta_rec, the left-inverse and the attribute-error checks each
+        # reuse the attributes their reconstruction error computed.
+        params, train, attrs = self.trained_instance()
+        calls = []
+        real = theory.forward_attr
+
+        def counting(p, v):
+            calls.append(v.shape)
+            return real(p, v)
+
+        monkeypatch.setattr(theory, "forward_attr", counting)
+        report = build_theory_report(params, train.features, train.labels, attrs)
+        assert calls == [train.features.shape] * 3
+        assert report.violations == {"left_inverse": 0, "attr_error": 0}
+
     def test_logit_scale_uses_the_largest_attribute_singular_value(self):
         linalg = pytest.importorskip("scipy.linalg")
         params, train, attrs = self.trained_instance()

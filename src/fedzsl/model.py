@@ -358,7 +358,7 @@ def load_model(path: str | Path) -> ModelParams:
             raise ModelError(f"{path.name}: section [{name}] has unsupported rank {len(shape)}")
         vector = len(shape) == 1
         rows, cols = (1, *shape) if vector else shape
-        block = lines[i + 2 : i + 2 + rows]
+        block = lines[i + 2 : i + 2 + max(rows, 0)]
         if len(block) < rows:
             missing = "is missing its value line" if vector else f"declares {rows} rows, ran out of lines"
             raise ModelError(f"{path.name}: section [{name}] {missing}")
@@ -377,7 +377,7 @@ def load_model(path: str | Path) -> ModelParams:
                     read.append([float(tok) for tok in parts])
                 except ValueError:
                     raise ModelError(f"{path.name} line {line_no}: cannot parse a value") from None
-            # An empty block is a 0-row section, or a negative row count numpy refuses.
+            # An empty block is a 0-row section, or any negative row count, which numpy refuses.
             values = np.array(read) if read else np.empty((rows, cols))
         sections[name] = values[0] if vector else values
         i += 2 + rows

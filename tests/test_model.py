@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -316,6 +317,25 @@ class TestCheckpointIo:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ModelError):
             load_model(path)
+
+    def test_negative_row_count_is_rejected(self, tmp_path):
+        # Unclamped, lines[2:-2] would be the one row "1,2" and the section
+        # would step back to line 0, re-reading the file without end; the
+        # alarm turns such a loop into a failure instead of a hang.
+        path = tmp_path / "model.csv"
+        path.write_text("[W_g]\n-4,2\n1,2\n[W_h]\n0,3\n")
+
+        def stuck(signum, frame):
+            raise AssertionError("load_model did not return")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="negative dimensions"):
+                load_model(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_missing_file_is_rejected(self, tmp_path):
         with pytest.raises(ModelError):

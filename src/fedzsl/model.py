@@ -58,6 +58,8 @@ class ModelParams:
         if self.W_g.ndim != 2:
             raise ModelError("W_g must be a d_a x d_v matrix")
         d_a, d_v = self.W_g.shape
+        if d_a < 1 or d_v < 1:
+            raise ModelError(f"dimensions must be positive, got d_v={d_v} d_a={d_a}")
         if self.b_g.shape != (d_a,):
             raise ModelError(f"b_g must have shape ({d_a},), got {self.b_g.shape}")
         if self.W_h.shape != (d_v, d_a):
@@ -74,6 +76,8 @@ class ModelParams:
             self.b_c = np.asarray(self.b_c, dtype=np.float64)
             if self.W_c.ndim != 2 or self.W_c.shape[1] != d_v:
                 raise ModelError(f"W_c must have shape (num_seen, {d_v}), got {self.W_c.shape}")
+            if self.W_c.shape[0] < 1:
+                raise ModelError(f"dimensions must be positive, got num_seen={self.W_c.shape[0]}")
             if self.b_c.shape != (self.W_c.shape[0],):
                 raise ModelError(
                     f"b_c must have shape ({self.W_c.shape[0]},), got {self.b_c.shape}"
@@ -358,7 +362,9 @@ def load_model(path: str | Path) -> ModelParams:
             raise ModelError(f"{path.name}: section [{name}] has unsupported rank {len(shape)}")
         vector = len(shape) == 1
         rows, cols = (1, *shape) if vector else shape
-        block = lines[i + 2 : i + 2 + max(rows, 0)]
+        if rows < 0 or cols < 0:
+            raise ModelError(f"{path.name} line {i + 2}: negative dimensions '{lines[i + 1]}'")
+        block = lines[i + 2 : i + 2 + rows]
         if len(block) < rows:
             missing = "is missing its value line" if vector else f"declares {rows} rows, ran out of lines"
             raise ModelError(f"{path.name}: section [{name}] {missing}")
@@ -377,7 +383,7 @@ def load_model(path: str | Path) -> ModelParams:
                     read.append([float(tok) for tok in parts])
                 except ValueError:
                     raise ModelError(f"{path.name} line {line_no}: cannot parse a value") from None
-            # An empty block is a 0-row section, or any negative row count, which numpy refuses.
+            # An empty block is a 0-row section.
             values = np.array(read) if read else np.empty((rows, cols))
         sections[name] = values[0] if vector else values
         i += 2 + rows

@@ -14,16 +14,29 @@ The decoder's ``c_h`` and ``L_h`` come from power iteration in
 ``spectral_bounds``; the attribute table's largest singular value, which
 scales the report's logit bound, is numpy's exact 2-norm.
 
-The data-driven checks are array operations over exact differences: the
-pairwise bound takes one row's distances to every later row per step (a
-subtraction into a reused buffer, then one norm per row), the
-per-sample bounds take row-wise norms, and prototype distances are built
-one class at a time, so no d_a x C x C or n x n x d temporary exists.
-Row norms go through the same dot kernel as the 1-D ``np.linalg.norm``,
-so counts and worst slacks equal those of a loop over single pairs.
-The Gram identity |a|^2 + |b|^2 - 2 a.b is avoided on purpose: on
-CUB-shaped attribute tables its cancellation error reached 3e-8, thirty
-times ``GEOM_EPS``.
+The per-sample bounds take row-wise norms of exact differences, and
+prototype distances are built one class at a time, so no d_a x C x C
+temporary exists.  Row norms go through the same dot kernel as the 1-D
+``np.linalg.norm``, so counts and worst slacks equal those of a loop over
+single samples or pairs.
+
+The pairwise left-inverse bound screens pairs instead of looping over
+them.  Blocks of ``_PAIR_BLOCK`` rows are taken against every later row,
+so memory is O(block x n).  Per block, each side's squared distances come
+from one product, |x|^2 + |y|^2 - 2 x.y.  That Gram form cancels (on
+CUB-shaped attribute tables its error reached 3e-8, thirty times
+``GEOM_EPS``), so it never gives an answer, only an interval: each value
+is widened by the dot-product error bound gamma_d (|x|^2 + |y|^2)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
+3.1), and the slack's own rounded steps (square root, division by L_h,
+the shift 2 delta / L_h, the difference) are monotone, so applied to the
+ends they bound the slack the exact per-pair form computes.  A pair is
+recomputed in that form (the differences, then ``_row_norms``) only when
+its interval straddles ``GEOM_EPS`` or is not a number, or when its upper
+end reaches the largest lower end seen so far.  The violation count and
+the worst slack therefore equal the per-pair loop's bit for bit.  Nearly
+equal rows get an interval clamped at zero and are recomputed whenever
+its width could matter.
 """
 
 from __future__ import annotations
@@ -46,6 +59,8 @@ RANK_EPS = 1e-12
 
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 100_000
+
+_PAIR_BLOCK = 256  # rows per block of the pair screen
 
 
 class AssumptionError(ValueError):
@@ -232,8 +247,66 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
+def _distance_bounds(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floats ``low <= _row_norms(x - y) <= high`` for every row x and column row y.
+
+    The squared distance comes from one product, G = |x|^2 + |y|^2 - 2 x.y.
+    With M = |x|^2 + |y|^2 and u the unit roundoff, G is within
+    (2d + 3) u M of the true value by the dot-product bound (Higham 2002,
+    section 3.1) and Cauchy-Schwarz, and the exact form, which rounds each
+    difference and sums the squares, within (d + 2) u of it relative, or
+    (2d + 6) u M since G <= 2M.  ``4 (d + 8) eps M`` covers both twice over,
+    the roundings that form the bounds included, and ``tiny`` covers
+    underflow.  A distance that cancels to nothing makes ``low`` 0.  Square
+    roots round correctly, so monotonically, and the bounds hold for the
+    norms too.
+    """
+    d = rows.shape[1]
+    tiny = 8 * (d + 8) * math.ulp(0.0)
+    err = np.einsum("ij,ij->i", rows, rows)[:, None] + np.einsum("ij,ij->i", cols, cols)
+    gram = rows @ cols.T
+    gram *= -2.0
+    gram += err
+    err *= 4 * (d + 8) * np.finfo(np.float64).eps
+    err += tiny
+    high = gram + err
+    gram -= err
+    np.maximum(gram, 0.0, out=gram)
+    return np.sqrt(gram, out=gram), np.sqrt(high, out=high)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _slack_bounds(
+    a_hat: np.ndarray, samples: np.ndarray, rows: slice, cols: slice, big: float, shift: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the exact slack of every (row, col) pair; NaN where a bound overflowed."""
+    a_low, a_high = _distance_bounds(a_hat[rows], a_hat[cols])
+    low, high = _distance_bounds(samples[rows], samples[cols])
+    # The slack is x / big - shift - a, rounded step by step; each step is
+    # monotone, so the same steps on the bounds bound it.
+    low /= big
+    low -= shift
+    low -= a_high
+    high /= big
+    high -= shift
+    high -= a_low
+    return low, high
+
+
+def _pair_slacks(
+    a_hat: np.ndarray, samples: np.ndarray, big: float, shift: float, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """The exact slack of each pair (i, j): the differences, then one norm per row."""
+    lhs = _row_norms(np.subtract(a_hat[i], a_hat[j]))
+    rhs = _row_norms(np.subtract(samples[i], samples[j])) / big - shift
+    return rhs - lhs
+
+
 def _left_inverse_impl(
-    params: ModelParams, samples: np.ndarray, bounds: tuple[float, float]
+    params: ModelParams,
+    samples: np.ndarray,
+    bounds: tuple[float, float],
+    reconstruction: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, float, int]:
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("left-inverse check needs attribute-based params")
@@ -243,22 +316,37 @@ def _left_inverse_impl(
     _, big = bounds
     if big <= RANK_EPS:
         raise AssumptionError("decoder matrix is zero; the bound is undefined")
-    errors, a_hat = _reconstruction_errors(params, samples)
-    delta = float(errors.max())
+    if reconstruction is None:
+        reconstruction = _reconstruction_errors(params, samples)
+    errors, a_hat = reconstruction
+    shift = 2.0 * float(errors.max()) / big
     n = samples.shape[0]
-    a_buf = np.empty_like(a_hat)
-    x_buf = np.empty_like(samples)
     violations = 0
     worst = -math.inf
-    for i in range(n - 1):
-        # The pairs (i, j), j > i, as rows i+1.. subtracted from row i.
-        a_diff = np.subtract(a_hat[i], a_hat[i + 1 :], out=a_buf[: n - i - 1])
-        x_diff = np.subtract(samples[i], samples[i + 1 :], out=x_buf[: n - i - 1])
-        lhs = _row_norms(a_diff)
-        rhs = _row_norms(x_diff) / big - 2.0 * delta / big
-        slack = rhs - lhs
-        worst = max(worst, float(slack.max()))
-        violations += int(np.count_nonzero(slack > GEOM_EPS))
+    floor = -math.inf  # the largest lower bound so far, a floor under the final worst
+    for start in range(0, n - 1, _PAIR_BLOCK):
+        # Rows start..stop-1 against every later row j > i.
+        stop = min(start + _PAIR_BLOCK, n - 1)
+        rows, cols = slice(start, stop), slice(start + 1, n)
+        low, high = _slack_bounds(a_hat, samples, rows, cols, big, shift)
+        pairs = np.triu(np.ones(low.shape, dtype=bool))
+        sure = low > GEOM_EPS
+        sure &= pairs
+        violations += int(np.count_nonzero(sure))
+        # Pairs the bounds leave undecided, or whose bounds are not numbers.
+        redo = ~(sure | (high <= GEOM_EPS))
+        redo &= pairs
+        i, j = np.nonzero(redo)
+        exact = _pair_slacks(a_hat, samples, big, shift, start + i, start + 1 + j)
+        violations += int(np.count_nonzero(exact > GEOM_EPS))
+        low[i, j] = high[i, j] = exact
+        # A NaN slack is never the worst, as in max(worst, slack) per pair.
+        floor = max(floor, float(np.fmax.reduce(low, axis=None, where=pairs, initial=-math.inf)))
+        # Only a pair whose upper bound reaches the floor can be the worst.
+        i, j = np.nonzero((high >= floor) & pairs)
+        if i.size:
+            exact = _pair_slacks(a_hat, samples, big, shift, start + i, start + 1 + j)
+            worst = max(worst, float(exact.max()))
     return violations, worst, n * (n - 1) // 2
 
 
@@ -279,6 +367,7 @@ def _attr_error_impl(
     labels: np.ndarray,
     A: AttributeMatrix,
     bounds: tuple[float, float],
+    reconstruction: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, float, int]:
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("attribute error check needs attribute-based params")
@@ -289,7 +378,9 @@ def _attr_error_impl(
         raise AssumptionError(
             "decoder is not injective (smallest singular value is 0); bound does not apply"
         )
-    errors, a_hat = _reconstruction_errors(params, features)
+    if reconstruction is None:
+        reconstruction = _reconstruction_errors(params, features)
+    errors, a_hat = reconstruction
     delta = float(errors.max())
     prototypes = A.values[:, labels].T
     decoded = forward_decode(params, prototypes)
@@ -429,7 +520,9 @@ def build_theory_report(
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     small, big = spectral_bounds(params.W_h)
-    delta_rec = float(_reconstruction_errors(params, features)[0].max())
+    # One model pass over the rows, shared by delta_rec and both checks.
+    reconstruction = _reconstruction_errors(params, features)
+    delta_rec = float(reconstruction[0].max())
     values = A.values
     closest, farthest = _closest_and_farthest(values)
     margins = {y: (float(closest[y]), float(farthest[y])) for y in range(A.num_classes)}
@@ -439,11 +532,15 @@ def build_theory_report(
     violations: dict[str, int] = {}
     refusals: list[str] = []
     try:
-        violations["left_inverse"] = _left_inverse_impl(params, features, (small, big))[0]
+        violations["left_inverse"] = _left_inverse_impl(
+            params, features, (small, big), reconstruction
+        )[0]
     except AssumptionError as exc:
         refusals.append(f"left_inverse: {exc}")
     try:
-        violations["attr_error"] = _attr_error_impl(params, features, labels, A, (small, big))[0]
+        violations["attr_error"] = _attr_error_impl(
+            params, features, labels, A, (small, big), reconstruction
+        )[0]
     except AssumptionError as exc:
         refusals.append(f"attr_error: {exc}")
     return TheoryReport(

@@ -49,6 +49,17 @@ class TestModelParams:
         with pytest.raises(ModelError):
             ModelParams(W_g=W_g, b_g=np.zeros(2), W_h=np.ones((3, 2)), b_h=np.zeros(3))
 
+    @pytest.mark.parametrize("d_v, d_a", [(3, 0), (0, 2)])
+    def test_rejects_zero_size_dimensions(self, d_v, d_a):
+        # save_model would write such a model in a form load_model refuses.
+        with pytest.raises(ModelError, match="dimensions must be positive"):
+            ModelParams(W_g=np.ones((d_a, d_v)), b_g=np.ones(d_a), W_h=np.ones((d_v, d_a)), b_h=np.ones(d_v))
+
+    def test_rejects_an_empty_classifier_head(self):
+        base = dict(W_g=np.ones((2, 3)), b_g=np.ones(2), W_h=np.ones((3, 2)), b_h=np.ones(3))
+        with pytest.raises(ModelError, match="dimensions must be positive"):
+            ModelParams(mode=ATTRIBUTE_FREE, W_c=np.ones((0, 3)), b_c=np.ones(0), **base)
+
     def test_trainable_names_per_mode(self):
         assert tiny_params().trainable_names() == ("W_g", "b_g", "W_h", "b_h")
         assert tiny_params(ATTRIBUTE_FREE).trainable_names() == ("W_c", "b_c")
@@ -319,9 +330,9 @@ class TestCheckpointIo:
             load_model(path)
 
     def test_negative_row_count_is_rejected(self, tmp_path):
-        # Unclamped, lines[2:-2] would be the one row "1,2" and the section
-        # would step back to line 0, re-reading the file without end; the
-        # alarm turns such a loop into a failure instead of a hang.
+        # Sliced as given, lines[2:-2] would be the one row "1,2" and the
+        # section would step back to line 0, re-reading the file without
+        # end; the alarm turns such a loop into a failure instead of a hang.
         path = tmp_path / "model.csv"
         path.write_text("[W_g]\n-4,2\n1,2\n[W_h]\n0,3\n")
 
@@ -331,7 +342,7 @@ class TestCheckpointIo:
         previous = signal.signal(signal.SIGALRM, stuck)
         signal.alarm(10)
         try:
-            with pytest.raises(ValueError, match="negative dimensions"):
+            with pytest.raises(ModelError, match="model.csv line 2: negative dimensions '-4,2'"):
                 load_model(path)
         finally:
             signal.alarm(0)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedzsl import theory
 from fedzsl.dataset import AttributeMatrix, SyntheticSpec, generate_synthetic, split_train_test
@@ -58,6 +60,30 @@ def left_inverse_loop(params, samples):
             if slack > theory.GEOM_EPS:
                 violations += 1
     return (violations, worst, len(slacks)), slacks
+
+
+def left_inverse_rows(params, samples, bounds):
+    """The row-by-row form the pair screen replaced, verbatim: each row
+    against all later rows, through ``_row_norms``."""
+    samples = np.asarray(samples, dtype=np.float64)
+    _, big = bounds
+    errors, a_hat = theory._reconstruction_errors(params, samples)
+    delta = float(errors.max())
+    n = samples.shape[0]
+    a_buf = np.empty_like(a_hat)
+    x_buf = np.empty_like(samples)
+    violations = 0
+    worst = -math.inf
+    for i in range(n - 1):
+        # The pairs (i, j), j > i, as rows i+1.. subtracted from row i.
+        a_diff = np.subtract(a_hat[i], a_hat[i + 1 :], out=a_buf[: n - i - 1])
+        x_diff = np.subtract(samples[i], samples[i + 1 :], out=x_buf[: n - i - 1])
+        lhs = theory._row_norms(a_diff)
+        rhs = theory._row_norms(x_diff) / big - 2.0 * delta / big
+        slack = rhs - lhs
+        worst = max(worst, float(slack.max()))
+        violations += int(np.count_nonzero(slack > theory.GEOM_EPS))
+    return violations, worst, n * (n - 1) // 2
 
 
 def attr_error_loop(params, features, labels, A):
@@ -268,6 +294,19 @@ class TestArrayChecksMatchTheLoops:
         assert got == expected
         assert 0 < got[0] < got[2]
 
+    def test_left_inverse_equals_the_pair_loop_on_the_suite_instances(self):
+        # The suite's 10-row draws, regenerated as run_check_suite makes them.
+        for seed in range(4):
+            rng = np.random.default_rng(seed + 3)
+            total = 0
+            while total < 1000:
+                params = init_params(8, 5, num_seen=4, mode=ATTRIBUTE_BASED, seed=int(rng.integers(2**63)))
+                samples = rng.standard_normal((10, 8))
+                expected, _ = left_inverse_loop(params, samples)
+                got = _left_inverse_impl(params, samples, spectral_bounds(params.W_h))
+                assert (got[0], got[1].hex(), got[2]) == (expected[0], expected[1].hex(), expected[2])
+                total += got[2]
+
     def test_attr_error_counts_agree_when_half_the_samples_violate(self, monkeypatch):
         params, samples, labels, attrs = random_instance(12, 8, 5, 41)
         _, slacks = attr_error_loop(params, samples, labels, attrs)
@@ -311,6 +350,83 @@ class TestArrayChecksMatchTheLoops:
             want = broadcast_unit_prototypes(oracle_rng, d_a, num_classes, min_margin=0.3)
             assert np.array_equal(got, want)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@st.composite
+def pair_instances(draw):
+    """A model and samples with copied rows, rows 1 ulp apart and extreme scales,
+    plus the index of a pair whose slack becomes the threshold, or None."""
+    d_v, d_a = draw(st.sampled_from([(8, 5), (5, 8), (6, 6), (1, 3), (3, 1)]))
+    n = draw(st.integers(2, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-3, 1e3, 1e-160, 1e160]))
+    rng = np.random.default_rng(seed)
+    params = init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=seed)
+    if draw(st.booleans()):  # biases move the predicted attributes off the origin
+        params = ModelParams(
+            W_g=params.W_g, b_g=rng.standard_normal(d_a) * scale,
+            W_h=params.W_h, b_h=rng.standard_normal(d_v) * scale,
+        )
+    samples = rng.standard_normal((n, d_v)) * scale
+    edits = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()), max_size=n))
+    for src, dst, copy in edits:
+        samples[dst] = samples[src] if copy else np.nextafter(samples[src], np.inf)
+    threshold_pair = draw(st.none() | st.integers(0, n * (n - 1) // 2 - 1))
+    return params, samples, threshold_pair
+
+
+class TestPairScreen:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair_instances())
+    def test_equals_the_pair_loop(self, instance):
+        params, samples, threshold_pair = instance
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            if threshold_pair is not None:
+                _, slacks = left_inverse_loop(params, samples)
+                mp.setattr(theory, "GEOM_EPS", slacks[threshold_pair])
+            expected, _ = left_inverse_loop(params, samples)
+            got = _left_inverse_impl(params, samples, spectral_bounds(params.W_h))
+        assert (got[0], got[1].hex(), got[2]) == (expected[0], expected[1].hex(), expected[2])
+
+    def test_recomputes_few_pairs_at_cub_shape(self, monkeypatch):
+        # CUB-shaped: d_v 256, d_a 312, 640 rows (204,480 pairs).  Each
+        # recomputed pair sends one row per side through _row_norms.
+        rng = np.random.default_rng(0)
+        params = init_params(256, 312, num_seen=150, mode=ATTRIBUTE_BASED, seed=0)
+        samples = rng.standard_normal((640, 256)) * rng.uniform(0.5, 2.0, size=(640, 1))
+        bounds = (0.0, float(np.linalg.norm(params.W_h, 2)))
+        expected = left_inverse_rows(params, samples, bounds)
+        rows = []
+        real = theory._row_norms
+
+        def counting(block):
+            rows.append(block.shape[0])
+            return real(block)
+
+        monkeypatch.setattr(theory, "_row_norms", counting)
+        got = _left_inverse_impl(params, samples, bounds)
+        assert (got[0], got[1].hex(), got[2]) == (expected[0], expected[1].hex(), expected[2])
+        assert sum(rows) / 2 < 0.01 * got[2]
+
+    def test_nan_slacks_are_skipped_pair_by_pair(self):
+        # The decoder drops the third attribute, so rows near 1e154 still
+        # reconstruct exactly (delta 0) while their distances overflow, and
+        # pairs 0-2 and 1-2 have slack inf - inf = NaN.  As in the pair loop,
+        # only those pairs are skipped: pair 0-1's slack 0 is the worst.  The
+        # row loop took each row's NaN maximum and so skipped rows 0 and 1.
+        params = ModelParams(
+            W_g=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), b_g=np.zeros(3),
+            W_h=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b_h=np.zeros(2),
+        )
+        samples = np.array([[1e154, 0.0], [1e154, 1e-3], [-1e154, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        bounds = spectral_bounds(params.W_h)
+        with np.errstate(all="ignore"):
+            expected, slacks = left_inverse_loop(params, samples)
+            got = _left_inverse_impl(params, samples, bounds)
+            by_rows = left_inverse_rows(params, samples, bounds)
+        assert math.isnan(slacks[1]) and slacks[0] == 0.0
+        assert (got[0], got[1].hex(), got[2]) == (expected[0], expected[1].hex(), expected[2])
+        assert expected[1] == 0.0 and by_rows[1] == 1.0 - math.sqrt(2.0)
 
 
 class TestMarginCheck:
@@ -432,19 +548,25 @@ class TestTheoryReport:
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
 
     def test_each_bound_maps_the_rows_once(self, monkeypatch):
-        # delta_rec, the left-inverse and the attribute-error checks each
-        # reuse the attributes their reconstruction error computed.
+        # delta_rec, the left-inverse and the attribute-error checks share
+        # one forward_attr of the rows and one forward_decode of its output.
         params, train, attrs = self.trained_instance()
-        calls = []
-        real = theory.forward_attr
+        attr_calls, decoded = [], []
+        real_attr, real_decode = theory.forward_attr, theory.forward_decode
 
-        def counting(p, v):
-            calls.append(v.shape)
-            return real(p, v)
+        def counting_attr(p, v):
+            attr_calls.append((v.shape, real_attr(p, v)))
+            return attr_calls[-1][1]
 
-        monkeypatch.setattr(theory, "forward_attr", counting)
+        def counting_decode(p, a):
+            decoded.append(a)
+            return real_decode(p, a)
+
+        monkeypatch.setattr(theory, "forward_attr", counting_attr)
+        monkeypatch.setattr(theory, "forward_decode", counting_decode)
         report = build_theory_report(params, train.features, train.labels, attrs)
-        assert calls == [train.features.shape] * 3
+        assert [shape for shape, _ in attr_calls] == [train.features.shape]
+        assert sum(a is attr_calls[0][1] for a in decoded) == 1
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
 
     def test_logit_scale_uses_the_largest_attribute_singular_value(self):

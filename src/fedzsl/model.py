@@ -306,10 +306,6 @@ def sgd_step(
     return params
 
 
-def _fmt_checkpoint(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def save_model(path: str | Path, params: ModelParams) -> None:
     """Write a sectioned CSV checkpoint; 17 significant digits round-trip exactly.
 
@@ -323,7 +319,7 @@ def save_model(path: str | Path, params: ModelParams) -> None:
         lines.append(f"[{name}]")
         lines.append(",".join(str(d) for d in tensor.shape))
         for row in np.atleast_2d(tensor):
-            lines.append(",".join(_fmt_checkpoint(v) for v in row))
+            lines.append(",".join(map("%.17g".__mod__, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -37,6 +37,21 @@ end reaches the largest lower end seen so far.  The violation count and
 the worst slack therefore equal the per-pair loop's bit for bit.  Nearly
 equal rows get an interval clamped at zero and are recomputed whenever
 its width could matter.
+
+The Pinsker, KL-Lipschitz, mixture-convexity and margin checks run each
+trial's arithmetic once over arrays of all trials, and give the same
+violation count and worst slack, bit for bit, as a loop over single
+trials.  The random draws keep their per-trial order: Dirichlet fills the
+rows of one ``size=(trials, k)`` call in the order of k calls per trial,
+while the mixture's weights and the margin's class, radius and direction
+are still drawn one trial at a time.  Row-wise KL and L1 sums reduce over
+the last axis, which sums each row in the order of the 1-D sum; a row
+with a zero ``p`` entry goes through ``_kl``, whose compacted sum is
+grouped differently.  The mixture's weighted sum adds one column at a
+time from 0.0, as Python's ``sum`` adds, and the margin's direction norms
+and 1 x d_a score products use the same kernels as the 1-D calls.  The
+worst slack skips NaN, as ``max(worst, slack)`` does.  A check refuses
+fewer than one trial, which would pass without testing anything.
 """
 
 from __future__ import annotations
@@ -145,22 +160,41 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(terms.sum())
 
 
+def _row_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``_kl`` of each row pair along the last axis, equal to it bit for bit.
+
+    A row whose ``p`` is positive everywhere sums the same terms in the
+    same pairwise order as ``_kl``; any other row goes through ``_kl``,
+    since compacting it to its support regroups that sum.
+    """
+    q = np.broadcast_to(q, p.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = (p * np.log(p / q)).sum(axis=-1)
+    for idx in zip(*np.nonzero(~(p > 0.0).all(axis=-1))):
+        kl[idx] = _kl(p[idx], q[idx])
+    return kl
+
+
+def _worst(slack: np.ndarray) -> float:
+    """The largest slack; a NaN slack is skipped, as ``max(worst, slack)`` skips it."""
+    return float(np.fmax.reduce(slack, initial=-math.inf))
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise AssumptionError(f"a check needs trials >= 1, got {trials}")
+
+
 def _pinsker_impl(trials: int, dim: int, seed: int) -> tuple[int, float]:
+    _require_trials(trials)
     if dim < 2:
         raise AssumptionError(f"pinsker check needs dim >= 2, got {dim}")
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -math.inf
-    for _ in range(trials):
-        p = rng.dirichlet(np.ones(dim))
-        q = rng.dirichlet(np.ones(dim))
-        lhs = float(np.abs(p - q).sum())
-        bound = math.sqrt(2.0 * _kl(p, q))
-        slack = lhs - bound
-        worst = max(worst, slack)
-        if slack > PROB_EPS:
-            violations += 1
-    return violations, worst
+    draws = rng.dirichlet(np.ones(dim), size=(trials, 2))
+    p, q = draws[:, 0], draws[:, 1]
+    lhs = np.abs(p - q).sum(axis=-1)
+    slack = lhs - np.sqrt(2.0 * _row_kl(p, q))
+    return int(np.count_nonzero(slack > PROB_EPS)), _worst(slack)
 
 
 def check_pinsker(trials: int = DEFAULT_TRIALS, dim: int = 10, seed: int = 0) -> int:
@@ -169,25 +203,29 @@ def check_pinsker(trials: int = DEFAULT_TRIALS, dim: int = 10, seed: int = 0) ->
 
 
 def _mixture_impl(trials: int, num_components: int, dim: int, seed: int) -> tuple[int, float]:
+    _require_trials(trials)
     if num_components < 2:
         raise AssumptionError(f"mixture check needs K >= 2, got {num_components}")
     if dim < 2:
         raise AssumptionError(f"mixture check needs dim >= 2, got {dim}")
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -math.inf
-    for _ in range(trials):
-        components = rng.dirichlet(np.ones(dim), size=num_components)
-        q = rng.dirichlet(np.ones(dim))
-        alpha = rng.dirichlet(np.ones(num_components))
-        mixture = alpha @ components
-        lhs = _kl(mixture, q)
-        rhs = float(sum(a * _kl(p, q) for a, p in zip(alpha, components)))
-        slack = lhs - rhs
-        worst = max(worst, slack)
-        if slack > PROB_EPS:
-            violations += 1
-    return violations, worst
+    # Per trial, the K components and q, then the weights: the draw order
+    # of separate component, q and weight calls.
+    draws = np.empty((trials, num_components + 1, dim))
+    alpha = np.empty((trials, num_components))
+    mixture = np.empty((trials, dim))
+    for t in range(trials):
+        draws[t] = components = rng.dirichlet(np.ones(dim), size=num_components + 1)
+        alpha[t] = weights = rng.dirichlet(np.ones(num_components))
+        mixture[t] = weights @ components[:num_components]
+    q = draws[:, num_components]
+    kl = _row_kl(draws[:, :num_components], q[:, None])
+    # sum(a_k KL_k) adds left to right from 0; a row sum would regroup it.
+    rhs = np.zeros(trials)
+    for k in range(num_components):
+        rhs += alpha[:, k] * kl[:, k]
+    slack = _row_kl(mixture, q) - rhs
+    return int(np.count_nonzero(slack > PROB_EPS)), _worst(slack)
 
 
 def check_mixture_convexity(
@@ -198,31 +236,24 @@ def check_mixture_convexity(
 
 
 def _kl_lipschitz_impl(trials: int, dim: int, floor: float, seed: int) -> tuple[int, float]:
+    _require_trials(trials)
     if dim < 2:
         raise AssumptionError(f"lipschitz check needs dim >= 2, got {dim}")
     if not 0.0 < floor < 1.0 / dim:
         raise AssumptionError(f"floor must lie in (0, 1/dim), got {floor} for dim {dim}")
     rng = np.random.default_rng(seed)
     scale = 1.0 - dim * floor
-    violations = 0
-    worst = -math.inf
-    for _ in range(trials):
-        r = floor + scale * rng.dirichlet(np.ones(dim))
-        s = floor + scale * rng.dirichlet(np.ones(dim))
-        q = floor + scale * rng.dirichlet(np.ones(dim))
-        # The derivative of x -> KL(x||q) along the segment has coordinates
-        # log(x_i/q_i) + 1, and |log| over a coordinate interval peaks at an
-        # endpoint, so the endpoint maximum plus 1 is a valid constant.
-        log_r = np.abs(np.log(r / q))
-        log_s = np.abs(np.log(s / q))
-        constant = float(np.maximum(log_r, log_s).max()) + 1.0
-        lhs = abs(_kl(r, q) - _kl(s, q))
-        rhs = constant * float(np.abs(r - s).sum())
-        slack = lhs - rhs
-        worst = max(worst, slack)
-        if slack > PROB_EPS:
-            violations += 1
-    return violations, worst
+    points = floor + scale * rng.dirichlet(np.ones(dim), size=(trials, 3))
+    r, s, q = points[:, 0], points[:, 1], points[:, 2]
+    # The derivative of x -> KL(x||q) along the segment has coordinates
+    # log(x_i/q_i) + 1, and |log| over a coordinate interval peaks at an
+    # endpoint, so the endpoint maximum plus 1 is a valid constant.
+    log_r = np.abs(np.log(r / q))
+    log_s = np.abs(np.log(s / q))
+    constant = np.maximum(log_r, log_s).max(axis=-1) + 1.0
+    lhs = np.abs(_row_kl(r, q) - _row_kl(s, q))
+    slack = lhs - constant * np.abs(r - s).sum(axis=-1)
+    return int(np.count_nonzero(slack > PROB_EPS)), _worst(slack)
 
 
 def check_kl_lipschitz(
@@ -368,6 +399,7 @@ def _attr_error_impl(
     A: AttributeMatrix,
     bounds: tuple[float, float],
     reconstruction: tuple[np.ndarray, np.ndarray] | None = None,
+    decoded: np.ndarray | None = None,
 ) -> tuple[int, float, int]:
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("attribute error check needs attribute-based params")
@@ -383,7 +415,8 @@ def _attr_error_impl(
     errors, a_hat = reconstruction
     delta = float(errors.max())
     prototypes = A.values[:, labels].T
-    decoded = forward_decode(params, prototypes)
+    if decoded is None:
+        decoded = forward_decode(params, prototypes)
     lhs = _row_norms(a_hat - prototypes)
     eps = _row_norms(decoded - features)
     slack = lhs - (eps + delta) / small
@@ -424,6 +457,7 @@ def _closest_and_farthest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _margin_impl(
     prototypes: np.ndarray, c_h: float, trials: int, seed: int
 ) -> tuple[int, float]:
+    _require_trials(trials)
     d_a, num_classes = prototypes.shape
     if num_classes < 2:
         raise AssumptionError("margin check needs at least 2 prototypes")
@@ -436,23 +470,25 @@ def _margin_impl(
     if np.min(min_dist) <= 0.0:
         raise AssumptionError("duplicate prototypes make the margin threshold zero")
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -math.inf
-    for _ in range(trials):
+    ys = np.empty(trials, dtype=np.int64)
+    radii = np.empty(trials)
+    directions = np.empty((trials, d_a))
+    for t in range(trials):
         y = int(rng.integers(num_classes))
         threshold = (c_h / 2.0) * min_dist[y] ** 2 / max_dist[y]
-        radius = float(rng.uniform(0.0, 0.99 * threshold))
-        direction = rng.standard_normal(d_a)
-        direction /= np.linalg.norm(direction)
-        a_hat = prototypes[:, y] + direction * (radius / c_h)
-        scores = a_hat @ prototypes
-        pred = int(np.argmax(scores))
-        rival = float(np.max(np.delete(scores, y)))
-        slack = rival - float(scores[y])
-        worst = max(worst, slack)
-        if pred != y:
-            violations += 1
-    return violations, worst
+        ys[t] = y
+        radii[t] = rng.uniform(0.0, 0.99 * threshold)
+        directions[t] = rng.standard_normal(d_a)
+    directions /= _row_norms(directions)[:, None]
+    a_hat = prototypes[:, ys].T + directions * (radii / c_h)[:, None]
+    # One 1 x d_a by d_a x C product per trial, as the per-trial a_hat @ prototypes.
+    scores = np.matmul(a_hat[:, None, :], prototypes)[:, 0, :]
+    rows = np.arange(trials)
+    own = scores[rows, ys]
+    violations = int(np.count_nonzero(np.argmax(scores, axis=1) != ys))
+    scores[rows, ys] = -math.inf
+    slack = scores.max(axis=1) - own
+    return violations, _worst(slack)
 
 
 def check_margin_theorem(
@@ -526,6 +562,7 @@ def build_theory_report(
     values = A.values
     closest, farthest = _closest_and_farthest(values)
     margins = {y: (float(closest[y]), float(farthest[y])) for y in range(A.num_classes)}
+    # One decode of the label prototypes, shared by epsilons and the attr_error check.
     decoded = forward_decode(params, values[:, labels].T)
     epsilons = np.linalg.norm(decoded - features, axis=1)
     lz = np.linalg.norm(features, axis=1) * float(np.linalg.norm(values, 2))
@@ -539,7 +576,7 @@ def build_theory_report(
         refusals.append(f"left_inverse: {exc}")
     try:
         violations["attr_error"] = _attr_error_impl(
-            params, features, labels, A, (small, big), reconstruction
+            params, features, labels, A, (small, big), reconstruction, decoded
         )[0]
     except AssumptionError as exc:
         refusals.append(f"attr_error: {exc}")
@@ -572,6 +609,7 @@ def run_check_suite(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
     Model-driven checks draw fresh random models and samples until at least
     ``trials`` individual assertions have run.
     """
+    _require_trials(trials)
     results: list[CheckResult] = []
     v, worst = _pinsker_impl(trials, dim=10, seed=seed)
     results.append(CheckResult("pinsker", trials, v, worst))

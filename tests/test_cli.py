@@ -484,6 +484,13 @@ class TestCheck:
         for line in lines[1:]:
             assert line.split()[2] == "0"
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_fewer_than_one_trial_exits_1(self, capsys, trials):
+        assert cli.main(["check", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: a check needs trials >= 1, got {trials}\n"
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,24 @@ from fedzsl.model import (
 
 def tiny_params(mode: str = ATTRIBUTE_BASED, seed: int = 0) -> ModelParams:
     return init_params(d_v=6, d_a=4, num_seen=3, mode=mode, seed=seed)
+
+
+def save_model_per_value(path, params: ModelParams) -> None:
+    """The checkpoint writer that formatted one numpy scalar at a time, kept as the oracle."""
+
+    def fmt(x: float) -> str:
+        return "%.17g" % float(x)
+
+    lines: list[str] = []
+    for name in ("W_g", "b_g", "W_h", "b_h", "W_c", "b_c"):
+        tensor = params.tensors().get(name)
+        if tensor is None:
+            continue
+        lines.append(f"[{name}]")
+        lines.append(",".join(str(d) for d in tensor.shape))
+        for row in np.atleast_2d(tensor):
+            lines.append(",".join(fmt(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 class TestModelParams:
@@ -319,6 +338,30 @@ class TestCheckpointIo:
         for name, tensor in params.tensors().items():
             got = loaded.tensors()[name]
             assert got.shape == tensor.shape and got.tobytes() == tensor.tobytes(), name
+
+    @pytest.mark.parametrize("mode", [ATTRIBUTE_BASED, ATTRIBUTE_FREE])
+    def test_bytes_equal_the_per_value_writer(self, tmp_path, mode):
+        rng = np.random.default_rng(4)
+        special = [
+            -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 1e-300, -1e300, 1e16, 1e17,
+            0.1, 1.0 / 3.0, 123456789012345678.0,
+        ]
+        # Random bit patterns with the non-finite ones (exponent all ones) dropped.
+        raw = rng.integers(0, 2**64, size=400, dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([special, raw[np.isfinite(raw)], rng.standard_normal(200)])
+        params = init_params(d_v=9, d_a=7, num_seen=5, mode=mode, seed=1)
+        tensors = {
+            name: rng.choice(pool, size=tensor.shape) for name, tensor in params.tensors().items()
+        }
+        tensors["W_g"].flat[: len(special)] = special
+        params = ModelParams(mode=mode, **tensors)
+        save_model(tmp_path / "new.csv", params)
+        save_model_per_value(tmp_path / "old.csv", params)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert "-0," in (tmp_path / "new.csv").read_text() and "4.9406564584124654e-324" in (
+            tmp_path / "new.csv"
+        ).read_text()
 
     def test_truncated_file_is_rejected(self, tmp_path):
         params = tiny_params()

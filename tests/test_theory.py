@@ -279,8 +279,12 @@ class TestArrayChecksMatchTheLoops:
         for seed in range(3):
             params, samples, labels, attrs = random_instance(seed, *shape)
             expected, _ = attr_error_loop(params, samples, labels, attrs)
-            got = _attr_error_impl(params, samples, labels, attrs, spectral_bounds(params.W_h))
+            bounds = spectral_bounds(params.W_h)
+            got = _attr_error_impl(params, samples, labels, attrs, bounds)
             assert got == expected
+            # The report's path: its own decode of the label prototypes.
+            decoded = theory.forward_decode(params, attrs.values[:, labels].T)
+            assert _attr_error_impl(params, samples, labels, attrs, bounds, None, decoded) == expected
 
     def test_left_inverse_counts_agree_when_half_the_pairs_violate(self, monkeypatch):
         # Under the premises every slack is negative; a threshold at the
@@ -549,7 +553,9 @@ class TestTheoryReport:
 
     def test_each_bound_maps_the_rows_once(self, monkeypatch):
         # delta_rec, the left-inverse and the attribute-error checks share
-        # one forward_attr of the rows and one forward_decode of its output.
+        # one forward_attr of the rows and one forward_decode of its output;
+        # epsilons and the attribute-error check share one decode of the
+        # label prototypes.
         params, train, attrs = self.trained_instance()
         attr_calls, decoded = [], []
         real_attr, real_decode = theory.forward_attr, theory.forward_decode
@@ -567,6 +573,8 @@ class TestTheoryReport:
         report = build_theory_report(params, train.features, train.labels, attrs)
         assert [shape for shape, _ in attr_calls] == [train.features.shape]
         assert sum(a is attr_calls[0][1] for a in decoded) == 1
+        assert len(decoded) == 2
+        assert np.array_equal(decoded[1], attrs.values[:, train.labels].T)
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
 
     def test_logit_scale_uses_the_largest_attribute_singular_value(self):
@@ -665,6 +673,25 @@ class TestCheckSuite:
             assert result.trials >= 60
             assert result.violations == 0
             assert result.max_slack <= 0.0
+
+    @pytest.mark.parametrize("trials", (0, -5))
+    def test_refuses_fewer_than_one_trial(self, trials):
+        # With no trials every check would pass with 0 violations.
+        prototypes = np.eye(3)
+        calls = [
+            lambda: run_check_suite(trials=trials),
+            lambda: theory._pinsker_impl(trials, 10, 0),
+            lambda: theory._mixture_impl(trials, 5, 8, 0),
+            lambda: theory._kl_lipschitz_impl(trials, 8, 0.01, 0),
+            lambda: theory._margin_impl(prototypes, 1.0, trials, 0),
+            lambda: check_pinsker(trials=trials),
+            lambda: check_mixture_convexity(trials=trials),
+            lambda: check_kl_lipschitz(trials=trials),
+            lambda: check_margin_theorem(prototypes, c_h=1.0, trials=trials),
+        ]
+        for call in calls:
+            with pytest.raises(AssumptionError, match=f"trials >= 1, got {trials}"):
+                call()
 
     def test_deterministic_per_seed(self):
         a = run_check_suite(trials=40, seed=3)

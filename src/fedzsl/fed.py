@@ -50,8 +50,6 @@ DEFAULT_EVAL_EVERY = 1
 
 METRICS_HEADER = "round,acc_c,acc_u,acc_s,acc_h,global_loss,client_loss_mean,client_loss_std"
 
-COEFFICIENT_SUM_TOL = 1e-12
-
 
 class FedError(ValueError):
     """Invalid federated configuration or aggregation input."""

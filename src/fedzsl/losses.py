@@ -39,7 +39,7 @@ import numpy as np
 
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import DistillTargets
-from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams
+from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, forward_attr, forward_decode
 
 DEFAULT_TAU = 4.0
 DEFAULT_W_BC = 0.1
@@ -291,8 +291,7 @@ def _bc_core(
     # norm (default) or mean unsquared norm behind the flag.  The residual
     # becomes its own square (loss only) or d_residual in place.
     batch = a_hat.shape[0]
-    residual = a_hat @ params.W_h.T
-    residual += params.b_h
+    residual = forward_decode(params, a_hat)
     residual -= v
     if squared:
         if grads:
@@ -401,8 +400,7 @@ def joint_loss(
                 f"targets must cover all {n} classes with shape ({n}, {n}), "
                 f"got {distill.targets.probs.shape}"
             )
-    a_hat = v @ params.W_g.T
-    a_hat += params.b_g
+    a_hat = forward_attr(params, v)
     # SCE and KL share one class-score product; KL scales it in place, so
     # it must run after SCE has read it.
     scores = a_hat @ A.values if ablation.sce or kl_on else None

@@ -27,8 +27,6 @@ DEFAULT_LEARNING_RATE = 1e-3
 DEFAULT_MOMENTUM = 0.9
 DEFAULT_WEIGHT_DECAY = 1e-5
 
-MODEL_FILE = "model.csv"
-
 _SECTION_ORDER = ("W_g", "b_g", "W_h", "b_h", "W_c", "b_c")
 
 
@@ -209,12 +207,15 @@ def forward_attr(params: ModelParams, v: np.ndarray) -> np.ndarray:
     if v.ndim == 1:
         if v.shape[0] != params.d_v:
             raise ModelError(f"expected a length-{params.d_v} feature vector, got {v.shape}")
-        return params.W_g @ v + params.b_g
-    if v.ndim == 2:
+        out = params.W_g @ v
+    elif v.ndim == 2:
         if v.shape[1] != params.d_v:
             raise ModelError(f"expected features with {params.d_v} columns, got {v.shape}")
-        return v @ params.W_g.T + params.b_g
-    raise ModelError("features must be a vector or a 2-dimensional batch")
+        out = v @ params.W_g.T
+    else:
+        raise ModelError("features must be a vector or a 2-dimensional batch")
+    out += params.b_g
+    return out
 
 
 def forward_decode(params: ModelParams, a: np.ndarray) -> np.ndarray:
@@ -226,12 +227,15 @@ def forward_decode(params: ModelParams, a: np.ndarray) -> np.ndarray:
     if a.ndim == 1:
         if a.shape[0] != params.d_a:
             raise ModelError(f"expected a length-{params.d_a} attribute vector, got {a.shape}")
-        return params.W_h @ a + params.b_h
-    if a.ndim == 2:
+        out = params.W_h @ a
+    elif a.ndim == 2:
         if a.shape[1] != params.d_a:
             raise ModelError(f"expected attributes with {params.d_a} columns, got {a.shape}")
-        return a @ params.W_h.T + params.b_h
-    raise ModelError("attributes must be a vector or a 2-dimensional batch")
+        out = a @ params.W_h.T
+    else:
+        raise ModelError("attributes must be a vector or a 2-dimensional batch")
+    out += params.b_h
+    return out
 
 
 def compatibility_logits(

@@ -49,8 +49,13 @@ the last axis, which sums each row in the order of the 1-D sum; a row
 with a zero ``p`` entry goes through ``_kl``, whose compacted sum is
 grouped differently.  The mixture's weighted sum adds one column at a
 time from 0.0, as Python's ``sum`` adds, and the margin's direction norms
-and 1 x d_a score products use the same kernels as the 1-D calls.  The
-worst slack skips NaN, as ``max(worst, slack)`` does.  A check refuses
+and 1 x d_a score products use the same kernels as the 1-D calls.
+
+Every check but the margin theorem's, which counts argmax flips, scores
+its slacks one way, in ``_score``: a slack counts as a violation unless it
+is at most the check's tolerance, so a NaN slack, a bound that could not
+be evaluated, is a violation and never a pass.  The worst slack skips
+NaN, as ``max(worst, slack)`` does.  A check refuses
 fewer than one trial, which would pass without testing anything.
 """
 
@@ -180,6 +185,11 @@ def _worst(slack: np.ndarray) -> float:
     return float(np.fmax.reduce(slack, initial=-math.inf))
 
 
+def _score(slack: np.ndarray, eps: float) -> tuple[int, float]:
+    """Violations and the worst slack: every slack not at most ``eps`` violates, NaN included."""
+    return int(np.count_nonzero(~(slack <= eps))), _worst(slack)
+
+
 def _require_trials(trials: int) -> None:
     if trials < 1:
         raise AssumptionError(f"a check needs trials >= 1, got {trials}")
@@ -194,7 +204,7 @@ def _pinsker_impl(trials: int, dim: int, seed: int) -> tuple[int, float]:
     p, q = draws[:, 0], draws[:, 1]
     lhs = np.abs(p - q).sum(axis=-1)
     slack = lhs - np.sqrt(2.0 * _row_kl(p, q))
-    return int(np.count_nonzero(slack > PROB_EPS)), _worst(slack)
+    return _score(slack, PROB_EPS)
 
 
 def check_pinsker(trials: int = DEFAULT_TRIALS, dim: int = 10, seed: int = 0) -> int:
@@ -225,7 +235,7 @@ def _mixture_impl(trials: int, num_components: int, dim: int, seed: int) -> tupl
     for k in range(num_components):
         rhs += alpha[:, k] * kl[:, k]
     slack = _row_kl(mixture, q) - rhs
-    return int(np.count_nonzero(slack > PROB_EPS)), _worst(slack)
+    return _score(slack, PROB_EPS)
 
 
 def check_mixture_convexity(
@@ -253,7 +263,7 @@ def _kl_lipschitz_impl(trials: int, dim: int, floor: float, seed: int) -> tuple[
     constant = np.maximum(log_r, log_s).max(axis=-1) + 1.0
     lhs = np.abs(_row_kl(r, q) - _row_kl(s, q))
     slack = lhs - constant * np.abs(r - s).sum(axis=-1)
-    return int(np.count_nonzero(slack > PROB_EPS)), _worst(slack)
+    return _score(slack, PROB_EPS)
 
 
 def check_kl_lipschitz(
@@ -369,7 +379,7 @@ def _left_inverse_impl(
         redo &= pairs
         i, j = np.nonzero(redo)
         exact = _pair_slacks(a_hat, samples, big, shift, start + i, start + 1 + j)
-        violations += int(np.count_nonzero(exact > GEOM_EPS))
+        violations += _score(exact, GEOM_EPS)[0]
         low[i, j] = high[i, j] = exact
         # A NaN slack is never the worst, as in max(worst, slack) per pair.
         floor = max(floor, float(np.fmax.reduce(low, axis=None, where=pairs, initial=-math.inf)))
@@ -377,7 +387,7 @@ def _left_inverse_impl(
         i, j = np.nonzero((high >= floor) & pairs)
         if i.size:
             exact = _pair_slacks(a_hat, samples, big, shift, start + i, start + 1 + j)
-            worst = max(worst, float(exact.max()))
+            worst = max(worst, _worst(exact))
     return violations, worst, n * (n - 1) // 2
 
 
@@ -399,7 +409,7 @@ def _attr_error_impl(
     A: AttributeMatrix,
     bounds: tuple[float, float],
     reconstruction: tuple[np.ndarray, np.ndarray] | None = None,
-    decoded: np.ndarray | None = None,
+    epsilons: np.ndarray | None = None,
 ) -> tuple[int, float, int]:
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("attribute error check needs attribute-based params")
@@ -415,12 +425,10 @@ def _attr_error_impl(
     errors, a_hat = reconstruction
     delta = float(errors.max())
     prototypes = A.values[:, labels].T
-    if decoded is None:
-        decoded = forward_decode(params, prototypes)
-    lhs = _row_norms(a_hat - prototypes)
-    eps = _row_norms(decoded - features)
-    slack = lhs - (eps + delta) / small
-    return int(np.count_nonzero(slack > GEOM_EPS)), float(slack.max()), features.shape[0]
+    if epsilons is None:
+        epsilons = _row_norms(forward_decode(params, prototypes) - features)
+    slack = _row_norms(a_hat - prototypes) - (epsilons + delta) / small
+    return *_score(slack, GEOM_EPS), features.shape[0]
 
 
 def check_attr_error_bound(
@@ -527,14 +535,10 @@ def check_client_alignment(
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     rows = targets.probs[labels]
-    # Row-wise KL(rows || probs) over each row's support, as _kl does.
-    with np.errstate(divide="ignore"):
-        ratio = np.divide(rows, probs, out=np.ones_like(rows), where=rows > 0.0)
-        kl_values = (rows * np.log(ratio)).sum(axis=1)
-    epsilon = float((tau * tau * kl_values).max())
+    epsilon = float((tau * tau * _row_kl(rows, probs)).max())
     lhs = np.abs(probs - rows).sum(axis=1)
     bound = math.sqrt(2.0 * epsilon / (tau * tau)) + ALIGN_EPS
-    return int(np.count_nonzero(lhs > bound))
+    return _score(lhs - bound, 0.0)[0]
 
 
 def build_theory_report(
@@ -562,9 +566,8 @@ def build_theory_report(
     values = A.values
     closest, farthest = _closest_and_farthest(values)
     margins = {y: (float(closest[y]), float(farthest[y])) for y in range(A.num_classes)}
-    # One decode of the label prototypes, shared by epsilons and the attr_error check.
-    decoded = forward_decode(params, values[:, labels].T)
-    epsilons = np.linalg.norm(decoded - features, axis=1)
+    # The per-sample prototype errors, computed once for the report and the attr_error check.
+    epsilons = _row_norms(forward_decode(params, values[:, labels].T) - features)
     lz = np.linalg.norm(features, axis=1) * float(np.linalg.norm(values, 2))
     violations: dict[str, int] = {}
     refusals: list[str] = []
@@ -576,7 +579,7 @@ def build_theory_report(
         refusals.append(f"left_inverse: {exc}")
     try:
         violations["attr_error"] = _attr_error_impl(
-            params, features, labels, A, (small, big), reconstruction, decoded
+            params, features, labels, A, (small, big), reconstruction, epsilons
         )[0]
     except AssumptionError as exc:
         refusals.append(f"attr_error: {exc}")
@@ -606,61 +609,52 @@ def _random_unit_prototypes(
 def run_check_suite(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckResult]:
     """Run all six checks on seeded random instances and tabulate results.
 
-    Model-driven checks draw fresh random models and samples until at least
-    ``trials`` individual assertions have run.
+    Each check is a draw that returns (violations, worst slack, assertions
+    run), repeated until at least ``trials`` assertions have run: one draw
+    covers every trial of a probability check, while the model-driven
+    checks draw fresh random models and samples, each from its own stream.
     """
     _require_trials(trials)
-    results: list[CheckResult] = []
-    v, worst = _pinsker_impl(trials, dim=10, seed=seed)
-    results.append(CheckResult("pinsker", trials, v, worst))
-    v, worst = _mixture_impl(trials, num_components=5, dim=8, seed=seed + 1)
-    results.append(CheckResult("mixture_convexity", trials, v, worst))
-    v, worst = _kl_lipschitz_impl(trials, dim=8, floor=0.01, seed=seed + 2)
-    results.append(CheckResult("kl_lipschitz", trials, v, worst))
-
-    rng = np.random.default_rng(seed + 3)
     d_v, d_a = 8, 5
-    total_pairs = 0
-    violations = 0
-    worst = -math.inf
-    while total_pairs < trials:
-        params = init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=int(rng.integers(2**63)))
-        samples = rng.standard_normal((10, d_v))
-        got_v, got_worst, pairs = _left_inverse_impl(params, samples, spectral_bounds(params.W_h))
-        violations += got_v
-        worst = max(worst, got_worst)
-        total_pairs += pairs
-    results.append(CheckResult("left_inverse", total_pairs, violations, worst))
+    li_rng, ae_rng, mg_rng = (np.random.default_rng(seed + k) for k in (3, 4, 5))
 
-    rng = np.random.default_rng(seed + 4)
-    total_samples = 0
-    violations = 0
-    worst = -math.inf
-    while total_samples < trials:
-        params = init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=int(rng.integers(2**63)))
-        prototypes = _random_unit_prototypes(rng, d_a, num_classes=6, min_margin=0.3)
+    def model(rng: np.random.Generator) -> ModelParams:
+        return init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=int(rng.integers(2**63)))
+
+    def left_inverse() -> tuple[int, float, int]:
+        params = model(li_rng)
+        samples = li_rng.standard_normal((10, d_v))
+        return _left_inverse_impl(params, samples, spectral_bounds(params.W_h))
+
+    def attr_error() -> tuple[int, float, int]:
+        params = model(ae_rng)
+        prototypes = _random_unit_prototypes(ae_rng, d_a, num_classes=6, min_margin=0.3)
         attrs = AttributeMatrix(values=prototypes, groups=((0, d_a),))
-        features = rng.standard_normal((40, d_v))
-        labels = rng.integers(0, 6, size=40)
-        got_v, got_worst, count = _attr_error_impl(
-            params, features, labels, attrs, spectral_bounds(params.W_h)
-        )
-        violations += got_v
-        worst = max(worst, got_worst)
-        total_samples += count
-    results.append(CheckResult("attr_error", total_samples, violations, worst))
+        features = ae_rng.standard_normal((40, d_v))
+        labels = ae_rng.integers(0, 6, size=40)
+        return _attr_error_impl(params, features, labels, attrs, spectral_bounds(params.W_h))
 
-    rng = np.random.default_rng(seed + 5)
-    per_set = 10
-    total = 0
-    violations = 0
-    worst = -math.inf
-    while total < trials:
-        prototypes = _random_unit_prototypes(rng, d_a=16, num_classes=12, min_margin=0.3)
-        c_h = float(rng.uniform(0.1, 2.0))
-        got_v, got_worst = _margin_impl(prototypes, c_h, per_set, int(rng.integers(2**63)))
-        violations += got_v
-        worst = max(worst, got_worst)
-        total += per_set
-    results.append(CheckResult("margin", total, violations, worst))
+    def margin() -> tuple[int, float, int]:
+        per_set = 10
+        prototypes = _random_unit_prototypes(mg_rng, d_a=16, num_classes=12, min_margin=0.3)
+        c_h = float(mg_rng.uniform(0.1, 2.0))
+        return *_margin_impl(prototypes, c_h, per_set, int(mg_rng.integers(2**63))), per_set
+
+    checks = (
+        ("pinsker", lambda: (*_pinsker_impl(trials, 10, seed), trials)),
+        ("mixture_convexity", lambda: (*_mixture_impl(trials, 5, 8, seed + 1), trials)),
+        ("kl_lipschitz", lambda: (*_kl_lipschitz_impl(trials, 8, 0.01, seed + 2), trials)),
+        ("left_inverse", left_inverse),
+        ("attr_error", attr_error),
+        ("margin", margin),
+    )
+    results: list[CheckResult] = []
+    for name, draw in checks:
+        total, violations, worst = 0, 0, -math.inf
+        while total < trials:
+            got_v, got_worst, count = draw()
+            total += count
+            violations += got_v
+            worst = max(worst, got_worst)
+        results.append(CheckResult(name, total, violations, worst))
     return results

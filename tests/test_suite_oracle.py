@@ -2,9 +2,12 @@
 
 The four per-trial functions below are the Pinsker, mixture-convexity,
 KL-Lipschitz and margin checks as they ran one trial at a time, kept
-verbatim (with the ``_kl`` they call) as the oracle.  Each comparison is
-on the ``(violations, worst)`` tuple, with the worst slack compared by
+verbatim (with the ``_kl`` they call) as the oracle, except that a NaN
+slack counts as a violation.  Each comparison is on the
+``(violations, worst)`` tuple, with the worst slack compared by
 ``float.hex`` so a last-bit difference or a sign of zero fails.
+``suite_loops`` is the suite as it ran with one accumulate loop per
+model-driven check, kept verbatim as the oracle of its draw order.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedzsl import cli, theory
+from fedzsl.dataset import AttributeMatrix
+from fedzsl.model import ATTRIBUTE_BASED, init_params
 from fedzsl.theory import (
     PROB_EPS,
     AssumptionError,
@@ -26,6 +31,7 @@ from fedzsl.theory import (
     _random_unit_prototypes,
     _row_kl,
     run_check_suite,
+    spectral_bounds,
 )
 
 
@@ -49,7 +55,7 @@ def pinsker_loop(trials: int, dim: int, seed: int) -> tuple[int, float]:
         bound = math.sqrt(2.0 * kl_loop(p, q))
         slack = lhs - bound
         worst = max(worst, slack)
-        if slack > PROB_EPS:
+        if not slack <= PROB_EPS:  # a NaN slack is a violation
             violations += 1
     return violations, worst
 
@@ -71,7 +77,7 @@ def mixture_loop(trials: int, num_components: int, dim: int, seed: int) -> tuple
         rhs = float(sum(a * kl_loop(p, q) for a, p in zip(alpha, components)))
         slack = lhs - rhs
         worst = max(worst, slack)
-        if slack > PROB_EPS:
+        if not slack <= PROB_EPS:  # a NaN slack is a violation
             violations += 1
     return violations, worst
 
@@ -99,7 +105,7 @@ def kl_lipschitz_loop(trials: int, dim: int, floor: float, seed: int) -> tuple[i
         rhs = constant * float(np.abs(r - s).sum())
         slack = lhs - rhs
         worst = max(worst, slack)
-        if slack > PROB_EPS:
+        if not slack <= PROB_EPS:  # a NaN slack is a violation
             violations += 1
     return violations, worst
 
@@ -276,6 +282,16 @@ class TestZeroEntries:
             assert_same(_pinsker_impl(trials, 10, seed), pinsker_loop(trials, 10, seed))
             assert_same(_mixture_impl(trials, 3, 6, seed), mixture_loop(trials, 3, 6, seed))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_trials_are_violations(self, monkeypatch):
+        # A zeroed q entry under a positive p makes 192 of these 200 slacks
+        # inf - inf.  Each is a trial whose bound could not be evaluated, so
+        # each counts as a violation; the worst slack still skips them.
+        monkeypatch.setattr(np.random, "default_rng", ZeroingRng)
+        violations, worst = _mixture_impl(200, 3, 6, 0)
+        assert violations == 192
+        assert math.isfinite(worst) and worst <= PROB_EPS
+
 
 @pytest.fixture
 def loop_suite(monkeypatch):
@@ -290,6 +306,77 @@ def loop_suite(monkeypatch):
             return run_check_suite(trials, seed)
 
     return run
+
+
+def suite_loops(trials, seed):
+    """``run_check_suite`` as it was with one accumulate loop per model-driven
+    check, verbatim: each check's draws, in their order, from its own stream."""
+    results = []
+    v, worst = _pinsker_impl(trials, dim=10, seed=seed)
+    results.append(theory.CheckResult("pinsker", trials, v, worst))
+    v, worst = _mixture_impl(trials, num_components=5, dim=8, seed=seed + 1)
+    results.append(theory.CheckResult("mixture_convexity", trials, v, worst))
+    v, worst = _kl_lipschitz_impl(trials, dim=8, floor=0.01, seed=seed + 2)
+    results.append(theory.CheckResult("kl_lipschitz", trials, v, worst))
+
+    rng = np.random.default_rng(seed + 3)
+    d_v, d_a = 8, 5
+    total_pairs = 0
+    violations = 0
+    worst = -math.inf
+    while total_pairs < trials:
+        params = init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=int(rng.integers(2**63)))
+        samples = rng.standard_normal((10, d_v))
+        got_v, got_worst, pairs = theory._left_inverse_impl(params, samples, spectral_bounds(params.W_h))
+        violations += got_v
+        worst = max(worst, got_worst)
+        total_pairs += pairs
+    results.append(theory.CheckResult("left_inverse", total_pairs, violations, worst))
+
+    rng = np.random.default_rng(seed + 4)
+    total_samples = 0
+    violations = 0
+    worst = -math.inf
+    while total_samples < trials:
+        params = init_params(d_v, d_a, num_seen=4, mode=ATTRIBUTE_BASED, seed=int(rng.integers(2**63)))
+        prototypes = _random_unit_prototypes(rng, d_a, num_classes=6, min_margin=0.3)
+        attrs = AttributeMatrix(values=prototypes, groups=((0, d_a),))
+        features = rng.standard_normal((40, d_v))
+        labels = rng.integers(0, 6, size=40)
+        got_v, got_worst, count = theory._attr_error_impl(
+            params, features, labels, attrs, spectral_bounds(params.W_h)
+        )
+        violations += got_v
+        worst = max(worst, got_worst)
+        total_samples += count
+    results.append(theory.CheckResult("attr_error", total_samples, violations, worst))
+
+    rng = np.random.default_rng(seed + 5)
+    per_set = 10
+    total = 0
+    violations = 0
+    worst = -math.inf
+    while total < trials:
+        prototypes = _random_unit_prototypes(rng, d_a=16, num_classes=12, min_margin=0.3)
+        c_h = float(rng.uniform(0.1, 2.0))
+        got_v, got_worst = _margin_impl(prototypes, c_h, per_set, int(rng.integers(2**63)))
+        violations += got_v
+        worst = max(worst, got_worst)
+        total += per_set
+    results.append(theory.CheckResult("margin", total, violations, worst))
+    return results
+
+
+def suite_bits(results):
+    return [(r.name, r.trials, r.violations, r.max_slack.hex()) for r in results]
+
+
+@pytest.mark.parametrize("trials", (1, 37, 1000))
+def test_one_trial_loop_keeps_every_draw(trials):
+    # The table-driven loop draws each check's instances in the order of the
+    # per-check loops it replaced, so every tuple is unchanged bit for bit.
+    for seed in SEEDS:
+        assert suite_bits(run_check_suite(trials, seed)) == suite_bits(suite_loops(trials, seed))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

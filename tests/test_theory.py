@@ -57,7 +57,7 @@ def left_inverse_loop(params, samples):
             slack = rhs - lhs
             slacks.append(slack)
             worst = max(worst, slack)
-            if slack > theory.GEOM_EPS:
+            if not slack <= theory.GEOM_EPS:  # a NaN slack is a violation
                 violations += 1
     return (violations, worst, len(slacks)), slacks
 
@@ -102,7 +102,7 @@ def attr_error_loop(params, features, labels, A):
         slack = lhs - (eps_i + delta) / small
         slacks.append(slack)
         worst = max(worst, slack)
-        if slack > theory.GEOM_EPS:
+        if not slack <= theory.GEOM_EPS:
             violations += 1
     return (violations, worst, features.shape[0]), slacks
 
@@ -124,6 +124,28 @@ def alignment_loop(params, features, labels, A, targets):
     l1 = [float(np.abs(probs[i] - rows[i]).sum()) for i in range(rows.shape[0])]
     violations = sum(lhs > radius + theory.ALIGN_EPS for lhs in l1)
     return violations, [lhs - radius for lhs in l1]
+
+
+def alignment_inline(params, features, labels, A, targets):
+    """``check_client_alignment`` as it was with its own masked row KL, verbatim.
+
+    Returns the count, and for the test the rows, the model's distributions,
+    the row KLs and each row's L1 gap to the radius."""
+    tau = targets.tau
+    logits = theory.forward_attr(params, features) @ A.values / tau
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = targets.probs[labels]
+    # Row-wise KL(rows || probs) over each row's support, as _kl does.
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(rows, probs, out=np.ones_like(rows), where=rows > 0.0)
+        kl_values = (rows * np.log(ratio)).sum(axis=1)
+    epsilon = float((tau * tau * kl_values).max())
+    lhs = np.abs(probs - rows).sum(axis=1)
+    radius = math.sqrt(2.0 * epsilon / (tau * tau))
+    bound = radius + theory.ALIGN_EPS
+    return int(np.count_nonzero(lhs > bound)), (rows, probs, kl_values, lhs - radius)
 
 
 def broadcast_distances(values):
@@ -282,9 +304,10 @@ class TestArrayChecksMatchTheLoops:
             bounds = spectral_bounds(params.W_h)
             got = _attr_error_impl(params, samples, labels, attrs, bounds)
             assert got == expected
-            # The report's path: its own decode of the label prototypes.
+            # The report's path: the per-sample prototype errors it computed.
             decoded = theory.forward_decode(params, attrs.values[:, labels].T)
-            assert _attr_error_impl(params, samples, labels, attrs, bounds, None, decoded) == expected
+            epsilons = theory._row_norms(decoded - samples)
+            assert _attr_error_impl(params, samples, labels, attrs, bounds, None, epsilons) == expected
 
     def test_left_inverse_counts_agree_when_half_the_pairs_violate(self, monkeypatch):
         # Under the premises every slack is negative; a threshold at the
@@ -335,6 +358,35 @@ class TestArrayChecksMatchTheLoops:
         expected, _ = alignment_loop(params, samples, labels, attrs, targets)
         assert check_client_alignment(params, samples, labels, attrs, targets) == expected
         assert 0 < expected < samples.shape[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(8, 5, 6), (5, 9, 7), (16, 12, 3), (3, 2, 2)]),
+        st.integers(1, 40),
+        st.floats(0.5, 8.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_alignment_counts_equal_the_inline_kl_form(self, seed, dims, n, tau, quantile):
+        # With strictly positive targets the row KL is taken over whole rows,
+        # so _row_kl and the former inline masked KL sum the same terms.  A
+        # threshold at a drawn quantile of the gaps gives nonzero counts.
+        d_v, d_a, num_classes = dims
+        rng = np.random.default_rng(seed)
+        params = init_params(d_v, d_a, num_seen=2, mode=ATTRIBUTE_BASED, seed=seed)
+        raw = rng.standard_normal((d_a, num_classes))
+        attrs = AttributeMatrix(values=raw / np.linalg.norm(raw, axis=0), groups=((0, d_a),))
+        gamma = rng.standard_normal((num_classes, num_classes))
+        targets = distill_targets(gamma + gamma.T, tau=tau)
+        assert (targets.probs > 0.0).all()
+        features = rng.standard_normal((n, d_v)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        labels = rng.integers(0, num_classes, size=n)
+        _, (rows, probs, kl_values, gaps) = alignment_inline(params, features, labels, attrs, targets)
+        assert np.array_equal(theory._row_kl(rows, probs), kl_values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theory, "ALIGN_EPS", float(np.quantile(gaps, quantile)))
+            expected, _ = alignment_inline(params, features, labels, attrs, targets)
+            assert check_client_alignment(params, features, labels, attrs, targets) == expected
 
     @pytest.mark.parametrize("shape", ((5, 6), (16, 12), (85, 50), (2, 2)))
     def test_prototype_distances_equal_the_broadcast(self, shape):
@@ -412,12 +464,13 @@ class TestPairScreen:
         assert (got[0], got[1].hex(), got[2]) == (expected[0], expected[1].hex(), expected[2])
         assert sum(rows) / 2 < 0.01 * got[2]
 
-    def test_nan_slacks_are_skipped_pair_by_pair(self):
+    def test_nan_slacks_are_violations_pair_by_pair(self):
         # The decoder drops the third attribute, so rows near 1e154 still
         # reconstruct exactly (delta 0) while their distances overflow, and
         # pairs 0-2 and 1-2 have slack inf - inf = NaN.  As in the pair loop,
-        # only those pairs are skipped: pair 0-1's slack 0 is the worst.  The
-        # row loop took each row's NaN maximum and so skipped rows 0 and 1.
+        # those two pairs are counted as violations and skipped as the
+        # worst: pair 0-1's slack 0 is the worst.  The row loop took each
+        # row's NaN maximum and so skipped rows 0 and 1.
         params = ModelParams(
             W_g=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), b_g=np.zeros(3),
             W_h=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b_h=np.zeros(2),
@@ -428,9 +481,10 @@ class TestPairScreen:
             expected, slacks = left_inverse_loop(params, samples)
             got = _left_inverse_impl(params, samples, bounds)
             by_rows = left_inverse_rows(params, samples, bounds)
-        assert math.isnan(slacks[1]) and slacks[0] == 0.0
+        assert [k for k, slack in enumerate(slacks) if math.isnan(slack)] == [1, 4]
+        assert slacks[0] == 0.0
         assert (got[0], got[1].hex(), got[2]) == (expected[0], expected[1].hex(), expected[2])
-        assert expected[1] == 0.0 and by_rows[1] == 1.0 - math.sqrt(2.0)
+        assert expected[0] == 2 and expected[1] == 0.0 and by_rows[1] == 1.0 - math.sqrt(2.0)
 
 
 class TestMarginCheck:
@@ -524,6 +578,16 @@ class TestTheoryReport:
         assert report.lz.shape == (train.num_samples,)
         assert report.violations == {"left_inverse": 0, "attr_error": 0}
         assert report.refusals == ()
+
+    def test_epsilons_are_the_errors_the_check_uses(self):
+        # The report's per-sample prototype errors are the ones the
+        # attribute-error check scores: the same differences through the
+        # same row-norm kernel, bit for bit.
+        params, samples, labels, attrs = random_instance(14, 256, 85, 60)
+        report = build_theory_report(params, samples, labels, attrs)
+        decoded = theory.forward_decode(params, attrs.values[:, labels].T)
+        want = theory._row_norms(decoded - samples)
+        assert [e.hex() for e in report.epsilons.tolist()] == [e.hex() for e in want.tolist()]
 
     def test_margins_equal_the_broadcast_distances(self):
         rng = np.random.default_rng(8)

@@ -333,7 +333,9 @@ def run_simulation(
     post-aggregation model: a forward-only loss over the training split
     every round, accuracy metrics every ``eval_every`` rounds and on the
     final round.  The returned trace also carries ``final_params`` and
-    ``client_partition``.
+    ``client_partition``.  A round holds only what it still needs: a
+    client's rows are copied out of the training split for its own
+    :func:`local_train` call, and the updates are released once aggregated.
     """
     threads = int(threads)
     if threads < 1:
@@ -344,7 +346,6 @@ def run_simulation(
         )
     train, test_seen, test_unseen = split_train_test(ds, cfg.seed)
     part = partition(train, cfg.partition)
-    client_data = [train.subset(idx) for idx in part.assignments]
     params = init_params(
         train.d_v, A.d_a, num_seen=len(train.split.seen), mode=cfg.mode, seed=cfg.seed
     )
@@ -355,7 +356,8 @@ def run_simulation(
             chosen = sample_clients(cfg.num_clients, cfg.sample_fraction, round_index, cfg.seed)
 
             def train_one(client_id: int) -> ClientUpdate:
-                return local_train(params, client_data[client_id], A, cfg, round_index, client_id)
+                client_data = train.subset(part.assignments[client_id])
+                return local_train(params, client_data, A, cfg, round_index, client_id)
 
             if pool is not None:
                 updates = list(pool.map(train_one, chosen))
@@ -365,6 +367,9 @@ def run_simulation(
             losses = np.array(
                 [u.mean_local_loss for u in sorted(updates, key=lambda u: u.client_id)]
             )
+            # The trained tensors are folded in; none is held through the
+            # global loss and the evaluation.
+            del updates
             try:
                 global_loss = _local_loss(
                     params, train.features, train.labels, A, cfg, train.split.seen, grads=False

@@ -402,7 +402,9 @@ def joint_loss(
             )
     a_hat = forward_attr(params, v)
     # SCE and KL share one class-score product; KL scales it in place, so
-    # it must run after SCE has read it.
+    # it runs right after SCE has read it, and the scores are released
+    # before BC allocates its residual.  The terms are still entered, and
+    # their gradients summed, in the order SCE, BC, KL, AD.
     scores = a_hat @ A.values if ablation.sce or kl_on else None
     d_a_hat_total = np.zeros_like(a_hat) if grads else None
     terms: dict[str, float] = {}
@@ -412,7 +414,18 @@ def joint_loss(
         terms[SCE] = value
         if grads:
             d_a_hat_total += d_logits @ A.values.T
-        del d_logits  # not held through BC's peak, where the scores stay live
+        del d_logits
+    if kl_on:
+        kl_value, d_a_hat_kl = _kl_core(
+            scores,
+            A.values,
+            distill.targets.probs,
+            distill.log_targets,
+            labels,
+            distill.tau,
+            grads,
+        )
+    del scores
     if ablation.bc and weights.w_bc > 0.0:
         value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared, grads)
         terms[BC] = weights.w_bc * value
@@ -424,19 +437,10 @@ def joint_loss(
             d_W_h *= weights.w_bc
             d_b_h *= weights.w_bc
     if kl_on:
-        value, d_a_hat = _kl_core(
-            scores,
-            A.values,
-            distill.targets.probs,
-            distill.log_targets,
-            labels,
-            distill.tau,
-            grads,
-        )
-        terms[KL] = weights.w_kl * value
+        terms[KL] = weights.w_kl * kl_value
         if grads:
-            d_a_hat *= weights.w_kl
-            d_a_hat_total += d_a_hat
+            d_a_hat_kl *= weights.w_kl
+            d_a_hat_total += d_a_hat_kl
     if ablation.ad and weights.w_ad > 0.0:
         value, d_a_hat = _ad_core(a_hat, A.groups, grads)
         terms[AD] = weights.w_ad * value

@@ -81,6 +81,7 @@ _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 100_000
 
 _PAIR_BLOCK = 256  # rows per block of the pair screen
+_DISTANCE_BYTES = 4 << 20  # bound on _closest_and_farthest's difference block
 
 
 class AssumptionError(ValueError):
@@ -446,19 +447,27 @@ def check_attr_error_bound(
 def _closest_and_farthest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the distance to the nearest other column and to the farthest.
 
-    Built one column at a time; each distance row equals the matching row of
-    ``np.linalg.norm(values[:, :, None] - values[:, None, :], axis=0)`` bit
-    for bit (the same differences, summed over the same axis in the same
-    order) without the d x C x C temporary.
+    Built a block of columns at a time in one d x block x C difference
+    array of at most ``_DISTANCE_BYTES``.  Each distance row equals the
+    matching row of ``np.linalg.norm(values[:, :, None] - values[:, None, :],
+    axis=0)`` bit for bit: the same differences, squared, summed over axis 0
+    in the same order, then square-rooted.
     """
-    num = values.shape[1]
+    d, num = values.shape
     closest = np.empty(num)
     farthest = np.empty(num)
-    for y in range(num):
-        dist = np.linalg.norm(values[:, [y]] - values, axis=0)
-        farthest[y] = dist.max()
-        dist[y] = math.inf
-        closest[y] = dist.min()
+    step = min(num, max(1, _DISTANCE_BYTES // (8 * d * num)))
+    work = np.empty((d, step, num))
+    for start in range(0, num, step):
+        stop = min(start + step, num)
+        diffs = work[:, : stop - start]
+        np.subtract(values[:, start:stop, None], values[:, None, :], out=diffs)
+        np.multiply(diffs, diffs, out=diffs)
+        dist = np.add.reduce(diffs, axis=0)
+        np.sqrt(dist, out=dist)
+        farthest[start:stop] = dist.max(axis=1)
+        dist[np.arange(stop - start), np.arange(start, stop)] = math.inf
+        closest[start:stop] = dist.min(axis=1)
     return closest, farthest
 
 

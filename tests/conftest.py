@@ -1,13 +1,23 @@
-"""Shared pytest hooks and the single-term loss view.
+"""Shared pytest hooks, the package path and the single-term loss view.
 
 The acceptance tests register a status per criterion; the terminal summary
 hook prints one line per criterion even when pytest captures stdout.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from fedzsl.losses import AblationFlags, LossWeights, joint_loss
+# The package under test is the one Python finds: installed, or named by
+# PYTHONPATH.  Only when neither provides it does the checkout's own src/
+# go on the path, after everything else.
+if importlib.util.find_spec("fedzsl") is None:
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+from fedzsl.losses import AblationFlags, LossWeights, joint_loss  # noqa: E402
 
 _CRITERIA: dict[int, tuple[str, str]] = {}
 

@@ -1,6 +1,9 @@
 """Local training, weighted aggregation, and the simulation loop."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -527,6 +530,54 @@ class TestRunSimulation:
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError, match="global loss non-finite after round 0"):
                 run_simulation(ds, attrs, tiny_config(distill))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nothing_from_a_round_is_kept_across_the_global_loss(self, monkeypatch, threads):
+        # Each client's copy of its rows, each update and its trained
+        # tensors are released before the forward-only global loss and the
+        # evaluation run.
+        refs = []
+        checked = []
+        real_local_train = fed.local_train
+        real_joint_loss = fed.joint_loss
+        real_evaluate = fed.evaluate
+
+        def tracked_local_train(global_params, client_data, *args, **kwargs):
+            update = real_local_train(global_params, client_data, *args, **kwargs)
+            refs.append(weakref.ref(client_data))
+            refs.append(weakref.ref(update))
+            refs.extend(weakref.ref(tensor) for tensor in update.trained.values())
+            return update
+
+        def assert_released(stage):
+            gc.collect()
+            alive = sum(ref() is not None for ref in refs)
+            assert refs and alive == 0, f"{alive} of {len(refs)} alive at the {stage}"
+            checked.append(stage)
+
+        def tracked_joint_loss(*args, grads=True, **kwargs):
+            if not grads:
+                assert_released("global loss")
+            return real_joint_loss(*args, grads=grads, **kwargs)
+
+        def tracked_evaluate(*args, **kwargs):
+            assert_released("evaluation")
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(fed, "local_train", tracked_local_train)
+        monkeypatch.setattr(fed, "joint_loss", tracked_joint_loss)
+        monkeypatch.setattr(fed, "evaluate", tracked_evaluate)
+        ds, attrs, distill = tiny_problem()
+        cfg = tiny_config(
+            distill,
+            rounds=3,
+            num_clients=3,
+            partition=PartitionSpec(scheme="pccd", num_clients=3, seed=0),
+        )
+        run_simulation(ds, attrs, cfg, threads=threads)
+        assert checked == ["global loss", "evaluation"] * cfg.rounds
+        # Per client and round: its rows, its update and four trained tensors.
+        assert len(refs) == cfg.rounds * cfg.num_clients * 6
 
     def test_every_client_loss_covers_all_prototypes(self):
         # Under class-disjoint partitioning each client still scores against

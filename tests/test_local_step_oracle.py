@@ -744,21 +744,37 @@ def test_aggregate_matches(problem, name):
         )
 
 
-def oracle_simulation(ds, attrs, cfg: TrainConfig) -> ModelParams:
-    # run_simulation's training loop over the oracle local_train/aggregate.
+def oracle_simulation(ds, attrs, cfg: TrainConfig):
+    # run_simulation's training loop over the oracle local_train/aggregate,
+    # with each round's global loss (the oracle joint_loss, forward only)
+    # and client-loss mean and standard deviation as float.hex strings.
     train, _, _ = split_train_test(ds, cfg.seed)
     part = partition(train, cfg.partition)
     client_data = [train.subset(idx) for idx in part.assignments]
     params = init_params(
         train.d_v, attrs.d_a, num_seen=len(train.split.seen), mode=cfg.mode, seed=cfg.seed
     )
+    rounds = []
     for round_index in range(cfg.rounds):
         chosen = sample_clients(cfg.num_clients, cfg.sample_fraction, round_index, cfg.seed)
         updates = [
             local_train(params, client_data[k], attrs, cfg, round_index, k) for k in chosen
         ]
         params = aggregate(params, updates, cfg.server_lr)
-    return params
+        global_loss = _local_loss(
+            params, train.features, train.labels, attrs, cfg, train.split.seen, grads=False
+        ).total
+        client_losses = np.array(
+            [u.mean_local_loss for u in sorted(updates, key=lambda u: u.client_id)]
+        )
+        rounds.append(
+            (
+                float(global_loss).hex(),
+                float(client_losses.mean()).hex(),
+                float(client_losses.std()).hex(),
+            )
+        )
+    return params, rounds
 
 
 @pytest.mark.parametrize(
@@ -767,6 +783,11 @@ def oracle_simulation(ds, attrs, cfg: TrainConfig) -> ModelParams:
 def test_simulation_matches(problem, name):
     ds, attrs, distill, _ = problem
     cfg = make_cfg(distill, name)
-    new = fed.run_simulation(ds, attrs, cfg).final_params
-    old = oracle_simulation(ds, attrs, cfg)
-    assert_same_tensors(new.tensors(), old.tensors())
+    trace = fed.run_simulation(ds, attrs, cfg)
+    old_params, old_rounds = oracle_simulation(ds, attrs, cfg)
+    assert_same_tensors(trace.final_params.tensors(), old_params.tensors())
+    new_rounds = [
+        (row.global_loss.hex(), row.client_loss_mean.hex(), row.client_loss_std.hex())
+        for row in trace
+    ]
+    assert new_rounds == old_rounds

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,25 @@ def broadcast_distances(values):
     dist = np.linalg.norm(diffs, axis=0)
     off = dist + np.diag(np.full(values.shape[1], math.inf))
     return off.min(axis=1), dist.max(axis=1)
+
+
+def per_class_closest_and_farthest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the distance to the nearest other column and to the farthest.
+
+    Built one column at a time; each distance row equals the matching row of
+    ``np.linalg.norm(values[:, :, None] - values[:, None, :], axis=0)`` bit
+    for bit (the same differences, summed over the same axis in the same
+    order) without the d x C x C temporary.
+    """
+    num = values.shape[1]
+    closest = np.empty(num)
+    farthest = np.empty(num)
+    for y in range(num):
+        dist = np.linalg.norm(values[:, [y]] - values, axis=0)
+        farthest[y] = dist.max()
+        dist[y] = math.inf
+        closest[y] = dist.min()
+    return closest, farthest
 
 
 def broadcast_unit_prototypes(rng, d_a, num_classes, min_margin):
@@ -395,6 +415,47 @@ class TestArrayChecksMatchTheLoops:
         want_closest, want_farthest = broadcast_distances(values)
         assert np.array_equal(closest, want_closest)
         assert np.array_equal(farthest, want_farthest)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 9),
+        num=st.integers(1, 14),
+        duplicates=st.integers(0, 3),
+        scale=st.sampled_from([1.0, 1e-150, 1e-8, 1e8, 1e150]),
+        step=st.sampled_from([None, 1, 2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_prototype_distances_equal_the_per_class_loop(
+        self, d, num, duplicates, scale, step, seed
+    ):
+        # One attribute, duplicate columns (a zero closest distance) and
+        # extreme scales; ``step`` columns per block, or all in one block.
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((d, num)) * scale
+        for _ in range(duplicates):
+            values[:, rng.integers(num)] = values[:, rng.integers(num)]
+        limit = theory._DISTANCE_BYTES if step is None else 8 * d * num * step
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theory, "_DISTANCE_BYTES", limit)
+            closest, farthest = _closest_and_farthest(values)
+        want_closest, want_farthest = per_class_closest_and_farthest(values)
+        assert closest.tobytes() == want_closest.tobytes()
+        assert farthest.tobytes() == want_farthest.tobytes()
+
+    def test_prototype_distance_blocks_stay_within_the_byte_bound(self):
+        # The report's CUB-sized table runs in blocks of 8 classes.
+        values = np.random.default_rng(0).standard_normal((312, 200))
+        tracemalloc.start()
+        try:
+            closest, farthest = _closest_and_farthest(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert theory._DISTANCE_BYTES // (8 * 312 * 200) == 8
+        assert peak < theory._DISTANCE_BYTES + 64 * 1024
+        want_closest, want_farthest = per_class_closest_and_farthest(values)
+        assert closest.tobytes() == want_closest.tobytes()
+        assert farthest.tobytes() == want_farthest.tobytes()
 
     @pytest.mark.parametrize("d_a,num_classes", ((5, 6), (16, 12)))
     def test_prototype_draws_follow_the_broadcast_rng_stream(self, d_a, num_classes):

@@ -18,38 +18,27 @@ import argparse
 
 import numpy as np
 
+from fedzsl.cli import configure_run, default_config
 from fedzsl.dataset import SyntheticSpec, generate_synthetic
-from fedzsl.fed import TrainConfig, run_simulation
-from fedzsl.glasso import distill_targets, graphical_lasso, sample_covariance
-from fedzsl.losses import AblationFlags, DistillConfig
-from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE
-from fedzsl.partition import PartitionSpec
+from fedzsl.fed import run_simulation
+from fedzsl.model import ATTRIBUTE_FREE
 
+# Each variant's settings over the defaults, section by section.
 VARIANTS = {
-    "full": (ATTRIBUTE_BASED, AblationFlags()),
-    "sce only": (ATTRIBUTE_BASED, AblationFlags(sce=True, bc=False, kl=False, ad=False)),
-    "attr-free": (ATTRIBUTE_FREE, AblationFlags()),
+    "full": {},
+    "sce only": {"losses": {"bc": False, "kl": False, "ad": False}},
+    "attr-free": {"model": {"mode": ATTRIBUTE_FREE}},
 }
 
 
-def run_variant(seed: int, rounds: int, lr: float, mode: str, flags: AblationFlags):
+def run_variant(seed: int, rounds: int, lr: float, overrides: dict):
     ds, attrs = generate_synthetic(SyntheticSpec(num_seen=20, num_unseen=5), seed=seed)
-    distill = None
-    if mode == ATTRIBUTE_BASED:
-        sim = graphical_lasso(sample_covariance(attrs))
-        distill = DistillConfig(tau=4.0, targets=distill_targets(sim.gamma, tau=4.0))
-    cfg = TrainConfig(
-        rounds=rounds,
-        num_clients=5,
-        local_lr=lr,
-        seed=seed,
-        distill=distill,
-        mode=mode,
-        ablation=flags,
-        partition=PartitionSpec(scheme="pccd", num_clients=5, seed=seed),
-        eval_every=rounds,
-    )
-    return run_simulation(ds, attrs, cfg)[-1]
+    settings = default_config()
+    settings["train"].update(rounds=rounds, num_clients=5, local_lr=lr, seed=seed,
+                             eval_every=rounds)
+    for section, values in overrides.items():
+        settings[section].update(values)
+    return run_simulation(ds, attrs, configure_run(settings, attrs)[0])[-1]
 
 
 def main() -> None:
@@ -61,9 +50,9 @@ def main() -> None:
 
     print(f"{args.seeds} seeds x {args.rounds} rounds, 5 disjoint clients\n")
     print(f"{'variant':<10} {'acc_c':>6} {'acc_u':>6} {'acc_s':>6} {'acc_h':>6}")
-    for name, (mode, flags) in VARIANTS.items():
+    for name, overrides in VARIANTS.items():
         finals = [
-            run_variant(seed, args.rounds, args.local_lr, mode, flags)
+            run_variant(seed, args.rounds, args.local_lr, overrides)
             for seed in range(args.seeds)
         ]
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 
+from fedzsl.cli import configure_run, default_config
 from fedzsl.dataset import SyntheticSpec, generate_synthetic
-from fedzsl.fed import TrainConfig, run_simulation
-from fedzsl.glasso import distill_targets, graphical_lasso, sample_covariance
-from fedzsl.losses import DistillConfig
-from fedzsl.partition import PartitionSpec
+from fedzsl.fed import run_simulation
 
 
 def main() -> None:
@@ -34,19 +32,12 @@ def main() -> None:
     print(f"dataset: {spec.num_seen}+{spec.num_unseen} classes, "
           f"{ds.num_samples} samples, d_v={spec.d_v}, d_a={spec.d_a}")
 
-    S = sample_covariance(attrs)
-    sim = graphical_lasso(S)
+    settings = default_config()
+    settings["train"].update(rounds=args.rounds, num_clients=args.clients,
+                             local_lr=args.local_lr, seed=args.seed, eval_every=5)
+    cfg, sim = configure_run(settings, attrs)
     print(f"similarity: solved in {sim.sweeps} sweeps, converged={sim.converged}")
 
-    cfg = TrainConfig(
-        rounds=args.rounds,
-        num_clients=args.clients,
-        local_lr=args.local_lr,
-        seed=args.seed,
-        distill=DistillConfig(tau=4.0, targets=distill_targets(sim.gamma, tau=4.0)),
-        partition=PartitionSpec(scheme="pccd", num_clients=args.clients, seed=args.seed),
-        eval_every=5,
-    )
     trace = run_simulation(ds, attrs, cfg)
 
     print(f"{'round':>5} {'loss':>9} {'acc_c':>6} {'acc_u':>6} {'acc_s':>6} {'acc_h':>6}")

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 
+from fedzsl.cli import configure_run, default_config
 from fedzsl.dataset import SyntheticSpec, generate_synthetic, split_train_test
-from fedzsl.fed import TrainConfig, run_simulation
-from fedzsl.glasso import distill_targets, graphical_lasso, sample_covariance
-from fedzsl.losses import DistillConfig
-from fedzsl.partition import PartitionSpec
+from fedzsl.fed import run_simulation
 from fedzsl.theory import build_theory_report, check_client_alignment, run_check_suite
 
 
@@ -35,17 +33,10 @@ def main() -> None:
               f"max_slack={result.max_slack:.3e}")
 
     ds, attrs = generate_synthetic(SyntheticSpec(num_seen=20, num_unseen=5), seed=args.seed)
-    sim = graphical_lasso(sample_covariance(attrs))
-    targets = distill_targets(sim.gamma, tau=4.0)
-    cfg = TrainConfig(
-        rounds=args.rounds,
-        num_clients=5,
-        local_lr=0.008,
-        seed=args.seed,
-        distill=DistillConfig(tau=4.0, targets=targets),
-        partition=PartitionSpec(scheme="pccd", num_clients=5, seed=args.seed),
-        eval_every=args.rounds,
-    )
+    settings = default_config()
+    settings["train"].update(rounds=args.rounds, num_clients=5, local_lr=0.008, seed=args.seed,
+                             eval_every=args.rounds)
+    cfg, _ = configure_run(settings, attrs)
     trace = run_simulation(ds, attrs, cfg)
     params = trace.final_params
     train, test_seen, _ = split_train_test(ds, args.seed)
@@ -60,7 +51,7 @@ def main() -> None:
     print(f"  refused checks: {report.refusals or 'none'}")
 
     aligned = check_client_alignment(
-        params, test_seen.features, test_seen.labels, attrs, targets
+        params, test_seen.features, test_seen.labels, attrs, cfg.distill.targets
     )
     print(f"  alignment bound violations on held-out rows: {aligned}")
 

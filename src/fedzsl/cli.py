@@ -1,11 +1,12 @@
 """Command line interface: synthesize data, partition, estimate similarity,
 run federated training, evaluate checkpoints, and run the check suite.
 
-Configuration precedence is CLI flag > config file > built-in default; the
-resolved set is frozen into ``manifest.ini`` before round 0, and re-running
-with that manifest reproduces ``metrics.csv`` byte for byte.  Exit codes:
-0 completion, 1 usage or input error, 2 training divergence, 3 partition
-failure.
+A run is one settings table: ``default_config()``, overridden by a config
+file and then by CLI flags, all checked before the dataset is read.
+``configure_run`` turns it into a ``TrainConfig``.  The table is frozen into
+``manifest.ini`` before round 0, and re-running with that manifest
+reproduces ``metrics.csv`` byte for byte.  Exit codes: 0 completion, 1 usage
+or input error, 2 training divergence, 3 partition failure.
 """
 
 from __future__ import annotations
@@ -213,8 +214,41 @@ def _coerce(section: str, key: str, raw: str) -> object:
     return value
 
 
-def _default_config() -> dict[str, dict[str, object]]:
+def default_config() -> dict[str, dict[str, object]]:
+    """Every ``run`` setting at its default, in a new table: section -> key -> value."""
     return {section: {k: s.default for k, s in keys.items()} for section, keys in _SCHEMA.items()}
+
+
+def _train_config(settings: dict[str, dict[str, object]]) -> TrainConfig:
+    """The ``TrainConfig`` of ``settings``, without targets, once every setting is
+    checked: also [glasso] and tau of a run without the KL term, which a re-run may read."""
+    train, losses = settings["train"], settings["losses"]
+    tau = float(losses["tau"])
+    if not 0.0 < tau < float("inf"):
+        raise CliError(f"tau must be finite and positive, got {tau}")
+    GlassoConfig(**_fields(GlassoConfig, settings["glasso"]))
+    return TrainConfig(
+        **train,
+        **settings["model"],
+        weights=LossWeights(**_fields(LossWeights, losses)),
+        ablation=AblationFlags(**_fields(AblationFlags, losses)),
+        partition=_partition_spec({**settings["partition"], **train}),
+        bc_squared=losses["bc_squared"],
+    )
+
+
+def configure_run(
+    settings: dict[str, dict[str, object]], attrs: AttributeMatrix
+) -> tuple[TrainConfig, SimilarityMatrix | None]:
+    """The ``TrainConfig`` of a full settings table; only with the KL term on
+    is the similarity solved from ``attrs``, returned and made the targets."""
+    cfg = _train_config(settings)
+    if not cfg.kl_enabled:
+        return cfg, None
+    sim, source = _solve_glasso(attrs, settings["glasso"])
+    tau = float(settings["losses"]["tau"])
+    cfg.distill = DistillConfig(tau=tau, targets=distill_targets(source, tau))
+    return cfg, sim
 
 
 def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> None:
@@ -254,7 +288,7 @@ def _parse_ablation(text: str) -> dict[str, bool]:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> dict[str, dict[str, object]]:
-    resolved = _default_config()
+    resolved = default_config()
     if args.config is not None:
         _load_config_file(Path(args.config), resolved)
     for section, keys in resolved.items():
@@ -299,18 +333,6 @@ def _partition_spec(values: dict[str, object]) -> PartitionSpec:
         raise CliError(str(exc)) from None
 
 
-def _build_train_config(resolved: dict[str, dict[str, object]]) -> TrainConfig:
-    train, losses = resolved["train"], resolved["losses"]
-    return TrainConfig(
-        **train,
-        **resolved["model"],
-        weights=LossWeights(**_fields(LossWeights, losses)),
-        ablation=AblationFlags(**_fields(AblationFlags, losses)),
-        partition=_partition_spec({**resolved["partition"], **train}),
-        bc_squared=losses["bc_squared"],
-    )
-
-
 def _metric_text(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.2f}"
 
@@ -350,17 +372,17 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def _solve_glasso(
     attrs: AttributeMatrix, settings: dict[str, object]
-) -> tuple[GlassoConfig, SimilarityMatrix, np.ndarray]:
-    """The glasso config in ``settings``, its solution, and the source ``gamma_source`` names."""
+) -> tuple[SimilarityMatrix, np.ndarray]:
+    """The glasso solution for ``settings``, and the source ``gamma_source`` names."""
     cfg = GlassoConfig(**_fields(GlassoConfig, settings))
     sim = graphical_lasso(sample_covariance(attrs, standardize=cfg.standardize), cfg)
     source = sim.gamma if settings["gamma_source"] == "covariance" else sim.theta
-    return cfg, sim, source
+    return sim, source
 
 
 def cmd_glasso(args: argparse.Namespace) -> int:
     attrs = load_attributes(args.data)
-    _, sim, source = _solve_glasso(attrs, vars(args))
+    sim, source = _solve_glasso(attrs, vars(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_square_csv(out / GAMMA_FILE, sim.gamma)
@@ -378,8 +400,11 @@ def cmd_glasso(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     resolved = _resolve_run_config(args)
+    if args.threads < 1:
+        raise CliError(f"threads must be >= 1, got {args.threads}")
+    _train_config(resolved)  # a bad setting fails before the dataset is read
     ds, attrs = load_dataset(args.data)
-    cfg = _build_train_config(resolved)
+    cfg, sim = configure_run(resolved, attrs)
     out = Path(args.out)
     meta: dict[str, object] = {
         "version": __version__,
@@ -389,17 +414,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         "out": str(out.resolve()),
         "threads": args.threads,
     }
-    if cfg.kl_enabled:
-        gcfg, sim, source = _solve_glasso(attrs, resolved["glasso"])
+    if sim is not None:
         if not sim.converged:
             sys.stderr.write(
                 f"warning: glasso did not converge in {sim.sweeps} sweeps "
-                f"(tol {gcfg.tol}); the distillation targets come from the last iterate\n"
+                f"(tol {resolved['glasso']['tol']}); "
+                "the distillation targets come from the last iterate\n"
             )
-        meta["glasso_converged"] = sim.converged
-        meta["glasso_sweeps"] = sim.sweeps
-        tau = float(resolved["losses"]["tau"])
-        cfg.distill = DistillConfig(tau=tau, targets=distill_targets(source, tau))
+        meta.update(glasso_converged=sim.converged, glasso_sweeps=sim.sweeps)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out / MANIFEST_FILE, resolved, meta)
     trace = run_simulation(ds, attrs, cfg, threads=args.threads)

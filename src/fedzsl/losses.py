@@ -456,5 +456,8 @@ def joint_loss(
             "W_h": np.zeros_like(params.W_h) if d_W_h is None else d_W_h,
             "b_h": np.zeros_like(params.b_h) if d_b_h is None else d_b_h,
         }
-    total = float(sum(terms.values()))
+    # Left to right from 0.0: builtin sum() compensates its rounding on 3.12+.
+    total = 0.0
+    for value in terms.values():
+        total += value
     return LossReport(total=total, terms=terms, grads=gradients)

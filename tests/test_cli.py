@@ -72,6 +72,16 @@ BAD_PARTITION_SPECS = [
 ]
 BAD_PARTITION_IDS = ["zero-clients", "dirichlet-without-alpha", "ratio-above-1"]
 
+# Settings a run without the KL term never reads, which still exit 1: the
+# manifest records them, and a re-run with the term on would read them.
+BAD_UNREAD_SETTINGS = [
+    (["--ablation", "sce-only", "--glasso-delta", "-1"], "delta must be finite and positive"),
+    (["--ablation", "sce-only", "--tau", "-2"], "tau must be finite and positive, got -2.0"),
+    (["--w-kl", "0", "--glasso-max-sweeps", "0"], "max_sweeps must be >= 1, got 0"),
+    (["--mode", "attribute-free", "--tau", "0"], "tau must be finite and positive, got 0.0"),
+]
+BAD_UNREAD_IDS = ["sce-only-delta", "sce-only-tau", "no-kl-weight-sweeps", "attribute-free-tau"]
+
 
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
@@ -328,6 +338,36 @@ class TestRun:
         assert f"error: {message}" in err and "partition failed" not in err
         assert not out.exists()
 
+    def test_zero_threads_exits_1_before_writing(self, small_data, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run_once(small_data, out, ["--threads", "0"]) == 1
+        assert "error: threads must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", BAD_UNREAD_SETTINGS, ids=BAD_UNREAD_IDS)
+    def test_settings_a_run_does_not_read_are_checked(
+        self, small_data, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "out"
+        assert self.run_once(small_data, out, flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--threads", "0"], "threads must be >= 1, got 0"), *BAD_UNREAD_SETTINGS],
+        ids=["threads", *BAD_UNREAD_IDS],
+    )
+    def test_settings_are_checked_before_the_dataset_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        # The dataset directory does not exist, so only a check that runs
+        # before loading can report the setting.
+        out = tmp_path / "out"
+        assert self.run_once(tmp_path / "missing", out, flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partition_failure_exits_3(self, small_data, tmp_path, capsys):
         out = tmp_path / "overk"
         code = cli.main(
@@ -531,7 +571,7 @@ class TestTopLevel:
                 library[section, f.name] = getattr(source, f.name)
         library["losses", "tau"] = DEFAULT_TAU
         unmatched = []
-        for section, keys in cli._default_config().items():
+        for section, keys in cli.default_config().items():
             for key, default in keys.items():
                 if (section, key) not in library:
                     unmatched.append((section, key))

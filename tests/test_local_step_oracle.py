@@ -348,7 +348,9 @@ def joint_loss(
     if grads:
         gradients["W_g"] = d_a_hat_total.T @ v
         gradients["b_g"] = d_a_hat_total.sum(axis=0)
-    total = float(sum(terms.values()))
+    total = 0.0  # left to right from 0.0, as on every Python version
+    for value in terms.values():
+        total += value
     return LossReport(total=total, terms=terms, grads=gradients)
 
 

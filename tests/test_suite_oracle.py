@@ -74,7 +74,9 @@ def mixture_loop(trials: int, num_components: int, dim: int, seed: int) -> tuple
         alpha = rng.dirichlet(np.ones(num_components))
         mixture = alpha @ components
         lhs = kl_loop(mixture, q)
-        rhs = float(sum(a * kl_loop(p, q) for a, p in zip(alpha, components)))
+        rhs = 0.0  # left to right from 0.0, as _mixture_impl adds its terms
+        for a, p in zip(alpha, components):
+            rhs += float(a * kl_loop(p, q))
         slack = lhs - rhs
         worst = max(worst, slack)
         if not slack <= PROB_EPS:  # a NaN slack is a violation

@@ -445,9 +445,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"samples={ds.num_samples} d_v={ds.d_v} classes={ds.split.num_classes} "
               f"seen={len(ds.split.seen)} unseen={len(ds.split.unseen)}")
         for c in np.unique(ds.labels):
-            rows = ds.features[ds.labels == c]
-            # Shift by the first row before var() so a class of identical
-            # rows reports exactly 0.0 instead of summation round-off.
+            # Widened first: float32 features would otherwise give float32
+            # arithmetic.  Shift by the first row before var() so a class of
+            # identical rows reports exactly 0.0 instead of summation round-off.
+            rows = ds.features[ds.labels == c].astype(np.float64, copy=False)
             variance = float((rows - rows[0]).var(axis=0).mean())
             print(f"class {int(c)}: {rows.shape[0]} samples, within-class variance {_fmt(variance)}")
     if args.model is not None:

@@ -10,6 +10,11 @@ All file formats are plain CSV (with an optional raw binary variant for
 large feature matrices) and use shortest round-trip float formatting, so
 saving, loading, and saving again reproduces byte-identical files.
 
+Features loaded from the binary variant stay in its float32; everything
+else is held in float64.  Every product and ufunc that reads float32
+features together with float64 parameters widens them exactly, so results
+are the float64 results bit for bit at half the memory.
+
 Numeric CSV blocks (feature rows, attribute rows and checkpoint tensors)
 are read in bulk by numpy's C reader.  A block it refuses, or one the
 per-line loop would read differently, is read again line by line, so a
@@ -20,6 +25,7 @@ file loads to the same bits either way.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -150,16 +156,26 @@ class AttributeMatrix:
         return int(self.values.shape[1])
 
 
+def _as_features(values: np.ndarray) -> np.ndarray:
+    # Feature values as float32 when stored so, as float64 otherwise.
+    v = np.asarray(values)
+    return v if v.dtype == np.float32 else v.astype(np.float64, copy=False)
+
+
 @dataclass
 class FeatureDataset:
-    """Visual feature rows with integer class labels and a seen/unseen split."""
+    """Visual feature rows with integer class labels and a seen/unseen split.
+
+    Float32 features are kept as they are; any other dtype is widened to
+    float64.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     split: ClassSplit
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _as_features(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise DatasetError("feature matrix must be 2-dimensional")
@@ -517,22 +533,26 @@ def _load_feature_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _load_features_bin(bin_path: Path, labels_path: Path) -> tuple[np.ndarray, np.ndarray]:
-    raw = bin_path.read_bytes()
-    if len(raw) < 8:
-        raise FormatError(f"{bin_path.name}: file shorter than its 8-byte header")
-    n, d_v = (int(x) for x in np.frombuffer(raw, dtype="<u4", count=2))
-    if n < 1 or d_v < 1:
-        raise FormatError(f"{bin_path.name}: need N >= 1 and d_v >= 1, got {n},{d_v}")
-    expected = 8 + 4 * n * d_v
-    if len(raw) != expected:
-        raise FormatError(
-            f"{bin_path.name}: expected {expected} bytes for {n}x{d_v} floats, found {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f4", count=n * d_v, offset=8)
-    features = flat.astype(np.float64).reshape(n, d_v)
-    bad = ~np.isfinite(features)
-    if np.any(bad):
-        row = int(np.argmax(np.any(bad, axis=1)))
+    with bin_path.open("rb") as fh:
+        header = fh.read(8)
+        if len(header) < 8:
+            raise FormatError(f"{bin_path.name}: file shorter than its 8-byte header")
+        n, d_v = (int(x) for x in np.frombuffer(header, dtype="<u4"))
+        if n < 1 or d_v < 1:
+            raise FormatError(f"{bin_path.name}: need N >= 1 and d_v >= 1, got {n},{d_v}")
+        expected = 8 + 4 * n * d_v
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(
+                f"{bin_path.name}: expected {expected} bytes for {n}x{d_v} floats, found {size}"
+            )
+        # The values are read straight into the array that is returned.
+        features = np.empty((n, d_v), dtype="<f4")
+        if fh.readinto(features) != expected - 8:
+            raise FormatError(f"{bin_path.name}: file shrank while it was read")
+    finite = np.isfinite(features)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
         raise FormatError(f"{bin_path.name}: non-finite value in feature row {row}")
     lines = _read_lines(labels_path)
     if len(lines) != n:
@@ -632,6 +652,18 @@ def save_dataset(
     """
     if ds.features.shape[0] != ds.labels.shape[0]:
         raise DatasetError("features and labels disagree on sample count")
+    if binary:
+        # A value beyond float32's range would be stored as inf, which
+        # load_dataset refuses, so it is refused before anything is written.
+        with np.errstate(over="ignore"):
+            payload = np.ascontiguousarray(ds.features, dtype="<f4")
+        finite = np.isfinite(payload)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            raise DatasetError(
+                f"feature row {row} holds a value that float32 cannot store; "
+                f"write this dataset as CSV"
+            )
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     attr_lines = [f"{attrs.d_a},{attrs.num_classes}"]
@@ -647,8 +679,7 @@ def save_dataset(
     n, d_v = ds.features.shape
     if binary:
         header = np.asarray([n, d_v], dtype="<u4").tobytes()
-        payload = np.ascontiguousarray(ds.features, dtype="<f4").tobytes()
-        (root / FEATURES_BIN_FILE).write_bytes(header + payload)
+        (root / FEATURES_BIN_FILE).write_bytes(header + payload.tobytes())
         label_lines = [str(int(label)) for label in ds.labels]
         (root / LABELS_FILE).write_text("\n".join(label_lines) + "\n")
     else:

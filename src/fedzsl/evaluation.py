@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset
+from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, _as_features
 from fedzsl.model import (
     ATTRIBUTE_BASED,
     ATTRIBUTE_FREE,
@@ -75,7 +75,7 @@ def _predict_each(
         if candidates[0] < 0 or candidates[-1] >= A.num_classes:
             raise EvalError(f"candidate ids must lie in [0, {A.num_classes})")
         sets.append(candidates)
-    v = np.asarray(v, dtype=np.float64)
+    v = _as_features(v)
     batch = v[None, :] if v.ndim == 1 else v
     if batch.ndim != 2 or batch.shape[1] != params.d_v:
         raise EvalError(f"features must have {params.d_v} columns, got shape {v.shape}")

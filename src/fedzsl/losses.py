@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix
+from fedzsl.dataset import AttributeMatrix, _as_features
 from fedzsl.glasso import DistillTargets
 from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, forward_attr, forward_decode
 
@@ -147,7 +147,7 @@ def _as_batch(
     features: np.ndarray, labels: np.ndarray, d_v: int, loss_name: str
 ) -> tuple[np.ndarray, np.ndarray]:
     # The features as a (B, d_v) batch and the labels as one per row.
-    v = np.asarray(features, dtype=np.float64)
+    v = _as_features(features)
     if v.ndim != 2 or v.shape[1] != d_v:
         raise LossError(f"features must have shape (B, {d_v}), got {v.shape}")
     if v.shape[0] < 1:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, _read_block
+from fedzsl.dataset import AttributeMatrix, _as_features, _read_block
 
 ATTRIBUTE_BASED = "attribute-based"
 ATTRIBUTE_FREE = "attribute-free"
@@ -201,9 +201,10 @@ def init_params(d_v: int, d_a: int, num_seen: int, mode: str, seed: int) -> Mode
 def forward_attr(params: ModelParams, v: np.ndarray) -> np.ndarray:
     """Predicted attributes: W_g @ v + b_g (no nonlinearity).
 
-    Accepts a single d_v vector or a batch of shape (B, d_v).
+    Accepts a single d_v vector or a batch of shape (B, d_v), in float32 or
+    float64; the product widens float32 exactly.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _as_features(v)
     if v.ndim == 1:
         if v.shape[0] != params.d_v:
             raise ModelError(f"expected a length-{params.d_v} feature vector, got {v.shape}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedzsl import cli
-from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, save_dataset
+from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, load_dataset, save_dataset
 from fedzsl.fed import TrainConfig
 from fedzsl.glasso import GlassoConfig
 from fedzsl.losses import DEFAULT_TAU, AblationFlags, LossWeights
@@ -480,6 +480,25 @@ class TestEval:
         assert len(class_lines) == 8
         for line in class_lines:
             assert line.endswith("within-class variance 0.0")
+
+    def test_stats_read_float32_features_in_float64(self, tmp_path, capsys):
+        # The same float32 values from features.bin (kept as float32) and
+        # from features.csv (float64) must print the same statistics.
+        data = tmp_path / "synth"
+        assert cli.main(["synth", "--out", str(data), "--seed", "2", *SMALL_SYNTH]) == 0
+        ds, attrs = load_dataset(data)
+        narrow = FeatureDataset(
+            features=ds.features.astype(np.float32), labels=ds.labels, split=ds.split
+        )
+        save_dataset(tmp_path / "bin", narrow, attrs, binary=True)
+        save_dataset(tmp_path / "csv", narrow, attrs)
+        capsys.readouterr()
+        printed = []
+        for name in ("bin", "csv"):
+            assert cli.main(["eval", "--data", str(tmp_path / name), "--stats"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].count("within-class variance") == 8
 
     def test_model_eval_matches_run_report(self, small_data, tmp_path, capsys):
         out = tmp_path / "run"

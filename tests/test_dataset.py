@@ -243,9 +243,40 @@ class TestSaveLoad:
         assert (tmp_path / "d" / "features.bin").is_file()
         assert not (tmp_path / "d" / "features.csv").is_file()
         loaded, _ = load_dataset(tmp_path / "d")
+        # The values stay in the float32 they were stored in, in an array
+        # the caller owns.
+        assert loaded.features.dtype == np.float32
+        assert loaded.features.flags.writeable
         expected = ds.features.astype(np.float32).astype(np.float64)
         assert np.array_equal(loaded.features, expected)
         assert np.array_equal(loaded.labels, ds.labels)
+
+    def test_binary_save_refuses_values_float32_cannot_store(self, tmp_path):
+        ds, attrs = small_dataset()
+        largest = float(np.finfo(np.float32).max)
+
+        def with_value(value):
+            features = ds.features.copy()
+            features[2, 5] = value
+            return FeatureDataset(features=features, labels=ds.labels, split=ds.split)
+
+        with pytest.raises(DatasetError, match="feature row 2 "):
+            save_dataset(tmp_path / "d", with_value(1e39), attrs, binary=True)
+        assert not (tmp_path / "d").exists()
+        # A value beyond float32's largest that still rounds to it is stored.
+        save_dataset(tmp_path / "d", with_value(-(largest + 2.0**102)), attrs, binary=True)
+        loaded, _ = load_dataset(tmp_path / "d")
+        assert loaded.features[2, 5] == -largest
+
+    def test_csv_features_stay_float64(self, tmp_path):
+        ds, attrs = small_dataset()
+        narrow = FeatureDataset(
+            features=ds.features.astype(np.float32), labels=ds.labels, split=ds.split
+        )
+        save_dataset(tmp_path / "d", narrow, attrs)
+        loaded, _ = load_dataset(tmp_path / "d")
+        assert loaded.features.dtype == np.float64
+        assert np.array_equal(loaded.features, narrow.features)
 
     def test_load_attributes_only(self, tmp_path):
         ds, attrs = small_dataset()

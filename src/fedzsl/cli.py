@@ -158,19 +158,10 @@ _SCHEMA: dict[str, dict[str, _Setting]] = {
     },
 }
 
-# type tag -> parser of a flag or config value; "bool" is read from _BOOL_WORDS.
+# type tag -> parser of a flag or config value; "bool" is read from _BOOLS.
 _TYPES = {"int": int, "float": float, "optfloat": float, "str": str}
-
-_BOOL_WORDS = {
-    "true": True,
-    "false": False,
-    "yes": True,
-    "no": False,
-    "on": True,
-    "off": False,
-    "1": True,
-    "0": False,
-}
+# The words configparser itself reads as booleans: true/false, yes/no, on/off, 1/0.
+_BOOLS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 class CliError(ValueError):
@@ -206,7 +197,7 @@ def _coerce(section: str, key: str, raw: str) -> object:
     if kind == "optfloat" and raw == "":
         return None
     try:
-        value = _BOOL_WORDS[raw.lower()] if kind == "bool" else _TYPES[kind](raw)
+        value = _BOOLS[raw.lower()] if kind == "bool" else _TYPES[kind](raw)
     except (KeyError, ValueError):
         raise CliError(f"config [{section}] {key}: cannot parse '{raw}' as {kind}") from None
     if setting.choices is not None and value not in setting.choices:

@@ -22,6 +22,7 @@ from fedzsl.model import (
     ModelParams,
     compatibility_logits,
     forward_attr,
+    forward_head,
 )
 
 
@@ -144,8 +145,7 @@ def _predict_head(params: ModelParams, v: np.ndarray, seen: tuple[int, ...]) -> 
         raise EvalError(
             f"head covers {params.W_c.shape[0]} classes but the split lists {seen_ids.size}"
         )
-    logits = v @ params.W_c.T + params.b_c
-    return _predict_scores(logits, seen_ids)
+    return _predict_scores(forward_head(params, v), seen_ids)
 
 
 def evaluate(

@@ -85,15 +85,13 @@ class TrainConfig:
     bc_squared: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "num_clients", "local_epochs", "batch_size", "eval_every"):
-            value = int(getattr(self, name))
-            if value < 1:
-                raise FedError(f"{name} must be >= 1, got {value}")
+        for name in ("rounds", "num_clients", "local_epochs", "batch_size", "eval_every", "seed"):
+            value, least = int(getattr(self, name)), 0 if name == "seed" else 1
+            if value < least:
+                raise FedError(f"{name} must be >= {least}, got {value}")
             setattr(self, name, value)
-        self.local_lr = float(self.local_lr)
-        self.server_lr = float(self.server_lr)
-        self.delta_scale = float(self.delta_scale)
-        self.sample_fraction = float(self.sample_fraction)
+        for name in ("local_lr", "server_lr", "delta_scale", "sample_fraction", "momentum", "weight_decay"):
+            setattr(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.local_lr) and self.local_lr >= 0.0):
             raise FedError(f"local_lr must be finite and >= 0, got {self.local_lr}")
         for name in ("server_lr", "delta_scale"):
@@ -102,6 +100,10 @@ class TrainConfig:
                 raise FedError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise FedError(f"sample_fraction must lie in (0, 1], got {self.sample_fraction}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise FedError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0.0 or not math.isfinite(self.weight_decay):
+            raise FedError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.mode not in MODES:
             raise FedError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.partition.num_clients != self.num_clients:
@@ -351,6 +353,8 @@ def run_simulation(
     )
     trace = SimulationTrace()
     trace.client_partition = part
+    # One thread trains inline: on a 2-core host a one-worker pool raised the CUB-shaped benchmark's
+    # peak RSS 110 -> 126 MB (cause not measured) and the AwA-shaped work by 3-4%.
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for round_index in range(cfg.rounds):
             chosen = sample_clients(cfg.num_clients, cfg.sample_fraction, round_index, cfg.seed)

@@ -167,17 +167,19 @@ def glasso_objective(S: np.ndarray, theta: np.ndarray, delta: float) -> float:
 
 def _solve_column_lasso(
     q: np.ndarray, lin: np.ndarray, b: np.ndarray, delta: float, inner_tol: float
-) -> np.ndarray:
-    # Coordinate descent for 0.5*b@q@b + lin@b + delta*||b||_1, warm-started
-    # at the current precision column; r tracks q @ b throughout and b is
-    # updated in place.  Each visit computes partial = (lin_i + r_i) -
-    # q_ii*b_i, soft-thresholds -partial by delta, divides by q_ii and, if
-    # b_i moved, adds q[:, i]*step to r.  That arithmetic and its order are
-    # fixed (see the module docstring); the loop runs it over Python floats,
-    # which round exactly as numpy's float64 scalars do, and reads r through
-    # a memoryview that sees its in-place updates.  q is symmetric only to
-    # rounding (S is checked within SYMMETRY_TOL), so r's update reads the
-    # column q[:, i], kept as a contiguous row of cols.
+) -> tuple[np.ndarray, bool]:
+    # Coordinate descent for 0.5*b@q@b + lin@b + delta*||b||_1, warm-started at
+    # the current precision column; r tracks q @ b throughout and b is updated
+    # in place; also returns whether a pass moved no coordinate by more than
+    # inner_tol within _MAX_INNER_ITERATIONS passes.  Each visit computes
+    # partial = (lin_i + r_i) - q_ii*b_i, soft-thresholds -partial by delta,
+    # divides by q_ii and, if b_i moved, adds q[:, i]*step to r.  That
+    # arithmetic and its order are fixed (see the module docstring); the loop
+    # runs it over Python floats, which round exactly as numpy's float64
+    # scalars do, and reads r through a memoryview that sees its in-place
+    # updates.  q is symmetric only to rounding (S is checked within
+    # SYMMETRY_TOL), so r's update reads the column q[:, i], kept as a
+    # contiguous row of cols.
     r = q @ b
     cols = list(np.ascontiguousarray(q.T))
     diag = q.diagonal().tolist()
@@ -207,7 +209,7 @@ def _solve_column_lasso(
         if biggest <= inner_tol:
             break
     b[:] = b_f
-    return r
+    return r, biggest <= inner_tol
 
 
 def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> SimilarityMatrix:
@@ -219,7 +221,8 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
     columns, each solved by an exact coordinate-wise lasso; the covariance
     estimate is updated in place via block-inverse identities.  Stops when
     the covariance estimate moves less than ``cfg.tol`` over a full sweep;
-    hitting ``cfg.max_sweeps`` first flags the result as non-converged.
+    hitting ``cfg.max_sweeps`` first, or a column solve of the last sweep
+    ending at its pass cap, flags the result as non-converged.
     """
     if cfg is None:
         cfg = GlassoConfig()
@@ -267,6 +270,7 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
     sweeps_run = 0
     for _ in range(cfg.max_sweeps):
         w_before = W.copy()
+        columns_met = True
         for j in range(p):
             rest = rest_indices[j]
             w12 = W[rest, j]
@@ -281,7 +285,8 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             scale = S[j, j] + delta
             np.multiply(scale, block, out=q)
             b = theta[rest, j].copy()
-            r = _solve_column_lasso(q, S[rest, j], b, delta, inner_tol)
+            r, met = _solve_column_lasso(q, S[rest, j], b, delta, inner_tol)
+            columns_met &= met
             theta[rest, j] = b
             theta[j, rest] = b
             theta[j, j] = (1.0 + float(b @ r)) / scale
@@ -298,7 +303,7 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
         sweeps_run += 1
         objective.append(glasso_objective(S, theta, delta))
         if float(np.max(np.abs(W - w_before))) < cfg.tol:
-            converged = True
+            converged = columns_met
             break
     # Refresh the covariance from the final precision so the pair inverts
     # to machine precision.

@@ -39,7 +39,14 @@ import numpy as np
 
 from fedzsl.dataset import AttributeMatrix, _as_features
 from fedzsl.glasso import DistillTargets
-from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, forward_attr, forward_decode
+from fedzsl.model import (
+    ATTRIBUTE_BASED,
+    ATTRIBUTE_FREE,
+    ModelParams,
+    forward_attr,
+    forward_decode,
+    forward_head,
+)
 
 DEFAULT_TAU = 4.0
 DEFAULT_W_BC = 0.1
@@ -350,8 +357,7 @@ def ce_loss_attribute_free(
             f"head covers {params.W_c.shape[0]} classes but {len(seen)} seen classes given"
         )
     positions = _label_positions(labels, seen, "ce_loss_attribute_free")
-    logits = v @ params.W_c.T
-    logits += params.b_c
+    logits = forward_head(params, v)
     value, d_logits = _sce_core(logits, positions, grads)
     gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)} if grads else {}
     return LossReport(total=value, terms={CE: value}, grads=gradients)

@@ -4,7 +4,10 @@ The attribute regressor g maps visual features to attribute space and the
 decoder h maps attribute vectors back to visual space; both are single
 linear layers so their spectral constants are exactly computable.  An
 optional linear softmax classifier over the seen classes provides the
-attribute-free baseline mode.  Classic momentum SGD with weight decay
+attribute-free baseline mode.  The three maps, ``forward_attr``,
+``forward_decode`` and ``forward_head``, are one affine kernel with one
+input rule, and the rest of the package evaluates the model only through
+them and ``compatibility_logits``.  Classic momentum SGD with weight decay
 folded into the gradient is the only optimizer.
 """
 
@@ -49,10 +52,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ModelError(f"mode must be one of {MODES}, got '{self.mode}'")
-        self.W_g = np.asarray(self.W_g, dtype=np.float64)
-        self.b_g = np.asarray(self.b_g, dtype=np.float64)
-        self.W_h = np.asarray(self.W_h, dtype=np.float64)
-        self.b_h = np.asarray(self.b_h, dtype=np.float64)
+        for name in _SECTION_ORDER:
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.W_g.ndim != 2:
             raise ModelError("W_g must be a d_a x d_v matrix")
         d_a, d_v = self.W_g.shape
@@ -70,8 +72,6 @@ class ModelParams:
         else:
             if self.W_c is None or self.b_c is None:
                 raise ModelError("attribute-free params require W_c and b_c")
-            self.W_c = np.asarray(self.W_c, dtype=np.float64)
-            self.b_c = np.asarray(self.b_c, dtype=np.float64)
             if self.W_c.ndim != 2 or self.W_c.shape[1] != d_v:
                 raise ModelError(f"W_c must have shape (num_seen, {d_v}), got {self.W_c.shape}")
             if self.W_c.shape[0] < 1:
@@ -110,15 +110,7 @@ class ModelParams:
 
     def clone(self) -> ModelParams:
         """Deep copy; simulated clients train private clones."""
-        return ModelParams(
-            W_g=self.W_g.copy(),
-            b_g=self.b_g.copy(),
-            W_h=self.W_h.copy(),
-            b_h=self.b_h.copy(),
-            mode=self.mode,
-            W_c=None if self.W_c is None else self.W_c.copy(),
-            b_c=None if self.b_c is None else self.b_c.copy(),
-        )
+        return ModelParams(mode=self.mode, **{k: t.copy() for k, t in self.tensors().items()})
 
 
 @dataclass
@@ -198,25 +190,33 @@ def init_params(d_v: int, d_a: int, num_seen: int, mode: str, seed: int) -> Mode
     )
 
 
+def _affine(W: np.ndarray, b: np.ndarray, x: np.ndarray, noun: str) -> np.ndarray:
+    # W @ x + b for one vector, x @ W.T + b for a (B, n) batch, with the bias
+    # added in place.  Input is widened by the feature rule: float32 stays
+    # float32 and the product widens it exactly, anything else is float64.
+    x = _as_features(x)
+    n = W.shape[1]
+    if x.ndim == 1:
+        if x.shape[0] != n:
+            raise ModelError(f"expected a length-{n} {noun} vector, got {x.shape}")
+        out = W @ x
+    elif x.ndim == 2:
+        if x.shape[1] != n:
+            raise ModelError(f"expected {noun}s with {n} columns, got {x.shape}")
+        out = x @ W.T
+    else:
+        raise ModelError(f"{noun}s must be a vector or a 2-dimensional batch")
+    out += b
+    return out
+
+
 def forward_attr(params: ModelParams, v: np.ndarray) -> np.ndarray:
     """Predicted attributes: W_g @ v + b_g (no nonlinearity).
 
     Accepts a single d_v vector or a batch of shape (B, d_v), in float32 or
     float64; the product widens float32 exactly.
     """
-    v = _as_features(v)
-    if v.ndim == 1:
-        if v.shape[0] != params.d_v:
-            raise ModelError(f"expected a length-{params.d_v} feature vector, got {v.shape}")
-        out = params.W_g @ v
-    elif v.ndim == 2:
-        if v.shape[1] != params.d_v:
-            raise ModelError(f"expected features with {params.d_v} columns, got {v.shape}")
-        out = v @ params.W_g.T
-    else:
-        raise ModelError("features must be a vector or a 2-dimensional batch")
-    out += params.b_g
-    return out
+    return _affine(params.W_g, params.b_g, v, "feature")
 
 
 def forward_decode(params: ModelParams, a: np.ndarray) -> np.ndarray:
@@ -224,19 +224,18 @@ def forward_decode(params: ModelParams, a: np.ndarray) -> np.ndarray:
 
     Accepts a single d_a vector or a batch of shape (B, d_a).
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        if a.shape[0] != params.d_a:
-            raise ModelError(f"expected a length-{params.d_a} attribute vector, got {a.shape}")
-        out = params.W_h @ a
-    elif a.ndim == 2:
-        if a.shape[1] != params.d_a:
-            raise ModelError(f"expected attributes with {params.d_a} columns, got {a.shape}")
-        out = a @ params.W_h.T
-    else:
-        raise ModelError("attributes must be a vector or a 2-dimensional batch")
-    out += params.b_h
-    return out
+    return _affine(params.W_h, params.b_h, a, "attribute")
+
+
+def forward_head(params: ModelParams, v: np.ndarray) -> np.ndarray:
+    """Seen-class logits of the attribute-free head: W_c @ v + b_c.
+
+    Row ``i`` scores the ``i``-th smallest seen class id.  Accepts a single
+    d_v vector or a batch of shape (B, d_v), in float32 or float64.
+    """
+    if params.mode != ATTRIBUTE_FREE:
+        raise ModelError(f"forward_head requires {ATTRIBUTE_FREE} params, got {params.mode}")
+    return _affine(params.W_c, params.b_c, v, "feature")
 
 
 def compatibility_logits(
@@ -317,10 +316,7 @@ def save_model(path: str | Path, params: ModelParams) -> None:
     Each section is a ``[name]`` header, its shape, and one line per row; a vector is one row.
     """
     lines: list[str] = []
-    for name in _SECTION_ORDER:
-        tensor = params.tensors().get(name)
-        if tensor is None:
-            continue
+    for name, tensor in params.tensors().items():  # in _SECTION_ORDER
         lines.append(f"[{name}]")
         lines.append(",".join(str(d) for d in tensor.shape))
         for row in np.atleast_2d(tensor):
@@ -394,12 +390,4 @@ def load_model(path: str | Path) -> ModelParams:
     has_head = "W_c" in sections
     if has_head != ("b_c" in sections):
         raise ModelError(f"{path.name}: W_c and b_c must be present together")
-    return ModelParams(
-        W_g=sections["W_g"],
-        b_g=sections["b_g"],
-        W_h=sections["W_h"],
-        b_h=sections["b_h"],
-        mode=ATTRIBUTE_FREE if has_head else ATTRIBUTE_BASED,
-        W_c=sections.get("W_c"),
-        b_c=sections.get("b_c"),
-    )
+    return ModelParams(mode=ATTRIBUTE_FREE if has_head else ATTRIBUTE_BASED, **sections)

@@ -10,9 +10,13 @@ so the instance quantities entering each bound are computed, never
 assumed.
 
 The model is evaluated only through ``forward_attr`` and ``forward_decode``.
-The decoder's ``c_h`` and ``L_h`` come from power iteration in
-``spectral_bounds``; the attribute table's largest singular value, which
-scales the report's logit bound, is numpy's exact 2-norm.
+The alignment check scores classes as ``joint_loss`` does, with one product
+against the whole attribute table: ``compatibility_logits`` gathers the
+prototypes into a column-ordered copy, and BLAS rounds that product
+differently in the last bits.  The decoder's ``c_h`` and ``L_h`` come from
+power iteration in ``spectral_bounds``; the attribute table's largest
+singular value, which scales the report's logit bound, is numpy's exact
+2-norm.
 
 The per-sample bounds take row-wise norms of exact differences, and
 prototype distances are built one class at a time, so no d_a x C x C
@@ -536,7 +540,6 @@ def check_client_alignment(
     """
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("alignment check needs attribute-based params")
-    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     tau = targets.tau
     logits = forward_attr(params, features) @ A.values / tau

@@ -79,8 +79,19 @@ BAD_UNREAD_SETTINGS = [
     (["--ablation", "sce-only", "--tau", "-2"], "tau must be finite and positive, got -2.0"),
     (["--w-kl", "0", "--glasso-max-sweeps", "0"], "max_sweeps must be >= 1, got 0"),
     (["--mode", "attribute-free", "--tau", "0"], "tau must be finite and positive, got 0.0"),
+    (["--momentum", "1.5"], "momentum must lie in [0, 1), got 1.5"),
+    (["--weight-decay", "-1"], "weight_decay must be finite and >= 0, got -1.0"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ]
-BAD_UNREAD_IDS = ["sce-only-delta", "sce-only-tau", "no-kl-weight-sweeps", "attribute-free-tau"]
+BAD_UNREAD_IDS = [
+    "sce-only-delta",
+    "sce-only-tau",
+    "no-kl-weight-sweeps",
+    "attribute-free-tau",
+    "momentum",
+    "weight-decay",
+    "seed",
+]
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -71,6 +72,21 @@ class TestTrainConfig:
         with pytest.raises(FedError):
             TrainConfig(delta_scale=-1.0)
         TrainConfig(local_lr=0.0)  # a zero local rate is a valid no-op run
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, r"seed must be >= 0, got -1"),
+            ("momentum", 1.0, r"momentum must lie in \[0, 1\), got 1.0"),
+            ("momentum", -0.1, r"momentum must lie in \[0, 1\), got -0.1"),
+            ("weight_decay", -1.0, r"weight_decay must be finite and >= 0, got -1.0"),
+            ("weight_decay", math.inf, r"weight_decay must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_optimizer_settings_and_seed_are_checked(self, field, value, message):
+        # The same bounds OptState enforces, refused when the config is built.
+        with pytest.raises(FedError, match=message):
+            TrainConfig(**{field: value})
 
     def test_kl_enabled_reflects_mode_flag_and_weight(self):
         spec = PartitionSpec(scheme="pccd", num_clients=10)

@@ -336,6 +336,17 @@ class TestSolverMatchesTheLoop:
         # which can add a few ulps once the sweeps have converged.
         assert np.all(np.diff(sim.objective) <= 1e-12)
 
+    def test_a_column_solve_cut_off_at_its_cap_is_not_converged(self, monkeypatch):
+        S = random_covariance(0, 20, 8)
+        cfg = GlassoConfig(delta=0.1)
+        assert graphical_lasso(S, cfg).converged
+        monkeypatch.setattr(glasso, "_MAX_INNER_ITERATIONS", 1)
+        cut = graphical_lasso(S, cfg)
+        # The sweeps stopped on the covariance rule, so only the column
+        # solves that ran out of passes can make this non-converged.
+        assert cut.sweeps < cfg.max_sweeps
+        assert not cut.converged
+
 
 class TestGraphicalLassoValidation:
     def test_rejects_empty(self):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import signal
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from fedzsl.model import (
     compatibility_logits,
     forward_attr,
     forward_decode,
+    forward_head,
     init_opt_state,
     init_params,
     load_model,
@@ -89,6 +91,16 @@ class TestModelParams:
         copy.W_g[0, 0] += 1.0
         assert params.W_g[0, 0] != copy.W_g[0, 0]
 
+    @pytest.mark.parametrize("mode", [ATTRIBUTE_BASED, ATTRIBUTE_FREE])
+    def test_clone_copies_every_tensor_and_the_mode(self, mode):
+        params = tiny_params(mode)
+        copy = params.clone()
+        assert copy.mode == mode
+        assert copy.tensors().keys() == params.tensors().keys()
+        for name, tensor in params.tensors().items():
+            assert copy.tensors()[name].tobytes() == tensor.tobytes()
+            assert not np.shares_memory(copy.tensors()[name], tensor)
+
 
 class TestInitParams:
     def test_deterministic_and_seed_sensitive(self):
@@ -151,6 +163,68 @@ class TestForward:
             forward_attr(params, np.ones(5))
         with pytest.raises(ModelError):
             forward_decode(params, np.ones(5))
+
+    def test_error_messages(self):
+        params = tiny_params(ATTRIBUTE_FREE)
+        cases = [
+            (forward_attr, np.ones(5), "expected a length-6 feature vector, got (5,)"),
+            (forward_attr, np.ones((2, 5)), "expected features with 6 columns, got (2, 5)"),
+            (forward_attr, np.ones((1, 1, 6)), "features must be a vector or a 2-dimensional batch"),
+            (forward_decode, np.ones(5), "expected a length-4 attribute vector, got (5,)"),
+            (forward_decode, np.ones((2, 5)), "expected attributes with 4 columns, got (2, 5)"),
+            (forward_decode, np.ones(()), "attributes must be a vector or a 2-dimensional batch"),
+            (forward_head, np.ones(4), "expected a length-6 feature vector, got (4,)"),
+            (forward_head, np.ones((3, 4)), "expected features with 6 columns, got (3, 4)"),
+        ]
+        for forward, x, message in cases:
+            with pytest.raises(ModelError) as err:
+                forward(params, x)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_head_equals_the_inline_product(self, dtype, batch):
+        # The head's logits as the loss and evaluation wrote them out
+        # before forward_head, bit for bit.
+        params = init_params(d_v=64, d_a=8, num_seen=10, mode=ATTRIBUTE_FREE, seed=3)
+        rng = np.random.default_rng(4)
+        params.b_c[:] = rng.standard_normal(10)
+        v = rng.standard_normal((33, 64) if batch else 64).astype(dtype)
+        if batch:
+            want = v @ params.W_c.T + params.b_c
+        else:
+            want = params.W_c @ v + params.b_c
+        got = forward_head(params, v)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_head_refuses_attribute_based_params(self):
+        with pytest.raises(ModelError, match="forward_head requires attribute-free params"):
+            forward_head(tiny_params(), np.ones(6))
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_decode_widens_float32_exactly(self, batch):
+        params = tiny_params()
+        a = np.random.default_rng(5).standard_normal((7, 4) if batch else 4).astype(np.float32)
+        got = forward_decode(params, a)
+        assert got.tobytes() == forward_decode(params, a.astype(np.float64)).tobytes()
+
+
+class TestOneAffineKernel:
+    SRC = Path(__file__).resolve().parents[1] / "src" / "fedzsl"
+
+    def test_only_the_model_module_writes_out_a_weight_transpose(self):
+        # Every other module evaluates the model through forward_attr,
+        # forward_decode and forward_head.
+        found = [
+            f"{path.name}:{n}"
+            for path in sorted(self.SRC.glob("*.py"))
+            if path.name != "model.py"
+            for n, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"W_[ghc]\.T", line)
+        ]
+        assert sorted(self.SRC.glob("*.py")), "source tree not found"
+        assert found == []
 
 
 class TestCompatibilityLogits:

@@ -271,6 +271,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[FeatureDataset, 
     (prototypes, sparsity mask, zero-column repair, mixing map, then noise
     per class ascending), so results are bit-identical for a fixed seed.
     """
+    if seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     num_classes = spec.num_classes
     raw = rng.standard_normal((spec.d_a, num_classes))
@@ -310,6 +312,8 @@ def split_train_test(
     nonempty) to the seen test set and the rest to train.  Row order within
     each output follows the input dataset.
     """
+    if seed < 0:
+        raise SplitError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     labels = ds.labels
     train_parts: list[np.ndarray] = []
@@ -325,10 +329,7 @@ def split_train_test(
         perm = rng.permutation(idx)
         test_seen_parts.append(perm[:n_test])
         train_parts.append(perm[n_test:])
-    if ds.split.unseen:
-        unseen_idx = np.flatnonzero(np.isin(labels, np.asarray(ds.split.unseen, dtype=np.int64)))
-    else:
-        unseen_idx = np.empty(0, dtype=np.int64)
+    unseen_idx = np.flatnonzero(np.isin(labels, np.asarray(ds.split.unseen, dtype=np.int64)))
     if not train_parts:
         raise SplitError("dataset holds no seen-class samples; the train split would be empty")
     if unseen_idx.size == 0:

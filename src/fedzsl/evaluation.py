@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, _as_features
+from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset
 from fedzsl.model import (
     ATTRIBUTE_BASED,
     ATTRIBUTE_FREE,
     ModelParams,
-    compatibility_logits,
     forward_attr,
     forward_head,
 )
@@ -64,8 +63,8 @@ def _predict_each(
     A: AttributeMatrix,
     candidate_sets: list[tuple[int, ...] | list[int]],
 ) -> list[np.ndarray]:
-    # Batch predictions against each candidate set from one a_hat product,
-    # so scoring one test set twice costs one forward pass.
+    # Each candidate set takes its columns, row-ordered so argmax needs no
+    # copy, from one product against the whole table: one pass per test set.
     if params.mode != ATTRIBUTE_BASED:
         raise EvalError(f"predict requires {ATTRIBUTE_BASED} params, got {params.mode}")
     sets = []
@@ -76,12 +75,8 @@ def _predict_each(
         if candidates[0] < 0 or candidates[-1] >= A.num_classes:
             raise EvalError(f"candidate ids must lie in [0, {A.num_classes})")
         sets.append(candidates)
-    v = _as_features(v)
-    batch = v[None, :] if v.ndim == 1 else v
-    if batch.ndim != 2 or batch.shape[1] != params.d_v:
-        raise EvalError(f"features must have {params.d_v} columns, got shape {v.shape}")
-    a_hat = forward_attr(params, batch)
-    return [_predict_scores(compatibility_logits(a_hat, A, c), c) for c in sets]
+    scores = forward_attr(params, np.atleast_2d(v)) @ A.values
+    return [_predict_scores(np.take(scores, c, axis=1), c) for c in sets]
 
 
 def predict(

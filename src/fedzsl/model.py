@@ -7,8 +7,9 @@ optional linear softmax classifier over the seen classes provides the
 attribute-free baseline mode.  The three maps, ``forward_attr``,
 ``forward_decode`` and ``forward_head``, are one affine kernel with one
 input rule, and the rest of the package evaluates the model only through
-them and ``compatibility_logits``.  Classic momentum SGD with weight decay
-folded into the gradient is the only optimizer.
+them.  Every class score is a column of ``forward_attr(v) @ A.values``, as
+``compatibility_logits`` returns them.  Classic momentum SGD with weight
+decay folded into the gradient is the only optimizer.
 """
 
 from __future__ import annotations
@@ -170,6 +171,8 @@ def init_params(d_v: int, d_a: int, num_seen: int, mode: str, seed: int) -> Mode
         raise ModelError(f"dimensions must be positive, got d_v={d_v} d_a={d_a} num_seen={num_seen}")
     if mode not in MODES:
         raise ModelError(f"mode must be one of {MODES}, got '{mode}'")
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     s_g = math.sqrt(6.0 / (d_v + d_a))
     W_g = rng.uniform(-s_g, s_g, size=(d_a, d_v))
@@ -243,20 +246,17 @@ def compatibility_logits(
 ) -> np.ndarray:
     """Dot-product compatibility of predicted attributes with class prototypes.
 
-    Returns one logit per requested class id, in the given order; accepts a
-    single attribute vector or a (B, d_a) batch.
+    Returns the columns of ``a_hat @ A.values`` for the requested class ids, in
+    the given order; accepts a single attribute vector or a (B, d_a) batch.
     """
     a_hat = np.asarray(a_hat, dtype=np.float64)
     ids = [int(c) for c in class_ids]
     bad = [c for c in ids if c < 0 or c >= A.num_classes]
     if bad:
         raise ModelError(f"class ids {bad} are out of range for {A.num_classes} classes")
-    prototypes = A.values[:, ids]
-    if a_hat.ndim == 1:
-        return prototypes.T @ a_hat
-    if a_hat.ndim == 2:
-        return a_hat @ prototypes
-    raise ModelError("predicted attributes must be a vector or a 2-dimensional batch")
+    if a_hat.ndim not in (1, 2):
+        raise ModelError("predicted attributes must be a vector or a 2-dimensional batch")
+    return np.take(a_hat @ A.values, ids, axis=-1)  # row-ordered, unlike [..., ids]
 
 
 def sgd_step(

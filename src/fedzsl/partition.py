@@ -58,6 +58,8 @@ class PartitionSpec:
                 f"local_data_ratio must lie in (0, 1], got {self.local_data_ratio}"
             )
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise PartitionError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -9,11 +9,8 @@ stated premises.  The linear decoder makes the spectral constants exact,
 so the instance quantities entering each bound are computed, never
 assumed.
 
-The model is evaluated only through ``forward_attr`` and ``forward_decode``.
-The alignment check scores classes as ``joint_loss`` does, with one product
-against the whole attribute table: ``compatibility_logits`` gathers the
-prototypes into a column-ordered copy, and BLAS rounds that product
-differently in the last bits.  The decoder's ``c_h`` and ``L_h`` come from
+The model is evaluated only through ``forward_attr``, ``forward_decode``
+and ``compatibility_logits``.  The decoder's ``c_h`` and ``L_h`` come from
 power iteration in ``spectral_bounds``; the attribute table's largest
 singular value, which scales the report's logit bound, is numpy's exact
 2-norm.
@@ -72,7 +69,9 @@ import numpy as np
 
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import DistillTargets
-from fedzsl.model import ATTRIBUTE_BASED, ModelParams, forward_attr, forward_decode, init_params
+from fedzsl.model import (
+    ATTRIBUTE_BASED, ModelParams, compatibility_logits, forward_attr, forward_decode, init_params
+)
 
 DEFAULT_TRIALS = 1000
 
@@ -542,7 +541,7 @@ def check_client_alignment(
         raise AssumptionError("alignment check needs attribute-based params")
     labels = np.asarray(labels, dtype=np.int64)
     tau = targets.tau
-    logits = forward_attr(params, features) @ A.values / tau
+    logits = compatibility_logits(forward_attr(params, features), A, range(A.num_classes)) / tau
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -627,6 +626,8 @@ def run_check_suite(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
     checks draw fresh random models and samples, each from its own stream.
     """
     _require_trials(trials)
+    if seed < 0:
+        raise AssumptionError(f"seed must be >= 0, got {seed}")
     d_v, d_a = 8, 5
     li_rng, ae_rng, mg_rng = (np.random.default_rng(seed + k) for k in (3, 4, 5))
 

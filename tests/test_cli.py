@@ -13,6 +13,7 @@ from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, load_dat
 from fedzsl.fed import TrainConfig
 from fedzsl.glasso import GlassoConfig
 from fedzsl.losses import DEFAULT_TAU, AblationFlags, LossWeights
+from fedzsl.model import ATTRIBUTE_BASED, init_params, save_model
 
 SMALL_SYNTH = [
     "--num-seen", "6",
@@ -563,6 +564,26 @@ class TestCheck:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("command", ["synth", "partition", "eval", "check"])
+    def test_negative_seed_exits_1_with_a_clear_message(
+        self, small_data, tmp_path, capsys, command
+    ):
+        model = tmp_path / "model.csv"
+        save_model(model, init_params(8, 6, num_seen=6, mode=ATTRIBUTE_BASED, seed=0))
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--out", str(out), "--seed", "-1", *SMALL_SYNTH],
+            "partition": ["partition", "--data", str(small_data), "--out", str(out), "--seed", "-1"],
+            "eval": ["eval", "--data", str(small_data), "--model", str(model), "--seed", "-2"],
+            "check": ["check", "--trials", "10", "--seed", "-3"],
+        }[command]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        seed = argv[argv.index("--seed") + 1]
+        assert captured.err == f"error: seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["--version"])

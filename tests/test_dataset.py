@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedzsl.dataset import (
     AttributeMatrix,
@@ -154,6 +156,11 @@ class TestGenerateSynthetic:
         ds3, _ = small_dataset(seed=12)
         assert not np.array_equal(ds1.features, ds3.features)
 
+    def test_rejects_a_negative_seed(self):
+        spec = SyntheticSpec(num_seen=3, num_unseen=1, d_a=4, d_v=6, samples_per_class=5)
+        with pytest.raises(DatasetError, match=r"seed must be >= 0, got -1$"):
+            generate_synthetic(spec, seed=-1)
+
     def test_zero_noise_collapses_classes(self):
         spec = SyntheticSpec(
             num_seen=3, num_unseen=1, d_a=4, d_v=6, samples_per_class=5, noise_std=0.0
@@ -215,6 +222,51 @@ class TestSplitTrainTest:
         )
         with pytest.raises(SplitError):
             split_train_test(ds, seed=0)
+
+    def test_rejects_a_negative_seed(self):
+        ds, _ = small_dataset()
+        with pytest.raises(SplitError, match=r"seed must be >= 0, got -1$"):
+            split_train_test(ds, seed=-1)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        # A present seen class needs 2 rows; one with none is skipped.
+        seen_counts=st.lists(
+            st.sampled_from([0, 2, 3, 4, 5, 7, 10, 13]), min_size=1, max_size=5
+        ).filter(any),
+        unseen_counts=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        fraction=st.floats(0.01, 0.99),
+        layout_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_row_lands_once_in_input_order(
+        self, seen_counts, unseen_counts, fraction, layout_seed, seed
+    ):
+        # Class ids interleave seen and unseen, rows come in shuffled label
+        # order, and feature column 0 holds each row's input index.
+        layout = np.random.default_rng(layout_seed)
+        ids = layout.permutation(len(seen_counts) + len(unseen_counts))
+        seen, unseen = ids[: len(seen_counts)], ids[len(seen_counts) :]
+        counts = dict(zip(ids.tolist(), seen_counts + unseen_counts))
+        labels = layout.permutation(np.repeat(ids, seen_counts + unseen_counts))
+        rows = np.arange(labels.size)
+        ds = FeatureDataset(
+            features=np.column_stack([rows, labels]).astype(np.float64),
+            labels=labels,
+            split=ClassSplit(seen=tuple(seen), unseen=tuple(unseen), test_fraction_seen=fraction),
+        )
+        parts = split_train_test(ds, seed=seed)
+        taken = [part.features[:, 0].astype(np.int64) for part in parts]
+        assert np.array_equal(np.sort(np.concatenate(taken)), rows)
+        for part, index in zip(parts, taken):
+            assert np.all(np.diff(index) > 0)
+            assert np.array_equal(part.labels, labels[index])
+        test_unseen = taken[2]
+        assert np.array_equal(test_unseen, rows[np.isin(labels, unseen)])
+        for c in seen.tolist():
+            n = counts[c]
+            held = int(np.count_nonzero(parts[1].labels == c))
+            assert held == (min(max(round(fraction * n), 1), n - 1) if n else 0)
 
 
 class TestSaveLoad:

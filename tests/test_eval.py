@@ -1,19 +1,29 @@
 """Prediction, per-class accuracy, harmonic mean, and full evaluation."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset
+from fedzsl.dataset import (
+    AttributeMatrix,
+    ClassSplit,
+    FeatureDataset,
+    SyntheticSpec,
+    generate_synthetic,
+    split_train_test,
+)
 from fedzsl.evaluation import (
     EvalError,
     Metrics,
+    _predict_each,
     evaluate,
     harmonic_mean,
     per_class_top1,
     predict,
 )
-from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams
+from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, init_params
 
 
 def identity_params(n: int) -> ModelParams:
@@ -81,6 +91,25 @@ class TestPredict:
         )
         with pytest.raises(EvalError):
             predict(free, np.ones(3), attrs, (0, 1))
+
+
+class TestPredictAllocation:
+    def test_peak_is_the_attributes_and_one_score_matrix(self):
+        # CUB-like shape.  The one product needs a_hat and the scores; each
+        # candidate set's columns then sit beside the scores, row-ordered,
+        # so argmax reads them without another copy.
+        rows, d_a, d_v, classes = 2000, 312, 256, 200
+        rng = np.random.default_rng(0)
+        attrs = AttributeMatrix(values=rng.standard_normal((d_a, classes)), groups=((0, d_a),))
+        params = init_params(d_v, d_a, num_seen=150, mode=ATTRIBUTE_BASED, seed=0)
+        features = rng.standard_normal((rows, d_v))
+        tracemalloc.start()
+        try:
+            _predict_each(params, features, attrs, [range(150, 200), range(200)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rows * (d_a + classes) + 8 * rows * 8
 
 
 class TestPerClassTop1:
@@ -190,6 +219,30 @@ class TestEvaluate:
         )
         metrics = evaluate(params, only_class_zero, test_unseen, attrs, split)
         assert metrics.acc_s == 100.0
+
+    def test_matches_one_product_per_test_set(self):
+        # The oracle scores each test set once against the whole attribute
+        # table and reads every candidate set's columns from those scores.
+        ds, attrs = generate_synthetic(
+            SyntheticSpec(num_seen=7, num_unseen=5, d_a=20, d_v=12, samples_per_class=9), seed=4
+        )
+        _, test_seen, test_unseen = split_train_test(ds, seed=4)
+        params = init_params(12, 20, num_seen=7, mode=ATTRIBUTE_BASED, seed=4)
+
+        def top1(test, candidates):
+            scores = (test.features @ params.W_g.T + params.b_g) @ attrs.values
+            ids = np.array(sorted(candidates))
+            preds = ids[np.argmax(scores[:, ids], axis=1)]
+            rates = [np.mean(preds[test.labels == c] == c) for c in np.unique(test.labels)]
+            return 100.0 * float(np.mean(rates))
+
+        acc_c = top1(test_unseen, ds.split.unseen)
+        acc_u = top1(test_unseen, ds.split.all_classes)
+        acc_s = top1(test_seen, ds.split.all_classes)
+        metrics = evaluate(params, test_seen, test_unseen, attrs, ds.split)
+        assert (metrics.acc_c, metrics.acc_u, metrics.acc_s) == (acc_c, acc_u, acc_s)
+        assert metrics.acc_h == harmonic_mean(acc_u, acc_s)
+        assert 0.0 < acc_u < 100.0 and acc_c != acc_u
 
     def test_attribute_based_requires_unseen_data(self):
         params, test_seen, _, attrs, split = self.build_case()

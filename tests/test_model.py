@@ -111,6 +111,10 @@ class TestInitParams:
         assert np.array_equal(a.W_h, b.W_h)
         assert not np.array_equal(a.W_g, c.W_g)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ModelError, match=r"seed must be >= 0, got -1$"):
+            init_params(d_v=6, d_a=4, num_seen=3, mode=ATTRIBUTE_BASED, seed=-1)
+
     def test_biases_start_at_zero(self):
         params = tiny_params(ATTRIBUTE_FREE)
         assert np.all(params.b_g == 0.0)
@@ -243,6 +247,25 @@ class TestCompatibilityLogits:
         attrs = AttributeMatrix(values=np.eye(4), groups=((0, 4),))
         with pytest.raises(ModelError):
             compatibility_logits(np.ones(4), attrs, [0, 4])
+
+    @pytest.mark.parametrize("shape", [(20,), (6, 20)], ids=["vector", "batch"])
+    def test_columns_of_the_whole_table_product(self, shape):
+        # At d_a 20 and 9 classes a product against a gathered copy of the
+        # prototypes rounds differently from a_hat @ A.values in the last
+        # bits; the logits must be that one product's columns, row-ordered.
+        rng = np.random.default_rng(0)
+        attrs = AttributeMatrix(values=rng.standard_normal((20, 9)), groups=((0, 20),))
+        a_hat = rng.standard_normal(shape)
+        whole = a_hat @ attrs.values
+        for ids in (list(range(9)), [8, 2, 5, 0], [4, 4, 1]):
+            logits = compatibility_logits(a_hat, attrs, ids)
+            assert logits.tobytes() == whole[..., ids].tobytes()
+            assert logits.flags.c_contiguous
+
+    def test_three_dimensional_input_is_rejected(self):
+        attrs = AttributeMatrix(values=np.eye(4), groups=((0, 4),))
+        with pytest.raises(ModelError, match="vector or a 2-dimensional batch"):
+            compatibility_logits(np.ones((2, 3, 4)), attrs, [0, 1])
 
 
 class TestSgdStep:

@@ -43,6 +43,10 @@ class TestPartitionSpec:
         with pytest.raises(PartitionError):
             PartitionSpec(scheme="dirichlet", num_clients=3, alpha=0.0)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(PartitionError, match=r"seed must be >= 0, got -1$"):
+            PartitionSpec(scheme="pccd", num_clients=3, seed=-1)
+
     def test_ratio_bounds(self):
         with pytest.raises(PartitionError):
             PartitionSpec(scheme="iid", num_clients=3, local_data_ratio=0.0)

@@ -818,6 +818,10 @@ class TestCheckSuite:
             with pytest.raises(AssumptionError, match=f"trials >= 1, got {trials}"):
                 call()
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(AssumptionError, match=r"seed must be >= 0, got -3$"):
+            run_check_suite(trials=10, seed=-3)
+
     def test_deterministic_per_seed(self):
         a = run_check_suite(trials=40, seed=3)
         b = run_check_suite(trials=40, seed=3)

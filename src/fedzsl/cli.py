@@ -25,6 +25,7 @@ from fedzsl import __version__
 from fedzsl.dataset import (
     AttributeMatrix,
     SyntheticSpec,
+    _fmt_real,
     generate_synthetic,
     load_attributes,
     load_dataset,
@@ -82,7 +83,7 @@ from fedzsl.partition import (
     partition,
     partition_summary,
 )
-from fedzsl.theory import run_check_suite
+from fedzsl.theory import DEFAULT_TRIALS, run_check_suite
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,7 +103,7 @@ PARTITION_SUMMARY_FILE = "partition_summary.csv"
 
 
 class _Setting(NamedTuple):
-    """One ``run`` setting: INI type tag, default, ``run`` flags, allowed values."""
+    """One ``run`` setting: INI type tag, default, flags, allowed values."""
 
     kind: str
     default: object
@@ -111,9 +112,10 @@ class _Setting(NamedTuple):
 
 
 # section -> key -> setting; the single source of run configuration.  The
-# manifest is written in this order, and each key with flags gets a ``run``
-# flag that overrides it.  Every key but [losses] tau and [glasso] gamma_source
-# is the name of a field of the library config it is passed to.
+# manifest is written in this order, and each key with flags gets a flag of
+# ``run`` that overrides it; ``partition`` takes the flags of [partition] and of
+# [train] num_clients and seed.  Every key but [losses] tau and [glasso]
+# gamma_source is the name of a field of the library config it is passed to.
 _SCHEMA: dict[str, dict[str, _Setting]] = {
     "train": {
         "rounds": _Setting("int", DEFAULT_ROUNDS, ("--rounds",)),
@@ -177,17 +179,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _ini_value(value: object) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return _fmt_real(value)
     return str(value)
 
 
@@ -223,7 +221,7 @@ def _train_config(settings: dict[str, dict[str, object]]) -> TrainConfig:
         **settings["model"],
         weights=LossWeights(**_fields(LossWeights, losses)),
         ablation=AblationFlags(**_fields(AblationFlags, losses)),
-        partition=_partition_spec({**settings["partition"], **train}),
+        partition=_partition_spec(settings),
         bc_squared=losses["bc_squared"],
     )
 
@@ -278,17 +276,15 @@ def _parse_ablation(text: str) -> dict[str, bool]:
     return {term: term in parts for term in ABLATION_TERMS}
 
 
-def _resolve_run_config(args: argparse.Namespace) -> dict[str, dict[str, object]]:
-    resolved = default_config()
-    if args.config is not None:
-        _load_config_file(Path(args.config), resolved)
+def _apply_flags(
+    args: argparse.Namespace, resolved: dict[str, dict[str, object]]
+) -> dict[str, dict[str, object]]:
+    """``resolved`` with each setting whose flag ``args`` holds set to the flag's value."""
     for section, keys in resolved.items():
         for key in keys:
             value = getattr(args, f"{section}.{key}", None)
             if value is not None:
                 keys[key] = value
-    if args.ablation is not None:
-        resolved["losses"].update(_parse_ablation(args.ablation))
     return resolved
 
 
@@ -304,10 +300,8 @@ def _write_manifest(
 
 
 def _write_square_csv(path: Path, matrix: np.ndarray) -> None:
-    n = matrix.shape[0]
-    lines = [str(n)]
-    lines += [",".join(_fmt(v) for v in row) for row in matrix]
-    path.write_text("\n".join(lines) + "\n")
+    rows = [",".join(_fmt_real(v) for v in row) for row in matrix]
+    path.write_text("\n".join([str(len(rows)), *rows]) + "\n")
 
 
 def _fields(cls: type, values: dict[str, object]) -> dict[str, object]:
@@ -316,8 +310,9 @@ def _fields(cls: type, values: dict[str, object]) -> dict[str, object]:
     return {k: v for k, v in values.items() if k in names}
 
 
-def _partition_spec(values: dict[str, object]) -> PartitionSpec:
-    """The ``PartitionSpec`` named by ``values``; one it refuses is an input error (exit 1)."""
+def _partition_spec(settings: dict[str, dict[str, object]]) -> PartitionSpec:
+    """The ``PartitionSpec`` of a settings table; one it refuses is an input error (exit 1)."""
+    values = {**settings["partition"], **settings["train"]}
     try:
         return PartitionSpec(**_fields(PartitionSpec, values))
     except PartitionError as exc:
@@ -342,9 +337,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    settings = _apply_flags(args, default_config())
     ds, _ = load_dataset(args.data)
-    train, _, _ = split_train_test(ds, args.seed)
-    part = partition(train, _partition_spec(vars(args)))
+    train, _, _ = split_train_test(ds, settings["train"]["seed"])
+    part = partition(train, _partition_spec(settings))
     for k, idx in enumerate(part.assignments):
         print(f"client {k}: {len(part.local_classes[k])} classes, {idx.size} samples")
     if args.out is not None:
@@ -390,7 +386,12 @@ def cmd_glasso(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    resolved = _resolve_run_config(args)
+    resolved = default_config()
+    if args.config is not None:
+        _load_config_file(Path(args.config), resolved)
+    _apply_flags(args, resolved)
+    if args.ablation is not None:
+        resolved["losses"].update(_parse_ablation(args.ablation))
     if args.threads < 1:
         raise CliError(f"threads must be >= 1, got {args.threads}")
     _train_config(resolved)  # a bad setting fails before the dataset is read
@@ -430,9 +431,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ds, attrs = load_dataset(args.data)
-    did_something = False
+    if not args.stats and args.model is None:
+        raise CliError("eval needs --model and/or --stats")
     if args.stats:
-        did_something = True
         print(f"samples={ds.num_samples} d_v={ds.d_v} classes={ds.split.num_classes} "
               f"seen={len(ds.split.seen)} unseen={len(ds.split.unseen)}")
         for c in np.unique(ds.labels):
@@ -440,19 +441,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             # arithmetic.  Shift by the first row before var() so a class of
             # identical rows reports exactly 0.0 instead of summation round-off.
             rows = ds.features[ds.labels == c].astype(np.float64, copy=False)
-            variance = float((rows - rows[0]).var(axis=0).mean())
-            print(f"class {int(c)}: {rows.shape[0]} samples, within-class variance {_fmt(variance)}")
+            variance = _fmt_real((rows - rows[0]).var(axis=0).mean())
+            print(f"class {int(c)}: {rows.shape[0]} samples, within-class variance {variance}")
     if args.model is not None:
-        did_something = True
         params = load_model(args.model)
         _, test_seen, test_unseen = split_train_test(ds, args.seed)
         metrics = evaluate(params, test_seen, test_unseen, attrs, ds.split)
-        print(f"acc_c={_metric_text(metrics.acc_c)}")
-        print(f"acc_u={_metric_text(metrics.acc_u)}")
-        print(f"acc_s={_metric_text(metrics.acc_s)}")
-        print(f"acc_h={_metric_text(metrics.acc_h)}")
-    if not did_something:
-        raise CliError("eval needs --model and/or --stats")
+        for name in ("acc_c", "acc_u", "acc_s", "acc_h"):
+            print(f"{name}={_metric_text(getattr(metrics, name))}")
     return EXIT_OK
 
 
@@ -469,6 +465,27 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_setting_flags(p: argparse.ArgumentParser, *dests: str) -> None:
+    """Add the flag of each setting ``section.key`` in ``dests``, in order; its value
+    lands in ``args`` under that name, unset if the flag is absent."""
+    for dest in dests:
+        section, key = dest.split(".")
+        setting = _SCHEMA[section][key]
+        kwargs = dict(
+            dest=dest,
+            help=f"[{section}] {key} (default: {_ini_value(setting.default) or 'unset'})",
+        )
+        if setting.kind == "bool":
+            kwargs.update(action="store_const", const=not setting.default)
+        else:
+            kwargs.update(
+                type=_TYPES[setting.kind],
+                choices=setting.choices,
+                metavar=None if setting.choices else key.upper(),
+            )
+        p.add_argument(*setting.flags, **kwargs)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fedzsl", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -477,24 +494,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="write a synthetic dataset directory")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-seen", type=int, default=None)
-    p.add_argument("--num-unseen", type=int, default=None)
-    p.add_argument("--d-a", type=int, default=None)
-    p.add_argument("--d-v", type=int, default=None)
-    p.add_argument("--samples-per-class", type=int, default=None)
-    p.add_argument("--attribute-sparsity", type=float, default=None)
-    p.add_argument("--noise-std", type=float, default=None)
-    p.add_argument("--group-count", type=int, default=None)
+    for f in dataclasses.fields(SyntheticSpec):
+        p.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            type=type(f.default),
+            help=f"SyntheticSpec {f.name} (default: {f.default})",
+        )
     p.add_argument("--binary", action="store_true", help="write features.bin instead of CSV")
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("partition", help="partition the training split across clients")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--scheme", choices=SCHEMES, default=PCCD)
-    p.add_argument("-k", "--clients", dest="num_clients", type=int, default=DEFAULT_NUM_CLIENTS)
-    p.add_argument("--alpha", type=float, default=None, help="dirichlet concentration")
-    p.add_argument("--local-data-ratio", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_setting_flags(p, "partition.scheme", "train.num_clients", "partition.alpha",
+                       "partition.local_data_ratio", "train.seed")
     p.add_argument("--out", default=None, help="directory for partition CSV files")
     p.set_defaults(handler=cmd_partition)
 
@@ -523,23 +535,8 @@ def _build_parser() -> _Parser:
         default=None,
         help="'full' or enabled terms, e.g. 'sce-only' or 'sce,bc'",
     )
-    for section, keys in _SCHEMA.items():
-        for key, setting in keys.items():
-            if not setting.flags:
-                continue
-            kwargs = dict(
-                dest=f"{section}.{key}",
-                help=f"[{section}] {key} (default: {_ini_value(setting.default) or 'unset'})",
-            )
-            if setting.kind == "bool":
-                kwargs.update(action="store_const", const=not setting.default)
-            else:
-                kwargs.update(
-                    type=_TYPES[setting.kind],
-                    choices=setting.choices,
-                    metavar=None if setting.choices else key.upper(),
-                )
-            p.add_argument(*setting.flags, **kwargs)
+    flagged = [f"{s}.{k}" for s, keys in _SCHEMA.items() for k in keys if keys[k].flags]
+    _add_setting_flags(p, *flagged)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and/or print dataset stats")
@@ -550,7 +547,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("check", help="run the verification suite")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_check)
 

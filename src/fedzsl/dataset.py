@@ -72,8 +72,10 @@ class ClassSplit:
     test_fraction_seen: float = DEFAULT_TEST_FRACTION_SEEN
 
     def __post_init__(self) -> None:
-        self.seen = tuple(sorted(int(c) for c in self.seen))
-        self.unseen = tuple(sorted(int(c) for c in self.unseen))
+        self.seen = tuple(sorted(_as_ids(list(self.seen), "seen class ids", SplitError).tolist()))
+        self.unseen = tuple(
+            sorted(_as_ids(list(self.unseen), "unseen class ids", SplitError).tolist())
+        )
         if not self.seen:
             raise SplitError("split must declare at least one seen class")
         if len(set(self.seen)) != len(self.seen):
@@ -162,6 +164,20 @@ def _as_features(values: np.ndarray) -> np.ndarray:
     return v if v.dtype == np.float32 else v.astype(np.float64, copy=False)
 
 
+def _as_ids(values: object, what: str, error: type[ValueError]) -> np.ndarray:
+    # Labels or class ids as int64.  An integer dtype passes on its dtype
+    # alone, with no pass over the values; any other values must be whole
+    # numbers within int64, or ``error`` names the first that is not.
+    v = np.asarray(values)
+    if v.dtype.kind in "iu":
+        return v.astype(np.int64, copy=False)
+    real = v.astype(np.float64)
+    bad = ~(np.trunc(real) == real) | (np.abs(real) >= 2.0**63)
+    if np.any(bad):
+        raise error(f"{what} must be integers, got {real.flat[np.argmax(bad)]}")
+    return real.astype(np.int64)
+
+
 @dataclass
 class FeatureDataset:
     """Visual feature rows with integer class labels and a seen/unseen split.
@@ -176,7 +192,7 @@ class FeatureDataset:
 
     def __post_init__(self) -> None:
         self.features = _as_features(self.features)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _as_ids(self.labels, "labels", LabelError)
         if self.features.ndim != 2:
             raise DatasetError("feature matrix must be 2-dimensional")
         n, d_v = self.features.shape

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset
+from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, _as_ids
 from fedzsl.model import (
     ATTRIBUTE_BASED,
     ATTRIBUTE_FREE,
@@ -103,24 +103,26 @@ def per_class_top1(
     at least one sample; predictions outside ``classes`` simply count as
     wrong.
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    preds = _as_ids(preds, "preds", EvalError)
+    labels = _as_ids(labels, "labels", EvalError)
     if preds.shape != labels.shape or preds.ndim != 1:
         raise EvalError(f"preds and labels must be equal-length vectors, got {preds.shape} vs {labels.shape}")
-    ids = sorted(int(c) for c in classes)
-    if not ids:
+    ids = np.sort(_as_ids(list(classes), "class ids", EvalError))
+    if not ids.size:
         raise EvalError("classes must be nonempty")
-    member = np.isin(labels, np.asarray(ids, dtype=np.int64))
+    member = np.isin(labels, ids)
     if not np.all(member):
         stray = int(labels[~member][0])
         raise EvalError(f"label {stray} is not in the evaluated class set")
-    rates = []
-    for c in ids:
-        mask = labels == c
-        if not np.any(mask):
-            raise EvalError(f"class {c} has no test samples")
-        rates.append(float(np.mean(preds[mask] == c)))
-    return 100.0 * float(np.mean(rates))
+    # Hits and sizes per distinct class, then per listed id (a repeated id
+    # counts again); each rate is the correctly rounded hits/size quotient.
+    distinct, listed = np.unique(ids, return_inverse=True)
+    at = np.searchsorted(distinct, labels)
+    sizes = np.bincount(at, minlength=distinct.size)[listed]
+    if not np.all(sizes):
+        raise EvalError(f"class {int(ids[np.argmin(sizes)])} has no test samples")
+    hits = np.bincount(at[preds == labels], minlength=distinct.size)[listed]
+    return 100.0 * float(np.mean(hits / sizes))
 
 
 def harmonic_mean(acc_u: float, acc_s: float) -> float:

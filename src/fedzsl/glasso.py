@@ -15,9 +15,8 @@ The order of the floating-point operations is part of the contract, not
 an implementation detail: the distillation targets come from ``gamma``,
 so every ``metrics.csv`` digest depends on ``theta`` bit for bit.  The
 column solver visits every coordinate in index order on every pass, and
-the block update gathers and scatters W11 with plain slice copies, which
-move bits without arithmetic.  Faster schemes that reorder the updates,
-such as active-set sweeps (cycling only over nonzero coordinates between
+each column update downdates and updates W in place, element by element.
+Faster schemes that reorder the updates, such as active-set sweeps (cycling only over nonzero coordinates between
 full passes) or block-diagonal screening (solving connected components
 of {|S_ij| > delta} apart), reach the same optimum within ``tol`` but
 not the same bits, so adopting one means re-recording every reference
@@ -260,12 +259,14 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
         )
     inner_tol = max(cfg.tol * 1e-3, 1e-14)
     rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
-    # W without row and column j, gathered and scattered as four slice
-    # copies; it holds W11, then theta11^-1, then the updated W11.  outer
-    # holds each rank-one term and q the scaled block, reused per column.
-    block = np.empty((p - 1, p - 1))
-    outer = np.empty_like(block)
-    q = np.empty_like(block)
+    # Each column update subtracts the rank-one term of column j from the
+    # whole of W in place and later adds the new term back; only the four
+    # blocks off row and column j (W11) keep the results, since row and
+    # column j are then rewritten.  q is the scaled W11.  column, outer and q
+    # are reused per column.
+    column = np.empty(p)
+    outer = np.empty((p, p))
+    q = np.empty((p - 1, p - 1))
     converged = False
     sweeps_run = 0
     for _ in range(cfg.max_sweeps):
@@ -273,33 +274,29 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
         columns_met = True
         for j in range(p):
             rest = rest_indices[j]
-            w12 = W[rest, j]
-            w22 = W[j, j]
-            block[:j, :j] = W[:j, :j]
-            block[:j, j:] = W[:j, j + 1 :]
-            block[j:, :j] = W[j + 1 :, :j]
-            block[j:, j:] = W[j + 1 :, j + 1 :]
-            np.multiply.outer(w12, w12, out=outer)
-            outer /= w22
-            block -= outer
+            column[:] = W[:, j]
+            np.multiply.outer(column, column, out=outer)
+            outer /= column[j]
+            W -= outer
             scale = S[j, j] + delta
-            np.multiply(scale, block, out=q)
+            np.multiply(scale, W[:j, :j], out=q[:j, :j])
+            np.multiply(scale, W[:j, j + 1 :], out=q[:j, j:])
+            np.multiply(scale, W[j + 1 :, :j], out=q[j:, :j])
+            np.multiply(scale, W[j + 1 :, j + 1 :], out=q[j:, j:])
             b = theta[rest, j].copy()
             r, met = _solve_column_lasso(q, S[rest, j], b, delta, inner_tol)
             columns_met &= met
             theta[rest, j] = b
             theta[j, rest] = b
             theta[j, j] = (1.0 + float(b @ r)) / scale
+            column[rest] = r
+            column[j] = 0.0
+            np.multiply.outer(column, column, out=outer)
+            outer /= scale
+            W += outer
             W[j, j] = scale
             W[rest, j] = -r
             W[j, rest] = -r
-            np.multiply.outer(r, r, out=outer)
-            outer /= scale
-            block += outer
-            W[:j, :j] = block[:j, :j]
-            W[:j, j + 1 :] = block[:j, j:]
-            W[j + 1 :, :j] = block[j:, :j]
-            W[j + 1 :, j + 1 :] = block[j:, j:]
         sweeps_run += 1
         objective.append(glasso_objective(S, theta, delta))
         if float(np.max(np.abs(W - w_before))) < cfg.tol:

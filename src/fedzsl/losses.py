@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, _as_features
+from fedzsl.dataset import AttributeMatrix, _as_features, _as_ids
 from fedzsl.glasso import DistillTargets
 from fedzsl.model import (
     ATTRIBUTE_BASED,
@@ -159,7 +159,7 @@ def _as_batch(
         raise LossError(f"features must have shape (B, {d_v}), got {v.shape}")
     if v.shape[0] < 1:
         raise LossError("batch must contain at least one sample")
-    y = np.asarray(labels, dtype=np.int64)
+    y = _as_ids(labels, f"{loss_name}: labels", LossError)
     if y.shape != (v.shape[0],):
         raise LossError(f"{loss_name}: labels must have shape ({v.shape[0]},), got {y.shape}")
     return v, y

@@ -1,8 +1,10 @@
 """End-to-end command line tests, run in process via cli.main."""
 from __future__ import annotations
 
+import argparse
 import configparser
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -93,6 +95,81 @@ BAD_UNREAD_IDS = [
     "weight-decay",
     "seed",
 ]
+
+
+# Each subcommand's flags, spelled out by hand like FULL_RUN_FLAGS: option
+# strings -> the value the command uses when the flag is absent (REQUIRED for
+# a flag that must be given).  `run`'s defaults are the library's, which
+# TestTopLevel::test_defaults_match_the_library checks, so its entries are None.
+REQUIRED = "required"
+COMMAND_FLAGS = {
+    "synth": {
+        ("--out",): REQUIRED,
+        ("--seed",): 0,
+        ("--num-seen",): 20,
+        ("--num-unseen",): 5,
+        ("--d-a",): 16,
+        ("--d-v",): 32,
+        ("--samples-per-class",): 50,
+        ("--attribute-sparsity",): 0.3,
+        ("--noise-std",): 0.1,
+        ("--group-count",): 4,
+        ("--binary",): False,
+    },
+    "partition": {
+        ("--data",): REQUIRED,
+        ("--scheme",): "pccd",
+        ("-k", "--clients"): 10,
+        ("--alpha",): None,
+        ("--local-data-ratio",): 1.0,
+        ("--seed",): 0,
+        ("--out",): None,
+    },
+    "glasso": {
+        ("--data",): REQUIRED,
+        ("--delta",): 0.05,
+        ("--tol",): 1e-5,
+        ("--max-sweeps",): 200,
+        ("--no-standardize",): True,
+        ("--gamma-source",): "covariance",
+        ("--out",): ".",
+    },
+    "run": {
+        ("--data",): REQUIRED,
+        ("--out",): REQUIRED,
+        **{
+            flags: None
+            for flags in [
+                ("--config",), ("--threads",), ("--ablation",), ("--rounds",),
+                ("-k", "--clients"), ("--local-epochs",), ("--batch-size",),
+                ("--local-lr",), ("--server-lr",), ("--delta-scale",),
+                ("--sample-fraction",), ("--seed",), ("--eval-every",), ("--w-bc",),
+                ("--w-kl",), ("--w-ad",), ("--tau",), ("--scheme",), ("--alpha",),
+                ("--local-data-ratio",), ("--glasso-delta",), ("--glasso-tol",),
+                ("--glasso-max-sweeps",), ("--no-standardize",), ("--gamma-source",),
+                ("--mode",), ("--momentum",), ("--weight-decay",),
+            ]
+        },
+    },
+    "eval": {
+        ("--data",): REQUIRED,
+        ("--model",): None,
+        ("--seed",): 0,
+        ("--stats",): False,
+    },
+    "check": {
+        ("--trials",): 1000,
+        ("--seed",): 0,
+    },
+}
+# The flags that take one of a fixed set of values; no other flag has choices.
+FLAG_CHOICES = {
+    ("partition", "--scheme"): ("iid", "dirichlet", "pccd"),
+    ("glasso", "--gamma-source"): ("covariance", "precision"),
+    ("run", "--scheme"): ("iid", "dirichlet", "pccd"),
+    ("run", "--gamma-source"): ("covariance", "precision"),
+    ("run", "--mode"): ("attribute-based", "attribute-free"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -561,6 +638,160 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: a check needs trials >= 1, got {trials}\n"
+
+
+class StopCommand(Exception):
+    """Raised by a recorded library call to end a command once it is seen."""
+
+
+def record(monkeypatch, name, stop=False):
+    """Record the arguments of each call the cli makes to its import ``name``;
+    each call goes on to the library, or raises StopCommand with ``stop``."""
+    real = getattr(cli, name)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        if stop:
+            raise StopCommand
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorder)
+    return calls
+
+
+def subcommand_actions(command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+
+
+class TestFlagList:
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_parser_has_exactly_the_listed_flags(self, command):
+        actions = subcommand_actions(command)
+        assert sorted(tuple(a.option_strings) for a in actions) == sorted(COMMAND_FLAGS[command])
+        for action in actions:
+            flags = tuple(action.option_strings)
+            assert action.required == (COMMAND_FLAGS[command][flags] == REQUIRED), flags
+            choices = FLAG_CHOICES.get((command, flags[-1]))
+            assert (None if action.choices is None else tuple(action.choices)) == choices, flags
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_every_flag_and_choice(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        text = capsys.readouterr().out
+        for flags in COMMAND_FLAGS[command]:
+            for flag in flags:
+                assert re.search(rf"(^|[\s,\[]){flag}\b", text, re.MULTILINE), flag
+            for choice in FLAG_CHOICES.get((command, flags[-1]), ()):
+                assert choice in text, (flags, choice)
+
+    def test_synth_defaults(self, monkeypatch, tmp_path):
+        calls = record(monkeypatch, "generate_synthetic")
+        out = tmp_path / "synth"
+        assert cli.main(["synth", "--out", str(out)]) == 0
+        (call,) = calls
+        expected = {
+            flags[0][2:].replace("-", "_"): default
+            for flags, default in COMMAND_FLAGS["synth"].items()
+        }
+        assert call["seed"] == expected.pop("seed")
+        assert (out / "features.csv").exists() != expected.pop("binary")
+        del expected["out"]
+        assert dataclasses.asdict(call["spec"]) == expected
+
+    @pytest.fixture
+    def ten_classes(self, tmp_path):
+        data = tmp_path / "ten"
+        assert cli.main(
+            [
+                "synth", "--out", str(data), "--num-seen", "10", "--num-unseen", "2",
+                "--d-a", "4", "--d-v", "4", "--samples-per-class", "3",
+            ]
+        ) == 0
+        return data
+
+    def test_partition_defaults(self, monkeypatch, ten_classes, tmp_path, capsys):
+        data = ten_classes
+        splits = record(monkeypatch, "split_train_test")
+        specs = record(monkeypatch, "partition")
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["partition", "--data", str(data)]) == 0
+        defaults = COMMAND_FLAGS["partition"]
+        assert [call["seed"] for call in splits] == [defaults["--seed",]]
+        (call,) = specs
+        spec = call["spec"]
+        assert (spec.scheme, spec.num_clients, spec.alpha, spec.local_data_ratio, spec.seed) == (
+            defaults["--scheme",],
+            defaults["-k", "--clients"],
+            defaults["--alpha",],
+            defaults["--local-data-ratio",],
+            defaults["--seed",],
+        )
+        assert defaults["--out",] is None
+        assert "wrote" not in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ten"]
+
+    def test_partition_flags_reach_the_spec(self, monkeypatch, ten_classes):
+        splits = record(monkeypatch, "split_train_test")
+        specs = record(monkeypatch, "partition", stop=True)
+        with pytest.raises(StopCommand):
+            cli.main(
+                [
+                    "partition", "--data", str(ten_classes), "--scheme", "dirichlet",
+                    "--clients", "3", "--alpha", "0.5", "--local-data-ratio", "0.5",
+                    "--seed", "2",
+                ]
+            )
+        assert [call["seed"] for call in splits] == [2]
+        spec = specs[0]["spec"]
+        assert (spec.scheme, spec.num_clients, spec.alpha, spec.local_data_ratio, spec.seed) == (
+            "dirichlet", 3, 0.5, 0.5, 2
+        )
+
+    def test_glasso_defaults(self, monkeypatch, small_data, tmp_path, capsys):
+        covariances = record(monkeypatch, "sample_covariance")
+        solves = record(monkeypatch, "graphical_lasso")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["glasso", "--data", str(small_data)]) == 0
+        defaults = COMMAND_FLAGS["glasso"]
+        (cov,) = covariances
+        assert cov["standardize"] is defaults["--no-standardize",]
+        cfg = solves[0]["cfg"]
+        assert (cfg.delta, cfg.tol, cfg.max_sweeps, cfg.standardize) == (
+            defaults["--delta",],
+            defaults["--tol",],
+            defaults["--max-sweeps",],
+            defaults["--no-standardize",],
+        )
+        source = defaults["--gamma-source",]
+        assert f"similarity source: {source} (8x8)" in capsys.readouterr().out
+        out = tmp_path / defaults["--out",]
+        assert (out / "gamma.csv").exists() and (out / "theta.csv").exists()
+
+    def test_eval_defaults(self, monkeypatch, small_data, tmp_path, capsys):
+        defaults = COMMAND_FLAGS["eval"]
+        assert defaults["--model",] is None and defaults["--stats",] is False
+        assert cli.main(["eval", "--data", str(small_data)]) == 1
+        assert "eval needs --model and/or --stats" in capsys.readouterr().err
+        model = tmp_path / "model.csv"
+        save_model(model, init_params(8, 6, num_seen=6, mode=ATTRIBUTE_BASED, seed=0))
+        splits = record(monkeypatch, "split_train_test", stop=True)
+        with pytest.raises(StopCommand):
+            cli.main(["eval", "--data", str(small_data), "--model", str(model)])
+        assert [call["seed"] for call in splits] == [defaults["--seed",]]
+
+    def test_check_defaults(self, monkeypatch):
+        calls = record(monkeypatch, "run_check_suite", stop=True)
+        with pytest.raises(StopCommand):
+            cli.main(["check"])
+        defaults = COMMAND_FLAGS["check"]
+        assert [(call.get("trials"), call.get("seed")) for call in calls] == [
+            (defaults["--trials",], defaults["--seed",])
+        ]
 
 
 class TestTopLevel:

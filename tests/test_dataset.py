@@ -59,6 +59,24 @@ class TestClassSplit:
         with pytest.raises(SplitError):
             ClassSplit(seen=(-1, 0), unseen=(1,))
 
+    @pytest.mark.parametrize(
+        "seen, unseen, message",
+        [
+            ((0.5, 1.7), (), "seen class ids must be integers, got 0.5"),
+            ((0,), (1.0, float("nan")), "unseen class ids must be integers, got nan"),
+            ((0, float("inf")), (), "seen class ids must be integers, got inf"),
+        ],
+        ids=["fractions", "nan", "inf"],
+    )
+    def test_rejects_non_integral_ids(self, seen, unseen, message):
+        with pytest.raises(SplitError, match=f"^{message}$"):
+            ClassSplit(seen=seen, unseen=unseen)
+
+    def test_integral_float_ids_load_as_ints(self):
+        split = ClassSplit(seen=np.array([2.0, 0.0]), unseen=(1.0,))
+        assert split.seen == (0, 2) and split.unseen == (1,)
+        assert all(type(c) is int for c in split.all_classes)
+
     def test_rejects_bad_test_fraction(self):
         for fraction in (0.0, 1.0, -0.1):
             with pytest.raises(SplitError):
@@ -96,6 +114,28 @@ class TestFeatureDataset:
         split = ClassSplit(seen=(0,), unseen=(1,))
         with pytest.raises(LabelError):
             FeatureDataset(features=np.ones((2, 3)), labels=np.array([0, 7]), split=split)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0.7, 1.9], "labels must be integers, got 0.7"),
+            ([0.0, float("nan")], "labels must be integers, got nan"),
+            ([float("-inf"), 1.0], "labels must be integers, got -inf"),
+        ],
+        ids=["fractions", "nan", "inf"],
+    )
+    def test_rejects_non_integral_labels(self, labels, message):
+        split = ClassSplit(seen=(0,), unseen=(1,))
+        with pytest.raises(LabelError, match=f"^{message}$"):
+            FeatureDataset(features=np.ones((2, 3)), labels=labels, split=split)
+
+    def test_integral_float_labels_load_and_int64_labels_are_kept(self):
+        split = ClassSplit(seen=(0,), unseen=(1,))
+        ds = FeatureDataset(features=np.ones((2, 3)), labels=[1.0, 0.0], split=split)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+        labels = np.array([0, 1], dtype=np.int64)
+        kept = FeatureDataset(features=np.ones((2, 3)), labels=labels, split=split)
+        assert kept.labels is labels
 
     def test_rejects_label_count_mismatch(self):
         split = ClassSplit(seen=(0,), unseen=(1,))

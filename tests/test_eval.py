@@ -1,10 +1,13 @@
 """Prediction, per-class accuracy, harmonic mean, and full evaluation."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedzsl.dataset import (
     AttributeMatrix,
@@ -24,6 +27,31 @@ from fedzsl.evaluation import (
     predict,
 )
 from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, init_params
+
+
+def per_class_top1_loop(
+    preds: np.ndarray, labels: np.ndarray, classes: tuple[int, ...] | list[int]
+) -> float:
+    """The per-class mask loop ``per_class_top1`` ran before it counted per
+    class, kept verbatim as the oracle of its results and errors."""
+    preds = np.asarray(preds, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if preds.shape != labels.shape or preds.ndim != 1:
+        raise EvalError(f"preds and labels must be equal-length vectors, got {preds.shape} vs {labels.shape}")
+    ids = sorted(int(c) for c in classes)
+    if not ids:
+        raise EvalError("classes must be nonempty")
+    member = np.isin(labels, np.asarray(ids, dtype=np.int64))
+    if not np.all(member):
+        stray = int(labels[~member][0])
+        raise EvalError(f"label {stray} is not in the evaluated class set")
+    rates = []
+    for c in ids:
+        mask = labels == c
+        if not np.any(mask):
+            raise EvalError(f"class {c} has no test samples")
+        rates.append(float(np.mean(preds[mask] == c)))
+    return 100.0 * float(np.mean(rates))
 
 
 def identity_params(n: int) -> ModelParams:
@@ -141,6 +169,46 @@ class TestPerClassTop1:
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(EvalError):
             per_class_top1(np.array([0, 1]), np.array([0]), (0, 1))
+
+    @pytest.mark.parametrize(
+        "preds, labels, classes, message",
+        [
+            ([0.2, 1.0], [0, 1], (0, 1), "preds must be integers, got 0.2"),
+            ([0, 1], [0.9, 1.0], (0, 1), "labels must be integers, got 0.9"),
+            ([0, 1], [0, 1], (0, 1.5), "class ids must be integers, got 1.5"),
+            ([0, np.nan], [0, 1], (0, 1), "preds must be integers, got nan"),
+            ([0, 1], [np.inf, 1], (0, 1), "labels must be integers, got inf"),
+        ],
+        ids=["preds", "labels", "class-ids", "nan", "inf"],
+    )
+    def test_rejects_non_integral_values(self, preds, labels, classes, message):
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            per_class_top1(preds, labels, classes)
+
+    def test_integral_floats_score_as_ints(self):
+        assert per_class_top1([0.0, 1.0, 1.0], [0.0, 1.0, 0.0], (0.0, 1.0)) == 75.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        ids=st.lists(st.integers(0, 9), max_size=6),
+        rows=st.lists(st.tuples(st.integers(-1, 10), st.integers(0, 40)), min_size=1, max_size=80),
+    )
+    def test_matches_the_per_class_loop(self, ids, rows):
+        # Row k < 40 is labelled ids[k % len(ids)], row 40 with the stray 11.
+        # Repeated ids, classes without samples, stray labels and predictions
+        # outside the classes all occur among the examples.
+        preds = np.array([p for p, _ in rows], dtype=np.int64)
+        labels = np.array(
+            [ids[k % len(ids)] if ids and k < 40 else 11 for _, k in rows], dtype=np.int64
+        )
+        try:
+            expected = per_class_top1_loop(preds, labels, tuple(ids))
+        except EvalError as exc:
+            with pytest.raises(EvalError, match=f"^{re.escape(str(exc))}$"):
+                per_class_top1(preds, labels, tuple(ids))
+        else:
+            got = per_class_top1(preds, labels, tuple(ids))
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestHarmonicMean:

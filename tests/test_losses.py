@@ -358,6 +358,24 @@ class TestJoint:
         )
         assert err < FD_TOL
 
+    @pytest.mark.parametrize(
+        "bad, shown", [(0.7, "0.7"), (np.nan, "nan"), (np.inf, "inf")], ids=["0.7", "nan", "inf"]
+    )
+    def test_rejects_non_integral_labels(self, bad, shown):
+        params, features, labels, attrs, distill = problem(15)
+        labels = labels.astype(np.float64)
+        labels[3] = bad
+        with pytest.raises(LossError, match=f"^joint_loss: labels must be integers, got {shown}$"):
+            joint_loss(params, features, labels, attrs, distill, LossWeights())
+
+    def test_integral_float_labels_give_the_integer_result(self):
+        params, features, labels, attrs, distill = problem(15)
+        as_ints = joint_loss(params, features, labels, attrs, distill, LossWeights())
+        as_floats = joint_loss(
+            params, features, labels.astype(np.float64), attrs, distill, LossWeights()
+        )
+        assert as_floats.total == as_ints.total
+
     def test_total_is_the_sum_of_reported_terms(self):
         params, features, labels, attrs, distill = problem(16)
         report = joint_loss(params, features, labels, attrs, distill, LossWeights())

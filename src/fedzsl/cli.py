@@ -25,7 +25,9 @@ from fedzsl import __version__
 from fedzsl.dataset import (
     AttributeMatrix,
     SyntheticSpec,
+    _atomic_writer,
     _fmt_real,
+    _write_lines,
     generate_synthetic,
     load_attributes,
     load_dataset,
@@ -90,7 +92,6 @@ EXIT_ERROR = 1
 EXIT_DIVERGED = 2
 EXIT_PARTITION = 3
 
-GAMMA_SOURCES = ("covariance", "precision")
 ABLATION_TERMS = ("sce", "bc", "kl", "ad")
 
 MANIFEST_FILE = "manifest.ini"
@@ -114,8 +115,8 @@ class _Setting(NamedTuple):
 # section -> key -> setting; the single source of run configuration.  The
 # manifest is written in this order, and each key with flags gets a flag of
 # ``run`` that overrides it; ``partition`` takes the flags of [partition] and of
-# [train] num_clients and seed.  Every key but [losses] tau and [glasso]
-# gamma_source is the name of a field of the library config it is passed to.
+# [train] num_clients and seed.  Every key but [losses] tau is the name of a
+# field of the library config it is passed to.
 _SCHEMA: dict[str, dict[str, _Setting]] = {
     "train": {
         "rounds": _Setting("int", DEFAULT_ROUNDS, ("--rounds",)),
@@ -138,7 +139,6 @@ _SCHEMA: dict[str, dict[str, _Setting]] = {
         "bc": _Setting("bool", True),
         "kl": _Setting("bool", True),
         "ad": _Setting("bool", True),
-        "bc_squared": _Setting("bool", True),
     },
     "partition": {
         "scheme": _Setting("str", PCCD, ("--scheme",), SCHEMES),
@@ -149,15 +149,22 @@ _SCHEMA: dict[str, dict[str, _Setting]] = {
         "delta": _Setting("float", DEFAULT_DELTA, ("--glasso-delta",)),
         "tol": _Setting("float", DEFAULT_TOL, ("--glasso-tol",)),
         "max_sweeps": _Setting("int", DEFAULT_MAX_SWEEPS, ("--glasso-max-sweeps",)),
-        # A bool flag sets the opposite of the default.
-        "standardize": _Setting("bool", True, ("--no-standardize",)),
-        "gamma_source": _Setting("str", "covariance", ("--gamma-source",), GAMMA_SOURCES),
     },
     "model": {
         "mode": _Setting("str", ATTRIBUTE_BASED, ("--mode",), MODES),
         "momentum": _Setting("float", DEFAULT_MOMENTUM, ("--momentum",)),
         "weight_decay": _Setting("float", DEFAULT_WEIGHT_DECAY, ("--weight-decay",)),
     },
+}
+
+# Keys that older manifests hold for settings since removed, at the one value the
+# run now always uses: squared BC norms, standardized covariance, and
+# distillation targets from the covariance.  A config file may name one only
+# at that value, so every manifest written with them still re-runs.
+_RETIRED: dict[tuple[str, str], object] = {
+    ("losses", "bc_squared"): True,
+    ("glasso", "standardize"): True,
+    ("glasso", "gamma_source"): "covariance",
 }
 
 # type tag -> parser of a flag or config value; "bool" is read from _BOOLS.
@@ -222,7 +229,6 @@ def _train_config(settings: dict[str, dict[str, object]]) -> TrainConfig:
         weights=LossWeights(**_fields(LossWeights, losses)),
         ablation=AblationFlags(**_fields(AblationFlags, losses)),
         partition=_partition_spec(settings),
-        bc_squared=losses["bc_squared"],
     )
 
 
@@ -234,9 +240,10 @@ def configure_run(
     cfg = _train_config(settings)
     if not cfg.kl_enabled:
         return cfg, None
-    sim, source = _solve_glasso(attrs, settings["glasso"])
+    glasso = GlassoConfig(**_fields(GlassoConfig, settings["glasso"]))
+    sim = graphical_lasso(sample_covariance(attrs), glasso)
     tau = float(settings["losses"]["tau"])
-    cfg.distill = DistillConfig(tau=tau, targets=distill_targets(source, tau))
+    cfg.distill = DistillConfig(tau=tau, targets=distill_targets(sim.gamma, tau))
     return cfg, sim
 
 
@@ -256,6 +263,14 @@ def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> Non
         if section not in _SCHEMA:
             raise CliError(f"config file {path}: unknown section [{section}]")
         for key, raw in parser.items(section):
+            if (section, key) in _RETIRED:
+                fixed, raw = _RETIRED[section, key], raw.strip()
+                if (_BOOLS.get(raw.lower()) if isinstance(fixed, bool) else raw) != fixed:
+                    raise CliError(
+                        f"config file {path}: [{section}] {key} was removed; a run always "
+                        f"uses {key} = {_ini_value(fixed)}, got '{raw}'"
+                    )
+                continue
             if key not in _SCHEMA[section]:
                 raise CliError(f"config file {path}: unknown key '{key}' in [{section}]")
             resolved[section][key] = _coerce(section, key, raw)
@@ -295,13 +310,13 @@ def _write_manifest(
     parser["meta"] = {k: _ini_value(v) for k, v in meta.items()}
     for section, keys in resolved.items():
         parser[section] = {k: _ini_value(v) for k, v in keys.items()}
-    with path.open("w") as handle:
+    with _atomic_writer(path) as handle:
         parser.write(handle)
 
 
 def _write_square_csv(path: Path, matrix: np.ndarray) -> None:
     rows = [",".join(_fmt_real(v) for v in row) for row in matrix]
-    path.write_text("\n".join([str(len(rows)), *rows]) + "\n")
+    _write_lines(path, [str(len(rows)), *rows])
 
 
 def _fields(cls: type, values: dict[str, object]) -> dict[str, object]:
@@ -349,27 +364,17 @@ def cmd_partition(args: argparse.Namespace) -> int:
         rows = ["client_id,sample_index"]
         for k, idx in enumerate(part.assignments):
             rows += [f"{k},{int(i)}" for i in idx]
-        (out / PARTITION_FILE).write_text("\n".join(rows) + "\n")
+        _write_lines(out / PARTITION_FILE, rows)
         rows = ["client_id,class_id,count"]
         rows += [f"{k},{c},{n}" for k, c, n in partition_summary(part, train.labels)]
-        (out / PARTITION_SUMMARY_FILE).write_text("\n".join(rows) + "\n")
+        _write_lines(out / PARTITION_SUMMARY_FILE, rows)
         print(f"wrote {PARTITION_FILE} and {PARTITION_SUMMARY_FILE} to {out}")
     return EXIT_OK
 
 
-def _solve_glasso(
-    attrs: AttributeMatrix, settings: dict[str, object]
-) -> tuple[SimilarityMatrix, np.ndarray]:
-    """The glasso solution for ``settings``, and the source ``gamma_source`` names."""
-    cfg = GlassoConfig(**_fields(GlassoConfig, settings))
-    sim = graphical_lasso(sample_covariance(attrs, standardize=cfg.standardize), cfg)
-    source = sim.gamma if settings["gamma_source"] == "covariance" else sim.theta
-    return sim, source
-
-
 def cmd_glasso(args: argparse.Namespace) -> int:
-    attrs = load_attributes(args.data)
-    sim, source = _solve_glasso(attrs, vars(args))
+    glasso = GlassoConfig(delta=args.delta, tol=args.tol, max_sweeps=args.max_sweeps)
+    sim = graphical_lasso(sample_covariance(load_attributes(args.data)), glasso)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_square_csv(out / GAMMA_FILE, sim.gamma)
@@ -380,7 +385,6 @@ def cmd_glasso(args: argparse.Namespace) -> int:
         f"(converged={sim.converged}), {edges} off-diagonal edges, "
         f"objective {sim.objective[-1]:.6f}"
     )
-    print(f"similarity source: {args.gamma_source} ({source.shape[0]}x{source.shape[0]})")
     print(f"wrote {GAMMA_FILE} and {THETA_FILE} to {out}")
     return EXIT_OK
 
@@ -417,7 +421,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out / MANIFEST_FILE, resolved, meta)
     trace = run_simulation(ds, attrs, cfg, threads=args.threads)
-    (out / METRICS_FILE).write_text(metrics_to_csv(trace))
+    with _atomic_writer(out / METRICS_FILE) as handle:
+        handle.write(metrics_to_csv(trace))
     save_model(out / FINAL_MODEL_FILE, trace.final_params)
     last = trace[-1]
     print(
@@ -471,19 +476,14 @@ def _add_setting_flags(p: argparse.ArgumentParser, *dests: str) -> None:
     for dest in dests:
         section, key = dest.split(".")
         setting = _SCHEMA[section][key]
-        kwargs = dict(
+        p.add_argument(
+            *setting.flags,
             dest=dest,
+            type=_TYPES[setting.kind],
+            choices=setting.choices,
+            metavar=None if setting.choices else key.upper(),
             help=f"[{section}] {key} (default: {_ini_value(setting.default) or 'unset'})",
         )
-        if setting.kind == "bool":
-            kwargs.update(action="store_const", const=not setting.default)
-        else:
-            kwargs.update(
-                type=_TYPES[setting.kind],
-                choices=setting.choices,
-                metavar=None if setting.choices else key.upper(),
-            )
-        p.add_argument(*setting.flags, **kwargs)
 
 
 def _build_parser() -> _Parser:
@@ -515,13 +515,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
-    p.add_argument(
-        "--no-standardize",
-        dest="standardize",
-        action="store_false",
-        help="use raw covariance instead of correlations",
-    )
-    p.add_argument("--gamma-source", choices=GAMMA_SOURCES, default="covariance")
     p.add_argument("--out", default=".", help="directory for gamma.csv and theta.csv")
     p.set_defaults(handler=cmd_glasso)
 

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import math
 import os
+import uuid
 import warnings
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -362,6 +364,29 @@ def _fmt_real(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _atomic_writer(path: str | Path, binary: bool = False) -> Iterator:
+    # A new file that replaces ``path`` only when the block ends without an
+    # error.  It is written beside ``path`` under a temporary name and renamed
+    # over it, so a write that fails midway leaves the old file as it was and
+    # no temporary file behind.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    # ``lines``, each ended by a newline, written atomically to ``path``.
+    with _atomic_writer(path) as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise MissingFileError(f"missing required file: {path}")
@@ -685,22 +710,21 @@ def save_dataset(
     root.mkdir(parents=True, exist_ok=True)
     attr_lines = [f"{attrs.d_a},{attrs.num_classes}"]
     attr_lines += [",".join(_fmt_real(v) for v in row) for row in attrs.values]
-    (root / ATTRIBUTES_FILE).write_text("\n".join(attr_lines) + "\n")
-    group_lines = [f"{a},{b}" for a, b in attrs.groups]
-    (root / GROUPS_FILE).write_text("\n".join(group_lines) + "\n")
+    _write_lines(root / ATTRIBUTES_FILE, attr_lines)
+    _write_lines(root / GROUPS_FILE, [f"{a},{b}" for a, b in attrs.groups])
     split_lines = [
         "seen:" + ",".join(str(c) for c in ds.split.seen),
         "unseen:" + ",".join(str(c) for c in ds.split.unseen),
     ]
-    (root / SPLITS_FILE).write_text("\n".join(split_lines) + "\n")
+    _write_lines(root / SPLITS_FILE, split_lines)
     n, d_v = ds.features.shape
     if binary:
-        header = np.asarray([n, d_v], dtype="<u4").tobytes()
-        (root / FEATURES_BIN_FILE).write_bytes(header + payload.tobytes())
-        label_lines = [str(int(label)) for label in ds.labels]
-        (root / LABELS_FILE).write_text("\n".join(label_lines) + "\n")
+        with _atomic_writer(root / FEATURES_BIN_FILE, binary=True) as handle:
+            handle.write(np.asarray([n, d_v], dtype="<u4").tobytes())
+            handle.write(payload.tobytes())
+        _write_lines(root / LABELS_FILE, [str(int(label)) for label in ds.labels])
     else:
         feature_lines = [f"{n},{d_v}"]
         for label, row in zip(ds.labels, ds.features):
             feature_lines.append(str(int(label)) + "," + ",".join(_fmt_real(v) for v in row))
-        (root / FEATURES_CSV_FILE).write_text("\n".join(feature_lines) + "\n")
+        _write_lines(root / FEATURES_CSV_FILE, feature_lines)

@@ -69,7 +69,7 @@ def _predict_each(
         raise EvalError(f"predict requires {ATTRIBUTE_BASED} params, got {params.mode}")
     sets = []
     for candidate_classes in candidate_sets:
-        candidates = np.asarray(sorted(int(c) for c in candidate_classes), dtype=np.int64)
+        candidates = np.sort(_as_ids(list(candidate_classes), "candidate ids", EvalError))
         if candidates.size == 0:
             raise EvalError("candidate_classes must be nonempty")
         if candidates[0] < 0 or candidates[-1] >= A.num_classes:

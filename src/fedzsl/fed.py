@@ -82,7 +82,6 @@ class TrainConfig:
     eval_every: int = DEFAULT_EVAL_EVERY
     momentum: float = DEFAULT_MOMENTUM
     weight_decay: float = DEFAULT_WEIGHT_DECAY
-    bc_squared: bool = True
 
     def __post_init__(self) -> None:
         for name in ("rounds", "num_clients", "local_epochs", "batch_size", "eval_every", "seed"):
@@ -188,7 +187,6 @@ def _local_loss(
             cfg.distill,
             cfg.weights,
             ablation=cfg.ablation,
-            bc_squared=cfg.bc_squared,
             grads=grads,
         )
     return ce_loss_attribute_free(params, features, labels, seen, grads=grads)

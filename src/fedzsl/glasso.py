@@ -54,13 +54,11 @@ class GlassoConfig:
     delta: float = DEFAULT_DELTA
     tol: float = DEFAULT_TOL
     max_sweeps: int = DEFAULT_MAX_SWEEPS
-    standardize: bool = True
 
     def __post_init__(self) -> None:
         self.delta = float(self.delta)
         self.tol = float(self.tol)
         self.max_sweeps = int(self.max_sweeps)
-        self.standardize = bool(self.standardize)
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise GlassoError(f"delta must be finite and positive, got {self.delta}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):

@@ -288,40 +288,23 @@ def _kl_core(
 
 
 def _bc_core(
-    a_hat: np.ndarray,
-    v: np.ndarray,
-    params: ModelParams,
-    squared: bool,
-    grads: bool,
+    a_hat: np.ndarray, v: np.ndarray, params: ModelParams, grads: bool
 ) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as mean squared
-    # norm (default) or mean unsquared norm behind the flag.  The residual
-    # becomes its own square (loss only) or d_residual in place.
+    # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as the mean
+    # squared norm.  The residual becomes its own square (loss only) or its
+    # gradient in place.
     batch = a_hat.shape[0]
     residual = forward_decode(params, a_hat)
     residual -= v
-    if squared:
-        if grads:
-            value = float((residual * residual).sum() / batch)
-        else:
-            residual *= residual
-            value = float(residual.sum() / batch)
-    else:
-        norms = np.linalg.norm(residual, axis=1)
-        value = float(norms.mean())
     if not grads:
-        return value, None, None, None
-    d_residual = residual
-    if squared:
-        d_residual *= 2.0
-    else:
-        safe = norms >= ZERO_NORM_EPS
-        d_residual /= np.where(safe, norms, 1.0)[:, None]
-        d_residual[~safe] = 0.0
-    d_residual /= batch
-    d_W_h = d_residual.T @ a_hat
-    d_b_h = d_residual.sum(axis=0)
-    d_a_hat = d_residual @ params.W_h
+        residual *= residual
+        return float(residual.sum() / batch), None, None, None
+    value = float((residual * residual).sum() / batch)
+    residual *= 2.0
+    residual /= batch
+    d_W_h = residual.T @ a_hat
+    d_b_h = residual.sum(axis=0)
+    d_a_hat = residual @ params.W_h
     return value, d_a_hat, d_W_h, d_b_h
 
 
@@ -351,7 +334,8 @@ def ce_loss_attribute_free(
     """
     _require_mode(params, ATTRIBUTE_FREE, "ce_loss_attribute_free")
     v, labels = _as_batch(features, labels, params.d_v, "ce_loss_attribute_free")
-    seen = sorted(int(c) for c in seen_classes)
+    seen_ids = _as_ids(list(seen_classes), "ce_loss_attribute_free: seen_classes", LossError)
+    seen = sorted(seen_ids.tolist())
     if params.W_c.shape[0] != len(seen):
         raise LossError(
             f"head covers {params.W_c.shape[0]} classes but {len(seen)} seen classes given"
@@ -371,7 +355,6 @@ def joint_loss(
     distill: DistillConfig | None,
     weights: LossWeights,
     ablation: AblationFlags | None = None,
-    bc_squared: bool = True,
     grads: bool = True,
 ) -> LossReport:
     """Weighted sum of the enabled attribute-based terms.
@@ -433,7 +416,7 @@ def joint_loss(
         )
     del scores
     if ablation.bc and weights.w_bc > 0.0:
-        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared, grads)
+        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, grads)
         terms[BC] = weights.w_bc * value
         if grads:
             # Every term returns fresh gradient arrays, so they are weighted

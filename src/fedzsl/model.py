@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, _as_features, _read_block
+from fedzsl.dataset import AttributeMatrix, _as_features, _as_ids, _read_block, _write_lines
 
 ATTRIBUTE_BASED = "attribute-based"
 ATTRIBUTE_FREE = "attribute-free"
@@ -250,8 +250,8 @@ def compatibility_logits(
     the given order; accepts a single attribute vector or a (B, d_a) batch.
     """
     a_hat = np.asarray(a_hat, dtype=np.float64)
-    ids = [int(c) for c in class_ids]
-    bad = [c for c in ids if c < 0 or c >= A.num_classes]
+    ids = _as_ids(list(class_ids), "class ids", ModelError)
+    bad = [c for c in ids.tolist() if c < 0 or c >= A.num_classes]
     if bad:
         raise ModelError(f"class ids {bad} are out of range for {A.num_classes} classes")
     if a_hat.ndim not in (1, 2):
@@ -321,7 +321,7 @@ def save_model(path: str | Path, params: ModelParams) -> None:
         lines.append(",".join(str(d) for d in tensor.shape))
         for row in np.atleast_2d(tensor):
             lines.append(",".join(map("%.17g".__mod__, row.tolist())))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_model(path: str | Path) -> ModelParams:

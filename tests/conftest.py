@@ -22,9 +22,7 @@ from fedzsl.losses import AblationFlags, LossWeights, joint_loss  # noqa: E402
 _CRITERIA: dict[int, tuple[str, str]] = {}
 
 
-def single_term(
-    term, params, features, labels, attrs, distill=None, bc_squared=True, grads=True
-):
+def single_term(term, params, features, labels, attrs, distill=None, grads=True):
     """One loss term alone: ``joint_loss`` with only ``term`` enabled, at weight 1."""
     flags = AblationFlags(**{t: t == term for t in ("sce", "bc", "kl", "ad")})
     weights = LossWeights(w_bc=1.0, w_kl=1.0, w_ad=1.0)
@@ -36,7 +34,6 @@ def single_term(
         distill,
         weights,
         ablation=flags,
-        bc_squared=bc_squared,
         grads=grads,
     )
 

@@ -5,7 +5,9 @@ import argparse
 import configparser
 import dataclasses
 import inspect
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,8 +55,6 @@ FULL_RUN_FLAGS = [
     ("--glasso-delta 0.07", "glasso", "delta", "0.07"),
     ("--glasso-tol 1e-6", "glasso", "tol", "1e-06"),
     ("--glasso-max-sweeps 50", "glasso", "max_sweeps", "50"),
-    ("--no-standardize", "glasso", "standardize", "false"),
-    ("--gamma-source precision", "glasso", "gamma_source", "precision"),
     ("--momentum 0.8", "model", "momentum", "0.8"),
     ("--weight-decay 1e-4", "model", "weight_decay", "0.0001"),
     ("--threads 2", "meta", "threads", "2"),
@@ -130,8 +130,6 @@ COMMAND_FLAGS = {
         ("--delta",): 0.05,
         ("--tol",): 1e-5,
         ("--max-sweeps",): 200,
-        ("--no-standardize",): True,
-        ("--gamma-source",): "covariance",
         ("--out",): ".",
     },
     "run": {
@@ -146,8 +144,7 @@ COMMAND_FLAGS = {
                 ("--sample-fraction",), ("--seed",), ("--eval-every",), ("--w-bc",),
                 ("--w-kl",), ("--w-ad",), ("--tau",), ("--scheme",), ("--alpha",),
                 ("--local-data-ratio",), ("--glasso-delta",), ("--glasso-tol",),
-                ("--glasso-max-sweeps",), ("--no-standardize",), ("--gamma-source",),
-                ("--mode",), ("--momentum",), ("--weight-decay",),
+                ("--glasso-max-sweeps",), ("--mode",), ("--momentum",), ("--weight-decay",),
             ]
         },
     },
@@ -165,9 +162,7 @@ COMMAND_FLAGS = {
 # The flags that take one of a fixed set of values; no other flag has choices.
 FLAG_CHOICES = {
     ("partition", "--scheme"): ("iid", "dirichlet", "pccd"),
-    ("glasso", "--gamma-source"): ("covariance", "precision"),
     ("run", "--scheme"): ("iid", "dirichlet", "pccd"),
-    ("run", "--gamma-source"): ("covariance", "precision"),
     ("run", "--mode"): ("attribute-based", "attribute-free"),
 }
 
@@ -555,6 +550,145 @@ class TestRun:
         assert message in err
 
 
+# A manifest written by `run` when it still had the settings bc_squared,
+# standardize and gamma_source, exactly as written: `run --data <small_data>
+# --rounds 2 --clients 2 --local-epochs 1`, so every key but those three is
+# the FAST_RUN table.
+PARENT_MANIFEST = Path(__file__).parent / "data" / "parent_manifest.ini"
+RETIRED_VALUES = [
+    ("losses", "bc_squared", "true", "false"),
+    ("glasso", "standardize", "true", "false"),
+    ("glasso", "gamma_source", "covariance", "precision"),
+]
+RETIRED_IDS = [key for _, key, _, _ in RETIRED_VALUES]
+
+
+class TestRetiredSettings:
+    def test_fixture_is_a_full_manifest_with_every_retired_key(self):
+        manifest = read_manifest(PARENT_MANIFEST)
+        del manifest["meta"]
+        assert sum(len(keys) for keys in manifest.values()) == 30
+        for section, key, fixed, _ in RETIRED_VALUES:
+            assert manifest[section][key] == fixed
+            assert key not in cli.default_config()[section]
+
+    def test_parent_manifest_reruns_byte_for_byte(self, small_data, tmp_path):
+        default, rerun = tmp_path / "default", tmp_path / "rerun"
+        run = ["run", "--data", str(small_data)]
+        assert cli.main([*run, "--out", str(default), *FAST_RUN]) == 0
+        assert cli.main([*run, "--out", str(rerun), "--config", str(PARENT_MANIFEST)]) == 0
+        for name in ("metrics.csv", "final_model.csv"):
+            assert (rerun / name).read_bytes() == (default / name).read_bytes(), name
+        # The retired keys are read, not written back.
+        written = [read_manifest(out / "manifest.ini") for out in (default, rerun)]
+        for manifest in written:
+            del manifest["meta"]
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("section, key, fixed, other", RETIRED_VALUES, ids=RETIRED_IDS)
+    def test_other_value_exits_1_naming_the_removal(
+        self, small_data, tmp_path, capsys, section, key, fixed, other
+    ):
+        text = PARENT_MANIFEST.read_text()
+        assert text.count(f"\n{key} = {fixed}\n") == 1
+        config = tmp_path / "retired.ini"
+        config.write_text(text.replace(f"\n{key} = {fixed}\n", f"\n{key} = {other}\n"))
+        out = tmp_path / "out"
+        code = cli.main(
+            ["run", "--data", str(small_data), "--out", str(out), "--config", str(config)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: [{section}] {key} was removed; "
+            f"a run always uses {key} = {fixed}, got '{other}'\n"
+        )
+        assert not out.exists()
+
+    def test_fixed_value_in_any_boolean_spelling_is_accepted(self, small_data, tmp_path):
+        config = tmp_path / "spelled.ini"
+        config.write_text(
+            "[losses]\nbc_squared = Yes\n[glasso]\nstandardize = 1\ngamma_source = covariance\n"
+        )
+        default, spelled = tmp_path / "default", tmp_path / "spelled"
+        run = ["run", "--data", str(small_data), *FAST_RUN]
+        assert cli.main([*run, "--out", str(default)]) == 0
+        assert cli.main([*run, "--out", str(spelled), "--config", str(config)]) == 0
+        assert (spelled / "metrics.csv").read_bytes() == (default / "metrics.csv").read_bytes()
+
+
+# Each command writing files, as (argv of a first run, argv of a second run
+# that changes every output) and the names it writes.
+def _writers(data, out):
+    synth = ["synth", "--out", str(out), *SMALL_SYNTH]
+    return {
+        "run": (
+            ["run", "--data", str(data), "--out", str(out), *FAST_RUN],
+            ["run", "--data", str(data), "--out", str(out), *FAST_RUN, "--seed", "1"],
+        ),
+        "glasso": (
+            ["glasso", "--data", str(data), "--out", str(out)],
+            ["glasso", "--data", str(data), "--out", str(out), "--delta", "0.1"],
+        ),
+        "partition": (
+            ["partition", "--data", str(data), "--out", str(out), "-k", "2"],
+            ["partition", "--data", str(data), "--out", str(out), "-k", "3"],
+        ),
+        "synth": (
+            [*synth, "--seed", "0"],
+            [*synth, "--seed", "1", "--num-seen", "5", "--group-count", "3"],
+        ),
+        "synth-binary": (
+            [*synth, "--seed", "0", "--binary"],
+            [*synth, "--seed", "1", "--binary", "--samples-per-class", "9"],
+        ),
+    }
+
+
+ATOMIC_OUTPUTS = [
+    ("run", "manifest.ini"),
+    ("run", "metrics.csv"),
+    ("run", "final_model.csv"),
+    ("glasso", "gamma.csv"),
+    ("glasso", "theta.csv"),
+    ("partition", "partition.csv"),
+    ("partition", "partition_summary.csv"),
+    ("synth", "attributes.csv"),
+    ("synth", "groups.csv"),
+    ("synth", "splits.csv"),
+    ("synth", "features.csv"),
+    ("synth-binary", "features.bin"),
+    ("synth-binary", "labels.csv"),
+]
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize(
+        "command, name", ATOMIC_OUTPUTS, ids=[f"{c}-{n}" for c, n in ATOMIC_OUTPUTS]
+    )
+    def test_a_failed_write_keeps_the_old_file(
+        self, small_data, tmp_path, monkeypatch, capsys, command, name
+    ):
+        out = tmp_path / "out"
+        first, second = _writers(small_data, out)[command]
+        assert cli.main(first) == 0
+        old = read_dir(out)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == name:
+                raise OSError(f"cannot replace {name}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert cli.main(second) == 1
+        assert f"error: cannot replace {name}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(old)  # no temporary file
+        assert (out / name).read_bytes() == old[name]
+        monkeypatch.undo()
+        assert cli.main(second) == 0
+        assert (out / name).read_bytes() != old[name]  # the write would have changed it
+
+
 class TestEval:
     def test_stats_zero_noise_variance(self, tmp_path, capsys):
         data = tmp_path / "clean"
@@ -759,16 +893,13 @@ class TestFlagList:
         assert cli.main(["glasso", "--data", str(small_data)]) == 0
         defaults = COMMAND_FLAGS["glasso"]
         (cov,) = covariances
-        assert cov["standardize"] is defaults["--no-standardize",]
+        assert "standardize" not in cov  # the library default: correlations
         cfg = solves[0]["cfg"]
-        assert (cfg.delta, cfg.tol, cfg.max_sweeps, cfg.standardize) == (
+        assert (cfg.delta, cfg.tol, cfg.max_sweeps) == (
             defaults["--delta",],
             defaults["--tol",],
             defaults["--max-sweeps",],
-            defaults["--no-standardize",],
         )
-        source = defaults["--gamma-source",]
-        assert f"similarity source: {source} (8x8)" in capsys.readouterr().out
         out = tmp_path / defaults["--out",]
         assert (out / "gamma.csv").exists() and (out / "theta.csv").exists()
 
@@ -860,6 +991,4 @@ class TestTopLevel:
                     continue
                 expected = library[section, key]
                 assert default == expected and type(default) is type(expected), (section, key)
-        # gamma_source picks the matrix the targets come from; no library
-        # object has a default for it.
-        assert unmatched == [("glasso", "gamma_source")]
+        assert unmatched == []

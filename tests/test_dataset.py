@@ -16,6 +16,7 @@ from fedzsl.dataset import (
     MissingFileError,
     SplitError,
     SyntheticSpec,
+    _atomic_writer,
     generate_synthetic,
     load_attributes,
     load_dataset,
@@ -428,3 +429,63 @@ class TestSaveLoad:
         (tmp_path / "d" / "splits.csv").write_text("seen:0,1,2,3,4,5\nunseen:6,99\n")
         with pytest.raises(SplitError):
             load_dataset(tmp_path / "d")
+
+
+class TestBinaryFeatureRefusals:
+    """``features.bin`` must hold an 8-byte (N, d_v) header and N*d_v finite floats."""
+
+    @pytest.fixture
+    def binary(self, tmp_path):
+        ds, attrs = small_dataset()
+        save_dataset(tmp_path / "d", ds, attrs, binary=True)
+        return tmp_path / "d", ds.features.shape
+
+    def test_file_shorter_than_its_header(self, binary):
+        root, _ = binary
+        (root / "features.bin").write_bytes(b"\x01\x00\x00\x00\x02")
+        with pytest.raises(FormatError, match="features.bin: file shorter than its 8-byte"):
+            load_dataset(root)
+
+    # A whole float short is test_truncated_binary_payload.
+    @pytest.mark.parametrize("extra", [-1, 1, 4], ids=["byte-short", "byte-long", "float-long"])
+    def test_size_other_than_header_plus_payload(self, binary, extra):
+        root, (n, d_v) = binary
+        path = root / "features.bin"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:extra] if extra < 0 else blob + b"\x00" * extra)
+        expected = 8 + 4 * n * d_v
+        message = f"expected {expected} bytes for {n}x{d_v} floats, found {expected + extra}"
+        with pytest.raises(FormatError, match=message):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value(self, binary, value):
+        root, (n, d_v) = binary
+        path = root / "features.bin"
+        payload = np.frombuffer(path.read_bytes()[8:], dtype="<f4").reshape(n, d_v).copy()
+        payload[3, d_v - 1] = value
+        path.write_bytes(path.read_bytes()[:8] + payload.tobytes())
+        with pytest.raises(FormatError, match="features.bin: non-finite value in feature row 3"):
+            load_dataset(root)
+
+
+class TestAtomicWriter:
+    def test_a_write_that_raises_midway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with _atomic_writer(path) as handle:
+                handle.write("new, half")
+                handle.flush()
+                raise RuntimeError("midway")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_a_finished_write_replaces_the_file(self, tmp_path, binary):
+        path = tmp_path / "out.bin"
+        path.write_text("old\n")
+        with _atomic_writer(path, binary=binary) as handle:
+            handle.write(b"new\n" if binary else "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

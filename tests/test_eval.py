@@ -120,6 +120,26 @@ class TestPredict:
         with pytest.raises(EvalError):
             predict(free, np.ones(3), attrs, (0, 1))
 
+    @pytest.mark.parametrize(
+        "candidates, shown",
+        [((0.5, 1.7, 2.9), "0.5"), ((0, 1, np.nan), "nan"), ((0, np.inf), "inf")],
+        ids=["fractions", "nan", "inf"],
+    )
+    def test_rejects_non_integral_candidates(self, candidates, shown):
+        # Truncating would score (0.5, 1.7, 2.9) as classes 0, 1 and 2.
+        attrs = AttributeMatrix(values=np.eye(3), groups=((0, 3),))
+        params = identity_params(3)
+        with pytest.raises(EvalError, match=f"^candidate ids must be integers, got {shown}$"):
+            predict(params, np.ones((2, 3)), attrs, candidates)
+
+    def test_integral_float_candidates_score_as_ints(self):
+        attrs = AttributeMatrix(values=np.eye(3), groups=((0, 3),))
+        params = identity_params(3)
+        batch = np.array([[0.0, 1.0, 0.5], [0.3, 0.0, 0.9]])
+        assert np.array_equal(
+            predict(params, batch, attrs, (2.0, 0.0)), predict(params, batch, attrs, (2, 0))
+        )
+
 
 class TestPredictAllocation:
     def test_peak_is_the_attributes_and_one_score_matrix(self):

@@ -610,3 +610,23 @@ class TestRunSimulation:
         )
         trace = run_simulation(ds, attrs, cfg)
         assert trace[0].client_loss_mean > 0.5 * np.log(attrs.num_classes)
+
+
+class TestClientUpdateRefusals:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("client_id", -1, "client_id must be >= 0, got -1"),
+            ("num_local_classes", 0, "num_local_classes must be >= 1, got 0"),
+            ("mean_local_loss", float("nan"), "mean_local_loss must be finite, got nan"),
+        ],
+        ids=["negative-client-id", "no-local-classes", "nan-loss"],
+    )
+    def test_rejects_bad_metadata(self, field, value, message):
+        params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
+        fields = dict(
+            client_id=0, trained=params.tensors(), num_local_classes=1, mean_local_loss=0.0
+        )
+        fields[field] = value
+        with pytest.raises(FedError, match=message):
+            ClientUpdate(**fields)

@@ -159,26 +159,15 @@ def _bc_core(
     a_hat: np.ndarray,
     v: np.ndarray,
     params: ModelParams,
-    squared: bool,
     grads: bool,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as mean squared
-    # norm (default) or mean unsquared norm behind the flag.
+    # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as mean squared norm.
     batch = a_hat.shape[0]
     residual = a_hat @ params.W_h.T + params.b_h - v
-    if squared:
-        value = float((residual * residual).sum() / batch)
-    else:
-        norms = np.linalg.norm(residual, axis=1)
-        value = float(norms.mean())
+    value = float((residual * residual).sum() / batch)
     if not grads:
         return value, None, None, None
-    if squared:
-        d_residual = 2.0 * residual / batch
-    else:
-        safe = norms >= ZERO_NORM_EPS
-        scale = np.where(safe, norms, 1.0)
-        d_residual = np.where(safe[:, None], residual / scale[:, None], 0.0) / batch
+    d_residual = 2.0 * residual / batch
     d_W_h = d_residual.T @ a_hat
     d_b_h = d_residual.sum(axis=0)
     d_a_hat = d_residual @ params.W_h
@@ -277,7 +266,6 @@ def joint_loss(
     distill: DistillConfig | None,
     weights: LossWeights,
     ablation: AblationFlags | None = None,
-    bc_squared: bool = True,
     grads: bool = True,
 ) -> LossReport:
     """Weighted sum of the enabled attribute-based terms.
@@ -327,7 +315,7 @@ def joint_loss(
             d_a_hat_total += d_a_hat
         del d_a_hat  # not held through BC's peak, where the scores stay live
     if ablation.bc and weights.w_bc > 0.0:
-        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, bc_squared, grads)
+        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, grads)
         terms[BC] = weights.w_bc * value
         if grads:
             d_a_hat_total += weights.w_bc * d_a_hat
@@ -397,7 +385,6 @@ def _local_loss(
             cfg.distill,
             cfg.weights,
             ablation=cfg.ablation,
-            bc_squared=cfg.bc_squared,
             grads=grads,
         )
     return ce_loss_attribute_free(params, features, labels, seen, grads=grads)
@@ -519,9 +506,6 @@ CONFIGS = {
     "bc_off": {"ablation": AblationFlags(bc=False)},
     "ad_only": {"ablation": AblationFlags(sce=False, bc=False, kl=False)},
     "zero_norm_ad_group": {},
-    "unsquared_bc": {"bc_squared": False},
-    # Unsquared BC where the first row's residual is exactly zero (see start_params).
-    "unsquared_zero_rows": {"bc_squared": False},
     # Target rows with zero entries, so the KL term masks them (see make_cfg).
     "zero_targets": {},
     "attribute_free": {"mode": ATTRIBUTE_FREE},
@@ -579,7 +563,7 @@ def with_zero_targets(distill: DistillConfig) -> DistillConfig:
 
 # Configurations that zero the first feature row as well as the first
 # attribute group's weights, so norms fall below ZERO_NORM_EPS.
-ZERO_ROW_CONFIGS = ("zero_norm_ad_group", "unsquared_zero_rows")
+ZERO_ROW_CONFIGS = ("zero_norm_ad_group",)
 
 
 def start_params(cfg: TrainConfig, train, attrs, name: str) -> ModelParams:

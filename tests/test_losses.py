@@ -247,16 +247,7 @@ class TestBc:
     def test_gradient_matches_finite_differences_squared(self):
         params, features, labels, attrs, _ = problem(10)
         err = fd_relative_error(
-            lambda: single_term("bc", params, features, labels, attrs, bc_squared=True),
-            params,
-            ("W_g", "b_g", "W_h", "b_h"),
-        )
-        assert err < FD_TOL
-
-    def test_gradient_matches_finite_differences_unsquared(self):
-        params, features, labels, attrs, _ = problem(11)
-        err = fd_relative_error(
-            lambda: single_term("bc", params, features, labels, attrs, bc_squared=False),
+            lambda: single_term("bc", params, features, labels, attrs),
             params,
             ("W_g", "b_g", "W_h", "b_h"),
         )
@@ -285,11 +276,9 @@ class TestBc:
         )
         _, _, _, attrs, _ = problem(13)
         labels = np.zeros(5, int)
-        squared = single_term("bc", params, features, labels, attrs, bc_squared=True).total
-        unsquared = single_term("bc", params, features, labels, attrs, bc_squared=False).total
+        squared = single_term("bc", params, features, labels, attrs).total
         norms = np.linalg.norm(features, axis=1)
         assert squared == pytest.approx(float((norms**2).mean()), rel=1e-12)
-        assert unsquared == pytest.approx(float(norms.mean()), rel=1e-12)
 
 
 class TestCe:
@@ -340,6 +329,25 @@ class TestCe:
         params = init_params(D_V, D_A, num_seen=3, mode=ATTRIBUTE_FREE, seed=0)
         with pytest.raises(LossError):
             ce_loss_attribute_free(params, np.ones((1, D_V)), np.array([7]), (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "seen, shown", [((0.5, 1.2, 2.9), "0.5"), ((0, 1, np.inf), "inf")], ids=["0.5", "inf"]
+    )
+    def test_rejects_non_integral_seen_classes(self, seen, shown):
+        # Truncating would give the loss of seen classes (0, 1, 2).
+        params = init_params(D_V, D_A, num_seen=3, mode=ATTRIBUTE_FREE, seed=0)
+        message = f"^ce_loss_attribute_free: seen_classes must be integers, got {shown}$"
+        with pytest.raises(LossError, match=message):
+            ce_loss_attribute_free(params, np.ones((2, D_V)), np.array([0, 1]), seen)
+
+    def test_integral_float_seen_classes_give_the_integer_result(self):
+        params = init_params(D_V, D_A, num_seen=3, mode=ATTRIBUTE_FREE, seed=0)
+        features = np.random.default_rng(3).standard_normal((4, D_V))
+        labels = np.array([0, 2, 5, 2])
+        as_ints = ce_loss_attribute_free(params, features, labels, (0, 2, 5))
+        as_floats = ce_loss_attribute_free(params, features, labels, (5.0, 0.0, 2.0))
+        assert as_floats.total == as_ints.total
+        assert as_floats.grads["W_c"].tobytes() == as_ints.grads["W_c"].tobytes()
 
     def test_head_size_must_match_seen(self):
         params = init_params(D_V, D_A, num_seen=3, mode=ATTRIBUTE_FREE, seed=0)
@@ -449,16 +457,6 @@ class TestJoint:
         )
         assert np.allclose(report.grads["W_g"], expected, atol=1e-12)
 
-    def test_unsquared_bc_switch_changes_the_term(self):
-        params, features, labels, attrs, distill = problem(21)
-        squared = joint_loss(params, features, labels, attrs, distill, LossWeights())
-        unsquared = joint_loss(
-            params, features, labels, attrs, distill, LossWeights(), bc_squared=False
-        )
-        alone = single_term("bc", params, features, labels, attrs, bc_squared=False)
-        assert unsquared.terms["bc"] == 0.1 * alone.total
-        assert squared.terms["bc"] != unsquared.terms["bc"]
-
     def test_forward_only_matches_the_gradient_call_bit_for_bit(self):
         # grads=False shares the forward arithmetic, so total and terms are
         # exactly those of the default call and no gradient is reported.
@@ -467,9 +465,6 @@ class TestJoint:
         calls = {
             "full": lambda **kw: joint_loss(*args, LossWeights(), **kw),
             "zero bc weight": lambda **kw: joint_loss(*args, LossWeights(w_bc=0.0), **kw),
-            "unsquared bc": lambda **kw: joint_loss(
-                *args, LossWeights(), bc_squared=False, **kw
-            ),
         }
         for term in ("sce", "bc", "kl", "ad"):
             calls[term] = lambda term=term, **kw: single_term(term, *args, **kw)

@@ -262,6 +262,21 @@ class TestCompatibilityLogits:
             assert logits.tobytes() == whole[..., ids].tobytes()
             assert logits.flags.c_contiguous
 
+    @pytest.mark.parametrize(
+        "ids, shown", [([0.5, 1.7], "0.5"), ([1, np.nan], "nan")], ids=["fractions", "nan"]
+    )
+    def test_rejects_non_integral_ids(self, ids, shown):
+        # Truncating would return the columns of classes 0 and 1.
+        attrs = AttributeMatrix(values=np.eye(4), groups=((0, 4),))
+        with pytest.raises(ModelError, match=f"^class ids must be integers, got {shown}$"):
+            compatibility_logits(np.ones(4), attrs, ids)
+
+    def test_integral_float_ids_select_as_ints(self):
+        attrs = AttributeMatrix(values=np.eye(4), groups=((0, 4),))
+        a_hat = np.array([0.1, 0.2, 0.3, 0.4])
+        floats = compatibility_logits(a_hat, attrs, [2.0, 0.0])
+        assert floats.tobytes() == compatibility_logits(a_hat, attrs, [2, 0]).tobytes()
+
     def test_three_dimensional_input_is_rejected(self):
         attrs = AttributeMatrix(values=np.eye(4), groups=((0, 4),))
         with pytest.raises(ModelError, match="vector or a 2-dimensional batch"):

@@ -64,12 +64,12 @@ def test_default_config_is_a_new_table_each_call():
 
 def test_targets_come_from_the_glasso_settings(attrs):
     settings = cli.default_config()
-    settings["glasso"].update(delta=0.2, gamma_source="precision")
+    settings["glasso"]["delta"] = 0.2
     settings["losses"]["tau"] = 2.5
     cfg, sim = cli.configure_run(settings, attrs)
     expected = graphical_lasso(sample_covariance(attrs), GlassoConfig(delta=0.2))
     np.testing.assert_array_equal(sim.theta, expected.theta)
-    targets = distill_targets(expected.theta, 2.5)
+    targets = distill_targets(expected.gamma, 2.5)
     np.testing.assert_array_equal(cfg.distill.targets.probs, targets.probs)
     assert cfg.distill.tau == 2.5
 

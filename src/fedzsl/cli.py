@@ -37,7 +37,6 @@ from fedzsl.dataset import (
 from fedzsl.evaluation import evaluate
 from fedzsl.fed import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_DELTA_SCALE,
     DEFAULT_EVAL_EVERY,
     DEFAULT_LOCAL_EPOCHS,
     DEFAULT_NUM_CLIENTS,
@@ -125,7 +124,6 @@ _SCHEMA: dict[str, dict[str, _Setting]] = {
         "batch_size": _Setting("int", DEFAULT_BATCH_SIZE, ("--batch-size",)),
         "local_lr": _Setting("float", DEFAULT_LEARNING_RATE, ("--local-lr",)),
         "server_lr": _Setting("float", DEFAULT_SERVER_LR, ("--server-lr",)),
-        "delta_scale": _Setting("float", DEFAULT_DELTA_SCALE, ("--delta-scale",)),
         "sample_fraction": _Setting("float", DEFAULT_SAMPLE_FRACTION, ("--sample-fraction",)),
         "seed": _Setting("int", 0, ("--seed",)),
         "eval_every": _Setting("int", DEFAULT_EVAL_EVERY, ("--eval-every",)),
@@ -157,14 +155,15 @@ _SCHEMA: dict[str, dict[str, _Setting]] = {
     },
 }
 
-# Keys that older manifests hold for settings since removed, at the one value the
-# run now always uses: squared BC norms, standardized covariance, and
-# distillation targets from the covariance.  A config file may name one only
-# at that value, so every manifest written with them still re-runs.
-_RETIRED: dict[tuple[str, str], object] = {
-    ("losses", "bc_squared"): True,
-    ("glasso", "standardize"): True,
-    ("glasso", "gamma_source"): "covariance",
+# Keys that older manifests hold for settings since removed, each with its type
+# and the one value a run now always uses: squared BC norms, standardized
+# covariance, targets from the covariance, and a server step scaled by server_lr
+# alone.  A config file may name one only at that value, so old manifests re-run.
+_RETIRED: dict[tuple[str, str], _Setting] = {
+    ("train", "delta_scale"): _Setting("float", 1.0),
+    ("losses", "bc_squared"): _Setting("bool", True),
+    ("glasso", "standardize"): _Setting("bool", True),
+    ("glasso", "gamma_source"): _Setting("str", "covariance"),
 }
 
 # type tag -> parser of a flag or config value; "bool" is read from _BOOLS.
@@ -178,7 +177,11 @@ class CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit 1 instead of argparse's 2."""
+    """Argument parser whose usage errors exit 1 instead of argparse's 2 and
+    whose flags, also in subcommands, must be spelled in full, not abbreviated."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -197,7 +200,8 @@ def _ini_value(value: object) -> str:
 
 
 def _coerce(section: str, key: str, raw: str) -> object:
-    setting = _SCHEMA[section][key]
+    """``raw`` read as the type of ``[section] key``, a setting of the run or a retired one."""
+    setting = _SCHEMA[section].get(key) or _RETIRED[section, key]
     kind, raw = setting.kind, raw.strip()
     if kind == "optfloat" and raw == "":
         return None
@@ -264,11 +268,15 @@ def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> Non
             raise CliError(f"config file {path}: unknown section [{section}]")
         for key, raw in parser.items(section):
             if (section, key) in _RETIRED:
-                fixed, raw = _RETIRED[section, key], raw.strip()
-                if (_BOOLS.get(raw.lower()) if isinstance(fixed, bool) else raw) != fixed:
+                fixed = _RETIRED[section, key].default
+                try:
+                    kept = _coerce(section, key, raw) == fixed
+                except CliError:
+                    kept = False
+                if not kept:
                     raise CliError(
                         f"config file {path}: [{section}] {key} was removed; a run always "
-                        f"uses {key} = {_ini_value(fixed)}, got '{raw}'"
+                        f"uses {key} = {_ini_value(fixed)}, got '{raw.strip()}'"
                     )
                 continue
             if key not in _SCHEMA[section]:

@@ -1,10 +1,10 @@
 """Federated simulation: client sampling, local training, weighted aggregation.
 
 One round broadcasts the global model to a seeded sample of clients, runs
-local epochs of minibatch SGD on each, and folds each client's scaled
-parameter movement back with class-count weights.  Every random draw is keyed
-by (seed, round, client) so the result is independent of scheduling order
-and thread count.
+local epochs of minibatch SGD on each, and folds each client's parameter
+movement back with class-count weights and one server learning rate.  Every
+random draw is keyed by (seed, round, client) so the result is independent
+of scheduling order and thread count.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ DEFAULT_NUM_CLIENTS = 10
 DEFAULT_LOCAL_EPOCHS = 2
 DEFAULT_BATCH_SIZE = 64
 DEFAULT_SERVER_LR = 1.0
-DEFAULT_DELTA_SCALE = 1.0
 DEFAULT_SAMPLE_FRACTION = 1.0
 DEFAULT_EVAL_EVERY = 1
 
@@ -69,7 +68,6 @@ class TrainConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
     local_lr: float = DEFAULT_LEARNING_RATE
     server_lr: float = DEFAULT_SERVER_LR
-    delta_scale: float = DEFAULT_DELTA_SCALE
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
@@ -89,14 +87,12 @@ class TrainConfig:
             if value < least:
                 raise FedError(f"{name} must be >= {least}, got {value}")
             setattr(self, name, value)
-        for name in ("local_lr", "server_lr", "delta_scale", "sample_fraction", "momentum", "weight_decay"):
+        for name in ("local_lr", "server_lr", "sample_fraction", "momentum", "weight_decay"):
             setattr(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.local_lr) and self.local_lr >= 0.0):
             raise FedError(f"local_lr must be finite and >= 0, got {self.local_lr}")
-        for name in ("server_lr", "delta_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise FedError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.server_lr) and self.server_lr > 0.0):
+            raise FedError(f"server_lr must be finite and > 0, got {self.server_lr}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise FedError(f"sample_fraction must lie in (0, 1], got {self.sample_fraction}")
         if not 0.0 <= self.momentum < 1.0:
@@ -122,8 +118,8 @@ class ClientUpdate:
     """One client's locally trained tensors plus its weighting metadata.
 
     An update holds one array per trainable tensor: the trained values
-    themselves.  The scaled movement ``beta * (trained - global)`` is formed
-    by :func:`aggregate` against the global model it was trained from, so no
+    themselves.  The movement ``trained - global`` is formed by
+    :func:`aggregate` against the global model it was trained from, so no
     delta array is stored.
     """
 
@@ -131,21 +127,17 @@ class ClientUpdate:
     trained: dict[str, np.ndarray]
     num_local_classes: int
     mean_local_loss: float
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         self.client_id = int(self.client_id)
         self.num_local_classes = int(self.num_local_classes)
         self.mean_local_loss = float(self.mean_local_loss)
-        self.beta = float(self.beta)
         if self.client_id < 0:
             raise FedError(f"client_id must be >= 0, got {self.client_id}")
         if self.num_local_classes < 1:
             raise FedError(f"num_local_classes must be >= 1, got {self.num_local_classes}")
         if not math.isfinite(self.mean_local_loss):
             raise FedError(f"mean_local_loss must be finite, got {self.mean_local_loss}")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise FedError(f"beta must be finite and > 0, got {self.beta}")
 
 
 @dataclass
@@ -202,10 +194,10 @@ def local_train(
 ) -> ClientUpdate:
     """Run the local epochs on one client and return its trained tensors.
 
-    The update carries ``beta = cfg.delta_scale`` for :func:`aggregate`.
-    The shuffle RNG is keyed by (seed, round, client), so the update is a
-    pure function of the broadcast parameters and the client's data,
-    independent of execution order.  The last partial minibatch is kept.
+    The update holds no scale; :func:`aggregate` applies ``server_lr``.  The
+    shuffle RNG is keyed by (seed, round, client), so the update is a pure
+    function of the broadcast parameters and the client's data, independent
+    of execution order.  The last partial minibatch is kept.
     """
     n = client_data.num_samples
     params = global_params.clone()
@@ -238,7 +230,6 @@ def local_train(
         trained={name: local_tensors[name] for name in global_params.trainable_names()},
         num_local_classes=len(np.unique(client_data.labels)),
         mean_local_loss=loss_sum / steps,
-        beta=cfg.delta_scale,
     )
 
 
@@ -247,13 +238,13 @@ def aggregate(
 ) -> ModelParams:
     """Fold client updates into the global model, weighted by local class counts.
 
-    w_next = w + server_lr * sum_k (n_k / sum_j n_j) * delta_k with
-    delta_k = beta_k * (trained_k - w), accumulated in ascending client-id
-    order.  Each delta_k is formed per tensor in one reused work array, in
-    that order of operations.  When the scaling provably collapses to
-    copying a single client's trained parameters (one update, server_lr,
-    beta, and the coefficient all exactly 1), those tensors are copied
-    verbatim so the equality is exact rather than within float round-off.
+    w_next = w + server_lr * sum_k (n_k / sum_j n_j) * (trained_k - w), with
+    ``server_lr`` the step's only scale, accumulated in ascending client-id
+    order.  Each term is formed per tensor in one reused work array, in that
+    order of operations.  When the step provably collapses to copying a
+    single client's trained parameters (one update, so a coefficient of
+    exactly 1, and server_lr exactly 1), those tensors are copied verbatim
+    so the equality is exact rather than within float round-off.
     """
     if not updates:
         raise FedError("aggregate needs at least one client update")
@@ -278,10 +269,9 @@ def aggregate(
     total = sum(u.num_local_classes for u in ordered)
     new_params = global_params.clone()
     new_tensors = new_params.tensors()
-    only = ordered[0]
-    if len(ordered) == 1 and server_lr == 1.0 and only.beta == 1.0:
+    if len(ordered) == 1 and server_lr == 1.0:
         for name in names:
-            np.copyto(new_tensors[name], only.trained[name])
+            np.copyto(new_tensors[name], ordered[0].trained[name])
         return new_params
     for name in names:
         base = tensors[name]
@@ -289,7 +279,6 @@ def aggregate(
         work = np.empty_like(base)
         for update in ordered:
             np.subtract(update.trained[name], base, out=work)
-            work *= update.beta
             work *= update.num_local_classes / total
             acc += work
         acc *= server_lr

@@ -171,7 +171,6 @@ def test_criterion_4_degenerate_federation():
         rounds=20,
         num_clients=1,
         sample_fraction=1.0,
-        delta_scale=1.0,
         server_lr=1.0,
         seed=0,
         distill=distill,

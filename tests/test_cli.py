@@ -18,6 +18,7 @@ from fedzsl.fed import TrainConfig
 from fedzsl.glasso import GlassoConfig
 from fedzsl.losses import DEFAULT_TAU, AblationFlags, LossWeights
 from fedzsl.model import ATTRIBUTE_BASED, init_params, save_model
+from fedzsl.theory import CheckResult
 
 SMALL_SYNTH = [
     "--num-seen", "6",
@@ -27,6 +28,8 @@ SMALL_SYNTH = [
     "--samples-per-class", "10",
 ]
 FAST_RUN = ["--rounds", "2", "--clients", "2", "--local-epochs", "1"]
+# The terms --ablation names, as its error messages print them.
+TERMS = "('sce', 'bc', 'kl', 'ad')"
 
 # Every `run` flag with a non-default value and the manifest entry it must
 # set, spelled out by hand rather than read from the cli module, so that the
@@ -39,7 +42,6 @@ FULL_RUN_FLAGS = [
     ("--batch-size 7", "train", "batch_size", "7"),
     ("--local-lr 0.002", "train", "local_lr", "0.002"),
     ("--server-lr 0.9", "train", "server_lr", "0.9"),
-    ("--delta-scale 0.8", "train", "delta_scale", "0.8"),
     ("--sample-fraction 0.5", "train", "sample_fraction", "0.5"),
     ("--seed 4", "train", "seed", "4"),
     ("--eval-every 2", "train", "eval_every", "2"),
@@ -140,9 +142,9 @@ COMMAND_FLAGS = {
             for flags in [
                 ("--config",), ("--threads",), ("--ablation",), ("--rounds",),
                 ("-k", "--clients"), ("--local-epochs",), ("--batch-size",),
-                ("--local-lr",), ("--server-lr",), ("--delta-scale",),
-                ("--sample-fraction",), ("--seed",), ("--eval-every",), ("--w-bc",),
-                ("--w-kl",), ("--w-ad",), ("--tau",), ("--scheme",), ("--alpha",),
+                ("--local-lr",), ("--server-lr",), ("--sample-fraction",), ("--seed",),
+                ("--eval-every",), ("--w-bc",), ("--w-kl",), ("--w-ad",), ("--tau",),
+                ("--scheme",), ("--alpha",),
                 ("--local-data-ratio",), ("--glasso-delta",), ("--glasso-tol",),
                 ("--glasso-max-sweeps",), ("--mode",), ("--momentum",), ("--weight-decay",),
             ]
@@ -400,6 +402,44 @@ class TestRun:
         assert manifest["losses"]["kl"] == "false"
         assert manifest["losses"]["ad"] == "false"
 
+    @pytest.mark.parametrize("word", ["full", "all", " ALL "])
+    def test_ablation_full_turns_every_term_on(self, small_data, tmp_path, monkeypatch, word):
+        # The config file turns three terms off; the flag wins over it.
+        config = tmp_path / "off.ini"
+        config.write_text("[losses]\nbc = false\nkl = false\nad = false\n")
+        calls = record(monkeypatch, "configure_run", stop=True)
+        with pytest.raises(StopCommand):
+            self.run_once(
+                small_data, tmp_path / "out", ["--config", str(config), "--ablation", word]
+            )
+        (call,) = calls
+        assert [call["settings"]["losses"][t] for t in ("sce", "bc", "kl", "ad")] == [True] * 4
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",", f"--ablation got ','; expected 'full' or terms from {TERMS}"),
+            ("-only", f"--ablation got '-only'; expected 'full' or terms from {TERMS}"),
+            ("sce,xyz", f"--ablation term 'xyz' is not one of {TERMS}"),
+        ],
+        ids=["comma", "only-suffix", "unknown-term"],
+    )
+    def test_bad_ablation_exits_1(self, small_data, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        assert self.run_once(small_data, out, [f"--ablation={text}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_malformed_config_file_exits_1(self, small_data, tmp_path, capsys):
+        config = tmp_path / "headless.ini"
+        config.write_text("rounds = 2\n[train]\nseed = 1\n")
+        out = tmp_path / "out"
+        assert self.run_once(small_data, out, ["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: ")
+        assert "no section headers" in err
+        assert not out.exists()
+
     def test_attribute_free_mode(self, small_data, tmp_path, capsys):
         out = tmp_path / "af"
         assert self.run_once(small_data, out, ["--mode", "attribute-free"]) == 0
@@ -550,12 +590,13 @@ class TestRun:
         assert message in err
 
 
-# A manifest written by `run` when it still had the settings bc_squared,
-# standardize and gamma_source, exactly as written: `run --data <small_data>
-# --rounds 2 --clients 2 --local-epochs 1`, so every key but those three is
-# the FAST_RUN table.
+# A manifest written by `run` when it still had the settings delta_scale,
+# bc_squared, standardize and gamma_source, exactly as written: `run --data
+# <small_data> --rounds 2 --clients 2 --local-epochs 1`, so every key but
+# those four is the FAST_RUN table.
 PARENT_MANIFEST = Path(__file__).parent / "data" / "parent_manifest.ini"
 RETIRED_VALUES = [
+    ("train", "delta_scale", "1.0", "0.5"),
     ("losses", "bc_squared", "true", "false"),
     ("glasso", "standardize", "true", "false"),
     ("glasso", "gamma_source", "covariance", "precision"),
@@ -614,6 +655,47 @@ class TestRetiredSettings:
         assert cli.main([*run, "--out", str(default)]) == 0
         assert cli.main([*run, "--out", str(spelled), "--config", str(config)]) == 0
         assert (spelled / "metrics.csv").read_bytes() == (default / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("spelling", ["1", "1.0", "1e0", " +1.00"])
+    def test_retired_scale_is_read_as_a_float(self, small_data, tmp_path, spelling):
+        config = tmp_path / "scale.ini"
+        config.write_text(f"[train]\ndelta_scale = {spelling}\n")
+        default, spelled = tmp_path / "default", tmp_path / "spelled"
+        run = ["run", "--data", str(small_data), *FAST_RUN]
+        assert cli.main([*run, "--out", str(default)]) == 0
+        assert cli.main([*run, "--out", str(spelled), "--config", str(config)]) == 0
+        for name in ("metrics.csv", "final_model.csv"):
+            assert (spelled / name).read_bytes() == (default / name).read_bytes(), name
+        assert "delta_scale" not in read_manifest(spelled / "manifest.ini")["train"]
+
+    @pytest.mark.parametrize(
+        "section, key, fixed", [row[:3] for row in RETIRED_VALUES], ids=RETIRED_IDS
+    )
+    @pytest.mark.parametrize("text", ["abc", "nan", ""])
+    def test_unparsable_value_exits_1_naming_the_removal(
+        self, small_data, tmp_path, capsys, section, key, fixed, text
+    ):
+        config = tmp_path / "retired.ini"
+        config.write_text(f"[{section}]\n{key} = {text}\n")
+        out = tmp_path / "out"
+        code = cli.main(
+            ["run", "--data", str(small_data), "--out", str(out), "--config", str(config)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: [{section}] {key} was removed; "
+            f"a run always uses {key} = {fixed}, got '{text}'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--delta-scale", "--delta"])
+    def test_retired_scale_flag_exits_1(self, small_data, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--data", str(small_data), "--out", str(out), flag, "0.5"])
+        assert err.value.code == 1
+        assert f"error: unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Each command writing files, as (argv of a first run, argv of a second run
@@ -765,6 +847,18 @@ class TestCheck:
         }
         for line in lines[1:]:
             assert line.split()[2] == "0"
+
+    def test_violations_exit_1_with_their_count(self, monkeypatch, capsys):
+        rows = [CheckResult("pinsker", 10, 2, 0.5), CheckResult("margin", 10, 1, 0.25)]
+        monkeypatch.setattr(cli, "run_check_suite", lambda trials, seed: rows)
+        assert cli.main(["check", "--trials", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "3 violation(s) found\n"
+        lines = captured.out.strip().splitlines()
+        assert [line.split() for line in lines[1:]] == [
+            ["pinsker", "10", "2", "5.000e-01"],
+            ["margin", "10", "1", "2.500e-01"],
+        ]
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_fewer_than_one_trial_exits_1(self, capsys, trials):
@@ -923,6 +1017,55 @@ class TestFlagList:
         assert [(call.get("trials"), call.get("seed")) for call in calls] == [
             (defaults["--trials",], defaults["--seed",])
         ]
+
+
+def _abbreviated_flags():
+    """(command, flag prefix, its value or None) for each long flag of COMMAND_FLAGS
+    with its last letter dropped, a prefix no parser may read as the flag, and the
+    README's shorter example."""
+    cases = [("run", "--sample", "0.5")]
+    for command, flags in COMMAND_FLAGS.items():
+        for options, default in flags.items():
+            choices = FLAG_CHOICES.get((command, options[-1]))
+            # A flag that defaults to False is a switch and takes no value.
+            value = None if default is False else choices[-1] if choices else "1"
+            cases += [(command, o[:-1], value) for o in options if o.startswith("--")]
+    return cases
+
+
+ABBREVIATED_FLAGS = _abbreviated_flags()
+
+
+class TestFlagSpelling:
+    @pytest.mark.parametrize(
+        "command, prefix, value",
+        ABBREVIATED_FLAGS,
+        ids=[f"{c}{p}" for c, p, _ in ABBREVIATED_FLAGS],
+    )
+    def test_a_flag_prefix_is_unrecognized(
+        self, tmp_path, monkeypatch, capsys, command, prefix, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        required = [
+            token
+            for flags, default in COMMAND_FLAGS[command].items()
+            if default == REQUIRED
+            for token in (flags[-1], str(tmp_path / flags[-1].strip("-")))
+        ]
+        extra = [prefix] if value is None else [prefix, value]
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, *required, *extra])
+        assert err.value.code == 1
+        assert f"error: unrecognized arguments: {' '.join(extra)}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # `run` made no output directory
+
+    def test_a_top_level_flag_prefix_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--versio", "check", "--trials", "1"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments: --versio\n" in captured.err
+        assert captured.out == ""
 
 
 class TestTopLevel:

@@ -69,8 +69,6 @@ class TestTrainConfig:
             TrainConfig(sample_fraction=0.0)
         with pytest.raises(FedError):
             TrainConfig(server_lr=0.0)
-        with pytest.raises(FedError):
-            TrainConfig(delta_scale=-1.0)
         TrainConfig(local_lr=0.0)  # a zero local rate is a valid no-op run
 
     @pytest.mark.parametrize(
@@ -87,6 +85,20 @@ class TestTrainConfig:
         # The same bounds OptState enforces, refused when the config is built.
         with pytest.raises(FedError, match=message):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    def test_local_lr_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(FedError, match=rf"local_lr must be finite and >= 0, got {value}"):
+            TrainConfig(local_lr=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_server_lr_must_be_finite_and_positive(self, value):
+        with pytest.raises(FedError, match=rf"server_lr must be finite and > 0, got {value}"):
+            TrainConfig(server_lr=value)
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(FedError, match=r"mode must be one of \(.*\), got 'attribute'"):
+            TrainConfig(mode="attribute")
 
     def test_kl_enabled_reflects_mode_flag_and_weight(self):
         spec = PartitionSpec(scheme="pccd", num_clients=10)
@@ -134,25 +146,6 @@ class TestLocalTrain:
         for name, tensor in merged.tensors().items():
             assert np.array_equal(tensor, params.tensors()[name]), name
 
-    def test_doubling_delta_scale_doubles_the_delta(self):
-        data, attrs, cfg, _ = self.client_slice()
-        base = tiny_config(cfg.distill, delta_scale=1.0)
-        double = tiny_config(cfg.distill, delta_scale=2.0)
-        params = init_params(8, 6, num_seen=6, mode=cfg.mode, seed=0)
-        u1 = local_train(params, data, attrs, base, round_index=0, client_id=0)
-        u2 = local_train(params, data, attrs, double, round_index=0, client_id=0)
-        # The trained tensors do not depend on the scale; the update carries
-        # it, and the movement aggregate applies doubles with it.
-        assert (u1.beta, u2.beta) == (1.0, 2.0)
-        m1 = aggregate(params, [u1], server_lr=0.5).tensors()
-        m2 = aggregate(params, [u2], server_lr=0.5).tensors()
-        for name, start in params.tensors().items():
-            assert np.array_equal(u1.trained[name], u2.trained[name]), name
-            moved = u1.trained[name] - start
-            assert np.any(moved != 0.0), name
-            assert np.allclose(m1[name] - start, 0.5 * moved, rtol=0.0, atol=1e-15), name
-            assert np.allclose(m2[name] - start, moved, rtol=0.0, atol=1e-15), name
-
     def test_single_step_matches_direct_sgd(self):
         # One epoch, one full batch, one step: the delta must equal the
         # movement of a hand-driven optimizer on the same gradients.
@@ -183,7 +176,6 @@ class TestLocalTrain:
         assert update.client_id == 1
         assert update.num_local_classes == len(np.unique(data.labels))
         assert np.isfinite(update.mean_local_loss)
-        assert update.beta == cfg.delta_scale
         assert tuple(update.trained) == params.trainable_names()
 
     def test_divergence_raises_with_context(self):
@@ -265,7 +257,6 @@ class TestAggregate:
             trained=trained,
             num_local_classes=3,
             mean_local_loss=0.0,
-            beta=1.0,
         )
         merged = aggregate(params, [update], server_lr=1.0)
         for name in trained:
@@ -320,15 +311,15 @@ class TestAggregate:
         with pytest.raises(FedError, match=r"client 3 trained 'W_h' has shape \(2, 4\)"):
             aggregate(params, [update], server_lr=1.0)
 
-    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
-    def test_update_rejects_a_bad_beta(self, beta):
-        # A NaN beta would otherwise turn every aggregated tensor into NaN.
+    @pytest.mark.parametrize("server_lr", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_a_bad_server_lr(self, server_lr):
+        # A NaN rate would otherwise turn every aggregated tensor into NaN.
         params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
-        with pytest.raises(FedError, match="beta must be finite and > 0"):
-            ClientUpdate(
-                client_id=0, trained=shifted(params, 1.0), num_local_classes=1,
-                mean_local_loss=0.0, beta=beta,
-            )
+        update = ClientUpdate(
+            client_id=0, trained=shifted(params, 1.0), num_local_classes=1, mean_local_loss=0.0
+        )
+        with pytest.raises(FedError, match=rf"server_lr must be finite and > 0, got {server_lr}"):
+            aggregate(params, [update], server_lr=server_lr)
 
 
 class TestAggregateProperties:
@@ -350,7 +341,6 @@ class TestAggregateProperties:
                 trained={n: t + rng.standard_normal(t.shape) for n, t in params.tensors().items()},
                 num_local_classes=data.draw(st.integers(1, 50)),
                 mean_local_loss=0.0,
-                beta=data.draw(st.sampled_from([1.0, 0.5, 0.7, 2.0])),
             )
             for k in range(clients)
         ]
@@ -398,6 +388,12 @@ class TestMetricsCsv:
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_fewer_than_one_thread_is_refused(self, threads):
+        ds, attrs, distill = tiny_problem()
+        with pytest.raises(FedError, match=rf"threads must be >= 1, got {threads}"):
+            run_simulation(ds, attrs, tiny_config(distill), threads=threads)
+
     def test_trace_length_and_eval_cadence(self):
         ds, attrs, distill = tiny_problem()
         cfg = tiny_config(distill, rounds=3, eval_every=2)

@@ -60,6 +60,10 @@ from fedzsl.partition import PartitionSpec, partition, sample_clients
 
 # ---- the oracle: earlier code, verbatim -------------------------------------
 
+# The earlier code read the scale of a client's movement from
+# ``cfg.delta_scale``; that setting is retired at the one value a run now uses.
+DELTA_SCALE = 1.0
+
 
 def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], opt: OptState) -> ModelParams:
     """One momentum SGD update, in place; returns the mutated params.
@@ -430,7 +434,7 @@ def local_train(
     global_tensors = global_params.tensors()
     local_tensors = params.tensors()
     delta = {
-        name: cfg.delta_scale * (local_tensors[name] - global_tensors[name])
+        name: DELTA_SCALE * (local_tensors[name] - global_tensors[name])
         for name in global_params.trainable_names()
     }
     # params is this call's private clone, so its arrays can be handed over.
@@ -440,7 +444,7 @@ def local_train(
         delta=delta,
         num_local_classes=len(np.unique(client_data.labels)),
         mean_local_loss=loss_sum / steps,
-        beta=cfg.delta_scale,
+        beta=DELTA_SCALE,
         trained=trained,
     )
 
@@ -509,9 +513,9 @@ CONFIGS = {
     # Target rows with zero entries, so the KL term masks them (see make_cfg).
     "zero_targets": {},
     "attribute_free": {"mode": ATTRIBUTE_FREE},
-    "half_scales": {"delta_scale": 0.5, "server_lr": 0.5},
+    "half_scales": {"server_lr": 0.5},
     # Scales that are not powers of two round, so the order of the products shows.
-    "odd_scales": {"delta_scale": 0.7, "server_lr": 0.3},
+    "odd_scales": {"server_lr": 0.3},
     "one_client": {
         "num_clients": 1,
         "partition": PartitionSpec(scheme="iid", num_clients=1, seed=0),
@@ -705,7 +709,6 @@ def test_local_training_matches(problem, name):
         old = local_train(params, data, attrs, cfg, round_index=1, client_id=client_id)
         assert_same_tensors(new.trained, old.trained)
         assert float(new.mean_local_loss).hex() == float(old.mean_local_loss).hex()
-        assert new.beta == old.beta == cfg.delta_scale
         first = params.trainable_names()[0]  # W_g or W_c: trained in every configuration
         assert np.any(new.trained[first] != params.tensors()[first])
 

@@ -114,8 +114,8 @@ class _Setting(NamedTuple):
 # section -> key -> setting; the single source of run configuration.  The
 # manifest is written in this order, and each key with flags gets a flag of
 # ``run`` that overrides it; ``partition`` takes the flags of [partition] and of
-# [train] num_clients and seed.  Every key but [losses] tau is the name of a
-# field of the library config it is passed to.
+# [train] num_clients and seed, and ``glasso`` those of [glasso].  Every key but
+# [losses] tau is the name of a field of the library config it is passed to.
 _SCHEMA: dict[str, dict[str, _Setting]] = {
     "train": {
         "rounds": _Setting("int", DEFAULT_ROUNDS, ("--rounds",)),
@@ -381,7 +381,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_glasso(args: argparse.Namespace) -> int:
-    glasso = GlassoConfig(delta=args.delta, tol=args.tol, max_sweeps=args.max_sweeps)
+    settings = _apply_flags(args, default_config())
+    glasso = GlassoConfig(**_fields(GlassoConfig, settings["glasso"]))
     sim = graphical_lasso(sample_covariance(load_attributes(args.data)), glasso)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -520,9 +521,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("glasso", help="estimate the class similarity matrix")
     p.add_argument("--data", required=True, help="dataset directory (attributes are read)")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+    _add_setting_flags(p, *(f"glasso.{key}" for key in _SCHEMA["glasso"]))
     p.add_argument("--out", default=".", help="directory for gamma.csv and theta.csv")
     p.set_defaults(handler=cmd_glasso)
 

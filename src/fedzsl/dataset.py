@@ -25,6 +25,7 @@ file loads to the same bits either way.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import uuid
 import warnings
@@ -176,8 +177,20 @@ def _as_ids(values: object, what: str, error: type[ValueError]) -> np.ndarray:
     real = v.astype(np.float64)
     bad = ~(np.trunc(real) == real) | (np.abs(real) >= 2.0**63)
     if np.any(bad):
+        if real.ndim == 0:
+            raise error(f"{what} must be an integer, got {values}")
         raise error(f"{what} must be integers, got {real.flat[np.argmax(bad)]}")
     return real.astype(np.int64)
+
+
+def _as_int(value: object, what: str, error: type[ValueError]) -> int:
+    # One count or seed.  An integer passes as it is, at any size; anything
+    # else goes by the rule of _as_ids, so 2.0 gives 2 and 2.9 is refused
+    # instead of truncated.
+    try:
+        return operator.index(value)
+    except TypeError:
+        return int(_as_ids(value, what, error))
 
 
 @dataclass
@@ -245,7 +258,7 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         for name in ("num_seen", "num_unseen", "d_a", "d_v", "samples_per_class", "group_count"):
-            value = int(getattr(self, name))
+            value = _as_int(getattr(self, name), name, DatasetError)
             if value < 1:
                 raise DatasetError(f"{name} must be a positive integer, got {value}")
             setattr(self, name, value)

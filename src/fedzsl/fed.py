@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, FeatureDataset, split_train_test
+from fedzsl.dataset import AttributeMatrix, FeatureDataset, _as_int, split_train_test
 from fedzsl.evaluation import evaluate
 from fedzsl.losses import (
     AblationFlags,
@@ -83,7 +83,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("rounds", "num_clients", "local_epochs", "batch_size", "eval_every", "seed"):
-            value, least = int(getattr(self, name)), 0 if name == "seed" else 1
+            value = _as_int(getattr(self, name), name, FedError)
+            least = 0 if name == "seed" else 1
             if value < least:
                 raise FedError(f"{name} must be >= {least}, got {value}")
             setattr(self, name, value)
@@ -129,8 +130,8 @@ class ClientUpdate:
     mean_local_loss: float
 
     def __post_init__(self) -> None:
-        self.client_id = int(self.client_id)
-        self.num_local_classes = int(self.num_local_classes)
+        self.client_id = _as_int(self.client_id, "client_id", FedError)
+        self.num_local_classes = _as_int(self.num_local_classes, "num_local_classes", FedError)
         self.mean_local_loss = float(self.mean_local_loss)
         if self.client_id < 0:
             raise FedError(f"client_id must be >= 0, got {self.client_id}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fedzsl.dataset import FeatureDataset
+from fedzsl.dataset import FeatureDataset, _as_int
 
 IID = "iid"
 DIRICHLET = "dirichlet"
@@ -43,7 +43,7 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise PartitionError(f"scheme must be one of {SCHEMES}, got '{self.scheme}'")
-        self.num_clients = int(self.num_clients)
+        self.num_clients = _as_int(self.num_clients, "num_clients", PartitionError)
         if self.num_clients < 1:
             raise PartitionError(f"num_clients must be >= 1, got {self.num_clients}")
         if self.scheme == DIRICHLET:
@@ -57,7 +57,7 @@ class PartitionSpec:
             raise PartitionError(
                 f"local_data_ratio must lie in (0, 1], got {self.local_data_ratio}"
             )
-        self.seed = int(self.seed)
+        self.seed = _as_int(self.seed, "seed", PartitionError)
         if self.seed < 0:
             raise PartitionError(f"seed must be >= 0, got {self.seed}")
 

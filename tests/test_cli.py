@@ -129,9 +129,9 @@ COMMAND_FLAGS = {
     },
     "glasso": {
         ("--data",): REQUIRED,
-        ("--delta",): 0.05,
-        ("--tol",): 1e-5,
-        ("--max-sweeps",): 200,
+        ("--glasso-delta",): 0.05,
+        ("--glasso-tol",): 1e-5,
+        ("--glasso-max-sweeps",): 200,
         ("--out",): ".",
     },
     "run": {
@@ -286,7 +286,7 @@ class TestGlasso:
         code = cli.main(
             [
                 "glasso", "--data", str(data), "--out", str(out),
-                "--delta", "0.1", "--tol", "1e-8",
+                "--glasso-delta", "0.1", "--glasso-tol", "1e-8",
             ]
         )
         assert code == 0
@@ -709,7 +709,7 @@ def _writers(data, out):
         ),
         "glasso": (
             ["glasso", "--data", str(data), "--out", str(out)],
-            ["glasso", "--data", str(data), "--out", str(out), "--delta", "0.1"],
+            ["glasso", "--data", str(data), "--out", str(out), "--glasso-delta", "0.1"],
         ),
         "partition": (
             ["partition", "--data", str(data), "--out", str(out), "-k", "2"],
@@ -990,12 +990,32 @@ class TestFlagList:
         assert "standardize" not in cov  # the library default: correlations
         cfg = solves[0]["cfg"]
         assert (cfg.delta, cfg.tol, cfg.max_sweeps) == (
-            defaults["--delta",],
-            defaults["--tol",],
-            defaults["--max-sweeps",],
+            defaults["--glasso-delta",],
+            defaults["--glasso-tol",],
+            defaults["--glasso-max-sweeps",],
         )
         out = tmp_path / defaults["--out",]
         assert (out / "gamma.csv").exists() and (out / "theta.csv").exists()
+
+    def test_glasso_flags_reach_the_config(self, monkeypatch, small_data):
+        solves = record(monkeypatch, "graphical_lasso", stop=True)
+        with pytest.raises(StopCommand):
+            cli.main(
+                [
+                    "glasso", "--data", str(small_data), "--glasso-delta", "0.2",
+                    "--glasso-tol", "1e-6", "--glasso-max-sweeps", "7",
+                ]
+            )
+        cfg = solves[0]["cfg"]
+        assert (cfg.delta, cfg.tol, cfg.max_sweeps) == (0.2, 1e-6, 7)
+
+    @pytest.mark.parametrize("flag", ["--delta", "--tol", "--max-sweeps"])
+    def test_glasso_flags_are_spelled_as_runs(self, small_data, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["glasso", "--data", str(small_data), "--out", str(tmp_path / "gl"), flag, "1"])
+        assert err.value.code == 1
+        assert f"error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "gl").exists()
 
     def test_eval_defaults(self, monkeypatch, small_data, tmp_path, capsys):
         defaults = COMMAND_FLAGS["eval"]

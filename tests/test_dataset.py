@@ -152,6 +152,9 @@ class TestFeatureDataset:
         assert np.array_equal(sub.labels, ds.labels[[5, 1, 9]])
 
 
+SYNTHETIC_COUNTS = ("num_seen", "num_unseen", "d_a", "d_v", "samples_per_class", "group_count")
+
+
 class TestSyntheticSpec:
     def test_defaults(self):
         spec = SyntheticSpec()
@@ -169,6 +172,18 @@ class TestSyntheticSpec:
             SyntheticSpec(noise_std=-0.1)
         with pytest.raises(DatasetError):
             SyntheticSpec(group_count=20, d_a=16)
+
+    @pytest.mark.parametrize("value", [2.9, float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", SYNTHETIC_COUNTS)
+    def test_a_non_integral_count_is_refused(self, field, value):
+        with pytest.raises(DatasetError, match=rf"^{field} must be an integer, got {value}$"):
+            SyntheticSpec(**{field: value})
+
+    def test_whole_counts_load_as_ints(self):
+        spec = SyntheticSpec(**{field: 4.0 for field in SYNTHETIC_COUNTS})
+        for field in SYNTHETIC_COUNTS:
+            value = getattr(spec, field)
+            assert type(value) is int and value == 4, field
 
 
 class TestGenerateSynthetic:

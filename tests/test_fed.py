@@ -55,6 +55,9 @@ def tiny_config(distill, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+TRAIN_COUNTS = ("rounds", "num_clients", "local_epochs", "batch_size", "eval_every", "seed")
+
+
 class TestTrainConfig:
     def test_partition_client_count_must_match(self):
         with pytest.raises(FedError):
@@ -70,6 +73,18 @@ class TestTrainConfig:
         with pytest.raises(FedError):
             TrainConfig(server_lr=0.0)
         TrainConfig(local_lr=0.0)  # a zero local rate is a valid no-op run
+
+    @pytest.mark.parametrize("value", [2.9, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("field", TRAIN_COUNTS)
+    def test_a_non_integral_count_is_refused(self, field, value):
+        with pytest.raises(FedError, match=rf"^{field} must be an integer, got {value}$"):
+            TrainConfig(**{field: value})
+
+    def test_whole_counts_load_as_ints(self):
+        cfg = TrainConfig(**{field: 10.0 for field in TRAIN_COUNTS})
+        for field in TRAIN_COUNTS:
+            value = getattr(cfg, field)
+            assert type(value) is int and value == 10, field
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -615,8 +630,14 @@ class TestClientUpdateRefusals:
             ("client_id", -1, "client_id must be >= 0, got -1"),
             ("num_local_classes", 0, "num_local_classes must be >= 1, got 0"),
             ("mean_local_loss", float("nan"), "mean_local_loss must be finite, got nan"),
+            ("client_id", 1.9, "client_id must be an integer, got 1.9"),
+            ("num_local_classes", 2.7, "num_local_classes must be an integer, got 2.7"),
+            ("num_local_classes", float("inf"), "num_local_classes must be an integer, got inf"),
         ],
-        ids=["negative-client-id", "no-local-classes", "nan-loss"],
+        ids=[
+            "negative-client-id", "no-local-classes", "nan-loss", "fractional-client-id",
+            "fractional-local-classes", "infinite-local-classes",
+        ],
     )
     def test_rejects_bad_metadata(self, field, value, message):
         params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
@@ -626,3 +647,11 @@ class TestClientUpdateRefusals:
         fields[field] = value
         with pytest.raises(FedError, match=message):
             ClientUpdate(**fields)
+
+    def test_whole_counts_load_as_ints(self):
+        params = init_params(4, 2, num_seen=4, mode="attribute-based", seed=1)
+        update = ClientUpdate(
+            client_id=3.0, trained=params.tensors(), num_local_classes=2.0, mean_local_loss=0.0
+        )
+        assert (update.client_id, update.num_local_classes) == (3, 2)
+        assert type(update.client_id) is int and type(update.num_local_classes) is int

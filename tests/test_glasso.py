@@ -374,6 +374,27 @@ class TestGraphicalLassoValidation:
         with pytest.raises(GlassoError):
             GlassoConfig(max_sweeps=0)
 
+    def test_refuses_a_sweep_that_leaves_theta_indefinite(self, monkeypatch):
+        # A column solve that returns off-diagonal entries of 10 against a
+        # diagonal of 1/scale leaves theta indefinite after the first sweep.
+        def indefinite_column(q, cols, buf, lin, b, delta, inner_tol):
+            b[:] = 10.0
+            return np.zeros(q.shape[0]), True
+
+        monkeypatch.setattr(glasso, "_solve_column_lasso", indefinite_column)
+        S = ORACLE_CASES["p3"][0]
+        with pytest.raises(GlassoError, match="^estimated precision lost positive definiteness$"):
+            graphical_lasso(S)
+
+    @pytest.mark.parametrize("value", [2.9, 0.5, float("nan"), float("inf")])
+    def test_a_non_integral_sweep_cap_is_refused(self, value):
+        with pytest.raises(GlassoError, match=rf"^max_sweeps must be an integer, got {value}$"):
+            GlassoConfig(max_sweeps=value)
+
+    def test_a_whole_sweep_cap_loads_as_an_int(self):
+        cfg = GlassoConfig(max_sweeps=2.0)
+        assert type(cfg.max_sweeps) is int and cfg.max_sweeps == 2
+
     def test_similarity_matrix_must_invert(self):
         with pytest.raises(GlassoError):
             SimilarityMatrix(

@@ -47,6 +47,18 @@ class TestPartitionSpec:
         with pytest.raises(PartitionError, match=r"seed must be >= 0, got -1$"):
             PartitionSpec(scheme="pccd", num_clients=3, seed=-1)
 
+    @pytest.mark.parametrize("value", [3.7, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["num_clients", "seed"])
+    def test_a_non_integral_count_is_refused(self, field, value):
+        fields = {"scheme": "pccd", "num_clients": 3, field: value}
+        with pytest.raises(PartitionError, match=rf"^{field} must be an integer, got {value}$"):
+            PartitionSpec(**fields)
+
+    def test_whole_counts_load_as_ints(self):
+        spec = PartitionSpec(scheme="pccd", num_clients=3.0, seed=2.0)
+        assert (spec.num_clients, spec.seed) == (3, 2)
+        assert type(spec.num_clients) is int and type(spec.seed) is int
+
     def test_ratio_bounds(self):
         with pytest.raises(PartitionError):
             PartitionSpec(scheme="iid", num_clients=3, local_data_ratio=0.0)

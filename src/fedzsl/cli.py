@@ -54,6 +54,7 @@ from fedzsl.glasso import (
     DEFAULT_TOL,
     GlassoConfig,
     SimilarityMatrix,
+    column_sweep,
     distill_targets,
     graphical_lasso,
     sample_covariance,
@@ -426,7 +427,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"(tol {resolved['glasso']['tol']}); "
                 "the distillation targets come from the last iterate\n"
             )
-        meta.update(glasso_converged=sim.converged, glasso_sweeps=sim.sweeps)
+        meta.update(
+            glasso_converged=sim.converged, glasso_sweeps=sim.sweeps, glasso_sweep=column_sweep()
+        )
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out / MANIFEST_FILE, resolved, meta)
     trace = run_simulation(ds, attrs, cfg, threads=args.threads)

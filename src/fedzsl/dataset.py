@@ -169,10 +169,18 @@ def _as_features(values: np.ndarray) -> np.ndarray:
 
 def _as_ids(values: object, what: str, error: type[ValueError]) -> np.ndarray:
     # Labels or class ids as int64.  An integer dtype passes on its dtype
-    # alone, with no pass over the values; any other values must be whole
-    # numbers within int64, or ``error`` names the first that is not.
+    # alone, with no pass over the values, except uint64, whose values of
+    # 2**63 and above the cast would wrap to negatives; any other values must
+    # be whole numbers within int64.  ``error`` names the first that is not,
+    # as given.
     v = np.asarray(values)
     if v.dtype.kind in "iu":
+        if v.dtype == np.uint64:
+            big = v >= np.uint64(2**63)
+            if np.any(big):
+                if v.ndim == 0:
+                    raise error(f"{what} must be an integer within int64, got {values}")
+                raise error(f"{what} must be integers within int64, got {v.flat[np.argmax(big)]}")
         return v.astype(np.int64, copy=False)
     real = v.astype(np.float64)
     bad = ~(np.trunc(real) == real) | (np.abs(real) >= 2.0**63)

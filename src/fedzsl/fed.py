@@ -327,7 +327,7 @@ def run_simulation(
     client's rows are copied out of the training split for its own
     :func:`local_train` call, and the updates are released once aggregated.
     """
-    threads = int(threads)
+    threads = _as_int(threads, "threads", FedError)
     if threads < 1:
         raise FedError(f"threads must be >= 1, got {threads}")
     if cfg.kl_enabled and cfg.distill is None:

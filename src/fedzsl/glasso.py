@@ -22,25 +22,38 @@ of {|S_ij| > delta} apart), reach the same optimum within ``tol`` but
 not the same bits, so adopting one means re-recording every reference
 digest of the outputs.
 
-Within that order, the column solve's time is nearly all interpreter
-overhead, and its loop is built to cut it.  A pass zips one tuple per
-coordinate (its index, q_ii, lin_i and the signed zero 0.0 / q_ii), built
-once per column, with the list of b's values, so a visit unpacks one tuple
-instead of indexing four lists.  A coordinate that moves costs two ufunc
-calls, multiply into a step buffer and add into r, bound to locals and
-given ``out`` positionally.  They read columns of q as contiguous rows of
-its transpose, which is copied per column into one buffer made once per
-solve, with the list of its row views, instead of a new array and list per
-column.  None of this changes an operation, its operands or its order.  Two
-calls per move is the floor while the bits must stay: BLAS ``daxpy`` fuses
-the multiply and the add and so rounds once where they round twice (about
-a quarter of the entries of a 199-vector differ).
+Within that order, the column solve's time is nearly all the coordinate
+passes, and they run compiled.  ``_glasso_sweep.c``, shipped beside this
+module, holds the passes as one C function with the Python loop's
+operations on the same values in the same order.  It is compiled on first
+use with the compiler Python was built with (``sysconfig``'s ``CC``, else
+``cc``), ``-O2 -shared -fPIC -ffp-contract=off``, into a temporary
+directory that is removed once the library is loaded, and called through
+``ctypes``.  ``-ffp-contract=off`` is required: GCC's default for GNU C
+fuses ``r + q*step`` into one fused multiply-add where the target has one,
+which rounds once where the loop rounds twice; for the same reason BLAS
+``daxpy`` cannot take the update (about a quarter of the entries of a
+199-vector differ), and no ``-ffast-math`` or ``-Ofast`` may be added.
+Everything around the passes stays numpy: ``r = q @ b``, ``b @ r`` and the
+column-level updates of W, q and theta.  When the library cannot be made
+(no compiler, a compile error, a load error) the Python loop runs instead,
+for the rest of the process, and writes the same bits; ``column_sweep()``
+says which one runs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -176,9 +189,61 @@ def glasso_objective(S: np.ndarray, theta: np.ndarray, delta: float) -> float:
     return float(np.sum(S * theta)) - logdet + float(delta) * float(np.sum(np.abs(theta)))
 
 
+_SWEEP_SOURCE = Path(__file__).with_name("_glasso_sweep.c")
+_SWEEP_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _compiler() -> list[str] | None:
+    # The compiler Python was built with, else cc; None when neither is on PATH.
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if cc and shutil.which(cc[0]):
+        return cc
+    fallback = shutil.which("cc")
+    return [fallback] if fallback else None
+
+
+@functools.cache
+def _compiled_sweep() -> Callable[..., float] | None:
+    # Build _glasso_sweep.c once per process and return its function, or None
+    # when any step fails, which selects the Python loop for good.  The
+    # library stays mapped after its directory is removed.
+    cc = _compiler()
+    if cc is None:
+        return None
+    try:
+        with tempfile.TemporaryDirectory(prefix="fedzsl-") as tmp:
+            lib = Path(tmp) / "glasso_sweep.so"
+            built = subprocess.run(
+                [*cc, *_SWEEP_FLAGS, str(_SWEEP_SOURCE), "-o", str(lib)],
+                stdin=subprocess.DEVNULL,
+                capture_output=True,
+                check=False,
+            )
+            if built.returncode != 0:
+                return None
+            passes = ctypes.CDLL(str(lib)).fedzsl_lasso_passes
+    except (OSError, AttributeError):
+        return None
+    pointer = ctypes.c_void_p
+    passes.argtypes = (
+        ctypes.c_longlong, pointer, pointer, pointer, pointer,
+        ctypes.c_double, ctypes.c_double, ctypes.c_longlong,
+    )
+    passes.restype = ctypes.c_double
+    return passes
+
+
+def column_sweep() -> str:
+    """Which coordinate sweep the solver runs: ``"compiled"`` or ``"python"``.
+
+    The first call builds the compiled sweep if it has not been tried yet.
+    """
+    return "python" if _compiled_sweep() is None else "compiled"
+
+
 def _solve_column_lasso(
     q: np.ndarray,
-    cols: list[np.ndarray],
+    qt: np.ndarray,
     buf: np.ndarray,
     lin: np.ndarray,
     b: np.ndarray,
@@ -191,17 +256,34 @@ def _solve_column_lasso(
     # inner_tol within _MAX_INNER_ITERATIONS passes.  Each visit computes
     # partial = (lin_i + r_i) - q_ii*b_i, soft-thresholds -partial by delta,
     # divides by q_ii and, if b_i moved, adds q[:, i]*step to r.  That
-    # arithmetic and its order are fixed (see the module docstring); the loop
-    # runs it over Python floats, which round exactly as numpy's float64
-    # scalars do, and reads r through a memoryview that sees its in-place
-    # updates.  q is symmetric only to rounding (S is checked within
-    # SYMMETRY_TOL), so r's update reads the column q[:, i], which the caller
-    # has copied into cols[i], a contiguous row; buf receives q[:, i]*step.
-    # The constants of coordinate i are one tuple per coordinate, so a visit
+    # arithmetic and its order are fixed (see the module docstring).  q is
+    # symmetric only to rounding (S is checked within SYMMETRY_TOL), so r's
+    # update reads the column q[:, i], which is row i of qt, the caller's
+    # contiguous copy of q.T.
+    r = q @ b
+    passes = _compiled_sweep()
+    if passes is not None:
+        # The C function takes bare pointers, so the layouts are checked here.
+        n = b.size
+        if not (
+            qt.shape == (n, n)
+            and lin.shape == b.shape == (n,)
+            and all(a.dtype == np.float64 and a.flags.c_contiguous for a in (qt, lin, b))
+        ):
+            raise GlassoError("the column solve needs C-contiguous float64 arrays of one size")
+        biggest = passes(
+            n, qt.ctypes.data, lin.ctypes.data, b.ctypes.data, r.ctypes.data,
+            delta, inner_tol, _MAX_INNER_ITERATIONS,
+        )
+        return r, biggest <= inner_tol
+    # The Python loop runs the same arithmetic over Python floats, which round
+    # exactly as numpy's float64 scalars do, and reads r through a memoryview
+    # that sees its in-place updates; buf receives q[:, i]*step.  The
+    # constants of coordinate i are one tuple per coordinate, so a visit
     # unpacks one object where it would index four lists; 0.0 / q_ii is the
     # same signed zero whether divided once per column or once per visit.
-    r = q @ b
     mul, add = np.multiply, np.add
+    cols = list(qt)
     coords = [
         (i, q_ii, lin_i, 0.0 / q_ii)
         for i, q_ii, lin_i in zip(range(len(cols)), q.diagonal().tolist(), lin.tolist())
@@ -284,14 +366,13 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
     # whole of W in place and later adds the new term back; only the four
     # blocks off row and column j (W11) keep the results, since row and
     # column j are then rewritten.  q is the scaled W11 and qt its transpose,
-    # whose rows are the columns the lasso adds to r.  The buffers, and the
-    # list of qt's row views, are made once per solve and only copied into
-    # per column, since every column's q has the same shape.
+    # whose rows are the columns the lasso adds to r.  The buffers are made
+    # once per solve and only copied into per column, since every column's q
+    # has the same shape.
     column = np.empty(p)
     outer = np.empty((p, p))
     q = np.empty((p - 1, p - 1))
     qt = np.empty_like(q)
-    cols = list(qt)
     buf = np.empty(p - 1)
     converged = False
     sweeps_run = 0
@@ -311,7 +392,7 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             np.multiply(scale, W[j + 1 :, j + 1 :], out=q[j:, j:])
             np.copyto(qt, q.T)
             b = theta[rest, j]
-            r, met = _solve_column_lasso(q, cols, buf, S[rest, j], b, delta, inner_tol)
+            r, met = _solve_column_lasso(q, qt, buf, S[rest, j], b, delta, inner_tol)
             columns_met &= met
             theta[rest, j] = b
             theta[j, rest] = b

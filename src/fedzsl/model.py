@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, _as_features, _as_ids, _read_block, _write_lines
+from fedzsl.dataset import AttributeMatrix, _as_features, _as_ids, _as_int, _read_block, _write_lines
 
 ATTRIBUTE_BASED = "attribute-based"
 ATTRIBUTE_FREE = "attribute-free"
@@ -166,7 +166,10 @@ def init_params(d_v: int, d_a: int, num_seen: int, mode: str, seed: int) -> Mode
     then the classifier head when present), so both modes share g and h
     initializations for a given seed.
     """
-    d_v, d_a, num_seen = int(d_v), int(d_a), int(num_seen)
+    d_v = _as_int(d_v, "d_v", ModelError)
+    d_a = _as_int(d_a, "d_a", ModelError)
+    num_seen = _as_int(num_seen, "num_seen", ModelError)
+    seed = _as_int(seed, "seed", ModelError)
     if d_v < 1 or d_a < 1 or num_seen < 1:
         raise ModelError(f"dimensions must be positive, got d_v={d_v} d_a={d_a} num_seen={num_seen}")
     if mode not in MODES:

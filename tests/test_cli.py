@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedzsl import cli
+from fedzsl import cli, glasso
 from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, load_dataset, save_dataset
 from fedzsl.fed import TrainConfig
 from fedzsl.glasso import GlassoConfig
@@ -328,6 +328,7 @@ class TestRun:
         manifest = configparser.ConfigParser()
         manifest.read(out / "manifest.ini")
         assert manifest["meta"]["glasso_converged"] == "true"
+        assert manifest["meta"]["glasso_sweep"] == glasso.column_sweep()
 
     def test_unconverged_glasso_warns_and_is_recorded(self, small_data, tmp_path, capsys):
         config = tmp_path / "one_sweep.ini"
@@ -339,6 +340,7 @@ class TestRun:
         manifest.read(first / "manifest.ini")
         assert manifest["meta"]["glasso_converged"] == "false"
         assert manifest["meta"]["glasso_sweeps"] == "1"
+        assert manifest["meta"]["glasso_sweep"] == glasso.column_sweep()
         second = tmp_path / "second"
         assert cli.main(
             [
@@ -401,6 +403,22 @@ class TestRun:
         assert manifest["losses"]["bc"] == "false"
         assert manifest["losses"]["kl"] == "false"
         assert manifest["losses"]["ad"] == "false"
+        # No KL term, no glasso solve, so nothing to say about one.
+        assert not [key for key in manifest["meta"] if key.startswith("glasso")]
+
+    def test_the_python_sweep_writes_the_same_bytes_and_says_so(
+        self, small_data, tmp_path, monkeypatch
+    ):
+        first = tmp_path / "first"
+        assert self.run_once(small_data, first) == 0
+        monkeypatch.setattr(glasso, "_compiled_sweep", lambda: None)
+        loop = tmp_path / "loop"
+        assert self.run_once(small_data, loop) == 0
+        for name in ("metrics.csv", "final_model.csv"):
+            assert (loop / name).read_bytes() == (first / name).read_bytes(), name
+        manifest = configparser.ConfigParser()
+        manifest.read(loop / "manifest.ini")
+        assert manifest["meta"]["glasso_sweep"] == "python"
 
     @pytest.mark.parametrize("word", ["full", "all", " ALL "])
     def test_ablation_full_turns_every_term_on(self, small_data, tmp_path, monkeypatch, word):

@@ -130,6 +130,21 @@ class TestFeatureDataset:
         with pytest.raises(LabelError, match=f"^{message}$"):
             FeatureDataset(features=np.ones((2, 3)), labels=labels, split=split)
 
+    @pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+    def test_rejects_uint64_labels_beyond_int64(self, value):
+        # The int64 cast would wrap them to negatives, and the refusal would
+        # name a label the caller never gave.
+        split = ClassSplit(seen=(0,), unseen=(1,))
+        labels = np.array([0, value], dtype=np.uint64)
+        with pytest.raises(LabelError, match=f"^labels must be integers within int64, got {value}$"):
+            FeatureDataset(features=np.ones((2, 3)), labels=labels, split=split)
+
+    def test_uint64_labels_within_int64_load(self):
+        split = ClassSplit(seen=(0,), unseen=(1,))
+        labels = np.array([1, 0], dtype=np.uint64)
+        ds = FeatureDataset(features=np.ones((2, 3)), labels=labels, split=split)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
     def test_integral_float_labels_load_and_int64_labels_are_kept(self):
         split = ClassSplit(seen=(0,), unseen=(1,))
         ds = FeatureDataset(features=np.ones((2, 3)), labels=[1.0, 0.0], split=split)

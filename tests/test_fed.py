@@ -409,6 +409,19 @@ class TestRunSimulation:
         with pytest.raises(FedError, match=rf"threads must be >= 1, got {threads}"):
             run_simulation(ds, attrs, tiny_config(distill), threads=threads)
 
+    @pytest.mark.parametrize("threads", [2.9, 1.5, math.nan, math.inf])
+    def test_a_non_integral_thread_count_is_refused(self, threads):
+        # Truncating would run threads=2.9 as a pool of 2 workers.
+        ds, attrs, distill = tiny_problem()
+        with pytest.raises(FedError, match=rf"^threads must be an integer, got {threads}$"):
+            run_simulation(ds, attrs, tiny_config(distill), threads=threads)
+
+    def test_a_whole_thread_count_runs_as_an_int(self):
+        ds, attrs, distill = tiny_problem()
+        cfg = tiny_config(distill)
+        whole = run_simulation(ds, attrs, cfg, threads=2.0)
+        assert metrics_to_csv(list(whole)) == metrics_to_csv(list(run_simulation(ds, attrs, cfg)))
+
     def test_trace_length_and_eval_cadence(self):
         ds, attrs, distill = tiny_problem()
         cfg = tiny_config(distill, rounds=3, eval_every=2)

@@ -1,6 +1,10 @@
 """Penalized precision estimation: closed forms, optimality, and targets."""
 from __future__ import annotations
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +350,92 @@ class TestSolverMatchesTheLoop:
         # solves that ran out of passes can make this non-converged.
         assert cut.sweeps < cfg.max_sweeps
         assert not cut.converged
+
+
+needs_a_compiler = pytest.mark.skipif(glasso._compiler() is None, reason="no C compiler on PATH")
+
+
+@pytest.fixture
+def first_build(monkeypatch, tmp_path):
+    # The sweep as a new process finds it, not yet built, with temporary
+    # directories made under tmp_path; rebuilt as usual after the test.
+    glasso._compiled_sweep.cache_clear()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    yield tmp_path
+    glasso._compiled_sweep.cache_clear()
+
+
+class TestCompiledSweep:
+    @needs_a_compiler
+    def test_a_compiler_builds_it_and_leaves_no_directory(self, first_build, capfd):
+        assert glasso.column_sweep() == "compiled"
+        assert list(first_build.iterdir()) == []
+        assert capfd.readouterr() == ("", "")
+
+    @needs_a_compiler
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        classes=st.integers(2, 48),
+        d_a=st.integers(2, 40),
+        standardize=st.booleans(),
+        delta=st.floats(0.005, 0.5),
+        tol=st.sampled_from([1e-3, 1e-5, 1e-8]),
+        max_sweeps=st.integers(1, 40),
+        passes=st.sampled_from([1, 2, 5, glasso._MAX_INNER_ITERATIONS]),
+    )
+    def test_writes_the_python_loops_bytes(
+        self, seed, classes, d_a, standardize, delta, tol, max_sweeps, passes
+    ):
+        # passes below the default cut column solves off at their cap.
+        values = np.random.default_rng(seed).standard_normal((d_a, classes))
+        S = sample_covariance(values, standardize=standardize)
+        cfg = GlassoConfig(delta=delta, tol=tol, max_sweeps=max_sweeps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glasso, "_MAX_INNER_ITERATIONS", passes)
+            assert glasso.column_sweep() == "compiled"
+            compiled = graphical_lasso(S, cfg)
+            mp.setattr(glasso, "_compiled_sweep", lambda: None)
+            assert glasso.column_sweep() == "python"
+            assert_same_solve(compiled, graphical_lasso(S, cfg))
+
+    @needs_a_compiler
+    @pytest.mark.parametrize("layout", ["strided-b", "float32-lin", "short-lin"])
+    def test_pointers_go_only_to_contiguous_float64_arrays(self, layout):
+        q = np.eye(4) * 2.0
+        qt, buf, lin, b = q.copy(), np.empty(4), np.ones(4), np.zeros(4)
+        if layout == "strided-b":
+            b = np.zeros(8)[::2]
+        elif layout == "float32-lin":
+            lin = lin.astype(np.float32)
+        else:
+            lin = lin[:3]
+        assert glasso.column_sweep() == "compiled"
+        with pytest.raises(GlassoError, match="C-contiguous float64 arrays of one size"):
+            glasso._solve_column_lasso(q, qt, buf, lin, b, 0.1, 1e-8)
+
+    @pytest.mark.parametrize(
+        "compiler",
+        [
+            None,
+            [sys.executable, "-c", "import sys; sys.exit('cc: error: no input')"],
+            [str(Path(sys.executable).with_name("no-such-cc"))],
+            [sys.executable, "-c", "pass"],
+        ],
+        ids=["no-compiler", "compile-error", "missing-executable", "no-library-to-load"],
+    )
+    def test_a_failed_build_runs_the_python_loop_quietly(
+        self, compiler, first_build, monkeypatch, capfd
+    ):
+        S = random_covariance(7, 30, 20)
+        want = graphical_lasso(S)  # compiled, where a compiler is on PATH
+        glasso._compiled_sweep.cache_clear()
+        monkeypatch.setattr(glasso, "_compiler", lambda: compiler)
+        got = graphical_lasso(S)
+        assert glasso.column_sweep() == "python"
+        assert_same_solve(got, want)
+        assert list(first_build.iterdir()) == []
+        assert capfd.readouterr() == ("", "")
 
 
 class TestGraphicalLassoValidation:

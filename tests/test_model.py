@@ -142,6 +142,20 @@ class TestInitParams:
         with pytest.raises(ModelError):
             init_params(6, 4, 3, "other", 0)
 
+    @pytest.mark.parametrize("value", [5.9, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["d_v", "d_a", "num_seen", "seed"])
+    def test_a_non_integral_count_or_seed_is_refused(self, field, value):
+        # Truncating would draw a 4x5 W_g for d_v=5.9, and a float seed would
+        # reach numpy, which raises its own TypeError.
+        args = {"d_v": 6, "d_a": 4, "num_seen": 3, "seed": 0, field: value}
+        with pytest.raises(ModelError, match=rf"^{field} must be an integer, got {value}$"):
+            init_params(**args, mode=ATTRIBUTE_FREE)
+
+    def test_whole_counts_and_seed_load_as_ints(self):
+        params = init_params(d_v=6.0, d_a=4.0, num_seen=3.0, mode=ATTRIBUTE_FREE, seed=9.0)
+        assert params.W_g.shape == (4, 6) and params.W_c.shape == (3, 6)
+        assert params.W_g.tobytes() == tiny_params(ATTRIBUTE_FREE, seed=9).W_g.tobytes()
+
 
 class TestForward:
     def test_vector_and_batch_agree(self):

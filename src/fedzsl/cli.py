@@ -428,7 +428,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "the distillation targets come from the last iterate\n"
             )
         meta.update(
-            glasso_converged=sim.converged, glasso_sweeps=sim.sweeps, glasso_sweep=column_sweep()
+            glasso_converged=sim.converged,
+            glasso_sweeps=sim.sweeps,
+            glasso_passes=sim.passes,
+            glasso_sweep=column_sweep(),
         )
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out / MANIFEST_FILE, resolved, meta)

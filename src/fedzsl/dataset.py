@@ -147,7 +147,12 @@ class AttributeMatrix:
             )
         if not np.all(np.isfinite(self.values)):
             raise DatasetError("attribute matrix contains non-finite values")
-        self.groups = tuple(sorted((int(a), int(b)) for a, b in self.groups))
+        self.groups = tuple(
+            sorted(
+                (_as_int(a, "group start", DatasetError), _as_int(b, "group end", DatasetError))
+                for a, b in self.groups
+            )
+        )
         _check_groups(self.groups, d_a)
 
     @property

@@ -22,23 +22,31 @@ of {|S_ij| > delta} apart), reach the same optimum within ``tol`` but
 not the same bits, so adopting one means re-recording every reference
 digest of the outputs.
 
-Within that order, the column solve's time is nearly all the coordinate
-passes, and they run compiled.  ``_glasso_sweep.c``, shipped beside this
-module, holds the passes as one C function with the Python loop's
-operations on the same values in the same order.  It is compiled on first
-use with the compiler Python was built with (``sysconfig``'s ``CC``, else
-``cc``), ``-O2 -shared -fPIC -ffp-contract=off``, into a temporary
-directory that is removed once the library is loaded, and called through
-``ctypes``.  ``-ffp-contract=off`` is required: GCC's default for GNU C
-fuses ``r + q*step`` into one fused multiply-add where the target has one,
-which rounds once where the loop rounds twice; for the same reason BLAS
+Within that order, each column step runs compiled.  ``_glasso_sweep.c``,
+shipped beside this module, holds it as three C functions with the numpy
+code's and the Python loop's operations on the same values in the same
+order: the start (the rank-one downdate of W off row and column j, the
+copies into q and its transpose qt, and the gathers of the lasso's linear
+term and warm start), the coordinate passes, and the finish (the writes
+into theta, the rank-one update of W and its row and column j).  Every one
+of these is elementwise, with no reduction whose order could differ.  Only
+two operations stay numpy, because they are BLAS reductions whose summation
+order belongs to the library: ``r = q @ b`` before the passes and
+``b @ r`` for ``theta[j, j]``.  The file is compiled on first use with the
+compiler Python was built with (``sysconfig``'s ``CC``, else ``cc``),
+``-O2 -shared -fPIC -ffp-contract=off``, into a temporary directory that is
+removed once the library is loaded, and called through ``ctypes``;
+pointers go only to C-contiguous float64 arrays, checked once per solve
+for the start and finish and once per column for the passes.
+``-ffp-contract=off`` is required: GCC's default for GNU C fuses
+``r + q*step`` into one fused multiply-add where the target has one, which
+rounds once where the loop rounds twice; for the same reason BLAS
 ``daxpy`` cannot take the update (about a quarter of the entries of a
 199-vector differ), and no ``-ffast-math`` or ``-Ofast`` may be added.
-Everything around the passes stays numpy: ``r = q @ b``, ``b @ r`` and the
-column-level updates of W, q and theta.  When the library cannot be made
-(no compiler, a compile error, a load error) the Python loop runs instead,
-for the rest of the process, and writes the same bits; ``column_sweep()``
-says which one runs.
+When the library cannot be made (no compiler, a compile error, a load
+error) the numpy column step and the Python loop run instead, for the rest
+of the process, and write the same bits; ``column_sweep()`` says which one
+runs.  Both count the coordinate passes alike (``SimilarityMatrix.passes``).
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +113,7 @@ class SimilarityMatrix:
     converged: bool = True
     sweeps: int = 0
     objective: tuple[float, ...] = ()
+    passes: int = 0  # coordinate passes of every column solve of every sweep
 
     def __post_init__(self) -> None:
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
@@ -202,11 +212,20 @@ def _compiler() -> list[str] | None:
     return [fallback] if fallback else None
 
 
+class _Sweep(NamedTuple):
+    """The functions of the compiled library (see ``_glasso_sweep.c``)."""
+
+    passes: Callable[..., int]
+    start: Callable[..., None]
+    finish: Callable[..., None]
+
+
 @functools.cache
-def _compiled_sweep() -> Callable[..., float] | None:
-    # Build _glasso_sweep.c once per process and return its function, or None
-    # when any step fails, which selects the Python loop for good.  The
-    # library stays mapped after its directory is removed.
+def _compiled_sweep() -> _Sweep | None:
+    # Build _glasso_sweep.c once per process and return its functions, or
+    # None when any step fails, which selects the numpy column step and the
+    # Python loop for good.  The library stays mapped after its directory is
+    # removed.
     cc = _compiler()
     if cc is None:
         return None
@@ -221,22 +240,26 @@ def _compiled_sweep() -> Callable[..., float] | None:
             )
             if built.returncode != 0:
                 return None
-            passes = ctypes.CDLL(str(lib)).fedzsl_lasso_passes
+            loaded = ctypes.CDLL(str(lib))
+            sweep = _Sweep(
+                loaded.fedzsl_lasso_passes, loaded.fedzsl_column_start, loaded.fedzsl_column_finish
+            )
     except (OSError, AttributeError):
         return None
-    pointer = ctypes.c_void_p
-    passes.argtypes = (
-        ctypes.c_longlong, pointer, pointer, pointer, pointer,
-        ctypes.c_double, ctypes.c_double, ctypes.c_longlong,
-    )
-    passes.restype = ctypes.c_double
-    return passes
+    size, real, pointer = ctypes.c_longlong, ctypes.c_double, ctypes.c_void_p
+    sweep.passes.argtypes = (size, pointer, pointer, pointer, pointer, real, real, size, pointer)
+    sweep.passes.restype = size
+    sweep.start.argtypes = (size, size, real, *[pointer] * 8)
+    sweep.start.restype = None
+    sweep.finish.argtypes = (size, size, real, *[pointer] * 4)
+    sweep.finish.restype = None
+    return sweep
 
 
 def column_sweep() -> str:
-    """Which coordinate sweep the solver runs: ``"compiled"`` or ``"python"``.
+    """Which column step the solver runs: ``"compiled"`` or ``"python"``.
 
-    The first call builds the compiled sweep if it has not been tried yet.
+    The first call builds the compiled one if it has not been tried yet.
     """
     return "python" if _compiled_sweep() is None else "compiled"
 
@@ -249,33 +272,30 @@ def _solve_column_lasso(
     b: np.ndarray,
     delta: float,
     inner_tol: float,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, bool, int]:
     # Coordinate descent for 0.5*b@q@b + lin@b + delta*||b||_1, warm-started at
     # the current precision column; r tracks q @ b throughout and b is updated
     # in place; also returns whether a pass moved no coordinate by more than
-    # inner_tol within _MAX_INNER_ITERATIONS passes.  Each visit computes
-    # partial = (lin_i + r_i) - q_ii*b_i, soft-thresholds -partial by delta,
-    # divides by q_ii and, if b_i moved, adds q[:, i]*step to r.  That
-    # arithmetic and its order are fixed (see the module docstring).  q is
-    # symmetric only to rounding (S is checked within SYMMETRY_TOL), so r's
-    # update reads the column q[:, i], which is row i of qt, the caller's
-    # contiguous copy of q.T.
+    # inner_tol within _MAX_INNER_ITERATIONS passes, and the passes run.  Each
+    # visit computes partial = (lin_i + r_i) - q_ii*b_i, soft-thresholds
+    # -partial by delta, divides by q_ii and, if b_i moved, adds q[:, i]*step
+    # to r.  That arithmetic and its order are fixed (see the module
+    # docstring).  q is symmetric only to rounding (S is checked within
+    # SYMMETRY_TOL), so r's update reads the column q[:, i], which is row i of
+    # qt, the caller's contiguous copy of q.T.
     r = q @ b
-    passes = _compiled_sweep()
-    if passes is not None:
+    sweep = _compiled_sweep()
+    if sweep is not None:
         # The C function takes bare pointers, so the layouts are checked here.
         n = b.size
-        if not (
-            qt.shape == (n, n)
-            and lin.shape == b.shape == (n,)
-            and all(a.dtype == np.float64 and a.flags.c_contiguous for a in (qt, lin, b))
-        ):
+        if not (qt.shape == (n, n) and lin.shape == b.shape == (n,) and _c_doubles(qt, lin, b)):
             raise GlassoError("the column solve needs C-contiguous float64 arrays of one size")
-        biggest = passes(
+        biggest = ctypes.c_double()
+        passes = sweep.passes(
             n, qt.ctypes.data, lin.ctypes.data, b.ctypes.data, r.ctypes.data,
-            delta, inner_tol, _MAX_INNER_ITERATIONS,
+            delta, inner_tol, _MAX_INNER_ITERATIONS, ctypes.byref(biggest),
         )
-        return r, biggest <= inner_tol
+        return r, biggest.value <= inner_tol, passes
     # The Python loop runs the same arithmetic over Python floats, which round
     # exactly as numpy's float64 scalars do, and reads r through a memoryview
     # that sees its in-place updates; buf receives q[:, i]*step.  The
@@ -290,7 +310,8 @@ def _solve_column_lasso(
     ]
     b_f = b.tolist()
     r_f = memoryview(r)
-    for _ in range(_MAX_INNER_ITERATIONS):
+    passes = 0
+    for passes in range(1, _MAX_INNER_ITERATIONS + 1):
         biggest = 0.0
         for (i, q_ii, lin_i, zero), old in zip(coords, b_f):
             x = -(lin_i + r_f[i] - q_ii * old)
@@ -311,7 +332,118 @@ def _solve_column_lasso(
         if biggest <= inner_tol:
             break
     b[:] = b_f
-    return r, biggest <= inner_tol
+    return r, biggest <= inner_tol, passes
+
+
+def _c_doubles(*arrays: np.ndarray) -> bool:
+    return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+
+
+@dataclass
+class _ColumnBuffers:
+    """What one solve's column steps read and write.
+
+    ``S``, ``W`` and ``theta`` are p x p; ``q`` and ``qt`` (its transpose)
+    are the scaled W11 of the current column, n x n with n = p - 1;
+    ``column`` (p) holds column j of W; ``lin``, ``b`` and ``r`` (n) are the
+    column lasso's linear term, solution and q @ b.
+    """
+
+    S: np.ndarray
+    W: np.ndarray
+    theta: np.ndarray
+    q: np.ndarray
+    qt: np.ndarray
+    column: np.ndarray
+    lin: np.ndarray
+    b: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def empty(cls, S: np.ndarray, W: np.ndarray, theta: np.ndarray) -> _ColumnBuffers:
+        p = S.shape[0]
+        n = p - 1
+        return cls(
+            S, W, theta, np.empty((n, n)), np.empty((n, n)),
+            np.empty(p), np.empty(n), np.empty(n), np.empty(n),
+        )
+
+
+class _NumpyColumnStep:
+    """The column step around the lasso, in numpy.
+
+    ``start(j, scale)`` subtracts the rank-one term of column j from the
+    whole of W in place and fills q (the scaled W11, the four blocks off row
+    and column j), qt, column, lin and b; ``finish(j, scale, r)`` writes the
+    lasso's solution b into theta off the diagonal and adds the new rank-one
+    term back to W.  Only W11 keeps the results of the two rank-one terms,
+    since finish then rewrites row and column j.
+    """
+
+    def __init__(self, bufs: _ColumnBuffers) -> None:
+        p = bufs.S.shape[0]
+        self.bufs = bufs
+        self.rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
+        self.outer = np.empty((p, p))
+
+    def start(self, j: int, scale: float) -> None:
+        bufs, outer, rest = self.bufs, self.outer, self.rest_indices[j]
+        W, q, column = bufs.W, bufs.q, bufs.column
+        column[:] = W[:, j]
+        np.multiply.outer(column, column, out=outer)
+        outer /= column[j]
+        W -= outer
+        np.multiply(scale, W[:j, :j], out=q[:j, :j])
+        np.multiply(scale, W[:j, j + 1 :], out=q[:j, j:])
+        np.multiply(scale, W[j + 1 :, :j], out=q[j:, :j])
+        np.multiply(scale, W[j + 1 :, j + 1 :], out=q[j:, j:])
+        np.copyto(bufs.qt, q.T)
+        bufs.lin[:] = bufs.S[rest, j]
+        bufs.b[:] = bufs.theta[rest, j]
+
+    def finish(self, j: int, scale: float, r: np.ndarray) -> None:
+        bufs, outer, rest = self.bufs, self.outer, self.rest_indices[j]
+        W, theta, column = bufs.W, bufs.theta, bufs.column
+        theta[rest, j] = bufs.b
+        theta[j, rest] = bufs.b
+        column[rest] = r
+        column[j] = 0.0
+        np.multiply.outer(column, column, out=outer)
+        outer /= scale
+        W += outer
+        W[j, j] = scale
+        W[rest, j] = -r
+        W[j, rest] = -r
+
+
+class _CompiledColumnStep:
+    """``_NumpyColumnStep``'s start and finish, in C, writing the same bits.
+
+    The C functions take bare pointers, so the layouts are checked here, once
+    per solve; r is copied into ``bufs.r``, since it comes from the column
+    lasso.
+    """
+
+    def __init__(self, sweep: _Sweep, bufs: _ColumnBuffers) -> None:
+        p = bufs.S.shape[0]
+        n = p - 1
+        arrays = (
+            bufs.S, bufs.W, bufs.theta, bufs.q, bufs.qt, bufs.column, bufs.lin, bufs.b, bufs.r
+        )
+        shapes = 3 * [(p, p)] + 2 * [(n, n)] + [(p,)] + 3 * [(n,)]
+        if not (all(a.shape == shape for a, shape in zip(arrays, shapes)) and _c_doubles(*arrays)):
+            raise GlassoError("the column step needs C-contiguous float64 arrays of matching sizes")
+        S, W, theta, q, qt, column, lin, b, r = (a.ctypes.data for a in arrays)
+        self.sweep, self.bufs, self.p = sweep, bufs, p
+        self.start_pointers = (W, S, theta, column, q, qt, lin, b)
+        self.finish_pointers = (W, theta, b, r)
+
+    def start(self, j: int, scale: float) -> None:
+        self.sweep.start(self.p, j, scale, *self.start_pointers)
+
+    def finish(self, j: int, scale: float, r: np.ndarray) -> None:
+        np.copyto(self.bufs.r, r)
+        self.sweep.finish(self.p, j, scale, *self.finish_pointers)
 
 
 def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> SimilarityMatrix:
@@ -361,50 +493,31 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             objective=tuple(objective),
         )
     inner_tol = max(cfg.tol * 1e-3, 1e-14)
-    rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
-    # Each column update subtracts the rank-one term of column j from the
-    # whole of W in place and later adds the new term back; only the four
-    # blocks off row and column j (W11) keep the results, since row and
-    # column j are then rewritten.  q is the scaled W11 and qt its transpose,
-    # whose rows are the columns the lasso adds to r.  The buffers are made
-    # once per solve and only copied into per column, since every column's q
-    # has the same shape.
-    column = np.empty(p)
-    outer = np.empty((p, p))
-    q = np.empty((p - 1, p - 1))
-    qt = np.empty_like(q)
+    sweep = _compiled_sweep()
+    step: _NumpyColumnStep | _CompiledColumnStep
+    if sweep is None:
+        bufs = _ColumnBuffers.empty(S, W, theta)
+        step = _NumpyColumnStep(bufs)
+    else:
+        # S may arrive F-ordered; the C step reads it by rows.
+        bufs = _ColumnBuffers.empty(np.ascontiguousarray(S), W, theta)
+        step = _CompiledColumnStep(sweep, bufs)
+    q, qt, lin, b = bufs.q, bufs.qt, bufs.lin, bufs.b
     buf = np.empty(p - 1)
     converged = False
     sweeps_run = 0
+    passes_run = 0
     for _ in range(cfg.max_sweeps):
         w_before = W.copy()
         columns_met = True
         for j in range(p):
-            rest = rest_indices[j]
-            column[:] = W[:, j]
-            np.multiply.outer(column, column, out=outer)
-            outer /= column[j]
-            W -= outer
             scale = S[j, j] + delta
-            np.multiply(scale, W[:j, :j], out=q[:j, :j])
-            np.multiply(scale, W[:j, j + 1 :], out=q[:j, j:])
-            np.multiply(scale, W[j + 1 :, :j], out=q[j:, :j])
-            np.multiply(scale, W[j + 1 :, j + 1 :], out=q[j:, j:])
-            np.copyto(qt, q.T)
-            b = theta[rest, j]
-            r, met = _solve_column_lasso(q, qt, buf, S[rest, j], b, delta, inner_tol)
+            step.start(j, scale)
+            r, met, passes = _solve_column_lasso(q, qt, buf, lin, b, delta, inner_tol)
             columns_met &= met
-            theta[rest, j] = b
-            theta[j, rest] = b
+            passes_run += passes
+            step.finish(j, scale, r)
             theta[j, j] = (1.0 + float(b @ r)) / scale
-            column[rest] = r
-            column[j] = 0.0
-            np.multiply.outer(column, column, out=outer)
-            outer /= scale
-            W += outer
-            W[j, j] = scale
-            W[rest, j] = -r
-            W[j, rest] = -r
         sweeps_run += 1
         # The objective's Cholesky factor is also the check that the sweep
         # left theta positive definite.
@@ -426,6 +539,7 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
         converged=converged,
         sweeps=sweeps_run,
         objective=tuple(objective),
+        passes=passes_run,
     )
 
 

@@ -313,6 +313,12 @@ class TestRun:
     def run_once(self, data, out, extra=()):
         return cli.main(["run", "--data", str(data), "--out", str(out), *FAST_RUN, *extra])
 
+    @staticmethod
+    def solve(data, cfg):
+        # The glasso solve a run of data makes under cfg, solved on its own.
+        _, attrs = load_dataset(data)
+        return glasso.graphical_lasso(glasso.sample_covariance(attrs), cfg)
+
     def test_writes_outputs_and_reports(self, small_data, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.run_once(small_data, out) == 0
@@ -329,6 +335,9 @@ class TestRun:
         manifest.read(out / "manifest.ini")
         assert manifest["meta"]["glasso_converged"] == "true"
         assert manifest["meta"]["glasso_sweep"] == glasso.column_sweep()
+        sim = self.solve(small_data, GlassoConfig())
+        assert manifest["meta"]["glasso_sweeps"] == str(sim.sweeps)
+        assert manifest["meta"]["glasso_passes"] == str(sim.passes)
 
     def test_unconverged_glasso_warns_and_is_recorded(self, small_data, tmp_path, capsys):
         config = tmp_path / "one_sweep.ini"
@@ -340,6 +349,8 @@ class TestRun:
         manifest.read(first / "manifest.ini")
         assert manifest["meta"]["glasso_converged"] == "false"
         assert manifest["meta"]["glasso_sweeps"] == "1"
+        sim = self.solve(small_data, GlassoConfig(max_sweeps=1))
+        assert manifest["meta"]["glasso_passes"] == str(sim.passes)
         assert manifest["meta"]["glasso_sweep"] == glasso.column_sweep()
         second = tmp_path / "second"
         assert cli.main(
@@ -419,6 +430,10 @@ class TestRun:
         manifest = configparser.ConfigParser()
         manifest.read(loop / "manifest.ini")
         assert manifest["meta"]["glasso_sweep"] == "python"
+        compiled = configparser.ConfigParser()
+        compiled.read(first / "manifest.ini")
+        for key in ("glasso_sweeps", "glasso_passes"):
+            assert manifest["meta"][key] == compiled["meta"][key], key
 
     @pytest.mark.parametrize("word", ["full", "all", " ALL "])
     def test_ablation_full_turns_every_term_on(self, small_data, tmp_path, monkeypatch, word):

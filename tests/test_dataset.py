@@ -104,6 +104,24 @@ class TestAttributeMatrix:
         with pytest.raises(DatasetError):
             AttributeMatrix(values=values, groups=((0, 3),))
 
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            (((0, 1.9), (1.2, 3)), "group end must be an integer, got 1.9"),
+            (((0, 2), (2.5, 3)), "group start must be an integer, got 2.5"),
+            (((0, 2), (2, float("nan"))), "group end must be an integer, got nan"),
+            (((0, 2), (2, float("inf"))), "group end must be an integer, got inf"),
+        ],
+    )
+    def test_a_non_integral_group_bound_is_refused(self, groups, message):
+        with pytest.raises(DatasetError, match=rf"^{message}$"):
+            AttributeMatrix(values=np.ones((3, 2)), groups=groups)
+
+    def test_a_whole_group_bound_loads_as_an_int(self):
+        attrs = AttributeMatrix(values=np.ones((3, 2)), groups=((0, 2.0), (np.int64(2), 3)))
+        assert attrs.groups == ((0, 2), (2, 3))
+        assert all(type(bound) is int for group in attrs.groups for bound in group)
+
     def test_dimensions(self):
         attrs = AttributeMatrix(values=np.ones((4, 7)), groups=((0, 2), (2, 4)))
         assert attrs.d_a == 4

@@ -1,6 +1,7 @@
 """Penalized precision estimation: closed forms, optimality, and targets."""
 from __future__ import annotations
 
+import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -307,6 +308,9 @@ ORACLE_CASES = {
     "one_sweep": (random_covariance(4, 12, 6), GlassoConfig(delta=0.05, tol=1e-12, max_sweeps=1)),
     "awa_shaped": (random_covariance(5, 85, 50), GlassoConfig()),
     "nearly_symmetric": (nearly_symmetric_covariance(), GlassoConfig(delta=0.05, tol=1e-8)),
+    "fortran_order": (
+        np.asfortranarray(nearly_symmetric_covariance()), GlassoConfig(delta=0.05, tol=1e-8)
+    ),
 }
 
 
@@ -323,6 +327,9 @@ class TestSolverMatchesTheLoop:
         S = ORACLE_CASES["nearly_symmetric"][0]
         assert not np.array_equal(S, S.T)
         assert np.max(np.abs(S - S.T)) <= SYMMETRY_TOL
+        F = ORACLE_CASES["fortran_order"][0]
+        assert F.flags.f_contiguous and not F.flags.c_contiguous
+        assert F.tobytes(order="C") == S.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -353,6 +360,9 @@ class TestSolverMatchesTheLoop:
 
 
 needs_a_compiler = pytest.mark.skipif(glasso._compiler() is None, reason="no C compiler on PATH")
+
+# Doubles of NaN on each side of an array in the column step's guarded buffers.
+GUARD = 16
 
 
 @pytest.fixture
@@ -414,6 +424,101 @@ class TestCompiledSweep:
         with pytest.raises(GlassoError, match="C-contiguous float64 arrays of one size"):
             glasso._solve_column_lasso(q, qt, buf, lin, b, 0.1, 1e-8)
 
+    @needs_a_compiler
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_the_column_step_stays_in_its_arrays(self, p):
+        # Each array of the compiled step is a C-contiguous view into a 1-D
+        # buffer with NaN guards on both sides: a write past an end changes
+        # a guard's bytes, and a read past one brings a NaN into the results.
+        S = nearly_symmetric_covariance() if p == 6 else random_covariance(p, 2 * p + 1, p)
+        W = S + 0.1 * np.eye(p)
+        theta = np.linalg.inv(W)
+        theta = 0.5 * (theta + theta.T)
+        want = glasso._ColumnBuffers.empty(S.copy(), W.copy(), theta.copy())
+        guards, views = [], []
+        for a in dataclasses.astuple(glasso._ColumnBuffers.empty(S, W, theta)):
+            buffer = np.full(a.size + 2 * GUARD, np.nan)
+            view = buffer[GUARD : GUARD + a.size].reshape(a.shape)
+            view[...] = a
+            guards.append(buffer)
+            views.append(view)
+        got = glasso._ColumnBuffers(*views)
+        guard_bytes = np.full(GUARD, np.nan).tobytes()
+        step = glasso._CompiledColumnStep(glasso._compiled_sweep(), got)
+        want_step = glasso._NumpyColumnStep(want)
+        buf = np.empty(p - 1)
+        off_j = ~np.eye(p, dtype=bool)
+        for j in range(p):
+            scale = S[j, j] + 0.1
+            step.start(j, scale)
+            want_step.start(j, scale)
+            for name in ("q", "qt", "column", "lin", "b"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (j, name)
+            # The compiled start leaves row and column j of W for finish.
+            off = off_j.copy()
+            off[j, :] = off[:, j] = False
+            assert got.W[off].tobytes() == want.W[off].tobytes(), j
+            r, _, _ = glasso._solve_column_lasso(
+                got.q, got.qt, buf, got.lin, got.b, 0.1, 1e-8
+            )
+            want_r, _, _ = glasso._solve_column_lasso(
+                want.q, want.qt, buf, want.lin, want.b, 0.1, 1e-8
+            )
+            assert r.tobytes() == want_r.tobytes(), j
+            step.finish(j, scale, r)
+            want_step.finish(j, scale, want_r)
+            assert got.W.tobytes() == want.W.tobytes(), j
+            assert got.theta[off_j].tobytes() == want.theta[off_j].tobytes(), j
+            assert got.r.tobytes() == r.tobytes(), j
+            for buffer in guards:
+                assert buffer[:GUARD].tobytes() == guard_bytes
+                assert buffer[-GUARD:].tobytes() == guard_bytes
+
+    @needs_a_compiler
+    @pytest.mark.parametrize(
+        "layout", ["fortran-W", "strided-b", "float32-theta", "short-r", "short-column"]
+    )
+    def test_the_column_step_takes_only_contiguous_float64_arrays(self, layout):
+        S = random_covariance(1, 9, 4)
+        bufs = glasso._ColumnBuffers.empty(S, S + np.eye(4), np.eye(4))
+        if layout == "fortran-W":
+            bufs.W = np.asfortranarray(bufs.W)
+        elif layout == "strided-b":
+            bufs.b = np.zeros(6)[::2]
+        elif layout == "float32-theta":
+            bufs.theta = bufs.theta.astype(np.float32)
+        elif layout == "short-r":
+            bufs.r = bufs.r[:2]
+        else:
+            bufs.column = bufs.column[:3]
+        with pytest.raises(GlassoError, match="C-contiguous float64 arrays of matching sizes"):
+            glasso._CompiledColumnStep(glasso._compiled_sweep(), bufs)
+
+    @needs_a_compiler
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        classes=st.integers(2, 24),
+        d_a=st.integers(2, 30),
+        delta=st.floats(0.005, 0.5),
+        passes=st.sampled_from([1, 3, glasso._MAX_INNER_ITERATIONS]),
+    )
+    def test_both_sweeps_count_the_same_passes(self, seed, classes, d_a, delta, passes):
+        S = random_covariance(seed, d_a, classes)
+        cfg = GlassoConfig(delta=delta, max_sweeps=20)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glasso, "_MAX_INNER_ITERATIONS", passes)
+            compiled = graphical_lasso(S, cfg)
+            mp.setattr(glasso, "_compiled_sweep", lambda: None)
+            python = graphical_lasso(S, cfg)
+        assert compiled.passes == python.passes
+        # Every column of every sweep runs at least one pass and at most the cap.
+        columns = compiled.sweeps * classes
+        assert columns <= compiled.passes <= columns * passes
+
+    def test_a_single_class_runs_no_passes(self):
+        assert graphical_lasso(np.array([[2.0]])).passes == 0
+
     @pytest.mark.parametrize(
         "compiler",
         [
@@ -469,7 +574,7 @@ class TestGraphicalLassoValidation:
         # diagonal of 1/scale leaves theta indefinite after the first sweep.
         def indefinite_column(q, cols, buf, lin, b, delta, inner_tol):
             b[:] = 10.0
-            return np.zeros(q.shape[0]), True
+            return np.zeros(q.shape[0]), True, 1
 
         monkeypatch.setattr(glasso, "_solve_column_lasso", indefinite_column)
         S = ORACLE_CASES["p3"][0]
@@ -486,16 +591,29 @@ class TestGraphicalLassoValidation:
         assert type(cfg.max_sweeps) is int and cfg.max_sweeps == 2
 
     def test_similarity_matrix_must_invert(self):
-        with pytest.raises(GlassoError):
+        with pytest.raises(GlassoError, match="^gamma and theta are not inverses: "):
             SimilarityMatrix(
                 gamma=np.eye(2) * 2.0, theta=np.eye(2) * 2.0, sample_cov=np.eye(2)
             )
 
     def test_similarity_matrix_needs_pd_theta(self):
-        with pytest.raises(GlassoError):
+        with pytest.raises(GlassoError, match="^theta is not positive definite$"):
             SimilarityMatrix(
                 gamma=-np.eye(2), theta=-np.eye(2), sample_cov=np.eye(2)
             )
+
+    @pytest.mark.parametrize("name", ["theta", "sample_cov"])
+    def test_similarity_matrix_needs_one_shape(self, name):
+        parts = {"gamma": np.eye(2), "theta": np.eye(2), "sample_cov": np.eye(2), name: np.eye(3)}
+        with pytest.raises(GlassoError, match=rf"^{name} must be 2x2, got \(3, 3\)$"):
+            SimilarityMatrix(**parts)
+
+    @pytest.mark.parametrize("name", ["gamma", "theta"])
+    def test_similarity_matrix_needs_symmetric_matrices(self, name):
+        lopsided = np.array([[2.0, 0.5], [0.0, 2.0]])
+        parts = {"gamma": np.eye(2), "theta": np.eye(2), "sample_cov": np.eye(2), name: lopsided}
+        with pytest.raises(GlassoError, match=rf"^{name} is not symmetric within {SYMMETRY_TOL}$"):
+            SimilarityMatrix(**parts)
 
 
 class TestDistillTargets:

@@ -128,7 +128,7 @@ void fedzsl_column_finish(long long p, long long j, double scale, double *restri
 
 /*
  * The coordinate passes of the column lasso, the Python loop of
- * glasso._solve_column_lasso.
+ * glasso._NumpyColumnStep.solve.
  *
  * n          the number of coordinates
  * qt         n x n, row i is the column q[:, i] (its diagonal is q's)

@@ -196,14 +196,17 @@ def _as_ids(values: object, what: str, error: type[ValueError]) -> np.ndarray:
     return real.astype(np.int64)
 
 
-def _as_int(value: object, what: str, error: type[ValueError]) -> int:
+def _as_int(value: object, what: str, error: type[ValueError], least: int | None = None) -> int:
     # One count or seed.  An integer passes as it is, at any size; anything
     # else goes by the rule of _as_ids, so 2.0 gives 2 and 2.9 is refused
-    # instead of truncated.
+    # instead of truncated.  A value below ``least``, when given, is refused.
     try:
-        return operator.index(value)
+        whole = operator.index(value)
     except TypeError:
-        return int(_as_ids(value, what, error))
+        whole = int(_as_ids(value, what, error))
+    if least is not None and whole < least:
+        raise error(f"{what} must be >= {least}, got {whole}")
+    return whole
 
 
 @dataclass
@@ -315,8 +318,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[FeatureDataset, 
     (prototypes, sparsity mask, zero-column repair, mixing map, then noise
     per class ascending), so results are bit-identical for a fixed seed.
     """
-    if seed < 0:
-        raise DatasetError(f"seed must be >= 0, got {seed}")
+    seed = _as_int(seed, "seed", DatasetError, least=0)
     rng = np.random.default_rng(seed)
     num_classes = spec.num_classes
     raw = rng.standard_normal((spec.d_a, num_classes))
@@ -356,8 +358,7 @@ def split_train_test(
     nonempty) to the seen test set and the rest to train.  Row order within
     each output follows the input dataset.
     """
-    if seed < 0:
-        raise SplitError(f"seed must be >= 0, got {seed}")
+    seed = _as_int(seed, "seed", SplitError, least=0)
     rng = np.random.default_rng(seed)
     labels = ds.labels
     train_parts: list[np.ndarray] = []

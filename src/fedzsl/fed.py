@@ -83,11 +83,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("rounds", "num_clients", "local_epochs", "batch_size", "eval_every", "seed"):
-            value = _as_int(getattr(self, name), name, FedError)
             least = 0 if name == "seed" else 1
-            if value < least:
-                raise FedError(f"{name} must be >= {least}, got {value}")
-            setattr(self, name, value)
+            setattr(self, name, _as_int(getattr(self, name), name, FedError, least))
         for name in ("local_lr", "server_lr", "sample_fraction", "momentum", "weight_decay"):
             setattr(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.local_lr) and self.local_lr >= 0.0):
@@ -327,9 +324,7 @@ def run_simulation(
     client's rows are copied out of the training split for its own
     :func:`local_train` call, and the updates are released once aggregated.
     """
-    threads = _as_int(threads, "threads", FedError)
-    if threads < 1:
-        raise FedError(f"threads must be >= 1, got {threads}")
+    threads = _as_int(threads, "threads", FedError, least=1)
     if cfg.kl_enabled and cfg.distill is None:
         raise FedError(
             "the distillation term is enabled; precompute targets and set cfg.distill"

@@ -36,17 +36,18 @@ order belongs to the library: ``r = q @ b`` before the passes and
 compiler Python was built with (``sysconfig``'s ``CC``, else ``cc``),
 ``-O2 -shared -fPIC -ffp-contract=off``, into a temporary directory that is
 removed once the library is loaded, and called through ``ctypes``;
-pointers go only to C-contiguous float64 arrays, checked once per solve
-for the start and finish and once per column for the passes.
+pointers go only to C-contiguous float64 arrays, checked and bound once
+per solve.
 ``-ffp-contract=off`` is required: GCC's default for GNU C fuses
 ``r + q*step`` into one fused multiply-add where the target has one, which
 rounds once where the loop rounds twice; for the same reason BLAS
 ``daxpy`` cannot take the update (about a quarter of the entries of a
 199-vector differ), and no ``-ffast-math`` or ``-Ofast`` may be added.
 When the library cannot be made (no compiler, a compile error, a load
-error) the numpy column step and the Python loop run instead, for the rest
-of the process, and write the same bits; ``column_sweep()`` says which one
-runs.  Both count the coordinate passes alike (``SimilarityMatrix.passes``).
+error) the numpy column step, whose passes are a Python loop, runs instead,
+for the rest of the process, and writes the same bits; each solve chooses
+its step once, and ``column_sweep()`` says which one runs.  Both count the
+coordinate passes alike (``SimilarityMatrix.passes``).
 """
 
 from __future__ import annotations
@@ -264,81 +265,6 @@ def column_sweep() -> str:
     return "python" if _compiled_sweep() is None else "compiled"
 
 
-def _solve_column_lasso(
-    q: np.ndarray,
-    qt: np.ndarray,
-    buf: np.ndarray,
-    lin: np.ndarray,
-    b: np.ndarray,
-    delta: float,
-    inner_tol: float,
-) -> tuple[np.ndarray, bool, int]:
-    # Coordinate descent for 0.5*b@q@b + lin@b + delta*||b||_1, warm-started at
-    # the current precision column; r tracks q @ b throughout and b is updated
-    # in place; also returns whether a pass moved no coordinate by more than
-    # inner_tol within _MAX_INNER_ITERATIONS passes, and the passes run.  Each
-    # visit computes partial = (lin_i + r_i) - q_ii*b_i, soft-thresholds
-    # -partial by delta, divides by q_ii and, if b_i moved, adds q[:, i]*step
-    # to r.  That arithmetic and its order are fixed (see the module
-    # docstring).  q is symmetric only to rounding (S is checked within
-    # SYMMETRY_TOL), so r's update reads the column q[:, i], which is row i of
-    # qt, the caller's contiguous copy of q.T.
-    r = q @ b
-    sweep = _compiled_sweep()
-    if sweep is not None:
-        # The C function takes bare pointers, so the layouts are checked here.
-        n = b.size
-        if not (qt.shape == (n, n) and lin.shape == b.shape == (n,) and _c_doubles(qt, lin, b)):
-            raise GlassoError("the column solve needs C-contiguous float64 arrays of one size")
-        biggest = ctypes.c_double()
-        passes = sweep.passes(
-            n, qt.ctypes.data, lin.ctypes.data, b.ctypes.data, r.ctypes.data,
-            delta, inner_tol, _MAX_INNER_ITERATIONS, ctypes.byref(biggest),
-        )
-        return r, biggest.value <= inner_tol, passes
-    # The Python loop runs the same arithmetic over Python floats, which round
-    # exactly as numpy's float64 scalars do, and reads r through a memoryview
-    # that sees its in-place updates; buf receives q[:, i]*step.  The
-    # constants of coordinate i are one tuple per coordinate, so a visit
-    # unpacks one object where it would index four lists; 0.0 / q_ii is the
-    # same signed zero whether divided once per column or once per visit.
-    mul, add = np.multiply, np.add
-    cols = list(qt)
-    coords = [
-        (i, q_ii, lin_i, 0.0 / q_ii)
-        for i, q_ii, lin_i in zip(range(len(cols)), q.diagonal().tolist(), lin.tolist())
-    ]
-    b_f = b.tolist()
-    r_f = memoryview(r)
-    passes = 0
-    for passes in range(1, _MAX_INNER_ITERATIONS + 1):
-        biggest = 0.0
-        for (i, q_ii, lin_i, zero), old in zip(coords, b_f):
-            x = -(lin_i + r_f[i] - q_ii * old)
-            if x > delta:
-                new = (x - delta) / q_ii
-            elif x < -delta:
-                new = (x + delta) / q_ii
-            else:
-                new = zero
-            if new != old:
-                step = new - old
-                b_f[i] = new
-                mul(cols[i], step, buf)
-                add(r, buf, r)
-                size = -step if step < 0.0 else step
-                if size > biggest:
-                    biggest = size
-        if biggest <= inner_tol:
-            break
-    b[:] = b_f
-    return r, biggest <= inner_tol, passes
-
-
-def _c_doubles(*arrays: np.ndarray) -> bool:
-    return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
-
-
 @dataclass
 class _ColumnBuffers:
     """What one solve's column steps read and write.
@@ -370,14 +296,16 @@ class _ColumnBuffers:
 
 
 class _NumpyColumnStep:
-    """The column step around the lasso, in numpy.
+    """The column step in numpy and a Python loop.
 
     ``start(j, scale)`` subtracts the rank-one term of column j from the
     whole of W in place and fills q (the scaled W11, the four blocks off row
-    and column j), qt, column, lin and b; ``finish(j, scale, r)`` writes the
-    lasso's solution b into theta off the diagonal and adds the new rank-one
-    term back to W.  Only W11 keeps the results of the two rank-one terms,
-    since finish then rewrites row and column j.
+    and column j), qt, column, lin and b.  ``solve(delta, inner_tol)`` runs
+    the column lasso's coordinate passes on b and r, which the caller has
+    set to q @ b.  ``finish(j, scale)`` writes the solution b into theta off
+    the diagonal and adds the new rank-one term back to W.  Only W11 keeps
+    the results of the two rank-one terms, since finish then rewrites row
+    and column j.
     """
 
     def __init__(self, bufs: _ColumnBuffers) -> None:
@@ -385,6 +313,7 @@ class _NumpyColumnStep:
         self.bufs = bufs
         self.rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
         self.outer = np.empty((p, p))
+        self.buf = np.empty(p - 1)
 
     def start(self, j: int, scale: float) -> None:
         bufs, outer, rest = self.bufs, self.outer, self.rest_indices[j]
@@ -401,9 +330,62 @@ class _NumpyColumnStep:
         bufs.lin[:] = bufs.S[rest, j]
         bufs.b[:] = bufs.theta[rest, j]
 
-    def finish(self, j: int, scale: float, r: np.ndarray) -> None:
+    def solve(self, delta: float, inner_tol: float) -> tuple[bool, int]:
+        # Coordinate descent for 0.5*b@q@b + lin@b + delta*||b||_1, warm-started
+        # at the current precision column; r tracks q @ b throughout and b is
+        # updated in place.  Returns whether a pass moved no coordinate by more
+        # than inner_tol within _MAX_INNER_ITERATIONS passes, and the passes
+        # run.  Each visit computes partial = (lin_i + r_i) - q_ii*b_i,
+        # soft-thresholds -partial by delta, divides by q_ii and, if b_i moved,
+        # adds q[:, i]*step to r.  That arithmetic and its order are fixed (see
+        # the module docstring).  q is symmetric only to rounding (S is checked
+        # within SYMMETRY_TOL), so r's update reads the column q[:, i], which
+        # is row i of qt.
+        #
+        # The loop runs that arithmetic over Python floats, which round exactly
+        # as numpy's float64 scalars do, and reads r through a memoryview that
+        # sees its in-place updates; buf receives q[:, i]*step.  The constants
+        # of coordinate i are one tuple per coordinate, so a visit unpacks one
+        # object where it would index four lists; 0.0 / q_ii is the same signed
+        # zero whether divided once per column or once per visit.
+        bufs, buf = self.bufs, self.buf
+        b, r = bufs.b, bufs.r
+        mul, add = np.multiply, np.add
+        cols = list(bufs.qt)
+        diagonal, lin = bufs.q.diagonal().tolist(), bufs.lin.tolist()
+        coords = [
+            (i, q_ii, lin_i, 0.0 / q_ii)
+            for i, q_ii, lin_i in zip(range(len(cols)), diagonal, lin)
+        ]
+        b_f = b.tolist()
+        r_f = memoryview(r)
+        passes = 0
+        for passes in range(1, _MAX_INNER_ITERATIONS + 1):
+            biggest = 0.0
+            for (i, q_ii, lin_i, zero), old in zip(coords, b_f):
+                x = -(lin_i + r_f[i] - q_ii * old)
+                if x > delta:
+                    new = (x - delta) / q_ii
+                elif x < -delta:
+                    new = (x + delta) / q_ii
+                else:
+                    new = zero
+                if new != old:
+                    step = new - old
+                    b_f[i] = new
+                    mul(cols[i], step, buf)
+                    add(r, buf, r)
+                    size = -step if step < 0.0 else step
+                    if size > biggest:
+                        biggest = size
+            if biggest <= inner_tol:
+                break
+        b[:] = b_f
+        return biggest <= inner_tol, passes
+
+    def finish(self, j: int, scale: float) -> None:
         bufs, outer, rest = self.bufs, self.outer, self.rest_indices[j]
-        W, theta, column = bufs.W, bufs.theta, bufs.column
+        W, theta, column, r = bufs.W, bufs.theta, bufs.column, bufs.r
         theta[rest, j] = bufs.b
         theta[j, rest] = bufs.b
         column[rest] = r
@@ -417,11 +399,11 @@ class _NumpyColumnStep:
 
 
 class _CompiledColumnStep:
-    """``_NumpyColumnStep``'s start and finish, in C, writing the same bits.
+    """``_NumpyColumnStep`` in C, writing the same bits.
 
-    The C functions take bare pointers, so the layouts are checked here, once
-    per solve; r is copied into ``bufs.r``, since it comes from the column
-    lasso.
+    The C functions take bare pointers, so the layouts are checked and the
+    pointers bound here, once per solve; the step holds ``bufs``, which keeps
+    the arrays they point into alive.
     """
 
     def __init__(self, sweep: _Sweep, bufs: _ColumnBuffers) -> None:
@@ -431,18 +413,29 @@ class _CompiledColumnStep:
             bufs.S, bufs.W, bufs.theta, bufs.q, bufs.qt, bufs.column, bufs.lin, bufs.b, bufs.r
         )
         shapes = 3 * [(p, p)] + 2 * [(n, n)] + [(p,)] + 3 * [(n,)]
-        if not (all(a.shape == shape for a, shape in zip(arrays, shapes)) and _c_doubles(*arrays)):
+        if not all(
+            a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            for a, shape in zip(arrays, shapes)
+        ):
             raise GlassoError("the column step needs C-contiguous float64 arrays of matching sizes")
         S, W, theta, q, qt, column, lin, b, r = (a.ctypes.data for a in arrays)
         self.sweep, self.bufs, self.p = sweep, bufs, p
+        self.biggest = ctypes.c_double()
         self.start_pointers = (W, S, theta, column, q, qt, lin, b)
+        self.solve_args = (n, qt, lin, b, r)
         self.finish_pointers = (W, theta, b, r)
+        self.biggest_pointer = ctypes.byref(self.biggest)
 
     def start(self, j: int, scale: float) -> None:
         self.sweep.start(self.p, j, scale, *self.start_pointers)
 
-    def finish(self, j: int, scale: float, r: np.ndarray) -> None:
-        np.copyto(self.bufs.r, r)
+    def solve(self, delta: float, inner_tol: float) -> tuple[bool, int]:
+        passes = self.sweep.passes(
+            *self.solve_args, delta, inner_tol, _MAX_INNER_ITERATIONS, self.biggest_pointer
+        )
+        return self.biggest.value <= inner_tol, passes
+
+    def finish(self, j: int, scale: float) -> None:
         self.sweep.finish(self.p, j, scale, *self.finish_pointers)
 
 
@@ -493,17 +486,11 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
             objective=tuple(objective),
         )
     inner_tol = max(cfg.tol * 1e-3, 1e-14)
+    # S may arrive F-ordered; the compiled step reads it by rows.
+    bufs = _ColumnBuffers.empty(np.ascontiguousarray(S), W, theta)
     sweep = _compiled_sweep()
-    step: _NumpyColumnStep | _CompiledColumnStep
-    if sweep is None:
-        bufs = _ColumnBuffers.empty(S, W, theta)
-        step = _NumpyColumnStep(bufs)
-    else:
-        # S may arrive F-ordered; the C step reads it by rows.
-        bufs = _ColumnBuffers.empty(np.ascontiguousarray(S), W, theta)
-        step = _CompiledColumnStep(sweep, bufs)
-    q, qt, lin, b = bufs.q, bufs.qt, bufs.lin, bufs.b
-    buf = np.empty(p - 1)
+    step = _NumpyColumnStep(bufs) if sweep is None else _CompiledColumnStep(sweep, bufs)
+    q, b, r = bufs.q, bufs.b, bufs.r
     converged = False
     sweeps_run = 0
     passes_run = 0
@@ -513,10 +500,11 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
         for j in range(p):
             scale = S[j, j] + delta
             step.start(j, scale)
-            r, met, passes = _solve_column_lasso(q, qt, buf, lin, b, delta, inner_tol)
+            np.matmul(q, b, out=r)
+            met, passes = step.solve(delta, inner_tol)
             columns_met &= met
             passes_run += passes
-            step.finish(j, scale, r)
+            step.finish(j, scale)
             theta[j, j] = (1.0 + float(b @ r)) / scale
         sweeps_run += 1
         # The objective's Cholesky factor is also the check that the sweep

@@ -43,9 +43,7 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise PartitionError(f"scheme must be one of {SCHEMES}, got '{self.scheme}'")
-        self.num_clients = _as_int(self.num_clients, "num_clients", PartitionError)
-        if self.num_clients < 1:
-            raise PartitionError(f"num_clients must be >= 1, got {self.num_clients}")
+        self.num_clients = _as_int(self.num_clients, "num_clients", PartitionError, least=1)
         if self.scheme == DIRICHLET:
             if self.alpha is None:
                 raise PartitionError("dirichlet scheme requires alpha")
@@ -57,9 +55,7 @@ class PartitionSpec:
             raise PartitionError(
                 f"local_data_ratio must lie in (0, 1], got {self.local_data_ratio}"
             )
-        self.seed = _as_int(self.seed, "seed", PartitionError)
-        if self.seed < 0:
-            raise PartitionError(f"seed must be >= 0, got {self.seed}")
+        self.seed = _as_int(self.seed, "seed", PartitionError, least=0)
 
 
 @dataclass
@@ -220,8 +216,9 @@ def sample_clients(num_clients: int, fraction: float, round_index: int, seed: in
     """
     if not 0.0 < fraction <= 1.0:
         raise PartitionError(f"fraction must lie in (0, 1], got {fraction}")
-    if num_clients < 1:
-        raise PartitionError(f"num_clients must be >= 1, got {num_clients}")
+    num_clients = _as_int(num_clients, "num_clients", PartitionError, least=1)
+    round_index = _as_int(round_index, "round_index", PartitionError, least=0)
+    seed = _as_int(seed, "seed", PartitionError, least=0)
     count = math.ceil(Fraction(repr(float(fraction))) * num_clients)
     if count == num_clients:
         return tuple(range(num_clients))

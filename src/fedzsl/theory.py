@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix
+from fedzsl.dataset import AttributeMatrix, _as_int
 from fedzsl.glasso import DistillTargets
 from fedzsl.model import (
     ATTRIBUTE_BASED, ModelParams, compatibility_logits, forward_attr, forward_decode, init_params
@@ -194,13 +194,17 @@ def _score(slack: np.ndarray, eps: float) -> tuple[int, float]:
     return int(np.count_nonzero(~(slack <= eps))), _worst(slack)
 
 
-def _require_trials(trials: int) -> None:
+def _trials_and_seed(trials: int, seed: int) -> tuple[int, int]:
+    # A check's trial count and seed as ints: 2.0 gives 2, while 2.5, NaN and
+    # inf are refused, as are fewer than one trial and a negative seed.
+    trials = _as_int(trials, "trials", AssumptionError)
     if trials < 1:
         raise AssumptionError(f"a check needs trials >= 1, got {trials}")
+    return trials, _as_int(seed, "seed", AssumptionError, least=0)
 
 
 def _pinsker_impl(trials: int, dim: int, seed: int) -> tuple[int, float]:
-    _require_trials(trials)
+    trials, seed = _trials_and_seed(trials, seed)
     if dim < 2:
         raise AssumptionError(f"pinsker check needs dim >= 2, got {dim}")
     rng = np.random.default_rng(seed)
@@ -217,7 +221,7 @@ def check_pinsker(trials: int = DEFAULT_TRIALS, dim: int = 10, seed: int = 0) ->
 
 
 def _mixture_impl(trials: int, num_components: int, dim: int, seed: int) -> tuple[int, float]:
-    _require_trials(trials)
+    trials, seed = _trials_and_seed(trials, seed)
     if num_components < 2:
         raise AssumptionError(f"mixture check needs K >= 2, got {num_components}")
     if dim < 2:
@@ -250,7 +254,7 @@ def check_mixture_convexity(
 
 
 def _kl_lipschitz_impl(trials: int, dim: int, floor: float, seed: int) -> tuple[int, float]:
-    _require_trials(trials)
+    trials, seed = _trials_and_seed(trials, seed)
     if dim < 2:
         raise AssumptionError(f"lipschitz check needs dim >= 2, got {dim}")
     if not 0.0 < floor < 1.0 / dim:
@@ -477,7 +481,7 @@ def _closest_and_farthest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _margin_impl(
     prototypes: np.ndarray, c_h: float, trials: int, seed: int
 ) -> tuple[int, float]:
-    _require_trials(trials)
+    trials, seed = _trials_and_seed(trials, seed)
     d_a, num_classes = prototypes.shape
     if num_classes < 2:
         raise AssumptionError("margin check needs at least 2 prototypes")
@@ -625,9 +629,7 @@ def run_check_suite(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
     covers every trial of a probability check, while the model-driven
     checks draw fresh random models and samples, each from its own stream.
     """
-    _require_trials(trials)
-    if seed < 0:
-        raise AssumptionError(f"seed must be >= 0, got {seed}")
+    trials, seed = _trials_and_seed(trials, seed)
     d_v, d_a = 8, 5
     li_rng, ae_rng, mg_rng = (np.random.default_rng(seed + k) for k in (3, 4, 5))
 

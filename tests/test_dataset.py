@@ -1,6 +1,8 @@
 """Dataset construction, splitting, and on-disk round trips."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,18 @@ class TestGenerateSynthetic:
         with pytest.raises(DatasetError, match=r"seed must be >= 0, got -1$"):
             generate_synthetic(spec, seed=-1)
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    def test_a_non_integral_seed_is_refused(self, value):
+        spec = SyntheticSpec(num_seen=3, num_unseen=1, d_a=4, d_v=6, samples_per_class=5)
+        with pytest.raises(DatasetError, match=rf"^seed must be an integer, got {value}$"):
+            generate_synthetic(spec, seed=value)
+
+    def test_a_whole_seed_draws_as_an_int(self):
+        ds, attrs = small_dataset(seed=2.0)
+        want_ds, want_attrs = small_dataset(seed=2)
+        assert ds.features.tobytes() == want_ds.features.tobytes()
+        assert attrs.values.tobytes() == want_attrs.values.tobytes()
+
     def test_zero_noise_collapses_classes(self):
         spec = SyntheticSpec(
             num_seen=3, num_unseen=1, d_a=4, d_v=6, samples_per_class=5, noise_std=0.0
@@ -316,6 +330,19 @@ class TestSplitTrainTest:
         ds, _ = small_dataset()
         with pytest.raises(SplitError, match=r"seed must be >= 0, got -1$"):
             split_train_test(ds, seed=-1)
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    def test_a_non_integral_seed_is_refused(self, value):
+        ds, _ = small_dataset()
+        with pytest.raises(SplitError, match=rf"^seed must be an integer, got {value}$"):
+            split_train_test(ds, seed=value)
+
+    def test_a_whole_seed_splits_as_an_int(self):
+        ds, _ = small_dataset()
+        got, want = split_train_test(ds, seed=2.0), split_train_test(ds, seed=2)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.labels, b.labels)
+            assert a.features.tobytes() == b.features.tobytes()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

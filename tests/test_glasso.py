@@ -361,7 +361,7 @@ class TestSolverMatchesTheLoop:
 
 needs_a_compiler = pytest.mark.skipif(glasso._compiler() is None, reason="no C compiler on PATH")
 
-# Doubles of NaN on each side of an array in the column step's guarded buffers.
+# Guard doubles on each side of an array in the column step's guarded buffers.
 GUARD = 16
 
 
@@ -410,73 +410,61 @@ class TestCompiledSweep:
             assert_same_solve(compiled, graphical_lasso(S, cfg))
 
     @needs_a_compiler
-    @pytest.mark.parametrize("layout", ["strided-b", "float32-lin", "short-lin"])
-    def test_pointers_go_only_to_contiguous_float64_arrays(self, layout):
-        q = np.eye(4) * 2.0
-        qt, buf, lin, b = q.copy(), np.empty(4), np.ones(4), np.zeros(4)
-        if layout == "strided-b":
-            b = np.zeros(8)[::2]
-        elif layout == "float32-lin":
-            lin = lin.astype(np.float32)
-        else:
-            lin = lin[:3]
-        assert glasso.column_sweep() == "compiled"
-        with pytest.raises(GlassoError, match="C-contiguous float64 arrays of one size"):
-            glasso._solve_column_lasso(q, qt, buf, lin, b, 0.1, 1e-8)
-
-    @needs_a_compiler
     @pytest.mark.parametrize("p", range(2, 10))
     def test_the_column_step_stays_in_its_arrays(self, p):
         # Each array of the compiled step is a C-contiguous view into a 1-D
-        # buffer with NaN guards on both sides: a write past an end changes
-        # a guard's bytes, and a read past one brings a NaN into the results.
+        # buffer with guards on both sides.  NaN guards bring a NaN into the
+        # results on a read past an end; finite ones change their bytes on a
+        # write past one, even one that adds to the guard, which leaves a NaN
+        # as it was.
         S = nearly_symmetric_covariance() if p == 6 else random_covariance(p, 2 * p + 1, p)
         W = S + 0.1 * np.eye(p)
         theta = np.linalg.inv(W)
         theta = 0.5 * (theta + theta.T)
-        want = glasso._ColumnBuffers.empty(S.copy(), W.copy(), theta.copy())
-        guards, views = [], []
-        for a in dataclasses.astuple(glasso._ColumnBuffers.empty(S, W, theta)):
-            buffer = np.full(a.size + 2 * GUARD, np.nan)
-            view = buffer[GUARD : GUARD + a.size].reshape(a.shape)
-            view[...] = a
-            guards.append(buffer)
-            views.append(view)
-        got = glasso._ColumnBuffers(*views)
-        guard_bytes = np.full(GUARD, np.nan).tobytes()
-        step = glasso._CompiledColumnStep(glasso._compiled_sweep(), got)
-        want_step = glasso._NumpyColumnStep(want)
-        buf = np.empty(p - 1)
         off_j = ~np.eye(p, dtype=bool)
-        for j in range(p):
-            scale = S[j, j] + 0.1
-            step.start(j, scale)
-            want_step.start(j, scale)
-            for name in ("q", "qt", "column", "lin", "b"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (j, name)
-            # The compiled start leaves row and column j of W for finish.
-            off = off_j.copy()
-            off[j, :] = off[:, j] = False
-            assert got.W[off].tobytes() == want.W[off].tobytes(), j
-            r, _, _ = glasso._solve_column_lasso(
-                got.q, got.qt, buf, got.lin, got.b, 0.1, 1e-8
-            )
-            want_r, _, _ = glasso._solve_column_lasso(
-                want.q, want.qt, buf, want.lin, want.b, 0.1, 1e-8
-            )
-            assert r.tobytes() == want_r.tobytes(), j
-            step.finish(j, scale, r)
-            want_step.finish(j, scale, want_r)
-            assert got.W.tobytes() == want.W.tobytes(), j
-            assert got.theta[off_j].tobytes() == want.theta[off_j].tobytes(), j
-            assert got.r.tobytes() == r.tobytes(), j
-            for buffer in guards:
-                assert buffer[:GUARD].tobytes() == guard_bytes
-                assert buffer[-GUARD:].tobytes() == guard_bytes
+        for fill in (np.nan, 0.1):
+            want = glasso._ColumnBuffers.empty(S.copy(), W.copy(), theta.copy())
+            guards, views = [], []
+            for a in dataclasses.astuple(glasso._ColumnBuffers.empty(S, W, theta)):
+                buffer = np.full(a.size + 2 * GUARD, fill)
+                view = buffer[GUARD : GUARD + a.size].reshape(a.shape)
+                view[...] = a
+                guards.append(buffer)
+                views.append(view)
+            got = glasso._ColumnBuffers(*views)
+            guard_bytes = np.full(GUARD, fill).tobytes()
+            step = glasso._CompiledColumnStep(glasso._compiled_sweep(), got)
+            want_step = glasso._NumpyColumnStep(want)
+            for j in range(p):
+                scale = S[j, j] + 0.1
+                step.start(j, scale)
+                want_step.start(j, scale)
+                for name in ("q", "qt", "column", "lin", "b"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (j, name)
+                # The compiled start leaves row and column j of W for finish.
+                off = off_j.copy()
+                off[j, :] = off[:, j] = False
+                assert got.W[off].tobytes() == want.W[off].tobytes(), j
+                np.matmul(got.q, got.b, out=got.r)
+                np.matmul(want.q, want.b, out=want.r)
+                assert step.solve(0.1, 1e-8) == want_step.solve(0.1, 1e-8), j
+                for name in ("b", "r"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (j, name)
+                step.finish(j, scale)
+                want_step.finish(j, scale)
+                assert got.W.tobytes() == want.W.tobytes(), j
+                assert got.theta[off_j].tobytes() == want.theta[off_j].tobytes(), j
+                for buffer in guards:
+                    assert buffer[:GUARD].tobytes() == guard_bytes, (fill, j)
+                    assert buffer[-GUARD:].tobytes() == guard_bytes, (fill, j)
 
     @needs_a_compiler
     @pytest.mark.parametrize(
-        "layout", ["fortran-W", "strided-b", "float32-theta", "short-r", "short-column"]
+        "layout",
+        [
+            "fortran-W", "strided-b", "float32-theta", "float32-lin", "short-r", "short-lin",
+            "short-column",
+        ],
     )
     def test_the_column_step_takes_only_contiguous_float64_arrays(self, layout):
         S = random_covariance(1, 9, 4)
@@ -487,8 +475,12 @@ class TestCompiledSweep:
             bufs.b = np.zeros(6)[::2]
         elif layout == "float32-theta":
             bufs.theta = bufs.theta.astype(np.float32)
+        elif layout == "float32-lin":
+            bufs.lin = bufs.lin.astype(np.float32)
         elif layout == "short-r":
             bufs.r = bufs.r[:2]
+        elif layout == "short-lin":
+            bufs.lin = bufs.lin[:2]
         else:
             bufs.column = bufs.column[:3]
         with pytest.raises(GlassoError, match="C-contiguous float64 arrays of matching sizes"):
@@ -515,6 +507,19 @@ class TestCompiledSweep:
         # Every column of every sweep runs at least one pass and at most the cap.
         columns = compiled.sweeps * classes
         assert columns <= compiled.passes <= columns * passes
+
+    def test_a_solve_chooses_its_column_step_once(self, monkeypatch):
+        calls = []
+        sweep = glasso._compiled_sweep
+
+        def counted():
+            calls.append(None)
+            return sweep()
+
+        monkeypatch.setattr(glasso, "_compiled_sweep", counted)
+        # Six columns per sweep, each with its own start, solve and finish.
+        assert graphical_lasso(random_covariance(2, 12, 6)).passes > 6
+        assert len(calls) == 1
 
     def test_a_single_class_runs_no_passes(self):
         assert graphical_lasso(np.array([[2.0]])).passes == 0
@@ -569,14 +574,24 @@ class TestGraphicalLassoValidation:
         with pytest.raises(GlassoError):
             GlassoConfig(max_sweeps=0)
 
-    def test_refuses_a_sweep_that_leaves_theta_indefinite(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "step",
+        [
+            pytest.param(glasso._CompiledColumnStep, id="compiled", marks=needs_a_compiler),
+            pytest.param(glasso._NumpyColumnStep, id="python"),
+        ],
+    )
+    def test_refuses_a_sweep_that_leaves_theta_indefinite(self, step, monkeypatch):
         # A column solve that returns off-diagonal entries of 10 against a
         # diagonal of 1/scale leaves theta indefinite after the first sweep.
-        def indefinite_column(q, cols, buf, lin, b, delta, inner_tol):
-            b[:] = 10.0
-            return np.zeros(q.shape[0]), True, 1
+        def indefinite_column(self, delta, inner_tol):
+            self.bufs.b[:] = 10.0
+            self.bufs.r[:] = 0.0
+            return True, 1
 
-        monkeypatch.setattr(glasso, "_solve_column_lasso", indefinite_column)
+        if step is glasso._NumpyColumnStep:
+            monkeypatch.setattr(glasso, "_compiled_sweep", lambda: None)
+        monkeypatch.setattr(step, "solve", indefinite_column)
         S = ORACLE_CASES["p3"][0]
         with pytest.raises(GlassoError, match="^estimated precision lost positive definiteness$"):
             graphical_lasso(S)

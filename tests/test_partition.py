@@ -232,6 +232,22 @@ class TestSampleClients:
         with pytest.raises(PartitionError):
             sample_clients(5, 1.2, 0, 0)
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["num_clients", "round_index", "seed"])
+    def test_a_non_integral_count_is_refused(self, field, value):
+        args = {"num_clients": 5, "fraction": 0.5, "round_index": 1, "seed": 0, field: value}
+        with pytest.raises(PartitionError, match=rf"^{field} must be an integer, got {value}$"):
+            sample_clients(**args)
+
+    @pytest.mark.parametrize("field", ["round_index", "seed"])
+    def test_a_negative_round_or_seed_is_refused(self, field):
+        args = {"num_clients": 5, "fraction": 0.5, "round_index": 1, "seed": 0, field: -1}
+        with pytest.raises(PartitionError, match=rf"^{field} must be >= 0, got -1$"):
+            sample_clients(**args)
+
+    def test_whole_counts_draw_as_ints(self):
+        assert sample_clients(10.0, 0.3, 4.0, 2.0) == sample_clients(10, 0.3, 4, 2)
+
 
 class TestPartitionSummary:
     def test_rows_match_counts(self):

@@ -818,9 +818,48 @@ class TestCheckSuite:
             with pytest.raises(AssumptionError, match=f"trials >= 1, got {trials}"):
                 call()
 
+    @pytest.mark.parametrize("trials", (2.5, math.nan, math.inf))
+    def test_refuses_a_trial_count_that_is_not_an_integer(self, trials):
+        # NaN trials used to run no trial and report no violation.
+        prototypes = np.eye(3)
+        calls = [
+            lambda: run_check_suite(trials=trials),
+            lambda: check_pinsker(trials=trials),
+            lambda: check_mixture_convexity(trials=trials),
+            lambda: check_kl_lipschitz(trials=trials),
+            lambda: check_margin_theorem(prototypes, c_h=1.0, trials=trials),
+        ]
+        message = rf"^trials must be an integer, got {trials}$"
+        for call in calls:
+            with pytest.raises(AssumptionError, match=message):
+                call()
+
+    @pytest.mark.parametrize("seed", (2.5, math.nan, math.inf))
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        prototypes = np.eye(3)
+        calls = [
+            lambda: run_check_suite(trials=10, seed=seed),
+            lambda: check_pinsker(trials=10, seed=seed),
+            lambda: check_margin_theorem(prototypes, c_h=1.0, trials=10, seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(AssumptionError, match=rf"^seed must be an integer, got {seed}$"):
+                call()
+
+    def test_whole_trials_and_seed_run_as_ints(self):
+        got = run_check_suite(trials=2.0, seed=1.0)
+        want = run_check_suite(trials=2, seed=1)
+        assert [(r.trials, r.violations, r.max_slack) for r in got] == [
+            (r.trials, r.violations, r.max_slack) for r in want
+        ]
+        assert got[0].trials == 2 and type(got[0].trials) is int
+        assert check_pinsker(trials=2.0, seed=1.0) == check_pinsker(trials=2, seed=1)
+
     def test_rejects_a_negative_seed(self):
         with pytest.raises(AssumptionError, match=r"seed must be >= 0, got -3$"):
             run_check_suite(trials=10, seed=-3)
+        with pytest.raises(AssumptionError, match=r"^seed must be >= 0, got -1$"):
+            check_pinsker(trials=10, seed=-1)
 
     def test_deterministic_per_seed(self):
         a = run_check_suite(trials=40, seed=3)

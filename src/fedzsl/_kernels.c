@@ -1,8 +1,11 @@
 /*
- * The graphical lasso's column step, compiled on first use by fedzsl.glasso
- * and called through ctypes: the work before and after the column lasso
- * (fedzsl_column_start, fedzsl_column_finish) and its coordinate passes
- * (fedzsl_lasso_passes).
+ * fedzsl's compiled kernels, built on first use by fedzsl._kernels and
+ * called through ctypes:
+ *   - the graphical lasso's column step (fedzsl.glasso): the work before
+ *     and after the column lasso (fedzsl_column_start, fedzsl_column_finish)
+ *     and its coordinate passes (fedzsl_lasso_passes);
+ *   - the momentum SGD step of one tensor (fedzsl.model.sgd_step):
+ *     fedzsl_sgd_step.
  *
  * Each function is the numpy or Python code it replaces, operation for
  * operation: the same products, sums, comparisons and divisions on the same
@@ -10,9 +13,9 @@
  * with -ffp-contract=off (never -ffast-math), or the compiler may fuse
  * r[k] + col[k] * step into one rounding.
  *
- * Matrices are C-contiguous: p x p for w, s and theta, n x n with n = p - 1
- * for q and qt.  Index a of an n-vector is row or column a + (a >= j) of the
- * p x p matrices.
+ * The column step's matrices are C-contiguous: p x p for w, s and theta,
+ * n x n with n = p - 1 for q and qt.  Index a of an n-vector is row or
+ * column a + (a >= j) of the p x p matrices.
  */
 
 /* Rows and columns at a time of the tiled transpose of q into qt. */
@@ -178,4 +181,47 @@ long long fedzsl_lasso_passes(long long n, const double *qt, const double *lin,
     }
     *biggest = largest;
     return pass;
+}
+
+/*
+ * One momentum SGD step on an n-element tensor t with gradient g and
+ * momentum buffer buf, the numpy body of fedzsl.model.sgd_step element by
+ * element:
+ *
+ *     w = t*wd; w = g + w; b = buf*m; b = b + w; buf = b; t = t - b*lr
+ *
+ * Each element reads only its own index, and t is read again after buf is
+ * stored, so a gradient or buffer that is the tensor itself (the same
+ * pointer) gets numpy's per-element result; the pointers are therefore not
+ * restrict.  Arrays that overlap at an offset are the caller's to refuse.
+ * Two elements per iteration, as in downdate, lets GCC vectorize at -O2.
+ * Which NaN a sum of two different NaNs keeps is left to the compiler, as
+ * IEEE 754 leaves it open; numpy keeps its first operand's.
+ */
+void fedzsl_sgd_step(long long n, double *t, const double *g, double *buf, double wd,
+                     double m, double lr)
+{
+    long long k = 0;
+    for (; k + 1 < n; k += 2) {
+        double w0 = t[k] * wd;
+        double w1 = t[k + 1] * wd;
+        w0 = g[k] + w0;
+        w1 = g[k + 1] + w1;
+        double b0 = buf[k] * m;
+        double b1 = buf[k + 1] * m;
+        b0 = b0 + w0;
+        b1 = b1 + w1;
+        buf[k] = b0;
+        buf[k + 1] = b1;
+        t[k] = t[k] - b0 * lr;
+        t[k + 1] = t[k + 1] - b1 * lr;
+    }
+    for (; k < n; k++) {
+        double w = t[k] * wd;
+        w = g[k] + w;
+        double b = buf[k] * m;
+        b = b + w;
+        buf[k] = b;
+        t[k] = t[k] - b * lr;
+    }
 }

@@ -22,7 +22,7 @@ of {|S_ij| > delta} apart), reach the same optimum within ``tol`` but
 not the same bits, so adopting one means re-recording every reference
 digest of the outputs.
 
-Within that order, each column step runs compiled.  ``_glasso_sweep.c``,
+Within that order, each column step runs compiled.  ``_kernels.c``,
 shipped beside this module, holds it as three C functions with the numpy
 code's and the Python loop's operations on the same values in the same
 order: the start (the rank-one downdate of W off row and column j, the
@@ -32,41 +32,30 @@ into theta, the rank-one update of W and its row and column j).  Every one
 of these is elementwise, with no reduction whose order could differ.  Only
 two operations stay numpy, because they are BLAS reductions whose summation
 order belongs to the library: ``r = q @ b`` before the passes and
-``b @ r`` for ``theta[j, j]``.  The file is compiled on first use with the
-compiler Python was built with (``sysconfig``'s ``CC``, else ``cc``),
-``-O2 -shared -fPIC -ffp-contract=off``, into a temporary directory that is
-removed once the library is loaded, and called through ``ctypes``;
-pointers go only to C-contiguous float64 arrays, checked and bound once
-per solve.
-``-ffp-contract=off`` is required: GCC's default for GNU C fuses
+``b @ r`` for ``theta[j, j]``.  ``fedzsl._kernels`` builds the file once per
+process, with ``-ffp-contract=off``, and the functions are called through
+``ctypes``; pointers go only to C-contiguous float64 arrays, checked and
+bound once per solve.  Without ``-ffp-contract=off`` GCC fuses
 ``r + q*step`` into one fused multiply-add where the target has one, which
 rounds once where the loop rounds twice; for the same reason BLAS
 ``daxpy`` cannot take the update (about a quarter of the entries of a
-199-vector differ), and no ``-ffast-math`` or ``-Ofast`` may be added.
-When the library cannot be made (no compiler, a compile error, a load
-error) the numpy column step, whose passes are a Python loop, runs instead,
-for the rest of the process, and writes the same bits; each solve chooses
-its step once, and ``column_sweep()`` says which one runs.  Both count the
-coordinate passes alike (``SimilarityMatrix.passes``).
+199-vector differ).  When the library cannot be made (no compiler, a
+compile error, a load error) the numpy column step, whose passes are a
+Python loop, runs instead, for the rest of the process, and writes the
+same bits; each solve chooses its step once, and ``column_sweep()`` says
+which one runs.  Both count the coordinate passes alike
+(``SimilarityMatrix.passes``).
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
-from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
+from fedzsl import _kernels
 from fedzsl.dataset import AttributeMatrix, _as_int
 
 DEFAULT_DELTA = 0.05
@@ -200,69 +189,12 @@ def glasso_objective(S: np.ndarray, theta: np.ndarray, delta: float) -> float:
     return float(np.sum(S * theta)) - logdet + float(delta) * float(np.sum(np.abs(theta)))
 
 
-_SWEEP_SOURCE = Path(__file__).with_name("_glasso_sweep.c")
-_SWEEP_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-
-
-def _compiler() -> list[str] | None:
-    # The compiler Python was built with, else cc; None when neither is on PATH.
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if cc and shutil.which(cc[0]):
-        return cc
-    fallback = shutil.which("cc")
-    return [fallback] if fallback else None
-
-
-class _Sweep(NamedTuple):
-    """The functions of the compiled library (see ``_glasso_sweep.c``)."""
-
-    passes: Callable[..., int]
-    start: Callable[..., None]
-    finish: Callable[..., None]
-
-
-@functools.cache
-def _compiled_sweep() -> _Sweep | None:
-    # Build _glasso_sweep.c once per process and return its functions, or
-    # None when any step fails, which selects the numpy column step and the
-    # Python loop for good.  The library stays mapped after its directory is
-    # removed.
-    cc = _compiler()
-    if cc is None:
-        return None
-    try:
-        with tempfile.TemporaryDirectory(prefix="fedzsl-") as tmp:
-            lib = Path(tmp) / "glasso_sweep.so"
-            built = subprocess.run(
-                [*cc, *_SWEEP_FLAGS, str(_SWEEP_SOURCE), "-o", str(lib)],
-                stdin=subprocess.DEVNULL,
-                capture_output=True,
-                check=False,
-            )
-            if built.returncode != 0:
-                return None
-            loaded = ctypes.CDLL(str(lib))
-            sweep = _Sweep(
-                loaded.fedzsl_lasso_passes, loaded.fedzsl_column_start, loaded.fedzsl_column_finish
-            )
-    except (OSError, AttributeError):
-        return None
-    size, real, pointer = ctypes.c_longlong, ctypes.c_double, ctypes.c_void_p
-    sweep.passes.argtypes = (size, pointer, pointer, pointer, pointer, real, real, size, pointer)
-    sweep.passes.restype = size
-    sweep.start.argtypes = (size, size, real, *[pointer] * 8)
-    sweep.start.restype = None
-    sweep.finish.argtypes = (size, size, real, *[pointer] * 4)
-    sweep.finish.restype = None
-    return sweep
-
-
 def column_sweep() -> str:
     """Which column step the solver runs: ``"compiled"`` or ``"python"``.
 
     The first call builds the compiled one if it has not been tried yet.
     """
-    return "python" if _compiled_sweep() is None else "compiled"
+    return "python" if _kernels.compiled() is None else "compiled"
 
 
 @dataclass
@@ -406,7 +338,7 @@ class _CompiledColumnStep:
     the arrays they point into alive.
     """
 
-    def __init__(self, sweep: _Sweep, bufs: _ColumnBuffers) -> None:
+    def __init__(self, kernels: _kernels.Kernels, bufs: _ColumnBuffers) -> None:
         p = bufs.S.shape[0]
         n = p - 1
         arrays = (
@@ -419,7 +351,7 @@ class _CompiledColumnStep:
         ):
             raise GlassoError("the column step needs C-contiguous float64 arrays of matching sizes")
         S, W, theta, q, qt, column, lin, b, r = (a.ctypes.data for a in arrays)
-        self.sweep, self.bufs, self.p = sweep, bufs, p
+        self.kernels, self.bufs, self.p = kernels, bufs, p
         self.biggest = ctypes.c_double()
         self.start_pointers = (W, S, theta, column, q, qt, lin, b)
         self.solve_args = (n, qt, lin, b, r)
@@ -427,16 +359,16 @@ class _CompiledColumnStep:
         self.biggest_pointer = ctypes.byref(self.biggest)
 
     def start(self, j: int, scale: float) -> None:
-        self.sweep.start(self.p, j, scale, *self.start_pointers)
+        self.kernels.column_start(self.p, j, scale, *self.start_pointers)
 
     def solve(self, delta: float, inner_tol: float) -> tuple[bool, int]:
-        passes = self.sweep.passes(
+        passes = self.kernels.lasso_passes(
             *self.solve_args, delta, inner_tol, _MAX_INNER_ITERATIONS, self.biggest_pointer
         )
         return self.biggest.value <= inner_tol, passes
 
     def finish(self, j: int, scale: float) -> None:
-        self.sweep.finish(self.p, j, scale, *self.finish_pointers)
+        self.kernels.column_finish(self.p, j, scale, *self.finish_pointers)
 
 
 def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> SimilarityMatrix:
@@ -488,8 +420,8 @@ def graphical_lasso(S: np.ndarray, cfg: GlassoConfig | None = None) -> Similarit
     inner_tol = max(cfg.tol * 1e-3, 1e-14)
     # S may arrive F-ordered; the compiled step reads it by rows.
     bufs = _ColumnBuffers.empty(np.ascontiguousarray(S), W, theta)
-    sweep = _compiled_sweep()
-    step = _NumpyColumnStep(bufs) if sweep is None else _CompiledColumnStep(sweep, bufs)
+    kernels = _kernels.compiled()
+    step = _NumpyColumnStep(bufs) if kernels is None else _CompiledColumnStep(kernels, bufs)
     q, b, r = bufs.q, bufs.b, bufs.r
     converged = False
     sweeps_run = 0

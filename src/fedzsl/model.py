@@ -14,6 +14,7 @@ decay folded into the gradient is the only optimizer.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import re
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fedzsl import _kernels
 from fedzsl.dataset import AttributeMatrix, _as_features, _as_ids, _as_int, _read_block, _write_lines
 
 ATTRIBUTE_BASED = "attribute-based"
@@ -118,8 +120,11 @@ class ModelParams:
 class OptState:
     """Momentum buffers, per-tensor work arrays, and the SGD hyperparameters.
 
-    ``scratch`` holds one work array per tensor, allocated by the first
-    :func:`sgd_step` that updates it and reused by every later step.
+    ``scratch`` holds one work array per tensor that :func:`sgd_step` updates
+    with its numpy body, allocated by the first such step and reused by
+    every later one.  The compiled step updates a tensor in place and needs
+    no work array, so in a process that has the compiled library and
+    float64 tensors, ``scratch`` stays empty.
     """
 
     learning_rate: float = DEFAULT_LEARNING_RATE
@@ -271,12 +276,20 @@ def sgd_step(
     """One momentum SGD update, in place; returns the mutated params.
 
     Per tensor: g' = grad + weight_decay * param; buf = momentum * buf + g';
-    param -= learning_rate * buf.  Every product and sum is written into the
-    tensor's work array in ``opt.scratch``, so a step allocates nothing after
-    the first and performs the same IEEE operations as the expression form.
+    param -= learning_rate * buf.  Where the tensor, its gradient and its
+    buffer are all C-contiguous, aligned, writeable float64 arrays, the
+    update runs as one compiled pass (``fedzsl_sgd_step`` in ``_kernels.c``)
+    that performs, element by element, the IEEE operations of the numpy
+    body; any other layout, or a process without the compiled library, runs
+    the numpy body, which writes every product and sum into the tensor's
+    work array in ``opt.scratch``.  Both write the same bits, save which NaN
+    a sum of two different NaNs keeps (IEEE 754 leaves that open), and
+    allocate nothing after the first step.
 
     Every gradient is validated before any tensor moves, so a rejected step
-    leaves ``params`` and ``opt`` unchanged.  Finiteness contract: with
+    leaves ``params`` and ``opt`` unchanged: it must name a trainable tensor
+    that has a buffer of its shape, and be an ndarray of that shape whose
+    dtype casts to float64 under ``same_kind``.  Finiteness contract: with
     ``check_finite`` (the default) a gradient holding a NaN or infinity
     raises ``ModelError``.  ``check_finite=False`` skips that scan and is
     only for callers whose gradients were scanned already; every
@@ -290,17 +303,40 @@ def sgd_step(
             raise ModelError(f"gradient for unknown tensor '{name}'")
         if name not in trainable:
             raise ModelError(f"tensor '{name}' is not trainable in {params.mode} mode")
+        if not isinstance(grad, np.ndarray):
+            raise ModelError(f"gradient for {name} must be an ndarray, got {type(grad).__name__}")
+        if grad.dtype.kind not in _REAL_KINDS:
+            raise ModelError(f"gradient for {name} has dtype {grad.dtype}, which is not real")
         if check_finite and not np.all(np.isfinite(grad)):
             raise ModelError(f"non-finite gradient for {name}")
-        if grad.shape != tensors[name].shape:
-            raise ModelError(
-                f"gradient shape {grad.shape} does not match {name} shape {tensors[name].shape}"
-            )
+        shape = tensors[name].shape
+        if grad.shape != shape:
+            raise ModelError(f"gradient shape {grad.shape} does not match {name} shape {shape}")
         if name not in opt.buffers:
             raise ModelError(f"optimizer state has no buffer for {name}")
+        if opt.buffers[name].shape != shape:
+            raise ModelError(
+                f"buffer shape {opt.buffers[name].shape} does not match {name} shape {shape}"
+            )
+    kernels = _kernels.compiled()
     for name, grad in grads.items():
         tensor = tensors[name]
         buf = opt.buffers[name]
+        if kernels is not None and _compiled_layout(tensor, grad, buf):
+            t, g, b = _address(tensor), _address(grad), _address(buf)
+            size = tensor.nbytes
+            # Each pair is one array or two that share no byte.  Arrays that
+            # overlap at an offset take the numpy body, whose ufuncs read such
+            # an operand whole before they write.
+            if (
+                (t == g or t + size <= g or g + size <= t)
+                and (t == b or t + size <= b or b + size <= t)
+                and (g == b or g + size <= b or b + size <= g)
+            ):
+                kernels.sgd_step(
+                    tensor.size, t, g, b, opt.weight_decay, opt.momentum, opt.learning_rate
+                )
+                continue
         work = opt.scratch.get(name)
         if work is None:
             work = opt.scratch[name] = np.empty_like(tensor)
@@ -311,6 +347,32 @@ def sgd_step(
         np.multiply(buf, opt.learning_rate, out=work)
         tensor -= work
     return params
+
+
+# The dtype kinds that cast to float64 under same_kind: bool, signed and
+# unsigned integers, and floats.
+_REAL_KINDS = "biuf"
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _compiled_layout(tensor: np.ndarray, grad: np.ndarray, buf: np.ndarray) -> bool:
+    # C-contiguous, aligned and writeable (``carray``) float64, and non-empty,
+    # since ``_address`` cannot view an empty buffer.
+    return (
+        tensor.size > 0
+        and tensor.dtype == _FLOAT64
+        and grad.dtype == _FLOAT64
+        and buf.dtype == _FLOAT64
+        and tensor.flags.carray
+        and grad.flags.carray
+        and buf.flags.carray
+    )
+
+
+def _address(a: np.ndarray) -> int:
+    # The address of a's first element: a ctypes view of its writeable buffer
+    # takes about a third of the time of ``a.ctypes.data``.
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedzsl import cli, glasso
+from fedzsl import _kernels, cli, glasso
 from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, load_dataset, save_dataset
 from fedzsl.fed import TrainConfig
 from fedzsl.glasso import GlassoConfig
@@ -422,7 +422,7 @@ class TestRun:
     ):
         first = tmp_path / "first"
         assert self.run_once(small_data, first) == 0
-        monkeypatch.setattr(glasso, "_compiled_sweep", lambda: None)
+        monkeypatch.setattr(_kernels, "compiled", lambda: None)
         loop = tmp_path / "loop"
         assert self.run_once(small_data, loop) == 0
         for name in ("metrics.csv", "final_model.csv"):

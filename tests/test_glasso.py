@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedzsl import glasso
+from fedzsl import _kernels, glasso
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import (
     SYMMETRY_TOL,
@@ -359,7 +359,9 @@ class TestSolverMatchesTheLoop:
         assert not cut.converged
 
 
-needs_a_compiler = pytest.mark.skipif(glasso._compiler() is None, reason="no C compiler on PATH")
+needs_a_compiler = pytest.mark.skipif(
+    _kernels._compiler() is None, reason="no C compiler on PATH"
+)
 
 # Guard doubles on each side of an array in the column step's guarded buffers.
 GUARD = 16
@@ -369,10 +371,10 @@ GUARD = 16
 def first_build(monkeypatch, tmp_path):
     # The sweep as a new process finds it, not yet built, with temporary
     # directories made under tmp_path; rebuilt as usual after the test.
-    glasso._compiled_sweep.cache_clear()
+    _kernels.compiled.cache_clear()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     yield tmp_path
-    glasso._compiled_sweep.cache_clear()
+    _kernels.compiled.cache_clear()
 
 
 class TestCompiledSweep:
@@ -405,7 +407,7 @@ class TestCompiledSweep:
             mp.setattr(glasso, "_MAX_INNER_ITERATIONS", passes)
             assert glasso.column_sweep() == "compiled"
             compiled = graphical_lasso(S, cfg)
-            mp.setattr(glasso, "_compiled_sweep", lambda: None)
+            mp.setattr(_kernels, "compiled", lambda: None)
             assert glasso.column_sweep() == "python"
             assert_same_solve(compiled, graphical_lasso(S, cfg))
 
@@ -433,7 +435,7 @@ class TestCompiledSweep:
                 views.append(view)
             got = glasso._ColumnBuffers(*views)
             guard_bytes = np.full(GUARD, fill).tobytes()
-            step = glasso._CompiledColumnStep(glasso._compiled_sweep(), got)
+            step = glasso._CompiledColumnStep(_kernels.compiled(), got)
             want_step = glasso._NumpyColumnStep(want)
             for j in range(p):
                 scale = S[j, j] + 0.1
@@ -475,7 +477,7 @@ class TestCompiledSweep:
             bufs.lin = bufs.lin[:2]
         before = [a.tobytes() for a in dataclasses.astuple(bufs)]
         with pytest.raises(GlassoError, match="C-contiguous float64 arrays of matching sizes"):
-            glasso._CompiledColumnStep(glasso._compiled_sweep(), bufs)
+            glasso._CompiledColumnStep(_kernels.compiled(), bufs)
         assert [a.tobytes() for a in dataclasses.astuple(bufs)] == before
 
     @needs_a_compiler
@@ -496,7 +498,7 @@ class TestCompiledSweep:
         else:
             bufs.column = bufs.column[:3]
         with pytest.raises(GlassoError, match="C-contiguous float64 arrays of matching sizes"):
-            glasso._CompiledColumnStep(glasso._compiled_sweep(), bufs)
+            glasso._CompiledColumnStep(_kernels.compiled(), bufs)
 
     @needs_a_compiler
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -513,7 +515,7 @@ class TestCompiledSweep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(glasso, "_MAX_INNER_ITERATIONS", passes)
             compiled = graphical_lasso(S, cfg)
-            mp.setattr(glasso, "_compiled_sweep", lambda: None)
+            mp.setattr(_kernels, "compiled", lambda: None)
             python = graphical_lasso(S, cfg)
         assert compiled.passes == python.passes
         # Every column of every sweep runs at least one pass and at most the cap.
@@ -522,13 +524,13 @@ class TestCompiledSweep:
 
     def test_a_solve_chooses_its_column_step_once(self, monkeypatch):
         calls = []
-        sweep = glasso._compiled_sweep
+        sweep = _kernels.compiled
 
         def counted():
             calls.append(None)
             return sweep()
 
-        monkeypatch.setattr(glasso, "_compiled_sweep", counted)
+        monkeypatch.setattr(_kernels, "compiled", counted)
         # Six columns per sweep, each with its own start, solve and finish.
         assert graphical_lasso(random_covariance(2, 12, 6)).passes > 6
         assert len(calls) == 1
@@ -551,8 +553,8 @@ class TestCompiledSweep:
     ):
         S = random_covariance(7, 30, 20)
         want = graphical_lasso(S)  # compiled, where a compiler is on PATH
-        glasso._compiled_sweep.cache_clear()
-        monkeypatch.setattr(glasso, "_compiler", lambda: compiler)
+        _kernels.compiled.cache_clear()
+        monkeypatch.setattr(_kernels, "_compiler", lambda: compiler)
         got = graphical_lasso(S)
         assert glasso.column_sweep() == "python"
         assert_same_solve(got, want)
@@ -602,7 +604,7 @@ class TestGraphicalLassoValidation:
             return True, 1
 
         if step is glasso._NumpyColumnStep:
-            monkeypatch.setattr(glasso, "_compiled_sweep", lambda: None)
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
         monkeypatch.setattr(step, "solve", indefinite_column)
         S = ORACLE_CASES["p3"][0]
         with pytest.raises(GlassoError, match="^estimated precision lost positive definiteness$"):

@@ -1,14 +1,22 @@
 """Parameter container, initialization, SGD arithmetic, and checkpoints."""
 from __future__ import annotations
 
+import copy
+import ctypes
 import math
+import platform
 import re
 import signal
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fedzsl import _kernels
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.model import (
     ATTRIBUTE_BASED,
@@ -28,8 +36,28 @@ from fedzsl.model import (
 )
 
 
+needs_a_compiler = pytest.mark.skipif(
+    _kernels._compiler() is None, reason="no C compiler on PATH"
+)
+BOTH_PATHS = [
+    pytest.param(True, id="compiled", marks=needs_a_compiler),
+    pytest.param(False, id="numpy"),
+]
+
+
 def tiny_params(mode: str = ATTRIBUTE_BASED, seed: int = 0) -> ModelParams:
     return init_params(d_v=6, d_a=4, num_seen=3, mode=mode, seed=seed)
+
+
+def cpu_has_fma() -> bool:
+    """Whether this is an x86-64 Linux host whose CPU reports FMA."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return re.search(r"^flags\s*:.*\bfma\b", cpuinfo, re.M) is not None
 
 
 def save_model_per_value(path, params: ModelParams) -> None:
@@ -386,7 +414,61 @@ class TestSgdStep:
         for name, buf in opt.buffers.items():
             assert np.all(buf == 0.0), name
 
-    def test_work_arrays_are_reused(self):
+    @pytest.mark.parametrize("check_finite", [True, False])
+    @pytest.mark.parametrize("compiled", BOTH_PATHS)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones(4, dtype=complex), "gradient for b_g has dtype complex128, which is not real"),
+            (np.ones(4, dtype=object), "gradient for b_g has dtype object, which is not real"),
+            ([1.0] * 4, "gradient for b_g must be an ndarray, got list"),
+        ],
+        ids=["complex", "object", "list"],
+    )
+    def test_a_gradient_that_is_not_a_real_array_moves_nothing(
+        self, bad, message, compiled, check_finite, monkeypatch
+    ):
+        # Refused before W_g, which comes first, moves; a step first makes
+        # every buffer non-zero.
+        params = tiny_params()
+        opt = init_opt_state(params, 0.1, 0.9, 0.01)
+        if not compiled:
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        sgd_step(params, {name: np.ones_like(t) for name, t in params.tensors().items()}, opt)
+        before = state_bytes(params, opt)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            grads = {"W_g": np.ones_like(params.W_g), "b_g": bad}
+            sgd_step(params, grads, opt, check_finite=check_finite)
+        assert state_bytes(params, opt) == before
+
+    @pytest.mark.parametrize("code", list(np.typecodes["All"]))
+    def test_a_gradient_must_cast_to_float64_under_same_kind(self, code):
+        params = tiny_params()
+        opt = init_opt_state(params, 0.1, 0.9, 0.01)
+        grad = np.zeros(4, dtype=code)
+        if np.can_cast(grad.dtype, np.float64, "same_kind"):
+            sgd_step(params, {"b_g": grad}, opt)
+        else:
+            with pytest.raises(ModelError, match="which is not real$"):
+                sgd_step(params, {"b_g": grad}, opt)
+
+    @pytest.mark.parametrize("compiled", BOTH_PATHS)
+    def test_a_buffer_of_another_shape_moves_nothing(self, compiled, monkeypatch):
+        params = tiny_params()
+        opt = init_opt_state(params, 0.1, 0.9, 0.01)
+        opt.buffers["b_h"] = np.zeros(5)
+        if not compiled:
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        before = state_bytes(params, opt)
+        grads = {name: np.ones_like(t) for name, t in params.tensors().items()}
+        message = r"^buffer shape \(5,\) does not match b_h shape \(6,\)$"
+        with pytest.raises(ModelError, match=message):
+            sgd_step(params, grads, opt)
+        assert state_bytes(params, opt) == before
+
+    def test_work_arrays_are_reused(self, monkeypatch):
+        # The numpy body's work arrays; the compiled step needs none.
+        monkeypatch.setattr(_kernels, "compiled", lambda: None)
         params = tiny_params()
         opt = init_opt_state(params, 0.1, 0.9, 0.01)
         grads = {"W_g": np.ones_like(params.W_g), "b_h": np.ones_like(params.b_h)}
@@ -409,6 +491,209 @@ class TestSgdStep:
     def test_buffers_cover_exactly_the_trainables(self):
         opt = init_opt_state(tiny_params(ATTRIBUTE_FREE))
         assert set(opt.buffers) == {"W_c", "b_c"}
+
+
+# Finite values with both zeros and subnormals among them.  Overflow to inf
+# is allowed, so the steps run under np.errstate(all="ignore").
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+GRAD_KINDS = ("float64", "float32", "int64", "strided", "tensor", "buffer")
+
+
+def state_bytes(params, opt):
+    """The dtype, shape and bytes of every tensor and buffer."""
+    return (
+        {n: (t.dtype.str, t.shape, t.tobytes()) for n, t in params.tensors().items()},
+        {n: (b.dtype.str, b.shape, b.tobytes()) for n, b in opt.buffers.items()},
+    )
+
+
+def run_steps(params, opt, grads_per_step, compiled, check_finite=True):
+    """``sgd_step`` once per entry of ``grads_per_step``, compiled or in numpy.
+
+    An entry maps a name to an array, or to "tensor" or "buffer" for that
+    tensor or its buffer itself.  Returns what each step returned.
+    """
+    returned = []
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        if not compiled:
+            mp.setattr(_kernels, "compiled", lambda: None)
+        for grads in grads_per_step:
+            own = {"tensor": params.tensors(), "buffer": opt.buffers}
+            step = {n: own[g][n] if isinstance(g, str) else g for n, g in grads.items()}
+            returned.append(sgd_step(params, step, opt, check_finite=check_finite))
+    return returned
+
+
+def twin_steps(params, opt, grads_per_step, check_finite=True):
+    """Run the steps compiled and, on a deep copy, in numpy; the copy's state.
+
+    Asserts that both leave the same bytes and return their own params.
+    """
+    twin, twin_opt = copy.deepcopy((params, opt))
+    got = run_steps(params, opt, grads_per_step, True, check_finite)
+    want = run_steps(twin, twin_opt, grads_per_step, False, check_finite)
+    assert state_bytes(params, opt) == state_bytes(twin, twin_opt)
+    assert all(r is params for r in got) and all(r is twin for r in want)
+    return twin, twin_opt
+
+
+class TestCompiledSgdStep:
+    """The compiled step against the numpy body, its oracle."""
+
+    @needs_a_compiler
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        mode=st.sampled_from([ATTRIBUTE_BASED, ATTRIBUTE_FREE]),
+        d_v=st.integers(1, 9),
+        d_a=st.integers(1, 9),
+        num_seen=st.integers(1, 5),
+        learning_rate=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        momentum=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        weight_decay=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+        steps=st.integers(1, 4),
+        non_finite=st.booleans(),
+    )
+    def test_writes_the_numpy_bodys_bytes(
+        self, data, mode, d_v, d_a, num_seen, learning_rate, momentum, weight_decay, steps,
+        non_finite,
+    ):
+        # Sizes 1 to 81 in vectors and matrices run the two-element loop with
+        # and without its tail.  A gradient that is its tensor or buffer may
+        # be non-finite, so the steps skip the scan.
+        params = init_params(d_v, d_a, num_seen, mode, seed=0)
+        values = st.one_of(FINITE, NON_FINITE) if non_finite else FINITE
+        for name in params.trainable_names():
+            tensor = params.tensors()[name]
+            tensor[...] = data.draw(arrays(np.float64, tensor.shape, elements=values), label=name)
+        opt = init_opt_state(params, learning_rate, momentum, weight_decay)
+        grads_per_step = []
+        for _ in range(steps):
+            grads = {}
+            for name in params.trainable_names():
+                shape = params.tensors()[name].shape
+                kind = data.draw(st.sampled_from(GRAD_KINDS), label=f"{name} gradient")
+                if kind in ("tensor", "buffer"):
+                    grads[name] = kind
+                elif kind == "float32":
+                    grads[name] = data.draw(
+                        arrays(np.float32, shape, elements=st.floats(-1e3, 1e3, width=32))
+                    )
+                elif kind == "int64":
+                    grads[name] = data.draw(arrays(np.int64, shape, elements=st.integers(-9, 9)))
+                else:
+                    grad = data.draw(arrays(np.float64, shape, elements=FINITE))
+                    if kind == "strided":
+                        wide = np.full((*shape[:-1], 2 * shape[-1]), np.nan)
+                        wide[..., ::2] = grad
+                        grad = wide[..., ::2]
+                    grads[name] = grad
+            grads_per_step.append(grads)
+        _, twin_opt = twin_steps(params, opt, grads_per_step, check_finite=False)
+        # Only float32, integer and non-contiguous gradients took the numpy
+        # body on the compiled side.
+        in_numpy = {
+            name
+            for grads in grads_per_step
+            for name, grad in grads.items()
+            if not isinstance(grad, str)
+            and not (grad.dtype == np.float64 and grad.flags.c_contiguous)
+        }
+        assert set(opt.scratch) == in_numpy
+        assert set(twin_opt.scratch) == set(params.trainable_names())
+
+    @needs_a_compiler
+    @pytest.mark.parametrize(
+        "grad, buffer_is_tensor",
+        [("tensor", False), ("buffer", False), ("array", True), ("tensor", True)],
+        ids=["grad-is-tensor", "grad-is-buffer", "buffer-is-tensor", "all-one-array"],
+    )
+    def test_one_array_in_two_roles_gets_numpys_result(self, grad, buffer_is_tensor):
+        # Per element, the numpy body reads the gradient before the buffer
+        # moves and the tensor after it, and so does the compiled step.
+        params = init_params(5, 3, 2, ATTRIBUTE_BASED, seed=1)
+        opt = init_opt_state(params, 0.1, 0.9, 0.01)
+        if buffer_is_tensor:
+            opt.buffers["W_g"] = params.W_g
+        first = {"W_g": np.linspace(-1.0, 1.0, 15).reshape(3, 5)}
+        steps = [first] + 2 * [{"W_g": first["W_g"] if grad == "array" else grad}]
+        twin_steps(params, opt, steps)
+        assert opt.scratch == {}
+
+    @needs_a_compiler
+    @pytest.mark.parametrize("role", ["grad", "buffer"])
+    def test_arrays_that_overlap_at_an_offset_take_the_numpy_body(self, role):
+        # A C-contiguous float64 view one element away from the tensor's
+        # memory: element by element, C would read what it had just written.
+        # Each path gets its own memory, as a deep copy would not overlap.
+        written = []
+        for compiled in (True, False):
+            memory = np.linspace(-1.0, 1.0, 8)
+            params = init_params(6, 1, 2, ATTRIBUTE_BASED, seed=2)
+            params.b_h = memory[1:7]
+            opt = init_opt_state(params, 0.1, 0.9, 0.01)
+            grad = np.full(6, 0.25)
+            if role == "grad":
+                grad = memory[:6]
+            else:
+                opt.buffers["b_h"] = memory[2:8]
+            run_steps(params, opt, 2 * [{"b_h": grad}], compiled)
+            written.append(memory.tobytes())
+            assert set(opt.scratch) == {"b_h"}
+        assert written[0] == written[1]
+
+    @needs_a_compiler
+    @pytest.mark.skipif(not cpu_has_fma(), reason="no x86-64 CPU with FMA")
+    def test_the_oracle_catches_a_fused_multiply_add(self, tmp_path):
+        # Built as the flag mutant -mfma -ffp-contract=fast, the step rounds
+        # buf*m + w and t - b*lr once each where numpy rounds twice, so the
+        # byte comparisons above would fail if the build flags regressed.
+        mutant = tmp_path / "fused.so"
+        subprocess.run(
+            [
+                *_kernels._compiler(), "-O2", "-shared", "-fPIC", "-mfma", "-ffp-contract=fast",
+                str(_kernels.SOURCE), "-o", str(mutant),
+            ],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            check=True,
+        )
+        shipped = _kernels.compiled().sgd_step
+        fused = ctypes.CDLL(str(mutant)).fedzsl_sgd_step
+        fused.argtypes, fused.restype = shipped.argtypes, shipped.restype
+        rng = np.random.default_rng(5)
+        t, g, buf = rng.standard_normal((3, 101))
+        written = []
+        for step in (shipped, fused):
+            tensor, momentum = t.copy(), buf.copy()
+            step(t.size, tensor.ctypes.data, g.ctypes.data, momentum.ctypes.data, 0.01, 0.9, 0.1)
+            written.append(tensor.tobytes() + momentum.tobytes())
+        assert written[1] != written[0]
+
+    @needs_a_compiler
+    def test_only_the_nan_a_sum_of_two_nans_keeps_may_differ(self):
+        # IEEE 754 leaves open which NaN a sum of two NaNs returns: numpy's
+        # add keeps its first operand's, the compiled one the compiler's
+        # choice.  inf * 0 makes the default NaN, whose sign bit is set on
+        # x86, and the gradient's NaN has it clear.  Training never meets
+        # this, since the loss refuses non-finite gradients.
+        params = init_params(4, 2, 2, ATTRIBUTE_BASED, seed=3)
+        params.W_g[0] = np.inf
+        opt = init_opt_state(params, 0.1, 0.9, 0.0)
+        grad = np.ones((2, 4))
+        grad[0] = np.nan
+        twin, twin_opt = copy.deepcopy((params, opt))
+        run_steps(params, opt, 2 * [{"W_g": grad}], True, check_finite=False)
+        run_steps(twin, twin_opt, 2 * [{"W_g": grad}], False, check_finite=False)
+        for got, want in ((params.W_g, twin.W_g), (opt.buffers["W_g"], twin_opt.buffers["W_g"])):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+            assert np.isnan(got[0]).all() and not np.isnan(got[1]).any()
 
 
 class TestCheckpointIo:

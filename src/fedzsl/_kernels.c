@@ -5,7 +5,13 @@
  *     and after the column lasso (fedzsl_column_start, fedzsl_column_finish)
  *     and its coordinate passes (fedzsl_lasso_passes);
  *   - the momentum SGD step of one tensor (fedzsl.model.sgd_step):
- *     fedzsl_sgd_step.
+ *     fedzsl_sgd_step;
+ *   - the elementwise passes and reductions of the loss terms
+ *     (fedzsl.losses): fedzsl_softmax_shift, fedzsl_row_sums,
+ *     fedzsl_column_sums, fedzsl_sce_rows, fedzsl_sce_grad, fedzsl_kl_rows, fedzsl_kl_grad,
+ *     fedzsl_ad and fedzsl_bc, and the finiteness scan of a loss's
+ *     gradients, fedzsl_all_finite.  numpy's exp and log, and
+ *     every matrix product, stay with numpy between these calls.
  *
  * Each function is the numpy or Python code it replaces, operation for
  * operation: the same products, sums, comparisons and divisions on the same
@@ -17,6 +23,10 @@
  * n x n with n = p - 1 for q and qt.  Index a of an n-vector is row or
  * column a + (a >= j) of the p x p matrices.
  */
+
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 /* Rows and columns at a time of the tiled transpose of q into qt. */
 #define TILE 32
@@ -224,4 +234,370 @@ void fedzsl_sgd_step(long long n, double *t, const double *g, double *buf, doubl
         buf[k] = b;
         t[k] = t[k] - b * lr;
     }
+}
+
+/*
+ * The loss kernels.  Every reduction is numpy's: np.add.reduce of n float64
+ * values is the identity 0.0 plus their pairwise sum (pairwise_sum in
+ * numpy's loops_utils.h.src), which adds fewer than 8 values one by one,
+ * up to 128 values in 8 interleaved accumulators, and splits a longer run
+ * at n/2 rounded down to a multiple of 8.  A reduction over axis 0 adds the
+ * rows one after another onto 0.0.  fedzsl._kernels checks this order
+ * against np.add.reduce when it loads the library.
+ *
+ * Matrices are C-contiguous with `cols` values per row; `labels` are int64
+ * row indices into `targets` and `log_targets`, or column indices into a
+ * row of scores, all in range (the callers check them).
+ */
+
+/*
+ * numpy's pairwise sum of LEAF(x, i) for i < n, defined once for the
+ * values (pairwise) and for their squares (pairwise_squares).
+ */
+#define PAIRWISE(name, LEAF)                                                          \
+    static double name(const double *x, long long n)                                  \
+    {                                                                                 \
+        if (n < 8) {                                                                  \
+            double res = 0.0;                                                         \
+            for (long long i = 0; i < n; i++)                                         \
+                res += LEAF(x, i);                                                    \
+            return res;                                                               \
+        }                                                                             \
+        if (n <= 128) {                                                               \
+            double r0 = LEAF(x, 0), r1 = LEAF(x, 1), r2 = LEAF(x, 2), r3 = LEAF(x, 3);  \
+            double r4 = LEAF(x, 4), r5 = LEAF(x, 5), r6 = LEAF(x, 6), r7 = LEAF(x, 7);  \
+            long long i = 8;                                                          \
+            for (; i < n - (n % 8); i += 8) {                                         \
+                r0 += LEAF(x, i);                                                     \
+                r1 += LEAF(x, i + 1);                                                 \
+                r2 += LEAF(x, i + 2);                                                 \
+                r3 += LEAF(x, i + 3);                                                 \
+                r4 += LEAF(x, i + 4);                                                 \
+                r5 += LEAF(x, i + 5);                                                 \
+                r6 += LEAF(x, i + 6);                                                 \
+                r7 += LEAF(x, i + 7);                                                 \
+            }                                                                         \
+            double res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));           \
+            for (; i < n; i++)                                                        \
+                res += LEAF(x, i);                                                    \
+            return res;                                                               \
+        }                                                                             \
+        long long n2 = n / 2;                                                         \
+        n2 -= n2 % 8;                                                                 \
+        return name(x, n2) + name(x + n2, n - n2);                                    \
+    }
+
+#define VALUE(x, i) ((x)[i])
+#define SQUARE(x, i) ((x)[i] * (x)[i])
+PAIRWISE(pairwise, VALUE)
+PAIRWISE(pairwise_squares, SQUARE)
+
+/* np.add.reduce(x[:n]). */
+static double reduce(const double *x, long long n)
+{
+    return 0.0 + pairwise(x, n);
+}
+
+/* np.add.reduce(x[:n] * x[:n]). */
+static double reduce_squares(const double *x, long long n)
+{
+    return 0.0 + pairwise_squares(x, n);
+}
+
+/*
+ * The first step of a row-wise log-softmax: y = x / tau (x itself when tau
+ * is 1, as x / 1 is x), then out = y - max(y) row by row.  out may be x.  A
+ * NaN in a row makes its maximum NaN, as numpy's does.
+ */
+void fedzsl_softmax_shift(long long rows, long long cols, const double *x, double *out,
+                          double tau)
+{
+    for (long long r = 0; r < rows; r++) {
+        const double *xr = x + r * cols;
+        double *o = out + r * cols;
+        long long k = 0;
+        if (tau != 1.0) {
+            for (; k + 1 < cols; k += 2) {
+                double y0 = xr[k] / tau;
+                double y1 = xr[k + 1] / tau;
+                o[k] = y0;
+                o[k + 1] = y1;
+            }
+            for (; k < cols; k++)
+                o[k] = xr[k] / tau;
+            xr = o;
+        }
+        double m = xr[0];
+        for (k = 1; k < cols; k++)
+            if (xr[k] > m || xr[k] != xr[k])
+                m = m != m ? m : xr[k];
+        for (k = 0; k + 1 < cols; k += 2) {
+            double y0 = xr[k] - m;
+            double y1 = xr[k + 1] - m;
+            o[k] = y0;
+            o[k + 1] = y1;
+        }
+        for (; k < cols; k++)
+            o[k] = xr[k] - m;
+    }
+}
+
+/* sums[r] = np.add.reduce(x[r]) for each row r. */
+void fedzsl_row_sums(long long rows, long long cols, const double *x, double *sums)
+{
+    for (long long r = 0; r < rows; r++)
+        sums[r] = reduce(x + r * cols, cols);
+}
+
+/* x[r] -= log_sums[r] for each row r: the last step of the log-softmax. */
+static void subtract_rows(long long rows, long long cols, double *x, const double *log_sums)
+{
+    for (long long r = 0; r < rows; r++) {
+        double *xr = x + r * cols;
+        double s = log_sums[r];
+        long long k = 0;
+        for (; k + 1 < cols; k += 2) {
+            double y0 = xr[k] - s;
+            double y1 = xr[k + 1] - s;
+            xr[k] = y0;
+            xr[k + 1] = y1;
+        }
+        for (; k < cols; k++)
+            xr[k] = xr[k] - s;
+    }
+}
+
+/* sums[c] = np.add.reduce(x[:, c]) for each column c: rows added in order onto 0.0. */
+void fedzsl_column_sums(long long rows, long long cols, const double *restrict x,
+                        double *restrict sums)
+{
+    for (long long c = 0; c < cols; c++)
+        sums[c] = 0.0;
+    for (long long r = 0; r < rows; r++) {
+        const double *xr = x + r * cols;
+        long long c = 0;
+        for (; c + 1 < cols; c += 2) {
+            double y0 = sums[c] + xr[c];
+            double y1 = sums[c + 1] + xr[c + 1];
+            sums[c] = y0;
+            sums[c + 1] = y1;
+        }
+        for (; c < cols; c++)
+            sums[c] = sums[c] + xr[c];
+    }
+}
+
+/*
+ * The semantic cross-entropy of rows [first, first + rows) of a batch of
+ * `batch` rows, after the log of the exponential sums: lp (the block's
+ * rows) becomes the log-probabilities and picked[first + r] their entry at
+ * labels[r].  Returns np.add.reduce(picked) once the block is the batch's
+ * last, else 0.0.
+ */
+double fedzsl_sce_rows(long long rows, long long cols, double *lp, const double *log_sums,
+                       const long long *labels, double *picked, long long first,
+                       long long batch)
+{
+    subtract_rows(rows, cols, lp, log_sums);
+    for (long long r = 0; r < rows; r++)
+        picked[first + r] = lp[r * cols + labels[r]];
+    return first + rows == batch ? reduce(picked, batch) : 0.0;
+}
+
+/*
+ * The logit gradient of the cross-entropy from the block's probabilities p:
+ * p[r, labels[r]] -= 1, then p /= batch.
+ */
+void fedzsl_sce_grad(long long rows, long long cols, double *p, const long long *labels,
+                     long long batch)
+{
+    double b = (double)batch;
+    for (long long r = 0; r < rows; r++)
+        p[r * cols + labels[r]] -= 1.0;
+    long long n = rows * cols, k = 0;
+    for (; k + 1 < n; k += 2) {
+        double y0 = p[k] / b;
+        double y1 = p[k + 1] / b;
+        p[k] = y0;
+        p[k + 1] = y1;
+    }
+    for (; k < n; k++)
+        p[k] = p[k] / b;
+}
+
+/*
+ * The KL term of rows [first, first + rows) of a batch of `batch` rows,
+ * after the log of the exponential sums: lp (the block's rows) becomes the
+ * log-probabilities; with t the target row and lt its logarithm at
+ * labels[r], each entry contributes (lt - lp) * t, or 0 where t is 0, and
+ * row_sums[first + r] = np.add.reduce of the contributions, gathered in
+ * work (cols values).  Returns np.add.reduce(row_sums) once the block is
+ * the batch's last, else 0.0.
+ */
+double fedzsl_kl_rows(long long rows, long long cols, double *lp, const double *log_sums,
+                      const double *targets, const double *log_targets,
+                      const long long *labels, double *restrict work, double *row_sums,
+                      long long first, long long batch)
+{
+    subtract_rows(rows, cols, lp, log_sums);
+    for (long long r = 0; r < rows; r++) {
+        const double *restrict p = lp + r * cols;
+        const double *restrict t = targets + labels[r] * cols;
+        const double *restrict lt = log_targets + labels[r] * cols;
+        long long k = 0;
+        for (; k + 1 < cols; k += 2) {
+            double c0 = (lt[k] - p[k]) * t[k];
+            double c1 = (lt[k + 1] - p[k + 1]) * t[k + 1];
+            work[k] = t[k] == 0.0 ? 0.0 : c0;
+            work[k + 1] = t[k + 1] == 0.0 ? 0.0 : c1;
+        }
+        for (; k < cols; k++)
+            work[k] = t[k] == 0.0 ? 0.0 : (lt[k] - p[k]) * t[k];
+        row_sums[first + r] = reduce(work, cols);
+    }
+    return first + rows == batch ? reduce(row_sums, batch) : 0.0;
+}
+
+/* The KL logit gradient from the block's probabilities p: ((p - t) * tau) / batch. */
+void fedzsl_kl_grad(long long rows, long long cols, double *p, const double *targets,
+                    const long long *labels, double tau, long long batch)
+{
+    double b = (double)batch;
+    for (long long r = 0; r < rows; r++) {
+        double *restrict pr = p + r * cols;
+        const double *restrict t = targets + labels[r] * cols;
+        long long k = 0;
+        for (; k + 1 < cols; k += 2) {
+            double y0 = ((pr[k] - t[k]) * tau) / b;
+            double y1 = ((pr[k + 1] - t[k + 1]) * tau) / b;
+            pr[k] = y0;
+            pr[k + 1] = y1;
+        }
+        for (; k < cols; k++)
+            pr[k] = ((pr[k] - t[k]) * tau) / b;
+    }
+}
+
+/*
+ * The decorrelation term over all `rows` rows of a (d_a columns): for group
+ * g with columns [bounds[2g], bounds[2g + 1]), norms[g * rows + r] is the
+ * square root of np.add.reduce of the squares of a[r] over the group.
+ * Returns the sum over groups, in order from 0.0, of np.add.reduce of each
+ * group's norms.  When grad is not NULL, grad[r] over the group is
+ * (a[r] / norm) / rows, or 0 where the norm is below eps (or NaN).
+ */
+double fedzsl_ad(long long rows, long long d_a, const double *restrict a, long long groups,
+                 const long long *bounds, double *restrict norms, double *restrict grad,
+                 double eps)
+{
+    for (long long g = 0; g < groups; g++) {
+        long long first = bounds[2 * g], width = bounds[2 * g + 1] - first;
+        for (long long r = 0; r < rows; r++)
+            norms[g * rows + r] = sqrt(reduce_squares(a + r * d_a + first, width));
+    }
+    double total = 0.0;
+    for (long long g = 0; g < groups; g++)
+        total += reduce(norms + g * rows, rows);
+    if (grad == 0)
+        return total;
+    double b = (double)rows;
+    for (long long g = 0; g < groups; g++) {
+        long long first = bounds[2 * g], width = bounds[2 * g + 1] - first;
+        for (long long r = 0; r < rows; r++) {
+            const double *x = a + r * d_a + first;
+            double *y = grad + r * d_a + first;
+            double norm = norms[g * rows + r];
+            long long k = 0;
+            if (norm >= eps) {
+                for (; k + 1 < width; k += 2) {
+                    double y0 = (x[k] / norm) / b;
+                    double y1 = (x[k + 1] / norm) / b;
+                    y[k] = y0;
+                    y[k + 1] = y1;
+                }
+                for (; k < width; k++)
+                    y[k] = (x[k] / norm) / b;
+            } else {
+                for (; k < width; k++)
+                    y[k] = 0.0 / b;
+            }
+        }
+    }
+    return total;
+}
+
+/*
+ * The reconstruction term: residual -= v over rows x cols entries, v
+ * float32 (widened exactly) when v_f32 is set, else float64; returns
+ * np.add.reduce(residual * residual) over every entry.  When d_b is not
+ * NULL, residual then becomes (residual * 2) / rows and d_b its sum over
+ * axis 0.
+ */
+double fedzsl_bc(long long rows, long long cols, double *restrict residual, const void *v,
+                 int v_f32, double *restrict d_b)
+{
+    long long n = rows * cols, k = 0;
+    if (v_f32) {
+        const float *restrict vf = v;
+        for (; k + 1 < n; k += 2) {
+            double y0 = residual[k] - (double)vf[k];
+            double y1 = residual[k + 1] - (double)vf[k + 1];
+            residual[k] = y0;
+            residual[k + 1] = y1;
+        }
+        for (; k < n; k++)
+            residual[k] = residual[k] - (double)vf[k];
+    } else {
+        const double *restrict vd = v;
+        for (; k + 1 < n; k += 2) {
+            double y0 = residual[k] - vd[k];
+            double y1 = residual[k + 1] - vd[k + 1];
+            residual[k] = y0;
+            residual[k + 1] = y1;
+        }
+        for (; k < n; k++)
+            residual[k] = residual[k] - vd[k];
+    }
+    double total = reduce_squares(residual, n);
+    if (d_b == 0)
+        return total;
+    double b = (double)rows;
+    for (k = 0; k + 1 < n; k += 2) {
+        double y0 = (residual[k] * 2.0) / b;
+        double y1 = (residual[k + 1] * 2.0) / b;
+        residual[k] = y0;
+        residual[k + 1] = y1;
+    }
+    for (; k < n; k++)
+        residual[k] = (residual[k] * 2.0) / b;
+    fedzsl_column_sums(rows, cols, residual, d_b);
+    return total;
+}
+
+/*
+ * 1 when each of the n values is finite, else 0.  A value is not finite
+ * exactly when its exponent bits are all ones, and then adding 2^52 to its
+ * magnitude bits carries into the top bit; integer ORs, unlike
+ * floating-point sums, may be taken in any order, four at a time.
+ */
+int fedzsl_all_finite(long long n, const double *x)
+{
+    const uint64_t magnitude = 0x7fffffffffffffffULL, exponent_one = 0x0010000000000000ULL;
+    uint64_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0, b0, b1, b2, b3;
+    long long k = 0;
+    for (; k + 3 < n; k += 4) {
+        memcpy(&b0, x + k, 8);
+        memcpy(&b1, x + k + 1, 8);
+        memcpy(&b2, x + k + 2, 8);
+        memcpy(&b3, x + k + 3, 8);
+        acc0 |= (b0 & magnitude) + exponent_one;
+        acc1 |= (b1 & magnitude) + exponent_one;
+        acc2 |= (b2 & magnitude) + exponent_one;
+        acc3 |= (b3 & magnitude) + exponent_one;
+    }
+    for (; k < n; k++) {
+        memcpy(&b0, x + k, 8);
+        acc0 |= (b0 & magnitude) + exponent_one;
+    }
+    return ((acc0 | acc1 | acc2 | acc3) >> 63) == 0;
 }

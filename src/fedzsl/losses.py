@@ -20,23 +20,39 @@ The kernels allocate little: each elementwise step writes into an array
 the kernel already owns, and the row-local softmax, KL and decorrelation
 work runs over blocks of at most ``_ROW_BLOCK`` rows, so the full-split
 global loss holds block-sized temporaries and a training batch is one
-block.  Two rules keep every result bit-identical to whole-array code.
+block.  Three rules keep every result bit-identical to whole-array code.
 Matrix products are never split by rows: OpenBLAS blocks and orders its
 sums by the shape of the call, so a product over a block of rows need not
 round as the same rows of the whole product do.  Per-row values (the
 log-probabilities at the labels, the KL row sums, the group norms) are
 written into full-length vectors and each is reduced once: numpy sums by
 pairwise recursion over the whole vector, and adding per-block partial
-sums would group the additions differently.
+sums would group the additions differently.  Reductions in C follow
+numpy's pairwise order and are checked at load.
+
+The elementwise passes and reductions of each term, and ``LossReport``'s
+finiteness scan, run in the compiled library (``fedzsl._kernels``) a few
+calls per row block: before ``exp``, between ``exp`` and ``log``, and
+after ``log``.  ``joint_loss``'s weighted sum of the term gradients stays
+numpy: done in C it measured slower at both benchmark batch shapes.  Matrix products and numpy's
+``exp`` and ``log`` stay numpy calls on whole contiguous blocks, whose bits
+do not depend on an element's position.  Each compiled path performs its
+numpy body's IEEE operations in the same order; the numpy body runs
+instead, per call, when the library is missing, when its reductions did
+not match numpy's at load, or when an input is not a C-contiguous float64
+array (float32 features, as ``features.bin`` loads them, are widened in C
+exactly as numpy widens them).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from fedzsl import _kernels
 from fedzsl.dataset import AttributeMatrix, _as_features, _as_ids
 from fedzsl.glasso import DistillTargets
 from fedzsl.model import (
@@ -139,15 +155,21 @@ class LossReport:
         for name, value in self.terms.items():
             if not math.isfinite(value):
                 raise NonFiniteLossError(f"loss term '{name}' is non-finite ({value})")
-        # A finite sum proves every entry finite, as any NaN or infinity
-        # would carry into it; only a non-finite sum, which may also come
-        # from finite entries that overflow, needs the entrywise scan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name, grad in self.grads.items():
-                if math.isfinite(np.add.reduce(grad, axis=None)):
-                    continue
-                if not np.all(np.isfinite(grad)):
-                    raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
+        for name, grad in self.grads.items():
+            if not _all_finite(grad):
+                raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
+
+
+def _all_finite(grad: np.ndarray) -> bool:
+    # Whether every entry of grad is finite: one compiled pass, or in numpy
+    # a sum, since a finite sum proves every entry finite (any NaN or
+    # infinity would carry into it), and only a non-finite sum, which may
+    # also come from finite entries that overflow, needs the entrywise scan.
+    kernels = _loss_kernels((grad,), ())
+    if kernels is not None:
+        return bool(kernels.all_finite(grad.size, _kernels.address(grad)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.isfinite(np.add.reduce(grad, axis=None)) or bool(np.all(np.isfinite(grad)))
 
 
 def _as_batch(
@@ -191,6 +213,9 @@ def _sce_core(
     # ``scores`` is left as it is for the KL term.  The log-softmax of each
     # block is written into its rows of d_logits and turned into the logit
     # gradient there.
+    kernels = _loss_kernels((scores,), (positions,))
+    if kernels is not None:
+        return _sce_compiled(kernels, scores, positions, grads)
     batch, classes = scores.shape
     picked = np.empty(batch)
     if grads:
@@ -210,6 +235,45 @@ def _sce_core(
     return float(-picked.mean()), d_logits if grads else None
 
 
+def _sce_compiled(
+    kernels: _kernels.Kernels, scores: np.ndarray, positions: np.ndarray, grads: bool
+) -> tuple[float, np.ndarray | None]:
+    # _sce_core's numpy body, stage by stage: per block, the shift by the row
+    # maximum, numpy's exp, the row sums, numpy's log, the log-probabilities
+    # and their entries at the labels, and with gradients numpy's exp and
+    # the logit gradient.  One work array holds the log-probabilities (the
+    # whole d_logits with gradients, else one block), a block of
+    # exponentials, its row sums and the picked entries.
+    batch, classes = scores.shape
+    block = min(batch, _ROW_BLOCK)
+    out_rows = batch if grads else block
+    work = np.empty((out_rows + block) * classes + block + batch)
+    out = work[: out_rows * classes].reshape(out_rows, classes)
+    exps = work[out_rows * classes : (out_rows + block) * classes].reshape(block, classes)
+    log_sums = work[(out_rows + block) * classes : (out_rows + block) * classes + block]
+    at = _kernels.address(work)
+    exps_at = at + 8 * out_rows * classes
+    sums_at = exps_at + 8 * block * classes
+    picked_at = sums_at + 8 * block
+    scores_at, labels_at = _kernels.address(scores), _kernels.address(positions)
+    for start, stop in _row_blocks(batch):
+        rows = stop - start
+        first = start if grads else 0
+        log_probs = out[first : first + rows]
+        probs_at = at + 8 * first * classes
+        kernels.softmax_shift(rows, classes, scores_at + 8 * start * classes, probs_at, 1.0)
+        np.exp(log_probs, out=exps[:rows])
+        kernels.row_sums(rows, classes, exps_at, sums_at)
+        np.log(log_sums[:rows], out=log_sums[:rows])
+        total = kernels.sce_rows(
+            rows, classes, probs_at, sums_at, labels_at + 8 * start, picked_at, start, batch
+        )
+        if grads:
+            np.exp(log_probs, out=log_probs)
+            kernels.sce_grad(rows, classes, probs_at, labels_at + 8 * start, batch)
+    return -(total / batch), out if grads else None
+
+
 def _ad_core(
     a_hat: np.ndarray, groups: tuple[tuple[int, int], ...], grads: bool
 ) -> tuple[float, np.ndarray | None]:
@@ -218,6 +282,9 @@ def _ad_core(
     # elementwise square per row block serves every group; each group's row
     # sums and their square roots are the ones np.linalg.norm(block, axis=1)
     # computes.
+    kernels = _loss_kernels((a_hat,), ())
+    if kernels is not None and _group_bounds(groups)[2] <= a_hat.shape[1]:
+        return _ad_compiled(kernels, a_hat, groups, grads)
     batch = a_hat.shape[0]
     norms = np.empty((len(groups), batch))
     squares = np.empty((min(batch, _ROW_BLOCK), a_hat.shape[1]))
@@ -247,6 +314,41 @@ def _ad_core(
     return total / batch, grad
 
 
+def _ad_compiled(
+    kernels: _kernels.Kernels, a_hat: np.ndarray, groups: tuple[tuple[int, int], ...], grads: bool
+) -> tuple[float, np.ndarray | None]:
+    # _ad_core's numpy body in one call over the whole batch.  One work
+    # array holds the gradient, when asked for, and the group norms.
+    batch, d_a = a_hat.shape
+    _, bounds_at, _ = _group_bounds(groups)
+    size = batch * d_a if grads else 0
+    work = np.empty(size + len(groups) * batch)
+    at = _kernels.address(work)
+    total = kernels.ad(
+        batch,
+        d_a,
+        _kernels.address(a_hat),
+        len(groups),
+        bounds_at,
+        at + 8 * size,
+        at if grads else None,
+        ZERO_NORM_EPS,
+    )
+    return total / batch, work[:size].reshape(batch, d_a) if grads else None
+
+
+@functools.lru_cache(maxsize=8)
+def _group_bounds(groups: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int, int]:
+    # The groups' (first, end) pairs as one int64 array, kept alive here, its
+    # address, and the columns the compiled pass may read: every group's end
+    # when the groups are in range, else a bound no row reaches, so a bad
+    # group takes the numpy body and its error.
+    bounds = np.array(groups, dtype=np.int64).reshape(-1)
+    in_range = bounds.size and (bounds[::2] >= 0).all() and (bounds[::2] <= bounds[1::2]).all()
+    reach = int(bounds.max()) if in_range else np.iinfo(np.int64).max
+    return bounds, _kernels.address(bounds), reach
+
+
 def _kl_core(
     scores: np.ndarray,
     prototypes: np.ndarray,
@@ -260,6 +362,9 @@ def _kl_core(
     # batch; d/dz is tau * (softmax - target) / B.  Overwrites ``scores``
     # with the log-probabilities block by block, and gathers each block's
     # target rows (and their cached logarithms) by label.
+    kernels = _loss_kernels((scores, targets, log_targets), (labels,))
+    if kernels is not None and targets.shape[1] == scores.shape[1] == log_targets.shape[1]:
+        return _kl_compiled(kernels, scores, prototypes, targets, log_targets, labels, tau, grads)
     batch = scores.shape[0]
     row_sums = np.empty(batch)
     d_logits = np.empty_like(scores) if grads else None
@@ -287,6 +392,73 @@ def _kl_core(
     return value, d_logits @ prototypes.T
 
 
+def _kl_compiled(
+    kernels: _kernels.Kernels,
+    scores: np.ndarray,
+    prototypes: np.ndarray,
+    targets: np.ndarray,
+    log_targets: np.ndarray,
+    labels: np.ndarray,
+    tau: float,
+    grads: bool,
+) -> tuple[float, np.ndarray | None]:
+    # _kl_core's numpy body, stage by stage: per block, the division by tau
+    # and the shift by the row maximum, numpy's exp, the row sums, numpy's
+    # log, the log-probabilities with each row's KL sum, and with gradients
+    # numpy's exp and the logit gradient.  One work array holds d_logits,
+    # with gradients, a block of exponentials (then of KL contributions),
+    # its row sums and the KL row sums.
+    batch, classes = scores.shape
+    block = min(batch, _ROW_BLOCK)
+    size = batch * classes if grads else 0
+    work = np.empty(size + block * classes + block + batch)
+    d_logits = work[:size].reshape(batch, classes) if grads else None
+    exps = work[size : size + block * classes].reshape(block, classes)
+    log_sums = work[size + block * classes : size + block * classes + block]
+    d_at = _kernels.address(work)
+    exps_at = d_at + 8 * size
+    sums_at = exps_at + 8 * block * classes
+    row_sums_at = sums_at + 8 * block
+    scores_at, labels_at = _kernels.address(scores), _kernels.address(labels)
+    targets_at, log_targets_at = _kernels.address(targets), _kernels.address(log_targets)
+    for start, stop in _row_blocks(batch):
+        rows = stop - start
+        log_probs = scores[start:stop]
+        probs_at = scores_at + 8 * start * classes
+        kernels.softmax_shift(rows, classes, probs_at, probs_at, tau)
+        np.exp(log_probs, out=exps[:rows])
+        kernels.row_sums(rows, classes, exps_at, sums_at)
+        np.log(log_sums[:rows], out=log_sums[:rows])
+        total = kernels.kl_rows(
+            rows,
+            classes,
+            probs_at,
+            sums_at,
+            targets_at,
+            log_targets_at,
+            labels_at + 8 * start,
+            exps_at,
+            row_sums_at,
+            start,
+            batch,
+        )
+        if grads:
+            np.exp(log_probs, out=d_logits[start:stop])
+            kernels.kl_grad(
+                rows,
+                classes,
+                d_at + 8 * start * classes,
+                targets_at,
+                labels_at + 8 * start,
+                tau,
+                batch,
+            )
+    value = tau * tau * (total / batch)
+    if not grads:
+        return value, None
+    return value, d_logits @ prototypes.T
+
+
 def _bc_core(
     a_hat: np.ndarray, v: np.ndarray, params: ModelParams, grads: bool
 ) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
@@ -295,17 +467,72 @@ def _bc_core(
     # gradient in place.
     batch = a_hat.shape[0]
     residual = forward_decode(params, a_hat)
-    residual -= v
-    if not grads:
-        residual *= residual
-        return float(residual.sum() / batch), None, None, None
-    value = float((residual * residual).sum() / batch)
-    residual *= 2.0
-    residual /= batch
+    kernels = _loss_kernels((residual,), ())
+    if (
+        kernels is not None
+        and v.dtype in _FEATURE_DTYPES
+        and v.shape == residual.shape
+        and v.flags.c_contiguous
+        and v.flags.aligned
+    ):
+        value, d_b_h = _bc_compiled(kernels, residual, v, grads)
+        if not grads:
+            return value, None, None, None
+    else:
+        residual -= v
+        if not grads:
+            residual *= residual
+            return float(residual.sum() / batch), None, None, None
+        value = float((residual * residual).sum() / batch)
+        residual *= 2.0
+        residual /= batch
+        d_b_h = residual.sum(axis=0)
     d_W_h = residual.T @ a_hat
-    d_b_h = residual.sum(axis=0)
     d_a_hat = residual @ params.W_h
     return value, d_a_hat, d_W_h, d_b_h
+
+
+def _bc_compiled(
+    kernels: _kernels.Kernels, residual: np.ndarray, v: np.ndarray, grads: bool
+) -> tuple[float, np.ndarray | None]:
+    # _bc_core's numpy body in one call: the subtraction (float32 features
+    # are widened exactly), the sum of squares and, with gradients, the
+    # residual's scaling and its column sums, b_h's gradient.
+    batch, d_v = residual.shape
+    d_b_h = np.empty(d_v) if grads else None
+    total = kernels.bc(
+        batch,
+        d_v,
+        _kernels.address(residual),
+        _kernels.address(v),
+        v.dtype == np.float32,
+        _kernels.address(d_b_h) if grads else None,
+    )
+    return total / batch, d_b_h
+
+
+_FLOAT64 = np.dtype(np.float64)
+_INT64 = np.dtype(np.int64)
+_FEATURE_DTYPES = (np.dtype(np.float32), _FLOAT64)
+
+
+def _loss_kernels(
+    floats: tuple[np.ndarray, ...], ints: tuple[np.ndarray, ...]
+) -> _kernels.Kernels | None:
+    # The compiled kernels, when they are built, their reductions match
+    # numpy's in this process, and every array is a non-empty, aligned,
+    # C-contiguous float64 (``floats``) or int64 (``ints``) array; else
+    # None, and the caller runs its numpy body.  Labels index rows without a
+    # bounds check in C: joint_loss and ce_loss_attribute_free check them
+    # against the classes before any core runs.
+    kernels = _kernels.compiled()
+    if kernels is None or not kernels.pairwise:
+        return None
+    for arrays, dtype in ((floats, _FLOAT64), (ints, _INT64)):
+        for a in arrays:
+            if not (a.dtype == dtype and a.size and a.flags.c_contiguous and a.flags.aligned):
+                return None
+    return kernels
 
 
 def _label_positions(labels: np.ndarray, candidates: list[int], loss_name: str) -> np.ndarray:
@@ -378,7 +605,7 @@ def joint_loss(
     n = A.num_classes
     if A.d_a != params.d_a:
         raise LossError(f"joint_loss: attributes have d_a {A.d_a}, params have {params.d_a}")
-    if np.any(labels < 0) or np.any(labels >= n):
+    if labels.min() < 0 or labels.max() >= n:
         raise LossError("joint_loss: a label is outside the attribute matrix classes")
     kl_on = ablation.kl and weights.w_kl > 0.0
     if kl_on:

@@ -14,7 +14,6 @@ decay folded into the gradient is the only optimizer.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import re
 from dataclasses import dataclass, field
@@ -288,10 +287,10 @@ def sgd_step(
 
     Every gradient is validated before any tensor moves, so a rejected step
     leaves ``params`` and ``opt`` unchanged: it must name a trainable tensor
-    that has a buffer of its shape, and be an ndarray of that shape whose
-    dtype casts to float64 under ``same_kind``.  Finiteness contract: with
-    ``check_finite`` (the default) a gradient holding a NaN or infinity
-    raises ``ModelError``.  ``check_finite=False`` skips that scan and is
+    that has a buffer of its shape, both writeable float arrays, and be an
+    ndarray of that shape whose dtype casts to float64 under ``same_kind``.
+    Finiteness contract: with ``check_finite`` (the default) a gradient
+    holding a NaN or infinity raises ``ModelError``.  ``check_finite=False`` skips that scan and is
     only for callers whose gradients were scanned already; every
     ``LossReport`` scans its gradients on construction, which is why local
     training passes it.
@@ -314,6 +313,13 @@ def sgd_step(
             raise ModelError(f"gradient shape {grad.shape} does not match {name} shape {shape}")
         if name not in opt.buffers:
             raise ModelError(f"optimizer state has no buffer for {name}")
+        for role, array in (("tensor", tensors[name]), ("buffer", opt.buffers[name])):
+            if not (
+                isinstance(array, np.ndarray)
+                and array.dtype.kind == "f"
+                and array.flags.writeable
+            ):
+                raise ModelError(f"the {role} of {name} must be a writeable float array")
         if opt.buffers[name].shape != shape:
             raise ModelError(
                 f"buffer shape {opt.buffers[name].shape} does not match {name} shape {shape}"
@@ -323,7 +329,7 @@ def sgd_step(
         tensor = tensors[name]
         buf = opt.buffers[name]
         if kernels is not None and _compiled_layout(tensor, grad, buf):
-            t, g, b = _address(tensor), _address(grad), _address(buf)
+            t, g, b = _kernels.address(tensor), _kernels.address(grad), _kernels.address(buf)
             size = tensor.nbytes
             # Each pair is one array or two that share no byte.  Arrays that
             # overlap at an offset take the numpy body, whose ufuncs read such
@@ -357,7 +363,7 @@ _FLOAT64 = np.dtype(np.float64)
 
 def _compiled_layout(tensor: np.ndarray, grad: np.ndarray, buf: np.ndarray) -> bool:
     # C-contiguous, aligned and writeable (``carray``) float64, and non-empty,
-    # since ``_address`` cannot view an empty buffer.
+    # since ``_kernels.address`` cannot view an empty buffer.
     return (
         tensor.size > 0
         and tensor.dtype == _FLOAT64
@@ -367,12 +373,6 @@ def _compiled_layout(tensor: np.ndarray, grad: np.ndarray, buf: np.ndarray) -> b
         and grad.flags.carray
         and buf.flags.carray
     )
-
-
-def _address(a: np.ndarray) -> int:
-    # The address of a's first element: a ctypes view of its writeable buffer
-    # takes about a third of the time of ``a.ctypes.data``.
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:

@@ -1,12 +1,16 @@
-"""Shared pytest hooks, the package path and the single-term loss view.
+"""Shared pytest hooks, the package path, the kernel cache and the single-term loss view.
 
 The acceptance tests register a status per criterion; the terminal summary
 hook prints one line per criterion even when pytest captures stdout.
 """
 from __future__ import annotations
 
+import atexit
 import importlib.util
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,13 @@ import pytest
 # go on the path, after everything else.
 if importlib.util.find_spec("fedzsl") is None:
     sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+# The suite, and every process it starts, caches the compiled kernels in a
+# directory of its own, removed when the process exits (even one whose
+# fedzsl import fails below), never in the user's cache.
+KERNEL_CACHE = tempfile.mkdtemp(prefix="fedzsl-suite-cache-")
+atexit.register(shutil.rmtree, KERNEL_CACHE, ignore_errors=True)
+os.environ["XDG_CACHE_HOME"] = KERNEL_CACHE
 
 from fedzsl.losses import AblationFlags, LossWeights, joint_loss  # noqa: E402
 

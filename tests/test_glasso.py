@@ -368,10 +368,15 @@ GUARD = 16
 
 
 @pytest.fixture
-def first_build(monkeypatch, tmp_path):
-    # The sweep as a new process finds it, not yet built, with temporary
-    # directories made under tmp_path; rebuilt as usual after the test.
+def first_build(monkeypatch, tmp_path, tmp_path_factory):
+    # The sweep as a new process finds it, not yet built and with no cache it
+    # can use (a file stands where the cache directory would be), so it
+    # builds with temporary directories made under tmp_path; rebuilt as
+    # usual after the test.
     _kernels.compiled.cache_clear()
+    blocked = tmp_path_factory.mktemp("no-cache") / "file"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     yield tmp_path
     _kernels.compiled.cache_clear()

@@ -466,6 +466,30 @@ class TestSgdStep:
             sgd_step(params, grads, opt)
         assert state_bytes(params, opt) == before
 
+    @pytest.mark.parametrize("compiled", BOTH_PATHS)
+    @pytest.mark.parametrize("fault", ["int64-buffer", "read-only-tensor", "read-only-buffer"])
+    def test_a_tensor_or_buffer_that_cannot_take_the_step_moves_nothing(
+        self, fault, compiled, monkeypatch
+    ):
+        # b_h comes last, so W_g, b_g and W_h would move before numpy refused it.
+        params = tiny_params()
+        opt = init_opt_state(params, 0.1, 0.9, 0.01)
+        if not compiled:
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        grads = {name: np.ones_like(t) for name, t in params.tensors().items()}
+        sgd_step(params, grads, opt)
+        if fault == "int64-buffer":
+            opt.buffers["b_h"] = np.zeros(6, dtype=np.int64)
+        else:
+            array = params.b_h if fault == "read-only-tensor" else opt.buffers["b_h"]
+            array.flags.writeable = False
+        role = "buffer" if fault.endswith("buffer") else "tensor"
+        before = state_bytes(params, opt)
+        message = f"^the {role} of b_h must be a writeable float array$"
+        with pytest.raises(ModelError, match=message):
+            sgd_step(params, grads, opt)
+        assert state_bytes(params, opt) == before
+
     def test_work_arrays_are_reused(self, monkeypatch):
         # The numpy body's work arrays; the compiled step needs none.
         monkeypatch.setattr(_kernels, "compiled", lambda: None)

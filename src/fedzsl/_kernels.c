@@ -19,6 +19,15 @@
  * with -ffp-contract=off (never -ffast-math), or the compiler may fuse
  * r[k] + col[k] * step into one rounding.
  *
+ * The loops are plain, one element per iteration, and -O3 vectorizes them.
+ * That keeps every bit: each vector lane performs the scalar code's
+ * operations on its own element and rounds as they do, and no flag licenses
+ * reassociation (-fassociative-math, which -ffast-math implies), so a
+ * floating-point sum carried from one iteration to the next stays in order:
+ * it is left scalar, or it adds the lanes of each vector loaded one at a
+ * time (an in-order reduction).  The pairwise sum's eight accumulators are
+ * numpy's; a vector holds them one per lane.
+ *
  * The column step's matrices are C-contiguous: p x p for w, s and theta,
  * n x n with n = p - 1 for q and qt.  Index a of an n-vector is row or
  * column a + (a >= j) of the p x p matrices.
@@ -31,29 +40,11 @@
 /* Rows and columns at a time of the tiled transpose of q into qt. */
 #define TILE 32
 
-/*
- * The two loops below take two entries per iteration, computed into locals
- * before either is stored, so that GCC vectorizes them at -O2 (its cheap
- * cost model there takes no loop that would need a remainder loop): both
- * divisions become one SSE2 divpd.  Each lane rounds as the scalar code
- * does, so the bits are the same; it roughly halves the time of the column
- * step's divisions.
- */
-
 /* row[k] = row[k] - (c_i*c[k])/c_j and q_row[k] = scale*row[k], k < m. */
 static void downdate(double *restrict row, double *restrict q_row, const double *restrict c,
                      double c_i, double c_j, double scale, long long m)
 {
-    long long k = 0;
-    for (; k + 1 < m; k += 2) {
-        double w0 = row[k] - (c_i * c[k]) / c_j;
-        double w1 = row[k + 1] - (c_i * c[k + 1]) / c_j;
-        row[k] = w0;
-        row[k + 1] = w1;
-        q_row[k] = scale * w0;
-        q_row[k + 1] = scale * w1;
-    }
-    for (; k < m; k++) {
+    for (long long k = 0; k < m; k++) {
         row[k] = row[k] - (c_i * c[k]) / c_j;
         q_row[k] = scale * row[k];
     }
@@ -63,14 +54,7 @@ static void downdate(double *restrict row, double *restrict q_row, const double 
 static void update(double *restrict row, const double *restrict r, double r_a, double scale,
                    long long m)
 {
-    long long k = 0;
-    for (; k + 1 < m; k += 2) {
-        double w0 = row[k] + (r_a * r[k]) / scale;
-        double w1 = row[k + 1] + (r_a * r[k + 1]) / scale;
-        row[k] = w0;
-        row[k + 1] = w1;
-    }
-    for (; k < m; k++)
+    for (long long k = 0; k < m; k++)
         row[k] = row[k] + (r_a * r[k]) / scale;
 }
 
@@ -203,30 +187,15 @@ long long fedzsl_lasso_passes(long long n, const double *qt, const double *lin,
  * Each element reads only its own index, and t is read again after buf is
  * stored, so a gradient or buffer that is the tensor itself (the same
  * pointer) gets numpy's per-element result; the pointers are therefore not
- * restrict.  Arrays that overlap at an offset are the caller's to refuse.
- * Two elements per iteration, as in downdate, lets GCC vectorize at -O2.
+ * restrict, and the compiler checks them at run time before it takes its
+ * vector loop.  Arrays that overlap at an offset are the caller's to refuse.
  * Which NaN a sum of two different NaNs keeps is left to the compiler, as
  * IEEE 754 leaves it open; numpy keeps its first operand's.
  */
 void fedzsl_sgd_step(long long n, double *t, const double *g, double *buf, double wd,
                      double m, double lr)
 {
-    long long k = 0;
-    for (; k + 1 < n; k += 2) {
-        double w0 = t[k] * wd;
-        double w1 = t[k + 1] * wd;
-        w0 = g[k] + w0;
-        w1 = g[k + 1] + w1;
-        double b0 = buf[k] * m;
-        double b1 = buf[k + 1] * m;
-        b0 = b0 + w0;
-        b1 = b1 + w1;
-        buf[k] = b0;
-        buf[k + 1] = b1;
-        t[k] = t[k] - b0 * lr;
-        t[k + 1] = t[k + 1] - b1 * lr;
-    }
-    for (; k < n; k++) {
+    for (long long k = 0; k < n; k++) {
         double w = t[k] * wd;
         w = g[k] + w;
         double b = buf[k] * m;
@@ -315,29 +284,16 @@ void fedzsl_softmax_shift(long long rows, long long cols, const double *x, doubl
     for (long long r = 0; r < rows; r++) {
         const double *xr = x + r * cols;
         double *o = out + r * cols;
-        long long k = 0;
         if (tau != 1.0) {
-            for (; k + 1 < cols; k += 2) {
-                double y0 = xr[k] / tau;
-                double y1 = xr[k + 1] / tau;
-                o[k] = y0;
-                o[k + 1] = y1;
-            }
-            for (; k < cols; k++)
+            for (long long k = 0; k < cols; k++)
                 o[k] = xr[k] / tau;
             xr = o;
         }
         double m = xr[0];
-        for (k = 1; k < cols; k++)
+        for (long long k = 1; k < cols; k++)
             if (xr[k] > m || xr[k] != xr[k])
                 m = m != m ? m : xr[k];
-        for (k = 0; k + 1 < cols; k += 2) {
-            double y0 = xr[k] - m;
-            double y1 = xr[k + 1] - m;
-            o[k] = y0;
-            o[k + 1] = y1;
-        }
-        for (; k < cols; k++)
+        for (long long k = 0; k < cols; k++)
             o[k] = xr[k] - m;
     }
 }
@@ -355,14 +311,7 @@ static void subtract_rows(long long rows, long long cols, double *x, const doubl
     for (long long r = 0; r < rows; r++) {
         double *xr = x + r * cols;
         double s = log_sums[r];
-        long long k = 0;
-        for (; k + 1 < cols; k += 2) {
-            double y0 = xr[k] - s;
-            double y1 = xr[k + 1] - s;
-            xr[k] = y0;
-            xr[k + 1] = y1;
-        }
-        for (; k < cols; k++)
+        for (long long k = 0; k < cols; k++)
             xr[k] = xr[k] - s;
     }
 }
@@ -375,14 +324,7 @@ void fedzsl_column_sums(long long rows, long long cols, const double *restrict x
         sums[c] = 0.0;
     for (long long r = 0; r < rows; r++) {
         const double *xr = x + r * cols;
-        long long c = 0;
-        for (; c + 1 < cols; c += 2) {
-            double y0 = sums[c] + xr[c];
-            double y1 = sums[c + 1] + xr[c + 1];
-            sums[c] = y0;
-            sums[c + 1] = y1;
-        }
-        for (; c < cols; c++)
+        for (long long c = 0; c < cols; c++)
             sums[c] = sums[c] + xr[c];
     }
 }
@@ -414,14 +356,7 @@ void fedzsl_sce_grad(long long rows, long long cols, double *p, const long long 
     double b = (double)batch;
     for (long long r = 0; r < rows; r++)
         p[r * cols + labels[r]] -= 1.0;
-    long long n = rows * cols, k = 0;
-    for (; k + 1 < n; k += 2) {
-        double y0 = p[k] / b;
-        double y1 = p[k + 1] / b;
-        p[k] = y0;
-        p[k + 1] = y1;
-    }
-    for (; k < n; k++)
+    for (long long k = 0; k < rows * cols; k++)
         p[k] = p[k] / b;
 }
 
@@ -444,15 +379,13 @@ double fedzsl_kl_rows(long long rows, long long cols, double *lp, const double *
         const double *restrict p = lp + r * cols;
         const double *restrict t = targets + labels[r] * cols;
         const double *restrict lt = log_targets + labels[r] * cols;
-        long long k = 0;
-        for (; k + 1 < cols; k += 2) {
-            double c0 = (lt[k] - p[k]) * t[k];
-            double c1 = (lt[k + 1] - p[k + 1]) * t[k + 1];
-            work[k] = t[k] == 0.0 ? 0.0 : c0;
-            work[k + 1] = t[k + 1] == 0.0 ? 0.0 : c1;
+        /* Stored, then zeroed: a ternary's product would move into its
+         * branch, which keeps the loop from being vectorized. */
+        for (long long k = 0; k < cols; k++) {
+            work[k] = (lt[k] - p[k]) * t[k];
+            if (t[k] == 0.0)
+                work[k] = 0.0;
         }
-        for (; k < cols; k++)
-            work[k] = t[k] == 0.0 ? 0.0 : (lt[k] - p[k]) * t[k];
         row_sums[first + r] = reduce(work, cols);
     }
     return first + rows == batch ? reduce(row_sums, batch) : 0.0;
@@ -466,14 +399,7 @@ void fedzsl_kl_grad(long long rows, long long cols, double *p, const double *tar
     for (long long r = 0; r < rows; r++) {
         double *restrict pr = p + r * cols;
         const double *restrict t = targets + labels[r] * cols;
-        long long k = 0;
-        for (; k + 1 < cols; k += 2) {
-            double y0 = ((pr[k] - t[k]) * tau) / b;
-            double y1 = ((pr[k + 1] - t[k + 1]) * tau) / b;
-            pr[k] = y0;
-            pr[k + 1] = y1;
-        }
-        for (; k < cols; k++)
+        for (long long k = 0; k < cols; k++)
             pr[k] = ((pr[k] - t[k]) * tau) / b;
     }
 }
@@ -507,20 +433,12 @@ double fedzsl_ad(long long rows, long long d_a, const double *restrict a, long l
             const double *x = a + r * d_a + first;
             double *y = grad + r * d_a + first;
             double norm = norms[g * rows + r];
-            long long k = 0;
-            if (norm >= eps) {
-                for (; k + 1 < width; k += 2) {
-                    double y0 = (x[k] / norm) / b;
-                    double y1 = (x[k + 1] / norm) / b;
-                    y[k] = y0;
-                    y[k + 1] = y1;
-                }
-                for (; k < width; k++)
+            if (norm >= eps)
+                for (long long k = 0; k < width; k++)
                     y[k] = (x[k] / norm) / b;
-            } else {
-                for (; k < width; k++)
+            else
+                for (long long k = 0; k < width; k++)
                     y[k] = 0.0 / b;
-            }
         }
     }
     return total;
@@ -536,39 +454,20 @@ double fedzsl_ad(long long rows, long long d_a, const double *restrict a, long l
 double fedzsl_bc(long long rows, long long cols, double *restrict residual, const void *v,
                  int v_f32, double *restrict d_b)
 {
-    long long n = rows * cols, k = 0;
-    if (v_f32) {
-        const float *restrict vf = v;
-        for (; k + 1 < n; k += 2) {
-            double y0 = residual[k] - (double)vf[k];
-            double y1 = residual[k + 1] - (double)vf[k + 1];
-            residual[k] = y0;
-            residual[k + 1] = y1;
-        }
-        for (; k < n; k++)
+    long long n = rows * cols;
+    const float *restrict vf = v;
+    const double *restrict vd = v;
+    if (v_f32)
+        for (long long k = 0; k < n; k++)
             residual[k] = residual[k] - (double)vf[k];
-    } else {
-        const double *restrict vd = v;
-        for (; k + 1 < n; k += 2) {
-            double y0 = residual[k] - vd[k];
-            double y1 = residual[k + 1] - vd[k + 1];
-            residual[k] = y0;
-            residual[k + 1] = y1;
-        }
-        for (; k < n; k++)
+    else
+        for (long long k = 0; k < n; k++)
             residual[k] = residual[k] - vd[k];
-    }
     double total = reduce_squares(residual, n);
     if (d_b == 0)
         return total;
     double b = (double)rows;
-    for (k = 0; k + 1 < n; k += 2) {
-        double y0 = (residual[k] * 2.0) / b;
-        double y1 = (residual[k + 1] * 2.0) / b;
-        residual[k] = y0;
-        residual[k + 1] = y1;
-    }
-    for (; k < n; k++)
+    for (long long k = 0; k < n; k++)
         residual[k] = (residual[k] * 2.0) / b;
     fedzsl_column_sums(rows, cols, residual, d_b);
     return total;
@@ -578,26 +477,15 @@ double fedzsl_bc(long long rows, long long cols, double *restrict residual, cons
  * 1 when each of the n values is finite, else 0.  A value is not finite
  * exactly when its exponent bits are all ones, and then adding 2^52 to its
  * magnitude bits carries into the top bit; integer ORs, unlike
- * floating-point sums, may be taken in any order, four at a time.
+ * floating-point sums, may be taken in any order.
  */
 int fedzsl_all_finite(long long n, const double *x)
 {
     const uint64_t magnitude = 0x7fffffffffffffffULL, exponent_one = 0x0010000000000000ULL;
-    uint64_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0, b0, b1, b2, b3;
-    long long k = 0;
-    for (; k + 3 < n; k += 4) {
-        memcpy(&b0, x + k, 8);
-        memcpy(&b1, x + k + 1, 8);
-        memcpy(&b2, x + k + 2, 8);
-        memcpy(&b3, x + k + 3, 8);
-        acc0 |= (b0 & magnitude) + exponent_one;
-        acc1 |= (b1 & magnitude) + exponent_one;
-        acc2 |= (b2 & magnitude) + exponent_one;
-        acc3 |= (b3 & magnitude) + exponent_one;
+    uint64_t acc = 0, bits;
+    for (long long k = 0; k < n; k++) {
+        memcpy(&bits, x + k, 8);
+        acc |= (bits & magnitude) + exponent_one;
     }
-    for (; k < n; k++) {
-        memcpy(&b0, x + k, 8);
-        acc0 |= (b0 & magnitude) + exponent_one;
-    }
-    return ((acc0 | acc1 | acc2 | acc3) >> 63) == 0;
+    return (acc >> 63) == 0;
 }

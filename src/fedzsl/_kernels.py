@@ -4,13 +4,19 @@
 column step (used by ``fedzsl.glasso``), the momentum SGD step (used by
 ``fedzsl.model``) and the elementwise passes and reductions of the loss
 terms and ``LossReport``'s finiteness scan (used by ``fedzsl.losses``),
-each the numpy code it replaces operation for operation.  ``-ffp-contract=off`` is required: GCC's default for GNU C
-fuses a multiply and an add into one fused multiply-add where the target
-has one, which rounds once where numpy rounds twice; for the same reason no
-``-ffast-math`` or ``-Ofast`` may be added.  ``-falign-loops=32`` changes no
-bits: it starts each loop on a 32-byte boundary, so that a kernel's speed
-does not depend on where the functions before it leave it (the glasso
-solve ran about 11% slower at one placement than at another).
+each the numpy code it replaces operation for operation.
+``-ffp-contract=off`` is required: GCC's default for GNU C fuses a multiply
+and an add into one fused multiply-add where the target has one, which
+rounds once where numpy rounds twice; for the same reason no
+``-ffast-math``, ``-Ofast`` or ``-fassociative-math`` may be added.  ``-O3``
+keeps every bit: it vectorizes the C's plain one-element loops, and each
+vector lane performs the scalar operations on its own element, rounding as
+they do; without a flag that licenses reassociation, a floating-point sum
+carried across iterations adds its values one at a time, in order.
+``-falign-loops=32`` changes no bits: it starts each loop on a 32-byte
+boundary, so that a kernel's speed does not depend on where the functions
+before it leave it (the glasso solve ran about 11% slower at one placement
+than at another).
 
 The first call of :func:`compiled` in a process loads the library from the
 cache, ``$XDG_CACHE_HOME/fedzsl`` (else ``~/.cache/fedzsl``), under a name
@@ -51,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-falign-loops=32")
+FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-falign-loops=32")
 # Linked after the source: sqrt's error path is libm's.
 _LIBS = ("-lm",)
 
@@ -109,8 +115,27 @@ _SIGNATURES = {
 }
 
 
+FLOAT64, INT64 = np.dtype(np.float64), np.dtype(np.int64)
+
+
+def fits(dtype: np.dtype, *arrays: np.ndarray) -> bool:
+    """Whether the kernels may take each of ``arrays`` as a ``dtype`` array.
+
+    That is, each is non-empty, aligned, C-contiguous and of ``dtype``:
+    :func:`address`'s precondition, and the one layout rule of every
+    caller.  Other arrays take the caller's numpy body.
+    """
+    for a in arrays:
+        if a.dtype != dtype or not a.size:
+            return False
+        flags = a.flags
+        if not (flags.c_contiguous and flags.aligned):
+            return False
+    return True
+
+
 def address(a: np.ndarray) -> int:
-    """The address of the first element of a non-empty C-contiguous array.
+    """The address of the first element of an array that :func:`fits`.
 
     A ctypes view of a writeable buffer takes about half the time of
     ``a.ctypes.data``, which serves read-only arrays.

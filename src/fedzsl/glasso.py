@@ -33,9 +33,10 @@ of these is elementwise, with no reduction whose order could differ.  Only
 two operations stay numpy, because they are BLAS reductions whose summation
 order belongs to the library: ``r = q @ b`` before the passes and
 ``b @ r`` for ``theta[j, j]``.  ``fedzsl._kernels`` builds the file once per
-process, with ``-ffp-contract=off``, and the functions are called through
-``ctypes``; pointers go only to C-contiguous float64 arrays, checked and
-bound once per solve.  Without ``-ffp-contract=off`` GCC fuses
+machine, with ``-ffp-contract=off``, caches it and loads it once per
+process, and the functions are called through ``ctypes``; pointers go only
+to arrays that ``_kernels.fits`` as float64, checked and bound once per
+solve.  Without ``-ffp-contract=off`` GCC fuses
 ``r + q*step`` into one fused multiply-add where the target has one, which
 rounds once where the loop rounds twice; for the same reason BLAS
 ``daxpy`` cannot take the update (about a quarter of the entries of a
@@ -345,9 +346,9 @@ class _CompiledColumnStep:
             bufs.S, bufs.W, bufs.theta, bufs.q, bufs.qt, bufs.column, bufs.lin, bufs.b, bufs.r
         )
         shapes = 3 * [(p, p)] + 2 * [(n, n)] + [(p,)] + 3 * [(n,)]
-        if not all(
-            a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
-            for a, shape in zip(arrays, shapes)
+        if not (
+            all(a.shape == shape for a, shape in zip(arrays, shapes))
+            and _kernels.fits(_kernels.FLOAT64, *arrays)
         ):
             raise GlassoError("the column step needs C-contiguous float64 arrays of matching sizes")
         S, W, theta, q, qt, column, lin, b, r = (a.ctypes.data for a in arrays)

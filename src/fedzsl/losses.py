@@ -39,9 +39,10 @@ numpy: done in C it measured slower at both benchmark batch shapes.  Matrix prod
 do not depend on an element's position.  Each compiled path performs its
 numpy body's IEEE operations in the same order; the numpy body runs
 instead, per call, when the library is missing, when its reductions did
-not match numpy's at load, or when an input is not a C-contiguous float64
-array (float32 features, as ``features.bin`` loads them, are widened in C
-exactly as numpy widens them).
+not match numpy's at load, or when an input is not an array the kernels
+take (``_kernels.fits``: non-empty, aligned, C-contiguous float64, int64
+for labels; float32 features, as ``features.bin`` loads them, are widened
+in C exactly as numpy widens them).
 """
 
 from __future__ import annotations
@@ -320,7 +321,9 @@ def _ad_compiled(
     # _ad_core's numpy body in one call over the whole batch.  One work
     # array holds the gradient, when asked for, and the group norms.
     batch, d_a = a_hat.shape
-    _, bounds_at, _ = _group_bounds(groups)
+    # ``bounds`` keeps the array that ``bounds_at`` points into alive for the
+    # call: the cache of _group_bounds may drop its entry meanwhile.
+    bounds, bounds_at, _ = _group_bounds(groups)
     size = batch * d_a if grads else 0
     work = np.empty(size + len(groups) * batch)
     at = _kernels.address(work)
@@ -339,10 +342,10 @@ def _ad_compiled(
 
 @functools.lru_cache(maxsize=8)
 def _group_bounds(groups: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int, int]:
-    # The groups' (first, end) pairs as one int64 array, kept alive here, its
-    # address, and the columns the compiled pass may read: every group's end
-    # when the groups are in range, else a bound no row reaches, so a bad
-    # group takes the numpy body and its error.
+    # The groups' (first, end) pairs as one int64 array, its address (valid
+    # while a caller holds the array), and the columns the compiled pass may
+    # read: every group's end when the groups are in range, else a bound no
+    # row reaches, so a bad group takes the numpy body and its error.
     bounds = np.array(groups, dtype=np.int64).reshape(-1)
     in_range = bounds.size and (bounds[::2] >= 0).all() and (bounds[::2] <= bounds[1::2]).all()
     reach = int(bounds.max()) if in_range else np.iinfo(np.int64).max
@@ -472,8 +475,7 @@ def _bc_core(
         kernels is not None
         and v.dtype in _FEATURE_DTYPES
         and v.shape == residual.shape
-        and v.flags.c_contiguous
-        and v.flags.aligned
+        and _kernels.fits(v.dtype, v)
     ):
         value, d_b_h = _bc_compiled(kernels, residual, v, grads)
         if not grads:
@@ -511,28 +513,24 @@ def _bc_compiled(
     return total / batch, d_b_h
 
 
-_FLOAT64 = np.dtype(np.float64)
-_INT64 = np.dtype(np.int64)
-_FEATURE_DTYPES = (np.dtype(np.float32), _FLOAT64)
+_FEATURE_DTYPES = (np.dtype(np.float32), _kernels.FLOAT64)
 
 
 def _loss_kernels(
     floats: tuple[np.ndarray, ...], ints: tuple[np.ndarray, ...]
 ) -> _kernels.Kernels | None:
     # The compiled kernels, when they are built, their reductions match
-    # numpy's in this process, and every array is a non-empty, aligned,
-    # C-contiguous float64 (``floats``) or int64 (``ints``) array; else
-    # None, and the caller runs its numpy body.  Labels index rows without a
-    # bounds check in C: joint_loss and ce_loss_attribute_free check them
-    # against the classes before any core runs.
+    # numpy's in this process, and the kernels take ``floats`` as float64
+    # and ``ints`` as int64 arrays (``_kernels.fits``); else None, and the
+    # caller runs its numpy body.  Labels index rows without a bounds check
+    # in C: joint_loss and ce_loss_attribute_free check them against the
+    # classes before any core runs.
     kernels = _kernels.compiled()
     if kernels is None or not kernels.pairwise:
         return None
-    for arrays, dtype in ((floats, _FLOAT64), (ints, _INT64)):
-        for a in arrays:
-            if not (a.dtype == dtype and a.size and a.flags.c_contiguous and a.flags.aligned):
-                return None
-    return kernels
+    if _kernels.fits(_kernels.FLOAT64, *floats) and _kernels.fits(_kernels.INT64, *ints):
+        return kernels
+    return None
 
 
 def _label_positions(labels: np.ndarray, candidates: list[int], loss_name: str) -> np.ndarray:

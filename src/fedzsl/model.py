@@ -276,7 +276,8 @@ def sgd_step(
 
     Per tensor: g' = grad + weight_decay * param; buf = momentum * buf + g';
     param -= learning_rate * buf.  Where the tensor, its gradient and its
-    buffer are all C-contiguous, aligned, writeable float64 arrays, the
+    buffer are all non-empty, C-contiguous, aligned float64 arrays
+    (``_kernels.fits``; the gradient may be read-only), the
     update runs as one compiled pass (``fedzsl_sgd_step`` in ``_kernels.c``)
     that performs, element by element, the IEEE operations of the numpy
     body; any other layout, or a process without the compiled library, runs
@@ -328,7 +329,7 @@ def sgd_step(
     for name, grad in grads.items():
         tensor = tensors[name]
         buf = opt.buffers[name]
-        if kernels is not None and _compiled_layout(tensor, grad, buf):
+        if kernels is not None and _kernels.fits(_kernels.FLOAT64, tensor, grad, buf):
             t, g, b = _kernels.address(tensor), _kernels.address(grad), _kernels.address(buf)
             size = tensor.nbytes
             # Each pair is one array or two that share no byte.  Arrays that
@@ -358,21 +359,6 @@ def sgd_step(
 # The dtype kinds that cast to float64 under same_kind: bool, signed and
 # unsigned integers, and floats.
 _REAL_KINDS = "biuf"
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _compiled_layout(tensor: np.ndarray, grad: np.ndarray, buf: np.ndarray) -> bool:
-    # C-contiguous, aligned and writeable (``carray``) float64, and non-empty,
-    # since ``_kernels.address`` cannot view an empty buffer.
-    return (
-        tensor.size > 0
-        and tensor.dtype == _FLOAT64
-        and grad.dtype == _FLOAT64
-        and buf.dtype == _FLOAT64
-        and tensor.flags.carray
-        and grad.flags.carray
-        and buf.flags.carray
-    )
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:

@@ -1,4 +1,5 @@
-"""Shared pytest hooks, the package path, the kernel cache and the single-term loss view.
+"""Shared pytest hooks, the package path, the kernel cache, the compiler marker and
+the single-term loss view.
 
 The acceptance tests register a status per criterion; the terminal summary
 hook prints one line per criterion even when pytest captures stdout.
@@ -28,7 +29,13 @@ KERNEL_CACHE = tempfile.mkdtemp(prefix="fedzsl-suite-cache-")
 atexit.register(shutil.rmtree, KERNEL_CACHE, ignore_errors=True)
 os.environ["XDG_CACHE_HOME"] = KERNEL_CACHE
 
+from fedzsl import _kernels  # noqa: E402
 from fedzsl.losses import AblationFlags, LossWeights, joint_loss  # noqa: E402
+
+# Tests that build the compiled kernels themselves, or need them built.
+needs_a_compiler = pytest.mark.skipif(
+    _kernels._compiler() is None, reason="no C compiler on PATH"
+)
 
 _CRITERIA: dict[int, tuple[str, str]] = {}
 

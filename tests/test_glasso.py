@@ -24,6 +24,7 @@ from fedzsl.glasso import (
     graphical_lasso,
     sample_covariance,
 )
+from conftest import needs_a_compiler
 
 TIGHT = GlassoConfig(delta=0.1, tol=1e-9, max_sweeps=500)
 
@@ -358,10 +359,6 @@ class TestSolverMatchesTheLoop:
         assert cut.sweeps < cfg.max_sweeps
         assert not cut.converged
 
-
-needs_a_compiler = pytest.mark.skipif(
-    _kernels._compiler() is None, reason="no C compiler on PATH"
-)
 
 # Guard doubles on each side of an array in the column step's guarded buffers.
 GUARD = 16

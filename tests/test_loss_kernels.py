@@ -30,11 +30,8 @@ from fedzsl.losses import (
     joint_loss,
 )
 from fedzsl.model import ATTRIBUTE_BASED, ModelParams, init_params
+from conftest import needs_a_compiler
 from test_model import cpu_has_fma
-
-needs_a_compiler = pytest.mark.skipif(
-    _kernels._compiler() is None, reason="no C compiler on PATH"
-)
 
 # A row length from each branch of numpy's pairwise sum: fewer than 8
 # values, 8 to 128 in eight accumulators, and longer runs that it splits.
@@ -155,6 +152,29 @@ class TestLossCores:
             picked = rng.random(rows) < 0.2
             a_hat[picked, first:end] = rng.choice(tiny, end - first)
         got, want = both_paths(losses._ad_core, "_ad_compiled", a_hat, groups, grads)
+        assert_same(got, want)
+
+    def test_ad_core_holds_its_bounds_while_the_kernel_reads_them(self, monkeypatch):
+        # The kernel reads the groups' bounds through a bare address.  A fake
+        # kernel empties the bounds' cache and allocates an array of their
+        # size, which may reuse a freed block, before the real one runs: the
+        # caller's own reference must keep the bounds it passed.
+        rng = np.random.default_rng(5)
+        groups = ((0, 3), (3, 7), (7, 10))
+        a_hat = values(rng, (6, 10), zeros=False)
+        kernels = _kernels.compiled()
+        held = []
+
+        def ad(*args):
+            losses._group_bounds.cache_clear()
+            held.append(np.zeros(6, dtype=np.int64))
+            return kernels.ad(*args)
+
+        monkeypatch.setattr(_kernels, "compiled", lambda: kernels._replace(ad=ad))
+        got = losses._ad_core(a_hat, groups, True)
+        monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        want = losses._ad_core(a_hat, groups, True)
+        assert held
         assert_same(got, want)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -340,6 +360,24 @@ def test_the_shipped_flags_keep_the_losses_exact_where_fma_exists(tmp_path, monk
         report = joint_loss(params, features, labels, attrs, distill, LossWeights())
         reports.append((report.total.hex(), {k: g.tobytes() for k, g in report.grads.items()}))
     assert reports[0] == reports[1]
+
+
+@needs_a_compiler
+def test_the_probe_refuses_a_library_built_to_reassociate(tmp_path):
+    # With reassociation allowed, -O3 vectorizes the in-order sums too, and
+    # they no longer add in numpy's order: the load-time probe must see it,
+    # so that the losses run their numpy bodies.  (A -ffast-math library
+    # would also flush subnormals to zero in this whole process once loaded.)
+    lib = tmp_path / "reassociated.so"
+    extra = ("-fassociative-math", "-fno-signed-zeros", "-fno-trapping-math")
+    assert _kernels._build([*_kernels._compiler(), *extra], lib)
+    assert not _kernels._load(lib).pairwise
+
+
+def test_the_flags_allow_no_rewrite_that_moves_a_rounding():
+    assert "-ffp-contract=off" in _kernels.FLAGS
+    for flag in ("-ffast-math", "-Ofast", "-fassociative-math", "-funsafe-math-optimizations"):
+        assert flag not in _kernels.FLAGS
 
 
 NUMPY_ONLY_PLUGIN = """

@@ -34,11 +34,8 @@ from fedzsl.model import (
     save_model,
     sgd_step,
 )
+from conftest import needs_a_compiler
 
-
-needs_a_compiler = pytest.mark.skipif(
-    _kernels._compiler() is None, reason="no C compiler on PATH"
-)
 BOTH_PATHS = [
     pytest.param(True, id="compiled", marks=needs_a_compiler),
     pytest.param(False, id="numpy"),

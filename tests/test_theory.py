@@ -242,6 +242,22 @@ class TestSpectralBounds:
         with pytest.raises(AssumptionError):
             spectral_bounds(np.empty((3, 0)))
 
+    def test_a_power_iteration_cut_off_at_its_cap_returns_its_last_iterate(self, monkeypatch):
+        # Eigenvalues 1 and 0.999 are too close for three passes to settle
+        # within the tolerance, so the loop ends at its cap.
+        gram = np.diag([1.0, 0.999, 0.5])
+        monkeypatch.setattr(theory, "_POWER_MAX_ITER", 3)
+        v = np.random.default_rng(7).standard_normal(3)
+        v /= np.linalg.norm(v)
+        eigs = [float(v @ gram @ v)]
+        for _ in range(3):
+            w = gram @ v
+            v = w / float(np.linalg.norm(w))
+            eigs.append(float(v @ gram @ v))
+        assert abs(eigs[-1] - eigs[-2]) > theory._POWER_TOL
+        got = theory._top_eigenvalue(gram, np.random.default_rng(7))
+        assert got.hex() == eigs[-1].hex()
+
 
 class TestProbabilityChecks:
     def test_pinsker_holds_on_random_pairs(self):

@@ -9,9 +9,11 @@
  *   - the elementwise passes and reductions of the loss terms
  *     (fedzsl.losses): fedzsl_softmax_shift, fedzsl_row_sums,
  *     fedzsl_column_sums, fedzsl_sce_rows, fedzsl_sce_grad, fedzsl_kl_rows, fedzsl_kl_grad,
- *     fedzsl_ad and fedzsl_bc, and the finiteness scan of a loss's
- *     gradients, fedzsl_all_finite.  numpy's exp and log, and
- *     every matrix product, stay with numpy between these calls.
+ *     fedzsl_ad and fedzsl_bc, the pairwise sum of a split fed one block
+ *     at a time (fedzsl_stream_start, fedzsl_stream_add), and the
+ *     finiteness scan of a loss's gradients, fedzsl_all_finite.  numpy's
+ *     exp and log, and every matrix product, stay with numpy between these
+ *     calls.
  *
  * Each function is the numpy or Python code it replaces, operation for
  * operation: the same products, sums, comparisons and divisions on the same
@@ -219,6 +221,13 @@ void fedzsl_sgd_step(long long n, double *t, const double *g, double *buf, doubl
  * row of scores, all in range (the callers check them).
  */
 
+/* Where numpy's pairwise sum splits a run of n > 128 values: n/2 rounded down to a multiple of 8. */
+static long long pairwise_half(long long n)
+{
+    long long n2 = n / 2;
+    return n2 - n2 % 8;
+}
+
 /*
  * numpy's pairwise sum of LEAF(x, i) for i < n, defined once for the
  * values (pairwise) and for their squares (pairwise_squares).
@@ -251,8 +260,7 @@ void fedzsl_sgd_step(long long n, double *t, const double *g, double *buf, doubl
                 res += LEAF(x, i);                                                    \
             return res;                                                               \
         }                                                                             \
-        long long n2 = n / 2;                                                         \
-        n2 -= n2 % 8;                                                                 \
+        long long n2 = pairwise_half(n);                                              \
         return name(x, n2) + name(x + n2, n - n2);                                    \
     }
 
@@ -271,6 +279,107 @@ static double reduce(const double *x, long long n)
 static double reduce_squares(const double *x, long long n)
 {
     return 0.0 + pairwise_squares(x, n);
+}
+
+/*
+ * np.add.reduce of n values (or of their squares) that arrive in pieces of
+ * any size: PAIRWISE's recursion walked leaf by leaf.  The path from the
+ * root to the current leaf is a stack of nodes, each with its size and,
+ * once its left half is summed, that half's sum; the current leaf's values
+ * are summed where they arrive when one piece holds them all, else gathered
+ * in `leaf` (at most 128 values) until they have all arrived.  A finished
+ * leaf's sum is added to the left halves it completes, in PAIRWISE's order
+ * (left + right), up to the first node whose right half is still to come,
+ * and the walk goes down that half to its first leaf.
+ */
+/* Each half of a node of n > 128 values holds at most n/2 + 8, so under 60 levels reach a leaf. */
+#define STREAM_DEPTH 64
+
+struct pairwise_stream {
+    long long remaining;           /* values still to come */
+    long long depth;               /* nodes on the path */
+    long long size[STREAM_DEPTH];  /* each node's size */
+    int right[STREAM_DEPTH];       /* whether the walk is in the node's right half */
+    double left[STREAM_DEPTH];     /* the node's left half's sum, once it is in the right */
+    long long leaf_size, filled;   /* the current leaf's size and its values gathered */
+    double leaf[128];
+    double total;                  /* the whole sum, once remaining is 0 */
+};
+
+/* The bytes a caller allocates for a stream (8-byte aligned). */
+long long fedzsl_stream_bytes(void)
+{
+    return (long long)sizeof(struct pairwise_stream);
+}
+
+/* Push the nodes from one of n values down to its first leaf. */
+static void stream_descend(struct pairwise_stream *s, long long n)
+{
+    while (n > 128) {
+        s->size[s->depth] = n;
+        s->right[s->depth] = 0;
+        s->depth++;
+        n = pairwise_half(n);
+    }
+    s->leaf_size = n;
+    s->filled = 0;
+}
+
+/* A stream for n values; its sum is 0.0 until they have all arrived. */
+void fedzsl_stream_start(struct pairwise_stream *s, long long n)
+{
+    s->remaining = n;
+    s->depth = 0;
+    s->total = 0.0;
+    stream_descend(s, n);
+}
+
+/* Fold a finished leaf's sum into the path, and go down to the next leaf. */
+static void stream_leaf_done(struct pairwise_stream *s, double sum)
+{
+    s->remaining -= s->leaf_size;
+    while (s->depth > 0) {
+        long long top = s->depth - 1;
+        if (!s->right[top]) {
+            s->left[top] = sum;
+            s->right[top] = 1;
+            stream_descend(s, s->size[top] - pairwise_half(s->size[top]));
+            return;
+        }
+        sum = s->left[top] + sum;
+        s->depth--;
+    }
+    s->total = 0.0 + sum;
+    s->leaf_size = 0;
+}
+
+/*
+ * Feed the next k values of x (their squares when square is set; k no more
+ * than are still to come).  Returns np.add.reduce of all n once the last
+ * has arrived, else 0.0.
+ */
+double fedzsl_stream_add(struct pairwise_stream *s, const double *x, long long k, int square)
+{
+    while (k > 0 && s->remaining > 0) {
+        long long need = s->leaf_size - s->filled;
+        double sum;
+        if (s->filled == 0 && k >= need) {
+            sum = square ? pairwise_squares(x, need) : pairwise(x, need);
+        } else {
+            long long take = k < need ? k : need;
+            for (long long i = 0; i < take; i++)
+                s->leaf[s->filled + i] = square ? x[i] * x[i] : x[i];
+            s->filled += take;
+            if (s->filled < s->leaf_size)
+                break;
+            need = take;
+            sum = pairwise(s->leaf, s->leaf_size);
+        }
+        x += need;
+        k -= need;
+        stream_leaf_done(s, sum);
+    }
+    return s->remaining == 0 ? s->total : 0.0;
 }
 
 /*
@@ -405,34 +514,38 @@ void fedzsl_kl_grad(long long rows, long long cols, double *p, const double *tar
 }
 
 /*
- * The decorrelation term over all `rows` rows of a (d_a columns): for group
- * g with columns [bounds[2g], bounds[2g + 1]), norms[g * rows + r] is the
+ * The decorrelation term of rows [first, first + rows) of a batch of
+ * `batch` rows, a holding the block's rows (d_a columns): for group g with
+ * columns [bounds[2g], bounds[2g + 1]), norms[g * batch + first + r] is the
  * square root of np.add.reduce of the squares of a[r] over the group.
  * Returns the sum over groups, in order from 0.0, of np.add.reduce of each
- * group's norms.  When grad is not NULL, grad[r] over the group is
- * (a[r] / norm) / rows, or 0 where the norm is below eps (or NaN).
+ * group's norms once the block is the batch's last, else 0.0.  When grad is
+ * not NULL (the block is then the whole batch), grad[r] over the group is
+ * (a[r] / norm) / batch, or 0 where the norm is below eps (or NaN).
  */
 double fedzsl_ad(long long rows, long long d_a, const double *restrict a, long long groups,
                  const long long *bounds, double *restrict norms, double *restrict grad,
-                 double eps)
+                 double eps, long long first, long long batch)
 {
     for (long long g = 0; g < groups; g++) {
-        long long first = bounds[2 * g], width = bounds[2 * g + 1] - first;
+        long long start = bounds[2 * g], width = bounds[2 * g + 1] - start;
         for (long long r = 0; r < rows; r++)
-            norms[g * rows + r] = sqrt(reduce_squares(a + r * d_a + first, width));
+            norms[g * batch + first + r] = sqrt(reduce_squares(a + r * d_a + start, width));
     }
+    if (first + rows != batch)
+        return 0.0;
     double total = 0.0;
     for (long long g = 0; g < groups; g++)
-        total += reduce(norms + g * rows, rows);
+        total += reduce(norms + g * batch, batch);
     if (grad == 0)
         return total;
-    double b = (double)rows;
+    double b = (double)batch;
     for (long long g = 0; g < groups; g++) {
-        long long first = bounds[2 * g], width = bounds[2 * g + 1] - first;
+        long long start = bounds[2 * g], width = bounds[2 * g + 1] - start;
         for (long long r = 0; r < rows; r++) {
-            const double *x = a + r * d_a + first;
-            double *y = grad + r * d_a + first;
-            double norm = norms[g * rows + r];
+            const double *x = a + r * d_a + start;
+            double *y = grad + r * d_a + start;
+            double norm = norms[g * batch + r];
             if (norm >= eps)
                 for (long long k = 0; k < width; k++)
                     y[k] = (x[k] / norm) / b;
@@ -449,10 +562,12 @@ double fedzsl_ad(long long rows, long long d_a, const double *restrict a, long l
  * float32 (widened exactly) when v_f32 is set, else float64; returns
  * np.add.reduce(residual * residual) over every entry.  When d_b is not
  * NULL, residual then becomes (residual * 2) / rows and d_b its sum over
- * axis 0.
+ * axis 0.  When sum is not NULL (d_b is then NULL), the squares go on to
+ * that stream instead, and its result is returned: the sum over a whole
+ * split once its last block has arrived, else 0.0.
  */
 double fedzsl_bc(long long rows, long long cols, double *restrict residual, const void *v,
-                 int v_f32, double *restrict d_b)
+                 int v_f32, double *restrict d_b, struct pairwise_stream *sum)
 {
     long long n = rows * cols;
     const float *restrict vf = v;
@@ -463,6 +578,8 @@ double fedzsl_bc(long long rows, long long cols, double *restrict residual, cons
     else
         for (long long k = 0; k < n; k++)
             residual[k] = residual[k] - vd[k];
+    if (sum)
+        return fedzsl_stream_add(sum, residual, n, 1);
     double total = reduce_squares(residual, n);
     if (d_b == 0)
         return total;

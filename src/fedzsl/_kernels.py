@@ -2,9 +2,10 @@
 
 ``_kernels.c``, shipped beside this module, holds the graphical lasso's
 column step (used by ``fedzsl.glasso``), the momentum SGD step (used by
-``fedzsl.model``) and the elementwise passes and reductions of the loss
-terms and ``LossReport``'s finiteness scan (used by ``fedzsl.losses``),
-each the numpy code it replaces operation for operation.
+``fedzsl.model``), and the elementwise passes and reductions of the loss
+terms, the pairwise sum of a split fed one block of rows at a time, and
+``LossReport``'s finiteness scan (used by ``fedzsl.losses``), each the numpy
+code it replaces operation for operation.
 ``-ffp-contract=off`` is required: GCC's default for GNU C fuses a multiply
 and an add into one fused multiply-add where the target has one, which
 rounds once where numpy rounds twice; for the same reason no
@@ -91,7 +92,10 @@ class Kernels(NamedTuple):
     kl_grad: Callable[..., None]
     ad: Callable[..., float]
     bc: Callable[..., float]
+    stream_start: Callable[..., None]
+    stream_add: Callable[..., float]
     all_finite: Callable[..., int]
+    stream_bytes: int
     pairwise: bool
 
 
@@ -109,8 +113,10 @@ _SIGNATURES = {
     "sce_grad": (None, (_size, _size, _pointer, _pointer, _size)),
     "kl_rows": (_real, (_size, _size, *[_pointer] * 7, _size, _size)),
     "kl_grad": (None, (_size, _size, _pointer, _pointer, _pointer, _real, _size)),
-    "ad": (_real, (_size, _size, _pointer, _size, _pointer, _pointer, _pointer, _real)),
-    "bc": (_real, (_size, _size, _pointer, _pointer, ctypes.c_int, _pointer)),
+    "ad": (_real, (_size, _size, _pointer, _size, _pointer, _pointer, _pointer, _real, _size, _size)),
+    "bc": (_real, (_size, _size, _pointer, _pointer, ctypes.c_int, _pointer, _pointer)),
+    "stream_start": (None, (_pointer, _size)),
+    "stream_add": (_real, (_pointer, _pointer, _size, ctypes.c_int)),
     "all_finite": (ctypes.c_int, (_size, _pointer)),
 }
 
@@ -154,7 +160,26 @@ def _load(path: Path) -> Kernels:
         function = getattr(loaded, f"fedzsl_{name}")
         function.restype, function.argtypes = restype, argtypes
         functions[name] = function
-    return Kernels(**functions, pairwise=_pairwise_matches(functions))
+    size_of = loaded.fedzsl_stream_bytes
+    size_of.restype, size_of.argtypes = _size, ()
+    stream_bytes = size_of()
+    return Kernels(
+        **functions,
+        stream_bytes=stream_bytes,
+        pairwise=_pairwise_matches(functions, stream_bytes),
+    )
+
+
+def stream(kernels: Kernels, n: int) -> np.ndarray:
+    """A started pairwise-sum stream of ``n`` values, as the array holding its state.
+
+    Feed it with ``kernels.stream_add(address(state), x, k, square)``, or
+    ``kernels.bc``; the call that feeds the last value returns
+    ``np.add.reduce`` of all ``n`` (of their squares), every earlier call 0.0.
+    """
+    state = np.empty(-(-kernels.stream_bytes // 8))
+    kernels.stream_start(address(state), n)
+    return state
 
 
 # Probe lengths for each branch of numpy's pairwise sum: fewer than 8 values,
@@ -170,17 +195,20 @@ def _reference_sum(x: np.ndarray, axis: int | None) -> np.ndarray:
     return np.add.reduce(x, axis=axis)
 
 
-def _pairwise_matches(functions: dict[str, Callable[..., object]]) -> bool:
+def _pairwise_matches(functions: dict[str, Callable[..., object]], stream_bytes: int) -> bool:
     # Whether the C row and column sums give np.add.reduce's bits on blocks
     # of probe values spread over many binades, in one row and in several,
-    # over axis 1, axis 0 and the whole block; and whether a sum of negative
-    # zeros is +0.0, as numpy's reduction starts from its identity.  Each
-    # block is drawn on its own, so the probe holds little memory at once,
-    # with the generator methods and ufuncs a run uses anyway.
+    # over axis 1, axis 0 and the whole block; whether a stream fed the
+    # whole block in uneven pieces gives the sum of its values and of their
+    # squares; and whether a sum of negative zeros is +0.0, as numpy's
+    # reduction starts from its identity.  Each block is drawn on its own,
+    # so the probe holds little memory at once, with the generator methods
+    # and ufuncs a run uses anyway.
     rng = np.random.default_rng(0)
     row_sums, column_sums = functions["row_sums"], functions["column_sums"]
-    sums = np.empty(max(_PROBE_LENGTHS) + _PROBE_ROWS + 2)
+    sums = np.empty(max(_PROBE_LENGTHS) + _PROBE_ROWS + 4)
     out = sums.ctypes.data
+    state = np.empty(-(-stream_bytes // 8))
     for n in _PROBE_LENGTHS:
         shape = (_PROBE_ROWS, n)
         block = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
@@ -191,15 +219,45 @@ def _pairwise_matches(functions: dict[str, Callable[..., object]]) -> bool:
         row_sums(1, n, at, out + 8 * _PROBE_ROWS)
         row_sums(1, block.size, at, out + 8 * (_PROBE_ROWS + 1))
         column_sums(_PROBE_ROWS, n, at, out + 8 * (_PROBE_ROWS + 2))
+        for square in (0, 1):
+            sums[n + _PROBE_ROWS + 2 + square] = _streamed(
+                functions, state, block, _PROBE_PIECES, square
+            )
         want = (
             _reference_sum(block, 1),
             _reference_sum(block[0], None),
             _reference_sum(block, None),
             _reference_sum(block, 0),
+            _reference_sum(block, None),
+            _reference_sum(block * block, None),
         )
-        if sums[: n + _PROBE_ROWS + 2].tobytes() != np.hstack(want).tobytes():
+        if sums[: n + _PROBE_ROWS + 4].tobytes() != np.hstack(want).tobytes():
             return False
     return True
+
+
+# Piece sizes the probe feeds a stream, in turn: single values, pieces
+# inside one leaf and pieces across several.
+_PROBE_PIECES = (1, 5, 127, 64, 300, 2)
+
+
+def _streamed(
+    functions: dict[str, Callable[..., object]],
+    state: np.ndarray,
+    x: np.ndarray,
+    pieces: tuple[int, ...],
+    square: int,
+) -> float:
+    # The stream's sum of the C-contiguous x (its squares when square is 1),
+    # fed in pieces of the given sizes in turn.
+    at, n = x.ctypes.data, x.size
+    functions["stream_start"](state.ctypes.data, n)
+    done, turn, total = 0, 0, 0.0
+    while done < n:
+        k = min(pieces[turn % len(pieces)], n - done)
+        total = functions["stream_add"](state.ctypes.data, at + 8 * done, k, square)
+        done, turn = done + k, turn + 1
+    return total
 
 
 def _cache_dir() -> Path:

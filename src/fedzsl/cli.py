@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fedzsl import __version__
+from fedzsl import __version__, _blas
 from fedzsl.dataset import (
     AttributeMatrix,
     SyntheticSpec,
@@ -564,7 +564,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # One OpenBLAS thread for the whole command, the glasso solve before
+        # a run included, so its output does not depend on the count it
+        # starts with.
+        with _blas.one_thread():
+            return args.handler(args)
     except TrainingDivergedError as exc:
         sys.stderr.write(f"training diverged: {exc}\n")
         return EXIT_DIVERGED

@@ -11,11 +11,13 @@ seen-class accuracy.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, _as_ids
+from fedzsl.losses import _forward_blocks
 from fedzsl.model import (
     ATTRIBUTE_BASED,
     ATTRIBUTE_FREE,
@@ -51,10 +53,11 @@ class Metrics:
             raise EvalError("acc_s is required in every mode")
 
 
-def _predict_scores(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def _predict_scores(scores: np.ndarray, candidates: np.ndarray | None) -> np.ndarray:
     # argmax returns the first maximum, so ascending candidate order breaks
-    # ties toward the smallest class id.
-    return candidates[np.argmax(scores, axis=1)]
+    # ties toward the smallest class id.  Without candidates, the positions.
+    best = np.argmax(scores, axis=1)
+    return best if candidates is None else candidates[best]
 
 
 def _predict_each(
@@ -64,7 +67,8 @@ def _predict_each(
     candidate_sets: list[tuple[int, ...] | list[int]],
 ) -> list[np.ndarray]:
     # Each candidate set takes its columns, row-ordered so argmax needs no
-    # copy, from one product against the whole table: one pass per test set.
+    # copy, from one product against the whole table: one pass per test set,
+    # taken in blocks of rows (see _predict_blocks).
     if params.mode != ATTRIBUTE_BASED:
         raise EvalError(f"predict requires {ATTRIBUTE_BASED} params, got {params.mode}")
     sets = []
@@ -75,8 +79,26 @@ def _predict_each(
         if candidates[0] < 0 or candidates[-1] >= A.num_classes:
             raise EvalError(f"candidate ids must lie in [0, {A.num_classes})")
         sets.append(candidates)
-    scores = forward_attr(params, np.atleast_2d(v)) @ A.values
-    return [_predict_scores(np.take(scores, c, axis=1), c) for c in sets]
+    return _predict_blocks(lambda rows: forward_attr(params, rows) @ A.values, v, sets)
+
+
+def _predict_blocks(
+    scores_of: Callable[[np.ndarray], np.ndarray], v: np.ndarray, sets: list[np.ndarray | None]
+) -> list[np.ndarray]:
+    # Each candidate set's predictions for the rows of v from the columns of
+    # scores_of(rows) at its ids (all columns, already in id order, for
+    # None), taken one block of rows at a time as the forward-only loss
+    # takes them (losses._forward_blocks): under one BLAS thread each
+    # block's product has the whole product's bits, and its transients stay
+    # block-sized.
+    v = np.atleast_2d(v)
+    preds = [np.empty(v.shape[0], dtype=np.int64) for _ in sets]
+    for start, stop in _forward_blocks(v.shape[0]):
+        scores = scores_of(v[start:stop])
+        for out, candidates in zip(preds, sets):
+            picked = scores if candidates is None else np.take(scores, candidates, axis=1)
+            out[start:stop] = _predict_scores(picked, candidates)
+    return preds
 
 
 def predict(
@@ -142,7 +164,8 @@ def _predict_head(params: ModelParams, v: np.ndarray, seen: tuple[int, ...]) -> 
         raise EvalError(
             f"head covers {params.W_c.shape[0]} classes but the split lists {seen_ids.size}"
         )
-    return _predict_scores(forward_head(params, v), seen_ids)
+    (preds,) = _predict_blocks(lambda rows: forward_head(params, rows), v, [None])
+    return seen_ids[preds]
 
 
 def evaluate(

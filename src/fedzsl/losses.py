@@ -12,22 +12,31 @@ cross-entropies, the semantic one and the baseline's, run one kernel,
 through its own product (onto ``a_hat`` or onto the head).  Every loss
 reduces by batch mean and reports gradients for each tensor trainable in
 the parameter mode, zero-filled when a tensor does not participate.  With
-``grads=False`` both losses run the same forward arithmetic, skip every
-backward product, and report no gradients; the total and terms are
-bit-identical to the gradient-computing call.
+``grads=False`` both losses run the same forward arithmetic a block of
+rows at a time, skip every backward product, and report no gradients; the
+total and terms are bit-identical to the gradient-computing call under one
+BLAS thread.
 
 The kernels allocate little: each elementwise step writes into an array
 the kernel already owns, and the row-local softmax, KL and decorrelation
-work runs over blocks of at most ``_ROW_BLOCK`` rows, so the full-split
-global loss holds block-sized temporaries and a training batch is one
-block.  Three rules keep every result bit-identical to whole-array code.
-Matrix products are never split by rows: OpenBLAS blocks and orders its
-sums by the shape of the call, so a product over a block of rows need not
-round as the same rows of the whole product do.  Per-row values (the
+work runs over blocks of at most ``_ROW_BLOCK`` rows, so a training batch
+is one block.  The forward-only loss (``grads=False``, the per-round
+global loss over the whole training split) goes further: it takes its
+products too over blocks of ``_ROW_BLOCK`` rows, so it never holds an
+array over all rows x d_a, classes or d_v.  Three rules keep every result
+bit-identical to whole-array code.  Matrix products are split by rows only
+into blocks of 256 (``_ROW_BLOCK``) or more rows, and only under one BLAS
+thread, which ``fedzsl.run_simulation`` pins: OpenBLAS blocks and orders
+its sums by the shape of the call, and a block of that many rows rounds
+as the same rows of the whole product do (checked at the benchmark shapes
+and at d_v 2048), where a smaller one need not.  Per-row values (the
 log-probabilities at the labels, the KL row sums, the group norms) are
 written into full-length vectors and each is reduced once: numpy sums by
 pairwise recursion over the whole vector, and adding per-block partial
-sums would group the additions differently.  Reductions in C follow
+sums would group the additions differently.  BC's sum of squares over
+all rows x d_v values goes on to a compiled stream that walks the same
+pairwise recursion block by block (``_SquareSum``), or, on the numpy
+bodies, into one full-length vector reduced once.  Reductions in C follow
 numpy's pairwise order and are checked at load.
 
 The elementwise passes and reductions of each term, and ``LossReport``'s
@@ -73,8 +82,10 @@ DEFAULT_W_AD = 0.3
 ZERO_NORM_EPS = 1e-12
 
 # Rows per block of the row-local softmax, KL and decorrelation work.  A
-# training batch fits in one block; the full-split global loss walks the
-# split block by block, so those temporaries stay block-sized.
+# training batch fits in one block.  The forward-only loss (joint_loss with
+# grads=False) and the evaluation take their products and terms this many
+# rows at a time too, a tail of fewer rows joining the block before it
+# (_forward_blocks), so their temporaries stay block-sized.
 _ROW_BLOCK = 256
 
 SCE = "sce"
@@ -207,18 +218,26 @@ def _log_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _sce_core(
-    scores: np.ndarray, positions: np.ndarray, grads: bool
-) -> tuple[float, np.ndarray | None]:
+    scores: np.ndarray,
+    positions: np.ndarray,
+    grads: bool,
+    picked: np.ndarray | None = None,
+    first: int = 0,
+) -> tuple[float | None, np.ndarray | None]:
     # Cross-entropy of softmax(scores) at the label and, with gradients, the
     # logit gradient, which each caller carries through its own product.
     # ``scores`` is left as it is for the KL term.  The log-softmax of each
     # block is written into its rows of d_logits and turned into the logit
-    # gradient there.
+    # gradient there.  The log-probabilities at the labels go into
+    # ``picked[first:]`` (a vector of its own by default); the loss, their
+    # negated mean, is returned once the rows reach the end of ``picked``,
+    # else None.
     kernels = _loss_kernels((scores,), (positions,))
+    if picked is None:
+        picked = np.empty(scores.shape[0])
     if kernels is not None:
-        return _sce_compiled(kernels, scores, positions, grads)
+        return _sce_compiled(kernels, scores, positions, grads, picked, first)
     batch, classes = scores.shape
-    picked = np.empty(batch)
     if grads:
         d_logits = np.empty_like(scores)
     else:
@@ -228,116 +247,141 @@ def _sce_core(
         labels = positions[start:stop]
         out = d_logits[start:stop] if grads else work[: stop - start]
         log_probs = _log_softmax(scores[start:stop], out)
-        picked[start:stop] = log_probs[rows, labels]
+        picked[first + start : first + stop] = log_probs[rows, labels]
         if grads:
             np.exp(log_probs, out=log_probs)
             log_probs[rows, labels] -= 1.0
             log_probs /= batch
-    return float(-picked.mean()), d_logits if grads else None
+    value = float(-picked.mean()) if first + batch == picked.size else None
+    return value, d_logits if grads else None
 
 
 def _sce_compiled(
-    kernels: _kernels.Kernels, scores: np.ndarray, positions: np.ndarray, grads: bool
-) -> tuple[float, np.ndarray | None]:
+    kernels: _kernels.Kernels,
+    scores: np.ndarray,
+    positions: np.ndarray,
+    grads: bool,
+    picked: np.ndarray,
+    first: int,
+) -> tuple[float | None, np.ndarray | None]:
     # _sce_core's numpy body, stage by stage: per block, the shift by the row
     # maximum, numpy's exp, the row sums, numpy's log, the log-probabilities
     # and their entries at the labels, and with gradients numpy's exp and
     # the logit gradient.  One work array holds the log-probabilities (the
     # whole d_logits with gradients, else one block), a block of
-    # exponentials, its row sums and the picked entries.
+    # exponentials and its row sums.
     batch, classes = scores.shape
     block = min(batch, _ROW_BLOCK)
     out_rows = batch if grads else block
-    work = np.empty((out_rows + block) * classes + block + batch)
+    work = np.empty((out_rows + block) * classes + block)
     out = work[: out_rows * classes].reshape(out_rows, classes)
     exps = work[out_rows * classes : (out_rows + block) * classes].reshape(block, classes)
-    log_sums = work[(out_rows + block) * classes : (out_rows + block) * classes + block]
+    log_sums = work[(out_rows + block) * classes :]
     at = _kernels.address(work)
     exps_at = at + 8 * out_rows * classes
     sums_at = exps_at + 8 * block * classes
-    picked_at = sums_at + 8 * block
+    picked_at = _kernels.address(picked)
     scores_at, labels_at = _kernels.address(scores), _kernels.address(positions)
     for start, stop in _row_blocks(batch):
         rows = stop - start
-        first = start if grads else 0
-        log_probs = out[first : first + rows]
-        probs_at = at + 8 * first * classes
+        row = start if grads else 0
+        log_probs = out[row : row + rows]
+        probs_at = at + 8 * row * classes
         kernels.softmax_shift(rows, classes, scores_at + 8 * start * classes, probs_at, 1.0)
         np.exp(log_probs, out=exps[:rows])
         kernels.row_sums(rows, classes, exps_at, sums_at)
         np.log(log_sums[:rows], out=log_sums[:rows])
         total = kernels.sce_rows(
-            rows, classes, probs_at, sums_at, labels_at + 8 * start, picked_at, start, batch
+            rows, classes, probs_at, sums_at, labels_at + 8 * start, picked_at,
+            first + start, picked.size,
         )
         if grads:
             np.exp(log_probs, out=log_probs)
             kernels.sce_grad(rows, classes, probs_at, labels_at + 8 * start, batch)
-    return -(total / batch), out if grads else None
+    value = -(total / picked.size) if first + batch == picked.size else None
+    return value, out if grads else None
 
 
 def _ad_core(
-    a_hat: np.ndarray, groups: tuple[tuple[int, int], ...], grads: bool
-) -> tuple[float, np.ndarray | None]:
+    a_hat: np.ndarray,
+    groups: tuple[tuple[int, int], ...],
+    grads: bool,
+    norms: np.ndarray | None = None,
+    first: int = 0,
+) -> tuple[float | None, np.ndarray | None]:
     # Sum of unsquared group norms per sample; the gradient of each group is
     # its unit direction, taken as 0 below the zero-norm threshold.  One
     # elementwise square per row block serves every group; each group's row
     # sums and their square roots are the ones np.linalg.norm(block, axis=1)
-    # computes.
+    # computes.  The norms go into columns first: of ``norms`` (groups x
+    # rows, an array of its own by default); the loss is returned once the
+    # rows reach its last column, else None.
+    batch = a_hat.shape[0]
+    if norms is None:
+        norms = np.empty((len(groups), batch))
     kernels = _loss_kernels((a_hat,), ())
     if kernels is not None and _group_bounds(groups)[2] <= a_hat.shape[1]:
-        return _ad_compiled(kernels, a_hat, groups, grads)
-    batch = a_hat.shape[0]
-    norms = np.empty((len(groups), batch))
+        return _ad_compiled(kernels, a_hat, groups, grads, norms, first)
     squares = np.empty((min(batch, _ROW_BLOCK), a_hat.shape[1]))
     for start, stop in _row_blocks(batch):
         block = a_hat[start:stop]
         square = np.multiply(block, block, out=squares[: stop - start])
-        for k, (first, end) in enumerate(groups):
-            np.add.reduce(square[:, first:end], axis=1, out=norms[k, start:stop])
-    np.sqrt(norms, out=norms)
+        for k, (begin, end) in enumerate(groups):
+            norm = norms[k, first + start : first + stop]
+            np.add.reduce(square[:, begin:end], axis=1, out=norm)
+            np.sqrt(norm, out=norm)
+    size = norms.shape[1]
+    if first + batch != size:
+        return None, None
     # Group totals are added one at a time in Python floats, as before;
     # builtin sum() compensates its rounding on Python 3.12 and later.
     total = 0.0
     for group_total in norms.sum(axis=1).tolist():
         total += group_total
     if not grads:
-        return total / batch, None
+        return total / size, None
     safe = norms >= ZERO_NORM_EPS
     all_safe = bool(safe.all())
     if not all_safe:
         norms[~safe] = 1.0
     grad = np.empty_like(a_hat)
-    for k, (first, end) in enumerate(groups):
-        np.divide(a_hat[:, first:end], norms[k][:, None], out=grad[:, first:end])
+    for k, (begin, end) in enumerate(groups):
+        np.divide(a_hat[:, begin:end], norms[k][:, None], out=grad[:, begin:end])
         if not all_safe:
-            grad[~safe[k], first:end] = 0.0
+            grad[~safe[k], begin:end] = 0.0
     grad /= batch
     return total / batch, grad
 
 
 def _ad_compiled(
-    kernels: _kernels.Kernels, a_hat: np.ndarray, groups: tuple[tuple[int, int], ...], grads: bool
-) -> tuple[float, np.ndarray | None]:
-    # _ad_core's numpy body in one call over the whole batch.  One work
-    # array holds the gradient, when asked for, and the group norms.
+    kernels: _kernels.Kernels,
+    a_hat: np.ndarray,
+    groups: tuple[tuple[int, int], ...],
+    grads: bool,
+    norms: np.ndarray,
+    first: int,
+) -> tuple[float | None, np.ndarray | None]:
+    # _ad_core's numpy body in one call over the block's rows.
     batch, d_a = a_hat.shape
     # ``bounds`` keeps the array that ``bounds_at`` points into alive for the
     # call: the cache of _group_bounds may drop its entry meanwhile.
     bounds, bounds_at, _ = _group_bounds(groups)
-    size = batch * d_a if grads else 0
-    work = np.empty(size + len(groups) * batch)
-    at = _kernels.address(work)
+    grad = np.empty((batch, d_a)) if grads else None
     total = kernels.ad(
         batch,
         d_a,
         _kernels.address(a_hat),
         len(groups),
         bounds_at,
-        at + 8 * size,
-        at if grads else None,
+        _kernels.address(norms),
+        _kernels.address(grad) if grads else None,
         ZERO_NORM_EPS,
+        first,
+        norms.shape[1],
     )
-    return total / batch, work[:size].reshape(batch, d_a) if grads else None
+    if first + batch != norms.shape[1]:
+        return None, None
+    return total / norms.shape[1], grad
 
 
 @functools.lru_cache(maxsize=8)
@@ -360,16 +404,23 @@ def _kl_core(
     labels: np.ndarray,
     tau: float,
     grads: bool,
-) -> tuple[float, np.ndarray | None]:
+    row_sums: np.ndarray | None = None,
+    first: int = 0,
+) -> tuple[float | None, np.ndarray | None]:
     # tau^2-scaled KL(target || softmax(z/tau)) per sample, meaned over the
     # batch; d/dz is tau * (softmax - target) / B.  Overwrites ``scores``
     # with the log-probabilities block by block, and gathers each block's
-    # target rows (and their cached logarithms) by label.
+    # target rows (and their cached logarithms) by label.  Each row's KL sum
+    # goes into ``row_sums[first:]`` (a vector of its own by default); the
+    # loss is returned once the rows reach its end, else None.
+    if row_sums is None:
+        row_sums = np.empty(scores.shape[0])
     kernels = _loss_kernels((scores, targets, log_targets), (labels,))
     if kernels is not None and targets.shape[1] == scores.shape[1] == log_targets.shape[1]:
-        return _kl_compiled(kernels, scores, prototypes, targets, log_targets, labels, tau, grads)
+        return _kl_compiled(
+            kernels, scores, prototypes, targets, log_targets, labels, tau, grads, row_sums, first
+        )
     batch = scores.shape[0]
-    row_sums = np.empty(batch)
     d_logits = np.empty_like(scores) if grads else None
     for start, stop in _row_blocks(batch):
         log_probs = scores[start:stop]
@@ -383,12 +434,14 @@ def _kl_core(
         zero = target_rows == 0.0
         if zero.any():
             contributions[zero] = 0.0
-        np.add.reduce(contributions, axis=1, out=row_sums[start:stop])
+        np.add.reduce(contributions, axis=1, out=row_sums[first + start : first + stop])
         if grads:
             d_block = np.exp(log_probs, out=d_logits[start:stop])
             d_block -= target_rows
             d_block *= tau
             d_block /= batch
+    if first + batch != row_sums.size:
+        return None, None
     value = float(tau * tau * row_sums.mean())
     if not grads:
         return value, None
@@ -404,24 +457,26 @@ def _kl_compiled(
     labels: np.ndarray,
     tau: float,
     grads: bool,
-) -> tuple[float, np.ndarray | None]:
+    row_sums: np.ndarray,
+    first: int,
+) -> tuple[float | None, np.ndarray | None]:
     # _kl_core's numpy body, stage by stage: per block, the division by tau
     # and the shift by the row maximum, numpy's exp, the row sums, numpy's
     # log, the log-probabilities with each row's KL sum, and with gradients
     # numpy's exp and the logit gradient.  One work array holds d_logits,
-    # with gradients, a block of exponentials (then of KL contributions),
-    # its row sums and the KL row sums.
+    # with gradients, a block of exponentials (then of KL contributions)
+    # and its row sums.
     batch, classes = scores.shape
     block = min(batch, _ROW_BLOCK)
     size = batch * classes if grads else 0
-    work = np.empty(size + block * classes + block + batch)
+    work = np.empty(size + block * classes + block)
     d_logits = work[:size].reshape(batch, classes) if grads else None
     exps = work[size : size + block * classes].reshape(block, classes)
-    log_sums = work[size + block * classes : size + block * classes + block]
+    log_sums = work[size + block * classes :]
     d_at = _kernels.address(work)
     exps_at = d_at + 8 * size
     sums_at = exps_at + 8 * block * classes
-    row_sums_at = sums_at + 8 * block
+    row_sums_at = _kernels.address(row_sums)
     scores_at, labels_at = _kernels.address(scores), _kernels.address(labels)
     targets_at, log_targets_at = _kernels.address(targets), _kernels.address(log_targets)
     for start, stop in _row_blocks(batch):
@@ -442,8 +497,8 @@ def _kl_compiled(
             labels_at + 8 * start,
             exps_at,
             row_sums_at,
-            start,
-            batch,
+            first + start,
+            row_sums.size,
         )
         if grads:
             np.exp(log_probs, out=d_logits[start:stop])
@@ -456,27 +511,33 @@ def _kl_compiled(
                 tau,
                 batch,
             )
-    value = tau * tau * (total / batch)
+    if first + batch != row_sums.size:
+        return None, None
+    value = tau * tau * (total / row_sums.size)
     if not grads:
         return value, None
     return value, d_logits @ prototypes.T
 
 
 def _bc_core(
-    a_hat: np.ndarray, v: np.ndarray, params: ModelParams, grads: bool
-) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    a_hat: np.ndarray,
+    v: np.ndarray,
+    params: ModelParams,
+    grads: bool,
+    squares: _SquareSum | None = None,
+) -> tuple[float | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as the mean
     # squared norm.  The residual becomes its own square (loss only) or its
-    # gradient in place.
+    # gradient in place.  Given ``squares`` (the loss only), the block's
+    # squares go on to it, and the loss is returned once they complete it,
+    # else None.
     batch = a_hat.shape[0]
     residual = forward_decode(params, a_hat)
+    if squares is not None:
+        total = squares.add(residual, v)
+        return (None if total is None else float(total / squares.rows)), None, None, None
     kernels = _loss_kernels((residual,), ())
-    if (
-        kernels is not None
-        and v.dtype in _FEATURE_DTYPES
-        and v.shape == residual.shape
-        and _kernels.fits(v.dtype, v)
-    ):
+    if kernels is not None and _bc_fits(v, residual.shape):
         value, d_b_h = _bc_compiled(kernels, residual, v, grads)
         if not grads:
             return value, None, None, None
@@ -494,6 +555,11 @@ def _bc_core(
     return value, d_a_hat, d_W_h, d_b_h
 
 
+def _bc_fits(v: np.ndarray, shape: tuple[int, ...]) -> bool:
+    # Whether fedzsl_bc takes v as the features beside a residual of ``shape``.
+    return v.dtype in _FEATURE_DTYPES and v.shape == shape and _kernels.fits(v.dtype, v)
+
+
 def _bc_compiled(
     kernels: _kernels.Kernels, residual: np.ndarray, v: np.ndarray, grads: bool
 ) -> tuple[float, np.ndarray | None]:
@@ -509,8 +575,52 @@ def _bc_compiled(
         _kernels.address(v),
         v.dtype == np.float32,
         _kernels.address(d_b_h) if grads else None,
+        None,
     )
     return total / batch, d_b_h
+
+
+class _SquareSum:
+    """The sum of squares of a split's reconstruction residual, one block of rows at a time.
+
+    The sum is ``np.add.reduce`` over all rows x d_v squares, as one call
+    over the whole residual takes it: fed to a compiled stream when the
+    kernels take the features, else written into one full-length vector
+    that is reduced once.  ``add`` takes each block's residual and
+    features, in row order, and returns the sum once the last block is in,
+    else None.
+    """
+
+    def __init__(self, v: np.ndarray, d_v: int) -> None:
+        self.rows = v.shape[0]
+        self.size = self.rows * d_v
+        self._kernels = _loss_kernels((), ())
+        if self._kernels is not None and _bc_fits(v, (self.rows, d_v)):
+            self._state = _kernels.stream(self._kernels, self.size)
+        else:
+            self._kernels = None
+            self._squares = np.empty(self.size)
+        self._filled = 0
+
+    def add(self, residual: np.ndarray, v: np.ndarray) -> float | None:
+        start = self._filled
+        self._filled += residual.size
+        if self._kernels is not None:
+            total = self._kernels.bc(
+                residual.shape[0],
+                residual.shape[1],
+                _kernels.address(residual),
+                _kernels.address(v),
+                v.dtype == np.float32,
+                None,
+                _kernels.address(self._state),
+            )
+        else:
+            residual -= v
+            block = self._squares[start : self._filled].reshape(residual.shape)
+            np.multiply(residual, residual, out=block)
+            total = np.add.reduce(self._squares) if self._filled == self._squares.size else None
+        return total if self._filled == self.size else None
 
 
 _FEATURE_DTYPES = (np.dtype(np.float32), _kernels.FLOAT64)
@@ -555,7 +665,8 @@ def ce_loss_attribute_free(
 
     Head row ``i`` scores the ``i``-th smallest seen class id; labels are
     mapped through that ordering.  ``grads=False`` returns the same value
-    with an empty ``grads``.
+    with an empty ``grads``, walking the rows in blocks as ``joint_loss``
+    does.
     """
     _require_mode(params, ATTRIBUTE_FREE, "ce_loss_attribute_free")
     v, labels = _as_batch(features, labels, params.d_v, "ce_loss_attribute_free")
@@ -566,9 +677,15 @@ def ce_loss_attribute_free(
             f"head covers {params.W_c.shape[0]} classes but {len(seen)} seen classes given"
         )
     positions = _label_positions(labels, seen, "ce_loss_attribute_free")
-    logits = forward_head(params, v)
-    value, d_logits = _sce_core(logits, positions, grads)
-    gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)} if grads else {}
+    if not grads:
+        # Block by block, as joint_loss's forward-only path runs.
+        picked = np.empty(v.shape[0])
+        for start, stop in _forward_blocks(v.shape[0]):
+            logits = forward_head(params, v[start:stop])
+            value = _sce_core(logits, positions[start:stop], False, picked, start)[0]
+        return LossReport(total=value, terms={CE: value}, grads={})
+    value, d_logits = _sce_core(forward_head(params, v), positions, True)
+    gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)}
     return LossReport(total=value, terms={CE: value}, grads=gradients)
 
 
@@ -592,10 +709,15 @@ def joint_loss(
     ``distill`` may be None only when the KL term is disabled.
 
     ``grads=False`` evaluates the loss only, as the per-round global loss
-    does: the forward arithmetic is the same code in the same order, so
-    ``total`` and ``terms`` are bit-identical to the default call, while
-    every backward product is skipped and ``grads`` comes back empty.  The
-    finiteness checks on ``total`` and each term still apply.
+    does, and skips every backward product; ``grads`` comes back empty.  It
+    walks the rows in blocks of ``_ROW_BLOCK`` rows (a shorter tail joins
+    the block before it), so no array over all rows x
+    d_a, classes or d_v is ever held: each block's products, and the
+    per-row values of its terms written into full-length vectors, are
+    those of the whole batch, and each vector is reduced once, so
+    ``total`` and ``terms`` are bit-identical to the default call under
+    one BLAS thread (see the module docstring).  The finiteness checks on
+    ``total`` and each term still apply.
     """
     _require_mode(params, ATTRIBUTE_BASED, "joint_loss")
     v, labels = _as_batch(features, labels, params.d_v, "joint_loss")
@@ -614,22 +736,29 @@ def joint_loss(
                 f"targets must cover all {n} classes with shape ({n}, {n}), "
                 f"got {distill.targets.probs.shape}"
             )
+    on = {
+        SCE: ablation.sce,
+        BC: ablation.bc and weights.w_bc > 0.0,
+        KL: kl_on,
+        AD: ablation.ad and weights.w_ad > 0.0,
+    }
+    if not grads:
+        values = _forward_terms(params, v, labels, A, distill, on)
+        return _report(values, weights, {})
     a_hat = forward_attr(params, v)
     # SCE and KL share one class-score product; KL scales it in place, so
     # it runs right after SCE has read it, and the scores are released
     # before BC allocates its residual.  The terms are still entered, and
     # their gradients summed, in the order SCE, BC, KL, AD.
-    scores = a_hat @ A.values if ablation.sce or kl_on else None
-    d_a_hat_total = np.zeros_like(a_hat) if grads else None
-    terms: dict[str, float] = {}
+    scores = a_hat @ A.values if on[SCE] or on[KL] else None
+    d_a_hat_total = np.zeros_like(a_hat)
+    values: dict[str, float] = {}
     d_W_h = d_b_h = None
-    if ablation.sce:
-        value, d_logits = _sce_core(scores, labels, grads)
-        terms[SCE] = value
-        if grads:
-            d_a_hat_total += d_logits @ A.values.T
+    if on[SCE]:
+        values[SCE], d_logits = _sce_core(scores, labels, True)
+        d_a_hat_total += d_logits @ A.values.T
         del d_logits
-    if kl_on:
+    if on[KL]:
         kl_value, d_a_hat_kl = _kl_core(
             scores,
             A.values,
@@ -637,41 +766,105 @@ def joint_loss(
             distill.log_targets,
             labels,
             distill.tau,
-            grads,
+            True,
         )
     del scores
-    if ablation.bc and weights.w_bc > 0.0:
-        value, d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, grads)
-        terms[BC] = weights.w_bc * value
-        if grads:
-            # Every term returns fresh gradient arrays, so they are weighted
-            # in place: w * x and x * w are the same IEEE product.
-            d_a_hat *= weights.w_bc
-            d_a_hat_total += d_a_hat
-            d_W_h *= weights.w_bc
-            d_b_h *= weights.w_bc
-    if kl_on:
-        terms[KL] = weights.w_kl * kl_value
-        if grads:
-            d_a_hat_kl *= weights.w_kl
-            d_a_hat_total += d_a_hat_kl
-    if ablation.ad and weights.w_ad > 0.0:
-        value, d_a_hat = _ad_core(a_hat, A.groups, grads)
-        terms[AD] = weights.w_ad * value
-        if grads:
-            d_a_hat *= weights.w_ad
-            d_a_hat_total += d_a_hat
-    gradients: dict[str, np.ndarray] = {}
-    if grads:
-        # W_h and b_h are zero-filled only when no term wrote them.
-        gradients = {
-            "W_g": d_a_hat_total.T @ v,
-            "b_g": d_a_hat_total.sum(axis=0),
-            "W_h": np.zeros_like(params.W_h) if d_W_h is None else d_W_h,
-            "b_h": np.zeros_like(params.b_h) if d_b_h is None else d_b_h,
-        }
-    # Left to right from 0.0: builtin sum() compensates its rounding on 3.12+.
+    if on[BC]:
+        values[BC], d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, True)
+        # Every term returns fresh gradient arrays, so they are weighted
+        # in place: w * x and x * w are the same IEEE product.
+        d_a_hat *= weights.w_bc
+        d_a_hat_total += d_a_hat
+        d_W_h *= weights.w_bc
+        d_b_h *= weights.w_bc
+    if on[KL]:
+        values[KL] = kl_value
+        d_a_hat_kl *= weights.w_kl
+        d_a_hat_total += d_a_hat_kl
+    if on[AD]:
+        values[AD], d_a_hat = _ad_core(a_hat, A.groups, True)
+        d_a_hat *= weights.w_ad
+        d_a_hat_total += d_a_hat
+    # W_h and b_h are zero-filled only when no term wrote them.
+    gradients = {
+        "W_g": d_a_hat_total.T @ v,
+        "b_g": d_a_hat_total.sum(axis=0),
+        "W_h": np.zeros_like(params.W_h) if d_W_h is None else d_W_h,
+        "b_h": np.zeros_like(params.b_h) if d_b_h is None else d_b_h,
+    }
+    return _report(values, weights, gradients)
+
+
+def _report(
+    values: dict[str, float], weights: LossWeights, gradients: dict[str, np.ndarray]
+) -> LossReport:
+    # The weighted terms, in the order SCE, BC, KL, AD, and their total,
+    # added left to right from 0.0: builtin sum() compensates its rounding
+    # on 3.12+.
+    scale = {SCE: 1.0, BC: weights.w_bc, KL: weights.w_kl, AD: weights.w_ad}
+    terms = {name: values[name] if name == SCE else scale[name] * values[name]
+             for name in (SCE, BC, KL, AD) if name in values}
     total = 0.0
     for value in terms.values():
         total += value
     return LossReport(total=total, terms=terms, grads=gradients)
+
+
+def _forward_blocks(rows: int):
+    # (start, stop) of each block of the forward-only loss: _ROW_BLOCK rows,
+    # save that a shorter tail joins the block before it, so every block of
+    # a batch of more than one has at least _ROW_BLOCK rows.  No rows are
+    # one empty block.
+    start = 0
+    while True:
+        stop = start + _ROW_BLOCK
+        if rows - stop < _ROW_BLOCK:
+            stop = rows
+        yield start, stop
+        if stop == rows:
+            return
+        start = stop
+
+
+def _forward_terms(
+    params: ModelParams,
+    v: np.ndarray,
+    labels: np.ndarray,
+    A: AttributeMatrix,
+    distill: DistillConfig | None,
+    on: dict[str, bool],
+) -> dict[str, float]:
+    # joint_loss's unweighted terms without gradients, block by block: each
+    # term's per-row values go into a full-length vector (BC's squares into
+    # a _SquareSum), and each core returns its term with the last block.
+    rows = v.shape[0]
+    picked = np.empty(rows) if on[SCE] else None
+    kl_rows = np.empty(rows) if on[KL] else None
+    squares = _SquareSum(v, params.d_v) if on[BC] else None
+    norms = np.empty((len(A.groups), rows)) if on[AD] else None
+    values: dict[str, float] = {}
+    for start, stop in _forward_blocks(rows):
+        block, block_labels = v[start:stop], labels[start:stop]
+        a_hat = forward_attr(params, block)
+        if on[SCE] or on[KL]:
+            scores = a_hat @ A.values
+            if on[SCE]:
+                values[SCE] = _sce_core(scores, block_labels, False, picked, start)[0]
+            if on[KL]:
+                values[KL] = _kl_core(
+                    scores,
+                    A.values,
+                    distill.targets.probs,
+                    distill.log_targets,
+                    block_labels,
+                    distill.tau,
+                    False,
+                    kl_rows,
+                    start,
+                )[0]
+            del scores
+        if on[BC]:
+            values[BC] = _bc_core(a_hat, block, params, False, squares)[0]
+        if on[AD]:
+            values[AD] = _ad_core(a_hat, A.groups, False, norms, start)[0]
+    return values

@@ -21,12 +21,21 @@ from fedzsl.evaluation import (
     EvalError,
     Metrics,
     _predict_each,
+    _predict_head,
     evaluate,
     harmonic_mean,
     per_class_top1,
     predict,
 )
-from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, init_params
+from fedzsl import _blas
+from fedzsl.model import (
+    ATTRIBUTE_BASED,
+    ATTRIBUTE_FREE,
+    ModelParams,
+    forward_attr,
+    forward_head,
+    init_params,
+)
 
 
 def per_class_top1_loop(
@@ -158,6 +167,45 @@ class TestPredictAllocation:
         finally:
             tracemalloc.stop()
         assert peak < 8 * rows * (d_a + classes) + 8 * rows * 8
+
+
+    def test_a_test_set_is_scored_in_blocks_of_rows(self):
+        # 4800 float32 rows: the products are taken one block of rows at a
+        # time, so the peak stays below one score matrix over all rows.
+        rows, d_a, d_v, classes = 4800, 312, 256, 200
+        rng = np.random.default_rng(1)
+        attrs = AttributeMatrix(values=rng.standard_normal((d_a, classes)), groups=((0, d_a),))
+        params = init_params(d_v, d_a, num_seen=150, mode=ATTRIBUTE_BASED, seed=1)
+        features = rng.standard_normal((rows, d_v)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _predict_each(params, features, attrs, [range(150, 200), range(200)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rows * classes
+
+
+class TestBlockPredictions:
+    @pytest.mark.parametrize("rows", [0, 255, 700, 1200, 3840])
+    def test_blocks_predict_as_the_whole_product(self, rows):
+        # Under one BLAS thread, blocks of 256 or more rows give the whole
+        # product's bits, so the same argmax.
+        rng = np.random.default_rng(rows)
+        attrs = AttributeMatrix(values=rng.standard_normal((85, 50)), groups=((0, 85),))
+        params = init_params(256, 85, num_seen=40, mode=ATTRIBUTE_BASED, seed=rows)
+        free = init_params(256, 85, num_seen=40, mode=ATTRIBUTE_FREE, seed=rows)
+        features = rng.standard_normal((rows, 256)).astype(np.float32)
+        with _blas.one_thread() as pinned:
+            if not pinned:
+                pytest.skip("numpy's bundled OpenBLAS is not found")
+            unseen, every = _predict_each(params, features, attrs, [range(40, 50), range(50)])
+            head = _predict_head(free, features, tuple(range(40)))
+            scores = forward_attr(params, features) @ attrs.values
+            logits = forward_head(free, features)
+        assert np.array_equal(unseen, 40 + np.argmax(scores[:, 40:], axis=1))
+        assert np.array_equal(every, np.argmax(scores, axis=1))
+        assert np.array_equal(head, np.argmax(logits, axis=1))
 
 
 class TestPerClassTop1:

@@ -3,14 +3,19 @@ from __future__ import annotations
 
 import gc
 import math
+import os
+import subprocess
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedzsl import fed
+from fedzsl import _blas, cli, fed
 from fedzsl.dataset import SyntheticSpec, generate_synthetic, split_train_test
 from fedzsl.fed import (
     ClientUpdate,
@@ -574,26 +579,33 @@ class TestRunSimulation:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nothing_from_a_round_is_kept_across_the_global_loss(self, monkeypatch, threads):
         # Each client's copy of its rows, each update and its trained
-        # tensors are released before the forward-only global loss and the
-        # evaluation run.
-        refs = []
+        # tensors are released before their round is scored: when round r's
+        # forward-only global loss and evaluation run, nothing of rounds
+        # 0..r is alive.  Round r + 1's clients may train meanwhile, so
+        # their objects are not counted.
+        refs: dict[int, list] = {}
         checked = []
         real_local_train = fed.local_train
         real_joint_loss = fed.joint_loss
         real_evaluate = fed.evaluate
 
-        def tracked_local_train(global_params, client_data, *args, **kwargs):
-            update = real_local_train(global_params, client_data, *args, **kwargs)
-            refs.append(weakref.ref(client_data))
-            refs.append(weakref.ref(update))
-            refs.extend(weakref.ref(tensor) for tensor in update.trained.values())
+        def tracked_local_train(global_params, client_data, A, cfg, round_index, client_id):
+            update = real_local_train(global_params, client_data, A, cfg, round_index, client_id)
+            kept = refs.setdefault(round_index, [])
+            kept.append(weakref.ref(client_data))
+            kept.append(weakref.ref(update))
+            kept.extend(weakref.ref(tensor) for tensor in update.trained.values())
             return update
 
         def assert_released(stage):
+            # Scoring runs in round order, so this is round r's stage when
+            # r earlier calls of it have been checked.
+            round_index = sum(1 for s, _ in checked if s == stage)
             gc.collect()
-            alive = sum(ref() is not None for ref in refs)
-            assert refs and alive == 0, f"{alive} of {len(refs)} alive at the {stage}"
-            checked.append(stage)
+            kept = [ref for r in range(round_index + 1) for ref in refs.get(r, ())]
+            alive = sum(ref() is not None for ref in kept)
+            assert kept and alive == 0, f"{alive} of {len(kept)} alive at round {round_index}'s {stage}"
+            checked.append((stage, round_index))
 
         def tracked_joint_loss(*args, grads=True, **kwargs):
             if not grads:
@@ -615,9 +627,69 @@ class TestRunSimulation:
             partition=PartitionSpec(scheme="pccd", num_clients=3, seed=0),
         )
         run_simulation(ds, attrs, cfg, threads=threads)
-        assert checked == ["global loss", "evaluation"] * cfg.rounds
+        assert checked == [
+            (stage, r) for r in range(cfg.rounds) for stage in ("global loss", "evaluation")
+        ]
         # Per client and round: its rows, its update and four trained tensors.
-        assert len(refs) == cfg.rounds * cfg.num_clients * 6
+        assert [len(refs[r]) for r in range(cfg.rounds)] == [cfg.num_clients * 6] * cfg.rounds
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_divergence_while_the_last_round_scores_names_its_client(self, monkeypatch, threads):
+        # Round 1's clients diverge while round 0 is scored, which succeeds:
+        # the error is round 1's and names its first client.  With the BLAS
+        # count pinned, round 0's global loss waits for round 1's training
+        # to start, so the two run at the same time.
+        started = threading.Event()
+        waited = []
+        real_local_train = fed.local_train
+        real_joint_loss = fed.joint_loss
+
+        def diverging(global_params, client_data, A, cfg, round_index, client_id):
+            if round_index == 1:
+                started.set()
+                global_params = global_params.clone()
+                global_params.W_g *= 1e200
+            return real_local_train(global_params, client_data, A, cfg, round_index, client_id)
+
+        def scored(*args, grads=True, **kwargs):
+            if not grads:
+                waited.append(started.wait(timeout=30.0) if pinned else None)
+            return real_joint_loss(*args, grads=grads, **kwargs)
+
+        monkeypatch.setattr(fed, "local_train", diverging)
+        monkeypatch.setattr(fed, "joint_loss", scored)
+        pinned = _blas._controls() is not None
+        ds, attrs, distill = tiny_problem()
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError, match=r"^client 0 diverged at round 1, "):
+                run_simulation(ds, attrs, tiny_config(distill, rounds=3), threads=threads)
+        assert waited == [True if pinned else None]
+
+    def test_the_blas_count_is_one_during_a_run_and_restored_after(self, monkeypatch):
+        controls = _blas._controls()
+        if controls is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found")
+        get, set_ = controls
+        seen = []
+        real_local_train = fed.local_train
+
+        def counted(*args):
+            seen.append(get())
+            return real_local_train(*args)
+
+        monkeypatch.setattr(fed, "local_train", counted)
+        ds, attrs, distill = tiny_problem()
+        before = get()
+        set_(2)
+        try:
+            run_simulation(ds, attrs, tiny_config(distill), threads=2)
+            assert get() == 2
+            with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+                run_simulation(ds, attrs, tiny_config(distill, local_lr=1e300))
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen and set(seen) == {1}
 
     def test_every_client_loss_covers_all_prototypes(self):
         # Under class-disjoint partitioning each client still scores against
@@ -668,3 +740,55 @@ class TestClientUpdateRefusals:
         )
         assert (update.client_id, update.num_local_classes) == (3, 2)
         assert type(update.client_id) is int and type(update.num_local_classes) is int
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# A CLI run in a new process; PIN_OFF makes it run as if numpy's OpenBLAS
+# were not found, so nothing pins its thread count.
+CLI_RUN = """
+import sys
+from fedzsl import _blas
+if sys.argv[1] == "off":
+    _blas._controls = lambda: None
+from fedzsl.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+# 120 classes at d_a 200: before the count was pinned, the glasso solve
+# and the run both moved with it, and this run's metrics.csv read 3ad2fc17
+# with one OpenBLAS thread and 44a28306 with two (OpenBLAS 0.3.31 on a
+# SkylakeX core).  Its 640 training rows make two blocks of the
+# forward-only loss.
+SHAPE = [
+    "--num-seen", "100", "--num-unseen", "20", "--d-a", "200", "--d-v", "32",
+    "--samples-per-class", "8",
+]
+
+
+def cli_run(data, out, blas_threads, threads, pin="on"):
+    """``fedzsl run`` in a new process with ``blas_threads`` OpenBLAS threads at start."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(blas_threads))
+    args = ["run", "--data", str(data), "--out", str(out), "--rounds", "3", "--clients", "2",
+            "--seed", "2", "--threads", str(threads)]
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_RUN, pin, *args],
+        env=env, capture_output=True, text=True, check=False, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
+    return (out / "metrics.csv").read_bytes(), (out / "final_model.csv").read_bytes()
+
+
+@pytest.mark.skipif(_blas._controls() is None, reason="numpy's bundled OpenBLAS is not found")
+def test_a_run_writes_the_same_bytes_at_any_blas_and_client_thread_count(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--seed", "0", *SHAPE]) == 0
+    want = cli_run(data, tmp_path / "one", 1, 1)
+    for blas_threads in (1, 2):
+        for threads in (1, 2, 8):
+            if (blas_threads, threads) != (1, 1):
+                out = tmp_path / f"blas{blas_threads}-threads{threads}"
+                assert cli_run(data, out, blas_threads, threads) == want, out.name
+    if len(os.sched_getaffinity(0)) >= 2:
+        # Unpinned, two OpenBLAS threads split this shape's products and
+        # move the bits, so the equality above is the pin's doing (the CLI
+        # pins the glasso solve, run_simulation the run).
+        assert cli_run(data, tmp_path / "unpinned", 2, 1, pin="off")[0] != want[0]

@@ -269,10 +269,10 @@ def fake_old_numpy_sum(x, axis):
 
 
 # Shapes that reach every branch of the pairwise sum (d_a 150, 40 classes,
-# d_v 64) and fill a second row block of the global loss (288 training rows).
+# d_v 64) and three blocks of the forward-only global loss (960 training rows).
 WIDE_SYNTH = [
     "--num-seen", "30", "--num-unseen", "10", "--d-a", "150", "--d-v", "64",
-    "--samples-per-class", "12",
+    "--samples-per-class", "40",
 ]
 RUN = ["--rounds", "2", "--clients", "2", "--seed", "1"]
 
@@ -371,6 +371,74 @@ def test_the_probe_refuses_a_library_built_to_reassociate(tmp_path):
     lib = tmp_path / "reassociated.so"
     extra = ("-fassociative-math", "-fno-signed-zeros", "-fno-trapping-math")
     assert _kernels._build([*_kernels._compiler(), *extra], lib)
+    assert not _kernels._load(lib).pairwise
+
+
+# Lengths at each edge of the pairwise sum: its branches at 8 and 128
+# values, its first splits, and a length of several splits.
+STREAM_LENGTHS = st.sampled_from([*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 4099])
+
+
+@st.composite
+def stream_inputs(draw):
+    """Values over about 80 binades, with signed zeros and subnormals, and the
+    piece sizes a stream takes them in, in turn (one value at a time, or
+    pieces drawn to cross leaves and splits)."""
+    n = draw(STREAM_LENGTHS)
+    rng = np.random.default_rng(draw(SEEDS))
+    x = rng.standard_normal(n) * np.exp2(rng.uniform(-40.0, 40.0, n))
+    x[rng.random(n) < 0.05] = -0.0
+    tiny = rng.random(n) < 0.05
+    x[tiny] = rng.integers(-1000, 1000, int(tiny.sum())) * np.nextafter(0.0, 1.0)
+    pieces = draw(st.one_of(st.just((1,)), st.lists(st.integers(1, 300), min_size=1, max_size=8)))
+    return x, tuple(pieces)
+
+
+@needs_a_compiler
+class TestPairwiseStream:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inputs=stream_inputs(), square=st.sampled_from([0, 1]))
+    def test_a_stream_in_any_pieces_sums_as_numpy_does(self, inputs, square):
+        x, pieces = inputs
+        kernels = _kernels.compiled()
+        state = _kernels.stream(kernels, x.size)
+        got = _kernels._streamed(kernels._asdict(), state, x, pieces, square)
+        want = np.add.reduce(x * x if square else x)
+        assert got.hex() == float(want).hex()
+
+    def test_the_sum_comes_with_the_last_value_only(self):
+        kernels = _kernels.compiled()
+        x = np.arange(1.0, 301.0)
+        state = _kernels.stream(kernels, x.size)
+        at = _kernels.address(state)
+        partial = [kernels.stream_add(at, _kernels.address(x[k:]), 1, 0) for k in range(299)]
+        assert partial == [0.0] * 299
+        assert kernels.stream_add(at, _kernels.address(x[299:]), 1, 0) == np.add.reduce(x)
+
+
+# Source edits that split a run at n/2 without rounding down to a multiple
+# of 8: everywhere, or in the stream alone.
+UNROUNDED_SPLITS = {
+    "everywhere": [("    return n2 - n2 % 8;", "    return n2;")],
+    "stream-only": [
+        ("        n = pairwise_half(n);", "        n = n / 2;"),
+        ("s->size[top] - pairwise_half(s->size[top])", "s->size[top] - s->size[top] / 2"),
+    ],
+}
+
+
+@needs_a_compiler
+@pytest.mark.parametrize("where", sorted(UNROUNDED_SPLITS))
+def test_the_probe_refuses_a_split_at_half_unrounded(tmp_path, monkeypatch, where):
+    source = _kernels.SOURCE.read_text()
+    for old, new in UNROUNDED_SPLITS[where]:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    edited = tmp_path / "_kernels.c"
+    edited.write_text(source)
+    monkeypatch.setattr(_kernels, "SOURCE", edited)
+    lib = tmp_path / "unrounded.so"
+    assert _kernels._build(_kernels._compiler(), lib)
     assert not _kernels._load(lib).pairwise
 
 

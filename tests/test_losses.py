@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import single_term
-from fedzsl import losses
+from fedzsl import _blas, _kernels, losses
 from fedzsl.dataset import AttributeMatrix
 from fedzsl.glasso import DistillTargets, distill_targets
 from fedzsl.losses import (
@@ -570,3 +570,99 @@ class TestAllocation:
             finally:
                 tracemalloc.stop()
             assert peak < live + 4 * block, batch.dtype
+
+    def test_forward_only_holds_no_full_split_array(self):
+        # A CUB-sized split of float32 features: the forward-only loss walks
+        # it in blocks of rows, so beside per-row vectors its peak stays
+        # below one array over all rows of the narrowest width (the class
+        # scores').  The numpy bodies add BC's full-length vector of squares.
+        rows, d_a, d_v, classes = 4800, 312, 256, 200
+        rng = np.random.default_rng(1)
+        raw = rng.standard_normal((d_a, classes))
+        attrs = AttributeMatrix(
+            values=raw / np.linalg.norm(raw, axis=0), groups=((0, 100), (100, 212), (212, 312))
+        )
+        distill = DistillConfig(tau=4.0, targets=distill_targets(np.eye(classes), 4.0))
+        params = init_params(d_v, d_a, num_seen=150, mode=ATTRIBUTE_BASED, seed=1)
+        features = rng.standard_normal((rows, d_v)).astype(np.float32)
+        labels = rng.integers(0, classes, size=rows)
+        bound = 8 * rows * classes
+        if _kernels.compiled() is None:
+            bound += 8 * rows * d_v
+        tracemalloc.start()
+        try:
+            joint_loss(params, features, labels, attrs, distill, LossWeights(), grads=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
+
+def awa_shaped(rows: int, dtype, seed: int = 0):
+    """AwA-shaped params, features, labels, attributes and targets."""
+    d_a, d_v, classes = 85, 256, 50
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((d_a, classes))
+    attrs = AttributeMatrix(
+        values=raw / np.linalg.norm(raw, axis=0), groups=((0, 20), (20, 51), (51, 85))
+    )
+    gamma = rng.standard_normal((classes, classes))
+    distill = DistillConfig(tau=4.0, targets=distill_targets(gamma @ gamma.T / classes, 4.0))
+    params = init_params(d_v, d_a, num_seen=40, mode=ATTRIBUTE_BASED, seed=seed)
+    params.b_h = rng.standard_normal(d_v)
+    features = rng.standard_normal((rows, d_v)).astype(dtype)
+    labels = rng.integers(0, classes, size=rows)
+    return params, features, labels, attrs, distill
+
+
+class TestForwardOnlyBlocks:
+    @pytest.mark.parametrize("body", ["compiled", "numpy"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("rows", [16, 255, 256, 257, 511, 513, 700, 1200, 3840])
+    def test_every_term_is_the_gradient_calls_bytes(self, monkeypatch, rows, dtype, body):
+        # Blocks of 256 or more rows give the whole products' bits under one
+        # BLAS thread, and each term's per-row values are reduced once.
+        if body == "compiled" and _kernels.compiled() is None:
+            pytest.skip("the compiled kernels are not built")
+        if body == "numpy":
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        args = awa_shaped(rows, dtype, seed=rows)
+        with _blas.one_thread() as pinned:
+            if not pinned:
+                pytest.skip("numpy's bundled OpenBLAS is not found")
+            with_grads = joint_loss(*args, LossWeights())
+            forward = joint_loss(*args, LossWeights(), grads=False)
+        assert forward.total.hex() == with_grads.total.hex()
+        assert {k: v.hex() for k, v in forward.terms.items()} == {
+            k: v.hex() for k, v in with_grads.terms.items()
+        }
+        assert list(forward.terms) == ["sce", "bc", "kl", "ad"]
+
+    @pytest.mark.parametrize("body", ["compiled", "numpy"])
+    @pytest.mark.parametrize("rows", [255, 700, 1200, 3840])
+    def test_the_attribute_free_loss_is_the_gradient_calls_bytes(self, monkeypatch, rows, body):
+        if body == "compiled" and _kernels.compiled() is None:
+            pytest.skip("the compiled kernels are not built")
+        if body == "numpy":
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        rng = np.random.default_rng(rows)
+        params = init_params(256, 85, num_seen=40, mode=ATTRIBUTE_FREE, seed=rows)
+        features = rng.standard_normal((rows, 256)).astype(np.float32)
+        labels = rng.integers(0, 40, size=rows)
+        with _blas.one_thread() as pinned:
+            if not pinned:
+                pytest.skip("numpy's bundled OpenBLAS is not found")
+            with_grads = ce_loss_attribute_free(params, features, labels, range(40))
+            forward = ce_loss_attribute_free(params, features, labels, range(40), grads=False)
+        assert forward.total.hex() == with_grads.total.hex()
+
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 511, 512, 767, 768, 1023, 1024, 4800])
+    def test_blocks_cover_the_rows_with_at_least_a_row_block_each(self, rows):
+        # No rows are one empty block.
+        blocks = list(losses._forward_blocks(rows))
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [stop - start for start, stop in blocks]
+        assert all(size == losses._ROW_BLOCK for size in sizes[:-1])
+        if len(blocks) > 1:
+            assert losses._ROW_BLOCK <= sizes[-1] < 2 * losses._ROW_BLOCK

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, _as_ids
-from fedzsl.losses import _forward_blocks
+from fedzsl.losses import _map_blocks
 from fedzsl.model import (
     ATTRIBUTE_BASED,
     ATTRIBUTE_FREE,
@@ -87,17 +87,20 @@ def _predict_blocks(
 ) -> list[np.ndarray]:
     # Each candidate set's predictions for the rows of v from the columns of
     # scores_of(rows) at its ids (all columns, already in id order, for
-    # None), taken one block of rows at a time as the forward-only loss
-    # takes them (losses._forward_blocks): under one BLAS thread each
-    # block's product has the whole product's bits, and its transients stay
-    # block-sized.
+    # None), taken one block of rows at a time on two threads, as the
+    # forward-only loss takes them (losses._map_blocks): under one BLAS
+    # thread each block's product has the whole product's bits, and its
+    # transients stay block-sized.
     v = np.atleast_2d(v)
     preds = [np.empty(v.shape[0], dtype=np.int64) for _ in sets]
-    for start, stop in _forward_blocks(v.shape[0]):
+
+    def run(start: int, stop: int) -> None:
         scores = scores_of(v[start:stop])
         for out, candidates in zip(preds, sets):
             picked = scores if candidates is None else np.take(scores, candidates, axis=1)
             out[start:stop] = _predict_scores(picked, candidates)
+
+    _map_blocks(v.shape[0], run)
     return preds
 
 

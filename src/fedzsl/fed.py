@@ -325,14 +325,11 @@ def run_simulation(
     ``client_partition``.
 
     OpenBLAS runs one thread for the whole run (``fedzsl._blas``), whatever
-    ``threads`` is, so the output depends on the seed alone; the
-    forward-only loss splits its products by rows only in blocks of 256 or
-    more rows, which under one BLAS thread give the whole products' bits.
-    With the count pinned, round r's scoring runs on a thread of its own
-    while round r + 1's clients train: both only read round r's model.
-    Rows enter the trace in round order, and a scoring error of round r is
-    raised before any training error of round r + 1.  Where the count
-    cannot be pinned, each round is scored inline after its aggregation.
+    ``threads`` is, so the output depends on the seed alone: the
+    forward-only loss and the evaluation split their products by rows only
+    in blocks of 256 or more rows, which under one BLAS thread give the
+    whole products' bits, and share the blocks between the calling thread
+    and one more.
 
     A round holds only what it still needs: a client's rows are copied out
     of the training split for its own :func:`local_train` call, and the
@@ -350,40 +347,12 @@ def run_simulation(
     )
     trace = SimulationTrace()
     trace.client_partition = part
-
-    def score(params: ModelParams, round_index: int, losses: np.ndarray) -> RoundMetrics:
-        try:
-            global_loss = _local_loss(
-                params, train.features, train.labels, A, cfg, train.split.seen, grads=False
-            ).total
-        except NonFiniteLossError as exc:
-            raise TrainingDivergedError(
-                f"global loss non-finite after round {round_index}: {exc}"
-            ) from exc
-        is_eval = (round_index + 1) % cfg.eval_every == 0 or round_index == cfg.rounds - 1
-        acc_c = acc_u = acc_s = acc_h = None
-        if is_eval:
-            scored = evaluate(params, test_seen, test_unseen, A, train.split)
-            acc_c, acc_u, acc_s, acc_h = scored.acc_c, scored.acc_u, scored.acc_s, scored.acc_h
-        return RoundMetrics(
-            round_index=round_index,
-            acc_c=acc_c,
-            acc_u=acc_u,
-            acc_s=acc_s,
-            acc_h=acc_h,
-            global_loss=global_loss,
-            client_loss_mean=float(losses.mean()),
-            client_loss_std=float(losses.std()),
-        )
-
     # One thread trains inline: on a 2-core host a one-worker pool raised the CUB-shaped benchmark's
     # peak RSS 110 -> 126 MB (cause not measured) and the AwA-shaped work by 3-4%.
     with (
-        _blas.one_thread() as pinned,
+        _blas.one_thread(),
         ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool,
-        ThreadPoolExecutor(max_workers=1) if pinned else nullcontext() as scorer,
     ):
-        scoring = None  # the last round's scoring, while this round trains
         for round_index in range(cfg.rounds):
             chosen = sample_clients(cfg.num_clients, cfg.sample_fraction, round_index, cfg.seed)
 
@@ -391,20 +360,13 @@ def run_simulation(
                 client_data = train.subset(part.assignments[client_id])
                 return local_train(params, client_data, A, cfg, round_index, client_id)
 
-            try:
-                if pool is not None:
-                    # Each client runs in a copy of the caller's context
-                    # (np.errstate among it), as it would inline.
-                    contexts = [contextvars.copy_context() for _ in chosen]
-                    updates = list(pool.map(lambda c, k: c.run(train_one, k), contexts, chosen))
-                else:
-                    updates = [train_one(k) for k in chosen]
-            except Exception:
-                if scoring is not None:
-                    scoring.result()  # the earlier round's error comes first
-                raise
-            if scoring is not None:
-                trace.append(scoring.result())
+            if pool is not None:
+                # Each client runs in a copy of the caller's context
+                # (np.errstate among it), as it would inline.
+                contexts = [contextvars.copy_context() for _ in chosen]
+                updates = list(pool.map(lambda c, k: c.run(train_one, k), contexts, chosen))
+            else:
+                updates = [train_one(k) for k in chosen]
             params = aggregate(params, updates, cfg.server_lr)
             losses = np.array(
                 [u.mean_local_loss for u in sorted(updates, key=lambda u: u.client_id)]
@@ -412,12 +374,30 @@ def run_simulation(
             # The trained tensors are folded in; none is held through the
             # global loss and the evaluation.
             del updates
-            if scorer is None:
-                trace.append(score(params, round_index, losses))
-            else:
-                context = contextvars.copy_context()
-                scoring = scorer.submit(context.run, score, params, round_index, losses)
-        if scoring is not None:
-            trace.append(scoring.result())
+            try:
+                global_loss = _local_loss(
+                    params, train.features, train.labels, A, cfg, train.split.seen, grads=False
+                ).total
+            except NonFiniteLossError as exc:
+                raise TrainingDivergedError(
+                    f"global loss non-finite after round {round_index}: {exc}"
+                ) from exc
+            is_eval = (round_index + 1) % cfg.eval_every == 0 or round_index == cfg.rounds - 1
+            acc_c = acc_u = acc_s = acc_h = None
+            if is_eval:
+                scored = evaluate(params, test_seen, test_unseen, A, train.split)
+                acc_c, acc_u, acc_s, acc_h = scored.acc_c, scored.acc_u, scored.acc_s, scored.acc_h
+            trace.append(
+                RoundMetrics(
+                    round_index=round_index,
+                    acc_c=acc_c,
+                    acc_u=acc_u,
+                    acc_s=acc_s,
+                    acc_h=acc_h,
+                    global_loss=global_loss,
+                    client_loss_mean=float(losses.mean()),
+                    client_loss_std=float(losses.std()),
+                )
+            )
     trace.final_params = params
     return trace

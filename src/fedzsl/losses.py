@@ -28,8 +28,11 @@ bit-identical to whole-array code.  Matrix products are split by rows only
 into blocks of 256 (``_ROW_BLOCK``) or more rows, and only under one BLAS
 thread, which ``fedzsl.run_simulation`` pins: OpenBLAS blocks and orders
 its sums by the shape of the call, and a block of that many rows rounds
-as the same rows of the whole product do (checked at the benchmark shapes
-and at d_v 2048), where a smaller one need not.  Per-row values (the
+as the same rows of the whole product do, where a smaller one need not.
+That was checked only on OpenBLAS 0.3.31's SkylakeX kernels, at the
+benchmark shapes, at d_v 2048 and at narrow shapes down to d_a 6, d_v 8;
+under more BLAS threads, or another BLAS, the forward-only loss may differ
+from the gradient-computing call in its last bits.  Per-row values (the
 log-probabilities at the labels, the KL row sums, the group norms) are
 written into full-length vectors and each is reduced once: numpy sums by
 pairwise recursion over the whole vector, and adding per-block partial
@@ -37,7 +40,10 @@ sums would group the additions differently.  BC's sum of squares over
 all rows x d_v values goes on to a compiled stream that walks the same
 pairwise recursion block by block (``_SquareSum``), or, on the numpy
 bodies, into one full-length vector reduced once.  Reductions in C follow
-numpy's pairwise order and are checked at load.
+numpy's pairwise order and are checked at load.  Since no value depends on
+the order the blocks run in, the calling thread and one more take them as
+each comes free (``_map_blocks``), and the evaluation's predictions run
+the same way.
 
 The elementwise passes and reductions of each term, and ``LossReport``'s
 finiteness scan, run in the compiled library (``fedzsl._kernels``) a few
@@ -56,8 +62,11 @@ in C exactly as numpy widens them).
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -524,18 +533,12 @@ def _bc_core(
     v: np.ndarray,
     params: ModelParams,
     grads: bool,
-    squares: _SquareSum | None = None,
-) -> tuple[float | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as the mean
     # squared norm.  The residual becomes its own square (loss only) or its
-    # gradient in place.  Given ``squares`` (the loss only), the block's
-    # squares go on to it, and the loss is returned once they complete it,
-    # else None.
+    # gradient in place.
     batch = a_hat.shape[0]
     residual = forward_decode(params, a_hat)
-    if squares is not None:
-        total = squares.add(residual, v)
-        return (None if total is None else float(total / squares.rows)), None, None, None
     kernels = _loss_kernels((residual,), ())
     if kernels is not None and _bc_fits(v, residual.shape):
         value, d_b_h = _bc_compiled(kernels, residual, v, grads)
@@ -592,10 +595,10 @@ class _SquareSum:
     """
 
     def __init__(self, v: np.ndarray, d_v: int) -> None:
-        self.rows = v.shape[0]
-        self.size = self.rows * d_v
+        rows = v.shape[0]
+        self.size = rows * d_v
         self._kernels = _loss_kernels((), ())
-        if self._kernels is not None and _bc_fits(v, (self.rows, d_v)):
+        if self._kernels is not None and _bc_fits(v, (rows, d_v)):
             self._state = _kernels.stream(self._kernels, self.size)
         else:
             self._kernels = None
@@ -680,9 +683,12 @@ def ce_loss_attribute_free(
     if not grads:
         # Block by block, as joint_loss's forward-only path runs.
         picked = np.empty(v.shape[0])
-        for start, stop in _forward_blocks(v.shape[0]):
+
+        def run(start: int, stop: int) -> float | None:
             logits = forward_head(params, v[start:stop])
-            value = _sce_core(logits, positions[start:stop], False, picked, start)[0]
+            return _sce_core(logits, positions[start:stop], False, picked, start)[0]
+
+        value = _map_blocks(v.shape[0], run)
         return LossReport(total=value, terms={CE: value}, grads={})
     value, d_logits = _sce_core(forward_head(params, v), positions, True)
     gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)}
@@ -716,8 +722,9 @@ def joint_loss(
     per-row values of its terms written into full-length vectors, are
     those of the whole batch, and each vector is reduced once, so
     ``total`` and ``terms`` are bit-identical to the default call under
-    one BLAS thread (see the module docstring).  The finiteness checks on
-    ``total`` and each term still apply.
+    one BLAS thread (see the module docstring).  The calling thread and one
+    more run the blocks.  The finiteness checks on ``total`` and each term
+    still apply.
     """
     _require_mode(params, ATTRIBUTE_BASED, "joint_loss")
     v, labels = _as_batch(features, labels, params.d_v, "joint_loss")
@@ -835,23 +842,26 @@ def _forward_terms(
     on: dict[str, bool],
 ) -> dict[str, float]:
     # joint_loss's unweighted terms without gradients, block by block: each
-    # term's per-row values go into a full-length vector (BC's squares into
-    # a _SquareSum), and each core returns its term with the last block.
+    # term's per-row values go into a full-length vector, and each core
+    # returns its term with the last block.  BC's reconstruction residual
+    # comes back from each block, and its squares go on to a _SquareSum
+    # here, in row order.
     rows = v.shape[0]
     picked = np.empty(rows) if on[SCE] else None
     kl_rows = np.empty(rows) if on[KL] else None
     squares = _SquareSum(v, params.d_v) if on[BC] else None
     norms = np.empty((len(A.groups), rows)) if on[AD] else None
-    values: dict[str, float] = {}
-    for start, stop in _forward_blocks(rows):
-        block, block_labels = v[start:stop], labels[start:stop]
-        a_hat = forward_attr(params, block)
+
+    def run(start: int, stop: int) -> tuple[dict[str, float | None], np.ndarray | None]:
+        block_labels = labels[start:stop]
+        a_hat = forward_attr(params, v[start:stop])
+        found = {}
         if on[SCE] or on[KL]:
             scores = a_hat @ A.values
             if on[SCE]:
-                values[SCE] = _sce_core(scores, block_labels, False, picked, start)[0]
+                found[SCE] = _sce_core(scores, block_labels, False, picked, start)[0]
             if on[KL]:
-                values[KL] = _kl_core(
+                found[KL] = _kl_core(
                     scores,
                     A.values,
                     distill.targets.probs,
@@ -863,8 +873,109 @@ def _forward_terms(
                     start,
                 )[0]
             del scores
-        if on[BC]:
-            values[BC] = _bc_core(a_hat, block, params, False, squares)[0]
         if on[AD]:
-            values[AD] = _ad_core(a_hat, A.groups, False, norms, start)[0]
-    return values
+            found[AD] = _ad_core(a_hat, A.groups, False, norms, start)[0]
+        return found, forward_decode(params, a_hat) if on[BC] else None
+
+    def then(start: int, stop: int, outcome) -> None:
+        found, residual = outcome
+        if on[BC]:
+            found[BC] = squares.add(residual, v[start:stop])
+
+    # The last block's values are the terms.
+    found, _ = _map_blocks(rows, run, then)
+    if on[BC]:
+        found[BC] = float(found[BC] / rows)
+    return {name: found[name] for name in (SCE, BC, KL, AD) if on[name]}
+
+
+# Blocks that _map_blocks may have taken beyond the last it handed on, so
+# at most this many blocks' results are held at once.
+_AHEAD = 3
+
+
+@functools.cache
+def _lane() -> ThreadPoolExecutor:
+    # The second thread of _map_blocks, started by its first use and kept:
+    # a thread started per call took about 0.35 ms more per call (the start,
+    # and OpenBLAS setting up for a new thread's first product).
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fedzsl-blocks")
+
+
+def _map_blocks(rows: int, run, then=None):
+    # Calls run(start, stop) for each of _forward_blocks(rows), and
+    # then(start, stop, result) on this thread in row order; returns the
+    # last block's result.  This thread and the lane thread (in a copy of
+    # this thread's context, np.errstate among it) each take the next block
+    # as they come free, at most _AHEAD past the last handed on.  The last
+    # block runs alone once every other has been handed on, so a core that
+    # reduces its per-row vector with the last block reads it whole.  An
+    # earlier block's error is raised first, and the lane is done with the
+    # call before it returns or raises.
+    *blocks, last = _forward_blocks(rows)
+    if blocks:
+        _share(blocks, run, then)
+    result = run(*last)
+    if then is not None:
+        then(*last, result)
+    return result
+
+
+def _share(blocks: list[tuple[int, int]], run, then) -> None:
+    # _map_blocks' blocks before the last.
+    gate = threading.Condition()
+    done: dict[int, tuple[bool, object]] = {}  # index -> (ran, result or error)
+    taken = handed = 0
+    closed = False
+
+    def take(wait: bool) -> bool:
+        # Runs the next block if it is within _AHEAD of the last handed on;
+        # with ``wait``, waits for that.  False when no block is taken.
+        nonlocal taken
+        with gate:
+            while wait and not closed and handed + _AHEAD <= taken < len(blocks):
+                gate.wait()
+            if closed or taken == len(blocks) or taken >= handed + _AHEAD:
+                return False
+            index = taken
+            taken += 1
+        try:
+            outcome = (True, run(*blocks[index]))
+        except BaseException as exc:  # raised on the calling thread, in row order
+            outcome = (False, exc)
+        with gate:
+            done[index] = outcome
+            gate.notify_all()
+        return True
+
+    def lane() -> None:
+        while take(wait=True):
+            pass
+
+    helper = None
+    if len(blocks) > 1:
+        _kernels.compiled()  # built, if at all, before two threads ask for it
+        helper = _lane().submit(contextvars.copy_context().run, lane)
+    try:
+        for index, block in enumerate(blocks):
+            # While the lane runs this block, this thread runs later ones.
+            while index not in done and take(wait=False):
+                pass
+            with gate:
+                while index not in done:
+                    gate.wait()
+                ran, result = done.pop(index)
+            if not ran:
+                raise result
+            if then is not None:
+                then(*block, result)
+            del result
+            with gate:
+                handed += 1
+                gate.notify_all()
+    finally:
+        with gate:
+            closed = True
+            gate.notify_all()
+        if helper is not None and not helper.cancel():
+            helper.result()

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import weakref
 from pathlib import Path
 
@@ -579,33 +578,26 @@ class TestRunSimulation:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nothing_from_a_round_is_kept_across_the_global_loss(self, monkeypatch, threads):
         # Each client's copy of its rows, each update and its trained
-        # tensors are released before their round is scored: when round r's
-        # forward-only global loss and evaluation run, nothing of rounds
-        # 0..r is alive.  Round r + 1's clients may train meanwhile, so
-        # their objects are not counted.
-        refs: dict[int, list] = {}
+        # tensors are released before the forward-only global loss and the
+        # evaluation run.
+        refs = []
         checked = []
         real_local_train = fed.local_train
         real_joint_loss = fed.joint_loss
         real_evaluate = fed.evaluate
 
-        def tracked_local_train(global_params, client_data, A, cfg, round_index, client_id):
-            update = real_local_train(global_params, client_data, A, cfg, round_index, client_id)
-            kept = refs.setdefault(round_index, [])
-            kept.append(weakref.ref(client_data))
-            kept.append(weakref.ref(update))
-            kept.extend(weakref.ref(tensor) for tensor in update.trained.values())
+        def tracked_local_train(global_params, client_data, *args, **kwargs):
+            update = real_local_train(global_params, client_data, *args, **kwargs)
+            refs.append(weakref.ref(client_data))
+            refs.append(weakref.ref(update))
+            refs.extend(weakref.ref(tensor) for tensor in update.trained.values())
             return update
 
         def assert_released(stage):
-            # Scoring runs in round order, so this is round r's stage when
-            # r earlier calls of it have been checked.
-            round_index = sum(1 for s, _ in checked if s == stage)
             gc.collect()
-            kept = [ref for r in range(round_index + 1) for ref in refs.get(r, ())]
-            alive = sum(ref() is not None for ref in kept)
-            assert kept and alive == 0, f"{alive} of {len(kept)} alive at round {round_index}'s {stage}"
-            checked.append((stage, round_index))
+            alive = sum(ref() is not None for ref in refs)
+            assert refs and alive == 0, f"{alive} of {len(refs)} alive at the {stage}"
+            checked.append(stage)
 
         def tracked_joint_loss(*args, grads=True, **kwargs):
             if not grads:
@@ -627,43 +619,37 @@ class TestRunSimulation:
             partition=PartitionSpec(scheme="pccd", num_clients=3, seed=0),
         )
         run_simulation(ds, attrs, cfg, threads=threads)
-        assert checked == [
-            (stage, r) for r in range(cfg.rounds) for stage in ("global loss", "evaluation")
-        ]
+        assert checked == ["global loss", "evaluation"] * cfg.rounds
         # Per client and round: its rows, its update and four trained tensors.
-        assert [len(refs[r]) for r in range(cfg.rounds)] == [cfg.num_clients * 6] * cfg.rounds
+        assert len(refs) == cfg.rounds * cfg.num_clients * 6
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_divergence_while_the_last_round_scores_names_its_client(self, monkeypatch, threads):
-        # Round 1's clients diverge while round 0 is scored, which succeeds:
-        # the error is round 1's and names its first client.  With the BLAS
-        # count pinned, round 0's global loss waits for round 1's training
-        # to start, so the two run at the same time.
-        started = threading.Event()
-        waited = []
+    def test_a_divergence_after_a_clean_round_names_its_client(self, monkeypatch, threads):
+        # Round 0 trains and is scored cleanly; round 1's clients diverge,
+        # and the error is round 1's and names its first client.
+        scored = []
         real_local_train = fed.local_train
         real_joint_loss = fed.joint_loss
 
         def diverging(global_params, client_data, A, cfg, round_index, client_id):
             if round_index == 1:
-                started.set()
                 global_params = global_params.clone()
                 global_params.W_g *= 1e200
             return real_local_train(global_params, client_data, A, cfg, round_index, client_id)
 
-        def scored(*args, grads=True, **kwargs):
+        def counted(*args, grads=True, **kwargs):
+            report = real_joint_loss(*args, grads=grads, **kwargs)
             if not grads:
-                waited.append(started.wait(timeout=30.0) if pinned else None)
-            return real_joint_loss(*args, grads=grads, **kwargs)
+                scored.append(report.total)
+            return report
 
         monkeypatch.setattr(fed, "local_train", diverging)
-        monkeypatch.setattr(fed, "joint_loss", scored)
-        pinned = _blas._controls() is not None
+        monkeypatch.setattr(fed, "joint_loss", counted)
         ds, attrs, distill = tiny_problem()
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError, match=r"^client 0 diverged at round 1, "):
                 run_simulation(ds, attrs, tiny_config(distill, rounds=3), threads=threads)
-        assert waited == [True if pinned else None]
+        assert len(scored) == 1 and math.isfinite(scored[0])
 
     def test_the_blas_count_is_one_during_a_run_and_restored_after(self, monkeypatch):
         controls = _blas._controls()
@@ -743,8 +729,8 @@ class TestClientUpdateRefusals:
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-# A CLI run in a new process; PIN_OFF makes it run as if numpy's OpenBLAS
-# were not found, so nothing pins its thread count.
+# A CLI run in a new process; ``off`` as its first argument makes it run as
+# if numpy's OpenBLAS were not found, so nothing pins its thread count.
 CLI_RUN = """
 import sys
 from fedzsl import _blas

@@ -6,6 +6,9 @@ Each attribute-based term is checked through its single-term view of
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -598,17 +601,17 @@ class TestAllocation:
         assert peak < bound, (peak, bound)
 
 
-def awa_shaped(rows: int, dtype, seed: int = 0):
-    """AwA-shaped params, features, labels, attributes and targets."""
-    d_a, d_v, classes = 85, 256, 50
+def awa_shaped(rows: int, dtype, seed: int = 0, d_a: int = 85, d_v: int = 256, classes: int = 50):
+    """Params, features, labels, attributes and targets, AwA-shaped by default."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d_a, classes))
+    cuts = (d_a * 20 // 85, d_a * 51 // 85)
     attrs = AttributeMatrix(
-        values=raw / np.linalg.norm(raw, axis=0), groups=((0, 20), (20, 51), (51, 85))
+        values=raw / np.linalg.norm(raw, axis=0), groups=((0, cuts[0]), cuts, (cuts[1], d_a))
     )
     gamma = rng.standard_normal((classes, classes))
     distill = DistillConfig(tau=4.0, targets=distill_targets(gamma @ gamma.T / classes, 4.0))
-    params = init_params(d_v, d_a, num_seen=40, mode=ATTRIBUTE_BASED, seed=seed)
+    params = init_params(d_v, d_a, num_seen=classes * 4 // 5, mode=ATTRIBUTE_BASED, seed=seed)
     params.b_h = rng.standard_normal(d_v)
     features = rng.standard_normal((rows, d_v)).astype(dtype)
     labels = rng.integers(0, classes, size=rows)
@@ -639,6 +642,34 @@ class TestForwardOnlyBlocks:
         assert list(forward.terms) == ["sce", "bc", "kl", "ad"]
 
     @pytest.mark.parametrize("body", ["compiled", "numpy"])
+    @pytest.mark.parametrize(
+        "d_a, d_v, classes, rows",
+        [(16, 32, 10, 4800), (6, 8, 8, 767), (6, 8, 8, 4800), (200, 32, 120, 640), (150, 64, 40, 960)],
+    )
+    def test_narrow_and_odd_shapes_are_the_gradient_calls_bytes(
+        self, monkeypatch, d_a, d_v, classes, rows, body
+    ):
+        # Narrow products, where OpenBLAS may take its small-matrix path for
+        # a block and not for the whole product, and the CLI smoke shapes,
+        # each over two or more blocks.  Verified only on OpenBLAS 0.3.31's
+        # SkylakeX kernels.
+        if body == "compiled" and _kernels.compiled() is None:
+            pytest.skip("the compiled kernels are not built")
+        if body == "numpy":
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        args = awa_shaped(rows, np.float32, seed=rows + d_a, d_a=d_a, d_v=d_v, classes=classes)
+        assert len(list(losses._forward_blocks(rows))) >= 2
+        with _blas.one_thread() as pinned:
+            if not pinned:
+                pytest.skip("numpy's bundled OpenBLAS is not found")
+            with_grads = joint_loss(*args, LossWeights())
+            forward = joint_loss(*args, LossWeights(), grads=False)
+        assert {k: v.hex() for k, v in forward.terms.items()} == {
+            k: v.hex() for k, v in with_grads.terms.items()
+        }
+        assert forward.total.hex() == with_grads.total.hex()
+
+    @pytest.mark.parametrize("body", ["compiled", "numpy"])
     @pytest.mark.parametrize("rows", [255, 700, 1200, 3840])
     def test_the_attribute_free_loss_is_the_gradient_calls_bytes(self, monkeypatch, rows, body):
         if body == "compiled" and _kernels.compiled() is None:
@@ -666,3 +697,152 @@ class TestForwardOnlyBlocks:
         assert all(size == losses._ROW_BLOCK for size in sizes[:-1])
         if len(blocks) > 1:
             assert losses._ROW_BLOCK <= sizes[-1] < 2 * losses._ROW_BLOCK
+
+
+class TestMapBlocks:
+    # 1290 rows make five blocks; the last has 266 rows.
+    ROWS = 5 * losses._ROW_BLOCK + 10
+
+    def test_results_are_handed_on_in_row_order_and_the_last_is_returned(self):
+        handed = []
+        here = threading.current_thread()
+
+        def then(start, stop, size):
+            assert threading.current_thread() is here
+            handed.append((start, stop, size))
+
+        last = losses._map_blocks(self.ROWS, lambda start, stop: stop - start, then)
+        blocks = list(losses._forward_blocks(self.ROWS))
+        assert handed == [(start, stop, stop - start) for start, stop in blocks]
+        assert last == blocks[-1][1] - blocks[-1][0]
+
+    def test_a_slow_block_on_one_thread_leaves_the_others_to_the_other(self):
+        # While one thread sits in block 0, the other takes the blocks after
+        # it, so both threads run blocks.
+        threads = {}
+
+        def run(start, stop):
+            threads[start] = threading.current_thread()
+            if start == 0:
+                time.sleep(0.05)
+
+        losses._map_blocks(self.ROWS, run)
+        blocks = list(losses._forward_blocks(self.ROWS))
+        assert sorted(threads) == [start for start, _ in blocks]
+        assert len(set(threads.values())) == 2
+        assert threads[blocks[-1][0]] is threading.current_thread()
+
+    def test_the_last_block_runs_once_every_other_has_been_handed_on(self):
+        events = []
+        lock = threading.Lock()
+        last = list(losses._forward_blocks(self.ROWS))[-1][0]
+
+        def run(start, stop):
+            with lock:
+                events.append(("run", start))
+            if start == losses._ROW_BLOCK * 3:
+                time.sleep(0.05)  # the block before the last finishes last
+
+        def then(start, stop, _):
+            with lock:
+                events.append(("handed", start))
+
+        losses._map_blocks(self.ROWS, run, then)
+        handed = [i for i, (kind, _) in enumerate(events) if kind == "handed"]
+        assert events.index(("run", last)) > max(handed[:-1])
+        assert len(handed) == 5
+
+    def test_no_more_than_the_look_ahead_is_held(self):
+        # Blocks started but not yet handed on never exceed _AHEAD.
+        lock = threading.Lock()
+        counts = {"started": 0, "handed": 0}
+        held = []
+
+        def run(start, stop):
+            with lock:
+                counts["started"] += 1
+                held.append(counts["started"] - counts["handed"])
+            time.sleep(0.001)
+
+        def then(start, stop, _):
+            time.sleep(0.005)  # a slow consumer lets the lane run ahead
+            with lock:
+                counts["handed"] += 1
+
+        losses._map_blocks(20 * losses._ROW_BLOCK, run, then)
+        assert counts == {"started": 20, "handed": 20}
+        assert max(held) <= losses._AHEAD
+
+    def test_an_earlier_blocks_error_comes_first_and_the_lane_is_done_by_then(self):
+        # Block 0 fails once block 1 runs on the other thread, which fails
+        # later.
+        started, finished = threading.Event(), threading.Event()
+
+        def run(start, stop):
+            if start == 0:
+                assert started.wait(timeout=30.0)
+                raise ValueError("block 0")
+            if start == losses._ROW_BLOCK:
+                started.set()
+                time.sleep(0.05)
+                finished.set()
+                raise RuntimeError("block 1")
+            return None
+
+        with pytest.raises(ValueError, match="block 0"):
+            losses._map_blocks(self.ROWS, run)
+        assert finished.is_set()
+
+    def test_an_error_handing_on_stops_the_lane(self):
+        ran = []
+
+        def then(start, stop, _):
+            raise ValueError("handing on")
+
+        with pytest.raises(ValueError, match="handing on"):
+            losses._map_blocks(20 * losses._ROW_BLOCK, lambda start, stop: ran.append(start), then)
+        count = len(ran)
+        time.sleep(0.02)
+        assert len(ran) == count <= 1 + losses._AHEAD
+
+    def test_each_block_runs_once_and_is_handed_on_in_order_under_fast_switching(self):
+        # A thread switch after almost every bytecode: no block is lost,
+        # run twice or handed on out of order.
+        rows = 40 * losses._ROW_BLOCK
+        want = [start for start, _ in losses._forward_blocks(rows)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran, handed = [], []
+                losses._map_blocks(
+                    rows,
+                    lambda start, stop: ran.append(start) or start,
+                    lambda start, stop, got: handed.append((start, got)),
+                )
+                assert sorted(ran) == want
+                assert handed == [(start, start) for start in want]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_lane_runs_in_the_callers_errstate(self):
+        states = []
+        with np.errstate(over="raise"):
+            losses._map_blocks(
+                self.ROWS,
+                lambda start, stop: np.geterr()["over"],
+                lambda start, stop, state: states.append(state),
+            )
+        assert states == ["raise"] * 5
+
+    @pytest.mark.parametrize("rows", [0, 1, 511])
+    def test_one_block_runs_here(self, rows):
+        here = threading.current_thread()
+        handed = []
+        got = losses._map_blocks(
+            rows,
+            lambda start, stop: threading.current_thread(),
+            lambda start, stop, thread: handed.append((start, stop)),
+        )
+        assert handed == [(0, rows)]
+        assert got is here

@@ -8,7 +8,9 @@ folder beside numpy, and sets its thread count through the exported
 ``scipy_openblas_set_num_threads64_`` (threadpoolctl's method).  The count
 is one setting of the whole process, so the pin is counted: the first
 :func:`one_thread` block to enter saves the old count and sets one thread,
-the last to leave restores it.
+the last to leave restores it.  :func:`core` and :func:`pinned_threads`
+name the kernel family and the thread count, which ``fedzsl run`` records
+in its manifest.
 """
 
 from __future__ import annotations
@@ -28,12 +30,17 @@ _holders = 0
 _saved = 0
 
 
+def _bundled() -> list[Path]:
+    # The OpenBLAS libraries bundled in the numpy.libs folder beside numpy.
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return sorted(libs.glob("libscipy_openblas64_*.so")) if libs.is_dir() else []
+
+
 @functools.cache
 def _controls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     # The get and set functions of the thread count of numpy's bundled
     # OpenBLAS, or None when numpy runs another BLAS or none is found.
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas64_*.so")) if libs.is_dir() else []:
+    for lib in _bundled():
         try:
             handle = ctypes.CDLL(str(lib))
             get = handle.scipy_openblas_get_num_threads64_
@@ -44,6 +51,28 @@ def _controls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
         set_.restype, set_.argtypes = None, (ctypes.c_int,)
         return get, set_
     return None
+
+
+@functools.cache
+def core() -> str:
+    """The kernel family numpy's bundled OpenBLAS picked for this CPU, or "unknown".
+
+    Read through ``scipy_openblas_get_corename64_``, for example "SkylakeX"
+    or "Haswell"; each family orders a product's sums its own way.
+    """
+    for lib in _bundled():
+        try:
+            name = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        name.restype, name.argtypes = ctypes.c_char_p, ()
+        return name().decode()
+    return "unknown"
+
+
+def pinned_threads() -> str:
+    """The BLAS thread count a run pins: "1", or "unpinned" where it cannot be set."""
+    return "unpinned" if _controls() is None else "1"
 
 
 @contextmanager

@@ -28,7 +28,9 @@ keyed by a checksum of the source, the compiler Python was built with
 (``sysconfig``'s ``CC``), :data:`FLAGS` and the machine type; a second
 file holds the library's checksum, and an entry whose bytes do not match
 it is built again.  On a miss the library is built with that
-compiler (else ``cc``) into the cache and moved into place atomically.
+compiler (else ``cc``) into the cache and moved into place atomically, and
+the entries of other keys are removed, so the cache holds the current
+source's library alone; a hit looks at no other entry.
 When the cache cannot be read or written, it is built into a temporary
 directory as before, loaded and the directory removed; the library stays
 mapped.  When the library cannot be made (no compiler, a compile error, a
@@ -353,9 +355,25 @@ def _build_cached(cc: list[str], library: Path, checksum: Path) -> Kernels | Non
             os.replace(work / checksum.name, checksum)
         except OSError:
             pass  # the library is loaded; only the cache entry is lost
+        else:
+            _remove_other_entries(library, checksum)
         return kernels
     finally:
         shutil.rmtree(work, ignore_errors=True)
+
+
+def _remove_other_entries(library: Path, checksum: Path) -> None:
+    # After a build, the cache's entries of every other key: builds of
+    # earlier sources, flags or compilers, which this source never loads.  A
+    # cache hit never gets here, so loading scans nothing.  Another process
+    # may be removing the same files, or may have one loaded, which stays
+    # mapped after it is unlinked; any file that cannot be removed is left.
+    for entry in library.parent.glob("kernels-*"):
+        if entry.suffix in (".so", ".sum") and entry not in (library, checksum):
+            try:
+                entry.unlink()
+            except OSError:  # gone already, held, or not ours to remove
+                pass
 
 
 @functools.cache

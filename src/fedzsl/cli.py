@@ -67,6 +67,7 @@ from fedzsl.losses import (
     AblationFlags,
     DistillConfig,
     LossWeights,
+    loss_kernels,
 )
 from fedzsl.model import (
     ATTRIBUTE_BASED,
@@ -312,6 +313,26 @@ def _apply_flags(
     return resolved
 
 
+def _numerics() -> dict[str, object]:
+    # What a run's bytes depend on besides its settings, its data and this
+    # code (README, Determinism): the loss bodies its workspaces chose, the
+    # OpenBLAS kernel family, the BLAS threads the run pinned, and numpy's
+    # version and the SIMD targets its ufuncs dispatch to on this CPU,
+    # which decide the bits of exp and log.
+    try:
+        from numpy._core import _multiarray_umath as umath
+        simd = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    except (ImportError, AttributeError):
+        simd = "unknown"
+    return {
+        "loss_kernels": loss_kernels(),
+        "blas_core": _blas.core(),
+        "blas_threads": _blas.pinned_threads(),
+        "numpy": np.__version__,
+        "numpy_simd": simd or "none",
+    }
+
+
 def _write_manifest(
     path: Path, resolved: dict[str, dict[str, object]], meta: dict[str, object]
 ) -> None:
@@ -420,6 +441,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "out": str(out.resolve()),
         "threads": args.threads,
     }
+    meta.update(_numerics())
     if sim is not None:
         if not sim.converged:
             sys.stderr.write(

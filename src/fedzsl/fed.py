@@ -25,6 +25,7 @@ from fedzsl.losses import (
     DistillConfig,
     LossWeights,
     NonFiniteLossError,
+    StepWorkspace,
     ce_loss_attribute_free,
     joint_loss,
 )
@@ -37,7 +38,9 @@ from fedzsl.model import (
     ModelParams,
     init_opt_state,
     init_params,
-    sgd_step,
+    # Not called here: local steps update through StepWorkspace.  Kept at the
+    # name perfbench/tracing.py wraps, so that its hook still resolves.
+    sgd_step,  # noqa: F401
 )
 from fedzsl.partition import ClientPartition, PartitionSpec, partition, sample_clients
 
@@ -203,25 +206,32 @@ def local_train(
     params = global_params.clone()
     opt = init_opt_state(params, cfg.local_lr, cfg.momentum, cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, round_index, client_id])
-    seen = client_data.split.seen
+    # One workspace for the client's steps, released when this call returns,
+    # so none is alive while the round is scored.
+    work = StepWorkspace(
+        params,
+        client_data.features,
+        client_data.labels,
+        cfg.batch_size,
+        A=A,
+        distill=cfg.distill,
+        weights=cfg.weights,
+        ablation=cfg.ablation,
+        seen=client_data.split.seen,
+        opt=opt,
+    )
     loss_sum = 0.0
     steps = 0
     for epoch in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
             try:
-                report = _local_loss(
-                    params, client_data.features[batch], client_data.labels[batch], A, cfg, seen
-                )
+                loss_sum += work.step(order[start : start + cfg.batch_size])
             except NonFiniteLossError as exc:
                 raise TrainingDivergedError(
                     f"client {client_id} diverged at round {round_index}, "
                     f"epoch {epoch}, step {steps}: {exc}"
                 ) from exc
-            # The LossReport has scanned every gradient for finiteness.
-            sgd_step(params, report.grads, opt, check_finite=False)
-            loss_sum += report.total
             steps += 1
     # params is this call's private clone, so its arrays can be handed over.
     local_tensors = params.tensors()

@@ -17,27 +17,38 @@ rows at a time, skip every backward product, and report no gradients; the
 total and terms are bit-identical to the gradient-computing call under one
 BLAS thread.
 
-The kernels allocate little: each elementwise step writes into an array
-the kernel already owns, and the row-local softmax, KL and decorrelation
-work runs over blocks of at most ``_ROW_BLOCK`` rows, so a training batch
-is one block.  The forward-only loss (``grads=False``, the per-round
-global loss over the whole training split) goes further: it takes its
-products too over blocks of ``_ROW_BLOCK`` rows, so it never holds an
-array over all rows x d_a, classes or d_v.  Three rules keep every result
-bit-identical to whole-array code.  Matrix products are split by rows only
-into blocks of 256 (``_ROW_BLOCK``) or more rows, and only under one BLAS
-thread, which ``fedzsl.run_simulation`` pins: OpenBLAS blocks and orders
-its sums by the shape of the call, and a block of that many rows rounds
-as the same rows of the whole product do, where a smaller one need not.
-That was checked only on OpenBLAS 0.3.31's SkylakeX kernels, at the
-benchmark shapes, at d_v 2048 and at narrow shapes down to d_a 6, d_v 8;
-under more BLAS threads, or another BLAS, the forward-only loss may differ
-from the gradient-computing call in its last bits.  Per-row values (the
+Losses with gradients run in a ``StepWorkspace``: every array the step
+writes (the gathered batch, ``a_hat``, the class scores, each term's work
+arrays, ``a_hat``'s gradient and the parameter gradients) is allocated
+once, 64-byte aligned, and the address of each is bound once.  Local
+training builds one per client and takes every step in it: each product
+goes into its array through ``np.matmul(..., out=)``, which writes the
+bits of ``@``, and a short last batch uses the leading rows of each array.
+So a step allocates nothing, and nothing is looked up or checked per step
+save the finiteness of the total, each term and every gradient.  The
+public ``joint_loss`` and ``ce_loss_attribute_free`` build a one-shot
+workspace, so there is one code path.  The row-local softmax, KL and
+decorrelation work runs over blocks of at most ``_ROW_BLOCK`` rows, so a
+training batch is one block.
+
+The forward-only loss (``grads=False``, the per-round global loss over the
+whole training split) takes its products too over blocks of
+``_ROW_BLOCK`` rows, so it never holds an array over all rows x d_a,
+classes or d_v.  Three rules keep every result bit-identical to
+whole-array code.  Matrix products are split by rows only into blocks of
+256 (``_ROW_BLOCK``) or more rows, and only under one BLAS thread, which
+``fedzsl.run_simulation`` pins: OpenBLAS blocks and orders its sums by the
+shape of the call, and a block of that many rows rounds as the same rows
+of the whole product do, where a smaller one need not.  That was checked
+only on OpenBLAS 0.3.31's SkylakeX kernels, at the benchmark shapes, at
+d_v 2048 and at narrow shapes down to d_a 6, d_v 8; under more BLAS
+threads, or another BLAS, the forward-only loss may differ from the
+gradient-computing call in its last bits.  Per-row values (the
 log-probabilities at the labels, the KL row sums, the group norms) are
 written into full-length vectors and each is reduced once: numpy sums by
 pairwise recursion over the whole vector, and adding per-block partial
-sums would group the additions differently.  BC's sum of squares over
-all rows x d_v values goes on to a compiled stream that walks the same
+sums would group the additions differently.  BC's sum of squares over all
+rows x d_v values goes on to a compiled stream that walks the same
 pairwise recursion block by block (``_SquareSum``), or, on the numpy
 bodies, into one full-length vector reduced once.  Reductions in C follow
 numpy's pairwise order and are checked at load.  Since no value depends on
@@ -45,19 +56,23 @@ the order the blocks run in, the calling thread and one more take them as
 each comes free (``_map_blocks``), and the evaluation's predictions run
 the same way.
 
-The elementwise passes and reductions of each term, and ``LossReport``'s
-finiteness scan, run in the compiled library (``fedzsl._kernels``) a few
-calls per row block: before ``exp``, between ``exp`` and ``log``, and
-after ``log``.  ``joint_loss``'s weighted sum of the term gradients stays
-numpy: done in C it measured slower at both benchmark batch shapes.  Matrix products and numpy's
-``exp`` and ``log`` stay numpy calls on whole contiguous blocks, whose bits
-do not depend on an element's position.  Each compiled path performs its
-numpy body's IEEE operations in the same order; the numpy body runs
-instead, per call, when the library is missing, when its reductions did
-not match numpy's at load, or when an input is not an array the kernels
-take (``_kernels.fits``: non-empty, aligned, C-contiguous float64, int64
-for labels; float32 features, as ``features.bin`` loads them, are widened
-in C exactly as numpy widens them).
+The elementwise passes and reductions of each term, and the finiteness
+scan of the gradients, run in the compiled library (``fedzsl._kernels``) a
+few calls per row block: before ``exp``, between ``exp`` and ``log``, and
+after ``log``.  The weighted sum of the term gradients stays numpy: done
+in C it measured slower at both benchmark batch shapes.  Matrix products
+and numpy's ``exp`` and ``log`` stay numpy calls on whole contiguous
+blocks, whose bits do not depend on an element's position.  Each compiled
+path performs its numpy body's IEEE operations in the same order.  Whether
+the compiled paths or the numpy bodies run is chosen once per workspace
+and once per forward-only call (``_loss_kernels``), never per kernel call:
+the numpy bodies run when the library is missing, when its reductions did
+not match numpy's at load, or when an input array the kernels read and
+that the losses did not allocate (the distillation targets, the features
+of the forward-only loss's reconstruction) is not a layout they take
+(``_kernels.fits``).  The step workspace widens float32 features, as
+``features.bin`` loads them, into its own float64 batch, which changes no
+bit: numpy widens them exactly before any product.
 """
 
 from __future__ import annotations
@@ -78,6 +93,11 @@ from fedzsl.model import (
     ATTRIBUTE_BASED,
     ATTRIBUTE_FREE,
     ModelParams,
+    OptState,
+    _affine_rows,
+    _bound_update,
+    _check_update,
+    _numpy_update,
     forward_attr,
     forward_decode,
     forward_head,
@@ -171,24 +191,38 @@ class LossReport:
 
     def __post_init__(self) -> None:
         self.total = float(self.total)
-        if not math.isfinite(self.total):
-            raise NonFiniteLossError(f"loss total is non-finite ({self.total})")
-        for name, value in self.terms.items():
-            if not math.isfinite(value):
-                raise NonFiniteLossError(f"loss term '{name}' is non-finite ({value})")
-        for name, grad in self.grads.items():
-            if not _all_finite(grad):
-                raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
+        _require_finite(
+            self.total, self.terms, ((name, _all_finite(g)) for name, g in self.grads.items())
+        )
+
+
+def _require_finite(total: float, terms: dict[str, float], finite_grads) -> None:
+    # Raises NonFiniteLossError for the first of the total, the terms and the
+    # gradients that is not finite.  ``finite_grads`` yields (name, whether
+    # every entry is finite) and is read only up to the first that is not.
+    if not math.isfinite(total):
+        raise NonFiniteLossError(f"loss total is non-finite ({total})")
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise NonFiniteLossError(f"loss term '{name}' is non-finite ({value})")
+    for name, finite in finite_grads:
+        if not finite:
+            raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
 
 
 def _all_finite(grad: np.ndarray) -> bool:
-    # Whether every entry of grad is finite: one compiled pass, or in numpy
-    # a sum, since a finite sum proves every entry finite (any NaN or
-    # infinity would carry into it), and only a non-finite sum, which may
-    # also come from finite entries that overflow, needs the entrywise scan.
-    kernels = _loss_kernels((grad,), ())
+    # Whether every entry of any gradient array is finite: one compiled pass
+    # where the kernels take it, else _finite_numpy.
+    kernels = _loss_kernels(grad)
     if kernels is not None:
         return bool(kernels.all_finite(grad.size, _kernels.address(grad)))
+    return _finite_numpy(grad)
+
+
+def _finite_numpy(grad: np.ndarray) -> bool:
+    # A sum, since a finite sum proves every entry finite (any NaN or
+    # infinity would carry into it), and only a non-finite sum, which may
+    # also come from finite entries that overflow, needs the entrywise scan.
     with np.errstate(over="ignore", invalid="ignore"):
         return math.isfinite(np.add.reduce(grad, axis=None)) or bool(np.all(np.isfinite(grad)))
 
@@ -196,7 +230,8 @@ def _all_finite(grad: np.ndarray) -> bool:
 def _as_batch(
     features: np.ndarray, labels: np.ndarray, d_v: int, loss_name: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    # The features as a (B, d_v) batch and the labels as one per row.
+    # The features as a (B, d_v) batch and the labels as one int64 per row,
+    # in a layout the kernels take.
     v = _as_features(features)
     if v.ndim != 2 or v.shape[1] != d_v:
         raise LossError(f"features must have shape (B, {d_v}), got {v.shape}")
@@ -205,12 +240,22 @@ def _as_batch(
     y = _as_ids(labels, f"{loss_name}: labels", LossError)
     if y.shape != (v.shape[0],):
         raise LossError(f"{loss_name}: labels must have shape ({v.shape[0]},), got {y.shape}")
-    return v, y
+    return v, np.require(y, requirements="CA")
 
 
 def _require_mode(params: ModelParams, mode: str, loss_name: str) -> None:
     if params.mode != mode:
         raise LossError(f"{loss_name} requires {mode} params, got {params.mode}")
+
+
+def _aligned(shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    # An uninitialized C-contiguous array whose first element sits on a
+    # 64-byte boundary, carved out of a byte buffer that it keeps alive.
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape if isinstance(shape, tuple) else (shape,)) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 def _row_blocks(rows: int):
@@ -226,7 +271,31 @@ def _log_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+class _SoftmaxWork:
+    """The work arrays of one softmax term, 64-byte aligned, with their addresses.
+
+    ``out`` has ``out_rows`` rows of ``classes`` values: SCE's
+    log-probabilities, which become its logit gradient, or KL's logit
+    gradient.  ``exps`` holds a block of exponentials (then KL's
+    contributions) and ``log_sums`` their row sums, for blocks of up to
+    ``min(rows, _ROW_BLOCK)`` rows.  The numpy bodies use ``out`` alone.
+    """
+
+    __slots__ = ("out", "exps", "log_sums", "out_at", "exps_at", "sums_at")
+
+    def __init__(self, out_rows: int, rows: int, classes: int) -> None:
+        block = min(rows, _ROW_BLOCK)
+        work = _aligned((out_rows + block) * classes + block)
+        self.out = work[: out_rows * classes].reshape(out_rows, classes)
+        self.exps = work[out_rows * classes : (out_rows + block) * classes].reshape(block, classes)
+        self.log_sums = work[(out_rows + block) * classes :]
+        self.out_at = _kernels.address(work)
+        self.exps_at = self.out_at + 8 * out_rows * classes
+        self.sums_at = self.exps_at + 8 * block * classes
+
+
 def _sce_core(
+    kernels: _kernels.Kernels | None,
     scores: np.ndarray,
     positions: np.ndarray,
     grads: bool,
@@ -234,84 +303,90 @@ def _sce_core(
     first: int = 0,
 ) -> tuple[float | None, np.ndarray | None]:
     # Cross-entropy of softmax(scores) at the label and, with gradients, the
-    # logit gradient, which each caller carries through its own product.
-    # ``scores`` is left as it is for the KL term.  The log-softmax of each
-    # block is written into its rows of d_logits and turned into the logit
-    # gradient there.  The log-probabilities at the labels go into
-    # ``picked[first:]`` (a vector of its own by default); the loss, their
-    # negated mean, is returned once the rows reach the end of ``picked``,
-    # else None.
-    kernels = _loss_kernels((scores,), (positions,))
-    if picked is None:
-        picked = np.empty(scores.shape[0])
-    if kernels is not None:
-        return _sce_compiled(kernels, scores, positions, grads, picked, first)
+    # logit gradient, which each caller carries through its own product;
+    # compiled (_sce_compiled) when ``kernels`` is given, else _sce_numpy.
+    # ``scores`` is left as it is for the KL term.  The log-probabilities at
+    # the labels go into ``picked[first:]`` (a vector of its own by
+    # default); the loss, their negated mean, is returned once the rows
+    # reach the end of ``picked``, else None.
     batch, classes = scores.shape
-    if grads:
-        d_logits = np.empty_like(scores)
-    else:
-        work = np.empty((min(batch, _ROW_BLOCK), classes))
-    for start, stop in _row_blocks(batch):
-        rows = np.arange(stop - start)
-        labels = positions[start:stop]
-        out = d_logits[start:stop] if grads else work[: stop - start]
-        log_probs = _log_softmax(scores[start:stop], out)
-        picked[first + start : first + stop] = log_probs[rows, labels]
-        if grads:
-            np.exp(log_probs, out=log_probs)
-            log_probs[rows, labels] -= 1.0
-            log_probs /= batch
-    value = float(-picked.mean()) if first + batch == picked.size else None
-    return value, d_logits if grads else None
+    if picked is None:
+        picked = np.empty(batch)
+    work = _SoftmaxWork(batch if grads else min(batch, _ROW_BLOCK), batch, classes)
+    if kernels is None:
+        return _sce_numpy(work, scores, positions, grads, picked, first)
+    at = _kernels.address
+    return _sce_compiled(
+        kernels, work, scores, at(scores), at(positions), grads, picked, at(picked), first
+    )
 
 
-def _sce_compiled(
-    kernels: _kernels.Kernels,
+def _sce_numpy(
+    work: _SoftmaxWork,
     scores: np.ndarray,
     positions: np.ndarray,
     grads: bool,
     picked: np.ndarray,
     first: int,
 ) -> tuple[float | None, np.ndarray | None]:
-    # _sce_core's numpy body, stage by stage: per block, the shift by the row
-    # maximum, numpy's exp, the row sums, numpy's log, the log-probabilities
-    # and their entries at the labels, and with gradients numpy's exp and
-    # the logit gradient.  One work array holds the log-probabilities (the
-    # whole d_logits with gradients, else one block), a block of
-    # exponentials and its row sums.
+    # The log-softmax of each block is written into its rows of work.out
+    # (the block's own with gradients, else the first) and turned into the
+    # logit gradient there.
+    batch = scores.shape[0]
+    for start, stop in _row_blocks(batch):
+        rows = np.arange(stop - start)
+        labels = positions[start:stop]
+        row = start if grads else 0
+        log_probs = _log_softmax(scores[start:stop], work.out[row : row + stop - start])
+        picked[first + start : first + stop] = log_probs[rows, labels]
+        if grads:
+            np.exp(log_probs, out=log_probs)
+            log_probs[rows, labels] -= 1.0
+            log_probs /= batch
+    value = float(-picked.mean()) if first + batch == picked.size else None
+    return value, work.out[:batch] if grads else None
+
+
+def _sce_compiled(
+    kernels: _kernels.Kernels,
+    work: _SoftmaxWork,
+    scores: np.ndarray,
+    scores_at: int,
+    labels_at: int,
+    grads: bool,
+    picked: np.ndarray,
+    picked_at: int,
+    first: int,
+) -> tuple[float | None, np.ndarray | None]:
+    # _sce_numpy, stage by stage: per block, the shift by the row maximum,
+    # numpy's exp, the row sums, numpy's log, the log-probabilities and
+    # their entries at the labels, and with gradients numpy's exp and the
+    # logit gradient.  ``*_at`` are the addresses of scores, the labels and
+    # picked.
     batch, classes = scores.shape
-    block = min(batch, _ROW_BLOCK)
-    out_rows = batch if grads else block
-    work = np.empty((out_rows + block) * classes + block)
-    out = work[: out_rows * classes].reshape(out_rows, classes)
-    exps = work[out_rows * classes : (out_rows + block) * classes].reshape(block, classes)
-    log_sums = work[(out_rows + block) * classes :]
-    at = _kernels.address(work)
-    exps_at = at + 8 * out_rows * classes
-    sums_at = exps_at + 8 * block * classes
-    picked_at = _kernels.address(picked)
-    scores_at, labels_at = _kernels.address(scores), _kernels.address(positions)
+    out, exps, log_sums = work.out, work.exps, work.log_sums
     for start, stop in _row_blocks(batch):
         rows = stop - start
         row = start if grads else 0
         log_probs = out[row : row + rows]
-        probs_at = at + 8 * row * classes
+        probs_at = work.out_at + 8 * row * classes
         kernels.softmax_shift(rows, classes, scores_at + 8 * start * classes, probs_at, 1.0)
         np.exp(log_probs, out=exps[:rows])
-        kernels.row_sums(rows, classes, exps_at, sums_at)
+        kernels.row_sums(rows, classes, work.exps_at, work.sums_at)
         np.log(log_sums[:rows], out=log_sums[:rows])
         total = kernels.sce_rows(
-            rows, classes, probs_at, sums_at, labels_at + 8 * start, picked_at,
+            rows, classes, probs_at, work.sums_at, labels_at + 8 * start, picked_at,
             first + start, picked.size,
         )
         if grads:
             np.exp(log_probs, out=log_probs)
             kernels.sce_grad(rows, classes, probs_at, labels_at + 8 * start, batch)
     value = -(total / picked.size) if first + batch == picked.size else None
-    return value, out if grads else None
+    return value, out[:batch] if grads else None
 
 
 def _ad_core(
+    kernels: _kernels.Kernels | None,
     a_hat: np.ndarray,
     groups: tuple[tuple[int, int], ...],
     grads: bool,
@@ -319,18 +394,40 @@ def _ad_core(
     first: int = 0,
 ) -> tuple[float | None, np.ndarray | None]:
     # Sum of unsquared group norms per sample; the gradient of each group is
-    # its unit direction, taken as 0 below the zero-norm threshold.  One
-    # elementwise square per row block serves every group; each group's row
-    # sums and their square roots are the ones np.linalg.norm(block, axis=1)
-    # computes.  The norms go into columns first: of ``norms`` (groups x
-    # rows, an array of its own by default); the loss is returned once the
-    # rows reach its last column, else None.
-    batch = a_hat.shape[0]
+    # its unit direction, taken as 0 below the zero-norm threshold.
+    # Compiled (_ad_compiled) when ``kernels`` is given, else _ad_numpy.  The
+    # norms go into columns first: of ``norms`` (groups x rows, an array of
+    # its own by default); the loss is returned once the rows reach its last
+    # column, else None.
+    batch, d_a = a_hat.shape
     if norms is None:
         norms = np.empty((len(groups), batch))
-    kernels = _loss_kernels((a_hat,), ())
-    if kernels is not None and _group_bounds(groups)[2] <= a_hat.shape[1]:
-        return _ad_compiled(kernels, a_hat, groups, grads, norms, first)
+    grad = np.empty((batch, d_a)) if grads else None
+    if kernels is None:
+        return _ad_numpy(a_hat, groups, norms, first, grad)
+    # ``bounds`` keeps the array that ``bounds_at`` points into alive for the
+    # call: the cache of _group_bounds may drop its entry meanwhile.
+    bounds, bounds_at = _group_bounds(groups)
+    at = _kernels.address
+    value = _ad_compiled(
+        kernels, batch, d_a, at(a_hat), len(groups), bounds_at, at(norms),
+        at(grad) if grads else None, first, norms.shape[1],
+    )
+    return value, grad if value is not None else None
+
+
+def _ad_numpy(
+    a_hat: np.ndarray,
+    groups: tuple[tuple[int, int], ...],
+    norms: np.ndarray,
+    first: int,
+    grad: np.ndarray | None,
+) -> tuple[float | None, np.ndarray | None]:
+    # One elementwise square per row block serves every group; each group's
+    # row sums and their square roots are the ones
+    # np.linalg.norm(block, axis=1) computes.  The gradient, when ``grad``
+    # is given (the rows are then all of them), is written into it.
+    batch = a_hat.shape[0]
     squares = np.empty((min(batch, _ROW_BLOCK), a_hat.shape[1]))
     for start, stop in _row_blocks(batch):
         block = a_hat[start:stop]
@@ -347,13 +444,12 @@ def _ad_core(
     total = 0.0
     for group_total in norms.sum(axis=1).tolist():
         total += group_total
-    if not grads:
+    if grad is None:
         return total / size, None
     safe = norms >= ZERO_NORM_EPS
     all_safe = bool(safe.all())
     if not all_safe:
         norms[~safe] = 1.0
-    grad = np.empty_like(a_hat)
     for k, (begin, end) in enumerate(groups):
         np.divide(a_hat[:, begin:end], norms[k][:, None], out=grad[:, begin:end])
         if not all_safe:
@@ -364,50 +460,37 @@ def _ad_core(
 
 def _ad_compiled(
     kernels: _kernels.Kernels,
-    a_hat: np.ndarray,
-    groups: tuple[tuple[int, int], ...],
-    grads: bool,
-    norms: np.ndarray,
+    rows: int,
+    d_a: int,
+    a_hat_at: int,
+    groups: int,
+    bounds_at: int,
+    norms_at: int,
+    grad_at: int | None,
     first: int,
-) -> tuple[float | None, np.ndarray | None]:
-    # _ad_core's numpy body in one call over the block's rows.
-    batch, d_a = a_hat.shape
-    # ``bounds`` keeps the array that ``bounds_at`` points into alive for the
-    # call: the cache of _group_bounds may drop its entry meanwhile.
-    bounds, bounds_at, _ = _group_bounds(groups)
-    grad = np.empty((batch, d_a)) if grads else None
+    size: int,
+) -> float | None:
+    # _ad_numpy in one call over the block's rows, through the addresses of
+    # a_hat, the groups' bounds, the norms (groups x size) and the gradient
+    # (or None); the term once the rows reach ``size``, else None.
     total = kernels.ad(
-        batch,
-        d_a,
-        _kernels.address(a_hat),
-        len(groups),
-        bounds_at,
-        _kernels.address(norms),
-        _kernels.address(grad) if grads else None,
-        ZERO_NORM_EPS,
-        first,
-        norms.shape[1],
+        rows, d_a, a_hat_at, groups, bounds_at, norms_at, grad_at, ZERO_NORM_EPS, first, size
     )
-    if first + batch != norms.shape[1]:
-        return None, None
-    return total / norms.shape[1], grad
+    return total / size if first + rows == size else None
 
 
 @functools.lru_cache(maxsize=8)
-def _group_bounds(groups: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int, int]:
-    # The groups' (first, end) pairs as one int64 array, its address (valid
-    # while a caller holds the array), and the columns the compiled pass may
-    # read: every group's end when the groups are in range, else a bound no
-    # row reaches, so a bad group takes the numpy body and its error.
+def _group_bounds(groups: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int]:
+    # The groups' (first, end) pairs as one int64 array and its address,
+    # valid while a caller holds the array.  AttributeMatrix checks that the
+    # groups partition its d_a columns.
     bounds = np.array(groups, dtype=np.int64).reshape(-1)
-    in_range = bounds.size and (bounds[::2] >= 0).all() and (bounds[::2] <= bounds[1::2]).all()
-    reach = int(bounds.max()) if in_range else np.iinfo(np.int64).max
-    return bounds, _kernels.address(bounds), reach
+    return bounds, _kernels.address(bounds)
 
 
 def _kl_core(
+    kernels: _kernels.Kernels | None,
     scores: np.ndarray,
-    prototypes: np.ndarray,
     targets: np.ndarray,
     log_targets: np.ndarray,
     labels: np.ndarray,
@@ -417,20 +500,39 @@ def _kl_core(
     first: int = 0,
 ) -> tuple[float | None, np.ndarray | None]:
     # tau^2-scaled KL(target || softmax(z/tau)) per sample, meaned over the
-    # batch; d/dz is tau * (softmax - target) / B.  Overwrites ``scores``
-    # with the log-probabilities block by block, and gathers each block's
-    # target rows (and their cached logarithms) by label.  Each row's KL sum
-    # goes into ``row_sums[first:]`` (a vector of its own by default); the
-    # loss is returned once the rows reach its end, else None.
+    # batch, and with gradients its logit gradient, tau * (softmax -
+    # target) / B, which the caller carries through its product; compiled
+    # (_kl_compiled) when ``kernels`` is given, else _kl_numpy.  Overwrites
+    # ``scores`` with the log-probabilities block by block.  Each row's KL
+    # sum goes into ``row_sums[first:]`` (a vector of its own by default);
+    # the loss is returned once the rows reach its end, else None.
+    batch, classes = scores.shape
     if row_sums is None:
-        row_sums = np.empty(scores.shape[0])
-    kernels = _loss_kernels((scores, targets, log_targets), (labels,))
-    if kernels is not None and targets.shape[1] == scores.shape[1] == log_targets.shape[1]:
-        return _kl_compiled(
-            kernels, scores, prototypes, targets, log_targets, labels, tau, grads, row_sums, first
-        )
+        row_sums = np.empty(batch)
+    work = _SoftmaxWork(batch if grads else 0, batch, classes)
+    if kernels is None:
+        return _kl_numpy(work, scores, targets, log_targets, labels, tau, grads, row_sums, first)
+    at = _kernels.address
+    return _kl_compiled(
+        kernels, work, scores, at(scores), at(targets), at(log_targets), at(labels), tau, grads,
+        row_sums, at(row_sums), first,
+    )
+
+
+def _kl_numpy(
+    work: _SoftmaxWork,
+    scores: np.ndarray,
+    targets: np.ndarray,
+    log_targets: np.ndarray,
+    labels: np.ndarray,
+    tau: float,
+    grads: bool,
+    row_sums: np.ndarray,
+    first: int,
+) -> tuple[float | None, np.ndarray | None]:
+    # Gathers each block's target rows (and their cached logarithms) by
+    # label; the logit gradient goes into work.out.
     batch = scores.shape[0]
-    d_logits = np.empty_like(scores) if grads else None
     for start, stop in _row_blocks(batch):
         log_probs = scores[start:stop]
         log_probs /= tau
@@ -445,76 +547,63 @@ def _kl_core(
             contributions[zero] = 0.0
         np.add.reduce(contributions, axis=1, out=row_sums[first + start : first + stop])
         if grads:
-            d_block = np.exp(log_probs, out=d_logits[start:stop])
+            d_block = np.exp(log_probs, out=work.out[start:stop])
             d_block -= target_rows
             d_block *= tau
             d_block /= batch
     if first + batch != row_sums.size:
         return None, None
     value = float(tau * tau * row_sums.mean())
-    if not grads:
-        return value, None
-    return value, d_logits @ prototypes.T
+    return value, work.out[:batch] if grads else None
 
 
 def _kl_compiled(
     kernels: _kernels.Kernels,
+    work: _SoftmaxWork,
     scores: np.ndarray,
-    prototypes: np.ndarray,
-    targets: np.ndarray,
-    log_targets: np.ndarray,
-    labels: np.ndarray,
+    scores_at: int,
+    targets_at: int,
+    log_targets_at: int,
+    labels_at: int,
     tau: float,
     grads: bool,
     row_sums: np.ndarray,
+    row_sums_at: int,
     first: int,
 ) -> tuple[float | None, np.ndarray | None]:
-    # _kl_core's numpy body, stage by stage: per block, the division by tau
-    # and the shift by the row maximum, numpy's exp, the row sums, numpy's
-    # log, the log-probabilities with each row's KL sum, and with gradients
-    # numpy's exp and the logit gradient.  One work array holds d_logits,
-    # with gradients, a block of exponentials (then of KL contributions)
-    # and its row sums.
+    # _kl_numpy, stage by stage: per block, the division by tau and the
+    # shift by the row maximum, numpy's exp, the row sums, numpy's log, the
+    # log-probabilities with each row's KL sum, and with gradients numpy's
+    # exp and the logit gradient.  ``*_at`` are the arrays' addresses.
     batch, classes = scores.shape
-    block = min(batch, _ROW_BLOCK)
-    size = batch * classes if grads else 0
-    work = np.empty(size + block * classes + block)
-    d_logits = work[:size].reshape(batch, classes) if grads else None
-    exps = work[size : size + block * classes].reshape(block, classes)
-    log_sums = work[size + block * classes :]
-    d_at = _kernels.address(work)
-    exps_at = d_at + 8 * size
-    sums_at = exps_at + 8 * block * classes
-    row_sums_at = _kernels.address(row_sums)
-    scores_at, labels_at = _kernels.address(scores), _kernels.address(labels)
-    targets_at, log_targets_at = _kernels.address(targets), _kernels.address(log_targets)
+    exps, log_sums = work.exps, work.log_sums
     for start, stop in _row_blocks(batch):
         rows = stop - start
         log_probs = scores[start:stop]
         probs_at = scores_at + 8 * start * classes
         kernels.softmax_shift(rows, classes, probs_at, probs_at, tau)
         np.exp(log_probs, out=exps[:rows])
-        kernels.row_sums(rows, classes, exps_at, sums_at)
+        kernels.row_sums(rows, classes, work.exps_at, work.sums_at)
         np.log(log_sums[:rows], out=log_sums[:rows])
         total = kernels.kl_rows(
             rows,
             classes,
             probs_at,
-            sums_at,
+            work.sums_at,
             targets_at,
             log_targets_at,
             labels_at + 8 * start,
-            exps_at,
+            work.exps_at,
             row_sums_at,
             first + start,
             row_sums.size,
         )
         if grads:
-            np.exp(log_probs, out=d_logits[start:stop])
+            np.exp(log_probs, out=work.out[start:stop])
             kernels.kl_grad(
                 rows,
                 classes,
-                d_at + 8 * start * classes,
+                work.out_at + 8 * start * classes,
                 targets_at,
                 labels_at + 8 * start,
                 tau,
@@ -523,39 +612,34 @@ def _kl_compiled(
     if first + batch != row_sums.size:
         return None, None
     value = tau * tau * (total / row_sums.size)
-    if not grads:
-        return value, None
-    return value, d_logits @ prototypes.T
+    return value, work.out[:batch] if grads else None
 
 
-def _bc_core(
-    a_hat: np.ndarray,
-    v: np.ndarray,
-    params: ModelParams,
-    grads: bool,
-) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    # Reconstruction residual r_i = h(a_hat_i) - v_i, reduced as the mean
-    # squared norm.  The residual becomes its own square (loss only) or its
-    # gradient in place.
-    batch = a_hat.shape[0]
-    residual = forward_decode(params, a_hat)
-    kernels = _loss_kernels((residual,), ())
-    if kernels is not None and _bc_fits(v, residual.shape):
-        value, d_b_h = _bc_compiled(kernels, residual, v, grads)
-        if not grads:
-            return value, None, None, None
-    else:
-        residual -= v
-        if not grads:
-            residual *= residual
-            return float(residual.sum() / batch), None, None, None
-        value = float((residual * residual).sum() / batch)
-        residual *= 2.0
-        residual /= batch
-        d_b_h = residual.sum(axis=0)
-    d_W_h = residual.T @ a_hat
-    d_a_hat = residual @ params.W_h
-    return value, d_a_hat, d_W_h, d_b_h
+def _bc_numpy(residual: np.ndarray, v: np.ndarray, d_b: np.ndarray) -> float:
+    # The reconstruction term from the decoder's output r = h(a_hat): the
+    # mean squared norm of r - v.  The residual becomes its gradient in
+    # place, and its column sums, b_h's gradient, go into ``d_b``.
+    batch = residual.shape[0]
+    residual -= v
+    value = float((residual * residual).sum() / batch)
+    residual *= 2.0
+    residual /= batch
+    np.add.reduce(residual, axis=0, out=d_b)
+    return value
+
+
+def _bc_compiled(
+    kernels: _kernels.Kernels,
+    rows: int,
+    d_v: int,
+    residual_at: int,
+    v_at: int,
+    v_f32: bool,
+    d_b_at: int,
+) -> float:
+    # _bc_numpy in one call, through the addresses of the residual, the
+    # features (float32 ones widened exactly) and b_h's gradient.
+    return kernels.bc(rows, d_v, residual_at, v_at, v_f32, d_b_at, None) / rows
 
 
 def _bc_fits(v: np.ndarray, shape: tuple[int, ...]) -> bool:
@@ -563,45 +647,24 @@ def _bc_fits(v: np.ndarray, shape: tuple[int, ...]) -> bool:
     return v.dtype in _FEATURE_DTYPES and v.shape == shape and _kernels.fits(v.dtype, v)
 
 
-def _bc_compiled(
-    kernels: _kernels.Kernels, residual: np.ndarray, v: np.ndarray, grads: bool
-) -> tuple[float, np.ndarray | None]:
-    # _bc_core's numpy body in one call: the subtraction (float32 features
-    # are widened exactly), the sum of squares and, with gradients, the
-    # residual's scaling and its column sums, b_h's gradient.
-    batch, d_v = residual.shape
-    d_b_h = np.empty(d_v) if grads else None
-    total = kernels.bc(
-        batch,
-        d_v,
-        _kernels.address(residual),
-        _kernels.address(v),
-        v.dtype == np.float32,
-        _kernels.address(d_b_h) if grads else None,
-        None,
-    )
-    return total / batch, d_b_h
-
-
 class _SquareSum:
     """The sum of squares of a split's reconstruction residual, one block of rows at a time.
 
     The sum is ``np.add.reduce`` over all rows x d_v squares, as one call
-    over the whole residual takes it: fed to a compiled stream when the
-    kernels take the features, else written into one full-length vector
-    that is reduced once.  ``add`` takes each block's residual and
-    features, in row order, and returns the sum once the last block is in,
-    else None.
+    over the whole residual takes it: fed to a compiled stream when
+    ``kernels`` is given and takes the features, else written into one
+    full-length vector that is reduced once.  ``add`` takes each block's
+    residual and features, in row order, and returns the sum once the last
+    block is in, else None.
     """
 
-    def __init__(self, v: np.ndarray, d_v: int) -> None:
+    def __init__(self, kernels: _kernels.Kernels | None, v: np.ndarray, d_v: int) -> None:
         rows = v.shape[0]
         self.size = rows * d_v
-        self._kernels = _loss_kernels((), ())
-        if self._kernels is not None and _bc_fits(v, (rows, d_v)):
+        self._kernels = kernels if _bc_fits(v, (rows, d_v)) else None
+        if self._kernels is not None:
             self._state = _kernels.stream(self._kernels, self.size)
         else:
-            self._kernels = None
             self._squares = np.empty(self.size)
         self._filled = 0
 
@@ -629,21 +692,27 @@ class _SquareSum:
 _FEATURE_DTYPES = (np.dtype(np.float32), _kernels.FLOAT64)
 
 
-def _loss_kernels(
-    floats: tuple[np.ndarray, ...], ints: tuple[np.ndarray, ...]
-) -> _kernels.Kernels | None:
+def _loss_kernels(*floats: np.ndarray) -> _kernels.Kernels | None:
     # The compiled kernels, when they are built, their reductions match
-    # numpy's in this process, and the kernels take ``floats`` as float64
-    # and ``ints`` as int64 arrays (``_kernels.fits``); else None, and the
-    # caller runs its numpy body.  Labels index rows without a bounds check
-    # in C: joint_loss and ce_loss_attribute_free check them against the
+    # numpy's in this process, and they take each of ``floats`` (arrays the
+    # kernels read that the losses did not allocate) as a float64 array
+    # (``_kernels.fits``); else None, and the numpy bodies run.  Each
+    # workspace and each forward-only call asks once.  Labels index rows
+    # without a bounds check in C: the losses check them against the
     # classes before any core runs.
     kernels = _kernels.compiled()
-    if kernels is None or not kernels.pairwise:
+    if kernels is None or not kernels.pairwise or not _kernels.fits(_kernels.FLOAT64, *floats):
         return None
-    if _kernels.fits(_kernels.FLOAT64, *floats) and _kernels.fits(_kernels.INT64, *ints):
-        return kernels
-    return None
+    return kernels
+
+
+def loss_kernels() -> str:
+    """Which loss bodies a run's workspaces choose: ``"compiled"`` or ``"numpy"``.
+
+    The choice is ``_loss_kernels``' for inputs the kernels take; the first
+    call builds the library if it has not been tried yet.
+    """
+    return "numpy" if _loss_kernels() is None else "compiled"
 
 
 def _label_positions(labels: np.ndarray, candidates: list[int], loss_name: str) -> np.ndarray:
@@ -657,75 +726,17 @@ def _label_positions(labels: np.ndarray, candidates: list[int], loss_name: str) 
     return positions
 
 
-def ce_loss_attribute_free(
-    params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    seen_classes: tuple[int, ...] | list[int],
-    grads: bool = True,
-) -> LossReport:
-    """Plain softmax cross-entropy of the linear head over the seen classes.
-
-    Head row ``i`` scores the ``i``-th smallest seen class id; labels are
-    mapped through that ordering.  ``grads=False`` returns the same value
-    with an empty ``grads``, walking the rows in blocks as ``joint_loss``
-    does.
-    """
-    _require_mode(params, ATTRIBUTE_FREE, "ce_loss_attribute_free")
-    v, labels = _as_batch(features, labels, params.d_v, "ce_loss_attribute_free")
-    seen_ids = _as_ids(list(seen_classes), "ce_loss_attribute_free: seen_classes", LossError)
-    seen = sorted(seen_ids.tolist())
-    if params.W_c.shape[0] != len(seen):
-        raise LossError(
-            f"head covers {params.W_c.shape[0]} classes but {len(seen)} seen classes given"
-        )
-    positions = _label_positions(labels, seen, "ce_loss_attribute_free")
-    if not grads:
-        # Block by block, as joint_loss's forward-only path runs.
-        picked = np.empty(v.shape[0])
-
-        def run(start: int, stop: int) -> float | None:
-            logits = forward_head(params, v[start:stop])
-            return _sce_core(logits, positions[start:stop], False, picked, start)[0]
-
-        value = _map_blocks(v.shape[0], run)
-        return LossReport(total=value, terms={CE: value}, grads={})
-    value, d_logits = _sce_core(forward_head(params, v), positions, True)
-    gradients = {"W_c": d_logits.T @ v, "b_c": d_logits.sum(axis=0)}
-    return LossReport(total=value, terms={CE: value}, grads=gradients)
-
-
-def joint_loss(
+def _joint_inputs(
     params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
     A: AttributeMatrix,
     distill: DistillConfig | None,
     weights: LossWeights,
-    ablation: AblationFlags | None = None,
-    grads: bool = True,
-) -> LossReport:
-    """Weighted sum of the enabled attribute-based terms.
-
-    This is the one local objective: a single term is this call with
-    ``ablation`` enabling only that term and its weight at 1.  A term
-    disabled by flag or by zero weight is skipped entirely, so both routes
-    produce bit-identical results.  The cross-entropy candidates are always
-    all classes of ``A``, and the decorrelation groups are ``A.groups``.
-    ``distill`` may be None only when the KL term is disabled.
-
-    ``grads=False`` evaluates the loss only, as the per-round global loss
-    does, and skips every backward product; ``grads`` comes back empty.  It
-    walks the rows in blocks of ``_ROW_BLOCK`` rows (a shorter tail joins
-    the block before it), so no array over all rows x
-    d_a, classes or d_v is ever held: each block's products, and the
-    per-row values of its terms written into full-length vectors, are
-    those of the whole batch, and each vector is reduced once, so
-    ``total`` and ``terms`` are bit-identical to the default call under
-    one BLAS thread (see the module docstring).  The calling thread and one
-    more run the blocks.  The finiteness checks on ``total`` and each term
-    still apply.
-    """
+    ablation: AblationFlags | None,
+) -> tuple[np.ndarray, np.ndarray, dict[str, bool]]:
+    # joint_loss's checks: the features and labels as _as_batch gives them,
+    # and which terms are on.
     _require_mode(params, ATTRIBUTE_BASED, "joint_loss")
     v, labels = _as_batch(features, labels, params.d_v, "joint_loss")
     ablation = ablation or AblationFlags()
@@ -749,62 +760,362 @@ def joint_loss(
         KL: kl_on,
         AD: ablation.ad and weights.w_ad > 0.0,
     }
-    if not grads:
-        values = _forward_terms(params, v, labels, A, distill, on)
-        return _report(values, weights, {})
-    a_hat = forward_attr(params, v)
-    # SCE and KL share one class-score product; KL scales it in place, so
-    # it runs right after SCE has read it, and the scores are released
-    # before BC allocates its residual.  The terms are still entered, and
-    # their gradients summed, in the order SCE, BC, KL, AD.
-    scores = a_hat @ A.values if on[SCE] or on[KL] else None
-    d_a_hat_total = np.zeros_like(a_hat)
-    values: dict[str, float] = {}
-    d_W_h = d_b_h = None
-    if on[SCE]:
-        values[SCE], d_logits = _sce_core(scores, labels, True)
-        d_a_hat_total += d_logits @ A.values.T
-        del d_logits
-    if on[KL]:
-        kl_value, d_a_hat_kl = _kl_core(
-            scores,
-            A.values,
-            distill.targets.probs,
-            distill.log_targets,
-            labels,
-            distill.tau,
-            True,
+    return v, labels, on
+
+
+def _free_inputs(
+    params: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    seen_classes: tuple[int, ...] | list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    # ce_loss_attribute_free's checks: the features as _as_batch gives them
+    # and each label's position among the sorted seen classes.
+    _require_mode(params, ATTRIBUTE_FREE, "ce_loss_attribute_free")
+    v, labels = _as_batch(features, labels, params.d_v, "ce_loss_attribute_free")
+    seen_ids = _as_ids(list(seen_classes), "ce_loss_attribute_free: seen_classes", LossError)
+    seen = sorted(seen_ids.tolist())
+    if params.W_c.shape[0] != len(seen):
+        raise LossError(
+            f"head covers {params.W_c.shape[0]} classes but {len(seen)} seen classes given"
         )
-    del scores
-    if on[BC]:
-        values[BC], d_a_hat, d_W_h, d_b_h = _bc_core(a_hat, v, params, True)
-        # Every term returns fresh gradient arrays, so they are weighted
-        # in place: w * x and x * w are the same IEEE product.
-        d_a_hat *= weights.w_bc
-        d_a_hat_total += d_a_hat
-        d_W_h *= weights.w_bc
-        d_b_h *= weights.w_bc
-    if on[KL]:
-        values[KL] = kl_value
-        d_a_hat_kl *= weights.w_kl
-        d_a_hat_total += d_a_hat_kl
-    if on[AD]:
-        values[AD], d_a_hat = _ad_core(a_hat, A.groups, True)
-        d_a_hat *= weights.w_ad
-        d_a_hat_total += d_a_hat
-    # W_h and b_h are zero-filled only when no term wrote them.
-    gradients = {
-        "W_g": d_a_hat_total.T @ v,
-        "b_g": d_a_hat_total.sum(axis=0),
-        "W_h": np.zeros_like(params.W_h) if d_W_h is None else d_W_h,
-        "b_h": np.zeros_like(params.b_h) if d_b_h is None else d_b_h,
-    }
-    return _report(values, weights, gradients)
+    return v, _label_positions(labels, seen, "ce_loss_attribute_free")
 
 
-def _report(
-    values: dict[str, float], weights: LossWeights, gradients: dict[str, np.ndarray]
+class StepWorkspace:
+    """The arrays of the local step for one client, allocated once, with their addresses bound once.
+
+    Built over all of a client's ``features`` and ``labels`` for batches of
+    up to ``rows`` rows (all of them by default): ``joint_loss``'s objective
+    for attribute-based ``params`` (with ``A``, ``distill``, ``weights`` and
+    ``ablation``), else ``ce_loss_attribute_free``'s (with ``seen``).  It
+    checks its inputs once, as those functions do, every label of the
+    client included, and chooses once between the compiled kernels and the
+    numpy bodies (``_loss_kernels``).
+
+    ``loss(batch)`` gathers the rows ``batch`` (indices into ``features``,
+    each in range, as a slice of a permutation is; None takes every row in
+    order), computes the loss and writes every gradient into ``grads``
+    (tensor name -> array, in ``params.trainable_names()`` order); it
+    returns the total and the weighted terms.  ``step(batch)`` does that,
+    raises ``NonFiniteLossError`` if the total, a term or a gradient is not
+    finite, and then applies one momentum SGD update to ``params`` in place
+    with ``opt`` (``fedzsl.model.sgd_step``'s update, whose compiled calls
+    are bound here once); it returns the total.  ``params``' and ``opt``'s
+    arrays are updated in place and must not be replaced while the
+    workspace is in use.  A batch of fewer rows uses the leading rows of
+    each array, which stay C-contiguous, and the results are the bits of
+    ``joint_loss`` and ``sgd_step`` on the same rows.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        features: np.ndarray,
+        labels: np.ndarray,
+        rows: int | None = None,
+        *,
+        A: AttributeMatrix | None = None,
+        distill: DistillConfig | None = None,
+        weights: LossWeights | None = None,
+        ablation: AblationFlags | None = None,
+        seen: tuple[int, ...] | list[int] = (),
+        opt: OptState | None = None,
+    ) -> None:
+        self._joint = params.mode == ATTRIBUTE_BASED
+        if self._joint:
+            v, self._labels, on = _joint_inputs(
+                params, features, labels, A, distill, weights, ablation
+            )
+            classes = A.num_classes
+            targets = (distill.targets.probs, distill.log_targets) if on[KL] else ()
+        else:
+            v, self._labels = _free_inputs(params, features, labels, seen)
+            on = {SCE: True, BC: False, KL: False, AD: False}
+            classes = params.W_c.shape[0]
+            targets = ()
+        self.rows = rows = v.shape[0] if rows is None else min(rows, v.shape[0])
+        d_v, d_a = params.d_v, params.d_a
+        self._features = v
+        self._v32 = None  # float32 features' gathered rows, allocated by the first gather
+        self._on = on
+        k = self._kernels = _loss_kernels(*targets)
+        at = _kernels.address
+        self._v = _aligned((rows, d_v))
+        self._y = _aligned(rows, np.int64)
+        self._scores = _aligned((rows, classes)) if on[SCE] or on[KL] else None
+        self._sce_work = _SoftmaxWork(rows, rows, classes) if on[SCE] else None
+        self._picked = _aligned(rows) if on[SCE] else None
+        self.grads = {}
+        if self._joint:
+            self._A, self._A_T = A.values, A.values.T
+            self._params = params
+            self._weights = weights
+            self._a_hat = _aligned((rows, d_a))
+            self._total = _aligned((rows, d_a))
+            self._term = _aligned((rows, d_a))
+            self._kl_work = _SoftmaxWork(rows, rows, classes) if on[KL] else None
+            self._kl_rows = _aligned(rows) if on[KL] else None
+            self._residual = _aligned((rows, d_v)) if on[BC] else None
+            self._groups = A.groups
+            self._norms = _aligned(len(A.groups) * rows) if on[AD] else None
+            shapes = {"W_g": (d_a, d_v), "b_g": (d_a,), "W_h": (d_v, d_a), "b_h": (d_v,)}
+            if on[KL]:
+                self._tau = distill.tau
+                self._targets, self._log_targets = targets
+        else:
+            self._params = params
+            shapes = {"W_c": params.W_c.shape, "b_c": params.b_c.shape}
+        for name, shape in shapes.items():
+            self.grads[name] = _aligned(shape)
+        if self._joint and not on[BC]:
+            # W_h and b_h are zero-filled when no term writes them.
+            self.grads["W_h"].fill(0.0)
+            self.grads["b_h"].fill(0.0)
+        if k is not None:
+            self._v_at, self._y_at = at(self._v), at(self._y)
+            if self._scores is not None:
+                self._scores_at = at(self._scores)
+            if on[SCE]:
+                self._picked_at = at(self._picked)
+            if self._joint:
+                self._a_hat_at, self._term_at = at(self._a_hat), at(self._term)
+                if on[KL]:
+                    self._kl_rows_at = at(self._kl_rows)
+                    self._targets_at, self._log_targets_at = at(targets[0]), at(targets[1])
+                if on[BC]:
+                    self._residual_at, self._d_b_h_at = at(self._residual), at(self.grads["b_h"])
+                if on[AD]:
+                    # The bounds array is held here, so its address stays valid.
+                    self._bounds, self._bounds_at = _group_bounds(A.groups)
+                    self._norms_at = at(self._norms)
+            self._scans = [(name, grad.size, at(grad)) for name, grad in self.grads.items()]
+        self._opt = opt
+        if opt is not None:
+            _check_update(params, self.grads, opt, check_finite=False)
+            tensors = params.tensors()
+            self._updates = [
+                (
+                    _bound_update(k, tensors[name], grad, opt.buffers[name], opt),
+                    tensors[name],
+                    grad,
+                    opt.buffers[name],
+                    name,
+                )
+                for name, grad in self.grads.items()
+            ]
+
+    def loss(self, batch: np.ndarray | None = None) -> tuple[float, dict[str, float]]:
+        """Gathers ``batch`` and computes the loss and gradients; returns the total and terms."""
+        if batch is None:
+            b = self._features.shape[0]
+            np.copyto(self._v[:b], self._features)
+            np.copyto(self._y[:b], self._labels)
+        else:
+            b = batch.size
+            if self._features.dtype == np.float32:
+                if self._v32 is None:
+                    self._v32 = _aligned(self._v.shape, np.float32)
+                np.take(self._features, batch, axis=0, out=self._v32[:b], mode="clip")
+                np.copyto(self._v[:b], self._v32[:b])
+            else:
+                np.take(self._features, batch, axis=0, out=self._v[:b], mode="clip")
+            np.take(self._labels, batch, out=self._y[:b], mode="clip")
+        if self._joint:
+            return _weighted(self._joint_terms(b), self._weights)
+        value = self._free_term(b)
+        return value, {CE: value}
+
+    def step(self, batch: np.ndarray) -> float:
+        """One local step on the rows ``batch``: the loss, its checks and the SGD update."""
+        total, terms = self.loss(batch)
+        _require_finite(total, terms, self._finite_grads())
+        opt = self._opt
+        for bound, tensor, grad, buf, name in self._updates:
+            if bound is not None:
+                self._kernels.sgd_step(*bound)
+            else:
+                _numpy_update(tensor, grad, buf, opt, name)
+        return total
+
+    def _finite_grads(self):
+        # (name, whether every entry is finite) for each gradient, in order.
+        k = self._kernels
+        if k is None:
+            for name, grad in self.grads.items():
+                yield name, _finite_numpy(grad)
+        else:
+            for name, size, grad_at in self._scans:
+                yield name, bool(k.all_finite(size, grad_at))
+
+    def _sce(self, b: int, scores: np.ndarray) -> tuple[float, np.ndarray]:
+        # SCE over the batch's b rows of scores: the value and the logit gradient.
+        y = self._y[:b]
+        if self._kernels is None:
+            return _sce_numpy(self._sce_work, scores, y, True, self._picked[:b], 0)
+        return _sce_compiled(
+            self._kernels, self._sce_work, scores, self._scores_at, self._y_at, True,
+            self._picked[:b], self._picked_at, 0,
+        )
+
+    def _free_term(self, b: int) -> float:
+        # ce_loss_attribute_free's value; W_c's and b_c's gradients.
+        params, v = self._params, self._v[:b]
+        logits = _affine_rows(params.W_c, params.b_c, v, self._scores[:b])
+        value, d_logits = self._sce(b, logits)
+        np.matmul(d_logits.T, v, out=self.grads["W_c"])
+        np.add.reduce(d_logits, axis=0, out=self.grads["b_c"])
+        return value
+
+    def _joint_terms(self, b: int) -> dict[str, float]:
+        # joint_loss's unweighted terms; every gradient.  The terms are
+        # entered, and their a_hat gradients summed into ``total`` (zero-
+        # filled, so a -0.0 sum is +0.0), in the order SCE, BC, KL, AD.  SCE
+        # and KL share one class-score product, which KL scales in place, so
+        # it runs right after SCE has read it; its logit gradient waits in
+        # its work array until BC is summed.
+        k, on, weights, grads = self._kernels, self._on, self._weights, self.grads
+        params = self._params
+        v, total, term, y = self._v[:b], self._total[:b], self._term[:b], self._y[:b]
+        a_hat = _affine_rows(params.W_g, params.b_g, v, self._a_hat[:b])
+        if self._scores is not None:
+            scores = self._scores[:b]
+            np.matmul(a_hat, self._A, out=scores)
+        total.fill(0.0)
+        values: dict[str, float] = {}
+        if on[SCE]:
+            values[SCE], d_logits = self._sce(b, scores)
+            np.matmul(d_logits, self._A_T, out=term)
+            total += term
+        if on[KL]:
+            if k is None:
+                kl_value, d_kl = _kl_numpy(
+                    self._kl_work, scores, self._targets, self._log_targets, y, self._tau, True,
+                    self._kl_rows[:b], 0,
+                )
+            else:
+                kl_value, d_kl = _kl_compiled(
+                    k, self._kl_work, scores, self._scores_at, self._targets_at,
+                    self._log_targets_at, self._y_at, self._tau, True, self._kl_rows[:b],
+                    self._kl_rows_at, 0,
+                )
+        if on[BC]:
+            residual = _affine_rows(params.W_h, params.b_h, a_hat, self._residual[:b])
+            d_W_h, d_b_h = grads["W_h"], grads["b_h"]
+            if k is None:
+                values[BC] = _bc_numpy(residual, v, d_b_h)
+            else:
+                values[BC] = _bc_compiled(
+                    k, b, v.shape[1], self._residual_at, self._v_at, False, self._d_b_h_at
+                )
+            np.matmul(residual.T, a_hat, out=d_W_h)
+            np.matmul(residual, params.W_h, out=term)
+            # w * x and x * w are the same IEEE product.
+            term *= weights.w_bc
+            total += term
+            d_W_h *= weights.w_bc
+            d_b_h *= weights.w_bc
+        if on[KL]:
+            values[KL] = kl_value
+            np.matmul(d_kl, self._A_T, out=term)
+            term *= weights.w_kl
+            total += term
+        if on[AD]:
+            groups = self._groups
+            if k is None:
+                norms = self._norms[: len(groups) * b].reshape(len(groups), b)
+                values[AD], _ = _ad_numpy(a_hat, groups, norms, 0, term)
+            else:
+                values[AD] = _ad_compiled(
+                    k, b, a_hat.shape[1], self._a_hat_at, len(groups), self._bounds_at,
+                    self._norms_at, self._term_at, 0, b,
+                )
+            term *= weights.w_ad
+            total += term
+        np.matmul(total.T, v, out=grads["W_g"])
+        np.add.reduce(total, axis=0, out=grads["b_g"])
+        return values
+
+
+def ce_loss_attribute_free(
+    params: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    seen_classes: tuple[int, ...] | list[int],
+    grads: bool = True,
 ) -> LossReport:
+    """Plain softmax cross-entropy of the linear head over the seen classes.
+
+    Head row ``i`` scores the ``i``-th smallest seen class id; labels are
+    mapped through that ordering.  ``grads=False`` returns the same value
+    with an empty ``grads``, walking the rows in blocks as ``joint_loss``
+    does.  With gradients the call runs in a one-shot ``StepWorkspace``, so
+    the arrays it returns are its own.
+    """
+    if grads:
+        work = StepWorkspace(params, features, labels, seen=seen_classes)
+        total, terms = work.loss()
+        return LossReport(total=total, terms=terms, grads=work.grads)
+    v, positions = _free_inputs(params, features, labels, seen_classes)
+    # Block by block, as joint_loss's forward-only path runs.
+    kernels = _loss_kernels()
+    picked = np.empty(v.shape[0])
+
+    def run(start: int, stop: int) -> float | None:
+        logits = forward_head(params, v[start:stop])
+        return _sce_core(kernels, logits, positions[start:stop], False, picked, start)[0]
+
+    value = _map_blocks(v.shape[0], run)
+    return LossReport(total=value, terms={CE: value}, grads={})
+
+
+def joint_loss(
+    params: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    A: AttributeMatrix,
+    distill: DistillConfig | None,
+    weights: LossWeights,
+    ablation: AblationFlags | None = None,
+    grads: bool = True,
+) -> LossReport:
+    """Weighted sum of the enabled attribute-based terms.
+
+    This is the one local objective: a single term is this call with
+    ``ablation`` enabling only that term and its weight at 1.  A term
+    disabled by flag or by zero weight is skipped entirely, so both routes
+    produce bit-identical results.  The cross-entropy candidates are always
+    all classes of ``A``, and the decorrelation groups are ``A.groups``.
+    ``distill`` may be None only when the KL term is disabled.  With
+    gradients the call runs in a one-shot ``StepWorkspace``, the one code
+    path of local training, so the arrays it returns are its own.
+
+    ``grads=False`` evaluates the loss only, as the per-round global loss
+    does, and skips every backward product; ``grads`` comes back empty.  It
+    walks the rows in blocks of ``_ROW_BLOCK`` rows (a shorter tail joins
+    the block before it), so no array over all rows x
+    d_a, classes or d_v is ever held: each block's products, and the
+    per-row values of its terms written into full-length vectors, are
+    those of the whole batch, and each vector is reduced once, so
+    ``total`` and ``terms`` are bit-identical to the default call under
+    one BLAS thread (see the module docstring).  The calling thread and one
+    more run the blocks.  The finiteness checks on ``total`` and each term
+    still apply.
+    """
+    if grads:
+        work = StepWorkspace(
+            params, features, labels, A=A, distill=distill, weights=weights, ablation=ablation
+        )
+        total, terms = work.loss()
+        return LossReport(total=total, terms=terms, grads=work.grads)
+    v, labels, on = _joint_inputs(params, features, labels, A, distill, weights, ablation)
+    total, terms = _weighted(_forward_terms(params, v, labels, A, distill, on), weights)
+    return LossReport(total=total, terms=terms, grads={})
+
+
+def _weighted(
+    values: dict[str, float], weights: LossWeights
+) -> tuple[float, dict[str, float]]:
     # The weighted terms, in the order SCE, BC, KL, AD, and their total,
     # added left to right from 0.0: builtin sum() compensates its rounding
     # on 3.12+.
@@ -814,7 +1125,7 @@ def _report(
     total = 0.0
     for value in terms.values():
         total += value
-    return LossReport(total=total, terms=terms, grads=gradients)
+    return total, terms
 
 
 def _forward_blocks(rows: int):
@@ -845,11 +1156,12 @@ def _forward_terms(
     # term's per-row values go into a full-length vector, and each core
     # returns its term with the last block.  BC's reconstruction residual
     # comes back from each block, and its squares go on to a _SquareSum
-    # here, in row order.
+    # here, in row order.  The compiled-or-numpy choice is made once, here.
     rows = v.shape[0]
+    kernels = _loss_kernels(*((distill.targets.probs, distill.log_targets) if on[KL] else ()))
     picked = np.empty(rows) if on[SCE] else None
     kl_rows = np.empty(rows) if on[KL] else None
-    squares = _SquareSum(v, params.d_v) if on[BC] else None
+    squares = _SquareSum(kernels, v, params.d_v) if on[BC] else None
     norms = np.empty((len(A.groups), rows)) if on[AD] else None
 
     def run(start: int, stop: int) -> tuple[dict[str, float | None], np.ndarray | None]:
@@ -859,11 +1171,11 @@ def _forward_terms(
         if on[SCE] or on[KL]:
             scores = a_hat @ A.values
             if on[SCE]:
-                found[SCE] = _sce_core(scores, block_labels, False, picked, start)[0]
+                found[SCE] = _sce_core(kernels, scores, block_labels, False, picked, start)[0]
             if on[KL]:
                 found[KL] = _kl_core(
+                    kernels,
                     scores,
-                    A.values,
                     distill.targets.probs,
                     distill.log_targets,
                     block_labels,
@@ -874,7 +1186,7 @@ def _forward_terms(
                 )[0]
             del scores
         if on[AD]:
-            found[AD] = _ad_core(a_hat, A.groups, False, norms, start)[0]
+            found[AD] = _ad_core(kernels, a_hat, A.groups, False, norms, start)[0]
         return found, forward_decode(params, a_hat) if on[BC] else None
 
     def then(start: int, stop: int, outcome) -> None:

@@ -210,12 +210,23 @@ def _affine(W: np.ndarray, b: np.ndarray, x: np.ndarray, noun: str) -> np.ndarra
         if x.shape[0] != n:
             raise ModelError(f"expected a length-{n} {noun} vector, got {x.shape}")
         out = W @ x
-    elif x.ndim == 2:
+        out += b
+        return out
+    if x.ndim == 2:
         if x.shape[1] != n:
             raise ModelError(f"expected {noun}s with {n} columns, got {x.shape}")
-        out = x @ W.T
-    else:
-        raise ModelError(f"{noun}s must be a vector or a 2-dimensional batch")
+        return _affine_rows(W, b, x)
+    raise ModelError(f"{noun}s must be a vector or a 2-dimensional batch")
+
+
+def _affine_rows(
+    W: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # x @ W.T + b for a checked (B, n) batch, into ``out`` when given (a
+    # C-contiguous float64 array of its own; np.matmul writes the bits of @
+    # into it at any alignment), else into a new array.  The step workspace
+    # passes its own arrays, with its inputs checked once.
+    out = np.matmul(x, W.T, out=out)
     out += b
     return out
 
@@ -291,11 +302,34 @@ def sgd_step(
     that has a buffer of its shape, both writeable float arrays, and be an
     ndarray of that shape whose dtype casts to float64 under ``same_kind``.
     Finiteness contract: with ``check_finite`` (the default) a gradient
-    holding a NaN or infinity raises ``ModelError``.  ``check_finite=False`` skips that scan and is
-    only for callers whose gradients were scanned already; every
-    ``LossReport`` scans its gradients on construction, which is why local
-    training passes it.
+    holding a NaN or infinity raises ``ModelError``.  ``check_finite=False``
+    skips that scan and is only for callers whose gradients were scanned
+    already, as every ``LossReport`` scans its gradients on construction.
+
+    Local training does not call this function at each step: its step
+    workspace (``fedzsl.losses.StepWorkspace``) owns the gradient arrays,
+    checks the tensors and buffers once per client, binds each tensor's
+    compiled call once (``_bound_update``) and then runs this same update,
+    compiled or numpy (``_numpy_update``), with nothing validated or looked
+    up per step.
     """
+    _check_update(params, grads, opt, check_finite)
+    tensors = params.tensors()
+    kernels = _kernels.compiled()
+    for name, grad in grads.items():
+        tensor, buf = tensors[name], opt.buffers[name]
+        bound = _bound_update(kernels, tensor, grad, buf, opt)
+        if bound is not None:
+            kernels.sgd_step(*bound)
+        else:
+            _numpy_update(tensor, grad, buf, opt, name)
+    return params
+
+
+def _check_update(
+    params: ModelParams, grads: dict[str, np.ndarray], opt: OptState, check_finite: bool
+) -> None:
+    # sgd_step's validation of every gradient, its tensor and its buffer.
     tensors = params.tensors()
     trainable = params.trainable_names()
     for name, grad in grads.items():
@@ -325,35 +359,49 @@ def sgd_step(
             raise ModelError(
                 f"buffer shape {opt.buffers[name].shape} does not match {name} shape {shape}"
             )
-    kernels = _kernels.compiled()
-    for name, grad in grads.items():
-        tensor = tensors[name]
-        buf = opt.buffers[name]
-        if kernels is not None and _kernels.fits(_kernels.FLOAT64, tensor, grad, buf):
-            t, g, b = _kernels.address(tensor), _kernels.address(grad), _kernels.address(buf)
-            size = tensor.nbytes
-            # Each pair is one array or two that share no byte.  Arrays that
-            # overlap at an offset take the numpy body, whose ufuncs read such
-            # an operand whole before they write.
-            if (
-                (t == g or t + size <= g or g + size <= t)
-                and (t == b or t + size <= b or b + size <= t)
-                and (g == b or g + size <= b or b + size <= g)
-            ):
-                kernels.sgd_step(
-                    tensor.size, t, g, b, opt.weight_decay, opt.momentum, opt.learning_rate
-                )
-                continue
-        work = opt.scratch.get(name)
-        if work is None:
-            work = opt.scratch[name] = np.empty_like(tensor)
-        np.multiply(tensor, opt.weight_decay, out=work)
-        np.add(grad, work, out=work)
-        buf *= opt.momentum
-        buf += work
-        np.multiply(buf, opt.learning_rate, out=work)
-        tensor -= work
-    return params
+
+
+def _bound_update(
+    kernels: _kernels.Kernels | None,
+    tensor: np.ndarray,
+    grad: np.ndarray,
+    buf: np.ndarray,
+    opt: OptState,
+) -> tuple | None:
+    # The arguments of fedzsl_sgd_step for one tensor, or None where the
+    # numpy body must run: no library, a layout the kernel does not take
+    # (_kernels.fits), or arrays that overlap at an offset, which the numpy
+    # body's ufuncs read whole before they write.  The addresses stay valid
+    # while the arrays live and are not resized, so a caller that keeps the
+    # arrays may bind them once and call the kernel at every step.
+    if kernels is None or not _kernels.fits(_kernels.FLOAT64, tensor, grad, buf):
+        return None
+    t, g, b = _kernels.address(tensor), _kernels.address(grad), _kernels.address(buf)
+    size = tensor.nbytes
+    # Each pair is one array or two that share no byte.
+    if (
+        (t == g or t + size <= g or g + size <= t)
+        and (t == b or t + size <= b or b + size <= t)
+        and (g == b or g + size <= b or b + size <= g)
+    ):
+        return tensor.size, t, g, b, opt.weight_decay, opt.momentum, opt.learning_rate
+    return None
+
+
+def _numpy_update(
+    tensor: np.ndarray, grad: np.ndarray, buf: np.ndarray, opt: OptState, name: str
+) -> None:
+    # sgd_step's numpy body, every product and sum written into the
+    # tensor's work array in opt.scratch.
+    work = opt.scratch.get(name)
+    if work is None:
+        work = opt.scratch[name] = np.empty_like(tensor)
+    np.multiply(tensor, opt.weight_decay, out=work)
+    np.add(grad, work, out=work)
+    buf *= opt.momentum
+    buf += work
+    np.multiply(buf, opt.learning_rate, out=work)
+    tensor -= work
 
 
 # The dtype kinds that cast to float64 under same_kind: bool, signed and

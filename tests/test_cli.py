@@ -14,7 +14,7 @@ import pytest
 
 from fedzsl import _kernels, cli, glasso
 from fedzsl.dataset import AttributeMatrix, ClassSplit, FeatureDataset, load_dataset, save_dataset
-from fedzsl.fed import TrainConfig
+from fedzsl.fed import METRICS_HEADER, TrainConfig
 from fedzsl.glasso import GlassoConfig
 from fedzsl.losses import DEFAULT_TAU, AblationFlags, LossWeights
 from fedzsl.model import ATTRIBUTE_BASED, init_params, save_model
@@ -434,6 +434,44 @@ class TestRun:
         compiled.read(first / "manifest.ini")
         for key in ("glasso_sweeps", "glasso_passes"):
             assert manifest["meta"][key] == compiled["meta"][key], key
+
+    def test_meta_records_the_numerics_key(self, small_data, tmp_path, monkeypatch):
+        # [meta] names what the bytes depend on besides the settings and the
+        # data; nothing of it reaches metrics.csv, and a re-run from the
+        # manifest reads the settings alone and writes the same bytes.
+        from numpy._core import _multiarray_umath as umath
+
+        from fedzsl import _blas
+
+        def meta(out):
+            manifest = configparser.ConfigParser()
+            manifest.read(out / "manifest.ini")
+            return manifest["meta"]
+
+        first = tmp_path / "first"
+        assert self.run_once(small_data, first) == 0
+        found = meta(first)
+        compiled = _kernels.compiled() is not None and _kernels.compiled().pairwise
+        assert found["loss_kernels"] == ("compiled" if compiled else "numpy")
+        assert found["blas_core"] == _blas.core()
+        assert found["blas_threads"] == ("1" if _blas._controls() is not None else "unpinned")
+        assert found["numpy"] == np.__version__
+        simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        assert found["numpy_simd"].split() == (simd or ["none"])
+        assert (first / "metrics.csv").read_text().splitlines()[0] == METRICS_HEADER
+        again = tmp_path / "again"
+        assert cli.main(
+            ["run", "--data", str(small_data), "--out", str(again),
+             "--config", str(first / "manifest.ini")]
+        ) == 0
+        for name in ("metrics.csv", "final_model.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        numpy_run = tmp_path / "numpy"
+        assert self.run_once(small_data, numpy_run) == 0
+        assert meta(numpy_run)["loss_kernels"] == "numpy"
+        for name in ("metrics.csv", "final_model.csv"):
+            assert (numpy_run / name).read_bytes() == (first / name).read_bytes(), name
 
     @pytest.mark.parametrize("word", ["full", "all", " ALL "])
     def test_ablation_full_turns_every_term_on(self, small_data, tmp_path, monkeypatch, word):

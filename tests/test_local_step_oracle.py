@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedzsl import fed, losses, model
+from fedzsl import _kernels, fed, losses, model
 from fedzsl.dataset import (
     AttributeMatrix,
     FeatureDataset,
@@ -673,7 +675,7 @@ def test_ad_core_matches_with_partial_zero_rows():
     a_hat[5, :] = 0.0
     a_hat[7, 13:20] = 1e-13
     for grads in (True, False):
-        new_value, new_grad = losses._ad_core(a_hat, groups, grads)
+        new_value, new_grad = losses._ad_core(losses._loss_kernels(), a_hat, groups, grads)
         old_value, old_grad = _ad_core(a_hat, groups, grads)
         assert new_value.hex() == old_value.hex()
         if grads:
@@ -780,3 +782,81 @@ def test_simulation_matches(problem, name):
         for row in trace
     ]
     assert new_rounds == old_rounds
+
+
+# ---- the step workspace against the oracle's loss and SGD step ---------------
+
+WEIGHT = st.sampled_from([0.0, 0.1, 0.3, 1.0, 10.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_a=st.integers(1, 40),
+    d_v=st.integers(1, 40),
+    classes=st.integers(2, 30),
+    rows=st.integers(1, 50),
+    batch=st.integers(1, 20),
+    weights=st.tuples(WEIGHT, WEIGHT, WEIGHT),
+    flags=st.tuples(*[st.booleans()] * 4),
+    attribute_free=st.booleans(),
+    float32=st.booleans(),
+    compiled=st.booleans(),
+)
+def test_workspace_steps_match_the_oracle(
+    seed, d_a, d_v, classes, rows, batch, weights, flags, attribute_free, float32, compiled
+):
+    # Two epochs of a client's steps, every batch size dividing its rows or
+    # leaving a short tail, compiled and numpy: after each step the total,
+    # every gradient, every tensor and every momentum buffer are the bytes
+    # of the oracle's joint_loss (or ce_loss_attribute_free) and sgd_step.
+    rng = np.random.default_rng(seed)
+    cuts = sorted({0, d_a, *rng.integers(1, d_a + 1, 2).tolist()})
+    attrs = AttributeMatrix(
+        values=rng.standard_normal((d_a, classes)), groups=tuple(zip(cuts[:-1], cuts[1:]))
+    )
+    probs = rng.random((classes, classes)) ** 3
+    probs[rng.random((classes, classes)) < 0.3] = 0.0
+    probs[np.arange(classes), rng.integers(0, classes, classes)] += 0.5
+    probs /= probs.sum(axis=1, keepdims=True)
+    distill = DistillConfig(tau=4.0, targets=DistillTargets(probs, 4.0))
+    mode = ATTRIBUTE_FREE if attribute_free else ATTRIBUTE_BASED
+    params = init_params(d_v, d_a, classes, mode, seed=seed % 1000)
+    if attribute_free:
+        params.b_c = rng.standard_normal(classes)
+    params.b_h = rng.standard_normal(d_v)
+    twin = params.clone()
+    features = rng.standard_normal((rows, d_v)).astype(np.float32 if float32 else np.float64)
+    labels = rng.integers(0, classes, rows)
+    if rows > 1:
+        features[1] = 0.0  # norms and residuals at zero reach the thresholds
+    w = LossWeights(*weights)
+    ablation = AblationFlags(*flags)
+    opt = init_opt_state(params, 0.05, 0.9, 1e-3)
+    twin_opt = init_opt_state(twin, 0.05, 0.9, 1e-3)
+    with pytest.MonkeyPatch.context() as mp:
+        if not compiled:
+            mp.setattr(_kernels, "compiled", lambda: None)
+        work = losses.StepWorkspace(
+            params, features, labels, batch, A=attrs, distill=distill, weights=w,
+            ablation=ablation, seen=range(classes), opt=opt,
+        )
+        assert (work._kernels is not None) == (compiled and _kernels.compiled() is not None)
+        for _ in range(2):
+            order = rng.permutation(rows)
+            for start in range(0, rows, batch):
+                picked = order[start : start + batch]
+                total = work.step(picked)
+                if attribute_free:
+                    report = ce_loss_attribute_free(
+                        twin, features[picked], labels[picked], range(classes)
+                    )
+                else:
+                    report = joint_loss(
+                        twin, features[picked], labels[picked], attrs, distill, w, ablation
+                    )
+                sgd_step(twin, report.grads, twin_opt)
+                assert total.hex() == report.total.hex()
+                assert_same_tensors(work.grads, report.grads)
+                assert_same_tensors(params.tensors(), twin.tensors())
+                assert_same_tensors(opt.buffers, twin_opt.buffers)

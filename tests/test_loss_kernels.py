@@ -1,9 +1,11 @@
 """The compiled loss kernels and the kernel cache.
 
-Each loss core (``_sce_core``, ``_kl_core``, ``_ad_core``, ``_bc_core``) and
-``LossReport``'s finiteness scan runs compiled where the library is built
-and its reductions match numpy's, and its numpy body otherwise.  The numpy
-body is the oracle: every comparison is on ``tobytes()`` or ``float.hex``.
+Each loss core (``_sce_core``, ``_kl_core``, ``_ad_core``, and BC's
+``_bc_compiled`` against ``_bc_numpy``) and ``LossReport``'s finiteness scan
+runs compiled when handed the kernels (``_loss_kernels``: the library is
+built and its reductions match numpy's), and its numpy body otherwise.  The
+numpy body is the oracle: every comparison is on ``tobytes()`` or
+``float.hex``.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from fedzsl.losses import (
     LossWeights,
     joint_loss,
 )
-from fedzsl.model import ATTRIBUTE_BASED, ModelParams, init_params
+from fedzsl.model import ATTRIBUTE_BASED, ModelParams, forward_decode, init_params
 from conftest import needs_a_compiler
 from test_model import cpu_has_fma
 
@@ -52,7 +54,7 @@ def values(rng, shape, zeros=True):
 
 
 def both_paths(core, compiled_name, *args):
-    """``core(*args)`` compiled, then on copies of the inputs in numpy.
+    """``core(kernels, *args)`` compiled, then on copies of the inputs in numpy.
 
     Returns both results, each with the inputs as the call left them,
     after checking that the first call did run ``compiled_name``.
@@ -62,10 +64,9 @@ def both_paths(core, compiled_name, *args):
     with pytest.MonkeyPatch.context() as mp:
         body = getattr(losses, compiled_name)
         mp.setattr(losses, compiled_name, lambda *a: ran.append(1) or body(*a))
-        got = core(*args)
+        got = core(losses._loss_kernels(), *args)
         assert ran, f"{compiled_name} did not run"
-        mp.setattr(_kernels, "compiled", lambda: None)
-        want = core(*twin)
+        want = core(None, *twin)
     return (got, args), (want, twin)
 
 
@@ -122,15 +123,13 @@ class TestLossCores:
     )
     def test_kl_core(self, seed, rows, classes, tau, grads):
         # The scores are overwritten with the log-probabilities; they are
-        # compared too.
+        # compared too, and so is the logit gradient.
         rng = np.random.default_rng(seed)
         scores = values(rng, (rows, classes))
-        prototypes = rng.standard_normal((3, classes))
         probs, log_probs = targets_for(rng, classes)
         labels = rng.integers(0, classes, rows)
         got, want = both_paths(
-            losses._kl_core, "_kl_compiled", scores, prototypes, probs, log_probs, labels, tau,
-            grads,
+            losses._kl_core, "_kl_compiled", scores, probs, log_probs, labels, tau, grads
         )
         assert_same(got, want)
 
@@ -154,7 +153,7 @@ class TestLossCores:
         got, want = both_paths(losses._ad_core, "_ad_compiled", a_hat, groups, grads)
         assert_same(got, want)
 
-    def test_ad_core_holds_its_bounds_while_the_kernel_reads_them(self, monkeypatch):
+    def test_ad_core_holds_its_bounds_while_the_kernel_reads_them(self):
         # The kernel reads the groups' bounds through a bare address.  A fake
         # kernel empties the bounds' cache and allocates an array of their
         # size, which may reuse a freed block, before the real one runs: the
@@ -170,10 +169,8 @@ class TestLossCores:
             held.append(np.zeros(6, dtype=np.int64))
             return kernels.ad(*args)
 
-        monkeypatch.setattr(_kernels, "compiled", lambda: kernels._replace(ad=ad))
-        got = losses._ad_core(a_hat, groups, True)
-        monkeypatch.setattr(_kernels, "compiled", lambda: None)
-        want = losses._ad_core(a_hat, groups, True)
+        got = losses._ad_core(kernels._replace(ad=ad), a_hat, groups, True)
+        want = losses._ad_core(None, a_hat, groups, True)
         assert held
         assert_same(got, want)
 
@@ -187,13 +184,29 @@ class TestLossCores:
         grads=st.booleans(),
     )
     def test_bc_core(self, seed, rows, d_v, d_a, dtype, grads):
+        # The decoder's residual against float32 or float64 features: with
+        # gradients, _bc_compiled (float32 widened in C) against _bc_numpy,
+        # residual and b_h's gradient included; without, the forward-only
+        # loss's stream of squares against its full-length vector.
         rng = np.random.default_rng(seed)
         params = init_params(d_v, d_a, num_seen=2, mode=ATTRIBUTE_BASED, seed=seed % 1000)
         params.b_h = values(rng, d_v)
-        a_hat = values(rng, (rows, d_a))
         v = values(rng, (rows, d_v)).astype(dtype)
-        got, want = both_paths(losses._bc_core, "_bc_compiled", a_hat, v, params, grads)
-        assert_same(got, want)
+        got_residual = forward_decode(params, values(rng, (rows, d_a)))
+        want_residual = got_residual.copy()
+        kernels = losses._loss_kernels()
+        if grads:
+            got_d_b, want_d_b = np.empty(d_v), np.empty(d_v)
+            at = _kernels.address
+            got = losses._bc_compiled(
+                kernels, rows, d_v, at(got_residual), at(v), dtype == np.float32, at(got_d_b)
+            )
+            want = losses._bc_numpy(want_residual, v.astype(np.float64), want_d_b)
+            assert_same((got, got_residual, got_d_b), (want, want_residual, want_d_b))
+        else:
+            got = losses._SquareSum(kernels, v, d_v).add(got_residual, v)
+            want = losses._SquareSum(None, v, d_v).add(want_residual, v)
+            assert as_bytes(float(got)) == as_bytes(float(want))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -305,7 +318,7 @@ class TestReductionProbe:
         kernels = _kernels.compiled()
         assert kernels is not None and not kernels.pairwise
         scores = np.linspace(-1.0, 1.0, 40).reshape(4, 10)
-        assert losses._loss_kernels((scores,), ()) is None
+        assert losses._loss_kernels(scores) is None
 
     @pytest.mark.parametrize("extra", [(), ("--w-kl", "0")], ids=["all-terms", "no-kl"])
     def test_a_probe_mismatch_runs_the_numpy_bodies_with_the_same_bytes(
@@ -457,8 +470,9 @@ _kernels.compiled = lambda: None
 
 @needs_a_compiler
 def test_the_oracle_and_the_memory_bound_hold_on_the_numpy_bodies(tmp_path):
-    # The local-step oracle and the forward-only memory bound run compiled
-    # in this suite; here they run unedited with compiled() patched to None.
+    # The local-step oracle, the forward-only memory bound and the step
+    # workspace's tests run compiled in this suite; here they run unedited
+    # with compiled() patched to None.
     (tmp_path / "numpy_only.py").write_text(NUMPY_ONLY_PLUGIN)
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
@@ -467,6 +481,7 @@ def test_the_oracle_and_the_memory_bound_hold_on_the_numpy_bodies(tmp_path):
             sys.executable, "-m", "pytest", "-q", "-p", "numpy_only", "-p", "no:cacheprovider",
             str(tests / "test_local_step_oracle.py"),
             str(tests / "test_losses.py") + "::TestAllocation",
+            str(tests / "test_losses.py") + "::TestStepWorkspace",
         ],
         cwd=tmp_path,
         env=env,
@@ -554,6 +569,52 @@ class TestKernelCache:
         kernels = _kernels.compiled()
         assert kernels is not None and kernels.pairwise
         assert blocked.read_text() == ""
+
+    def test_a_build_removes_the_entries_of_other_keys(self, cache, monkeypatch, tmp_path):
+        # Two sources built in turn into one cache: the second build leaves
+        # its own entry alone, and both loads work.
+        assert _kernels.compiled() is not None
+        first = self.entry(cache)
+        source = tmp_path / "_kernels.c"
+        source.write_bytes(_kernels.SOURCE.read_bytes() + b"\n")
+        monkeypatch.setattr(_kernels, "SOURCE", source)
+        _kernels.compiled.cache_clear()
+        kernels = _kernels.compiled()
+        assert kernels is not None and kernels.pairwise
+        second = self.entry(cache)
+        assert len(second) == 2 and not set(first) & set(second)
+        assert second == [f"kernels-{_kernels._cache_key()}.{end}" for end in ("so", "sum")]
+
+    def test_a_cache_hit_removes_nothing(self, cache):
+        # Only a build looks at other entries, so loading stays one read.
+        assert _kernels.compiled() is not None
+        stray = [cache / "kernels-0.so", cache / "kernels-0.sum"]
+        for path in stray:
+            path.write_text("")
+        hit = load_in_a_new_process(COUNTED_LOAD)
+        assert hit.stdout.split() == ["True", "0"], hit.stderr
+        assert all(path.exists() for path in stray)
+
+    @pytest.mark.parametrize("error", [FileNotFoundError, PermissionError])
+    def test_entries_that_cannot_be_removed_are_left(self, cache, monkeypatch, error):
+        # Another process may remove an entry first, or hold it; the build
+        # that finds them still loads, and removes what it can.
+        cache.mkdir(parents=True)
+        held, gone = cache / "kernels-1.so", cache / "kernels-2.sum"
+        held.write_text("")
+        gone.write_text("")
+        unlink = Path.unlink
+
+        def refusing(path, *args, **kwargs):
+            if path == held:
+                raise error(path)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", refusing)
+        kernels = _kernels.compiled()
+        assert kernels is not None and kernels.pairwise
+        assert held.exists() and not gone.exists()
+        assert len(self.entry(cache)) == 3
 
     def test_no_compiler_and_no_entry_runs_numpy(self, cache, monkeypatch):
         monkeypatch.setattr(_kernels, "_compiler", lambda: None)

@@ -29,7 +29,7 @@ from fedzsl.losses import (
     ce_loss_attribute_free,
     joint_loss,
 )
-from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, init_params
+from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, init_opt_state, init_params
 
 D_V, D_A, NUM_CLASSES = 8, 5, 6
 FD_STEP = 1e-5
@@ -599,6 +599,85 @@ class TestAllocation:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+
+class TestStepWorkspace:
+    # A step's transients are numpy's own: a ufunc call that broadcasts (the
+    # bias adds) sets up an iteration buffer of about 33 KB and frees it
+    # before it returns.  Nothing batch- or parameter-sized is allocated.
+    STEP_BOUND = 48 * 1024
+
+    @pytest.mark.parametrize("mode", [ATTRIBUTE_BASED, ATTRIBUTE_FREE])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_steps_after_the_first_allocate_under_a_small_fixed_bound(self, mode, dtype):
+        # AwA-shaped, batch 16 over 200 rows, so the last batch is a tail of
+        # 8; the compiled kernels, or the numpy bodies when they are not
+        # built (the suite also runs this class with compiled() patched to
+        # None).  One gradient array, W_g or W_c, is far larger.
+        params, features, labels, attrs, distill = awa_shaped(200, dtype)
+        if mode == ATTRIBUTE_FREE:
+            params = init_params(256, 85, num_seen=50, mode=ATTRIBUTE_FREE, seed=0)
+        opt = init_opt_state(params, 0.01, 0.9, 1e-5)
+        work = losses.StepWorkspace(
+            params, features, labels, 16, A=attrs, distill=distill, weights=LossWeights(),
+            seen=range(50), opt=opt,
+        )
+        order = np.random.default_rng(0).permutation(200)
+        work.step(order[:16])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for at in range(16, 200, 16):
+                work.step(order[at : at + 16])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gradient = params.W_g if mode == ATTRIBUTE_BASED else params.W_c
+        assert peak - start < self.STEP_BOUND < gradient.nbytes / 2, peak - start
+        assert held - start < 16 * 1024, held - start
+
+    @pytest.mark.parametrize("grads_of", ["joint", "free"])
+    def test_public_losses_return_arrays_that_later_calls_do_not_touch(self, grads_of):
+        # Each call runs in a workspace of its own: a second call writes
+        # none of the first's gradients, and neither shares memory with it.
+        params, features, labels, attrs, distill = problem(0)
+        if grads_of == "free":
+            params = init_params(D_V, D_A, num_seen=NUM_CLASSES, mode=ATTRIBUTE_FREE, seed=0)
+
+        def call(rows):
+            if grads_of == "joint":
+                return joint_loss(
+                    params, features[rows], labels[rows], attrs, distill, LossWeights()
+                )
+            return ce_loss_attribute_free(
+                params, features[rows], labels[rows], range(NUM_CLASSES)
+            )
+
+        first = call(slice(0, 7))
+        kept = {name: grad.copy() for name, grad in first.grads.items()}
+        second = call(slice(2, 5))
+        assert list(second.grads) == list(first.grads)
+        for name, grad in first.grads.items():
+            assert grad.tobytes() == kept[name].tobytes(), name
+            for other in second.grads.values():
+                assert not np.shares_memory(grad, other), name
+        assert any(
+            second.grads[name].tobytes() != kept[name].tobytes() for name in kept
+        )
+
+    def test_a_workspace_refuses_what_the_loss_refuses_before_any_step(self):
+        # Every label of the client is checked once, when the workspace is
+        # built, with the message the loss gives.
+        params, features, labels, attrs, distill = problem(1)
+        labels = labels.copy()
+        labels[-1] = NUM_CLASSES
+        with pytest.raises(LossError, match="a label is outside the attribute matrix classes"):
+            losses.StepWorkspace(
+                params, features, labels, 4, A=attrs, distill=distill, weights=LossWeights()
+            )
+        free = init_params(D_V, D_A, num_seen=3, mode=ATTRIBUTE_FREE, seed=0)
+        with pytest.raises(LossError, match="is not among the candidate classes"):
+            losses.StepWorkspace(free, features, np.array([0, 1, 2, 3, 0, 1, 2]), 4, seen=[0, 1, 2])
 
 
 def awa_shaped(rows: int, dtype, seed: int = 0, d_a: int = 85, d_v: int = 256, classes: int = 50):

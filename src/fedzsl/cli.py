@@ -253,7 +253,9 @@ def configure_run(
     return cfg, sim
 
 
-def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> None:
+def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> dict[str, str]:
+    # Reads the file's settings into ``resolved``; returns its [meta], which
+    # holds no settings.
     if not path.is_file():
         raise CliError(f"config file not found: {path}")
     # No interpolation, so '%' is an ordinary character.  No header can be
@@ -263,8 +265,10 @@ def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> Non
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:
         raise CliError(f"config file {path}: {exc}") from None
+    meta: dict[str, str] = {}
     for section in parser.sections():
         if section == "meta":
+            meta = dict(parser.items(section))
             continue
         if section not in _SCHEMA:
             raise CliError(f"config file {path}: unknown section [{section}]")
@@ -284,6 +288,7 @@ def _load_config_file(path: Path, resolved: dict[str, dict[str, object]]) -> Non
             if key not in _SCHEMA[section]:
                 raise CliError(f"config file {path}: unknown key '{key}' in [{section}]")
             resolved[section][key] = _coerce(section, key, raw)
+    return meta
 
 
 def _parse_ablation(text: str) -> dict[str, bool]:
@@ -331,6 +336,27 @@ def _numerics() -> dict[str, object]:
         "numpy": np.__version__,
         "numpy_simd": simd or "none",
     }
+
+
+# The [meta] keys of the numerics a re-run from a manifest compares with its
+# own.  loss_kernels is not among them: both loss bodies write the same bits.
+_RERUN_NUMERICS = ("blas_core", "blas_threads", "numpy", "numpy_simd")
+
+
+def _note_numerics(recorded: dict[str, str], meta: dict[str, object]) -> None:
+    # One note on stderr naming each numerics key whose value in a manifest's
+    # [meta] (``recorded``) differs from this run's.
+    changed = [
+        f"{key} '{recorded[key]}' there, '{_ini_value(meta[key])}' here"
+        for key in _RERUN_NUMERICS
+        if key in recorded and recorded[key] != _ini_value(meta[key])
+    ]
+    if changed:
+        sys.stderr.write(
+            "note: the manifest was written under other numerics ("
+            + "; ".join(changed)
+            + "), so this run's bytes may differ from the recorded run's\n"
+        )
 
 
 def _write_manifest(
@@ -422,8 +448,7 @@ def cmd_glasso(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     resolved = default_config()
-    if args.config is not None:
-        _load_config_file(Path(args.config), resolved)
+    recorded = {} if args.config is None else _load_config_file(Path(args.config), resolved)
     _apply_flags(args, resolved)
     if args.ablation is not None:
         resolved["losses"].update(_parse_ablation(args.ablation))
@@ -442,6 +467,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "threads": args.threads,
     }
     meta.update(_numerics())
+    _note_numerics(recorded, meta)
     if sim is not None:
         if not sim.converged:
             sys.stderr.write(

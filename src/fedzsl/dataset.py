@@ -656,10 +656,7 @@ def load_attributes(dir_path: str | Path) -> AttributeMatrix:
     return _load_attributes(root / ATTRIBUTES_FILE, root / GROUPS_FILE)
 
 
-def load_dataset(
-    dir_path: str | Path,
-    test_fraction_seen: float = DEFAULT_TEST_FRACTION_SEEN,
-) -> tuple[FeatureDataset, AttributeMatrix]:
+def load_dataset(dir_path: str | Path) -> tuple[FeatureDataset, AttributeMatrix]:
     """Load a dataset directory written by :func:`save_dataset`.
 
     The directory must hold ``attributes.csv``, ``groups.csv``,
@@ -686,7 +683,7 @@ def load_dataset(
         )
     seen, unseen = _load_splits(root / SPLITS_FILE)
     try:
-        split = ClassSplit(seen=seen, unseen=unseen, test_fraction_seen=test_fraction_seen)
+        split = ClassSplit(seen=seen, unseen=unseen)
     except SplitError as exc:
         raise SplitError(f"{SPLITS_FILE}: {exc}") from None
     for side, ids in (("seen", split.seen), ("unseen", split.unseen)):

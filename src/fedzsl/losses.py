@@ -27,9 +27,8 @@ bits of ``@``, and a short last batch uses the leading rows of each array.
 So a step allocates nothing, and nothing is looked up or checked per step
 save the finiteness of the total, each term and every gradient.  The
 public ``joint_loss`` and ``ce_loss_attribute_free`` build a one-shot
-workspace, so there is one code path.  The row-local softmax, KL and
-decorrelation work runs over blocks of at most ``_ROW_BLOCK`` rows, so a
-training batch is one block.
+workspace, so there is one code path.  Each term body takes the rows it
+is given in one pass; only the forward-only loss splits rows into blocks.
 
 The forward-only loss (``grads=False``, the per-round global loss over the
 whole training split) takes its products too over blocks of
@@ -58,8 +57,8 @@ the same way.
 
 The elementwise passes and reductions of each term, and the finiteness
 scan of the gradients, run in the compiled library (``fedzsl._kernels``) a
-few calls per row block: before ``exp``, between ``exp`` and ``log``, and
-after ``log``.  The weighted sum of the term gradients stays numpy: done
+few calls per term: before ``exp``, between ``exp`` and ``log``, and after
+``log``.  The weighted sum of the term gradients stays numpy: done
 in C it measured slower at both benchmark batch shapes.  Matrix products
 and numpy's ``exp`` and ``log`` stay numpy calls on whole contiguous
 blocks, whose bits do not depend on an element's position.  Each compiled
@@ -110,11 +109,10 @@ DEFAULT_W_AD = 0.3
 
 ZERO_NORM_EPS = 1e-12
 
-# Rows per block of the row-local softmax, KL and decorrelation work.  A
-# training batch fits in one block.  The forward-only loss (joint_loss with
-# grads=False) and the evaluation take their products and terms this many
-# rows at a time too, a tail of fewer rows joining the block before it
-# (_forward_blocks), so their temporaries stay block-sized.
+# Rows per block of the forward-only loss (joint_loss with grads=False) and
+# the evaluation: they take their products and terms this many rows at a
+# time, a tail of fewer rows joining the block before it (_forward_blocks),
+# so their temporaries stay block-sized.
 _ROW_BLOCK = 256
 
 SCE = "sce"
@@ -258,12 +256,6 @@ def _aligned(shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
-def _row_blocks(rows: int):
-    # (start, stop) of each block of at most _ROW_BLOCK rows.
-    for start in range(0, rows, _ROW_BLOCK):
-        yield start, min(start + _ROW_BLOCK, rows)
-
-
 def _log_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     # Row-wise log-softmax written into ``out``, which may be ``logits``.
     np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
@@ -274,24 +266,24 @@ def _log_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _SoftmaxWork:
     """The work arrays of one softmax term, 64-byte aligned, with their addresses.
 
-    ``out`` has ``out_rows`` rows of ``classes`` values: SCE's
+    For up to ``rows`` rows of ``classes`` values: ``out`` holds SCE's
     log-probabilities, which become its logit gradient, or KL's logit
-    gradient.  ``exps`` holds a block of exponentials (then KL's
-    contributions) and ``log_sums`` their row sums, for blocks of up to
-    ``min(rows, _ROW_BLOCK)`` rows.  The numpy bodies use ``out`` alone.
+    gradient (no rows without ``out``, as KL without gradients needs none);
+    ``exps`` holds the exponentials (then KL's contributions) and
+    ``log_sums`` their row sums.  The numpy bodies use ``out`` alone.
     """
 
     __slots__ = ("out", "exps", "log_sums", "out_at", "exps_at", "sums_at")
 
-    def __init__(self, out_rows: int, rows: int, classes: int) -> None:
-        block = min(rows, _ROW_BLOCK)
-        work = _aligned((out_rows + block) * classes + block)
+    def __init__(self, rows: int, classes: int, out: bool = True) -> None:
+        out_rows = rows if out else 0
+        work = _aligned((out_rows + rows) * classes + rows)
         self.out = work[: out_rows * classes].reshape(out_rows, classes)
-        self.exps = work[out_rows * classes : (out_rows + block) * classes].reshape(block, classes)
-        self.log_sums = work[(out_rows + block) * classes :]
+        self.exps = work[out_rows * classes : (out_rows + rows) * classes].reshape(rows, classes)
+        self.log_sums = work[(out_rows + rows) * classes :]
         self.out_at = _kernels.address(work)
         self.exps_at = self.out_at + 8 * out_rows * classes
-        self.sums_at = self.exps_at + 8 * block * classes
+        self.sums_at = self.exps_at + 8 * rows * classes
 
 
 def _sce_core(
@@ -312,7 +304,7 @@ def _sce_core(
     batch, classes = scores.shape
     if picked is None:
         picked = np.empty(batch)
-    work = _SoftmaxWork(batch if grads else min(batch, _ROW_BLOCK), batch, classes)
+    work = _SoftmaxWork(batch, classes)
     if kernels is None:
         return _sce_numpy(work, scores, positions, grads, picked, first)
     at = _kernels.address
@@ -329,22 +321,18 @@ def _sce_numpy(
     picked: np.ndarray,
     first: int,
 ) -> tuple[float | None, np.ndarray | None]:
-    # The log-softmax of each block is written into its rows of work.out
-    # (the block's own with gradients, else the first) and turned into the
-    # logit gradient there.
+    # The log-softmax is written into work.out and turned into the logit
+    # gradient there.
     batch = scores.shape[0]
-    for start, stop in _row_blocks(batch):
-        rows = np.arange(stop - start)
-        labels = positions[start:stop]
-        row = start if grads else 0
-        log_probs = _log_softmax(scores[start:stop], work.out[row : row + stop - start])
-        picked[first + start : first + stop] = log_probs[rows, labels]
-        if grads:
-            np.exp(log_probs, out=log_probs)
-            log_probs[rows, labels] -= 1.0
-            log_probs /= batch
+    rows = np.arange(batch)
+    log_probs = _log_softmax(scores, work.out[:batch])
+    picked[first : first + batch] = log_probs[rows, positions]
+    if grads:
+        np.exp(log_probs, out=log_probs)
+        log_probs[rows, positions] -= 1.0
+        log_probs /= batch
     value = float(-picked.mean()) if first + batch == picked.size else None
-    return value, work.out[:batch] if grads else None
+    return value, log_probs if grads else None
 
 
 def _sce_compiled(
@@ -358,31 +346,24 @@ def _sce_compiled(
     picked_at: int,
     first: int,
 ) -> tuple[float | None, np.ndarray | None]:
-    # _sce_numpy, stage by stage: per block, the shift by the row maximum,
-    # numpy's exp, the row sums, numpy's log, the log-probabilities and
-    # their entries at the labels, and with gradients numpy's exp and the
-    # logit gradient.  ``*_at`` are the addresses of scores, the labels and
-    # picked.
+    # _sce_numpy, stage by stage: the shift by the row maximum, numpy's exp,
+    # the row sums, numpy's log, the log-probabilities and their entries at
+    # the labels, and with gradients numpy's exp and the logit gradient.
+    # ``*_at`` are the addresses of scores, the labels and picked.
     batch, classes = scores.shape
-    out, exps, log_sums = work.out, work.exps, work.log_sums
-    for start, stop in _row_blocks(batch):
-        rows = stop - start
-        row = start if grads else 0
-        log_probs = out[row : row + rows]
-        probs_at = work.out_at + 8 * row * classes
-        kernels.softmax_shift(rows, classes, scores_at + 8 * start * classes, probs_at, 1.0)
-        np.exp(log_probs, out=exps[:rows])
-        kernels.row_sums(rows, classes, work.exps_at, work.sums_at)
-        np.log(log_sums[:rows], out=log_sums[:rows])
-        total = kernels.sce_rows(
-            rows, classes, probs_at, work.sums_at, labels_at + 8 * start, picked_at,
-            first + start, picked.size,
-        )
-        if grads:
-            np.exp(log_probs, out=log_probs)
-            kernels.sce_grad(rows, classes, probs_at, labels_at + 8 * start, batch)
+    log_probs, log_sums = work.out[:batch], work.log_sums[:batch]
+    kernels.softmax_shift(batch, classes, scores_at, work.out_at, 1.0)
+    np.exp(log_probs, out=work.exps[:batch])
+    kernels.row_sums(batch, classes, work.exps_at, work.sums_at)
+    np.log(log_sums, out=log_sums)
+    total = kernels.sce_rows(
+        batch, classes, work.out_at, work.sums_at, labels_at, picked_at, first, picked.size
+    )
+    if grads:
+        np.exp(log_probs, out=log_probs)
+        kernels.sce_grad(batch, classes, work.out_at, labels_at, batch)
     value = -(total / picked.size) if first + batch == picked.size else None
-    return value, out[:batch] if grads else None
+    return value, log_probs if grads else None
 
 
 def _ad_core(
@@ -405,8 +386,7 @@ def _ad_core(
     grad = np.empty((batch, d_a)) if grads else None
     if kernels is None:
         return _ad_numpy(a_hat, groups, norms, first, grad)
-    # ``bounds`` keeps the array that ``bounds_at`` points into alive for the
-    # call: the cache of _group_bounds may drop its entry meanwhile.
+    # ``bounds`` keeps the array that ``bounds_at`` points into alive for the call.
     bounds, bounds_at = _group_bounds(groups)
     at = _kernels.address
     value = _ad_compiled(
@@ -423,19 +403,16 @@ def _ad_numpy(
     first: int,
     grad: np.ndarray | None,
 ) -> tuple[float | None, np.ndarray | None]:
-    # One elementwise square per row block serves every group; each group's
-    # row sums and their square roots are the ones
-    # np.linalg.norm(block, axis=1) computes.  The gradient, when ``grad``
-    # is given (the rows are then all of them), is written into it.
+    # One elementwise square serves every group; each group's row sums and
+    # their square roots are the ones np.linalg.norm(a_hat, axis=1)
+    # computes.  The gradient, when ``grad`` is given (the rows are then all
+    # of them), is written into it.
     batch = a_hat.shape[0]
-    squares = np.empty((min(batch, _ROW_BLOCK), a_hat.shape[1]))
-    for start, stop in _row_blocks(batch):
-        block = a_hat[start:stop]
-        square = np.multiply(block, block, out=squares[: stop - start])
-        for k, (begin, end) in enumerate(groups):
-            norm = norms[k, first + start : first + stop]
-            np.add.reduce(square[:, begin:end], axis=1, out=norm)
-            np.sqrt(norm, out=norm)
+    square = a_hat * a_hat
+    for k, (begin, end) in enumerate(groups):
+        norm = norms[k, first : first + batch]
+        np.add.reduce(square[:, begin:end], axis=1, out=norm)
+        np.sqrt(norm, out=norm)
     size = norms.shape[1]
     if first + batch != size:
         return None, None
@@ -470,7 +447,7 @@ def _ad_compiled(
     first: int,
     size: int,
 ) -> float | None:
-    # _ad_numpy in one call over the block's rows, through the addresses of
+    # _ad_numpy in one call over a_hat's rows, through the addresses of
     # a_hat, the groups' bounds, the norms (groups x size) and the gradient
     # (or None); the term once the rows reach ``size``, else None.
     total = kernels.ad(
@@ -479,11 +456,10 @@ def _ad_compiled(
     return total / size if first + rows == size else None
 
 
-@functools.lru_cache(maxsize=8)
 def _group_bounds(groups: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int]:
     # The groups' (first, end) pairs as one int64 array and its address,
-    # valid while a caller holds the array.  AttributeMatrix checks that the
-    # groups partition its d_a columns.
+    # valid while the caller holds the array.  AttributeMatrix checks that
+    # the groups partition its d_a columns.
     bounds = np.array(groups, dtype=np.int64).reshape(-1)
     return bounds, _kernels.address(bounds)
 
@@ -503,13 +479,13 @@ def _kl_core(
     # batch, and with gradients its logit gradient, tau * (softmax -
     # target) / B, which the caller carries through its product; compiled
     # (_kl_compiled) when ``kernels`` is given, else _kl_numpy.  Overwrites
-    # ``scores`` with the log-probabilities block by block.  Each row's KL
-    # sum goes into ``row_sums[first:]`` (a vector of its own by default);
-    # the loss is returned once the rows reach its end, else None.
+    # ``scores`` with the log-probabilities.  Each row's KL sum goes into
+    # ``row_sums[first:]`` (a vector of its own by default); the loss is
+    # returned once the rows reach its end, else None.
     batch, classes = scores.shape
     if row_sums is None:
         row_sums = np.empty(batch)
-    work = _SoftmaxWork(batch if grads else 0, batch, classes)
+    work = _SoftmaxWork(batch, classes, out=grads)
     if kernels is None:
         return _kl_numpy(work, scores, targets, log_targets, labels, tau, grads, row_sums, first)
     at = _kernels.address
@@ -530,31 +506,30 @@ def _kl_numpy(
     row_sums: np.ndarray,
     first: int,
 ) -> tuple[float | None, np.ndarray | None]:
-    # Gathers each block's target rows (and their cached logarithms) by
-    # label; the logit gradient goes into work.out.
+    # Gathers the target rows (and their cached logarithms) by label; the
+    # logit gradient goes into work.out.
     batch = scores.shape[0]
-    for start, stop in _row_blocks(batch):
-        log_probs = scores[start:stop]
-        log_probs /= tau
-        _log_softmax(log_probs, log_probs)
-        target_rows = targets[labels[start:stop]]
-        contributions = log_targets[labels[start:stop]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contributions -= log_probs
-            contributions *= target_rows
-        zero = target_rows == 0.0
-        if zero.any():
-            contributions[zero] = 0.0
-        np.add.reduce(contributions, axis=1, out=row_sums[first + start : first + stop])
-        if grads:
-            d_block = np.exp(log_probs, out=work.out[start:stop])
-            d_block -= target_rows
-            d_block *= tau
-            d_block /= batch
+    log_probs = scores
+    log_probs /= tau
+    _log_softmax(log_probs, log_probs)
+    target_rows = targets[labels]
+    contributions = log_targets[labels]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contributions -= log_probs
+        contributions *= target_rows
+    zero = target_rows == 0.0
+    if zero.any():
+        contributions[zero] = 0.0
+    np.add.reduce(contributions, axis=1, out=row_sums[first : first + batch])
+    d_logits = None
+    if grads:
+        d_logits = np.exp(log_probs, out=work.out[:batch])
+        d_logits -= target_rows
+        d_logits *= tau
+        d_logits /= batch
     if first + batch != row_sums.size:
         return None, None
-    value = float(tau * tau * row_sums.mean())
-    return value, work.out[:batch] if grads else None
+    return float(tau * tau * row_sums.mean()), d_logits
 
 
 def _kl_compiled(
@@ -571,48 +546,27 @@ def _kl_compiled(
     row_sums_at: int,
     first: int,
 ) -> tuple[float | None, np.ndarray | None]:
-    # _kl_numpy, stage by stage: per block, the division by tau and the
-    # shift by the row maximum, numpy's exp, the row sums, numpy's log, the
+    # _kl_numpy, stage by stage: the division by tau and the shift by the
+    # row maximum, numpy's exp, the row sums, numpy's log, the
     # log-probabilities with each row's KL sum, and with gradients numpy's
     # exp and the logit gradient.  ``*_at`` are the arrays' addresses.
     batch, classes = scores.shape
-    exps, log_sums = work.exps, work.log_sums
-    for start, stop in _row_blocks(batch):
-        rows = stop - start
-        log_probs = scores[start:stop]
-        probs_at = scores_at + 8 * start * classes
-        kernels.softmax_shift(rows, classes, probs_at, probs_at, tau)
-        np.exp(log_probs, out=exps[:rows])
-        kernels.row_sums(rows, classes, work.exps_at, work.sums_at)
-        np.log(log_sums[:rows], out=log_sums[:rows])
-        total = kernels.kl_rows(
-            rows,
-            classes,
-            probs_at,
-            work.sums_at,
-            targets_at,
-            log_targets_at,
-            labels_at + 8 * start,
-            work.exps_at,
-            row_sums_at,
-            first + start,
-            row_sums.size,
-        )
-        if grads:
-            np.exp(log_probs, out=work.out[start:stop])
-            kernels.kl_grad(
-                rows,
-                classes,
-                work.out_at + 8 * start * classes,
-                targets_at,
-                labels_at + 8 * start,
-                tau,
-                batch,
-            )
+    log_sums = work.log_sums[:batch]
+    kernels.softmax_shift(batch, classes, scores_at, scores_at, tau)
+    np.exp(scores, out=work.exps[:batch])
+    kernels.row_sums(batch, classes, work.exps_at, work.sums_at)
+    np.log(log_sums, out=log_sums)
+    total = kernels.kl_rows(
+        batch, classes, scores_at, work.sums_at, targets_at, log_targets_at, labels_at,
+        work.exps_at, row_sums_at, first, row_sums.size,
+    )
+    d_logits = None
+    if grads:
+        d_logits = np.exp(scores, out=work.out[:batch])
+        kernels.kl_grad(batch, classes, work.out_at, targets_at, labels_at, tau, batch)
     if first + batch != row_sums.size:
         return None, None
-    value = tau * tau * (total / row_sums.size)
-    return value, work.out[:batch] if grads else None
+    return tau * tau * (total / row_sums.size), d_logits
 
 
 def _bc_numpy(residual: np.ndarray, v: np.ndarray, d_b: np.ndarray) -> float:
@@ -844,7 +798,7 @@ class StepWorkspace:
         self._v = _aligned((rows, d_v))
         self._y = _aligned(rows, np.int64)
         self._scores = _aligned((rows, classes)) if on[SCE] or on[KL] else None
-        self._sce_work = _SoftmaxWork(rows, rows, classes) if on[SCE] else None
+        self._sce_work = _SoftmaxWork(rows, classes) if on[SCE] else None
         self._picked = _aligned(rows) if on[SCE] else None
         self.grads = {}
         if self._joint:
@@ -854,7 +808,7 @@ class StepWorkspace:
             self._a_hat = _aligned((rows, d_a))
             self._total = _aligned((rows, d_a))
             self._term = _aligned((rows, d_a))
-            self._kl_work = _SoftmaxWork(rows, rows, classes) if on[KL] else None
+            self._kl_work = _SoftmaxWork(rows, classes) if on[KL] else None
             self._kl_rows = _aligned(rows) if on[KL] else None
             self._residual = _aligned((rows, d_v)) if on[BC] else None
             self._groups = A.groups

@@ -473,6 +473,37 @@ class TestRun:
         for name in ("metrics.csv", "final_model.csv"):
             assert (numpy_run / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_rerun_notes_numerics_that_differ_from_the_manifest(
+        self, small_data, tmp_path, capsys
+    ):
+        # A manifest whose [meta] names another BLAS core gives one note on
+        # stderr naming the key and both values; the unedited manifest, and
+        # one written before [meta] held the numerics, give none.  Every
+        # re-run exits 0 and writes the bytes of the first run (the old
+        # manifest holds the FAST_RUN settings).
+        first = tmp_path / "first"
+        assert self.run_once(small_data, first) == 0
+        capsys.readouterr()
+        written = first / "manifest.ini"
+        core = read_manifest(written)["meta"]["blas_core"]
+        edited = tmp_path / "edited.ini"
+        text = written.read_text()
+        assert text.count(f"\nblas_core = {core}\n") == 1
+        edited.write_text(text.replace(f"\nblas_core = {core}\n", "\nblas_core = Elsewhere\n"))
+        for config, notes in ((edited, 1), (written, 0), (PARENT_MANIFEST, 0)):
+            out = tmp_path / config.stem
+            assert cli.main(
+                ["run", "--data", str(small_data), "--out", str(out), "--config", str(config)]
+            ) == 0
+            err = capsys.readouterr().err
+            assert err.count("note:") == notes, err
+            if notes:
+                assert f"blas_core 'Elsewhere' there, '{core}' here" in err
+                for key in ("blas_threads", "numpy", "numpy_simd", "loss_kernels"):
+                    assert f"{key} '" not in err
+            for name in ("metrics.csv", "final_model.csv"):
+                assert (out / name).read_bytes() == (first / name).read_bytes(), name
+
     @pytest.mark.parametrize("word", ["full", "all", " ALL "])
     def test_ablation_full_turns_every_term_on(self, small_data, tmp_path, monkeypatch, word):
         # The config file turns three terms off; the flag wins over it.

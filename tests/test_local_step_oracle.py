@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedzsl import _kernels, fed, losses, model
@@ -619,8 +619,9 @@ def test_loss_reports_match(problem, name, grads, rows):
     assert_same_report(new, old)
 
 
-# Row counts around the loss kernels' row block: one short of it, exactly
-# one block, one past it, two blocks and a remainder, and the whole split.
+# Row counts around the forward-only loss's row block: one short of it,
+# exactly one block, one past it, two blocks and a remainder, and the whole
+# split.
 BLOCK_ROWS = losses._ROW_BLOCK
 
 
@@ -787,6 +788,21 @@ def test_simulation_matches(problem, name):
 # ---- the step workspace against the oracle's loss and SGD step ---------------
 
 WEIGHT = st.sampled_from([0.0, 0.1, 0.3, 1.0, 10.0])
+# (rows, batch): small batches, or batches of more than _ROW_BLOCK rows
+# followed by a short last batch.
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 50), st.integers(1, 20)),
+    st.integers(257, 400).flatmap(
+        lambda batch: st.tuples(st.integers(batch + 1, 2 * batch - 1), st.just(batch))
+    ),
+)
+# A 300-row batch and a 180-row tail with every term on, in float32 and
+# float64, compiled and numpy; the examples below also run the attribute-free
+# loss at 257 rows and a 143-row tail.
+WIDE = dict(
+    seed=7, d_a=40, d_v=24, classes=30, shape=(480, 300), weights=(0.1, 10.0, 0.3),
+    flags=(True,) * 4, attribute_free=False,
+)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -795,21 +811,27 @@ WEIGHT = st.sampled_from([0.0, 0.1, 0.3, 1.0, 10.0])
     d_a=st.integers(1, 40),
     d_v=st.integers(1, 40),
     classes=st.integers(2, 30),
-    rows=st.integers(1, 50),
-    batch=st.integers(1, 20),
+    shape=SHAPES,
     weights=st.tuples(WEIGHT, WEIGHT, WEIGHT),
     flags=st.tuples(*[st.booleans()] * 4),
     attribute_free=st.booleans(),
     float32=st.booleans(),
     compiled=st.booleans(),
 )
+@example(**WIDE, float32=False, compiled=True)
+@example(**WIDE, float32=True, compiled=True)
+@example(**WIDE, float32=False, compiled=False)
+@example(**WIDE, float32=True, compiled=False)
+@example(**{**WIDE, "attribute_free": True, "shape": (400, 257)}, float32=True, compiled=True)
+@example(**{**WIDE, "attribute_free": True, "shape": (400, 257)}, float32=False, compiled=False)
 def test_workspace_steps_match_the_oracle(
-    seed, d_a, d_v, classes, rows, batch, weights, flags, attribute_free, float32, compiled
+    seed, d_a, d_v, classes, shape, weights, flags, attribute_free, float32, compiled
 ):
     # Two epochs of a client's steps, every batch size dividing its rows or
     # leaving a short tail, compiled and numpy: after each step the total,
     # every gradient, every tensor and every momentum buffer are the bytes
     # of the oracle's joint_loss (or ce_loss_attribute_free) and sgd_step.
+    rows, batch = shape
     rng = np.random.default_rng(seed)
     cuts = sorted({0, d_a, *rng.integers(1, d_a + 1, 2).tolist()})
     attrs = AttributeMatrix(

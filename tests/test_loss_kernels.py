@@ -38,7 +38,7 @@ from test_model import cpu_has_fma
 # A row length from each branch of numpy's pairwise sum: fewer than 8
 # values, 8 to 128 in eight accumulators, and longer runs that it splits.
 LENGTHS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300))
-# One row block, or more than one (losses._ROW_BLOCK is 256).
+# A small batch's rows, or rows around and past losses._ROW_BLOCK (256).
 ROWS = st.one_of(st.integers(1, 24), st.integers(250, 600))
 SEEDS = st.integers(0, 2**32 - 1)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -155,9 +155,9 @@ class TestLossCores:
 
     def test_ad_core_holds_its_bounds_while_the_kernel_reads_them(self):
         # The kernel reads the groups' bounds through a bare address.  A fake
-        # kernel empties the bounds' cache and allocates an array of their
-        # size, which may reuse a freed block, before the real one runs: the
-        # caller's own reference must keep the bounds it passed.
+        # kernel allocates an array of their size, which may reuse a freed
+        # block, before the real one runs: the caller's own reference must
+        # keep the bounds it passed.
         rng = np.random.default_rng(5)
         groups = ((0, 3), (3, 7), (7, 10))
         a_hat = values(rng, (6, 10), zeros=False)
@@ -165,7 +165,6 @@ class TestLossCores:
         held = []
 
         def ad(*args):
-            losses._group_bounds.cache_clear()
             held.append(np.zeros(6, dtype=np.int64))
             return kernels.ad(*args)
 

@@ -439,30 +439,26 @@ void fedzsl_column_sums(long long rows, long long cols, const double *restrict x
 }
 
 /*
- * The semantic cross-entropy of rows [first, first + rows) of a batch of
- * `batch` rows, after the log of the exponential sums: lp (the block's
- * rows) becomes the log-probabilities and picked[first + r] their entry at
- * labels[r].  Returns np.add.reduce(picked) once the block is the batch's
- * last, else 0.0.
+ * The semantic cross-entropy of `rows` rows, after the log of the
+ * exponential sums: lp becomes the log-probabilities and picked[r] their
+ * entry at labels[r].  Returns np.add.reduce(picked).
  */
 double fedzsl_sce_rows(long long rows, long long cols, double *lp, const double *log_sums,
-                       const long long *labels, double *picked, long long first,
-                       long long batch)
+                       const long long *labels, double *picked)
 {
     subtract_rows(rows, cols, lp, log_sums);
     for (long long r = 0; r < rows; r++)
-        picked[first + r] = lp[r * cols + labels[r]];
-    return first + rows == batch ? reduce(picked, batch) : 0.0;
+        picked[r] = lp[r * cols + labels[r]];
+    return reduce(picked, rows);
 }
 
 /*
- * The logit gradient of the cross-entropy from the block's probabilities p:
- * p[r, labels[r]] -= 1, then p /= batch.
+ * The logit gradient of the cross-entropy from the probabilities p:
+ * p[r, labels[r]] -= 1, then p /= rows.
  */
-void fedzsl_sce_grad(long long rows, long long cols, double *p, const long long *labels,
-                     long long batch)
+void fedzsl_sce_grad(long long rows, long long cols, double *p, const long long *labels)
 {
-    double b = (double)batch;
+    double b = (double)rows;
     for (long long r = 0; r < rows; r++)
         p[r * cols + labels[r]] -= 1.0;
     for (long long k = 0; k < rows * cols; k++)
@@ -470,18 +466,15 @@ void fedzsl_sce_grad(long long rows, long long cols, double *p, const long long 
 }
 
 /*
- * The KL term of rows [first, first + rows) of a batch of `batch` rows,
- * after the log of the exponential sums: lp (the block's rows) becomes the
- * log-probabilities; with t the target row and lt its logarithm at
- * labels[r], each entry contributes (lt - lp) * t, or 0 where t is 0, and
- * row_sums[first + r] = np.add.reduce of the contributions, gathered in
- * work (cols values).  Returns np.add.reduce(row_sums) once the block is
- * the batch's last, else 0.0.
+ * The KL term of `rows` rows, after the log of the exponential sums: lp
+ * becomes the log-probabilities; with t the target row and lt its logarithm
+ * at labels[r], each entry contributes (lt - lp) * t, or 0 where t is 0, and
+ * row_sums[r] = np.add.reduce of the contributions, gathered in work (cols
+ * values).  Returns np.add.reduce(row_sums).
  */
 double fedzsl_kl_rows(long long rows, long long cols, double *lp, const double *log_sums,
                       const double *targets, const double *log_targets,
-                      const long long *labels, double *restrict work, double *row_sums,
-                      long long first, long long batch)
+                      const long long *labels, double *restrict work, double *row_sums)
 {
     subtract_rows(rows, cols, lp, log_sums);
     for (long long r = 0; r < rows; r++) {
@@ -495,16 +488,16 @@ double fedzsl_kl_rows(long long rows, long long cols, double *lp, const double *
             if (t[k] == 0.0)
                 work[k] = 0.0;
         }
-        row_sums[first + r] = reduce(work, cols);
+        row_sums[r] = reduce(work, cols);
     }
-    return first + rows == batch ? reduce(row_sums, batch) : 0.0;
+    return reduce(row_sums, rows);
 }
 
-/* The KL logit gradient from the block's probabilities p: ((p - t) * tau) / batch. */
+/* The KL logit gradient from the probabilities p: ((p - t) * tau) / rows. */
 void fedzsl_kl_grad(long long rows, long long cols, double *p, const double *targets,
-                    const long long *labels, double tau, long long batch)
+                    const long long *labels, double tau)
 {
-    double b = (double)batch;
+    double b = (double)rows;
     for (long long r = 0; r < rows; r++) {
         double *restrict pr = p + r * cols;
         const double *restrict t = targets + labels[r] * cols;
@@ -514,38 +507,34 @@ void fedzsl_kl_grad(long long rows, long long cols, double *p, const double *tar
 }
 
 /*
- * The decorrelation term of rows [first, first + rows) of a batch of
- * `batch` rows, a holding the block's rows (d_a columns): for group g with
- * columns [bounds[2g], bounds[2g + 1]), norms[g * batch + first + r] is the
- * square root of np.add.reduce of the squares of a[r] over the group.
- * Returns the sum over groups, in order from 0.0, of np.add.reduce of each
- * group's norms once the block is the batch's last, else 0.0.  When grad is
- * not NULL (the block is then the whole batch), grad[r] over the group is
- * (a[r] / norm) / batch, or 0 where the norm is below eps (or NaN).
+ * The decorrelation term of `rows` rows of a (d_a columns): for group g with
+ * columns [bounds[2g], bounds[2g + 1]), norms[g * rows + r] is the square
+ * root of np.add.reduce of the squares of a[r] over the group.  Returns the
+ * sum over groups, in order from 0.0, of np.add.reduce of each group's
+ * norms.  When grad is not NULL, grad[r] over the group is
+ * (a[r] / norm) / rows, or 0 where the norm is below eps (or NaN).
  */
 double fedzsl_ad(long long rows, long long d_a, const double *restrict a, long long groups,
                  const long long *bounds, double *restrict norms, double *restrict grad,
-                 double eps, long long first, long long batch)
+                 double eps)
 {
     for (long long g = 0; g < groups; g++) {
         long long start = bounds[2 * g], width = bounds[2 * g + 1] - start;
         for (long long r = 0; r < rows; r++)
-            norms[g * batch + first + r] = sqrt(reduce_squares(a + r * d_a + start, width));
+            norms[g * rows + r] = sqrt(reduce_squares(a + r * d_a + start, width));
     }
-    if (first + rows != batch)
-        return 0.0;
     double total = 0.0;
     for (long long g = 0; g < groups; g++)
-        total += reduce(norms + g * batch, batch);
+        total += reduce(norms + g * rows, rows);
     if (grad == 0)
         return total;
-    double b = (double)batch;
+    double b = (double)rows;
     for (long long g = 0; g < groups; g++) {
         long long start = bounds[2 * g], width = bounds[2 * g + 1] - start;
         for (long long r = 0; r < rows; r++) {
             const double *x = a + r * d_a + start;
             double *y = grad + r * d_a + start;
-            double norm = norms[g * batch + r];
+            double norm = norms[g * rows + r];
             if (norm >= eps)
                 for (long long k = 0; k < width; k++)
                     y[k] = (x[k] / norm) / b;

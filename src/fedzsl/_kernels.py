@@ -116,11 +116,11 @@ _SIGNATURES = {
     "softmax_shift": (None, (_size, _size, _pointer, _pointer, _real)),
     "row_sums": (None, (_size, _size, _pointer, _pointer)),
     "column_sums": (None, (_size, _size, _pointer, _pointer)),
-    "sce_rows": (_real, (_size, _size, *[_pointer] * 4, _size, _size)),
-    "sce_grad": (None, (_size, _size, _pointer, _pointer, _size)),
-    "kl_rows": (_real, (_size, _size, *[_pointer] * 7, _size, _size)),
-    "kl_grad": (None, (_size, _size, _pointer, _pointer, _pointer, _real, _size)),
-    "ad": (_real, (_size, _size, _pointer, _size, _pointer, _pointer, _pointer, _real, _size, _size)),
+    "sce_rows": (_real, (_size, _size, *[_pointer] * 4)),
+    "sce_grad": (None, (_size, _size, _pointer, _pointer)),
+    "kl_rows": (_real, (_size, _size, *[_pointer] * 7)),
+    "kl_grad": (None, (_size, _size, _pointer, _pointer, _pointer, _real)),
+    "ad": (_real, (_size, _size, _pointer, _size, _pointer, _pointer, _pointer, _real)),
     "bc": (_real, (_size, _size, _pointer, _pointer, ctypes.c_int, _pointer, _pointer)),
     "stream_start": (None, (_pointer, _size)),
     "stream_add": (_real, (_pointer, _pointer, _size, ctypes.c_int)),

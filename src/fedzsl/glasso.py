@@ -136,13 +136,17 @@ class SimilarityMatrix:
 
 @dataclass
 class DistillTargets:
-    """Per-class softened probability rows used as distillation targets."""
+    """Per-class softened probability rows used as distillation targets.
+
+    ``probs`` is kept as an aligned, C-contiguous float64 array, the layout
+    the compiled loss kernels read (a copy only when it is given otherwise).
+    """
 
     probs: np.ndarray
     tau: float
 
     def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
+        self.probs = np.require(self.probs, np.float64, "CA")
         self.tau = float(self.tau)
         if self.tau <= 0.0 or not math.isfinite(self.tau):
             raise GlassoError(f"tau must be finite and positive, got {self.tau}")

@@ -27,8 +27,10 @@ bits of ``@``, and a short last batch uses the leading rows of each array.
 So a step allocates nothing, and nothing is looked up or checked per step
 save the finiteness of the total, each term and every gradient.  The
 public ``joint_loss`` and ``ce_loss_attribute_free`` build a one-shot
-workspace, so there is one code path.  Each term body takes the rows it
-is given in one pass; only the forward-only loss splits rows into blocks.
+workspace, so there is one code path.  Each term body, and each compiled
+row kernel, takes the rows it is given in one pass: it writes their
+per-row values into the vector it is given and returns its term over
+those rows.  Only the forward-only loss splits rows into blocks.
 
 The forward-only loss (``grads=False``, the per-round global loss over the
 whole training split) takes its products too over blocks of
@@ -42,18 +44,22 @@ of the whole product do, where a smaller one need not.  That was checked
 only on OpenBLAS 0.3.31's SkylakeX kernels, at the benchmark shapes, at
 d_v 2048 and at narrow shapes down to d_a 6, d_v 8; under more BLAS
 threads, or another BLAS, the forward-only loss may differ from the
-gradient-computing call in its last bits.  Per-row values (the
-log-probabilities at the labels, the KL row sums, the group norms) are
-written into full-length vectors and each is reduced once: numpy sums by
+gradient-computing call in its last bits.  Each block hands the term
+bodies its slice of a full-length vector of per-row values (the
+log-probabilities at the labels, the KL row sums; the group norms go into
+a block-sized groups x rows array, copied into the full one), and the
+term a body returns for the block is not read.  Once every block is in,
+the scoring reduces each full vector once, by the numpy bodies' own
+expressions (``_sce_value``, ``_kl_value``, ``_ad_value``): numpy sums by
 pairwise recursion over the whole vector, and adding per-block partial
 sums would group the additions differently.  BC's sum of squares over all
 rows x d_v values goes on to a compiled stream that walks the same
 pairwise recursion block by block (``_SquareSum``), or, on the numpy
 bodies, into one full-length vector reduced once.  Reductions in C follow
 numpy's pairwise order and are checked at load.  Since no value depends on
-the order the blocks run in, the calling thread and one more take them as
-each comes free (``_map_blocks``), and the evaluation's predictions run
-the same way.
+the order the blocks run in, the calling thread and one more take them,
+every block alike, as each comes free (``_map_blocks``), and the
+evaluation's predictions run the same way.
 
 The elementwise passes and reductions of each term, and the finiteness
 scan of the gradients, run in the compiled library (``fedzsl._kernels``) a
@@ -63,15 +69,16 @@ in C it measured slower at both benchmark batch shapes.  Matrix products
 and numpy's ``exp`` and ``log`` stay numpy calls on whole contiguous
 blocks, whose bits do not depend on an element's position.  Each compiled
 path performs its numpy body's IEEE operations in the same order.  Whether
-the compiled paths or the numpy bodies run is chosen once per workspace
-and once per forward-only call (``_loss_kernels``), never per kernel call:
-the numpy bodies run when the library is missing, when its reductions did
-not match numpy's at load, or when an input array the kernels read and
-that the losses did not allocate (the distillation targets, the features
-of the forward-only loss's reconstruction) is not a layout they take
-(``_kernels.fits``).  The step workspace widens float32 features, as
-``features.bin`` loads them, into its own float64 batch, which changes no
-bit: numpy widens them exactly before any product.
+the compiled paths or the numpy bodies run depends on the process alone
+(``_loss_kernels``, asked once per workspace and once per forward-only
+call, never per kernel call): the numpy bodies run when the library is
+missing or its reductions did not match numpy's at load.  Every array the
+kernels read is in a layout they take (``_kernels.fits``): the losses
+allocate their work arrays, ``_as_batch`` requires the features and
+labels C-contiguous, and ``DistillTargets`` its table.  The step
+workspace widens float32 features, as ``features.bin`` loads them, into
+its own float64 batch, which changes no bit: numpy widens them exactly
+before any product.
 """
 
 from __future__ import annotations
@@ -211,8 +218,8 @@ def _require_finite(total: float, terms: dict[str, float], finite_grads) -> None
 def _all_finite(grad: np.ndarray) -> bool:
     # Whether every entry of any gradient array is finite: one compiled pass
     # where the kernels take it, else _finite_numpy.
-    kernels = _loss_kernels(grad)
-    if kernels is not None:
+    kernels = _loss_kernels()
+    if kernels is not None and _kernels.fits(_kernels.FLOAT64, grad):
         return bool(kernels.all_finite(grad.size, _kernels.address(grad)))
     return _finite_numpy(grad)
 
@@ -228,8 +235,8 @@ def _finite_numpy(grad: np.ndarray) -> bool:
 def _as_batch(
     features: np.ndarray, labels: np.ndarray, d_v: int, loss_name: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    # The features as a (B, d_v) batch and the labels as one int64 per row,
-    # in a layout the kernels take.
+    # The features as a C-contiguous (B, d_v) batch and the labels as one
+    # int64 per row, in the layout the kernels take.
     v = _as_features(features)
     if v.ndim != 2 or v.shape[1] != d_v:
         raise LossError(f"features must have shape (B, {d_v}), got {v.shape}")
@@ -238,7 +245,7 @@ def _as_batch(
     y = _as_ids(labels, f"{loss_name}: labels", LossError)
     if y.shape != (v.shape[0],):
         raise LossError(f"{loss_name}: labels must have shape ({v.shape[0]},), got {y.shape}")
-    return v, np.require(y, requirements="CA")
+    return np.require(v, requirements="CA"), np.require(y, requirements="CA")
 
 
 def _require_mode(params: ModelParams, mode: str, loss_name: str) -> None:
@@ -268,15 +275,19 @@ class _SoftmaxWork:
 
     For up to ``rows`` rows of ``classes`` values: ``out`` holds SCE's
     log-probabilities, which become its logit gradient, or KL's logit
-    gradient (no rows without ``out``, as KL without gradients needs none);
-    ``exps`` holds the exponentials (then KL's contributions) and
-    ``log_sums`` their row sums.  The numpy bodies use ``out`` alone.
+    gradient (no rows without ``out``, as KL without gradients needs none).
+    The numpy bodies use ``out`` alone; for the ``compiled`` ones ``exps``
+    holds the exponentials (then KL's contributions) and ``log_sums`` their
+    row sums, and the addresses are bound.
     """
 
     __slots__ = ("out", "exps", "log_sums", "out_at", "exps_at", "sums_at")
 
-    def __init__(self, rows: int, classes: int, out: bool = True) -> None:
+    def __init__(self, rows: int, classes: int, compiled: bool, out: bool = True) -> None:
         out_rows = rows if out else 0
+        if not compiled:
+            self.out = _aligned((out_rows, classes))
+            return
         work = _aligned((out_rows + rows) * classes + rows)
         self.out = work[: out_rows * classes].reshape(out_rows, classes)
         self.exps = work[out_rows * classes : (out_rows + rows) * classes].reshape(rows, classes)
@@ -286,31 +297,47 @@ class _SoftmaxWork:
         self.sums_at = self.exps_at + 8 * rows * classes
 
 
+def _sce_value(picked: np.ndarray) -> float:
+    # The cross-entropy from the log-probabilities at the labels: their negated mean.
+    return float(-picked.mean())
+
+
+def _kl_value(row_sums: np.ndarray, tau: float) -> float:
+    # The KL term from each row's KL sum: tau^2 times their mean.
+    return float(tau * tau * row_sums.mean())
+
+
+def _ad_value(norms: np.ndarray) -> float:
+    # The decorrelation term from the group norms (groups x rows): each
+    # group's sum, added one at a time in Python floats (builtin sum()
+    # compensates its rounding on Python 3.12 and later), over the rows.
+    total = 0.0
+    for group_total in norms.sum(axis=1).tolist():
+        total += group_total
+    return total / norms.shape[1]
+
+
 def _sce_core(
     kernels: _kernels.Kernels | None,
     scores: np.ndarray,
     positions: np.ndarray,
     grads: bool,
     picked: np.ndarray | None = None,
-    first: int = 0,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # Cross-entropy of softmax(scores) at the label and, with gradients, the
     # logit gradient, which each caller carries through its own product;
     # compiled (_sce_compiled) when ``kernels`` is given, else _sce_numpy.
     # ``scores`` is left as it is for the KL term.  The log-probabilities at
-    # the labels go into ``picked[first:]`` (a vector of its own by
-    # default); the loss, their negated mean, is returned once the rows
-    # reach the end of ``picked``, else None.
+    # the labels go into ``picked``, one per row (a vector of its own by
+    # default).
     batch, classes = scores.shape
     if picked is None:
         picked = np.empty(batch)
-    work = _SoftmaxWork(batch, classes)
+    work = _SoftmaxWork(batch, classes, kernels is not None)
     if kernels is None:
-        return _sce_numpy(work, scores, positions, grads, picked, first)
+        return _sce_numpy(work, scores, positions, grads, picked)
     at = _kernels.address
-    return _sce_compiled(
-        kernels, work, scores, at(scores), at(positions), grads, picked, at(picked), first
-    )
+    return _sce_compiled(kernels, work, scores, at(scores), at(positions), grads, at(picked))
 
 
 def _sce_numpy(
@@ -319,20 +346,18 @@ def _sce_numpy(
     positions: np.ndarray,
     grads: bool,
     picked: np.ndarray,
-    first: int,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # The log-softmax is written into work.out and turned into the logit
     # gradient there.
     batch = scores.shape[0]
     rows = np.arange(batch)
     log_probs = _log_softmax(scores, work.out[:batch])
-    picked[first : first + batch] = log_probs[rows, positions]
+    picked[:] = log_probs[rows, positions]
     if grads:
         np.exp(log_probs, out=log_probs)
         log_probs[rows, positions] -= 1.0
         log_probs /= batch
-    value = float(-picked.mean()) if first + batch == picked.size else None
-    return value, log_probs if grads else None
+    return _sce_value(picked), log_probs if grads else None
 
 
 def _sce_compiled(
@@ -342,10 +367,8 @@ def _sce_compiled(
     scores_at: int,
     labels_at: int,
     grads: bool,
-    picked: np.ndarray,
     picked_at: int,
-    first: int,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # _sce_numpy, stage by stage: the shift by the row maximum, numpy's exp,
     # the row sums, numpy's log, the log-probabilities and their entries at
     # the labels, and with gradients numpy's exp and the logit gradient.
@@ -356,14 +379,11 @@ def _sce_compiled(
     np.exp(log_probs, out=work.exps[:batch])
     kernels.row_sums(batch, classes, work.exps_at, work.sums_at)
     np.log(log_sums, out=log_sums)
-    total = kernels.sce_rows(
-        batch, classes, work.out_at, work.sums_at, labels_at, picked_at, first, picked.size
-    )
+    total = kernels.sce_rows(batch, classes, work.out_at, work.sums_at, labels_at, picked_at)
     if grads:
         np.exp(log_probs, out=log_probs)
-        kernels.sce_grad(batch, classes, work.out_at, labels_at, batch)
-    value = -(total / picked.size) if first + batch == picked.size else None
-    return value, log_probs if grads else None
+        kernels.sce_grad(batch, classes, work.out_at, labels_at)
+    return -(total / batch), log_probs if grads else None
 
 
 def _ad_core(
@@ -372,57 +392,46 @@ def _ad_core(
     groups: tuple[tuple[int, int], ...],
     grads: bool,
     norms: np.ndarray | None = None,
-    first: int = 0,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # Sum of unsquared group norms per sample; the gradient of each group is
     # its unit direction, taken as 0 below the zero-norm threshold.
     # Compiled (_ad_compiled) when ``kernels`` is given, else _ad_numpy.  The
-    # norms go into columns first: of ``norms`` (groups x rows, an array of
-    # its own by default); the loss is returned once the rows reach its last
-    # column, else None.
+    # norms go into ``norms`` (groups x rows, an array of its own by
+    # default).
     batch, d_a = a_hat.shape
     if norms is None:
         norms = np.empty((len(groups), batch))
     grad = np.empty((batch, d_a)) if grads else None
     if kernels is None:
-        return _ad_numpy(a_hat, groups, norms, first, grad)
+        return _ad_numpy(a_hat, groups, norms, grad)
     # ``bounds`` keeps the array that ``bounds_at`` points into alive for the call.
     bounds, bounds_at = _group_bounds(groups)
     at = _kernels.address
     value = _ad_compiled(
         kernels, batch, d_a, at(a_hat), len(groups), bounds_at, at(norms),
-        at(grad) if grads else None, first, norms.shape[1],
+        at(grad) if grads else None,
     )
-    return value, grad if value is not None else None
+    return value, grad
 
 
 def _ad_numpy(
     a_hat: np.ndarray,
     groups: tuple[tuple[int, int], ...],
     norms: np.ndarray,
-    first: int,
     grad: np.ndarray | None,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # One elementwise square serves every group; each group's row sums and
     # their square roots are the ones np.linalg.norm(a_hat, axis=1)
-    # computes.  The gradient, when ``grad`` is given (the rows are then all
-    # of them), is written into it.
+    # computes.  The gradient, when ``grad`` is given, is written into it.
     batch = a_hat.shape[0]
     square = a_hat * a_hat
     for k, (begin, end) in enumerate(groups):
-        norm = norms[k, first : first + batch]
+        norm = norms[k]
         np.add.reduce(square[:, begin:end], axis=1, out=norm)
         np.sqrt(norm, out=norm)
-    size = norms.shape[1]
-    if first + batch != size:
-        return None, None
-    # Group totals are added one at a time in Python floats, as before;
-    # builtin sum() compensates its rounding on Python 3.12 and later.
-    total = 0.0
-    for group_total in norms.sum(axis=1).tolist():
-        total += group_total
+    value = _ad_value(norms)
     if grad is None:
-        return total / size, None
+        return value, None
     safe = norms >= ZERO_NORM_EPS
     all_safe = bool(safe.all())
     if not all_safe:
@@ -432,7 +441,7 @@ def _ad_numpy(
         if not all_safe:
             grad[~safe[k], begin:end] = 0.0
     grad /= batch
-    return total / batch, grad
+    return value, grad
 
 
 def _ad_compiled(
@@ -444,16 +453,12 @@ def _ad_compiled(
     bounds_at: int,
     norms_at: int,
     grad_at: int | None,
-    first: int,
-    size: int,
-) -> float | None:
+) -> float:
     # _ad_numpy in one call over a_hat's rows, through the addresses of
-    # a_hat, the groups' bounds, the norms (groups x size) and the gradient
-    # (or None); the term once the rows reach ``size``, else None.
-    total = kernels.ad(
-        rows, d_a, a_hat_at, groups, bounds_at, norms_at, grad_at, ZERO_NORM_EPS, first, size
-    )
-    return total / size if first + rows == size else None
+    # a_hat, the groups' bounds, the norms (groups x rows) and the gradient
+    # (or None).
+    total = kernels.ad(rows, d_a, a_hat_at, groups, bounds_at, norms_at, grad_at, ZERO_NORM_EPS)
+    return total / rows
 
 
 def _group_bounds(groups: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int]:
@@ -473,25 +478,23 @@ def _kl_core(
     tau: float,
     grads: bool,
     row_sums: np.ndarray | None = None,
-    first: int = 0,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # tau^2-scaled KL(target || softmax(z/tau)) per sample, meaned over the
     # batch, and with gradients its logit gradient, tau * (softmax -
     # target) / B, which the caller carries through its product; compiled
     # (_kl_compiled) when ``kernels`` is given, else _kl_numpy.  Overwrites
     # ``scores`` with the log-probabilities.  Each row's KL sum goes into
-    # ``row_sums[first:]`` (a vector of its own by default); the loss is
-    # returned once the rows reach its end, else None.
+    # ``row_sums`` (a vector of its own by default).
     batch, classes = scores.shape
     if row_sums is None:
         row_sums = np.empty(batch)
-    work = _SoftmaxWork(batch, classes, out=grads)
+    work = _SoftmaxWork(batch, classes, kernels is not None, out=grads)
     if kernels is None:
-        return _kl_numpy(work, scores, targets, log_targets, labels, tau, grads, row_sums, first)
+        return _kl_numpy(work, scores, targets, log_targets, labels, tau, grads, row_sums)
     at = _kernels.address
     return _kl_compiled(
         kernels, work, scores, at(scores), at(targets), at(log_targets), at(labels), tau, grads,
-        row_sums, at(row_sums), first,
+        at(row_sums),
     )
 
 
@@ -504,8 +507,7 @@ def _kl_numpy(
     tau: float,
     grads: bool,
     row_sums: np.ndarray,
-    first: int,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # Gathers the target rows (and their cached logarithms) by label; the
     # logit gradient goes into work.out.
     batch = scores.shape[0]
@@ -520,16 +522,14 @@ def _kl_numpy(
     zero = target_rows == 0.0
     if zero.any():
         contributions[zero] = 0.0
-    np.add.reduce(contributions, axis=1, out=row_sums[first : first + batch])
+    np.add.reduce(contributions, axis=1, out=row_sums)
     d_logits = None
     if grads:
         d_logits = np.exp(log_probs, out=work.out[:batch])
         d_logits -= target_rows
         d_logits *= tau
         d_logits /= batch
-    if first + batch != row_sums.size:
-        return None, None
-    return float(tau * tau * row_sums.mean()), d_logits
+    return _kl_value(row_sums, tau), d_logits
 
 
 def _kl_compiled(
@@ -542,10 +542,8 @@ def _kl_compiled(
     labels_at: int,
     tau: float,
     grads: bool,
-    row_sums: np.ndarray,
     row_sums_at: int,
-    first: int,
-) -> tuple[float | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None]:
     # _kl_numpy, stage by stage: the division by tau and the shift by the
     # row maximum, numpy's exp, the row sums, numpy's log, the
     # log-probabilities with each row's KL sum, and with gradients numpy's
@@ -558,15 +556,13 @@ def _kl_compiled(
     np.log(log_sums, out=log_sums)
     total = kernels.kl_rows(
         batch, classes, scores_at, work.sums_at, targets_at, log_targets_at, labels_at,
-        work.exps_at, row_sums_at, first, row_sums.size,
+        work.exps_at, row_sums_at,
     )
     d_logits = None
     if grads:
         d_logits = np.exp(scores, out=work.out[:batch])
-        kernels.kl_grad(batch, classes, work.out_at, targets_at, labels_at, tau, batch)
-    if first + batch != row_sums.size:
-        return None, None
-    return tau * tau * (total / row_sums.size), d_logits
+        kernels.kl_grad(batch, classes, work.out_at, targets_at, labels_at, tau)
+    return tau * tau * (total / batch), d_logits
 
 
 def _bc_numpy(residual: np.ndarray, v: np.ndarray, d_b: np.ndarray) -> float:
@@ -596,28 +592,21 @@ def _bc_compiled(
     return kernels.bc(rows, d_v, residual_at, v_at, v_f32, d_b_at, None) / rows
 
 
-def _bc_fits(v: np.ndarray, shape: tuple[int, ...]) -> bool:
-    # Whether fedzsl_bc takes v as the features beside a residual of ``shape``.
-    return v.dtype in _FEATURE_DTYPES and v.shape == shape and _kernels.fits(v.dtype, v)
-
-
 class _SquareSum:
     """The sum of squares of a split's reconstruction residual, one block of rows at a time.
 
     The sum is ``np.add.reduce`` over all rows x d_v squares, as one call
     over the whole residual takes it: fed to a compiled stream when
-    ``kernels`` is given and takes the features, else written into one
-    full-length vector that is reduced once.  ``add`` takes each block's
-    residual and features, in row order, and returns the sum once the last
-    block is in, else None.
+    ``kernels`` is given, else written into one full-length vector that is
+    reduced once.  ``add`` takes each block's residual and features, in row
+    order, and returns the sum once the last block is in, else None.
     """
 
     def __init__(self, kernels: _kernels.Kernels | None, v: np.ndarray, d_v: int) -> None:
-        rows = v.shape[0]
-        self.size = rows * d_v
-        self._kernels = kernels if _bc_fits(v, (rows, d_v)) else None
-        if self._kernels is not None:
-            self._state = _kernels.stream(self._kernels, self.size)
+        self.size = v.shape[0] * d_v
+        self._kernels = kernels
+        if kernels is not None:
+            self._state = _kernels.stream(kernels, self.size)
         else:
             self._squares = np.empty(self.size)
         self._filled = 0
@@ -643,28 +632,23 @@ class _SquareSum:
         return total if self._filled == self.size else None
 
 
-_FEATURE_DTYPES = (np.dtype(np.float32), _kernels.FLOAT64)
-
-
-def _loss_kernels(*floats: np.ndarray) -> _kernels.Kernels | None:
-    # The compiled kernels, when they are built, their reductions match
-    # numpy's in this process, and they take each of ``floats`` (arrays the
-    # kernels read that the losses did not allocate) as a float64 array
-    # (``_kernels.fits``); else None, and the numpy bodies run.  Each
-    # workspace and each forward-only call asks once.  Labels index rows
+def _loss_kernels() -> _kernels.Kernels | None:
+    # The compiled kernels, when they are built and their reductions match
+    # numpy's in this process; else None, and the numpy bodies run.  Each
+    # workspace and each forward-only call asks once.  Every array the
+    # kernels read is one the losses allocated or one in a layout they take
+    # (``_kernels.fits``): _as_batch requires the features and labels
+    # C-contiguous, and DistillTargets the target table.  Labels index rows
     # without a bounds check in C: the losses check them against the
     # classes before any core runs.
     kernels = _kernels.compiled()
-    if kernels is None or not kernels.pairwise or not _kernels.fits(_kernels.FLOAT64, *floats):
-        return None
-    return kernels
+    return kernels if kernels is not None and kernels.pairwise else None
 
 
 def loss_kernels() -> str:
-    """Which loss bodies a run's workspaces choose: ``"compiled"`` or ``"numpy"``.
+    """Which loss bodies every workspace and forward-only call runs: ``"compiled"`` or ``"numpy"``.
 
-    The choice is ``_loss_kernels``' for inputs the kernels take; the first
-    call builds the library if it has not been tried yet.
+    The first call builds the library if it has not been tried yet.
     """
     return "numpy" if _loss_kernels() is None else "compiled"
 
@@ -793,12 +777,12 @@ class StepWorkspace:
         self._features = v
         self._v32 = None  # float32 features' gathered rows, allocated by the first gather
         self._on = on
-        k = self._kernels = _loss_kernels(*targets)
+        k = self._kernels = _loss_kernels()
         at = _kernels.address
         self._v = _aligned((rows, d_v))
         self._y = _aligned(rows, np.int64)
         self._scores = _aligned((rows, classes)) if on[SCE] or on[KL] else None
-        self._sce_work = _SoftmaxWork(rows, classes) if on[SCE] else None
+        self._sce_work = _SoftmaxWork(rows, classes, k is not None) if on[SCE] else None
         self._picked = _aligned(rows) if on[SCE] else None
         self.grads = {}
         if self._joint:
@@ -808,7 +792,7 @@ class StepWorkspace:
             self._a_hat = _aligned((rows, d_a))
             self._total = _aligned((rows, d_a))
             self._term = _aligned((rows, d_a))
-            self._kl_work = _SoftmaxWork(rows, classes) if on[KL] else None
+            self._kl_work = _SoftmaxWork(rows, classes, k is not None) if on[KL] else None
             self._kl_rows = _aligned(rows) if on[KL] else None
             self._residual = _aligned((rows, d_v)) if on[BC] else None
             self._groups = A.groups
@@ -906,10 +890,10 @@ class StepWorkspace:
         # SCE over the batch's b rows of scores: the value and the logit gradient.
         y = self._y[:b]
         if self._kernels is None:
-            return _sce_numpy(self._sce_work, scores, y, True, self._picked[:b], 0)
+            return _sce_numpy(self._sce_work, scores, y, True, self._picked[:b])
         return _sce_compiled(
             self._kernels, self._sce_work, scores, self._scores_at, self._y_at, True,
-            self._picked[:b], self._picked_at, 0,
+            self._picked_at,
         )
 
     def _free_term(self, b: int) -> float:
@@ -945,13 +929,12 @@ class StepWorkspace:
             if k is None:
                 kl_value, d_kl = _kl_numpy(
                     self._kl_work, scores, self._targets, self._log_targets, y, self._tau, True,
-                    self._kl_rows[:b], 0,
+                    self._kl_rows[:b],
                 )
             else:
                 kl_value, d_kl = _kl_compiled(
                     k, self._kl_work, scores, self._scores_at, self._targets_at,
-                    self._log_targets_at, self._y_at, self._tau, True, self._kl_rows[:b],
-                    self._kl_rows_at, 0,
+                    self._log_targets_at, self._y_at, self._tau, True, self._kl_rows_at,
                 )
         if on[BC]:
             residual = _affine_rows(params.W_h, params.b_h, a_hat, self._residual[:b])
@@ -978,11 +961,11 @@ class StepWorkspace:
             groups = self._groups
             if k is None:
                 norms = self._norms[: len(groups) * b].reshape(len(groups), b)
-                values[AD], _ = _ad_numpy(a_hat, groups, norms, 0, term)
+                values[AD], _ = _ad_numpy(a_hat, groups, norms, term)
             else:
                 values[AD] = _ad_compiled(
                     k, b, a_hat.shape[1], self._a_hat_at, len(groups), self._bounds_at,
-                    self._norms_at, self._term_at, 0, b,
+                    self._norms_at, self._term_at,
                 )
             term *= weights.w_ad
             total += term
@@ -1015,11 +998,12 @@ def ce_loss_attribute_free(
     kernels = _loss_kernels()
     picked = np.empty(v.shape[0])
 
-    def run(start: int, stop: int) -> float | None:
+    def run(start: int, stop: int) -> None:
         logits = forward_head(params, v[start:stop])
-        return _sce_core(kernels, logits, positions[start:stop], False, picked, start)[0]
+        _sce_core(kernels, logits, positions[start:stop], False, picked[start:stop])
 
-    value = _map_blocks(v.shape[0], run)
+    _map_blocks(v.shape[0], run)
+    value = _sce_value(picked)
     return LossReport(total=value, terms={CE: value}, grads={})
 
 
@@ -1107,51 +1091,52 @@ def _forward_terms(
     on: dict[str, bool],
 ) -> dict[str, float]:
     # joint_loss's unweighted terms without gradients, block by block: each
-    # term's per-row values go into a full-length vector, and each core
-    # returns its term with the last block.  BC's reconstruction residual
-    # comes back from each block, and its squares go on to a _SquareSum
-    # here, in row order.  The compiled-or-numpy choice is made once, here.
+    # block's per-row values go into full-length vectors (the value each
+    # core returns for the block is not read), and each vector is reduced
+    # once every block is in.  BC's reconstruction residual comes back from
+    # each block, and its squares go on to a _SquareSum here, in row order.
+    # The compiled-or-numpy choice is made once, here.
     rows = v.shape[0]
-    kernels = _loss_kernels(*((distill.targets.probs, distill.log_targets) if on[KL] else ()))
+    kernels = _loss_kernels()
+    groups = A.groups
     picked = np.empty(rows) if on[SCE] else None
     kl_rows = np.empty(rows) if on[KL] else None
     squares = _SquareSum(kernels, v, params.d_v) if on[BC] else None
-    norms = np.empty((len(A.groups), rows)) if on[AD] else None
+    norms = np.empty((len(groups), rows)) if on[AD] else None
+    found = {}
 
-    def run(start: int, stop: int) -> tuple[dict[str, float | None], np.ndarray | None]:
+    def run(start: int, stop: int) -> np.ndarray | None:
         block_labels = labels[start:stop]
         a_hat = forward_attr(params, v[start:stop])
-        found = {}
         if on[SCE] or on[KL]:
             scores = a_hat @ A.values
             if on[SCE]:
-                found[SCE] = _sce_core(kernels, scores, block_labels, False, picked, start)[0]
+                _sce_core(kernels, scores, block_labels, False, picked[start:stop])
             if on[KL]:
-                found[KL] = _kl_core(
-                    kernels,
-                    scores,
-                    distill.targets.probs,
-                    distill.log_targets,
-                    block_labels,
-                    distill.tau,
-                    False,
-                    kl_rows,
-                    start,
-                )[0]
+                _kl_core(
+                    kernels, scores, distill.targets.probs, distill.log_targets, block_labels,
+                    distill.tau, False, kl_rows[start:stop],
+                )
             del scores
         if on[AD]:
-            found[AD] = _ad_core(kernels, a_hat, A.groups, False, norms, start)[0]
-        return found, forward_decode(params, a_hat) if on[BC] else None
+            # The block's norms, groups x its rows, then their columns of ``norms``.
+            block_norms = np.empty((len(groups), stop - start))
+            _ad_core(kernels, a_hat, groups, False, block_norms)
+            norms[:, start:stop] = block_norms
+        return forward_decode(params, a_hat) if on[BC] else None
 
-    def then(start: int, stop: int, outcome) -> None:
-        found, residual = outcome
-        if on[BC]:
-            found[BC] = squares.add(residual, v[start:stop])
+    def then(start: int, stop: int, residual: np.ndarray) -> None:
+        found[BC] = squares.add(residual, v[start:stop])
 
-    # The last block's values are the terms.
-    found, _ = _map_blocks(rows, run, then)
+    _map_blocks(rows, run, then if on[BC] else None)
+    if on[SCE]:
+        found[SCE] = _sce_value(picked)
     if on[BC]:
         found[BC] = float(found[BC] / rows)
+    if on[KL]:
+        found[KL] = _kl_value(kl_rows, distill.tau)
+    if on[AD]:
+        found[AD] = _ad_value(norms)
     return {name: found[name] for name in (SCE, BC, KL, AD) if on[name]}
 
 
@@ -1168,27 +1153,16 @@ def _lane() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fedzsl-blocks")
 
 
-def _map_blocks(rows: int, run, then=None):
+def _map_blocks(rows: int, run, then=None) -> None:
     # Calls run(start, stop) for each of _forward_blocks(rows), and
-    # then(start, stop, result) on this thread in row order; returns the
-    # last block's result.  This thread and the lane thread (in a copy of
-    # this thread's context, np.errstate among it) each take the next block
-    # as they come free, at most _AHEAD past the last handed on.  The last
-    # block runs alone once every other has been handed on, so a core that
-    # reduces its per-row vector with the last block reads it whole.  An
-    # earlier block's error is raised first, and the lane is done with the
-    # call before it returns or raises.
-    *blocks, last = _forward_blocks(rows)
-    if blocks:
-        _share(blocks, run, then)
-    result = run(*last)
-    if then is not None:
-        then(*last, result)
-    return result
-
-
-def _share(blocks: list[tuple[int, int]], run, then) -> None:
-    # _map_blocks' blocks before the last.
+    # then(start, stop, result) on this thread in row order.  This thread
+    # and the lane thread (in a copy of this thread's context, np.errstate
+    # among it) each take the next block as they come free, at most _AHEAD
+    # past the last handed on; every block alike, so a caller reads its
+    # blocks' work once this returns.  A single block runs here.  An earlier
+    # block's error is raised first, and the lane is done with the call
+    # before it returns or raises.
+    blocks = list(_forward_blocks(rows))
     gate = threading.Condition()
     done: dict[int, tuple[bool, object]] = {}  # index -> (ran, result or error)
     taken = handed = 0

@@ -269,6 +269,38 @@ def test_the_finiteness_scan_agrees_on_both_paths(entries, size):
     assert got == want == bool(np.isfinite(grad).all())
 
 
+@needs_a_compiler
+@pytest.mark.parametrize("grads", [True, False], ids=["grads", "forward-only"])
+def test_fortran_ordered_targets_run_the_compiled_bodies_with_the_same_bytes(grads, monkeypatch):
+    # DistillTargets keeps its table C-contiguous, so a table given in
+    # Fortran order still runs the compiled bodies, and writes the bytes of
+    # the same table given in C order.
+    rng = np.random.default_rng(5)
+    rows, classes, d_a, d_v = 600, 40, 30, 16
+    probs, _ = targets_for(rng, classes)
+    attrs = AttributeMatrix(
+        values=values(rng, (d_a, classes), zeros=False), groups=((0, 10), (10, d_a))
+    )
+    params = init_params(d_v, d_a, num_seen=2, mode=ATTRIBUTE_BASED, seed=5)
+    features = rng.standard_normal((rows, d_v))
+    labels = rng.integers(0, classes, rows)
+
+    def report(table):
+        distill = DistillConfig(tau=4.0, targets=DistillTargets(probs=table, tau=4.0))
+        got = joint_loss(params, features, labels, attrs, distill, LossWeights(), grads=grads)
+        return (got.total.hex(), {k: v.hex() for k, v in got.terms.items()},
+                {k: as_bytes(g) for k, g in got.grads.items()})
+
+    want = report(np.ascontiguousarray(probs))
+
+    def refused(*args):
+        raise AssertionError("a numpy loss body ran")
+
+    for name in ("_sce_numpy", "_kl_numpy", "_ad_numpy", "_bc_numpy"):
+        monkeypatch.setattr(losses, name, refused)
+    assert report(np.asfortranarray(probs)) == want
+
+
 def fake_old_numpy_sum(x, axis):
     """numpy's reduction seeded with the first element instead of 0.0."""
     x = np.asarray(x)
@@ -316,8 +348,7 @@ class TestReductionProbe:
         monkeypatch.setattr(_kernels, "_reference_sum", fake_old_numpy_sum)
         kernels = _kernels.compiled()
         assert kernels is not None and not kernels.pairwise
-        scores = np.linspace(-1.0, 1.0, 40).reshape(4, 10)
-        assert losses._loss_kernels(scores) is None
+        assert losses._loss_kernels() is None
 
     @pytest.mark.parametrize("extra", [(), ("--w-kl", "0")], ids=["all-terms", "no-kl"])
     def test_a_probe_mismatch_runs_the_numpy_bodies_with_the_same_bytes(

@@ -600,6 +600,30 @@ class TestAllocation:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
 
+    def test_a_numpy_bodies_workspace_holds_no_softmax_array_but_out(self, monkeypatch):
+        # CUB shapes at batch 64: the numpy bodies read neither the
+        # exponentials nor their row sums, so each softmax term's work
+        # buffer is its ``out`` and the 64 bytes that align it.
+        monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        rows, d_a, d_v, classes = 200, 312, 256, 200
+        rng = np.random.default_rng(2)
+        attrs = AttributeMatrix(
+            values=rng.standard_normal((d_a, classes)), groups=((0, 100), (100, 212), (212, 312))
+        )
+        distill = DistillConfig(tau=4.0, targets=distill_targets(np.eye(classes), 4.0))
+        params = init_params(d_v, d_a, num_seen=150, mode=ATTRIBUTE_BASED, seed=2)
+        features = rng.standard_normal((rows, d_v)).astype(np.float32)
+        labels = rng.integers(0, classes, size=rows)
+        work = losses.StepWorkspace(
+            params, features, labels, 64, A=attrs, distill=distill, weights=LossWeights()
+        )
+        for softmax in (work._sce_work, work._kl_work):
+            assert softmax.out.shape == (64, classes)
+            buffer = softmax.out
+            while buffer.base is not None:
+                buffer = buffer.base
+            assert buffer.nbytes == softmax.out.nbytes + 64
+
 
 class TestStepWorkspace:
     # A step's transients are numpy's own: a ufunc call that broadcasts (the
@@ -766,6 +790,55 @@ class TestForwardOnlyBlocks:
             forward = ce_loss_attribute_free(params, features, labels, range(40), grads=False)
         assert forward.total.hex() == with_grads.total.hex()
 
+    @pytest.mark.parametrize("body", ["compiled", "numpy"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_block_0_run_last_gives_the_gradient_calls_bytes(self, monkeypatch, dtype, body):
+        # Block 0 waits until every later block has run (three blocks, all
+        # within the look-ahead), so each per-row vector fills out of row
+        # order; it is still reduced once, after its blocks.
+        if body == "compiled" and _kernels.compiled() is None:
+            pytest.skip("the compiled kernels are not built")
+        if body == "numpy":
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        rows = 1000
+        assert len(list(losses._forward_blocks(rows))) == 3
+        map_blocks, waits = losses._map_blocks, []
+
+        def block_0_last(rows, run, then=None):
+            later = len(list(losses._forward_blocks(rows))) - 1
+            ran = threading.Semaphore(0)
+
+            def delayed(start, stop):
+                if start == 0:
+                    waits.append(all(ran.acquire(timeout=10.0) for _ in range(later)))
+                    return run(start, stop)
+                try:
+                    return run(start, stop)
+                finally:
+                    ran.release()
+
+            map_blocks(rows, delayed, then)
+
+        args = awa_shaped(rows, dtype, seed=rows)
+        rng = np.random.default_rng(rows)
+        free = init_params(256, 85, num_seen=40, mode=ATTRIBUTE_FREE, seed=rows)
+        free_args = (free, rng.standard_normal((rows, 256)).astype(dtype),
+                     rng.integers(0, 40, size=rows), range(40))
+        with _blas.one_thread() as pinned:
+            if not pinned:
+                pytest.skip("numpy's bundled OpenBLAS is not found")
+            with_grads = joint_loss(*args, LossWeights())
+            free_with_grads = ce_loss_attribute_free(*free_args)
+            monkeypatch.setattr(losses, "_map_blocks", block_0_last)
+            forward = joint_loss(*args, LossWeights(), grads=False)
+            free_forward = ce_loss_attribute_free(*free_args, grads=False)
+        assert waits == [True, True]
+        assert {k: v.hex() for k, v in forward.terms.items()} == {
+            k: v.hex() for k, v in with_grads.terms.items()
+        }
+        assert forward.total.hex() == with_grads.total.hex()
+        assert free_forward.total.hex() == free_with_grads.total.hex()
+
     @pytest.mark.parametrize("rows", [0, 1, 255, 256, 511, 512, 767, 768, 1023, 1024, 4800])
     def test_blocks_cover_the_rows_with_at_least_a_row_block_each(self, rows):
         # No rows are one empty block.
@@ -782,7 +855,7 @@ class TestMapBlocks:
     # 1290 rows make five blocks; the last has 266 rows.
     ROWS = 5 * losses._ROW_BLOCK + 10
 
-    def test_results_are_handed_on_in_row_order_and_the_last_is_returned(self):
+    def test_results_are_handed_on_in_row_order_on_this_thread(self):
         handed = []
         here = threading.current_thread()
 
@@ -790,10 +863,9 @@ class TestMapBlocks:
             assert threading.current_thread() is here
             handed.append((start, stop, size))
 
-        last = losses._map_blocks(self.ROWS, lambda start, stop: stop - start, then)
+        losses._map_blocks(self.ROWS, lambda start, stop: stop - start, then)
         blocks = list(losses._forward_blocks(self.ROWS))
         assert handed == [(start, stop, stop - start) for start, stop in blocks]
-        assert last == blocks[-1][1] - blocks[-1][0]
 
     def test_a_slow_block_on_one_thread_leaves_the_others_to_the_other(self):
         # While one thread sits in block 0, the other takes the blocks after
@@ -809,27 +881,26 @@ class TestMapBlocks:
         blocks = list(losses._forward_blocks(self.ROWS))
         assert sorted(threads) == [start for start, _ in blocks]
         assert len(set(threads.values())) == 2
-        assert threads[blocks[-1][0]] is threading.current_thread()
 
-    def test_the_last_block_runs_once_every_other_has_been_handed_on(self):
-        events = []
-        lock = threading.Lock()
-        last = list(losses._forward_blocks(self.ROWS))[-1][0]
+    def test_while_one_thread_holds_block_0_the_other_takes_the_last_block(self):
+        # The last block is shared like every other: with three blocks, all
+        # within the look-ahead, block 0 waits until the last has run, which
+        # only the other thread can then take.
+        rows = 3 * losses._ROW_BLOCK + 10
+        last = list(losses._forward_blocks(rows))[-1][0]
+        last_ran = threading.Event()
+        threads, waited = {}, []
 
         def run(start, stop):
-            with lock:
-                events.append(("run", start))
-            if start == losses._ROW_BLOCK * 3:
-                time.sleep(0.05)  # the block before the last finishes last
+            threads[start] = threading.current_thread()
+            if start == 0:
+                waited.append(last_ran.wait(timeout=10.0))
+            if start == last:
+                last_ran.set()
 
-        def then(start, stop, _):
-            with lock:
-                events.append(("handed", start))
-
-        losses._map_blocks(self.ROWS, run, then)
-        handed = [i for i, (kind, _) in enumerate(events) if kind == "handed"]
-        assert events.index(("run", last)) > max(handed[:-1])
-        assert len(handed) == 5
+        losses._map_blocks(rows, run)
+        assert waited == [True]
+        assert threads[last] is not threads[0]
 
     def test_no_more_than_the_look_ahead_is_held(self):
         # Blocks started but not yet handed on never exceed _AHEAD.
@@ -918,10 +989,9 @@ class TestMapBlocks:
     def test_one_block_runs_here(self, rows):
         here = threading.current_thread()
         handed = []
-        got = losses._map_blocks(
+        losses._map_blocks(
             rows,
             lambda start, stop: threading.current_thread(),
-            lambda start, stop, thread: handed.append((start, stop)),
+            lambda start, stop, thread: handed.append((start, stop, thread)),
         )
-        assert handed == [(0, rows)]
-        assert got is here
+        assert handed == [(0, rows, here)]

@@ -9,11 +9,11 @@
  *   - the elementwise passes and reductions of the loss terms
  *     (fedzsl.losses): fedzsl_softmax_shift, fedzsl_row_sums,
  *     fedzsl_column_sums, fedzsl_sce_rows, fedzsl_sce_grad, fedzsl_kl_rows, fedzsl_kl_grad,
- *     fedzsl_ad and fedzsl_bc, the pairwise sum of a split fed one block
- *     at a time (fedzsl_stream_start, fedzsl_stream_add), and the
- *     finiteness scan of a loss's gradients, fedzsl_all_finite.  numpy's
- *     exp and log, and every matrix product, stay with numpy between these
- *     calls.
+ *     fedzsl_ad and fedzsl_bc, the reconstruction term of a split taken
+ *     one block at a time in any order (fedzsl_bc_leaves, fedzsl_leaf_sum),
+ *     and the finiteness scan of a step's gradients, fedzsl_all_finite.
+ *     numpy's exp and log, and every matrix product, stay with numpy
+ *     between these calls.
  *
  * Each function is the numpy or Python code it replaces, operation for
  * operation: the same products, sums, comparisons and divisions on the same
@@ -282,107 +282,6 @@ static double reduce_squares(const double *x, long long n)
 }
 
 /*
- * np.add.reduce of n values (or of their squares) that arrive in pieces of
- * any size: PAIRWISE's recursion walked leaf by leaf.  The path from the
- * root to the current leaf is a stack of nodes, each with its size and,
- * once its left half is summed, that half's sum; the current leaf's values
- * are summed where they arrive when one piece holds them all, else gathered
- * in `leaf` (at most 128 values) until they have all arrived.  A finished
- * leaf's sum is added to the left halves it completes, in PAIRWISE's order
- * (left + right), up to the first node whose right half is still to come,
- * and the walk goes down that half to its first leaf.
- */
-/* Each half of a node of n > 128 values holds at most n/2 + 8, so under 60 levels reach a leaf. */
-#define STREAM_DEPTH 64
-
-struct pairwise_stream {
-    long long remaining;           /* values still to come */
-    long long depth;               /* nodes on the path */
-    long long size[STREAM_DEPTH];  /* each node's size */
-    int right[STREAM_DEPTH];       /* whether the walk is in the node's right half */
-    double left[STREAM_DEPTH];     /* the node's left half's sum, once it is in the right */
-    long long leaf_size, filled;   /* the current leaf's size and its values gathered */
-    double leaf[128];
-    double total;                  /* the whole sum, once remaining is 0 */
-};
-
-/* The bytes a caller allocates for a stream (8-byte aligned). */
-long long fedzsl_stream_bytes(void)
-{
-    return (long long)sizeof(struct pairwise_stream);
-}
-
-/* Push the nodes from one of n values down to its first leaf. */
-static void stream_descend(struct pairwise_stream *s, long long n)
-{
-    while (n > 128) {
-        s->size[s->depth] = n;
-        s->right[s->depth] = 0;
-        s->depth++;
-        n = pairwise_half(n);
-    }
-    s->leaf_size = n;
-    s->filled = 0;
-}
-
-/* A stream for n values; its sum is 0.0 until they have all arrived. */
-void fedzsl_stream_start(struct pairwise_stream *s, long long n)
-{
-    s->remaining = n;
-    s->depth = 0;
-    s->total = 0.0;
-    stream_descend(s, n);
-}
-
-/* Fold a finished leaf's sum into the path, and go down to the next leaf. */
-static void stream_leaf_done(struct pairwise_stream *s, double sum)
-{
-    s->remaining -= s->leaf_size;
-    while (s->depth > 0) {
-        long long top = s->depth - 1;
-        if (!s->right[top]) {
-            s->left[top] = sum;
-            s->right[top] = 1;
-            stream_descend(s, s->size[top] - pairwise_half(s->size[top]));
-            return;
-        }
-        sum = s->left[top] + sum;
-        s->depth--;
-    }
-    s->total = 0.0 + sum;
-    s->leaf_size = 0;
-}
-
-/*
- * Feed the next k values of x (their squares when square is set; k no more
- * than are still to come).  Returns np.add.reduce of all n once the last
- * has arrived, else 0.0.
- */
-double fedzsl_stream_add(struct pairwise_stream *s, const double *x, long long k, int square)
-{
-    while (k > 0 && s->remaining > 0) {
-        long long need = s->leaf_size - s->filled;
-        double sum;
-        if (s->filled == 0 && k >= need) {
-            sum = square ? pairwise_squares(x, need) : pairwise(x, need);
-        } else {
-            long long take = k < need ? k : need;
-            for (long long i = 0; i < take; i++)
-                s->leaf[s->filled + i] = square ? x[i] * x[i] : x[i];
-            s->filled += take;
-            if (s->filled < s->leaf_size)
-                break;
-            need = take;
-            sum = pairwise(s->leaf, s->leaf_size);
-        }
-        x += need;
-        k -= need;
-        stream_leaf_done(s, sum);
-    }
-    return s->remaining == 0 ? s->total : 0.0;
-}
-
-/*
  * The first step of a row-wise log-softmax: y = x / tau (x itself when tau
  * is 1, as x / 1 is x), then out = y - max(y) row by row.  out may be x.  A
  * NaN in a row makes its maximum NaN, as numpy's does.
@@ -425,10 +324,17 @@ static void subtract_rows(long long rows, long long cols, double *x, const doubl
     }
 }
 
-/* sums[c] = np.add.reduce(x[:, c]) for each column c: rows added in order onto 0.0. */
+/*
+ * sums[c] = np.add.reduce(x[:, c]) for each column c: rows added in order
+ * onto 0.0, save that numpy reduces a single column as one vector.
+ */
 void fedzsl_column_sums(long long rows, long long cols, const double *restrict x,
                         double *restrict sums)
 {
+    if (cols == 1) {
+        sums[0] = reduce(x, rows);
+        return;
+    }
     for (long long c = 0; c < cols; c++)
         sums[c] = 0.0;
     for (long long r = 0; r < rows; r++) {
@@ -546,19 +452,9 @@ double fedzsl_ad(long long rows, long long d_a, const double *restrict a, long l
     return total;
 }
 
-/*
- * The reconstruction term: residual -= v over rows x cols entries, v
- * float32 (widened exactly) when v_f32 is set, else float64; returns
- * np.add.reduce(residual * residual) over every entry.  When d_b is not
- * NULL, residual then becomes (residual * 2) / rows and d_b its sum over
- * axis 0.  When sum is not NULL (d_b is then NULL), the squares go on to
- * that stream instead, and its result is returned: the sum over a whole
- * split once its last block has arrived, else 0.0.
- */
-double fedzsl_bc(long long rows, long long cols, double *restrict residual, const void *v,
-                 int v_f32, double *restrict d_b, struct pairwise_stream *sum)
+/* residual -= v over n entries, v float32 (widened exactly) when v_f32 is set, else float64. */
+static void subtract_features(long long n, double *restrict residual, const void *v, int v_f32)
 {
-    long long n = rows * cols;
     const float *restrict vf = v;
     const double *restrict vd = v;
     if (v_f32)
@@ -567,16 +463,111 @@ double fedzsl_bc(long long rows, long long cols, double *restrict residual, cons
     else
         for (long long k = 0; k < n; k++)
             residual[k] = residual[k] - vd[k];
-    if (sum)
-        return fedzsl_stream_add(sum, residual, n, 1);
+}
+
+/*
+ * The reconstruction term of a step: residual -= v over rows x cols entries
+ * (subtract_features); returns np.add.reduce(residual * residual) over
+ * every entry, and residual then becomes (residual * 2) / rows and d_b its
+ * sum over axis 0.
+ */
+double fedzsl_bc(long long rows, long long cols, double *restrict residual, const void *v,
+                 int v_f32, double *restrict d_b)
+{
+    long long n = rows * cols;
+    subtract_features(n, residual, v, v_f32);
     double total = reduce_squares(residual, n);
-    if (d_b == 0)
-        return total;
     double b = (double)rows;
     for (long long k = 0; k < n; k++)
         residual[k] = (residual[k] * 2.0) / b;
     fedzsl_column_sums(rows, cols, residual, d_b);
     return total;
+}
+
+/*
+ * np.add.reduce of the squares of a split's n values, which arrive in
+ * blocks in any order and on any thread: blocks of `stride` values (at
+ * least 128) from 0, save that the last, from `last`, runs to n.
+ *
+ * PAIRWISE's tree depends on n alone.  A node of more than 128 values
+ * splits at a multiple of 8 into halves of at least 64 values, so each leaf
+ * of a tree over more than 128 values holds 64 to 128 of them and starts at
+ * a multiple of 8, and its start / 64 numbers it (a tree of at most 128
+ * values is one leaf, number 0).  The table holds ceil(n / 64) leaf sums,
+ * then 128 values for each boundary between two blocks.  A block writes the
+ * sum of each leaf wholly inside it into the table, and the squares it
+ * holds of a leaf that straddles one of its two boundaries into that
+ * boundary's values, at their offsets in the leaf: no leaf holds more
+ * values than a block, so none straddles two boundaries.  Once every block
+ * is in, fedzsl_leaf_sum sums each straddling leaf from its boundary's
+ * values and adds the leaves up the tree as PAIRWISE does.
+ */
+struct leaf_table {
+    long long n, stride, last;
+    double *table;
+};
+
+/* Whether the first boundary after start lies inside the leaf of m values there. */
+static int straddles(const struct leaf_table *t, long long start, long long m)
+{
+    return start < t->last && (start / t->stride + 1) * t->stride < start + m;
+}
+
+/* The 128 values of the boundary that the leaf at start straddles. */
+static double *boundary(const struct leaf_table *t, long long start)
+{
+    return t->table + (t->n + 63) / 64 + 128 * (start / t->stride);
+}
+
+/*
+ * Walks the leaves of the node of m values at start that meet the block of
+ * values [lo, hi), whose residual is x (x[0] is value lo), writing each
+ * one's sum of squares, or the block's squares of a straddling one, into
+ * the table.  With x NULL, lo 0 and hi n, it reads each leaf's sum instead
+ * and returns the node's, PAIRWISE's left + right.
+ */
+static double leaf_walk(const struct leaf_table *t, long long start, long long m, long long lo,
+                        long long hi, const double *x)
+{
+    if (m > 128) {
+        long long n2 = pairwise_half(m);
+        double left = start + n2 > lo ? leaf_walk(t, start, n2, lo, hi, x) : 0.0;
+        double right = start + n2 < hi ? leaf_walk(t, start + n2, m - n2, lo, hi, x) : 0.0;
+        return left + right;
+    }
+    int shared = straddles(t, start, m);
+    if (x == 0)
+        return shared ? pairwise(boundary(t, start), m) : t->table[start / 64];
+    if (!shared) {
+        t->table[start / 64] = pairwise_squares(x + (start - lo), m);
+        return 0.0;
+    }
+    double *squares = boundary(t, start);
+    long long from = start > lo ? start : lo, to = start + m < hi ? start + m : hi;
+    for (long long k = from; k < to; k++)
+        squares[k - start] = x[k - lo] * x[k - lo];
+    return 0.0;
+}
+
+/*
+ * One block of a split's reconstruction term, on any thread: residual -= v
+ * over its count values, the split's values from first on
+ * (subtract_features), and their squares into the split's leaf table.
+ */
+void fedzsl_bc_leaves(long long n, long long stride, long long last, long long first,
+                      long long count, double *residual, const void *v, int v_f32,
+                      double *table)
+{
+    struct leaf_table t = {n, stride, last, table};
+    subtract_features(count, residual, v, v_f32);
+    leaf_walk(&t, 0, n, first, first + count, residual);
+}
+
+/* np.add.reduce of the squares of the split's n values, once every block is in its leaf table. */
+double fedzsl_leaf_sum(long long n, long long stride, long long last, double *table)
+{
+    struct leaf_table t = {n, stride, last, table};
+    return 0.0 + leaf_walk(&t, 0, n, 0, n, 0);
 }
 
 /*

@@ -3,9 +3,10 @@
 ``_kernels.c``, shipped beside this module, holds the graphical lasso's
 column step (used by ``fedzsl.glasso``), the momentum SGD step (used by
 ``fedzsl.model``), and the elementwise passes and reductions of the loss
-terms, the pairwise sum of a split fed one block of rows at a time, and
-``LossReport``'s finiteness scan (used by ``fedzsl.losses``), each the numpy
-code it replaces operation for operation.
+terms, the reconstruction term of a split taken one block of rows at a
+time in any order, and the step's finiteness scan (used by
+``fedzsl.losses``), each the numpy code it replaces operation for
+operation.
 ``-ffp-contract=off`` is required: GCC's default for GNU C fuses a multiply
 and an add into one fused multiply-add where the target has one, which
 rounds once where numpy rounds twice; for the same reason no
@@ -18,9 +19,10 @@ carried across iterations adds its values one at a time, in order.
 start each loop on a 32-byte boundary and each function on a 64-byte one,
 so that a kernel's speed does not depend on where the functions before it
 leave it (the glasso solve ran about 11% slower at one placement than at
-another; with loops aligned alone, adding the stream functions moved the
-column step 32 bytes and made the CUB-shaped solve 5% slower, 157.6
-against 149.8 ms, which aligning the functions took back to 150.7 ms).
+another; with loops aligned alone, adding a reduction of a split fed
+block by block moved the column step 32 bytes and made the CUB-shaped
+solve 5% slower, 157.6 against 149.8 ms, which aligning the functions took
+back to 150.7 ms).
 
 The first call of :func:`compiled` in a process loads the library from the
 cache, ``$XDG_CACHE_HOME/fedzsl`` (else ``~/.cache/fedzsl``), under a name
@@ -99,10 +101,9 @@ class Kernels(NamedTuple):
     kl_grad: Callable[..., None]
     ad: Callable[..., float]
     bc: Callable[..., float]
-    stream_start: Callable[..., None]
-    stream_add: Callable[..., float]
+    bc_leaves: Callable[..., None]
+    leaf_sum: Callable[..., float]
     all_finite: Callable[..., int]
-    stream_bytes: int
     pairwise: bool
 
 
@@ -121,9 +122,9 @@ _SIGNATURES = {
     "kl_rows": (_real, (_size, _size, *[_pointer] * 7)),
     "kl_grad": (None, (_size, _size, _pointer, _pointer, _pointer, _real)),
     "ad": (_real, (_size, _size, _pointer, _size, _pointer, _pointer, _pointer, _real)),
-    "bc": (_real, (_size, _size, _pointer, _pointer, ctypes.c_int, _pointer, _pointer)),
-    "stream_start": (None, (_pointer, _size)),
-    "stream_add": (_real, (_pointer, _pointer, _size, ctypes.c_int)),
+    "bc": (_real, (_size, _size, _pointer, _pointer, ctypes.c_int, _pointer)),
+    "bc_leaves": (None, (*[_size] * 5, _pointer, _pointer, ctypes.c_int, _pointer)),
+    "leaf_sum": (_real, (_size, _size, _size, _pointer)),
     "all_finite": (ctypes.c_int, (_size, _pointer)),
 }
 
@@ -167,26 +168,20 @@ def _load(path: Path) -> Kernels:
         function = getattr(loaded, f"fedzsl_{name}")
         function.restype, function.argtypes = restype, argtypes
         functions[name] = function
-    size_of = loaded.fedzsl_stream_bytes
-    size_of.restype, size_of.argtypes = _size, ()
-    stream_bytes = size_of()
-    return Kernels(
-        **functions,
-        stream_bytes=stream_bytes,
-        pairwise=_pairwise_matches(functions, stream_bytes),
-    )
+    return Kernels(**functions, pairwise=_pairwise_matches(functions))
 
 
-def stream(kernels: Kernels, n: int) -> np.ndarray:
-    """A started pairwise-sum stream of ``n`` values, as the array holding its state.
+def leaf_table(n: int, stride: int) -> tuple[int, np.ndarray]:
+    """The last block's first value and an empty leaf table for ``n`` values.
 
-    Feed it with ``kernels.stream_add(address(state), x, k, square)``, or
-    ``kernels.bc``; the call that feeds the last value returns
-    ``np.add.reduce`` of all ``n`` (of their squares), every earlier call 0.0.
+    The blocks hold ``stride`` values each (at least 128), save that the
+    last runs to ``n``, as ``fedzsl.losses._forward_blocks`` lays out rows.
+    ``bc_leaves(n, stride, last, first, count, residual, v, v_f32, table)``
+    takes each block, in any order, and ``leaf_sum(n, stride, last, table)``
+    then returns ``np.add.reduce`` of all ``n`` squares.
     """
-    state = np.empty(-(-kernels.stream_bytes // 8))
-    kernels.stream_start(address(state), n)
-    return state
+    blocks = max(1, n // stride)
+    return (blocks - 1) * stride, np.empty(-(-n // 64) + 128 * (blocks - 1))
 
 
 # Probe lengths for each branch of numpy's pairwise sum: fewer than 8 values,
@@ -202,20 +197,21 @@ def _reference_sum(x: np.ndarray, axis: int | None) -> np.ndarray:
     return np.add.reduce(x, axis=axis)
 
 
-def _pairwise_matches(functions: dict[str, Callable[..., object]], stream_bytes: int) -> bool:
+def _pairwise_matches(functions: dict[str, Callable[..., object]]) -> bool:
     # Whether the C row and column sums give np.add.reduce's bits on blocks
     # of probe values spread over many binades, in one row and in several,
-    # over axis 1, axis 0 and the whole block; whether a stream fed the
-    # whole block in uneven pieces gives the sum of its values and of their
-    # squares; and whether a sum of negative zeros is +0.0, as numpy's
-    # reduction starts from its identity.  Each block is drawn on its own,
-    # so the probe holds little memory at once, with the generator methods
-    # and ufuncs a run uses anyway.
+    # over axis 1, axis 0 (of the block, and of its first row as a column)
+    # and the whole block; whether the leaf table, fed the whole block in
+    # pieces in reverse order, gives the sum of its squares; and whether a
+    # sum of negative zeros is +0.0, as numpy's reduction starts from its
+    # identity.  Each block is drawn on its own, so the probe holds little
+    # memory at once, with the generator methods and ufuncs a run uses
+    # anyway.
     rng = np.random.default_rng(0)
     row_sums, column_sums = functions["row_sums"], functions["column_sums"]
     sums = np.empty(max(_PROBE_LENGTHS) + _PROBE_ROWS + 4)
     out = sums.ctypes.data
-    state = np.empty(-(-stream_bytes // 8))
+    zeros = np.zeros(_PROBE_ROWS * max(_PROBE_LENGTHS))
     for n in _PROBE_LENGTHS:
         shape = (_PROBE_ROWS, n)
         block = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
@@ -226,45 +222,43 @@ def _pairwise_matches(functions: dict[str, Callable[..., object]], stream_bytes:
         row_sums(1, n, at, out + 8 * _PROBE_ROWS)
         row_sums(1, block.size, at, out + 8 * (_PROBE_ROWS + 1))
         column_sums(_PROBE_ROWS, n, at, out + 8 * (_PROBE_ROWS + 2))
-        for square in (0, 1):
-            sums[n + _PROBE_ROWS + 2 + square] = _streamed(
-                functions, state, block, _PROBE_PIECES, square
-            )
+        column_sums(n, 1, at, out + 8 * (n + _PROBE_ROWS + 2))
         want = (
             _reference_sum(block, 1),
             _reference_sum(block[0], None),
             _reference_sum(block, None),
             _reference_sum(block, 0),
-            _reference_sum(block, None),
+            _reference_sum(block[0, :, None], 0),
             _reference_sum(block * block, None),
         )
+        # Less 0.0, which leaves every value as it is.
+        sums[n + _PROBE_ROWS + 3] = _leaf_summed(functions, block, zeros, _PROBE_STRIDE)
         if sums[: n + _PROBE_ROWS + 4].tobytes() != np.hstack(want).tobytes():
             return False
     return True
 
 
-# Piece sizes the probe feeds a stream, in turn: single values, pieces
-# inside one leaf and pieces across several.
-_PROBE_PIECES = (1, 5, 127, 64, 300, 2)
+# Values per piece of the probe's leaf table: a stride that is no multiple
+# of 8 puts the boundaries at every offset into a leaf.
+_PROBE_STRIDE = 130
 
 
-def _streamed(
-    functions: dict[str, Callable[..., object]],
-    state: np.ndarray,
-    x: np.ndarray,
-    pieces: tuple[int, ...],
-    square: int,
+def _leaf_summed(
+    functions: dict[str, Callable[..., object]], x: np.ndarray, v: np.ndarray, stride: int
 ) -> float:
-    # The stream's sum of the C-contiguous x (its squares when square is 1),
-    # fed in pieces of the given sizes in turn.
-    at, n = x.ctypes.data, x.size
-    functions["stream_start"](state.ctypes.data, n)
-    done, turn, total = 0, 0, 0.0
-    while done < n:
-        k = min(pieces[turn % len(pieces)], n - done)
-        total = functions["stream_add"](state.ctypes.data, at + 8 * done, k, square)
-        done, turn = done + k, turn + 1
-    return total
+    # np.add.reduce of the squares of x - v, which x becomes, through the
+    # leaf table: x is C-contiguous float64, v float32 or float64 with at
+    # least x.size values, and the blocks of ``stride`` values go in last
+    # first.
+    n = x.size
+    last, table = leaf_table(n, stride)
+    for first in range(last, -1, -stride):
+        count = (n if first == last else first + stride) - first
+        functions["bc_leaves"](
+            n, stride, last, first, count, x.ctypes.data + 8 * first,
+            v.ctypes.data + v.itemsize * first, v.dtype == np.float32, table.ctypes.data,
+        )
+    return functions["leaf_sum"](n, stride, last, table.ctypes.data)
 
 
 def _cache_dir() -> Path:

@@ -87,10 +87,11 @@ def _predict_blocks(
 ) -> list[np.ndarray]:
     # Each candidate set's predictions for the rows of v from the columns of
     # scores_of(rows) at its ids (all columns, already in id order, for
-    # None), taken one block of rows at a time on two threads, as the
-    # forward-only loss takes them (losses._map_blocks): under one BLAS
-    # thread each block's product has the whole product's bits, and its
-    # transients stay block-sized.
+    # None), taken one block of rows at a time, as the forward-only loss
+    # takes them: under one BLAS thread each block's product has the whole
+    # product's bits, and its transients stay block-sized.  Each block
+    # writes its own rows of the predictions, so the blocks run in any
+    # order on two threads (losses._map_blocks).
     v = np.atleast_2d(v)
     preds = [np.empty(v.shape[0], dtype=np.int64) for _ in sets]
 

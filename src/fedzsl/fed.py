@@ -171,8 +171,8 @@ def _local_loss(
     A: AttributeMatrix,
     cfg: TrainConfig,
     seen: tuple[int, ...],
-    grads: bool = True,
 ):
+    # The global loss: the run's objective over the rows, without gradients.
     if cfg.mode == ATTRIBUTE_BASED:
         return joint_loss(
             params,
@@ -182,9 +182,9 @@ def _local_loss(
             cfg.distill,
             cfg.weights,
             ablation=cfg.ablation,
-            grads=grads,
+            grads=False,
         )
-    return ce_loss_attribute_free(params, features, labels, seen, grads=grads)
+    return ce_loss_attribute_free(params, features, labels, seen, grads=False)
 
 
 def local_train(
@@ -386,7 +386,7 @@ def run_simulation(
             del updates
             try:
                 global_loss = _local_loss(
-                    params, train.features, train.labels, A, cfg, train.split.seen, grads=False
+                    params, train.features, train.labels, A, cfg, train.split.seen
                 ).total
             except NonFiniteLossError as exc:
                 raise TrainingDivergedError(

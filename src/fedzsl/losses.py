@@ -53,19 +53,23 @@ the scoring reduces each full vector once, by the numpy bodies' own
 expressions (``_sce_value``, ``_kl_value``, ``_ad_value``): numpy sums by
 pairwise recursion over the whole vector, and adding per-block partial
 sums would group the additions differently.  BC's sum of squares over all
-rows x d_v values goes on to a compiled stream that walks the same
-pairwise recursion block by block (``_SquareSum``), or, on the numpy
-bodies, into one full-length vector reduced once.  Reductions in C follow
-numpy's pairwise order and are checked at load.  Since no value depends on
-the order the blocks run in, the calling thread and one more take them,
-every block alike, as each comes free (``_map_blocks``), and the
-evaluation's predictions run the same way.
+rows x d_v values is reduced the same way (``_SquareSum``): each block
+writes the sums of the pairwise recursion's leaves that lie wholly inside
+it into a compiled table, and its squares of the at most two leaves it
+shares with a neighbouring block beside it, and one call adds the leaves
+up the recursion once every block is in; on the numpy bodies, each block
+writes its squares into one full-length vector reduced once.  Reductions
+in C follow numpy's pairwise order and are checked at load.  Since no
+value depends on the order the blocks run in, the calling thread and one
+more take them, every block alike, as each comes free (``_map_blocks``),
+and the evaluation's predictions run the same way.
 
-The elementwise passes and reductions of each term, and the finiteness
-scan of the gradients, run in the compiled library (``fedzsl._kernels``) a
-few calls per term: before ``exp``, between ``exp`` and ``log``, and after
-``log``.  The weighted sum of the term gradients stays numpy: done
-in C it measured slower at both benchmark batch shapes.  Matrix products
+The elementwise passes and reductions of each term, and a step's
+finiteness scan of its gradients, run in the compiled library
+(``fedzsl._kernels``) a few calls per term: before ``exp``, between
+``exp`` and ``log``, and after ``log``.  The weighted sum of the term
+gradients stays numpy: done in C it measured slower at both benchmark
+batch shapes.  Matrix products
 and numpy's ``exp`` and ``log`` stay numpy calls on whole contiguous
 blocks, whose bits do not depend on an element's position.  Each compiled
 path performs its numpy body's IEEE operations in the same order.  Whether
@@ -197,7 +201,7 @@ class LossReport:
     def __post_init__(self) -> None:
         self.total = float(self.total)
         _require_finite(
-            self.total, self.terms, ((name, _all_finite(g)) for name, g in self.grads.items())
+            self.total, self.terms, ((name, _finite_numpy(g)) for name, g in self.grads.items())
         )
 
 
@@ -213,15 +217,6 @@ def _require_finite(total: float, terms: dict[str, float], finite_grads) -> None
     for name, finite in finite_grads:
         if not finite:
             raise NonFiniteLossError(f"gradient for '{name}' is non-finite")
-
-
-def _all_finite(grad: np.ndarray) -> bool:
-    # Whether every entry of any gradient array is finite: one compiled pass
-    # where the kernels take it, else _finite_numpy.
-    kernels = _loss_kernels()
-    if kernels is not None and _kernels.fits(_kernels.FLOAT64, grad):
-        return bool(kernels.all_finite(grad.size, _kernels.address(grad)))
-    return _finite_numpy(grad)
 
 
 def _finite_numpy(grad: np.ndarray) -> bool:
@@ -589,47 +584,54 @@ def _bc_compiled(
 ) -> float:
     # _bc_numpy in one call, through the addresses of the residual, the
     # features (float32 ones widened exactly) and b_h's gradient.
-    return kernels.bc(rows, d_v, residual_at, v_at, v_f32, d_b_at, None) / rows
+    return kernels.bc(rows, d_v, residual_at, v_at, v_f32, d_b_at) / rows
 
 
 class _SquareSum:
-    """The sum of squares of a split's reconstruction residual, one block of rows at a time.
+    """The sum of squares of a split's reconstruction residual, taken block by block in any order.
 
     The sum is ``np.add.reduce`` over all rows x d_v squares, as one call
-    over the whole residual takes it: fed to a compiled stream when
-    ``kernels`` is given, else written into one full-length vector that is
-    reduced once.  ``add`` takes each block's residual and features, in row
-    order, and returns the sum once the last block is in, else None.
+    over the whole residual takes it.  ``add`` takes a block of
+    ``_forward_blocks(rows)``, on any thread: it subtracts the block's
+    features from its residual and writes the squares, into the compiled
+    leaf table when ``kernels`` is given (``_kernels.leaf_table``), else
+    into one full-length vector.  ``total`` returns the sum once every block
+    is in.
     """
 
-    def __init__(self, kernels: _kernels.Kernels | None, v: np.ndarray, d_v: int) -> None:
-        self.size = v.shape[0] * d_v
+    def __init__(self, kernels: _kernels.Kernels | None, rows: int, d_v: int) -> None:
         self._kernels = kernels
+        self._d_v = d_v
+        n = rows * d_v
         if kernels is not None:
-            self._state = _kernels.stream(kernels, self.size)
+            stride = _ROW_BLOCK * d_v
+            last, self._table = _kernels.leaf_table(n, stride)
+            self._layout = (n, stride, last)
         else:
-            self._squares = np.empty(self.size)
-        self._filled = 0
+            self._squares = np.empty(n)
 
-    def add(self, residual: np.ndarray, v: np.ndarray) -> float | None:
-        start = self._filled
-        self._filled += residual.size
+    def add(self, start: int, residual: np.ndarray, v: np.ndarray) -> None:
+        # The block whose first row is ``start``: its residual and features.
+        first = start * self._d_v
         if self._kernels is not None:
-            total = self._kernels.bc(
-                residual.shape[0],
-                residual.shape[1],
+            self._kernels.bc_leaves(
+                *self._layout,
+                first,
+                residual.size,
                 _kernels.address(residual),
                 _kernels.address(v),
                 v.dtype == np.float32,
-                None,
-                _kernels.address(self._state),
+                _kernels.address(self._table),
             )
         else:
             residual -= v
-            block = self._squares[start : self._filled].reshape(residual.shape)
+            block = self._squares[first : first + residual.size].reshape(residual.shape)
             np.multiply(residual, residual, out=block)
-            total = np.add.reduce(self._squares) if self._filled == self._squares.size else None
-        return total if self._filled == self.size else None
+
+    def total(self) -> float:
+        if self._kernels is not None:
+            return self._kernels.leaf_sum(*self._layout, _kernels.address(self._table))
+        return np.add.reduce(self._squares)
 
 
 def _loss_kernels() -> _kernels.Kernels | None:
@@ -1092,20 +1094,18 @@ def _forward_terms(
 ) -> dict[str, float]:
     # joint_loss's unweighted terms without gradients, block by block: each
     # block's per-row values go into full-length vectors (the value each
-    # core returns for the block is not read), and each vector is reduced
-    # once every block is in.  BC's reconstruction residual comes back from
-    # each block, and its squares go on to a _SquareSum here, in row order.
-    # The compiled-or-numpy choice is made once, here.
+    # core returns for the block is not read), its reconstruction residual's
+    # squares into a _SquareSum, and each is reduced once every block is
+    # in.  The compiled-or-numpy choice is made once, here.
     rows = v.shape[0]
     kernels = _loss_kernels()
     groups = A.groups
     picked = np.empty(rows) if on[SCE] else None
     kl_rows = np.empty(rows) if on[KL] else None
-    squares = _SquareSum(kernels, v, params.d_v) if on[BC] else None
+    squares = _SquareSum(kernels, rows, params.d_v) if on[BC] else None
     norms = np.empty((len(groups), rows)) if on[AD] else None
-    found = {}
 
-    def run(start: int, stop: int) -> np.ndarray | None:
+    def run(start: int, stop: int) -> None:
         block_labels = labels[start:stop]
         a_hat = forward_attr(params, v[start:stop])
         if on[SCE] or on[KL]:
@@ -1123,26 +1123,20 @@ def _forward_terms(
             block_norms = np.empty((len(groups), stop - start))
             _ad_core(kernels, a_hat, groups, False, block_norms)
             norms[:, start:stop] = block_norms
-        return forward_decode(params, a_hat) if on[BC] else None
+        if on[BC]:
+            squares.add(start, forward_decode(params, a_hat), v[start:stop])
 
-    def then(start: int, stop: int, residual: np.ndarray) -> None:
-        found[BC] = squares.add(residual, v[start:stop])
-
-    _map_blocks(rows, run, then if on[BC] else None)
+    _map_blocks(rows, run)
+    found = {}
     if on[SCE]:
         found[SCE] = _sce_value(picked)
     if on[BC]:
-        found[BC] = float(found[BC] / rows)
+        found[BC] = float(squares.total() / rows)
     if on[KL]:
         found[KL] = _kl_value(kl_rows, distill.tau)
     if on[AD]:
         found[AD] = _ad_value(norms)
-    return {name: found[name] for name in (SCE, BC, KL, AD) if on[name]}
-
-
-# Blocks that _map_blocks may have taken beyond the last it handed on, so
-# at most this many blocks' results are held at once.
-_AHEAD = 3
+    return found
 
 
 @functools.cache
@@ -1153,69 +1147,40 @@ def _lane() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fedzsl-blocks")
 
 
-def _map_blocks(rows: int, run, then=None) -> None:
-    # Calls run(start, stop) for each of _forward_blocks(rows), and
-    # then(start, stop, result) on this thread in row order.  This thread
+def _map_blocks(rows: int, run) -> None:
+    # Calls run(start, stop) for each of _forward_blocks(rows).  This thread
     # and the lane thread (in a copy of this thread's context, np.errstate
-    # among it) each take the next block as they come free, at most _AHEAD
-    # past the last handed on; every block alike, so a caller reads its
-    # blocks' work once this returns.  A single block runs here.  An earlier
-    # block's error is raised first, and the lane is done with the call
-    # before it returns or raises.
+    # among it) each take the next block as they come free; no block is
+    # taken once one has failed, so every block before a failed one has run.
+    # A single block runs here.  The lane is done with the call before it
+    # returns or raises, and the error of the lowest-index failed block is
+    # raised.
     blocks = list(_forward_blocks(rows))
-    gate = threading.Condition()
-    done: dict[int, tuple[bool, object]] = {}  # index -> (ran, result or error)
-    taken = handed = 0
-    closed = False
+    if len(blocks) == 1:
+        run(*blocks[0])
+        return
+    gate = threading.Lock()
+    order = iter(range(len(blocks)))
+    errors: dict[int, BaseException] = {}
 
-    def take(wait: bool) -> bool:
-        # Runs the next block if it is within _AHEAD of the last handed on;
-        # with ``wait``, waits for that.  False when no block is taken.
-        nonlocal taken
-        with gate:
-            while wait and not closed and handed + _AHEAD <= taken < len(blocks):
-                gate.wait()
-            if closed or taken == len(blocks) or taken >= handed + _AHEAD:
-                return False
-            index = taken
-            taken += 1
-        try:
-            outcome = (True, run(*blocks[index]))
-        except BaseException as exc:  # raised on the calling thread, in row order
-            outcome = (False, exc)
-        with gate:
-            done[index] = outcome
-            gate.notify_all()
-        return True
+    def work() -> None:
+        while True:
+            with gate:
+                index = None if errors else next(order, None)
+            if index is None:
+                return
+            try:
+                run(*blocks[index])
+            except BaseException as exc:  # raised on the calling thread
+                with gate:
+                    errors[index] = exc
 
-    def lane() -> None:
-        while take(wait=True):
-            pass
-
-    helper = None
-    if len(blocks) > 1:
-        _kernels.compiled()  # built, if at all, before two threads ask for it
-        helper = _lane().submit(contextvars.copy_context().run, lane)
+    _kernels.compiled()  # built, if at all, before two threads ask for it
+    helper = _lane().submit(contextvars.copy_context().run, work)
     try:
-        for index, block in enumerate(blocks):
-            # While the lane runs this block, this thread runs later ones.
-            while index not in done and take(wait=False):
-                pass
-            with gate:
-                while index not in done:
-                    gate.wait()
-                ran, result = done.pop(index)
-            if not ran:
-                raise result
-            if then is not None:
-                then(*block, result)
-            del result
-            with gate:
-                handed += 1
-                gate.notify_all()
+        work()
     finally:
-        with gate:
-            closed = True
-            gate.notify_all()
-        if helper is not None and not helper.cancel():
+        if not helper.cancel():
             helper.result()
+    if errors:
+        raise errors[min(errors)]

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedzsl.dataset import AttributeMatrix, _as_int
+from fedzsl.dataset import AttributeMatrix, _as_ids, _as_int
 from fedzsl.glasso import DistillTargets
 from fedzsl.model import (
     ATTRIBUTE_BASED, ModelParams, compatibility_logits, forward_attr, forward_decode, init_params
@@ -410,6 +410,18 @@ def check_left_inverse_bound(params: ModelParams, samples: np.ndarray) -> int:
     return _left_inverse_impl(params, samples, spectral_bounds(params.W_h))[0]
 
 
+def _class_ids(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    # The labels as int64 class ids, each in [0, num_classes); the first
+    # that is not is named.
+    ids = _as_ids(labels, "labels", AssumptionError)
+    bad = (ids < 0) | (ids >= num_classes)
+    if np.any(bad):
+        raise AssumptionError(
+            f"labels must lie in [0, {num_classes}), got {ids.flat[np.argmax(bad)]}"
+        )
+    return ids
+
+
 def _attr_error_impl(
     params: ModelParams,
     features: np.ndarray,
@@ -422,7 +434,7 @@ def _attr_error_impl(
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("attribute error check needs attribute-based params")
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _class_ids(labels, A.num_classes)
     small, _ = bounds
     if small <= RANK_EPS:
         raise AssumptionError(
@@ -543,7 +555,7 @@ def check_client_alignment(
     """
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("alignment check needs attribute-based params")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _class_ids(labels, A.num_classes)
     tau = targets.tau
     logits = compatibility_logits(forward_attr(params, features), A, range(A.num_classes)) / tau
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -573,7 +585,8 @@ def build_theory_report(
     if params.mode != ATTRIBUTE_BASED:
         raise AssumptionError("theory report needs attribute-based params")
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    # Raised here, not recorded as a check's refusal below.
+    labels = _class_ids(labels, A.num_classes)
     small, big = spectral_bounds(params.W_h)
     # One model pass over the rows, shared by delta_rec and both checks.
     reconstruction = _reconstruction_errors(params, features)

@@ -614,9 +614,21 @@ def test_loss_reports_match(problem, name, grads, rows):
         # Every group of the first row has zero norm too, and with b_h = 0
         # so does its reconstruction residual.
         features[0] = 0.0
-    new = fed._local_loss(params, features, labels, attrs, cfg, train.split.seen, grads=grads)
+    new = current_loss(params, features, labels, attrs, cfg, train.split.seen, grads)
     old = _local_loss(params, features, labels, attrs, cfg, train.split.seen, grads=grads)
     assert_same_report(new, old)
+
+
+def current_loss(params, features, labels, attrs, cfg, seen, grads):
+    """The current code's loss: the global loss, fed._local_loss, without
+    gradients; with them, the loss local training takes its steps on."""
+    if not grads:
+        return fed._local_loss(params, features, labels, attrs, cfg, seen)
+    if cfg.mode == ATTRIBUTE_BASED:
+        return losses.joint_loss(
+            params, features, labels, attrs, cfg.distill, cfg.weights, ablation=cfg.ablation
+        )
+    return losses.ce_loss_attribute_free(params, features, labels, seen)
 
 
 # Row counts around the forward-only loss's row block: one short of it,

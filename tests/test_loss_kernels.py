@@ -1,11 +1,11 @@
 """The compiled loss kernels and the kernel cache.
 
-Each loss core (``_sce_core``, ``_kl_core``, ``_ad_core``, and BC's
-``_bc_compiled`` against ``_bc_numpy``) and ``LossReport``'s finiteness scan
-runs compiled when handed the kernels (``_loss_kernels``: the library is
-built and its reductions match numpy's), and its numpy body otherwise.  The
-numpy body is the oracle: every comparison is on ``tobytes()`` or
-``float.hex``.
+Each loss core (``_sce_core``, ``_kl_core``, ``_ad_core``, BC's
+``_bc_compiled`` against ``_bc_numpy`` and the forward-only ``_SquareSum``)
+and a step's finiteness scan runs compiled when handed the kernels
+(``_loss_kernels``: the library is built and its reductions match numpy's),
+and its numpy body otherwise.  The numpy body is the oracle: every
+comparison is on ``tobytes()`` or ``float.hex``.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from fedzsl.losses import (
     LossWeights,
     joint_loss,
 )
-from fedzsl.model import ATTRIBUTE_BASED, ModelParams, forward_decode, init_params
+from fedzsl.model import ATTRIBUTE_BASED, ATTRIBUTE_FREE, ModelParams, forward_decode, init_params
 from conftest import needs_a_compiler
 from test_model import cpu_has_fma
 
@@ -186,7 +187,8 @@ class TestLossCores:
         # The decoder's residual against float32 or float64 features: with
         # gradients, _bc_compiled (float32 widened in C) against _bc_numpy,
         # residual and b_h's gradient included; without, the forward-only
-        # loss's stream of squares against its full-length vector.
+        # loss's leaf table against its full-length vector of squares, the
+        # blocks fed last first.
         rng = np.random.default_rng(seed)
         params = init_params(d_v, d_a, num_seen=2, mode=ATTRIBUTE_BASED, seed=seed % 1000)
         params.b_h = values(rng, d_v)
@@ -203,9 +205,12 @@ class TestLossCores:
             want = losses._bc_numpy(want_residual, v.astype(np.float64), want_d_b)
             assert_same((got, got_residual, got_d_b), (want, want_residual, want_d_b))
         else:
-            got = losses._SquareSum(kernels, v, d_v).add(got_residual, v)
-            want = losses._SquareSum(None, v, d_v).add(want_residual, v)
-            assert as_bytes(float(got)) == as_bytes(float(want))
+            got, want = losses._SquareSum(kernels, rows, d_v), losses._SquareSum(None, rows, d_v)
+            for start, stop in reversed(list(losses._forward_blocks(rows))):
+                got.add(start, got_residual[start:stop], v[start:stop])
+                want.add(start, want_residual[start:stop], v[start:stop])
+            assert as_bytes(float(got.total())) == as_bytes(float(want.total()))
+            assert_same(got_residual, want_residual)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -260,13 +265,22 @@ class TestLossCores:
 )
 @pytest.mark.parametrize("size", [1, 2, 7, 64])
 def test_the_finiteness_scan_agrees_on_both_paths(entries, size):
-    grad = np.zeros(max(size, len(entries)))
-    grad[-len(entries):] = entries
-    with pytest.MonkeyPatch.context() as mp:
-        got = losses._all_finite(grad)
-        mp.setattr(_kernels, "compiled", lambda: None)
-        want = losses._all_finite(grad)
-    assert got == want == bool(np.isfinite(grad).all())
+    # A step's scan of its gradients: fedzsl_all_finite in the compiled
+    # workspace, _finite_numpy in the numpy one, over W_c's entries.
+    d_v = max(size, len(entries))
+    params = init_params(d_v, 1, num_seen=1, mode=ATTRIBUTE_FREE, seed=0)
+    scans = []
+    for compiled in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not compiled:
+                mp.setattr(_kernels, "compiled", lambda: None)
+            work = losses.StepWorkspace(params, np.zeros((1, d_v)), np.zeros(1), seen=[0])
+        assert (work._kernels is not None) == compiled
+        grad = work.grads["W_c"].reshape(-1)
+        grad[:] = 0.0
+        grad[-len(entries):] = entries
+        scans.append(dict(work._finite_grads())["W_c"])
+    assert scans[0] == scans[1] == bool(np.isfinite(entries).all())
 
 
 @needs_a_compiler
@@ -419,53 +433,72 @@ def test_the_probe_refuses_a_library_built_to_reassociate(tmp_path):
 
 # Lengths at each edge of the pairwise sum: its branches at 8 and 128
 # values, its first splits, and a length of several splits.
-STREAM_LENGTHS = st.sampled_from([*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 4099])
+EDGE_LENGTHS = [*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 4099]
 
 
 @st.composite
-def stream_inputs(draw):
-    """Values over about 80 binades, with signed zeros and subnormals, and the
-    piece sizes a stream takes them in, in turn (one value at a time, or
-    pieces drawn to cross leaves and splits)."""
-    n = draw(STREAM_LENGTHS)
+def leaf_inputs(draw):
+    """Rows x d_v residual values over about 80 binades, with signed zeros and
+    subnormals, features of either width, and the stride of the blocks the
+    leaf table takes them in: the forward-only loss's 256 rows, at shapes
+    whose leaves straddle block boundaries, at a single leaf of at most 128
+    values and at one block; or any stride from 128 up over the edge lengths."""
+    shape, stride = draw(st.one_of(
+        st.sampled_from([(960, 64), (1290, 16), (1000, 85), (4800, 256), (1, 7), (2, 50), (511, 3)])
+        .map(lambda shape: (shape, losses._ROW_BLOCK * shape[1])),
+        st.tuples(st.sampled_from(EDGE_LENGTHS).map(lambda n: (1, n)), st.integers(128, 600)),
+    ))
     rng = np.random.default_rng(draw(SEEDS))
-    x = rng.standard_normal(n) * np.exp2(rng.uniform(-40.0, 40.0, n))
-    x[rng.random(n) < 0.05] = -0.0
-    tiny = rng.random(n) < 0.05
+    x = rng.standard_normal(shape) * np.exp2(rng.uniform(-40.0, 40.0, shape))
+    x[rng.random(shape) < 0.05] = -0.0
+    tiny = rng.random(shape) < 0.05
     x[tiny] = rng.integers(-1000, 1000, int(tiny.sum())) * np.nextafter(0.0, 1.0)
-    pieces = draw(st.one_of(st.just((1,)), st.lists(st.integers(1, 300), min_size=1, max_size=8)))
-    return x, tuple(pieces)
+    # Zero features at half the entries keep those signed zeros and subnormals.
+    v = values(rng, shape) * 0.01
+    v[rng.random(shape) < 0.5] = 0.0
+    v = v.astype(draw(st.sampled_from([np.float32, np.float64])))
+    return x, v, stride, draw(st.randoms(use_true_random=False))
 
 
 @needs_a_compiler
-class TestPairwiseStream:
+class TestLeafTable:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(inputs=stream_inputs(), square=st.sampled_from([0, 1]))
-    def test_a_stream_in_any_pieces_sums_as_numpy_does(self, inputs, square):
-        x, pieces = inputs
+    @given(inputs=leaf_inputs())
+    def test_blocks_in_any_order_on_two_threads_sum_as_numpy_does(self, inputs):
+        # The blocks are shuffled and dealt to two threads in turn; the sum
+        # is numpy's over all squares of the residual less the features,
+        # which each block leaves in its residual.
+        x, v, stride, random = inputs
         kernels = _kernels.compiled()
-        state = _kernels.stream(kernels, x.size)
-        got = _kernels._streamed(kernels._asdict(), state, x, pieces, square)
-        want = np.add.reduce(x * x if square else x)
-        assert got.hex() == float(want).hex()
+        want_residual = x - v.astype(np.float64)
+        want = np.add.reduce(want_residual * want_residual, axis=None)
+        n = x.size
+        last, table = _kernels.leaf_table(n, stride)
+        starts = list(range(0, last + 1, stride))
+        random.shuffle(starts)
+        at = _kernels.address
 
-    def test_the_sum_comes_with_the_last_value_only(self):
-        kernels = _kernels.compiled()
-        x = np.arange(1.0, 301.0)
-        state = _kernels.stream(kernels, x.size)
-        at = _kernels.address(state)
-        partial = [kernels.stream_add(at, _kernels.address(x[k:]), 1, 0) for k in range(299)]
-        assert partial == [0.0] * 299
-        assert kernels.stream_add(at, _kernels.address(x[299:]), 1, 0) == np.add.reduce(x)
+        def feed(firsts):
+            for first in firsts:
+                count = (n if first == last else first + stride) - first
+                kernels.bc_leaves(
+                    n, stride, last, first, count, at(x) + 8 * first,
+                    at(v) + v.itemsize * first, v.dtype == np.float32, at(table),
+                )
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(feed, (starts[0::2], starts[1::2])))
+        got = kernels.leaf_sum(n, stride, last, at(table))
+        assert got.hex() == float(want).hex()
+        assert x.tobytes() == want_residual.tobytes()
 
 
 # Source edits that split a run at n/2 without rounding down to a multiple
-# of 8: everywhere, or in the stream alone.
+# of 8: everywhere, or in the leaf walk alone.
 UNROUNDED_SPLITS = {
     "everywhere": [("    return n2 - n2 % 8;", "    return n2;")],
-    "stream-only": [
-        ("        n = pairwise_half(n);", "        n = n / 2;"),
-        ("s->size[top] - pairwise_half(s->size[top])", "s->size[top] - s->size[top] / 2"),
+    "leaf-walk-only": [
+        ("        long long n2 = pairwise_half(m);", "        long long n2 = m / 2;"),
     ],
 }
 

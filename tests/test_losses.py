@@ -793,9 +793,9 @@ class TestForwardOnlyBlocks:
     @pytest.mark.parametrize("body", ["compiled", "numpy"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_block_0_run_last_gives_the_gradient_calls_bytes(self, monkeypatch, dtype, body):
-        # Block 0 waits until every later block has run (three blocks, all
-        # within the look-ahead), so each per-row vector fills out of row
-        # order; it is still reduced once, after its blocks.
+        # Block 0 waits until every later block has run (three blocks), so
+        # each per-row vector and BC's leaf table fill out of row order;
+        # each is still reduced once, after its blocks.
         if body == "compiled" and _kernels.compiled() is None:
             pytest.skip("the compiled kernels are not built")
         if body == "numpy":
@@ -804,7 +804,7 @@ class TestForwardOnlyBlocks:
         assert len(list(losses._forward_blocks(rows))) == 3
         map_blocks, waits = losses._map_blocks, []
 
-        def block_0_last(rows, run, then=None):
+        def block_0_last(rows, run):
             later = len(list(losses._forward_blocks(rows))) - 1
             ran = threading.Semaphore(0)
 
@@ -817,7 +817,7 @@ class TestForwardOnlyBlocks:
                 finally:
                     ran.release()
 
-            map_blocks(rows, delayed, then)
+            map_blocks(rows, delayed)
 
         args = awa_shaped(rows, dtype, seed=rows)
         rng = np.random.default_rng(rows)
@@ -839,6 +839,40 @@ class TestForwardOnlyBlocks:
         assert forward.total.hex() == with_grads.total.hex()
         assert free_forward.total.hex() == free_with_grads.total.hex()
 
+    @pytest.mark.parametrize("body", ["compiled", "numpy"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(1290, 16), (960, 64), (1000, 85)], ids=str)
+    def test_blocks_run_in_reverse_order_give_the_gradient_calls_bytes(
+        self, monkeypatch, shape, dtype, body
+    ):
+        # The last block first, on this thread: BC's sum of squares, whose
+        # pairwise leaves straddle block boundaries at these shapes, is
+        # order-free, and so is every other term.
+        if body == "compiled" and _kernels.compiled() is None:
+            pytest.skip("the compiled kernels are not built")
+        if body == "numpy":
+            monkeypatch.setattr(_kernels, "compiled", lambda: None)
+        rows, d_v = shape
+        args = awa_shaped(rows, dtype, seed=rows, d_v=d_v)
+        ran = []
+
+        def reversed_blocks(rows, run):
+            for start, stop in reversed(list(losses._forward_blocks(rows))):
+                ran.append(start)
+                run(start, stop)
+
+        with _blas.one_thread() as pinned:
+            if not pinned:
+                pytest.skip("numpy's bundled OpenBLAS is not found")
+            with_grads = joint_loss(*args, LossWeights())
+            monkeypatch.setattr(losses, "_map_blocks", reversed_blocks)
+            forward = joint_loss(*args, LossWeights(), grads=False)
+        assert ran == sorted(ran, reverse=True) and len(ran) >= 3
+        assert {k: v.hex() for k, v in forward.terms.items()} == {
+            k: v.hex() for k, v in with_grads.terms.items()
+        }
+        assert forward.total.hex() == with_grads.total.hex()
+
     @pytest.mark.parametrize("rows", [0, 1, 255, 256, 511, 512, 767, 768, 1023, 1024, 4800])
     def test_blocks_cover_the_rows_with_at_least_a_row_block_each(self, rows):
         # No rows are one empty block.
@@ -854,18 +888,6 @@ class TestForwardOnlyBlocks:
 class TestMapBlocks:
     # 1290 rows make five blocks; the last has 266 rows.
     ROWS = 5 * losses._ROW_BLOCK + 10
-
-    def test_results_are_handed_on_in_row_order_on_this_thread(self):
-        handed = []
-        here = threading.current_thread()
-
-        def then(start, stop, size):
-            assert threading.current_thread() is here
-            handed.append((start, stop, size))
-
-        losses._map_blocks(self.ROWS, lambda start, stop: stop - start, then)
-        blocks = list(losses._forward_blocks(self.ROWS))
-        assert handed == [(start, stop, stop - start) for start, stop in blocks]
 
     def test_a_slow_block_on_one_thread_leaves_the_others_to_the_other(self):
         # While one thread sits in block 0, the other takes the blocks after
@@ -883,9 +905,9 @@ class TestMapBlocks:
         assert len(set(threads.values())) == 2
 
     def test_while_one_thread_holds_block_0_the_other_takes_the_last_block(self):
-        # The last block is shared like every other: with three blocks, all
-        # within the look-ahead, block 0 waits until the last has run, which
-        # only the other thread can then take.
+        # The last block is shared like every other: with three blocks,
+        # block 0 waits until the last has run, which only the other thread
+        # can then take.
         rows = 3 * losses._ROW_BLOCK + 10
         last = list(losses._forward_blocks(rows))[-1][0]
         last_ran = threading.Event()
@@ -902,40 +924,19 @@ class TestMapBlocks:
         assert waited == [True]
         assert threads[last] is not threads[0]
 
-    def test_no_more_than_the_look_ahead_is_held(self):
-        # Blocks started but not yet handed on never exceed _AHEAD.
-        lock = threading.Lock()
-        counts = {"started": 0, "handed": 0}
-        held = []
-
-        def run(start, stop):
-            with lock:
-                counts["started"] += 1
-                held.append(counts["started"] - counts["handed"])
-            time.sleep(0.001)
-
-        def then(start, stop, _):
-            time.sleep(0.005)  # a slow consumer lets the lane run ahead
-            with lock:
-                counts["handed"] += 1
-
-        losses._map_blocks(20 * losses._ROW_BLOCK, run, then)
-        assert counts == {"started": 20, "handed": 20}
-        assert max(held) <= losses._AHEAD
-
     def test_an_earlier_blocks_error_comes_first_and_the_lane_is_done_by_then(self):
-        # Block 0 fails once block 1 runs on the other thread, which fails
-        # later.
+        # Block 1 fails first, on one thread, while block 0 runs on the
+        # other; block 0 fails later, and its error is the one raised.
         started, finished = threading.Event(), threading.Event()
 
         def run(start, stop):
             if start == 0:
                 assert started.wait(timeout=30.0)
+                time.sleep(0.05)
+                finished.set()
                 raise ValueError("block 0")
             if start == losses._ROW_BLOCK:
                 started.set()
-                time.sleep(0.05)
-                finished.set()
                 raise RuntimeError("block 1")
             return None
 
@@ -943,55 +944,47 @@ class TestMapBlocks:
             losses._map_blocks(self.ROWS, run)
         assert finished.is_set()
 
-    def test_an_error_handing_on_stops_the_lane(self):
+    def test_no_block_is_taken_once_one_has_failed(self):
         ran = []
 
-        def then(start, stop, _):
-            raise ValueError("handing on")
+        def run(start, stop):
+            ran.append(start)
+            raise ValueError(f"block at {start}")
 
-        with pytest.raises(ValueError, match="handing on"):
-            losses._map_blocks(20 * losses._ROW_BLOCK, lambda start, stop: ran.append(start), then)
-        count = len(ran)
-        time.sleep(0.02)
-        assert len(ran) == count <= 1 + losses._AHEAD
+        with pytest.raises(ValueError, match="block at 0"):
+            losses._map_blocks(20 * losses._ROW_BLOCK, run)
+        assert sorted(ran) == [0, losses._ROW_BLOCK][: len(ran)]
 
-    def test_each_block_runs_once_and_is_handed_on_in_order_under_fast_switching(self):
-        # A thread switch after almost every bytecode: no block is lost,
-        # run twice or handed on out of order.
+    def test_each_block_runs_once_under_fast_switching(self):
+        # A thread switch after almost every bytecode: no block is lost or
+        # run twice.
         rows = 40 * losses._ROW_BLOCK
         want = [start for start, _ in losses._forward_blocks(rows)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                ran, handed = [], []
-                losses._map_blocks(
-                    rows,
-                    lambda start, stop: ran.append(start) or start,
-                    lambda start, stop, got: handed.append((start, got)),
-                )
+                ran = []
+                losses._map_blocks(rows, lambda start, stop: ran.append(start))
                 assert sorted(ran) == want
-                assert handed == [(start, start) for start in want]
         finally:
             sys.setswitchinterval(interval)
 
     def test_the_lane_runs_in_the_callers_errstate(self):
-        states = []
+        states = {}
+
+        def run(start, stop):
+            states[start] = np.geterr()["over"]
+            time.sleep(0.005)  # so that both threads take blocks
+
         with np.errstate(over="raise"):
-            losses._map_blocks(
-                self.ROWS,
-                lambda start, stop: np.geterr()["over"],
-                lambda start, stop, state: states.append(state),
-            )
-        assert states == ["raise"] * 5
+            losses._map_blocks(self.ROWS, run)
+        assert list(states.values()) == ["raise"] * 5
 
     @pytest.mark.parametrize("rows", [0, 1, 511])
     def test_one_block_runs_here(self, rows):
-        here = threading.current_thread()
-        handed = []
+        ran = []
         losses._map_blocks(
-            rows,
-            lambda start, stop: threading.current_thread(),
-            lambda start, stop, thread: handed.append((start, stop, thread)),
+            rows, lambda start, stop: ran.append((start, stop, threading.current_thread()))
         )
-        assert handed == [(0, rows, here)]
+        assert ran == [(0, rows, threading.current_thread())]

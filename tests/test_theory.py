@@ -797,6 +797,59 @@ class TestTheoryReport:
         )
 
 
+def label_instance():
+    """d_a 5, 4 unit-normalized classes and 6 rows, with distillation targets."""
+    rng = np.random.default_rng(8)
+    params = init_params(8, 5, num_seen=4, mode=ATTRIBUTE_BASED, seed=8)
+    raw = rng.standard_normal((5, 4))
+    attrs = AttributeMatrix(values=raw / np.linalg.norm(raw, axis=0), groups=((0, 5),))
+    targets = DistillTargets(probs=np.full((4, 4), 0.25), tau=4.0)
+    return params, rng.standard_normal((6, 8)), attrs, targets
+
+
+ENTRY_POINTS = {
+    "report": lambda params, features, labels, attrs, targets: build_theory_report(
+        params, features, labels, attrs
+    ),
+    "attr_error": lambda params, features, labels, attrs, targets: check_attr_error_bound(
+        params, features, labels, attrs
+    ),
+    "alignment": check_client_alignment,
+}
+
+
+class TestLabels:
+    # A label below 0 would read the last class's prototype, a fraction
+    # would be truncated, and a label past the classes would raise a bare
+    # IndexError; each entry point refuses all three, naming the label.
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (-1, r"labels must lie in \[0, 4\), got -1"),
+            (0.5, "labels must be integers, got 0.5"),
+            (4, r"labels must lie in \[0, 4\), got 4"),
+        ],
+        ids=["negative", "fraction", "past-the-classes"],
+    )
+    def test_a_bad_label_is_refused(self, entry, bad, message):
+        params, features, attrs, targets = label_instance()
+        labels = np.array([0, 1, 2, 3, 0, bad])
+        with pytest.raises(AssumptionError, match=message):
+            ENTRY_POINTS[entry](params, features, labels, attrs, targets)
+
+    def test_valid_labels_are_taken_as_they_were(self):
+        params, features, attrs, targets = label_instance()
+        labels = np.array([0, 1, 2, 3, 0, 1])
+        for entry in ENTRY_POINTS.values():
+            want = entry(params, features, labels, attrs, targets)
+            got = entry(params, features, labels.astype(np.float64), attrs, targets)
+            if isinstance(want, TheoryReport):
+                assert got.violations == want.violations and not got.refusals
+            else:
+                assert got == want
+
+
 class TestCheckSuite:
     def test_all_six_checks_pass_at_small_scale(self):
         results = run_check_suite(trials=60, seed=0)
